@@ -14,6 +14,7 @@ from .errors import (
     NotAdmissible,
 )
 from .linalg import F0, F1, SparseRREF
+from .memo import memo
 from .presentations import (
     Arrow,
     BoundQuiverPresentation,
@@ -41,10 +42,7 @@ class Algebra:
         self.arrow_class = arrow_class or {}
         self.e_index = {v: i for i, v in enumerate(self.vertices)}
         self.monomial = all(len(t) <= 1 for t in mult.values())
-        self._op = None
-        self._minpres = None
         self._homdims = None
-        self._basis_by_src_tgt = None
 
     @property
     def dim(self):
@@ -52,14 +50,6 @@ class Algebra:
 
     def radical_indices(self):
         return list(range(len(self.vertices), self.dim))
-
-    def basis_by_src_tgt(self):
-        if self._basis_by_src_tgt is None:
-            table = {}
-            for i in range(self.dim):
-                table.setdefault((self.basis_src[i], self.basis_tgt[i]), []).append(i)
-            self._basis_by_src_tgt = table
-        return self._basis_by_src_tgt
 
     def mult_basis(self, i, j):
         """Product basis_i * basis_j (j applied first); sparse dict."""
@@ -129,10 +119,7 @@ class Algebra:
 
     def opposite(self):
         """Opposite algebra; involutive up to identity on basis ids."""
-        if self._op is None:
-            self._op = _build_opposite(self)
-            self._op._op = self
-        return self._op
+        return memo(self, "op", lambda: _build_opposite(self))
 
     def __repr__(self):
         return f"Algebra(dim={self.dim}, vertices={len(self.vertices)})"
@@ -166,6 +153,7 @@ def _build_opposite(a):
         presentation=op_pres,
         arrow_class=dict(a.arrow_class),
     )
+    memo(op, "op", lambda: a)
     return op
 
 
@@ -646,8 +634,7 @@ def quotient_by_idempotent(a, f):
                 if prod:
                     span.add(dict(prod))
         span.add({ev: F1})
-    probe = SparseRREF()
-    probe.rows = {p: dict(r) for p, r in span.rows.items()}
+    probe = span.copy()
     kept = []
     for b in range(a.dim):
         if probe.add({b: F1}) is not None:

@@ -7,6 +7,7 @@ nonzero.  Squares and cube faces "commute" only when the shared value is
 nonzero; squares whose both routes vanish do not count as cubes.
 """
 
+import copy
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -14,14 +15,13 @@ from .algebras import build_algebra, idempotent_subalgebra
 from .errors import NotAdmissible, UnknownArrow
 from .linalg import F0, F1
 from . import linalg
+from .memo import memo
 from .presentations import Idempotent, RelationElement
 
 
 def built(p):
-    """Build (and cache) the algebra of a presentation."""
-    if not hasattr(p, "_built"):
-        p._built = build_algebra(p)
-    return p._built
+    """The algebra of a presentation, built once per presentation."""
+    return memo(p, "built", lambda: build_algebra(p))
 
 
 def _two_path_value(alg, first, second):
@@ -367,9 +367,11 @@ class AxiomReport:
         return all(e["pass"] for e in self.entries.values())
 
     def to_dict(self):
+        # the entries may be shared through the memo: hand out copies
         return {
             "d": self.d,
-            "axioms": {k: self.entries[k] for k in sorted(self.entries)},
+            "axioms": {k: copy.deepcopy(self.entries[k])
+                       for k in sorted(self.entries)},
             "verdict": self.verdict,
         }
 
@@ -471,6 +473,24 @@ def _plane_intersection(basis_rows, pivots, n, i1, i2):
 
 def check_axioms(p, d):
     """Axioms (A1)-(A4) and (E1)-(E3), checked exhaustively."""
+    return AxiomReport(dict(_cover_axioms(p, d), E3=_e3_entry(p)), d)
+
+
+def _e3_entry(p):
+    """(E3): no complete sandwich configuration in p."""
+    sandwiches = find_sandwiches(p)
+    return {"pass": not sandwiches,
+            "witnesses": [s.to_dict() for s in sandwiches[:5]]}
+
+
+def _cover_axioms(p, d):
+    """(A1)-(A4) and (E1)-(E2) of p at degree bound d, memoised on (p, d).
+
+    Every caller gets the same entries dict: read it, never change it."""
+    return memo(p, ("axioms", d), lambda: _axiom_entries(p, d))
+
+
+def _axiom_entries(p, d):
     quiver = p.quiver
     alg = built(p)
     entries = {}
@@ -549,12 +569,7 @@ def check_axioms(p, d):
         if len(zeros) > 1:
             w.append({"arrow": g.name, "zeroSuccessors": zeros})
     entries["E2"] = entry(not w, w)
-
-    sandwiches = find_sandwiches(p)
-    entries["E3"] = entry(
-        not sandwiches, [s.to_dict() for s in sandwiches[:5]]
-    )
-    return AxiomReport(entries, d)
+    return entries
 
 
 def _count_corner_cubes(p, corner, arrow_names):
@@ -570,7 +585,7 @@ def _count_corner_cubes_dual(p, corner, arrow_names):
     opposite quiver."""
     from .presentations import BoundQuiverPresentation, Quiver
 
-    if not hasattr(p, "_op_pres"):
+    def op_pres():
         op_quiver = Quiver(
             list(p.quiver.vertices),
             [(a.name, a.target, a.source) for a in p.quiver.arrows],
@@ -579,8 +594,9 @@ def _count_corner_cubes_dual(p, corner, arrow_names):
             RelationElement([(c, tuple(reversed(pt))) for c, pt in r.terms])
             for r in p.relations
         ]
-        p._op_pres = BoundQuiverPresentation(op_quiver, op_rels)
-    return _count_corner_cubes(p._op_pres, corner, arrow_names)
+        return BoundQuiverPresentation(op_quiver, op_rels)
+
+    return _count_corner_cubes(memo(p, "op", op_pres), corner, arrow_names)
 
 
 # ---------------------------------------------------------------------------
@@ -599,8 +615,10 @@ def _count_corner_cubes_dual(p, corner, arrow_names):
 
 
 def _mask_tables(a):
-    if getattr(a, "_mask_tables_cache", None) is not None:
-        return a._mask_tables_cache
+    return memo(a, "mask_tables", lambda: _build_mask_tables(a))
+
+
+def _build_mask_tables(a):
     if not a.monomial:
         raise ValueError("mask tables need a monomial multiplication table")
     nv = len(a.vertices)
@@ -624,12 +642,10 @@ def _mask_tables(a):
                 ((k, coef),) = entry.items()
                 prod[(i, j)] = (k, coef)
                 mid[k] |= vbit[w]
-    tables = {
+    return {
         "vbit": vbit, "pos": pos, "vm": vm, "prod": prod, "mid": mid,
         "by_source": by_source, "by_target": by_target,
     }
-    a._mask_tables_cache = tables
-    return tables
 
 
 def _mask_vertices(a, mask):
@@ -730,6 +746,7 @@ def _subsets_largest_first(vertices, cap):
 class PreGentleReport:
     axioms: AxiomReport
     e4: dict
+    hull: list = None       # vertices of the cover hull, for certificates
 
     @property
     def verdict(self):
@@ -740,7 +757,7 @@ class PreGentleReport:
     def to_dict(self):
         return {
             "axioms": self.axioms.to_dict(),
-            "E4": self.e4,
+            "E4": copy.deepcopy(self.e4),
             "verdict": self.verdict,
         }
 
@@ -761,6 +778,21 @@ def _witness_span(p, key, w):
     return sorted(span, key=str)
 
 
+def _heredity(entries, p, e3_p):
+    """(E4) from the first failing (E1)-(E3) entry; its witness spans the
+    vertices of p (of e3_p for (E3))."""
+    witness = None
+    for key in ("E1", "E2", "E3"):
+        if not entries[key]["pass"]:
+            witness = dict(entries[key]["witnesses"][0])
+            witness["axiom"] = key
+            witness["subset"] = _witness_span(
+                e3_p if key == "E3" else p, key, witness)
+            break
+    return {"mode": "heredity", "complete": True, "cappedAt": None,
+            "witness": witness, "verdict": "fail" if witness else "pass"}
+
+
 def is_pre_gentle(p, d, idempotent_cap=2 ** 20):
     """Axioms (A1)-(A4) and (E1)-(E4).
 
@@ -778,24 +810,7 @@ def is_pre_gentle(p, d, idempotent_cap=2 ** 20):
     indistinguishable from genuine sandwiches.
     """
     report = check_axioms(p, d)
-    witness = None
-    for key in ("E1", "E2", "E3"):
-        entry = report.entries[key]
-        if entry["pass"]:
-            continue
-        w = dict(entry["witnesses"][0])
-        w["axiom"] = key
-        w["subset"] = _witness_span(p, key, w)
-        witness = w
-        break
-    e4 = {
-        "mode": "heredity",
-        "complete": True,
-        "cappedAt": None,
-        "witness": witness,
-        "verdict": "fail" if witness else "pass",
-    }
-    return PreGentleReport(report, e4)
+    return PreGentleReport(report, _heredity(report.entries, p, p))
 
 
 def is_gentle(p):
@@ -861,6 +876,7 @@ class GentleCertificate:
     pre_gentle: PreGentleReport
     cube_check: dict
     d: int
+    corner: object = None   # the certified algebra e·cover·e
 
     @property
     def verdict(self):
@@ -876,12 +892,11 @@ class GentleCertificate:
         out = {
             "d": self.d,
             "preGentle": self.pre_gentle.to_dict(),
-            "cubeCheck": self.cube_check,
+            "cubeCheck": copy.deepcopy(self.cube_check),
             "verdict": self.verdict,
         }
-        hull = getattr(self.pre_gentle, "hull", None)
-        if hull is not None:
-            out["hull"] = [str(v) for v in hull]
+        if self.pre_gentle.hull is not None:
+            out["hull"] = [str(v) for v in self.pre_gentle.hull]
         return out
 
 
@@ -922,6 +937,10 @@ def is_d_gentle_certificate(cover, e, d, idempotent_cap=2 ** 20):
     is automatic for the semantic detection used here.  The degree and
     strong-successor axioms stay at the full cover, where the mesh
     structure that justifies them lives.
+
+    The cover-level checks depend only on (cover, d), so they are memoised
+    on the cover's presentation and shared by every corner certified
+    against the same cover.
     """
     from .algebras import Algebra
 
@@ -929,33 +948,14 @@ def is_d_gentle_certificate(cover, e, d, idempotent_cap=2 ** 20):
         cover = built(cover)
     hull = _hull_idempotent(cover, e)
     hull_corner = idempotent_subalgebra(cover, hull)
-    report = check_axioms(cover.presentation, d + 1)
-    sandwiches = find_sandwiches(hull_corner.presentation)
-    report.entries["E3"] = {
-        "pass": not sandwiches,
-        "witnesses": [w.to_dict() for w in sandwiches[:5]],
-    }
-    witness = None
-    for key in ("E1", "E2", "E3"):
-        entry = report.entries[key]
-        if entry["pass"]:
-            continue
-        w = dict(entry["witnesses"][0])
-        w["axiom"] = key
-        span_p = hull_corner.presentation if key == "E3" \
-            else cover.presentation
-        w["subset"] = _witness_span(span_p, key, w)
-        witness = w
-        break
-    e4 = {
-        "mode": "heredity",
-        "complete": True,
-        "cappedAt": None,
-        "witness": witness,
-        "verdict": "fail" if witness else "pass",
-    }
-    pre = PreGentleReport(report, e4)
-    pre.hull = sorted(hull.vertex_subset, key=str)
+    # each is the algebra its presentation builds: never build it again
+    for alg in (cover, hull_corner):
+        memo(alg.presentation, "built", lambda: alg)
+    entries = dict(_cover_axioms(cover.presentation, d + 1),
+                   E3=_e3_entry(hull_corner.presentation))
+    e4 = _heredity(entries, cover.presentation, hull_corner.presentation)
+    pre = PreGentleReport(AxiomReport(entries, d + 1), e4,
+                          sorted(hull.vertex_subset, key=str))
     corner = idempotent_subalgebra(cover, e)
     m = d + 1
     if corner.monomial:
@@ -988,6 +988,4 @@ def is_d_gentle_certificate(cover, e, d, idempotent_cap=2 ** 20):
             "verdict": "fail" if witness else (
                 "pass" if complete else "pass-up-to-cap"),
         }
-    cert = GentleCertificate(pre, cube_check, d)
-    cert.corner = corner
-    return cert
+    return GentleCertificate(pre, cube_check, d, corner)

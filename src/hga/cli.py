@@ -16,7 +16,13 @@ from . import reps
 from .algebras import build_algebra
 from .axioms import built, is_d_gentle_certificate, is_gentle
 from .cluster import SummandCollection, cluster_endo_algebra
-from .errors import HgaError, NoCommutativeSquare, NotReducible, ScaleExceeded
+from .errors import (
+    HgaError,
+    InvalidPresentation,
+    NoCommutativeSquare,
+    NotReducible,
+    ScaleExceeded,
+)
 from .presentations import (
     Idempotent,
     presentation_from_dict,
@@ -57,8 +63,20 @@ def _num(x):
     return x
 
 
+def _load_presentation(path):
+    """The presentation in a file: a presentation dict, or a report that
+    carries one as its `presentation` member (such as `hga auslander`'s)."""
+    data = _load(path)
+    if isinstance(data, dict) and "presentation" in data:
+        data = data["presentation"]
+    try:
+        return presentation_from_dict(data)
+    except (TypeError, AttributeError) as exc:
+        raise InvalidPresentation(f"{path}: not a presentation: {exc}")
+
+
 def _load_algebra(path):
-    return built(presentation_from_dict(_load(path)))
+    return built(_load_presentation(path))
 
 
 def _cap(default):
@@ -176,8 +194,7 @@ def cmd_verify_example(args):
 
 
 def cmd_export_dot(args):
-    p = presentation_from_dict(_load(args.algebra))
-    text = presentation_to_dot(p)
+    text = presentation_to_dot(_load_presentation(args.algebra))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

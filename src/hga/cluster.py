@@ -11,12 +11,13 @@ family over a linear quiver reproduces the next higher Auslander algebra
 with its vertex labels.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import linalg, reps
 from .algebras import Algebra, represent
 from .errors import AdjacencyViolation, HgaError, UnsupportedSummand
 from .linalg import F0, F1
+from .memo import memo
 from .typea import (
     Tuple,
     build_typeA_auslander,
@@ -31,7 +32,6 @@ class SummandCollection:
 
     family: object
     labels: list
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         info = getattr(self.family.algebra, "typeA", None)
@@ -57,16 +57,11 @@ class SummandCollection:
         self.labels = sorted(norm)
 
     def modules(self):
-        if "modules" not in self._cache:
-            self._cache["modules"] = [
-                self.family.module_of(t) for t in self.labels
-            ]
-        return self._cache["modules"]
+        return memo(self, "modules",
+                    lambda: [self.family.module_of(t) for t in self.labels])
 
     def direct_sum(self):
-        if "sum" not in self._cache:
-            self._cache["sum"] = reps.direct_sum(self.modules())
-        return self._cache["sum"]
+        return memo(self, "sum", lambda: reps.direct_sum(self.modules()))
 
     def __len__(self):
         return len(self.labels)
@@ -136,9 +131,7 @@ def _local_radical_basis(mod, endo_basis):
 
 
 def _dual_obj(m):
-    if not hasattr(m, "_dual_rep"):
-        m._dual_rep = reps.dual(m)
-    return m._dual_rep
+    return memo(m, "dual", lambda: reps.dual(m))
 
 
 def _dual_mor(f):
@@ -149,11 +142,11 @@ def _dual_mor(f):
 
 
 def _syzygy_data(m):
-    if not hasattr(m, "_syz_data"):
+    def compute():
         p, epi, _ = reps.projective_cover(m)
-        k, incl = reps.kernel(epi)
-        m._syz_data = (p, epi, k, incl)
-    return m._syz_data
+        return (p, epi) + reps.kernel(epi)
+
+    return memo(m, "syzygy", compute)
 
 
 def _syzygy_mor(f):
@@ -167,11 +160,8 @@ def _syzygy_mor(f):
 
 
 def _cosyz_obj(m):
-    if not hasattr(m, "_cosyz_rep"):
-        dm = _dual_obj(m)
-        _, _, k, _ = _syzygy_data(dm)
-        m._cosyz_rep = _dual_obj(k)
-    return m._cosyz_rep
+    return memo(m, "cosyzygy",
+                lambda: _dual_obj(_syzygy_data(_dual_obj(m))[2]))
 
 
 def _cosyz_mor(f):
@@ -181,19 +171,15 @@ def _cosyz_mor(f):
     return _dual_mor(_syzygy_mor(_dual_mor(f)))
 
 
-def _presentation_data(m):
-    if not hasattr(m, "_pres_data"):
-        m._pres_data = reps.presentation_matrix(m)
-    return m._pres_data
-
-
 def _transpose_data(m):
     """Tr m together with the pieces needed to transport morphisms."""
-    if hasattr(m, "_tr_data"):
-        return m._tr_data
+    return memo(m, "transpose", lambda: _build_transpose_data(m))
+
+
+def _build_transpose_data(m):
     alg = m.algebra
     op = alg.opposite()
-    tgts, srcs, elems, (p0, epi0, p1, d1) = _presentation_data(m)
+    tgts, srcs, elems, (p0, epi0, p1, d1) = reps.presentation_matrix(m)
     data = {
         "tgts": tgts, "srcs": srcs, "p0": p0, "epi0": epi0,
         "p1": p1, "d1": d1,
@@ -222,7 +208,6 @@ def _transpose_data(m):
         data["big_tgt"] = big_tgt
         data["tgt_incl"] = tgt_incl
         data["tgt_proj"] = tgt_proj
-    m._tr_data = data
     return data
 
 
@@ -300,14 +285,13 @@ def _transpose_mor(h):
 
 
 def _tau_d_inv_obj(m, d):
-    key = "_tdi_%d" % d
-    if not hasattr(m, key):
+    def compute():
         x = m
         for _ in range(d - 1):
             x = _cosyz_obj(x)
-        setattr(m, key, _transpose_data(_dual_obj(x))["tr"])
-        setattr(m, key + "_pre", x)
-    return getattr(m, key)
+        return _transpose_data(_dual_obj(x))["tr"]
+
+    return memo(m, ("tau_d_inv", d), compute)
 
 
 def _tau_d_inv_mor(f, d):
@@ -762,11 +746,14 @@ def ctgent_family(n, d, index_set, family=None):
     if len(set(labels)) != len(labels):
         raise HgaError("replacement simple collides with a kept projective")
     c = SummandCollection(family, labels)
-    c.ctgent = {
-        "n": n, "d": d, "positions": list(index_set),
-        "chain": list(chain),
-    }
+    info = {"n": n, "d": d, "positions": list(index_set),
+            "chain": list(chain)}
+    memo(c, "ctgent", lambda: info)
     return c
+
+
+def _not_ctgent():
+    raise HgaError("collection was not produced by ctgent_family")
 
 
 def ctgent_cover(c, family=None):
@@ -775,11 +762,9 @@ def ctgent_cover(c, family=None):
     replacement modules, cut down to the collection's vertices."""
     from .presentations import Idempotent
 
-    if not hasattr(c, "ctgent"):
-        raise HgaError("collection was not produced by ctgent_family")
+    info = memo(c, "ctgent", _not_ctgent)
     family = c.family
     alg = family.algebra
-    info = c.ctgent
     chain = info["chain"]
     proj_label = {}
     for v in alg.vertices:

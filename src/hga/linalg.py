@@ -50,10 +50,6 @@ def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_scale(c, a):
     return [[c * x for x in row] for row in a]
 
@@ -66,10 +62,6 @@ def transpose(m):
     if not m:
         return []
     return [list(col) for col in zip(*m)]
-
-
-def is_zero_matrix(m):
-    return all(all(x == 0 for x in row) for row in m)
 
 
 def rref(m):
@@ -185,6 +177,12 @@ class SparseRREF:
 
     def __init__(self):
         self.rows = {}  # pivot index -> normalized sparse row
+
+    def copy(self):
+        """An independent copy: adding to it leaves this one unchanged."""
+        out = SparseRREF()
+        out.rows = {p: dict(r) for p, r in self.rows.items()}
+        return out
 
     def reduce(self, vec):
         """Fully reduce a sparse vector against the current rows."""

@@ -166,15 +166,6 @@ def find_injection(source, target):
     return f if r == source.total_dim else None
 
 
-def find_surjection(source, target):
-    """A surjective morphism source -> target, or None."""
-    basis = reps.hom_basis(source, target)
-    if not basis:
-        return None
-    f, r = _max_rank_morphism(basis, target.total_dim)
-    return f if r == target.total_dim else None
-
-
 @dataclass
 class FabricReport:
     candidate: list

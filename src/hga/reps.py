@@ -11,6 +11,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import AlgebraMismatch, HgaError, NotGorensteinVerified, UnknownVertex
 from .linalg import F0, F1
+from .memo import memo
 
 
 def mmul(a, b, bcols):
@@ -180,19 +181,14 @@ def identity_morphism(m):
     return Morphism(m, m, blocks, check=False)
 
 
-def _proj_cache(alg):
-    if not hasattr(alg, "_projectives"):
-        alg._projectives = {}
-    return alg._projectives
-
-
 def projective(alg, v):
     """Indecomposable projective at a vertex: basis elements with source v."""
     if v not in alg.e_index:
         raise UnknownVertex(f"unknown vertex {v!r}")
-    cache = _proj_cache(alg)
-    if v in cache:
-        return cache[v]
+    return memo(alg, ("projective", v), lambda: _build_projective(alg, v))
+
+
+def _build_projective(alg, v):
     basis_ids = {w: [] for w in alg.vertices}
     for i in range(alg.dim):
         if alg.basis_src[i] == v:
@@ -217,7 +213,6 @@ def projective(alg, v):
     rep.proj_basis_ids = basis_ids
     rep.proj_pos = pos
     rep.gen_pos = pos[alg.e_index[v]]
-    cache[v] = rep
     return rep
 
 
@@ -233,13 +228,6 @@ def dual(m):
     maps = {ar.name: linalg.transpose(m.maps[ar.name])
             for ar in m.algebra.presentation.quiver.arrows}
     return Representation(op, dict(m.dims), maps, check=False)
-
-
-def dual_morphism(f):
-    """D on morphisms; contravariant."""
-    dm, dn = dual(f.target), dual(f.source)
-    blocks = {v: linalg.transpose(f.blocks[v]) for v in f.blocks}
-    return Morphism(dm, dn, blocks, check=False)
 
 
 def injective(alg, v):
@@ -471,14 +459,6 @@ def radical_vectors(m):
     return out
 
 
-def top_dims(m):
-    rad = radical_vectors(m)
-    return {
-        v: m.dims[v] - len(linalg.row_space_basis(rad[v]) if rad[v] else [])
-        for v in m.algebra.vertices
-    }
-
-
 def projective_cover(m):
     """Minimal projective cover; returns (P, epi, summand vertex list)."""
     alg = m.algebra
@@ -612,10 +592,6 @@ def proj_dim(m, cap=None):
         seen.append(k)
         current = k
     raise HgaError("projective dimension undecided within the step cap")
-
-
-def inj_dim(m, cap=None):
-    return proj_dim(dual(m), cap=cap)
 
 
 def is_isomorphic(m, n):

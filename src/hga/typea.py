@@ -169,12 +169,6 @@ def _shift(t, k):
     return tuple(t[i] + (1 if i == k else 0) for i in range(len(t)))
 
 
-def _valid(t, m):
-    if any(e < 1 or e > m for e in t):
-        return False
-    return all(t[i] + 2 <= t[i + 1] for i in range(len(t) - 1))
-
-
 def build_typeA_auslander(n, d):
     """The higher Auslander algebra A^d_n as a bound quiver algebra.
 
@@ -246,9 +240,6 @@ class LabelledModuleFamily:
             if lab.entries == tuple(t):
                 return mod
         raise KeyError(f"no module labelled {t}")
-
-    def label_of(self, index):
-        return self.labels[index]
 
 
 def _canonical_matrix_match(n, mat_a, mat_b):

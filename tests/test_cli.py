@@ -122,6 +122,29 @@ def test_bad_json_exit_two(tmp_path):
     assert main(["homdims", str(bad)]) == 2
 
 
+def test_homdims_accepts_auslander_report(tmp_path):
+    report = tmp_path / "a.json"
+    assert main(["auslander", "--n", "3", "--d", "2",
+                 "--out", str(report)]) == 0
+    pres = tmp_path / "p.json"
+    write(pres, json.loads(report.read_text())["presentation"])
+    out_report, out_pres = tmp_path / "h1.json", tmp_path / "h2.json"
+    assert main(["homdims", str(report), "--out", str(out_report)]) == 0
+    assert main(["homdims", str(pres), "--out", str(out_pres)]) == 0
+    assert out_report.read_bytes() == out_pres.read_bytes()
+
+
+@pytest.mark.parametrize("data", [
+    [1, 2], "text", {"vertices": 3, "arrows": 2},
+    {"presentation": {"vertices": ["1"], "arrows": [7]}},
+])
+def test_malformed_presentation_exit_two(tmp_path, capsys, data):
+    bad = tmp_path / "bad.json"
+    write(bad, data)
+    assert main(["homdims", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
 def test_usage_error_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["auslander", "--n", "4"])

@@ -49,3 +49,18 @@ def test_sparse_rref_dependent_returns_none():
     # stored rows stay mutually reduced
     assert rr.add({1: F1}) == 1
     assert rr.rows[5] == {5: F1}
+
+
+def test_sparse_rref_copy_is_independent():
+    rr = SparseRREF()
+    rr.add({3: F1, 2: -F1})
+    rr.add({2: F1, 1: Fraction(2)})
+    dup = rr.copy()
+    assert dup.rows == rr.rows
+    assert dup.add({1: F1}) == 1
+    assert 1 not in rr.rows
+    assert rr.rows[3] == {3: F1, 1: Fraction(2)}
+    # the copy stays fully reduced: no stored row mentions another pivot
+    for p, row in dup.rows.items():
+        assert max(row) == p and row[p] == F1
+        assert not set(row) & (set(dup.rows) - {p})

@@ -1,0 +1,167 @@
+"""The per-object memo and the cover-level axiom report it shares between
+certificates on one cover."""
+
+import json
+import random
+import sys
+import threading
+import time
+
+import pytest
+
+from hga import axioms, memo
+from hga.axioms import is_d_gentle_certificate
+from hga.cluster import SummandCollection, is_d_rigid
+from hga.presentations import Idempotent
+from hga.typea import build_typeA_auslander, canonical_cluster_tilting
+
+
+def cert_bytes(cover, e, d=2):
+    return json.dumps(is_d_gentle_certificate(cover, e, d).to_dict(),
+                      sort_keys=True)
+
+
+@pytest.fixture(scope="module")
+def draws():
+    """n -> the rigid label subsets acceptance test 10 draws for that n."""
+    rng = random.Random(20260823)
+    out = {}
+    for n in (3, 4):
+        fam = canonical_cluster_tilting(build_typeA_auslander(n, 2))
+        labels = list(fam.labels)
+        out[n] = []
+        while len(out[n]) < 25:
+            k = rng.randint(2, min(8, len(labels)))
+            chosen = [labels[i]
+                      for i in sorted(rng.sample(range(len(labels)), k))]
+            if is_d_rigid(SummandCollection(fam, [t.entries for t in chosen])):
+                out[n].append(Idempotent.of([t.label() for t in chosen]))
+    return out
+
+
+def test_memo_computes_once_per_object_and_key():
+    class Obj:
+        pass
+
+    a, b = Obj(), Obj()
+    calls = []
+
+    def compute():
+        calls.append(1)
+        return [len(calls)]
+
+    before = memo.stats()
+    first = memo.memo(a, "k", compute)
+    assert memo.memo(a, "k", compute) is first
+    assert memo.memo(a, ("k", 2), compute) == [2]
+    assert memo.memo(b, "k", compute) == [3]
+    after = memo.stats()
+    assert after["hits"] - before["hits"] == 1
+    assert after["misses"] - before["misses"] == 3
+
+
+def test_racing_threads_get_first_stored_value():
+    class Obj:
+        pass
+
+    obj = Obj()
+    barrier = threading.Barrier(4)
+    results = [None] * 4
+
+    def compute():
+        time.sleep(0.05)            # every thread misses before any stores
+        return object()
+
+    def work(i):
+        barrier.wait(timeout=60)
+        results[i] = memo.memo(obj, "k", compute)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r is results[0] for r in results)
+    assert memo.memo(obj, "k", compute) is results[0]
+
+
+def test_shared_cover_matches_fresh_cover(draws):
+    for n in (3, 4):
+        shared = build_typeA_auslander(n, 3)
+        cert_bytes(shared, draws[n][-1])                # warm the memo
+        for e in draws[n]:
+            fresh = build_typeA_auslander(n, 3)
+            assert cert_bytes(shared, e) == cert_bytes(fresh, e)
+
+
+def _vandalise(obj):
+    if isinstance(obj, dict):
+        for v in obj.values():
+            _vandalise(v)
+        obj["vandal"] = True
+    elif isinstance(obj, list):
+        for v in obj:
+            _vandalise(v)
+        obj.append("vandal")
+
+
+def test_mutating_to_dict_leaves_next_certificate_unchanged():
+    cover = build_typeA_auslander(3, 3)
+    e = Idempotent.of(["135", "136", "146", "246"])
+    first = is_d_gentle_certificate(cover, e, 1)
+    expected = json.dumps(first.to_dict(), sort_keys=True)
+    out = first.to_dict()
+    _vandalise(out)
+    _vandalise(axioms.check_axioms(cover.presentation, 2).to_dict())
+    assert json.dumps(first.to_dict(), sort_keys=True) == expected
+    assert cert_bytes(cover, e, 1) == expected
+
+
+def test_threads_share_first_certificate(draws):
+    # two corners, two threads each, racing for the first certificate
+    es = draws[4][:2]
+    expected = [cert_bytes(build_typeA_auslander(4, 3), e) for e in es]
+    cover = build_typeA_auslander(4, 3)
+    barrier = threading.Barrier(4)
+    results = [None] * 4
+
+    def work(i):
+        barrier.wait(timeout=60)
+        results[i] = cert_bytes(cover, es[i % 2])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == expected * 2
+    assert "E3" not in axioms._cover_axioms(cover.presentation, 3)
+
+
+def test_second_certificate_reuses_cover_report(draws, monkeypatch):
+    calls = []
+    a4 = axioms.check_axiom_a4
+
+    def counted(p):
+        calls.append(p)
+        return a4(p)
+
+    monkeypatch.setattr(axioms, "check_axiom_a4", counted)
+    cover = build_typeA_auslander(3, 3)
+    e1, e2 = draws[3][:2]
+    first = is_d_gentle_certificate(cover, e1, 2)
+    assert calls == [cover.presentation]
+    hits = memo.stats()["hits"]
+    second = is_d_gentle_certificate(cover, e2, 2)
+    assert calls == [cover.presentation]
+    assert memo.stats()["hits"] > hits
+    shared = axioms._cover_axioms(cover.presentation, 3)
+    for cert in (first, second):
+        assert cert.pre_gentle.axioms.entries["A4"] is shared["A4"]
