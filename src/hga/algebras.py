@@ -5,8 +5,6 @@ one idempotent per vertex.  Products follow the composition convention of
 presentations: mult(i, j) is "basis j first, then basis i".
 """
 
-from fractions import Fraction
-
 from . import linalg
 from .errors import (
     EmptyIdempotent,
@@ -42,7 +40,6 @@ class Algebra:
         self.arrow_class = arrow_class or {}
         self.e_index = {v: i for i, v in enumerate(self.vertices)}
         self.monomial = all(len(t) <= 1 for t in mult.values())
-        self._homdims = None
 
     @property
     def dim(self):
@@ -550,7 +547,12 @@ def represent(raw):
         )
     reps = pres.arrow_representatives
     nv = len(raw.vertices)
-    to_raw_cols = []
+    # both bases split over the blocks e_t A e_s, so to_raw is block diagonal
+    blocks = {}  # (source, target) -> (raw ids, alg ids)
+    for b in range(raw.dim):
+        key = (raw.basis_src[b], raw.basis_tgt[b])
+        blocks.setdefault(key, ([], []))[0].append(b)
+    to_raw = linalg.zeros(raw.dim, alg.dim)
     for i in range(alg.dim):
         if i < nv:
             elem = {raw.e_index[alg.vertices[i]]: F1}
@@ -559,14 +561,21 @@ def represent(raw):
             elem = reps[path[0]]
             for name in path[1:]:
                 elem = raw.mult_elements(reps[name], elem)
-        col = [F0] * raw.dim
+        key = (alg.basis_src[i], alg.basis_tgt[i])
+        blocks.setdefault(key, ([], []))[1].append(i)
         for b, c in elem.items():
-            col[b] = c
-        to_raw_cols.append(col)
-    to_raw = linalg.transpose(to_raw_cols)
-    from_raw = linalg.invert(to_raw)
-    if from_raw is None:
-        raise InvalidPresentation("re-presentation basis is degenerate")
+            if (raw.basis_src[b], raw.basis_tgt[b]) != key:
+                raise InvalidPresentation("re-presentation leaves its block")
+            to_raw[b][i] = c
+    from_raw = linalg.zeros(alg.dim, raw.dim)
+    for rows, cols in blocks.values():
+        inv = len(rows) == len(cols) and linalg.invert(
+            [[to_raw[b][i] for i in cols] for b in rows])
+        if not inv:
+            raise InvalidPresentation("re-presentation basis is degenerate")
+        for i, inv_row in zip(cols, inv):
+            for b, c in zip(rows, inv_row):
+                from_raw[i][b] = c
     alg.raw = raw
     alg.to_raw = to_raw
     alg.from_raw = from_raw

@@ -108,17 +108,31 @@ class CubeWitness:
         }
 
 
+def _cube_edges(m):
+    """The edges (subset, direction) of an m-cube in search order: by the
+    size of the source subset, then the subset, then the direction."""
+    edges = [(frozenset(s), d)
+             for size in range(m) for s in combinations(range(m), size)
+             for d in range(m) if d not in s]
+    edges.sort(key=lambda sd: (len(sd[0]), sorted(sd[0]), sd[1]))
+    return edges
+
+
 def _cube_search(p, m, fixed_corner=None, fixed_arrows=None):
     """All directed m-cubes with commuting (nonzero) faces; canonical order.
 
     fixed_corner/fixed_arrows pin the source vertex and the ordered arrows
-    leaving it (used by (A3) uniqueness counting).
+    leaving it (used by (A3) uniqueness counting).  A vertex repeated along
+    a branch stays repeated, so an arrow that would repeat one is rejected
+    when it is placed.
     """
     quiver = p.quiver
     alg = built(p)
+    out = {v: sorted(arrs, key=lambda a: a.name)
+           for v, arrs in quiver.arrows_from.items()}
     results = []
 
-    def face_ok(vertices, arrows, s, i, j):
+    def face_ok(arrows, s, i, j):
         a1 = arrows[(s, i)]
         b1 = arrows[(frozenset(s | {i}), j)]
         a2 = arrows[(s, j)]
@@ -127,48 +141,39 @@ def _cube_search(p, m, fixed_corner=None, fixed_arrows=None):
         v2 = _two_path_value(alg, a2, b2)
         return v1 and _proportional(v1, v2) is not None
 
-    def extend(vertices, arrows, level, pending):
-        # pending: list of (subset, direction) edges still to assign,
-        # grouped by target-subset size
+    def extend(vertices, used, arrows, pending):
+        # pending: the (subset, direction) edges still to assign, in
+        # _cube_edges order
         if not pending:
-            used = list(vertices.values())
-            if len(set(used)) == len(used):
-                results.append(CubeWitness(m, dict(vertices), dict(arrows)))
+            results.append(CubeWitness(m, dict(vertices), dict(arrows)))
             return
         (s, d) = pending[0]
         rest = pending[1:]
-        src = vertices[s]
         target_set = frozenset(s | {d})
-        for ar in sorted(quiver.arrows_from[src], key=lambda a: a.name):
-            prev = vertices.get(target_set)
-            if prev is not None and prev != ar.target:
+        prev = vertices.get(target_set)
+        for ar in out[vertices[s]]:
+            if (ar.target in used) if prev is None else (ar.target != prev):
                 continue
             arrows[(s, d)] = ar.name
-            had = target_set in vertices
-            vertices[target_set] = ar.target
+            if prev is None:
+                vertices[target_set] = ar.target
+                used.add(ar.target)
             ok = True
             for j in s:
                 sub = frozenset(s - {j})
                 if (sub, d) in arrows and (sub, j) in arrows and \
                         (frozenset(sub | {d}), j) in arrows:
-                    if not face_ok(vertices, arrows, sub, j, d):
+                    if not face_ok(arrows, sub, j, d):
                         ok = False
                         break
             if ok:
-                extend(vertices, arrows, level, rest)
+                extend(vertices, used, arrows, rest)
             del arrows[(s, d)]
-            if not had:
+            if prev is None:
                 del vertices[target_set]
+                used.discard(ar.target)
 
-    subsets = []
-    for size in range(m):
-        for s in combinations(range(m), size):
-            fs = frozenset(s)
-            for d in range(m):
-                if d not in fs:
-                    subsets.append((fs, d))
-    subsets.sort(key=lambda sd: (len(sd[0]), sorted(sd[0]), sd[1]))
-
+    subsets = _cube_edges(m)
     corners = [fixed_corner] if fixed_corner is not None else sorted(
         quiver.vertices, key=str
     )
@@ -189,12 +194,13 @@ def _cube_search(p, m, fixed_corner=None, fixed_arrows=None):
                     break
                 arrows[(frozenset(), d)] = name
                 vertices[key] = ar.target
-            if not consistent:
+            used = set(vertices.values())
+            if not consistent or len(used) != len(vertices):
                 continue
             todo = [sd for sd in subsets if sd not in arrows]
-            extend(vertices, arrows, 0, todo)
+            extend(vertices, used, arrows, todo)
         else:
-            extend(vertices, arrows, 0, subsets)
+            extend(vertices, {corner}, arrows, subsets)
     return results
 
 
@@ -653,20 +659,24 @@ def _mask_vertices(a, mask):
 
 
 def _corner_cube_violation(a, m):
-    """A corner f with an m-cube in the quiver of fAf, or None."""
-    t = _mask_tables(a)
-    pos, vm, mid, prod = t["pos"], t["vm"], t["mid"], t["prod"]
-    by_source = t["by_source"]
-    lab = a.basis_labels
+    """A corner f with an m-cube in the quiver of fAf, or None.
 
-    subsets = []
-    for size in range(m):
-        for s in combinations(range(m), size):
-            fs = frozenset(s)
-            for dnum in range(m):
-                if dnum not in fs:
-                    subsets.append((fs, dnum))
-    subsets.sort(key=lambda sd: (len(sd[0]), sorted(sd[0]), sd[1]))
+    The search places the cube's edges (positive basis elements) one at a
+    time in ``_cube_edges`` order and returns the first cube with commuting
+    faces, distinct vertices and required vertices ``req`` disjoint from the
+    forbidden middles ``forb``.  Along a branch the placed vertices, ``req``
+    and ``forb`` only grow, so a repeated vertex or a nonzero ``req & forb``
+    is never undone by a later edge: an element that causes either is
+    rejected when it is placed.  No pruned branch holds a passing cube, so
+    the first witness is the one the unpruned search finds.
+    """
+    t = _mask_tables(a)
+    vm, mid, prod = t["vm"], t["mid"], t["prod"]
+    lab = a.basis_labels
+    tgt = a.basis_tgt
+    out = {v: sorted(bs, key=lambda x: lab[x])
+           for v, bs in t["by_source"].items()}
+    subsets = _cube_edges(m)
     found = []
 
     def face_ok(arrows, s, i, j):
@@ -674,31 +684,24 @@ def _corner_cube_violation(a, m):
         p2 = prod.get((arrows[(frozenset(s | {j}), i)], arrows[(s, j)]))
         return p1 is not None and p2 is not None and p1[0] == p2[0]
 
-    def extend(vertices, arrows, pending):
-        if found:
-            return
+    def extend(vertices, used, arrows, req, forb, pending):
         if not pending:
-            used = list(vertices.values())
-            if len(set(used)) != len(used):
-                return
-            req, forb = 0, 0
-            for b in arrows.values():
-                req |= vm[b]
-                forb |= mid[b]
-            if req & forb == 0:
-                found.append((dict(vertices), dict(arrows), req))
+            found.append((dict(vertices), dict(arrows), req))
             return
         (s, dnum) = pending[0]
         rest = pending[1:]
-        src = vertices[s]
         target_set = frozenset(s | {dnum})
-        for b in sorted(by_source.get(src, []), key=lambda x: lab[x]):
-            prev = vertices.get(target_set)
-            if prev is not None and prev != a.basis_tgt[b]:
+        prev = vertices.get(target_set)
+        for b in out.get(vertices[s], ()):
+            v = tgt[b]
+            if (v in used) if prev is None else (v != prev):
+                continue
+            if (req | vm[b]) & (forb | mid[b]):
                 continue
             arrows[(s, dnum)] = b
-            had = target_set in vertices
-            vertices[target_set] = a.basis_tgt[b]
+            if prev is None:
+                vertices[target_set] = v
+                used.add(v)
             ok = True
             for j in s:
                 sub = frozenset(s - {j})
@@ -708,15 +711,17 @@ def _corner_cube_violation(a, m):
                         ok = False
                         break
             if ok:
-                extend(vertices, arrows, rest)
+                extend(vertices, used, arrows, req | vm[b], forb | mid[b],
+                       rest)
             del arrows[(s, dnum)]
-            if not had:
+            if prev is None:
                 del vertices[target_set]
+                used.discard(v)
             if found:
                 return
 
     for corner in sorted(a.vertices, key=str):
-        extend({frozenset(): corner}, {}, subsets)
+        extend({frozenset(): corner}, {corner}, {}, 0, 0, subsets)
         if found:
             vertices, arrows, req = found[0]
             key = lambda s: "".join(str(d) for d in sorted(s))

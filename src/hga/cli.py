@@ -13,8 +13,7 @@ import os
 import sys
 
 from . import reps
-from .algebras import build_algebra
-from .axioms import built, is_d_gentle_certificate, is_gentle
+from .axioms import built, is_d_gentle_certificate
 from .cluster import SummandCollection, cluster_endo_algebra
 from .errors import (
     HgaError,

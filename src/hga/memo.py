@@ -35,6 +35,11 @@ def memo(obj, key, compute):
     return value
 
 
+def peek(obj, key):
+    """The value stored for ``key`` on ``obj``, or None; computes nothing."""
+    return obj.__dict__.get("_memo", {}).get(key)
+
+
 def stats():
     """Hit and miss counts of every ``memo`` call in this process."""
     with _lock:

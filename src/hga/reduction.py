@@ -22,7 +22,6 @@ from .algebras import (
 from .axioms import _two_path_value, built, commutativity_squares, is_gentle
 from .errors import (
     EmptyIdempotent,
-    HgaError,
     NoCommutativeSquare,
     NotGentle,
     NotGorensteinVerified,
@@ -477,11 +476,7 @@ def reduction_step(a, rng=None):
     last = None
     for cand in cands:
         for side, alg in (("primal", a), ("dual", a.opposite())):
-            use = cand
-            if side == "dual":
-                use = _dualize_candidate(a, cand)
-                if use is None:
-                    continue
+            use = _dualize_candidate(cand) if side == "dual" else cand
             got = _try_candidate(alg, use)
             if got is None:
                 last = cand
@@ -507,23 +502,14 @@ def reduction_step(a, rng=None):
     raise NotReducible(f"no applicable recipe; last candidate {last}")
 
 
-def _dualize_candidate(a, cand):
+def _dualize_candidate(cand):
     """The same removal read in the opposite algebra."""
-    op = a.opposite()
-    if cand["kind"] == "square":
-        return {
-            "kind": "square",
-            "removedMid": cand["removedMid"],
-            "target": cand["source"],
-            "source": cand["target"],
-            "otherMid": cand["otherMid"],
-        }
     return {
-        "kind": "long-zero",
+        "kind": cand["kind"],
         "removedMid": cand["removedMid"],
         "target": cand["source"],
         "source": cand["target"],
-        "otherMid": None,
+        "otherMid": cand["otherMid"] if cand["kind"] == "square" else None,
     }
 
 

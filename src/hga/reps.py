@@ -11,7 +11,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import AlgebraMismatch, HgaError, NotGorensteinVerified, UnknownVertex
 from .linalg import F0, F1
-from .memo import memo
+from .memo import memo, peek
 
 
 def mmul(a, b, bcols):
@@ -363,12 +363,6 @@ def cokernel(f):
         piv_set = set(pivots)
         free = [k for k in range(n.dims[v]) if k not in piv_set]
         section[v] = free
-        pm = []
-        for k in free:
-            e = [F0] * n.dims[v]
-            e[k] = F1
-            # row of the projection: class coordinates of each unit vector
-            pm.append(e)
         # projection of a unit vector: reduce then read free coords
         cols = []
         for k in range(n.dims[v]):
@@ -378,8 +372,6 @@ def cokernel(f):
             cols.append([r[x] for x in free])
         proj_blocks[v] = linalg.transpose(cols) if cols else [
             [] for _ in free]
-        if not cols and free:
-            proj_blocks[v] = [[] for _ in free]
     dims = {v: len(section[v]) for v in alg.vertices}
     maps = {}
     for ar in alg.presentation.quiver.arrows:
@@ -926,12 +918,19 @@ def regular_module(alg):
 
 def homological_dims(alg, cap=None):
     """Record of projective dimensions of simples, global dimension, dominant
-    dimension and the two one-sided self-injective dimensions."""
-    if alg._homdims is not None:
-        return alg._homdims
+    dimension and the two one-sided self-injective dimensions.
+
+    Memoised per ``cap``.  A step left undecided within the cap raises, so a
+    completed record is exact whatever its cap; the first one marks the
+    algebra as verified for ``is_gorenstein_projective``."""
+    record = memo(alg, ("homdims", cap), lambda: _homological_dims(alg, cap))
+    memo(alg, "homdims", lambda: record)
+    return record
+
+
+def _homological_dims(alg, cap):
     proj_dims = {v: proj_dim(simple(alg, v), cap=cap) for v in alg.vertices}
     global_dim = max(proj_dims.values()) if proj_dims else 0
-    op = alg.opposite()
     inj_of_a = max(
         proj_dim(dual(projective(alg, v)), cap=cap) for v in alg.vertices
     )
@@ -943,7 +942,6 @@ def homological_dims(alg, cap=None):
     da = direct_sum([dual(projective(alg, v)) for v in alg.vertices])[0]
     dom = 0
     current = da
-    incl = None
     steps_cap = cap if cap is not None else 3 * alg.dim + 8
     finished_all_projective = False
     hit_non_projective = False
@@ -960,26 +958,23 @@ def homological_dims(alg, cap=None):
         current = k
     if not finished_all_projective and not hit_non_projective:
         raise HgaError("dominant dimension undecided within the step cap")
-    dominant = math.inf if finished_all_projective else dom
-    record = {
+    return {
         "projDims": proj_dims,
         "globalDim": global_dim,
-        "dominantDim": dominant,
+        "dominantDim": math.inf if finished_all_projective else dom,
         "injDimOfA": inj_of_a,
         "projDimOfDA": proj_of_da,
     }
-    alg._homdims = record
-    return record
 
 
 def is_gorenstein_projective(m, n=None):
     """Ext^i(m, A) = 0 for 1 <= i <= n over a verified Gorenstein algebra."""
     alg = m.algebra
-    if alg._homdims is None:
+    rec = peek(alg, "homdims")
+    if rec is None:
         raise NotGorensteinVerified(
             "run homological_dims on the algebra before this test"
         )
-    rec = alg._homdims
     if rec["injDimOfA"] != rec["projDimOfDA"] or rec["injDimOfA"] == math.inf:
         raise NotGorensteinVerified("algebra is not Gorenstein")
     if n is None:

@@ -3,7 +3,6 @@ algebras of linear quivers, and their canonical cluster-tilting modules."""
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import comb
 
 from .algebras import build_algebra
 from .errors import ArityMismatch, LabelMatchFailed, ScaleExceeded

@@ -13,7 +13,10 @@ from hga import (
     quotient_by_idempotent,
     zero_relation,
 )
-from hga.errors import EmptyIdempotent, NotAdmissible
+from hga import linalg
+from hga.algebras import Algebra, represent
+from hga.errors import EmptyIdempotent, InvalidPresentation, NotAdmissible
+from hga.typea import build_typeA_auslander
 
 
 def linear_a2():
@@ -165,3 +168,45 @@ def test_quotient_by_two_vertices():
     assert quot.vertices == ["a", "d"]
     assert quot.dim == 2
     assert quot.presentation.quiver.arrows == []
+
+
+def twisted_raw():
+    # a: 1 -> 3, b: 3 -> 2 and two raw elements r, s from 1 to 2 with
+    # b * a = r + s, so the arrow is r and the path class ba is not a raw
+    # basis element
+    return Algebra(
+        ["1", "2", "3"],
+        [("e", "1"), ("e", "2"), ("e", "3"), ("a",), ("b",), ("r",), ("s",)],
+        ["1", "2", "3", "1", "3", "1", "1"],
+        ["1", "2", "3", "3", "2", "2", "2"],
+        {(4, 3): {5: Fraction(1), 6: Fraction(1)}},
+    )
+
+
+def auslander_corner(n, d, cut, quotient=False):
+    make = quotient_by_idempotent if quotient else idempotent_subalgebra
+    return make(build_typeA_auslander(n, d), Idempotent.of(cut))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: idempotent_subalgebra(square_algebra(), Idempotent.of(["a", "d"])),
+    lambda: quotient_by_idempotent(square_algebra(), Idempotent.of(["b"])),
+    lambda: auslander_corner(4, 2, ["13", "24", "35", "15"]),
+    lambda: auslander_corner(4, 2, ["13", "14", "15"]),
+    lambda: auslander_corner(4, 2, ["24", "35"], quotient=True),
+    lambda: auslander_corner(3, 3, ["135", "136", "246"], quotient=True),
+    lambda: represent(twisted_raw()),
+])
+def test_represent_change_of_basis_is_exact_inverse(make):
+    alg = make()
+    assert alg.from_raw == linalg.invert(alg.to_raw)
+    assert linalg.mat_mul(alg.from_raw, alg.to_raw) == linalg.identity(alg.dim)
+
+
+def test_represent_rejects_singular_block():
+    # one vertex with slots e, x, w: x * x lands on the idempotent slot, so
+    # the path class xx and the vertex share a raw vector
+    raw = Algebra(["1"], [("e", "1"), ("x",), ("w",)], ["1"] * 3, ["1"] * 3,
+                  {(1, 1): {0: Fraction(1)}, (2, 1): {2: Fraction(1)}})
+    with pytest.raises(InvalidPresentation, match="degenerate"):
+        represent(raw)

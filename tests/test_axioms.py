@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from hga import (
@@ -6,9 +9,13 @@ from hga import (
     Quiver,
     RelationElement,
     commutativity_relation,
+    idempotent_subalgebra,
     zero_relation,
 )
 from hga.axioms import (
+    _corner_cube_violation,
+    _count_corner_cubes,
+    _mask_tables,
     check_axioms,
     commutativity_squares,
     find_m_cubes,
@@ -20,6 +27,7 @@ from hga.axioms import (
     built,
 )
 from hga.errors import UnknownArrow
+from hga.typea import build_typeA_auslander
 
 
 def linear(n, relations=()):
@@ -139,6 +147,86 @@ def test_find_m_cubes_counts():
     p = cube3()
     assert len(find_m_cubes(p, 3)) == 1
     assert len(find_m_cubes(p, 2)) == 6
+
+
+def test_cube_search_rejects_repeated_vertex():
+    # a and b both run 1 -> 2 and commute with c: a "square" on 1, 2, 2, 3
+    q = Quiver(["1", "2", "3"],
+               [("a", "1", "2"), ("b", "1", "2"), ("c", "2", "3")])
+    p = BoundQuiverPresentation(
+        q, [commutativity_relation(("a", "c"), ("b", "c"))])
+    assert find_m_cubes(p, 2) == []
+    assert _count_corner_cubes(p, "1", ["a", "b"]) == 0
+
+
+def reference_corner_cube(a, m):
+    """The corner cube search with vertex distinctness and the mask test
+    ``req & forb == 0`` applied only to complete cubes."""
+    t = _mask_tables(a)
+    lab, tgt, prod = a.basis_labels, a.basis_tgt, t["prod"]
+    edges = sorted(
+        ((frozenset(s), d) for k in range(m) for s in combinations(range(m), k)
+         for d in range(m) if d not in s),
+        key=lambda sd: (len(sd[0]), sorted(sd[0]), sd[1]))
+
+    def commutes(arrows, s, i, j):
+        p1 = prod.get((arrows[(s | {i}, j)], arrows[(s, i)]))
+        p2 = prod.get((arrows[(s | {j}, i)], arrows[(s, j)]))
+        return p1 is not None and p2 is not None and p1[0] == p2[0]
+
+    def search(vertices, arrows, k):
+        if k == len(edges):
+            req = forb = 0
+            for b in arrows.values():
+                req |= t["vm"][b]
+                forb |= t["mid"][b]
+            distinct = len(set(vertices.values())) == len(vertices)
+            return (vertices, arrows, req) if distinct and not req & forb \
+                else None
+        s, d = edges[k]
+        top = s | {d}
+        for b in sorted(t["by_source"].get(vertices[s], []),
+                        key=lambda x: lab[x]):
+            if vertices.get(top, tgt[b]) != tgt[b]:
+                continue
+            placed = {**arrows, (s, d): b}
+            if all(commutes(placed, s - {j}, j, d) for j in s
+                   if (s - {j} | {d}, j) in placed):
+                got = search({**vertices, top: tgt[b]}, placed, k + 1)
+                if got:
+                    return got
+        return None
+
+    for corner in sorted(a.vertices, key=str):
+        got = search({frozenset(): corner}, {}, 0)
+        if got:
+            vertices, arrows, req = got
+            key = lambda s: "".join(str(d) for d in sorted(s))
+            return {
+                "subset": [v for i, v in enumerate(a.vertices)
+                           if req >> i & 1],
+                "m": m,
+                "vertices": {key(s): v for s, v in vertices.items()},
+                "arrows": {f"{key(s)}+{d}": lab[b]
+                           for (s, d), b in arrows.items()},
+            }
+    return None
+
+
+def test_corner_cube_violation_matches_leaf_reference():
+    rng = random.Random(3)
+    positive = 0
+    for n, d in ((3, 3), (4, 3), (5, 2)):
+        a = build_typeA_auslander(n, d)
+        for _ in range(8):
+            subset = rng.sample(a.vertices, rng.randint(4, len(a.vertices)))
+            corner = idempotent_subalgebra(a, Idempotent.of(subset))
+            assert corner.monomial
+            for m in (2, 3):
+                witness = _corner_cube_violation(corner, m)
+                assert witness == reference_corner_cube(corner, m)
+                positive += witness is not None
+    assert positive > 0
 
 
 def test_commutativity_squares():

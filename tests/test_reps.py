@@ -4,7 +4,7 @@ import pytest
 
 from hga import BoundQuiverPresentation, Quiver, build_algebra, zero_relation
 from hga import reps
-from hga.errors import NotGorensteinVerified
+from hga.errors import HgaError, NotGorensteinVerified
 from hga.reps import (
     ar_translate,
     ar_translate_inverse,
@@ -34,6 +34,7 @@ from hga.reps import (
     syzygy,
     translate,
 )
+from hga.typea import build_typeA_auslander
 
 
 def nakayama3():
@@ -196,6 +197,20 @@ def test_gorenstein_projective_gate():
     homological_dims(alg)
     assert is_gorenstein_projective(projective(alg, "1"))
     assert is_gorenstein_projective(projective(alg, "3"))
+
+
+def test_capped_homological_dims_ignore_call_history():
+    fresh = build_typeA_auslander(4, 2)
+    with pytest.raises(HgaError, match="undecided"):
+        homological_dims(fresh, cap=1)
+    with pytest.raises(NotGorensteinVerified):
+        is_gorenstein_projective(projective(fresh, fresh.vertices[0]))
+    a = build_typeA_auslander(4, 2)
+    full = homological_dims(a)
+    assert full["dominantDim"] == 2
+    with pytest.raises(HgaError, match="undecided"):
+        homological_dims(a, cap=1)
+    assert homological_dims(a) is full
 
 
 def test_factor_through_lifts():
