@@ -747,7 +747,8 @@ def ctgent_family(n, d, index_set, family=None):
         raise HgaError("replacement simple collides with a kept projective")
     c = SummandCollection(family, labels)
     info = {"n": n, "d": d, "positions": list(index_set),
-            "chain": list(chain)}
+            "chain": list(chain), "projLabel": proj_label,
+            "simpleLabel": simple_label}
     memo(c, "ctgent", lambda: info)
     return c
 
@@ -756,25 +757,20 @@ def _not_ctgent():
     raise HgaError("collection was not produced by ctgent_family")
 
 
-def ctgent_cover(c, family=None):
+def ctgent_cover(c):
     """Cover algebra and corner idempotent certifying a ctgent collection:
     the endomorphism algebra of all projectives together with the
-    replacement modules, cut down to the collection's vertices."""
+    replacement modules, cut down to the collection's vertices.  The chain
+    and the labels come from what ctgent_family matched."""
     from .presentations import Idempotent
 
     info = memo(c, "ctgent", _not_ctgent)
-    family = c.family
-    alg = family.algebra
-    chain = info["chain"]
-    proj_label = {}
-    for v in alg.vertices:
-        proj_label[v] = _family_match(family, reps.projective(alg, v))
-    _, simple_label = _simple_chain(family)
-    cover_labels = [proj_label[v] for v in alg.vertices]
+    proj_label, chain = info["projLabel"], info["chain"]
+    cover_labels = [proj_label[v] for v in c.family.algebra.vertices]
     cover_labels += [
-        simple_label[chain[i - 2]] for i in info["positions"]
+        info["simpleLabel"][chain[i - 2]] for i in info["positions"]
     ]
-    cover = SummandCollection(family, cover_labels)
+    cover = SummandCollection(c.family, cover_labels)
     res = cluster_endo_algebra(cover)
     e = Idempotent.of([lab.label() for lab in c.labels])
     return res, e

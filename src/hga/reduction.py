@@ -466,20 +466,27 @@ def reduction_step(a, rng=None):
     """One reduction move: choose a commutativity square or a long zero
     relation, remove its middle vertex through a fabric idempotent, and
     certify the corner keeps the singularity data."""
-    a = _as_algebra(a)
+    tried = []
+    for step in _certified_steps(_as_algebra(a), rng, tried):
+        return step
+    raise NotReducible(f"no applicable recipe; last candidate {tried[-1]}")
+
+
+def _certified_steps(a, rng, tried):
+    """Every certified reduction move of ``a`` as (f, corner, certificate),
+    in candidate order (shuffled by ``rng`` when given).  Each candidate is
+    appended to ``tried`` once both of its sides are spent."""
     cands = _step_candidates(a)
     if not cands:
         raise NoCommutativeSquare(
             "no commutativity square or long zero relation to remove")
     if rng is not None:
         rng.shuffle(cands)
-    last = None
     for cand in cands:
         for side, alg in (("primal", a), ("dual", a.opposite())):
             use = _dualize_candidate(cand) if side == "dual" else cand
             got = _try_candidate(alg, use)
             if got is None:
-                last = cand
                 continue
             _, removed = got
             grown = _grow_to_fabric(alg, removed)
@@ -490,7 +497,6 @@ def reduction_step(a, rng=None):
                 f_set = set(alg.vertices) - removed
                 cert = _certify_step(alg, f_set, None, None)
             if cert is None:
-                last = cand
                 continue
             removed = set(a.vertices) - f_set
             f = Idempotent.of(f_set)
@@ -498,8 +504,8 @@ def reduction_step(a, rng=None):
             cert["side"] = side
             cert["candidate"] = {k: v for k, v in cand.items()}
             cert["removed"] = sorted(map(str, removed))
-            return f, corner, cert
-    raise NotReducible(f"no applicable recipe; last candidate {last}")
+            yield f, corner, cert
+        tried.append(cand)
 
 
 def _dualize_candidate(cand):
@@ -535,33 +541,54 @@ class ReductionTrace:
 
 
 def reduce_to_gentle(a, d=None, seed=None, max_steps=None):
-    """Iterate reduction_step until the gentle checker passes.
+    """Reduce by certified steps until the gentle checker passes.
 
-    The composite idempotent is the product of the step idempotents, i.e.
-    the terminal vertex set inside the original algebra.  A seed shuffles
-    the candidate order of every step (the terminal singularity data must
-    not depend on it).
+    The search walks depth first through the certified moves of each
+    algebra in turn, and retreats from a corner that has no move (or that
+    reaches ``max_steps`` steps without becoming gentle) to try the next
+    move one level up.  The composite idempotent is the product of the
+    step idempotents, i.e. the terminal vertex set inside the original
+    algebra.  A seed shuffles the candidate order of every step, so it
+    only decides which reduction is found first; the terminal singularity
+    data must not depend on it.  When every branch dead-ends, the error of
+    the first dead end is raised.
     """
     a = _as_algebra(a)
     rng = random.Random(seed) if seed is not None else None
-    steps = []
-    current = a
     cap = max_steps if max_steps is not None else len(a.vertices) + 1
-    for _ in range(cap):
+    dead_ends = []
+
+    def walk(current, steps):
+        if len(steps) == cap:
+            dead_ends.append(NotReducible(
+                "reduction failed to terminate in the step cap"))
+            return None
         if is_gentle(current.presentation)["gentle"]:
             return ReductionTrace(
                 steps, current, sorted(map(str, current.vertices)))
-        prev_dim = current.dim
-        f, corner, cert = reduction_step(current, rng=rng)
-        if corner.dim >= prev_dim:
-            raise NotReducible("corner did not decrease the dimension")
-        steps.append({
-            "idempotent": sorted(map(str, f.vertex_subset)),
-            "certificate": cert,
-            "cornerDim": corner.dim,
-        })
-        current = corner
-    raise NotReducible("reduction failed to terminate in the step cap")
+        tried = []
+        try:
+            for f, corner, cert in _certified_steps(current, rng, tried):
+                if corner.dim >= current.dim:
+                    raise NotReducible("corner did not decrease the dimension")
+                found = walk(corner, steps + [{
+                    "idempotent": sorted(map(str, f.vertex_subset)),
+                    "certificate": cert,
+                    "cornerDim": corner.dim,
+                }])
+                if found is not None:
+                    return found
+        except NoCommutativeSquare as exc:
+            dead_ends.append(exc)
+            return None
+        dead_ends.append(NotReducible(
+            f"no applicable recipe; last candidate {tried[-1]}"))
+        return None
+
+    trace = walk(a, [])
+    if trace is None:
+        raise dead_ends[0]
+    return trace
 
 
 @dataclass

@@ -537,31 +537,68 @@ def is_injective(m):
     return is_projective(dual(m))
 
 
-def _hom_flat_rank(mors):
-    rows = [f.flatten() for f in mors]
-    rows = [r for r in rows if any(r)]
-    return len(linalg.row_space_basis(rows)) if rows else 0
+def _summand_offsets(alg, vertices):
+    """Each summand of the sum of projectives P_v (v in vertices), with its
+    first coordinate at every vertex."""
+    out, run = [], {w: 0 for w in alg.vertices}
+    for v in vertices:
+        p = projective(alg, v)
+        out.append((p, dict(run)))
+        for w in alg.vertices:
+            run[w] += p.dims[w]
+    return out
+
+
+def _coboundary_rank(n, summands, diff, k):
+    """Rank of f -> f.d on Hom(P_k, n), for d = diff: P_{k+1} -> P_k and
+    summands[j] the vertices of the projective summands of P_j.
+
+    The columns of summand s of P_k hold the image x_s of its generator;
+    the rows of summand t of P_{k+1} hold f(d(g_t)), the sum of c n(b) x_s
+    over the coefficients c of the paths b.g_s in d(g_t)."""
+    alg = n.algebra
+    targets = _summand_offsets(alg, summands[k])
+    col_off, ncols = [], 0
+    for v in summands[k]:
+        col_off.append(ncols)
+        ncols += n.dims[v]
+    rows = []
+    for u, (pu, off_u) in zip(summands[k + 1],
+                              _summand_offsets(alg, summands[k + 1])):
+        gen = off_u[u] + pu.gen_pos
+        block = [[F0] * ncols for _ in range(n.dims[u])]
+        for (pv, off_v), c0 in zip(targets, col_off):
+            for pos, b in enumerate(pv.proj_basis_ids[u]):
+                c = diff.blocks[u][off_v[u] + pos][gen]
+                if not c:
+                    continue
+                for r, row in enumerate(n.basis_matrix(b)):
+                    for q, x in enumerate(row):
+                        block[r][c0 + q] += c * x
+        rows.extend(row for row in block if any(row))
+    return linalg.rank(rows)
 
 
 def ext_dim(m, n, i):
-    """dim Ext^i(m, n) from a minimal projective resolution of m."""
+    """dim Ext^i(m, n) from the cached minimal projective resolution of m.
+
+    Hom(P_k, n) for P_k = (+)_s P_{v_s} is (+)_s n_{v_s}: a morphism is
+    fixed by the images of the generators.  So Ext^i is
+    sum_s dim n_{v_s} - rank delta_i - rank delta_{i-1}, with the
+    coboundaries delta built by _coboundary_rank without solving any Hom
+    system.  Only the dimension is computed; cluster._ExtSpace chooses
+    cocycle representatives where they are needed."""
     if i < 0:
         raise ValueError("negative cohomological degree")
     if i == 0:
         return hom_dim(m, n)
-    terms, diffs, _, finished = minimal_resolution(m, i + 1)
+    terms, diffs, summands, _ = minimal_resolution(m, i + 1)
     if len(terms) <= i:
         return 0
-    hom_i = hom_basis(terms[i], n)
-    if len(terms) > i + 1:
-        delta_i = [f.compose(diffs[i + 1]) for f in hom_i]
-        rank_i = _hom_flat_rank(delta_i)
-    else:
-        rank_i = 0
-    hom_prev = hom_basis(terms[i - 1], n)
-    delta_prev = [f.compose(diffs[i]) for f in hom_prev]
-    rank_prev = _hom_flat_rank(delta_prev)
-    return len(hom_i) - rank_i - rank_prev
+    rank_i = _coboundary_rank(n, summands, diffs[i + 1], i) \
+        if len(terms) > i + 1 else 0
+    return (sum(n.dims[v] for v in summands[i]) - rank_i
+            - _coboundary_rank(n, summands, diffs[i], i - 1))
 
 
 def proj_dim(m, cap=None):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -304,3 +305,31 @@ def test_verify_sg_example_requires_gorenstein():
         q, [zero_relation(("l", "l")), zero_relation(("a", "l"))]))
     with pytest.raises(NotGorensteinVerified):
         verify_sg_example(bad, [reps.simple(bad, "1")])
+
+
+@pytest.mark.parametrize("seed", [12, 1804602476])
+def test_reduce_to_gentle_backtracks_from_dead_end(seed):
+    # with these seeds the first walk reaches a corner with no certified
+    # step (a commutativity relation of unequal lengths); the search
+    # retreats and still ends at the seedless invariant
+    a = cluster_endo_algebra(ctgent_family(5, 2, [2, 5])).algebra
+    trace = reduce_to_gentle(a, seed=seed)
+    assert gentle_sg_invariant(trace.terminal) == [5]
+
+
+# the ctgent chain pool: A^2_4 and A^2_5 with every admissible position set,
+# and A^3_3 with one position
+CTGENT_KEYS = [(4, 2, [2]), (4, 2, [3]), (4, 2, [4]), (4, 2, [2, 4]),
+               (5, 2, [2]), (5, 2, [3]), (5, 2, [4]), (5, 2, [5]),
+               (5, 2, [2, 4]), (5, 2, [2, 5]), (5, 2, [3, 5]),
+               (3, 3, [2]), (3, 3, [3])]
+
+
+@pytest.mark.parametrize("n, d, idx", CTGENT_KEYS)
+def test_reduce_to_gentle_invariant_is_seed_free(n, d, idx):
+    a = cluster_endo_algebra(ctgent_family(n, d, idx)).algebra
+    base = gentle_sg_invariant(reduce_to_gentle(a).terminal)
+    rng = random.Random(f"sg-{n}-{d}-{idx}")
+    for seed in [rng.randrange(2 ** 31) for _ in range(2)]:
+        assert gentle_sg_invariant(
+            reduce_to_gentle(a, seed=seed).terminal) == base

@@ -179,3 +179,95 @@ def test_sec5_collection_among_maximal_cyclic():
     assert all(len(c) == 15 for c in cols)
     target = sorted(SEC5_COLLECTION)
     assert any([t.entries for t in c.tuples] == target for c in cols)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the tau_d orbit construction with labels pinned by Hom dimensions
+# ---------------------------------------------------------------------------
+
+
+def _least_matrix_match(mat_a, mat_b):
+    """Lexicographically least bijection f with mat_b[i][j] ==
+    mat_a[f(i)][f(j)] for all i, j, as a list; None if there is none."""
+    n = len(mat_a)
+
+    def profile(mat, i):
+        return (mat[i][i], sorted(mat[i]), sorted(mat[j][i] for j in range(n)))
+
+    prof_a = [profile(mat_a, i) for i in range(n)]
+    prof_b = [profile(mat_b, i) for i in range(n)]
+    mapping = []
+
+    def assign(b):
+        if b == n:
+            return True
+        for a in range(n):
+            if a in mapping or prof_b[b] != prof_a[a]:
+                continue
+            if any(mat_b[b][b2] != mat_a[a][a2] or mat_b[b2][b] != mat_a[a2][a]
+                   for b2, a2 in enumerate(mapping)):
+                continue
+            mapping.append(a)
+            if assign(b + 1):
+                return True
+            mapping.pop()
+        return False
+
+    return mapping if assign(0) else None
+
+
+def _orbit_family(a):
+    """Label -> module of the canonical family, computed the old way: close
+    the injectives under tau_d, then pin each label by matching the Hom
+    dimensions against the path counts of A^{d+1}_n."""
+    n, d = a.typeA["n"], a.typeA["d"]
+    modules = []
+
+    def add(mod):
+        if mod.is_zero() or any(
+                o.dim_vector() == mod.dim_vector() and reps.is_isomorphic(o, mod)
+                for o in modules):
+            return False
+        modules.append(mod)
+        return True
+
+    frontier = [m for m in (reps.injective(a, v) for v in a.vertices) if add(m)]
+    while frontier:
+        nxt = []
+        for mod in frontier:
+            t = reps.higher_translate(mod, d)
+            if not t.is_zero():
+                nxt += [p for p, _ in reps.decompose_indecomposables(t) if add(p)]
+        frontier = nxt
+    pool = tuple_set(d, n + 2 * d)
+    assert len(modules) == len(pool)
+    a_next = build_typeA_auslander(n, d + 1)
+    vpos = {v: i for i, v in enumerate(a_next.vertices)}
+    paths = [[0] * len(pool) for _ in pool]
+    for b in range(len(a_next.basis_src)):
+        paths[vpos[a_next.basis_src[b]]][vpos[a_next.basis_tgt[b]]] += 1
+    order = [vpos[t.label()] for t in pool]
+    path_mat = [[paths[i][j] for j in order] for i in order]
+    hom_mat = [[reps.hom_dim(x, y) for y in modules] for x in modules]
+    mapping = _least_matrix_match(hom_mat, path_mat)
+    assert mapping is not None, "Hom dimensions do not match the path counts"
+    return {t.entries: modules[mapping[k]] for k, t in enumerate(pool)}
+
+
+def _thin_shape(mod):
+    """Dimensions and the maps of arrows between non-zero spaces."""
+    quiver = mod.algebra.presentation.quiver
+    return mod.dims, {ar.name: mod.maps[ar.name] for ar in quiver.arrows
+                      if mod.dims[ar.source] and mod.dims[ar.target]}
+
+
+@pytest.mark.parametrize("n, d", [(n, d) for d in range(1, 5)
+                                  for n in range(1, 11 - 2 * d)])
+def test_closed_form_family_matches_orbit_oracle(n, d):
+    a = build_typeA_auslander(n, d)
+    fam = canonical_cluster_tilting(a)
+    assert [t.entries for t in fam.labels] == \
+        [t.entries for t in tuple_set(d, n + 2 * d)]
+    oracle = _orbit_family(a)
+    for t, mod in zip(fam.labels, fam.modules):
+        assert _thin_shape(mod) == _thin_shape(oracle[t.entries]), t.entries
