@@ -158,10 +158,6 @@ def opposite(a):
     return a.opposite()
 
 
-def _sorted_arrow_names(quiver):
-    return sorted(a.name for a in quiver.arrows)
-
-
 def build_algebra(presentation, length_cap=None):
     """Quotient of the path algebra by the relation ideal, via degreewise
     exact row reduction.  Raises NotAdmissible if path classes keep appearing
@@ -176,38 +172,15 @@ def build_algebra(presentation, length_cap=None):
         length_cap = max(2 * nv, 2 * max_term_len, 8)
 
     arrow = quiver.arrow_by_name
-    # paths of length >= 1, indexed in (length, lex) order
-    path_index = {}
-    paths_of_len = {0: [()]}
-    arrows_sorted = _sorted_arrow_names(quiver)
-    paths_of_len[1] = [(n,) for n in arrows_sorted]
-    for p in paths_of_len[1]:
-        path_index[p] = len(path_index)
-
-    def extend_paths(length):
-        if length in paths_of_len:
-            return paths_of_len[length]
-        prev = extend_paths(length - 1)
-        out = []
-        for p in prev:
-            tgt = arrow[p[-1]].target
-            for nxt in arrows_sorted:
-                if arrow[nxt].source == tgt:
-                    out.append(p + (nxt,))
-        out.sort()
-        for p in out:
-            path_index[p] = len(path_index)
-        paths_of_len[length] = out
-        return out
-
+    table = _PathTable(quiver)
     relations = presentation.relations
-    rel_info = []
+    generators = []  # (terms, lmax, src, tgt)
     for r in relations:
         lens = [len(p) for _, p in r.terms]
         src = quiver.path_source(r.terms[0][1])
         tgt = quiver.path_target(r.terms[0][1])
-        rel_info.append((r, max(lens), src, tgt))
-    max_rel_len = max((m for _, m, _, _ in rel_info), default=0)
+        generators.append((r.terms, max(lens), src, tgt))
+    max_rel_len = max((m for _, m, _, _ in generators), default=0)
     spread = max(
         (max(len(p) for _, p in r.terms) - min(len(p) for _, p in r.terms)
          for r in relations),
@@ -215,45 +188,6 @@ def build_algebra(presentation, length_cap=None):
     )
 
     ideal = SparseRREF()
-
-    def add_ideal_vectors(length):
-        """All u*r*w whose longest term has length exactly `length`."""
-        for r, lmax, src, tgt in rel_info:
-            room = length - lmax
-            if room < 0:
-                continue
-            for pre_len in range(room + 1):
-                suf_len = room - pre_len
-                prefixes = (
-                    [p for p in extend_paths(pre_len)
-                     if pre_len == 0 or arrow[p[-1]].target == src]
-                    if pre_len else [()]
-                )
-                suffixes = (
-                    [p for p in extend_paths(suf_len)
-                     if suf_len == 0 or arrow[p[0]].source == tgt]
-                    if suf_len else [()]
-                )
-                for u in prefixes:
-                    if u and arrow[u[-1]].target != src:
-                        continue
-                    for w in suffixes:
-                        if w and arrow[w[0]].source != tgt:
-                            continue
-                        vec = {}
-                        ok = True
-                        for coef, term in r.terms:
-                            full = u + term + w
-                            idx = path_index.get(full)
-                            if idx is None:
-                                ok = False
-                                break
-                            vec[idx] = vec.get(idx, F0) + coef
-                        if ok:
-                            vec = {k: c for k, c in vec.items() if c}
-                            if vec:
-                                ideal.add(vec)
-
     closure_len = None
     length = 1
     while True:
@@ -262,24 +196,23 @@ def build_algebra(presentation, length_cap=None):
             raise NotAdmissible(
                 f"path classes still appearing at length cap {length_cap}"
             )
-        extend_paths(length)
-        add_ideal_vectors(length)
-        survivors = [p for p in paths_of_len[length]
-                     if path_index[p] not in ideal.rows]
+        _extend_generated(ideal, generators, length, table)
+        survivors = [p for p in table.paths(length)
+                     if table.index[p] not in ideal.rows]
         if not survivors and length >= max_rel_len:
             closure_len = length
             break
     # safety margin for relations mixing term lengths
     for extra in range(1, spread + 1):
-        extend_paths(closure_len + extra)
-        add_ideal_vectors(closure_len + extra)
+        _extend_generated(ideal, generators, closure_len + extra, table)
 
     basis_paths = []
     for ln in range(1, closure_len):
         basis_paths.extend(
-            p for p in paths_of_len[ln] if path_index[p] not in ideal.rows
+            p for p in table.paths(ln) if table.index[p] not in ideal.rows
         )
-    if any(path_index[p] not in ideal.rows for p in paths_of_len[closure_len]):
+    if any(table.index[p] not in ideal.rows
+           for p in table.paths(closure_len)):
         raise NotAdmissible("ideal closure unstable after margin pass")
 
     basis_labels = [("e", v) for v in quiver.vertices] + basis_paths
@@ -289,23 +222,12 @@ def build_algebra(presentation, length_cap=None):
 
     def reduce_to_basis(path):
         """Class of a path (length <= closure_len) as {basis id: coef}."""
-        rem = ideal.reduce({path_index[path]: F1})
-        out = {}
-        for idx, c in rem.items():
-            # index -> path; survivors only
-            out[basis_id[index_to_path[idx]]] = c
-        return out
-
-    index_to_path = {}
-    for ln, plist in paths_of_len.items():
-        if ln == 0:
-            continue
-        for p in plist:
-            index_to_path[path_index[p]] = p
+        rem = ideal.reduce({table.index[path]: F1})
+        return {basis_id[table.by_index[idx]]: c for idx, c in rem.items()}
 
     # left action of each arrow on the basis
     arrow_action = {}
-    for name in arrows_sorted:
+    for name in table.names:
         ar = arrow[name]
         action = {}
         for b in range(len(basis_labels)):
@@ -352,7 +274,7 @@ def build_algebra(presentation, length_cap=None):
                 mult[(i, j)] = prod
 
     arrow_class = {}
-    for name in arrows_sorted:
+    for name in table.names:
         cls = reduce_to_basis((name,))
         if len(cls) != 1 or next(iter(cls.values())) != 1:
             raise InvalidPresentation(f"arrow {name} not a basis class")
@@ -394,29 +316,60 @@ def _arrow_layer(a):
     return out
 
 
-def _extend_generated(kgen, generators, length, paths_of_len, arrow, path_index):
-    """Add u*g*w for each recorded generator g, longest term exactly `length`."""
+class _PathTable:
+    """The paths of positive length of a quiver, indexed in (length, lex)
+    order as they are first asked for, one length at a time."""
+
+    def __init__(self, quiver):
+        self.arrow = quiver.arrow_by_name
+        self.names = sorted(self.arrow)
+        self.index = {}      # path -> index
+        self.by_index = []
+        self.by_len = {0: [()]}
+        self._add(1, [(name,) for name in self.names])
+
+    def _add(self, length, paths):
+        for p in paths:
+            self.index[p] = len(self.by_index)
+            self.by_index.append(p)
+        self.by_len[length] = paths
+
+    def paths(self, length):
+        """The paths of one length in lex order."""
+        if length not in self.by_len:
+            arrow = self.arrow
+            self._add(length, [
+                p + (name,) for p in self.paths(length - 1)
+                for name in self.names
+                if arrow[name].source == arrow[p[-1]].target])
+        return self.by_len[length]
+
+
+def _extend_generated(ideal, generators, length, table):
+    """Add to ideal u*g*w for each generator g = (terms, longest term
+    length, source, target), with longest term exactly ``length``.  The
+    paths of that length are indexed first."""
+    arrow = table.arrow
+    table.paths(length)
     for g_terms, g_lmax, g_src, g_tgt in generators:
         room = length - g_lmax
         if room < 0:
             continue
         for pre_len in range(room + 1):
             suf_len = room - pre_len
-            prefixes = paths_of_len.get(pre_len, []) if pre_len else [()]
-            suffixes = paths_of_len.get(suf_len, []) if suf_len else [()]
-            for u in prefixes:
+            for u in table.paths(pre_len):
                 if u and arrow[u[-1]].target != g_src:
                     continue
-                for w in suffixes:
+                for w in table.paths(suf_len):
                     if w and arrow[w[0]].source != g_tgt:
                         continue
                     vec = {}
                     for coef, term in g_terms:
-                        idx = path_index[u + term + w]
+                        idx = table.index[u + term + w]
                         vec[idx] = vec.get(idx, F0) + coef
                     vec = {k: c for k, c in vec.items() if c}
                     if vec:
-                        kgen.add(vec)
+                        ideal.add(vec)
 
 
 def minimal_presentation(a, validate=True):
@@ -439,51 +392,28 @@ def minimal_presentation(a, validate=True):
         reps[name] = {b: F1}
     quiver = Quiver(list(a.vertices), arrows)
     arrow_by_name = quiver.arrow_by_name
-    arrows_sorted = sorted(reps)
 
     nilp = a.rad_nilpotency()
     lmax_search = nilp + 1
 
-    path_index = {}
-    paths_of_len = {1: [(n,) for n in arrows_sorted]}
-    values = {}
-    for p in paths_of_len[1]:
-        path_index[p] = len(path_index)
-        values[p] = reps[p[0]]
-
-    def extend_paths(length):
-        if length in paths_of_len:
-            return paths_of_len[length]
-        prev = extend_paths(length - 1)
-        out = []
-        for p in prev:
-            tgt = arrow_by_name[p[-1]].target
-            for nxt in arrows_sorted:
-                if arrow_by_name[nxt].source == tgt:
-                    out.append(p + (nxt,))
-        out.sort()
-        for p in out:
-            path_index[p] = len(path_index)
-            values[p] = a.mult_elements(reps[p[-1]], values[p[:-1]])
-        paths_of_len[length] = out
-        return out
+    table = _PathTable(quiver)
+    values = {p: reps[p[0]] for p in table.paths(1)}
 
     kgen = SparseRREF()
     generators = []  # (terms, lmax, src, tgt)
     relations = []
     length = 1
-    stable_since = None
     while True:
         length += 1
         if length > lmax_search + a.dim:
             raise InvalidPresentation("relation search failed to stabilize")
-        extend_paths(length)
-        _extend_generated(kgen, generators, length, paths_of_len,
-                          arrow_by_name, path_index)
+        for p in table.paths(length):
+            values[p] = a.mult_elements(reps[p[-1]], values[p[:-1]])
+        _extend_generated(kgen, generators, length, table)
         # full kernel at this length, one vertex-pair block at a time
         blocks = {}
         for ln in range(2, length + 1):
-            for p in paths_of_len[ln]:
+            for p in table.paths(ln):
                 key = (arrow_by_name[p[0]].source, arrow_by_name[p[-1]].target)
                 blocks.setdefault(key, []).append(p)
         new_here = False
@@ -499,7 +429,7 @@ def minimal_presentation(a, validate=True):
                 for b, coef in values[p].items():
                     matrix[pos[b]][c] = coef
             for kv in linalg.nullspace(matrix, ncols=len(cols)):
-                vec = {path_index[cols[c]]: coef
+                vec = {table.index[cols[c]]: coef
                        for c, coef in enumerate(kv) if coef}
                 rem = kgen.reduce(vec)
                 if not rem:
@@ -507,9 +437,8 @@ def minimal_presentation(a, validate=True):
                 piv = max(rem)
                 inv = F1 / rem[piv]
                 rem = {j: c * inv for j, c in rem.items()}
-                idx_to_path = {path_index[p]: p for p in cols}
                 terms = sorted(
-                    ((c, idx_to_path[j]) for j, c in rem.items()),
+                    ((c, table.by_index[j]) for j, c in rem.items()),
                     key=lambda t: (len(t[1]), t[1]),
                 )
                 g_lmax = max(len(p) for _, p in terms)

@@ -118,89 +118,95 @@ def _cube_edges(m):
     return edges
 
 
-def _cube_search(p, m, fixed_corner=None, fixed_arrows=None):
-    """All directed m-cubes with commuting (nonzero) faces; canonical order.
+def _cube_walk(pending, vertices, used, arrows, state, out, target,
+               face_ok, step):
+    """Complete a partial cube; yields (vertices, arrows, state) copies.
 
-    fixed_corner/fixed_arrows pin the source vertex and the ordered arrows
-    leaving it (used by (A3) uniqueness counting).  A vertex repeated along
-    a branch stays repeated, so an arrow that would repeat one is rejected
-    when it is placed.
+    ``pending`` lists the edges (subset, direction) still to place, in
+    ``_cube_edges`` order; ``vertices`` maps the placed subsets to their
+    vertices, all distinct and held in ``used``, and ``arrows`` maps the
+    placed edges to their labels.  An edge leaving vertex x is a label in
+    ``out[x]`` that lands on ``target(label)``.  ``step(state, label)``
+    gives the state after placing it, or None to reject it.  A face is
+    tested once its last edge is placed, by ``face_ok(first, second,
+    first', second')`` on its two routes.  A vertex repeated along a branch
+    stays repeated, so an edge that would repeat one is rejected when it is
+    placed.
     """
-    quiver = p.quiver
-    alg = built(p)
-    out = {v: sorted(arrs, key=lambda a: a.name)
-           for v, arrs in quiver.arrows_from.items()}
-    results = []
-
-    def face_ok(arrows, s, i, j):
-        a1 = arrows[(s, i)]
-        b1 = arrows[(frozenset(s | {i}), j)]
-        a2 = arrows[(s, j)]
-        b2 = arrows[(frozenset(s | {j}), i)]
-        v1 = _two_path_value(alg, a1, b1)
-        v2 = _two_path_value(alg, a2, b2)
-        return v1 and _proportional(v1, v2) is not None
-
-    def extend(vertices, used, arrows, pending):
-        # pending: the (subset, direction) edges still to assign, in
-        # _cube_edges order
-        if not pending:
-            results.append(CubeWitness(m, dict(vertices), dict(arrows)))
-            return
-        (s, d) = pending[0]
-        rest = pending[1:]
-        target_set = frozenset(s | {d})
-        prev = vertices.get(target_set)
-        for ar in out[vertices[s]]:
-            if (ar.target in used) if prev is None else (ar.target != prev):
-                continue
-            arrows[(s, d)] = ar.name
+    if not pending:
+        yield dict(vertices), dict(arrows), state
+        return
+    (s, d), rest = pending[0], pending[1:]
+    target_set = s | {d}
+    prev = vertices.get(target_set)
+    for label in out.get(vertices[s], ()):
+        v = target(label)
+        if (v in used) if prev is None else (v != prev):
+            continue
+        nxt = step(state, label)
+        if nxt is None:
+            continue
+        arrows[(s, d)] = label
+        # edges of smaller subsets come first, so (sub, j) and (sub, d) are
+        # placed; the face is complete once (sub + d, j) is
+        ok = True
+        for j in s:
+            sub = s - {j}
+            other = arrows.get((sub | {d}, j))
+            if other is not None and not face_ok(
+                    arrows[(sub, j)], label, arrows[(sub, d)], other):
+                ok = False
+                break
+        if ok:
             if prev is None:
-                vertices[target_set] = ar.target
-                used.add(ar.target)
-            ok = True
-            for j in s:
-                sub = frozenset(s - {j})
-                if (sub, d) in arrows and (sub, j) in arrows and \
-                        (frozenset(sub | {d}), j) in arrows:
-                    if not face_ok(arrows, sub, j, d):
-                        ok = False
-                        break
-            if ok:
-                extend(vertices, used, arrows, rest)
-            del arrows[(s, d)]
+                vertices[target_set] = v
+                used.add(v)
+            yield from _cube_walk(rest, vertices, used, arrows, nxt, out,
+                                  target, face_ok, step)
             if prev is None:
                 del vertices[target_set]
-                used.discard(ar.target)
+                used.discard(v)
+        del arrows[(s, d)]
 
-    subsets = _cube_edges(m)
+
+def _cube_search(alg, m, fixed_corner=None, fixed_arrows=None):
+    """All directed m-cubes with commuting (nonzero) faces in the quiver of
+    a built algebra; canonical order.
+
+    fixed_corner/fixed_arrows pin the source vertex and the ordered arrows
+    leaving it (used by (A3) uniqueness counting).
+    """
+    quiver = alg.presentation.quiver
+    arrow = quiver.arrow_by_name
+    out = {v: sorted(a.name for a in arrs)
+           for v, arrs in quiver.arrows_from.items()}
+
+    def face_ok(a1, b1, a2, b2):
+        v1 = _two_path_value(alg, a1, b1)
+        return v1 and _proportional(v1, _two_path_value(alg, a2, b2)) \
+            is not None
+
+    edges = _cube_edges(m)
+    results = []
     corners = [fixed_corner] if fixed_corner is not None else sorted(
         quiver.vertices, key=str
     )
     for corner in corners:
         vertices = {frozenset(): corner}
         arrows = {}
-        if fixed_arrows is not None:
-            consistent = True
-            for d, name in enumerate(fixed_arrows):
-                ar = quiver.arrow_by_name[name]
-                if ar.source != corner:
-                    consistent = False
-                    break
-                key = frozenset({d})
-                prev = vertices.get(key)
-                if prev is not None and prev != ar.target:
-                    consistent = False
-                    break
-                arrows[(frozenset(), d)] = name
-                vertices[key] = ar.target
-            used = set(vertices.values())
-            if not consistent or len(used) != len(vertices):
-                continue
-            todo = [sd for sd in subsets if sd not in arrows]
-            extend(vertices, used, arrows, todo)
-        else:
-            extend(vertices, {corner}, arrows, subsets)
+        for d, name in enumerate(fixed_arrows or ()):
+            arrows[(frozenset(), d)] = name
+            vertices[frozenset({d})] = arrow[name].target
+        used = set(vertices.values())
+        if len(used) != len(vertices) or any(
+                arrow[name].source != corner for name in fixed_arrows or ()):
+            continue
+        pending = [sd for sd in edges if sd not in arrows]
+        results.extend(
+            CubeWitness(m, vs, arrs) for vs, arrs, _ in _cube_walk(
+                pending, vertices, used, arrows, 0, out,
+                lambda name: arrow[name].target, face_ok,
+                lambda state, name: state))
     return results
 
 
@@ -208,7 +214,7 @@ def find_m_cubes(p, m):
     """All m-cubes with commuting faces, deduplicated up to cube symmetry."""
     if m < 2:
         raise ValueError("cube dimension must be at least 2")
-    raw = _cube_search(p, m)
+    raw = _cube_search(built(p), m)
     seen = {}
     from itertools import permutations
 
@@ -534,7 +540,7 @@ def _axiom_entries(p, d):
             for m in range(2, d):
                 for combo in combinations(candidates, m):
                     cubes = _count_corner_cubes(
-                        p, alpha.target, (beta,) + combo)
+                        alg, alpha.target, (beta,) + combo)
                     if cubes != 1:
                         w3.append({"arrow": name, "beta": beta,
                                    "others": list(combo), "cubes": cubes})
@@ -546,8 +552,8 @@ def _axiom_entries(p, d):
             )
             for m in range(2, d):
                 for combo in combinations(candidates, m):
-                    cubes = _count_corner_cubes_dual(
-                        p, alpha.source, (beta,) + combo)
+                    cubes = _count_corner_cubes(
+                        alg.opposite(), alpha.source, (beta,) + combo)
                     if cubes != 1:
                         w3p.append({"arrow": name, "beta": beta,
                                     "others": list(combo), "cubes": cubes})
@@ -578,31 +584,13 @@ def _axiom_entries(p, d):
     return entries
 
 
-def _count_corner_cubes(p, corner, arrow_names):
+def _count_corner_cubes(alg, corner, arrow_names):
     """Number of (len(arrow_names))-cubes rooted at corner with exactly the
-    given outgoing arrows, in the given direction order."""
-    cubes = _cube_search(p, len(arrow_names), fixed_corner=corner,
-                         fixed_arrows=list(arrow_names))
-    return len(cubes)
-
-
-def _count_corner_cubes_dual(p, corner, arrow_names):
-    """Cubes ending at corner with the given incoming arrows: search in the
-    opposite quiver."""
-    from .presentations import BoundQuiverPresentation, Quiver
-
-    def op_pres():
-        op_quiver = Quiver(
-            list(p.quiver.vertices),
-            [(a.name, a.target, a.source) for a in p.quiver.arrows],
-        )
-        op_rels = [
-            RelationElement([(c, tuple(reversed(pt))) for c, pt in r.terms])
-            for r in p.relations
-        ]
-        return BoundQuiverPresentation(op_quiver, op_rels)
-
-    return _count_corner_cubes(memo(p, "op", op_pres), corner, arrow_names)
+    given outgoing arrows, in the given direction order, in the quiver of a
+    built algebra.  On ``alg.opposite()`` this counts the cubes ending at
+    corner with the given incoming arrows."""
+    return len(_cube_search(alg, len(arrow_names), fixed_corner=corner,
+                            fixed_arrows=list(arrow_names)))
 
 
 # ---------------------------------------------------------------------------
@@ -673,57 +661,24 @@ def _corner_cube_violation(a, m):
     t = _mask_tables(a)
     vm, mid, prod = t["vm"], t["mid"], t["prod"]
     lab = a.basis_labels
-    tgt = a.basis_tgt
     out = {v: sorted(bs, key=lambda x: lab[x])
            for v, bs in t["by_source"].items()}
-    subsets = _cube_edges(m)
-    found = []
 
-    def face_ok(arrows, s, i, j):
-        p1 = prod.get((arrows[(frozenset(s | {i}), j)], arrows[(s, i)]))
-        p2 = prod.get((arrows[(frozenset(s | {j}), i)], arrows[(s, j)]))
+    def face_ok(a1, b1, a2, b2):
+        p1, p2 = prod.get((b1, a1)), prod.get((b2, a2))
         return p1 is not None and p2 is not None and p1[0] == p2[0]
 
-    def extend(vertices, used, arrows, req, forb, pending):
-        if not pending:
-            found.append((dict(vertices), dict(arrows), req))
-            return
-        (s, dnum) = pending[0]
-        rest = pending[1:]
-        target_set = frozenset(s | {dnum})
-        prev = vertices.get(target_set)
-        for b in out.get(vertices[s], ()):
-            v = tgt[b]
-            if (v in used) if prev is None else (v != prev):
-                continue
-            if (req | vm[b]) & (forb | mid[b]):
-                continue
-            arrows[(s, dnum)] = b
-            if prev is None:
-                vertices[target_set] = v
-                used.add(v)
-            ok = True
-            for j in s:
-                sub = frozenset(s - {j})
-                needed = [(sub, dnum), (sub, j), (frozenset(sub | {dnum}), j)]
-                if all(key in arrows for key in needed):
-                    if not face_ok(arrows, sub, j, dnum):
-                        ok = False
-                        break
-            if ok:
-                extend(vertices, used, arrows, req | vm[b], forb | mid[b],
-                       rest)
-            del arrows[(s, dnum)]
-            if prev is None:
-                del vertices[target_set]
-                used.discard(v)
-            if found:
-                return
+    def step(state, b):
+        req, forb = state[0] | vm[b], state[1] | mid[b]
+        return None if req & forb else (req, forb)
 
+    edges = _cube_edges(m)
     for corner in sorted(a.vertices, key=str):
-        extend({frozenset(): corner}, {corner}, {}, 0, 0, subsets)
+        found = next(_cube_walk(edges, {frozenset(): corner}, {corner}, {},
+                                (0, 0), out, a.basis_tgt.__getitem__,
+                                face_ok, step), None)
         if found:
-            vertices, arrows, req = found[0]
+            vertices, arrows, (req, _) = found
             key = lambda s: "".join(str(d) for d in sorted(s))
             return {
                 "subset": _mask_vertices(a, req),
@@ -798,7 +753,7 @@ def _heredity(entries, p, e3_p):
             "witness": witness, "verdict": "fail" if witness else "pass"}
 
 
-def is_pre_gentle(p, d, idempotent_cap=2 ** 20):
+def is_pre_gentle(p, d):
     """Axioms (A1)-(A4) and (E1)-(E4).
 
     (E4) asks that every corner eAe again satisfies (E1)-(E3).  Removing

@@ -155,7 +155,7 @@ def cmd_endo(args):
 def cmd_reduce(args):
     a = _load_algebra(args.algebra)
     try:
-        trace = reduce_to_gentle(a, d=args.d, seed=args.seed)
+        trace = reduce_to_gentle(a, seed=args.seed)
     except (NotReducible, NoCommutativeSquare) as exc:
         _dump({"reduced": False, "error": str(exc)}, args.out)
         return EXIT_NEGATIVE
@@ -245,7 +245,6 @@ def build_parser():
 
     p = sub.add_parser("reduce", help="reduce to a gentle algebra")
     p.add_argument("algebra")
-    p.add_argument("--d", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.add_argument("--terminal-out")

@@ -173,76 +173,7 @@ def _cosyz_mor(f):
 
 def _transpose_data(m):
     """Tr m together with the pieces needed to transport morphisms."""
-    return memo(m, "transpose", lambda: _build_transpose_data(m))
-
-
-def _build_transpose_data(m):
-    alg = m.algebra
-    op = alg.opposite()
-    tgts, srcs, elems, (p0, epi0, p1, d1) = reps.presentation_matrix(m)
-    data = {
-        "tgts": tgts, "srcs": srcs, "p0": p0, "epi0": epi0,
-        "p1": p1, "d1": d1,
-    }
-    if not srcs or not tgts:
-        data["tr"] = reps.zero_representation(op)
-        data["proj"] = None
-    else:
-        src_reps = [reps.projective(op, v) for v in tgts]
-        tgt_reps = [reps.projective(op, u) for u in srcs]
-        big_src, _, src_proj = reps.direct_sum(src_reps)
-        big_tgt, tgt_incl, tgt_proj = reps.direct_sum(tgt_reps)
-        total = reps.zero_morphism(big_src, big_tgt)
-        for kidx, vk in enumerate(tgts):
-            for l, ul in enumerate(srcs):
-                elem = elems[kidx][l]
-                if not elem:
-                    continue
-                comp = reps.right_mult_morphism(op, ul, vk, elem)
-                total = total.add(
-                    tgt_incl[l].compose(comp).compose(src_proj[kidx])
-                )
-        c, proj = reps.cokernel(total)
-        data["tr"] = c
-        data["proj"] = proj
-        data["big_tgt"] = big_tgt
-        data["tgt_incl"] = tgt_incl
-        data["tgt_proj"] = tgt_proj
-    return data
-
-
-def _element_components(alg, f, src_verts, tgt_verts):
-    """Sparse element matrix of a morphism between sums of projectives.
-
-    Entry [k][l] represents the component P_{src_verts[l]} ->
-    P_{tgt_verts[k]} as an algebra element with source tgt_verts[k] and
-    target src_verts[l]."""
-    ps_s = [reps.projective(alg, v) for v in src_verts]
-    ps_t = [reps.projective(alg, v) for v in tgt_verts]
-    starts_s, starts_t = [], []
-    run = {w: 0 for w in alg.vertices}
-    for p in ps_s:
-        starts_s.append({w: run[w] for w in alg.vertices})
-        for w in alg.vertices:
-            run[w] += p.dims[w]
-    run = {w: 0 for w in alg.vertices}
-    for p in ps_t:
-        starts_t.append({w: run[w] for w in alg.vertices})
-        for w in alg.vertices:
-            run[w] += p.dims[w]
-    elems = [[{} for _ in src_verts] for _ in tgt_verts]
-    for l, (ps, u) in enumerate(zip(ps_s, src_verts)):
-        gen_row = starts_s[l][u] + ps.gen_pos
-        col = [f.blocks[u][i][gen_row] for i in range(len(f.blocks[u]))]
-        for k, pt in enumerate(ps_t):
-            elem = {}
-            start = starts_t[k][u]
-            for pos in range(pt.dims[u]):
-                cval = col[start + pos]
-                if cval:
-                    elem[pt.proj_basis_ids[u][pos]] = cval
-            elems[k][l] = elem
-    return elems
+    return memo(m, "transpose", lambda: reps.transpose_data(m))
 
 
 def _transpose_mor(h):
@@ -258,7 +189,7 @@ def _transpose_mor(h):
     h1 = reps.factor_through(h0.compose(dx["d1"]), dy["d1"])
     if h1 is None:
         raise HgaError("presentation lift failed")
-    elems = _element_components(alg, h1, dx["srcs"], dy["srcs"])
+    elems = reps.component_elements(h1, dx["srcs"], dy["srcs"])
     psi = reps.zero_morphism(dy["big_tgt"], dx["big_tgt"])
     for l, u in enumerate(dx["srcs"]):
         for lp, up in enumerate(dy["srcs"]):
@@ -654,12 +585,12 @@ def is_d_tilting(c):
 # ---------------------------------------------------------------------------
 
 
-def _family_match(family, mod):
-    """Family label of a module, matched by dimension vector and
-    isomorphism; None if absent."""
+def _family_match(family, mod, same=lambda other: True):
+    """Family label of the first module with the dimension vector of mod
+    that passes the exact isomorphism test ``same``; None if absent."""
     dv = mod.dim_vector()
     for other, lab in zip(family.modules, family.labels):
-        if other.dim_vector() == dv and reps.is_isomorphic(other, mod):
+        if other.dim_vector() == dv and same(other):
             return lab
     return None
 
@@ -667,7 +598,8 @@ def _family_match(family, mod):
 def _simple_chain(family):
     """The vertices whose simples lie in the family, ordered so that
     tau_d^- S_{v_i} = S_{v_{i-1}}; the chain starts at the vertex whose
-    translate leaves the module category."""
+    translate leaves the module category.  A module with the dimension
+    vector of a simple is that simple."""
     alg = family.algebra
     d = alg.typeA["d"]
     simple_label = {}
@@ -677,14 +609,11 @@ def _simple_chain(family):
             simple_label[v] = lab
     succ = {}
     for v in simple_label:
-        tr = reps.higher_translate_inverse(reps.simple(alg, v), d)
+        dv = reps.higher_translate_inverse(reps.simple(alg, v), d).dim_vector()
         hit = None
-        if not tr.is_zero():
-            for w in simple_label:
-                s = reps.simple(alg, w)
-                if tr.dim_vector() == s.dim_vector() and \
-                        reps.is_isomorphic(tr, s):
-                    hit = w
+        for w in simple_label:
+            if dv == reps.simple(alg, w).dim_vector():
+                hit = w
         succ[v] = hit
     starts = [v for v in simple_label if succ[v] is None]
     if len(starts) != 1:
@@ -734,9 +663,13 @@ def ctgent_family(n, d, index_set, family=None):
         raise UnsupportedSummand(
             "the translate of the first chain simple is a shifted projective"
         )
+    # M is P_v iff its top is S_v and it has the dimension vector of P_v:
+    # the projective cover P_v -> M is then bijective
     proj_label = {}
     for v in alg.vertices:
-        lab = _family_match(family, reps.projective(alg, v))
+        lab = _family_match(
+            family, reps.projective(alg, v),
+            lambda other: reps.projective_cover(other)[2] == [v])
         if lab is None:
             raise HgaError(f"projective at {v} is missing from the family")
         proj_label[v] = lab

@@ -540,7 +540,7 @@ class ReductionTrace:
         }
 
 
-def reduce_to_gentle(a, d=None, seed=None, max_steps=None):
+def reduce_to_gentle(a, seed=None, max_steps=None):
     """Reduce by certified steps until the gentle checker passes.
 
     The search walks depth first through the certified moves of each

@@ -278,10 +278,11 @@ def direct_sum(reps):
     return total, incls, projs
 
 
-def hom_basis(m, n):
-    """Basis of Hom(m, n) as a list of morphisms; deterministic order."""
-    if m.algebra is not n.algebra:
-        raise AlgebraMismatch("Hom across different algebras")
+def _hom_equations(m, n):
+    """Unknowns and equations of Hom(m, n).
+
+    The unknown (v, i, j) is entry (i, j) of the block at v; each row says
+    that the blocks commute with one arrow.  All-zero rows are dropped."""
     alg = m.algebra
     var_index = {}
     for v in alg.vertices:
@@ -304,15 +305,26 @@ def hom_basis(m, n):
                         row[var_index[(w, i, l)]] -= ma[l][j]
                 if any(row):
                     rows.append(row)
-    basis = []
-    for sol in linalg.nullspace(rows, ncols=nvars):
-        blocks = {
-            v: [[sol[var_index[(v, i, j)]] for j in range(m.dims[v])]
-                for i in range(n.dims[v])]
-            for v in alg.vertices
-        }
-        basis.append(Morphism(m, n, blocks, check=False))
-    return basis
+    return var_index, rows
+
+
+def _solution_morphism(m, n, var_index, sol):
+    """The morphism m -> n whose unknowns (see _hom_equations) are sol."""
+    blocks = {
+        v: [[sol[var_index[(v, i, j)]] for j in range(m.dims[v])]
+            for i in range(n.dims[v])]
+        for v in m.algebra.vertices
+    }
+    return Morphism(m, n, blocks, check=False)
+
+
+def hom_basis(m, n):
+    """Basis of Hom(m, n) as a list of morphisms; deterministic order."""
+    if m.algebra is not n.algebra:
+        raise AlgebraMismatch("Hom across different algebras")
+    var_index, rows = _hom_equations(m, n)
+    return [_solution_morphism(m, n, var_index, sol)
+            for sol in linalg.nullspace(rows, ncols=len(var_index))]
 
 
 def hom_dim(m, n):
@@ -497,32 +509,35 @@ def minimal_resolution(m, length):
 
     Returns (terms, diffs, summand_lists, finished) with diffs[0]: P0 -> m
     and diffs[i]: P_i -> P_{i-1}; stops early once a kernel vanishes.
-    The partial resolution is cached on the representation and extended
-    on demand.
+    Each length is memoised on m and extends the one before, so every
+    caller shares the same terms.
     """
-    state = getattr(m, "_res_cache", None)
-    if state is None:
-        state = {
-            "terms": [], "diffs": [], "summands": [],
-            "finished": False, "current": m, "incl": None,
-        }
-        m._res_cache = state
-    while not state["finished"] and len(state["terms"]) < length + 1:
-        p, epi, summands = projective_cover(state["current"])
-        d = epi if state["incl"] is None else state["incl"].compose(epi)
-        state["terms"].append(p)
-        state["diffs"].append(d)
-        state["summands"].append(summands)
-        k, ki = kernel(epi)
-        if k.is_zero():
-            state["finished"] = True
+    terms, diffs, summands, kern, _ = _resolution(m, length)
+    return list(terms), list(diffs), list(summands), kern is None
+
+
+def _resolution(m, k):
+    """The minimal projective resolution of m up to P_k, computed from the
+    one up to P_{k-1}: (terms, diffs, summand lists, K, K -> P_k) with K the
+    kernel of the last differential, None once it vanishes; the resolution
+    then stops, and every longer one is the same."""
+    def compute():
+        if k == 0:
+            terms, diffs, summands, current, incl = (), (), (), m, None
         else:
-            state["current"], state["incl"] = k, ki
-    n = length + 1
-    return (
-        state["terms"][:n], state["diffs"][:n], state["summands"][:n],
-        state["finished"] and len(state["terms"]) <= n,
-    )
+            prev = _resolution(m, k - 1)
+            terms, diffs, summands, current, incl = prev
+            if current is None:
+                return prev
+        p, epi, cover_summands = projective_cover(current)
+        kern, kincl = kernel(epi)
+        if kern.is_zero():
+            kern = kincl = None
+        d = epi if incl is None else incl.compose(epi)
+        return (terms + (p,), diffs + (d,), summands + (cover_summands,),
+                kern, kincl)
+
+    return memo(m, ("resolution", k), compute)
 
 
 def is_projective(m):
@@ -555,23 +570,17 @@ def _coboundary_rank(n, summands, diff, k):
 
     The columns of summand s of P_k hold the image x_s of its generator;
     the rows of summand t of P_{k+1} hold f(d(g_t)), the sum of c n(b) x_s
-    over the coefficients c of the paths b.g_s in d(g_t)."""
-    alg = n.algebra
-    targets = _summand_offsets(alg, summands[k])
+    over the terms c b of the component of d from t to s."""
+    elems = component_elements(diff, summands[k + 1], summands[k])
     col_off, ncols = [], 0
     for v in summands[k]:
         col_off.append(ncols)
         ncols += n.dims[v]
     rows = []
-    for u, (pu, off_u) in zip(summands[k + 1],
-                              _summand_offsets(alg, summands[k + 1])):
-        gen = off_u[u] + pu.gen_pos
+    for t, u in enumerate(summands[k + 1]):
         block = [[F0] * ncols for _ in range(n.dims[u])]
-        for (pv, off_v), c0 in zip(targets, col_off):
-            for pos, b in enumerate(pv.proj_basis_ids[u]):
-                c = diff.blocks[u][off_v[u] + pos][gen]
-                if not c:
-                    continue
+        for row_elems, c0 in zip(elems, col_off):
+            for b, c in row_elems[t].items():
                 for r, row in enumerate(n.basis_matrix(b)):
                     for q, x in enumerate(row):
                         block[r][c0 + q] += c * x
@@ -592,7 +601,7 @@ def ext_dim(m, n, i):
         raise ValueError("negative cohomological degree")
     if i == 0:
         return hom_dim(m, n)
-    terms, diffs, summands, _ = minimal_resolution(m, i + 1)
+    terms, diffs, summands, _, _ = _resolution(m, i + 1)
     if len(terms) <= i:
         return 0
     rank_i = _coboundary_rank(n, summands, diffs[i + 1], i) \
@@ -658,35 +667,14 @@ def factor_through(f, g):
     f: X -> N, g: M -> N, h: X -> M.
     """
     x, n, mrep = f.source, f.target, g.source
-    alg = x.algebra
-    var_index = {}
-    for v in alg.vertices:
-        for i in range(mrep.dims[v]):
-            for j in range(x.dims[v]):
-                var_index[(v, i, j)] = len(var_index)
-    nvars = len(var_index)
-    rows, rhs = [], []
-    # commuting with arrows
-    for ar in alg.presentation.quiver.arrows:
-        u, w = ar.source, ar.target
-        ma, xa = mrep.maps[ar.name], x.maps[ar.name]
-        for i in range(mrep.dims[w]):
-            for j in range(x.dims[u]):
-                row = [F0] * nvars
-                for k in range(mrep.dims[u]):
-                    if ma[i][k]:
-                        row[var_index[(u, k, j)]] += ma[i][k]
-                for l in range(x.dims[w]):
-                    if xa[l][j]:
-                        row[var_index[(w, i, l)]] -= xa[l][j]
-                rows.append(row)
-                rhs.append(F0)
+    var_index, rows = _hom_equations(x, mrep)
+    rhs = [F0] * len(rows)
     # g h = f
-    for v in alg.vertices:
+    for v in x.algebra.vertices:
         gb, fb = g.blocks[v], f.blocks[v]
         for i in range(n.dims[v]):
             for j in range(x.dims[v]):
-                row = [F0] * nvars
+                row = [F0] * len(var_index)
                 for k in range(mrep.dims[v]):
                     if gb[i][k]:
                         row[var_index[(v, k, j)]] += gb[i][k]
@@ -697,12 +685,7 @@ def factor_through(f, g):
     sol = linalg.solve(rows, rhs)
     if sol is None:
         return None
-    blocks = {
-        v: [[sol[var_index[(v, i, j)]] for j in range(x.dims[v])]
-            for i in range(mrep.dims[v])]
-        for v in alg.vertices
-    }
-    return Morphism(x, mrep, blocks, check=False)
+    return _solution_morphism(x, mrep, var_index, sol)
 
 
 def right_mult_morphism(alg, src_vertex, tgt_vertex, elem):
@@ -726,66 +709,56 @@ def right_mult_morphism(alg, src_vertex, tgt_vertex, elem):
     return Morphism(pt, ps, blocks, check=False)
 
 
+def component_elements(f, src_verts, tgt_verts):
+    """Element matrix of a morphism f between sums of projectives.
+
+    The source of f is the sum of the P_v for v in src_verts, its target
+    the sum for tgt_verts, both in the order of _summand_offsets.  Entry
+    [k][l] is the component P_{src_verts[l]} -> P_{tgt_verts[k]} as the
+    sparse algebra element that f gives the generator of P_{src_verts[l]}.
+    """
+    alg = f.source.algebra
+    targets = _summand_offsets(alg, tgt_verts)
+    elems = [[None] * len(src_verts) for _ in tgt_verts]
+    for l, (u, (ps, off_s)) in enumerate(
+            zip(src_verts, _summand_offsets(alg, src_verts))):
+        gen = off_s[u] + ps.gen_pos
+        col = [row[gen] for row in f.blocks[u]]
+        for k, (pt, off_t) in enumerate(targets):
+            ids = pt.proj_basis_ids[u]
+            elems[k][l] = {b: c for b, c in zip(ids, col[off_t[u]:]) if c}
+    return elems
+
+
 def presentation_matrix(m):
     """Minimal presentation P1 -> P0 -> m as an element matrix.
 
     Returns (tgt_vertices, src_vertices, elems) where elems[k][l] is the
     sparse algebra element of the component P_{src[l]} -> P_{tgt[k]}.
     """
-    alg = m.algebra
     p0, epi0, tgts = projective_cover(m)
     k, ki = kernel(epi0)
     p1, epi1, srcs = projective_cover(k)
     d1 = ki.compose(epi1)
-    # locate generator coordinates inside the direct sums
-    ps0 = [projective(alg, v) for v in tgts]
-    ps1 = [projective(alg, v) for v in srcs]
-    off0 = {w: [] for w in alg.vertices}
-    run = {w: 0 for w in alg.vertices}
-    starts0 = []
-    for p in ps0:
-        starts0.append({w: run[w] for w in alg.vertices})
-        for w in alg.vertices:
-            run[w] += p.dims[w]
-    run = {w: 0 for w in alg.vertices}
-    starts1 = []
-    for p in ps1:
-        starts1.append({w: run[w] for w in alg.vertices})
-        for w in alg.vertices:
-            run[w] += p.dims[w]
-    elems = [[{} for _ in srcs] for _ in tgts]
-    for l, (p1s, u) in enumerate(zip(ps1, srcs)):
-        gen_row = starts1[l][u] + p1s.gen_pos
-        col = [d1.blocks[u][i][gen_row] for i in range(p0.dims[u])]
-        for kidx, (p0s, vk) in enumerate(zip(ps0, tgts)):
-            elem = {}
-            start = starts0[kidx][u]
-            for pos in range(p0s.dims[u]):
-                c = col[start + pos]
-                if c:
-                    elem[p0s.proj_basis_ids[u][pos]] = c
-            elems[kidx][l] = elem
+    elems = component_elements(d1, srcs, tgts)
     return tgts, srcs, elems, (p0, epi0, p1, d1)
 
 
-def transpose(m):
-    """Tr over the opposite algebra, from the minimal presentation."""
-    alg = m.algebra
-    op = alg.opposite()
-    tgts, srcs, elems, _ = presentation_matrix(m)
-    if not srcs:
-        # m is projective (possibly zero): transpose vanishes
-        return zero_representation(op)
-    if not tgts:
-        return zero_representation(op)
-    src_reps = [projective(op, v) for v in tgts]
-    tgt_reps = [projective(op, u) for u in srcs]
-    big_src, src_incl, src_proj = (
-        direct_sum(src_reps) if src_reps else (zero_representation(op), [], [])
-    )
-    big_tgt, tgt_incl, tgt_proj = (
-        direct_sum(tgt_reps) if tgt_reps else (zero_representation(op), [], [])
-    )
+def transpose_data(m):
+    """Tr m over the opposite algebra, from the minimal presentation
+    P1 -> P0 -> m, with the pieces that transport morphisms.
+
+    Tr m is the cokernel of the dual map P0* -> P1* of projectives over the
+    opposite algebra.  Keys: "tr", the cokernel projection "proj" (None when
+    Tr m is zero because m is projective), and otherwise "srcs" (the
+    summands of P1), "epi0", "d1" and the sum P1* with its inclusions and
+    projections ("big_tgt", "tgt_incl", "tgt_proj")."""
+    op = m.algebra.opposite()
+    tgts, srcs, elems, (_, epi0, _, d1) = presentation_matrix(m)
+    if not srcs or not tgts:
+        return {"tr": zero_representation(op), "proj": None}
+    big_src, _, src_proj = direct_sum([projective(op, v) for v in tgts])
+    big_tgt, tgt_incl, tgt_proj = direct_sum([projective(op, u) for u in srcs])
     total = zero_morphism(big_src, big_tgt)
     for kidx, vk in enumerate(tgts):
         for l, ul in enumerate(srcs):
@@ -796,8 +769,14 @@ def transpose(m):
             total = total.add(
                 tgt_incl[l].compose(comp).compose(src_proj[kidx])
             )
-    c, _ = cokernel(total)
-    return c
+    c, proj = cokernel(total)
+    return {"tr": c, "proj": proj, "srcs": srcs, "epi0": epi0, "d1": d1,
+            "big_tgt": big_tgt, "tgt_incl": tgt_incl, "tgt_proj": tgt_proj}
+
+
+def transpose(m):
+    """Tr over the opposite algebra, from the minimal presentation."""
+    return transpose_data(m)["tr"]
 
 
 def ar_translate(m):

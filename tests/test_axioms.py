@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -156,7 +156,34 @@ def test_cube_search_rejects_repeated_vertex():
     p = BoundQuiverPresentation(
         q, [commutativity_relation(("a", "c"), ("b", "c"))])
     assert find_m_cubes(p, 2) == []
-    assert _count_corner_cubes(p, "1", ["a", "b"]) == 0
+    assert _count_corner_cubes(built(p), "1", ["a", "b"]) == 0
+
+
+def rebuilt_opposite(p):
+    """The opposite presentation rebuilt from p: arrows and relation paths
+    reversed.  Reference for the (A3') counts on ``built(p).opposite()``."""
+    quiver = Quiver(list(p.quiver.vertices),
+                    [(a.name, a.target, a.source) for a in p.quiver.arrows])
+    relations = [RelationElement([(c, tuple(reversed(path)))
+                                  for c, path in r.terms])
+                 for r in p.relations]
+    return BoundQuiverPresentation(quiver, relations)
+
+
+def test_dual_corner_counts_match_rebuilt_opposite():
+    presentations = [build_typeA_auslander(n, 3).presentation for n in (3, 4)]
+    presentations += [three_routes(), sandwich_config1(), cube3()]
+    counts = set()
+    for p in presentations:
+        op, ref = built(p).opposite(), built(rebuilt_opposite(p))
+        for v in p.quiver.vertices:
+            incoming = sorted(a.name for a in p.quiver.arrows_to[v])
+            for m in (2, 3):
+                for names in permutations(incoming, m):
+                    got = _count_corner_cubes(op, v, names)
+                    assert got == _count_corner_cubes(ref, v, names)
+                    counts.add(got)
+    assert counts == {0, 1}
 
 
 def reference_corner_cube(a, m):

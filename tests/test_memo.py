@@ -9,7 +9,15 @@ import time
 
 import pytest
 
-from hga import axioms, memo
+from hga import (
+    BoundQuiverPresentation,
+    Quiver,
+    axioms,
+    build_algebra,
+    memo,
+    reps,
+    zero_relation,
+)
 from hga.axioms import is_d_gentle_certificate
 from hga.cluster import SummandCollection, is_d_rigid
 from hga.presentations import Idempotent
@@ -84,6 +92,45 @@ def test_racing_threads_get_first_stored_value():
     assert not any(t.is_alive() for t in threads)
     assert all(r is results[0] for r in results)
     assert memo.memo(obj, "k", compute) is results[0]
+
+
+def test_threads_share_resolution_steps():
+    # rad^2 = 0 on a 3-cycle: S_1 has an infinite, 3-periodic resolution
+    q = Quiver(["1", "2", "3"],
+               [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "1")])
+    alg = build_algebra(BoundQuiverPresentation(
+        q, [zero_relation(p) for p in (("a", "b"), ("b", "c"), ("c", "a"))]))
+    m = reps.simple(alg, "1")
+    lengths = [2, 5, 3, 4]
+    barrier = threading.Barrier(4)
+    results = [None] * 4
+
+    def work(i):
+        barrier.wait(timeout=60)
+        results[i] = reps.minimal_resolution(m, lengths[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    terms, diffs, summands, finished = reps.minimal_resolution(m, 5)
+    assert summands == [["1"], ["2"], ["3"]] * 2 and not finished
+    for (t, d, s, done), length in zip(results, lengths):
+        assert len(t) == length + 1 and not done
+        assert all(x is y for x, y in zip(t, terms))
+        assert all(x is y for x, y in zip(d, diffs))
+        assert s == summands[:length + 1]
+    for k in range(1, 6):
+        assert diffs[k - 1].compose(diffs[k]).is_zero()
+    fresh = reps.minimal_resolution(reps.simple(alg, "1"), 5)
+    assert [p.dims for p in fresh[0]] == [p.dims for p in terms]
 
 
 def test_shared_cover_matches_fresh_cover(draws):

@@ -8,6 +8,7 @@ from hga import linalg, reps
 from hga.cluster import _ExtSpace
 from hga.errors import HgaError, NotGorensteinVerified
 from hga.reps import (
+    Representation,
     ar_translate,
     ar_translate_inverse,
     cokernel,
@@ -35,6 +36,8 @@ from hga.reps import (
     simple,
     syzygy,
     translate,
+    transpose,
+    zero_morphism,
 )
 from hga.typea import build_typeA_auslander, canonical_cluster_tilting
 
@@ -224,6 +227,73 @@ def test_factor_through_lifts():
     assert epi.compose(h).blocks == epi.blocks
     k, ki = kernel(epi)
     assert factor_through(epi, ki) is None
+
+
+def _combination(basis, rng, source, target):
+    f = zero_morphism(source, target)
+    for b in basis:
+        f = f.add(b.scale(rng.randint(-3, 3)))
+    return f
+
+
+@pytest.mark.parametrize("n, d", [(4, 2), (3, 3)])
+def test_factor_through_matches_composition_span(n, d):
+    a = build_typeA_auslander(n, d)
+    pool = _module_pool(a)
+    rng = random.Random(f"factor-{n}-{d}")
+    drawn = lifted = missed = 0
+    while drawn < 40:
+        x, m, y = (rng.choice(pool) for _ in range(3))
+        homs, gs = hom_basis(x, m), hom_basis(m, y)
+        if not homs or not gs:
+            continue
+        drawn += 1
+        g = _combination(gs, rng, m, y)
+        f = g.compose(_combination(homs, rng, x, m))
+        h = factor_through(f, g)
+        assert h is not None and g.compose(h).blocks == f.blocks
+        lifted += not f.is_zero()
+        # f': X -> Y factors through g iff it lies in the span of the g.h_i
+        f2 = _combination(hom_basis(x, y), rng, x, y)
+        image = [g.compose(b).flatten() for b in homs]
+        inside = linalg.rank(image + [f2.flatten()]) == linalg.rank(image)
+        h2 = factor_through(f2, g)
+        assert (h2 is not None) == inside
+        if h2 is not None:
+            assert g.compose(h2).blocks == f2.blocks
+        missed += not inside
+    assert lifted > 0 and missed > 0
+
+
+def kronecker_modules():
+    """The regular Kronecker modules M_t (a -> 1, b -> t) and M_inf, and
+    M_0 + M_1.  The Hom spaces between distinct M_t vanish, so a wrong
+    coefficient in a presentation changes the isomorphism class."""
+    q = Quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")])
+    alg = build_algebra(BoundQuiverPresentation(q, []))
+    dims = {"1": 1, "2": 1}
+    mods = [Representation(alg, dims, {"a": [[1]], "b": [[t]]})
+            for t in (0, 1, 2, -3)]
+    mods.append(Representation(alg, dims, {"a": [[0]], "b": [[1]]}))
+    return mods + [direct_sum(mods[:2])[0]]
+
+
+@pytest.mark.parametrize("n, d", [(4, 2), (3, 3), (None, None)])
+def test_transpose_twice_restores_modules_without_projective_summands(n, d):
+    if n is None:
+        mods = kronecker_modules()
+    else:
+        mods = canonical_cluster_tilting(build_typeA_auslander(n, d)).modules
+    checked = 0
+    for m in mods:
+        if is_projective(m):
+            continue
+        back = transpose(transpose(m))
+        assert back.algebra is m.algebra
+        assert back.dim_vector() == m.dim_vector()
+        assert is_isomorphic(back, m)
+        checked += 1
+    assert checked > 0
 
 
 def test_minimal_resolution_terms():
