@@ -24,6 +24,12 @@ def built(p):
     return memo(p, "built", lambda: build_algebra(p))
 
 
+def _register_built(alg):
+    """Record an algebra its presentation builds (such as a re-presented
+    corner), so that built() never builds it again."""
+    memo(alg.presentation, "built", lambda: alg)
+
+
 def _two_path_value(alg, first, second):
     """Value of 'first then second' as a sparse element."""
     return alg.path_value((first, second))
@@ -908,9 +914,8 @@ def is_d_gentle_certificate(cover, e, d, idempotent_cap=2 ** 20):
         cover = built(cover)
     hull = _hull_idempotent(cover, e)
     hull_corner = idempotent_subalgebra(cover, hull)
-    # each is the algebra its presentation builds: never build it again
-    for alg in (cover, hull_corner):
-        memo(alg.presentation, "built", lambda: alg)
+    _register_built(cover)
+    _register_built(hull_corner)
     entries = dict(_cover_axioms(cover.presentation, d + 1),
                    E3=_e3_entry(hull_corner.presentation))
     e4 = _heredity(entries, cover.presentation, hull_corner.presentation)
@@ -936,6 +941,7 @@ def is_d_gentle_certificate(cover, e, d, idempotent_cap=2 ** 20):
             if len(subset) < 2 ** m:
                 continue
             sub = idempotent_subalgebra(corner, Idempotent.of(subset))
+            _register_built(sub)
             cubes = find_m_cubes(sub.presentation, m)
             if cubes:
                 witness = {"subset": subset, "cube": cubes[0].to_dict()}

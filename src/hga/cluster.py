@@ -130,21 +130,22 @@ def _local_radical_basis(mod, endo_basis):
 # ---------------------------------------------------------------------------
 
 
-def _dual_obj(m):
-    return memo(m, "dual", lambda: reps.dual(m))
-
-
 def _dual_mor(f):
     blocks = {v: linalg.transpose(f.blocks[v]) for v in f.blocks}
     return reps.Morphism(
-        _dual_obj(f.target), _dual_obj(f.source), blocks, check=False
+        reps.dual(f.target), reps.dual(f.source), blocks, check=False
     )
 
 
 def _syzygy_data(m):
+    """P_0, the cover P_0 -> m, and Omega m with its inclusion: the first
+    step of m's cached minimal resolution."""
     def compute():
-        p, epi, _ = reps.projective_cover(m)
-        return (p, epi) + reps.kernel(epi)
+        terms, diffs, _, k, incl = reps._resolution(m, 0)
+        if k is None:
+            k = reps.zero_representation(m.algebra)
+            incl = reps.zero_morphism(k, terms[0])
+        return terms[0], diffs[0], k, incl
 
     return memo(m, "syzygy", compute)
 
@@ -160,14 +161,11 @@ def _syzygy_mor(f):
 
 
 def _cosyz_obj(m):
-    return memo(m, "cosyzygy",
-                lambda: _dual_obj(_syzygy_data(_dual_obj(m))[2]))
+    return reps.dual(_syzygy_data(reps.dual(m))[2])
 
 
 def _cosyz_mor(f):
     # Omega^- = D Omega D, covariant
-    _cosyz_obj(f.source)
-    _cosyz_obj(f.target)
     return _dual_mor(_syzygy_mor(_dual_mor(f)))
 
 
@@ -220,7 +218,7 @@ def _tau_d_inv_obj(m, d):
         x = m
         for _ in range(d - 1):
             x = _cosyz_obj(x)
-        return _transpose_data(_dual_obj(x))["tr"]
+        return _transpose_data(reps.dual(x))["tr"]
 
     return memo(m, ("tau_d_inv", d), compute)
 
@@ -229,9 +227,9 @@ def _tau_d_inv_mor(f, d):
     """tau_d^- on morphisms, matching the objects built by _tau_d_inv_obj.
 
     Well defined up to maps factoring through injectives, which act by
-    zero on the Ext classes it is applied to."""
-    _tau_d_inv_obj(f.source, d)
-    _tau_d_inv_obj(f.target, d)
+    zero on the Ext classes it is applied to.  The duals, syzygies and
+    transposes it passes through are memoised on their modules, so its
+    source and target are the objects _tau_d_inv_obj returns."""
     g = f
     for _ in range(d - 1):
         g = _cosyz_mor(g)

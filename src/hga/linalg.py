@@ -177,11 +177,13 @@ class SparseRREF:
 
     def __init__(self):
         self.rows = {}  # pivot index -> normalized sparse row
+        self.cols = {}  # column index -> pivots of the rows with an entry there
 
     def copy(self):
         """An independent copy: adding to it leaves this one unchanged."""
         out = SparseRREF()
         out.rows = {p: dict(r) for p, r in self.rows.items()}
+        out.cols = {j: set(ps) for j, ps in self.cols.items()}
         return out
 
     def reduce(self, vec):
@@ -211,15 +213,26 @@ class SparseRREF:
         piv = max(vec)
         inv = F1 / vec[piv]
         row = {j: c * inv for j, c in vec.items()}
-        # keep stored rows fully reduced against one another
-        for p, r in list(self.rows.items()):
-            if piv in r:
-                f = r[piv]
-                for j, c in row.items():
-                    nv = r.get(j, F0) - f * c
-                    if nv:
-                        r[j] = nv
-                    else:
-                        r.pop(j, None)
+        # keep stored rows fully reduced against one another: only the rows
+        # with an entry at piv change, and each loses that entry
+        cols = self.cols
+        for p in cols.pop(piv, ()):
+            r = self.rows[p]
+            f = r.pop(piv)
+            for j, c in row.items():
+                if j == piv:
+                    continue
+                nv = r.get(j, F0) - f * c
+                if nv:
+                    if j not in r:
+                        cols.setdefault(j, set()).add(p)
+                    r[j] = nv
+                elif j in r:
+                    del r[j]
+                    cols[j].discard(p)
+                    if not cols[j]:
+                        del cols[j]
+        for j in row:
+            cols.setdefault(j, set()).add(piv)
         self.rows[piv] = row
         return piv

@@ -13,11 +13,13 @@ may both compute a missing value; ``dict.setdefault`` keeps the first one
 stored, so every caller gets the same object.
 """
 
-import threading
+from itertools import count
 
 _MISSING = object()
-_lock = threading.Lock()
-_counts = {"hits": 0, "misses": 0}
+# next() on an itertools.count is one C call, so under the GIL the counts
+# stay exact without a lock
+_hits = count()
+_misses = count()
 
 
 def memo(obj, key, compute):
@@ -26,12 +28,11 @@ def memo(obj, key, compute):
     if table is None:
         table = obj.__dict__.setdefault("_memo", {})
     value = table.get(key, _MISSING)
-    kind = "hits"
     if value is _MISSING:
         value = table.setdefault(key, compute())
-        kind = "misses"
-    with _lock:
-        _counts[kind] += 1
+        next(_misses)
+    else:
+        next(_hits)
     return value
 
 
@@ -40,7 +41,11 @@ def peek(obj, key):
     return obj.__dict__.get("_memo", {}).get(key)
 
 
+def _current(counter):
+    """The next value of an itertools.count, read without advancing it."""
+    return int(repr(counter)[len("count("):-1])
+
+
 def stats():
     """Hit and miss counts of every ``memo`` call in this process."""
-    with _lock:
-        return dict(_counts)
+    return {"hits": _current(_hits), "misses": _current(_misses)}

@@ -223,19 +223,25 @@ def simple(alg, v):
 
 
 def dual(m):
-    """D: representations of A to representations of the opposite algebra."""
-    op = m.algebra.opposite()
-    maps = {ar.name: linalg.transpose(m.maps[ar.name])
-            for ar in m.algebra.presentation.quiver.arrows}
-    return Representation(op, dict(m.dims), maps, check=False)
+    """D: representations of A to representations of the opposite algebra.
+    Memoised on m, so D(P_v) and the injectives are shared objects whose
+    resolutions are cached."""
+    def compute():
+        maps = {ar.name: linalg.transpose(m.maps[ar.name])
+                for ar in m.algebra.presentation.quiver.arrows}
+        return Representation(m.algebra.opposite(), dict(m.dims), maps,
+                              check=False)
+
+    return memo(m, "dual", compute)
 
 
 def injective(alg, v):
     return dual(projective(alg.opposite(), v))
 
 
-def direct_sum(reps):
-    """Direct sum with inclusion and projection morphisms per summand."""
+def _sum_module(reps):
+    """The direct sum module alone, with each summand's first coordinate at
+    every vertex."""
     if not reps:
         raise ValueError("empty direct sum; use zero_representation")
     alg = reps[0].algebra
@@ -260,7 +266,13 @@ def direct_sum(reps):
                     if x:
                         mat[off[w] + i][off[u] + j] = x
         maps[ar.name] = mat
-    total = Representation(alg, dims, maps, check=False)
+    return Representation(alg, dims, maps, check=False), offsets
+
+
+def direct_sum(reps):
+    """Direct sum with inclusion and projection morphisms per summand."""
+    total, offsets = _sum_module(reps)
+    alg, dims = total.algebra, total.dims
     incls, projs = [], []
     for r, off in zip(reps, offsets):
         inc = {}
@@ -481,7 +493,8 @@ def projective_cover(m):
         p = zero_representation(alg)
         return p, Morphism(p, m, {}, check=False), []
     ps = [projective(alg, v) for v in summands]
-    total, incls, _ = direct_sum(ps)
+    # one summand is the projective itself: share it rather than copy it
+    total = ps[0] if len(ps) == 1 else _sum_module(ps)[0]
     blocks = {w: [[F0] * total.dims[w] for _ in range(m.dims[w])]
               for w in alg.vertices}
     off = {w: 0 for w in alg.vertices}
@@ -499,9 +512,7 @@ def projective_cover(m):
 
 
 def syzygy(m):
-    _, epi, _ = projective_cover(m)
-    k, _ = kernel(epi)
-    return k
+    return syzygy_power(m, 1)
 
 
 def minimal_resolution(m, length):
@@ -541,11 +552,7 @@ def _resolution(m, k):
 
 
 def is_projective(m):
-    if m.is_zero():
-        return True
-    _, epi, _ = projective_cover(m)
-    k, _ = kernel(epi)
-    return k.is_zero()
+    return _resolution(m, 0)[3] is None
 
 
 def is_injective(m):
@@ -614,22 +621,23 @@ def proj_dim(m, cap=None):
     """Projective dimension; math.inf on syzygy periodicity."""
     if m.is_zero():
         return 0
-    alg = m.algebra
     if cap is None:
-        cap = 3 * alg.dim + 8
+        cap = _default_cap(m.algebra)
     seen = []
-    current = m
     for step in range(cap):
-        p, epi, _ = projective_cover(current)
-        k, _ = kernel(epi)
-        if k.is_zero():
+        k = _resolution(m, step)[3]
+        if k is None:
             return step
         for old in seen:
             if old.dim_vector() == k.dim_vector() and is_isomorphic(old, k):
                 return math.inf
         seen.append(k)
-        current = k
     raise HgaError("projective dimension undecided within the step cap")
+
+
+def _default_cap(alg):
+    """Steps walked before a dimension is reported undecided."""
+    return 3 * alg.dim + 8
 
 
 def is_isomorphic(m, n):
@@ -790,21 +798,20 @@ def ar_translate_inverse(m):
 
 
 def cosyzygy(m):
-    return dual(syzygy(dual(m)))
+    return cosyzygy_power(m, 1)
 
 
 def syzygy_power(m, k):
-    current = m
-    for _ in range(k):
-        current = syzygy(current)
-    return current
+    """Omega^k m, read off the cached minimal resolution of m."""
+    if k == 0:
+        return m
+    kern = _resolution(m, k - 1)[3]
+    return zero_representation(m.algebra) if kern is None else kern
 
 
 def cosyzygy_power(m, k):
-    current = m
-    for _ in range(k):
-        current = cosyzygy(current)
-    return current
+    """Omega^-k m = D Omega^k D m."""
+    return dual(syzygy_power(dual(m), k)) if k else m
 
 
 def higher_translate(m, d):
@@ -928,8 +935,7 @@ def decompose_indecomposables(m):
 
 
 def regular_module(alg):
-    total, _, _ = direct_sum([projective(alg, v) for v in alg.vertices])
-    return total
+    return _sum_module([projective(alg, v) for v in alg.vertices])[0]
 
 
 def homological_dims(alg, cap=None):
@@ -947,40 +953,38 @@ def homological_dims(alg, cap=None):
 def _homological_dims(alg, cap):
     proj_dims = {v: proj_dim(simple(alg, v), cap=cap) for v in alg.vertices}
     global_dim = max(proj_dims.values()) if proj_dims else 0
-    inj_of_a = max(
-        proj_dim(dual(projective(alg, v)), cap=cap) for v in alg.vertices
-    )
+    dual_projs = [dual(projective(alg, v)) for v in alg.vertices]
+    inj_of_a = max(proj_dim(x, cap=cap) for x in dual_projs)
     proj_of_da = max(
         proj_dim(injective(alg, v), cap=cap) for v in alg.vertices
     )
-    # dominant dimension via the minimal injective coresolution of A
-    proj_inj = {w: is_projective(injective(alg, w)) for w in alg.vertices}
-    da = direct_sum([dual(projective(alg, v)) for v in alg.vertices])[0]
-    dom = 0
-    current = da
-    steps_cap = cap if cap is not None else 3 * alg.dim + 8
-    finished_all_projective = False
-    hit_non_projective = False
-    for _ in range(steps_cap):
-        p, epi, summands = projective_cover(current)
-        if not all(proj_inj[w] for w in summands):
-            hit_non_projective = True
-            break
-        dom += 1
-        k, ki = kernel(epi)
-        if k.is_zero():
-            finished_all_projective = True
-            break
-        current = k
-    if not finished_all_projective and not hit_non_projective:
-        raise HgaError("dominant dimension undecided within the step cap")
     return {
         "projDims": proj_dims,
         "globalDim": global_dim,
-        "dominantDim": math.inf if finished_all_projective else dom,
+        "dominantDim": _dominant_dim(alg, dual_projs, cap),
         "injDimOfA": inj_of_a,
         "projDimOfDA": proj_of_da,
     }
+
+
+def _dominant_dim(alg, dual_projs, cap):
+    """Dominant dimension: the number of leading terms of the minimal
+    injective coresolution of A that are also projective.
+
+    D of that coresolution is the minimal projective resolution of
+    DA = (+)_v D(P_v) over the opposite algebra, the sum of the cached
+    resolutions of the D(P_v): at each step its cover has the union of
+    their summands, and its kernel vanishes once all of theirs have.  The
+    summand at w dualises to the injective I_w."""
+    proj_inj = {w: is_projective(injective(alg, w)) for w in alg.vertices}
+    for step in range(cap if cap is not None else _default_cap(alg)):
+        res = [_resolution(x, step) for x in dual_projs]
+        if not all(proj_inj[w] for terms, _, summands, _, _ in res
+                   if len(terms) > step for w in summands[step]):
+            return step
+        if all(kern is None for _, _, _, kern, _ in res):
+            return math.inf
+    raise HgaError("dominant dimension undecided within the step cap")
 
 
 def is_gorenstein_projective(m, n=None):

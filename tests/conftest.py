@@ -1,0 +1,15 @@
+"""Shared test settings.
+
+Property tests draw their examples from a seed derived from each test, so a
+run is reproducible: the same examples every time, in CI as locally.
+"""
+
+try:
+    from hypothesis import settings
+except ImportError:     # the property suites skip themselves without it
+    settings = None
+
+if settings is not None:
+    settings.register_profile("reproducible", derandomize=True,
+                              database=None, deadline=None)
+    settings.load_profile("reproducible")

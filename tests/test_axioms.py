@@ -8,6 +8,8 @@ from hga import (
     Idempotent,
     Quiver,
     RelationElement,
+    axioms,
+    build_algebra,
     commutativity_relation,
     idempotent_subalgebra,
     zero_relation,
@@ -362,6 +364,22 @@ def test_is_gentle():
                for f in rep["failures"])
     rep = is_gentle(linear(4, [zero_relation(("a1", "a2", "a3"))]))
     assert not rep["gentle"]
+
+
+def test_certificate_builds_no_enumerated_corner_again(monkeypatch):
+    p = three_routes()
+    calls = []
+
+    def counting_build(pres, *args, **kwargs):
+        calls.append(pres)
+        return build_algebra(pres, *args, **kwargs)
+
+    monkeypatch.setattr(axioms, "build_algebra", counting_build)
+    cert = is_d_gentle_certificate(p, Idempotent.of(p.quiver.vertices), 1)
+    assert cert.cube_check["mode"] == "enumeration"
+    # the cover itself, and the quadratic algebra that (A4) compares with
+    # it; every enumerated subset algebra is already built
+    assert len(calls) == 2 and calls[0] is p
 
 
 def test_certificate_linear_is_1_gentle():

@@ -94,6 +94,37 @@ def test_racing_threads_get_first_stored_value():
     assert memo.memo(obj, "k", compute) is results[0]
 
 
+def test_stats_count_every_call_from_racing_threads():
+    class Obj:
+        pass
+
+    objs = [Obj() for _ in range(50)]
+    calls = 4 * 2000
+    barrier = threading.Barrier(4)
+
+    def work(i):
+        barrier.wait(timeout=60)
+        for k in range(calls // 4):
+            memo.memo(objs[(i + k) % len(objs)], k % 7, object)
+
+    before = memo.stats()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    after = memo.stats()
+    assert (after["hits"] + after["misses"]
+            - before["hits"] - before["misses"]) == calls
+    assert after["misses"] - before["misses"] >= len(objs) * 7
+
+
 def test_threads_share_resolution_steps():
     # rad^2 = 0 on a 3-cycle: S_1 has an infinite, 3-periodic resolution
     q = Quiver(["1", "2", "3"],
