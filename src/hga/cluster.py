@@ -140,14 +140,11 @@ def _dual_mor(f):
 def _syzygy_data(m):
     """P_0, the cover P_0 -> m, and Omega m with its inclusion: the first
     step of m's cached minimal resolution."""
-    def compute():
-        terms, diffs, _, k, incl = reps._resolution(m, 0)
-        if k is None:
-            k = reps.zero_representation(m.algebra)
-            incl = reps.zero_morphism(k, terms[0])
-        return terms[0], diffs[0], k, incl
-
-    return memo(m, "syzygy", compute)
+    terms, diffs, _, _, incl = reps._resolution(m, 0)
+    k = reps.syzygy(m)
+    if incl is None:
+        incl = reps.zero_morphism(k, terms[0])
+    return terms[0], diffs[0], k, incl
 
 
 def _syzygy_mor(f):

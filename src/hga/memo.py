@@ -47,5 +47,11 @@ def _current(counter):
 
 
 def stats():
-    """Hit and miss counts of every ``memo`` call in this process."""
+    """Hit and miss counts of every ``memo`` call in this process.
+
+    The two counts are read one after the other, so a call made by another
+    thread in between may show in one and not the other.  Each count is
+    exact only where ``next()`` on an ``itertools.count`` cannot interleave,
+    as under the GIL; a free-threaded build may lose increments.
+    """
     return {"hits": _current(_hits), "misses": _current(_misses)}

@@ -304,12 +304,11 @@ def _smallest_removal(a, m):
         if qf is None:
             return None
         mq = restrict_to_quotient(qf, m)
-        if reps.is_projective(mq):
+        _, _, summands, k, _ = reps._resolution(mq, 0)
+        if k is None:
             return removed, qf
-        p, epi, summands = reps.projective_cover(mq)
-        k, _ = reps.kernel(epi)
         grow = set(_support(ambient_from_quotient(qf, k)))
-        grow |= set(summands)
+        grow |= set(summands[0])
         if grow <= removed:
             return None
         removed |= grow

@@ -739,17 +739,20 @@ def component_elements(f, src_verts, tgt_verts):
 
 
 def presentation_matrix(m):
-    """Minimal presentation P1 -> P0 -> m as an element matrix.
+    """Minimal presentation P1 -> P0 -> m as an element matrix, read off
+    the first two steps of m's cached resolution.
 
-    Returns (tgt_vertices, src_vertices, elems) where elems[k][l] is the
-    sparse algebra element of the component P_{src[l]} -> P_{tgt[k]}.
+    Returns (tgt_vertices, src_vertices, elems, (P0, epi0, P1, d1)) where
+    elems[k][l] is the sparse algebra element of the component
+    P_{src[l]} -> P_{tgt[k]}.  When m is projective, src_vertices is empty
+    and P1 and d1 are None.
     """
-    p0, epi0, tgts = projective_cover(m)
-    k, ki = kernel(epi0)
-    p1, epi1, srcs = projective_cover(k)
-    d1 = ki.compose(epi1)
-    elems = component_elements(d1, srcs, tgts)
-    return tgts, srcs, elems, (p0, epi0, p1, d1)
+    terms, diffs, summands, _, _ = _resolution(m, 1)
+    tgts = summands[0]
+    if len(terms) == 1:
+        return tgts, [], [[] for _ in tgts], (terms[0], diffs[0], None, None)
+    elems = component_elements(diffs[1], summands[1], tgts)
+    return tgts, summands[1], elems, (terms[0], diffs[0], terms[1], diffs[1])
 
 
 def transpose_data(m):
@@ -806,7 +809,11 @@ def syzygy_power(m, k):
     if k == 0:
         return m
     kern = _resolution(m, k - 1)[3]
-    return zero_representation(m.algebra) if kern is None else kern
+    if kern is None:
+        # one zero module per m, so every caller sees the same Omega^k m
+        return memo(m, "zero syzygy",
+                    lambda: zero_representation(m.algebra))
+    return kern
 
 
 def cosyzygy_power(m, k):

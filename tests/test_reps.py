@@ -418,6 +418,33 @@ def test_minimal_resolution_terms():
     assert diffs[0].compose(diffs[1]).is_zero()
 
 
+def test_syzygy_past_the_resolution_is_one_zero_module():
+    alg = nakayama3()
+    p = projective(alg, "1")
+    z = syzygy(p)
+    assert z.is_zero()
+    assert syzygy(p) is z
+    assert reps.syzygy_power(p, 3) is z
+    i = injective(alg, "1")
+    assert reps.cosyzygy(i).is_zero()
+    assert reps.cosyzygy(i) is reps.cosyzygy(i)
+
+
+def test_presentation_matrix_reads_the_cached_resolution():
+    alg = nakayama3()
+    s1 = simple(alg, "1")
+    tgts, srcs, elems, (p0, epi0, p1, d1) = reps.presentation_matrix(s1)
+    terms, diffs, summands, _ = minimal_resolution(s1, 1)
+    assert (tgts, srcs) == (["1"], ["2"])
+    cached = (terms[0], diffs[0], terms[1], diffs[1])
+    assert all(x is y for x, y in zip((p0, epi0, p1, d1), cached))
+    assert elems[0][0]
+    tgts, srcs, elems, (p0, _, p1, d1) = reps.presentation_matrix(
+        projective(alg, "2"))
+    assert (tgts, srcs, elems, p1, d1) == (["2"], [], [[]], None, None)
+    assert p0 is minimal_resolution(projective(alg, "2"), 0)[0][0]
+
+
 def test_is_projective_detection():
     alg = nakayama3()
     assert is_projective(projective(alg, "1"))

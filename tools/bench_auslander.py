@@ -1,14 +1,14 @@
 """Before/after numbers for the ``auslander`` benchmark pool, split by layer.
 
     PYTHONPATH=<tree>/src python3 tools/bench_auslander.py \
-        --side before|after [--repeat 3] [--out BENCH_auslander.json]
+        --side before|after [--out BENCH_auslander.json]
 
 For each (n, d) of the pool in ``perfbench/workloads.py``, and for the hga
 found on the import path, it measures:
 
 - ``build_s``: wall seconds of ``build_typeA_auslander(n, d)``;
 - ``homdims_s``: wall seconds of ``homological_dims`` on a fresh build;
-  both are the best of ``--repeat`` runs with no counters installed;
+  both are the best of ``REPEAT`` runs with no counters installed;
 - counts, from one more run with counting wrappers: calls of
   ``projective_cover``, ``kernel``, ``direct_sum`` and ``SparseRREF.add``;
   ``add_rows_stored``, the stored rows at each ``add`` that inserts a pivot
@@ -35,6 +35,10 @@ from workloads import AUSLANDER_POOL, auslander_key  # noqa: E402
 
 from hga import linalg, reps  # noqa: E402
 from hga.typea import build_typeA_auslander  # noqa: E402
+
+
+# Timings are best-of-REPEAT; both committed sides were measured with it.
+REPEAT = 3
 
 
 def seconds(fn):
@@ -99,12 +103,12 @@ class Counters:
             setattr(owner, attr, orig)
 
 
-def measure(n, d, repeat):
+def measure(n, d):
     # homological_dims is memoised on its algebra: time each on a fresh one
-    algs = [build_typeA_auslander(n, d) for _ in range(repeat)]
+    algs = [build_typeA_auslander(n, d) for _ in range(REPEAT)]
     row = {
         "build_s": round(min(seconds(lambda: build_typeA_auslander(n, d))
-                             for _ in range(repeat)), 4),
+                             for _ in range(REPEAT)), 4),
         "homdims_s": round(min(seconds(lambda a=a: reps.homological_dims(a))
                                for a in algs), 4),
     }
@@ -119,7 +123,6 @@ def measure(n, d, repeat):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--side", required=True, choices=("before", "after"))
-    ap.add_argument("--repeat", type=int, default=3)
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_auslander.json"))
     args = ap.parse_args(argv)
     table = {}
@@ -130,11 +133,11 @@ def main(argv=None):
                     f"{platform.python_version()}, {os.cpu_count()} cpus",
             "pool": {}}
     for n, d in AUSLANDER_POOL:
-        side["pool"][auslander_key(n, d)] = row = measure(n, d, args.repeat)
+        side["pool"][auslander_key(n, d)] = row = measure(n, d)
         print(auslander_key(n, d), json.dumps(row), flush=True)
     table[args.side] = side
     table["command"] = ("PYTHONPATH=<tree>/src python3 tools/bench_auslander.py"
-                        f" --side <side> --repeat {args.repeat}")
+                        " --side <side>")
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(table, fh, indent=1, sort_keys=True)
         fh.write("\n")
