@@ -60,9 +60,6 @@ class SummandCollection:
         return memo(self, "modules",
                     lambda: [self.family.module_of(t) for t in self.labels])
 
-    def direct_sum(self):
-        return memo(self, "sum", lambda: reps.direct_sum(self.modules()))
-
     def __len__(self):
         return len(self.labels)
 
@@ -126,7 +123,7 @@ def _local_radical_basis(mod, endo_basis):
 
 
 # ---------------------------------------------------------------------------
-# functors on morphisms: syzygy, cosyzygy, transpose, higher inverse translate
+# functors on morphisms: cosyzygy, transpose, higher inverse translate
 # ---------------------------------------------------------------------------
 
 
@@ -137,33 +134,9 @@ def _dual_mor(f):
     )
 
 
-def _syzygy_data(m):
-    """P_0, the cover P_0 -> m, and Omega m with its inclusion: the first
-    step of m's cached minimal resolution."""
-    terms, diffs, _, _, incl = reps._resolution(m, 0)
-    k = reps.syzygy(m)
-    if incl is None:
-        incl = reps.zero_morphism(k, terms[0])
-    return terms[0], diffs[0], k, incl
-
-
-def _syzygy_mor(f):
-    _, ex, kx, ix = _syzygy_data(f.source)
-    _, ey, ky, iy = _syzygy_data(f.target)
-    f0 = reps.factor_through(f.compose(ex), ey)
-    g = reps.factor_through(f0.compose(ix), iy)
-    if g is None:
-        raise HgaError("syzygy lift failed")
-    return reps.Morphism(kx, ky, g.blocks, check=False)
-
-
-def _cosyz_obj(m):
-    return reps.dual(_syzygy_data(reps.dual(m))[2])
-
-
 def _cosyz_mor(f):
     # Omega^- = D Omega D, covariant
-    return _dual_mor(_syzygy_mor(_dual_mor(f)))
+    return _dual_mor(reps.syzygy_morphism(_dual_mor(f)))
 
 
 def _transpose_data(m):
@@ -175,7 +148,6 @@ def _transpose_mor(h):
     """Tr on morphisms; contravariant.  h: X -> Y gives Tr Y -> Tr X."""
     x, y = h.source, h.target
     alg = x.algebra
-    op = alg.opposite()
     dx = _transpose_data(x)
     dy = _transpose_data(y)
     if dx["tr"].is_zero() or dy["tr"].is_zero():
@@ -184,29 +156,12 @@ def _transpose_mor(h):
     h1 = reps.factor_through(h0.compose(dx["d1"]), dy["d1"])
     if h1 is None:
         raise HgaError("presentation lift failed")
-    elems = reps.component_elements(h1, dx["srcs"], dy["srcs"])
-    psi = reps.zero_morphism(dy["big_tgt"], dx["big_tgt"])
-    for l, u in enumerate(dx["srcs"]):
-        for lp, up in enumerate(dy["srcs"]):
-            elem = elems[lp][l]
-            if not elem:
-                continue
-            comp = reps.right_mult_morphism(op, u, up, elem)
-            psi = psi.add(
-                dx["tgt_incl"][l].compose(comp).compose(dy["tgt_proj"][lp])
-            )
-    blocks = {}
-    for w in alg.vertices:
-        sec = dy["proj"].section_coords[w]
-        rows_x = dx["tr"].dims[w]
-        mat = [[F0] * len(sec) for _ in range(rows_x)]
-        for cidx, kcoord in enumerate(sec):
-            vec = [psi.blocks[w][i][kcoord]
-                   for i in range(len(psi.blocks[w]))]
-            cls = linalg.mat_vec(dx["proj"].blocks[w], vec) if rows_x else []
-            for ridx, val in enumerate(cls):
-                mat[ridx][cidx] = val
-        blocks[w] = mat
+    psi = reps.projective_star(
+        alg, dy["srcs"], dx["srcs"],
+        reps.component_elements(h1, dx["srcs"], dy["srcs"]))
+    cls = dx["proj"].compose(psi)
+    blocks = {w: [[row[k] for k in dy["proj"].section_coords[w]]
+                  for row in cls.blocks[w]] for w in alg.vertices}
     return reps.Morphism(dy["tr"], dx["tr"], blocks, check=False)
 
 
@@ -214,7 +169,7 @@ def _tau_d_inv_obj(m, d):
     def compute():
         x = m
         for _ in range(d - 1):
-            x = _cosyz_obj(x)
+            x = reps.cosyzygy(x)
         return _transpose_data(reps.dual(x))["tr"]
 
     return memo(m, ("tau_d_inv", d), compute)
@@ -231,102 +186,6 @@ def _tau_d_inv_mor(f, d):
     for _ in range(d - 1):
         g = _cosyz_mor(g)
     return _transpose_mor(_dual_mor(g))
-
-
-# ---------------------------------------------------------------------------
-# Ext^d spaces as cocycle classes on the minimal resolution
-# ---------------------------------------------------------------------------
-
-
-class _ExtSpace:
-    """Ext^d(m, n) with chosen cocycle representatives and coordinates.
-
-    Classes are morphisms P_d(m) -> n modulo those factoring through the
-    differential from P_{d-1}."""
-
-    def __init__(self, m, n, d):
-        self.m, self.n, self.d = m, n, d
-        self.reps = []
-        self.sel = []
-        self.bred, self.bpiv = [], []
-        self.flat_len = 0
-        if n.is_zero():
-            return
-        terms, diffs, _, _ = reps.minimal_resolution(m, d + 1)
-        if len(terms) <= d:
-            return
-        full = reps.hom_basis(terms[d], n)
-        if not full:
-            return
-        self.flat_len = len(full[0].flatten())
-        if len(terms) > d + 1:
-            flats_next = [f.compose(diffs[d + 1]).flatten() for f in full]
-            mat = linalg.transpose(flats_next)
-            sols = linalg.nullspace(mat, ncols=len(full))
-        else:
-            sols = [
-                [F1 if i == k else F0 for i in range(len(full))]
-                for k in range(len(full))
-            ]
-        cocycles = []
-        for sol in sols:
-            combo = reps.zero_morphism(terms[d], n)
-            for c, f in zip(sol, full):
-                if c:
-                    combo = combo.add(f.scale(c))
-            cocycles.append(combo)
-        prev = reps.hom_basis(terms[d - 1], n)
-        bflats = [g.compose(diffs[d]).flatten() for g in prev]
-        bflats = [r for r in bflats if any(r)]
-        if bflats:
-            red, piv = linalg.rref(bflats)
-            self.bred, self.bpiv = red[: len(piv)], piv
-        for z in cocycles:
-            r = self._reduce(z.flatten())
-            if not any(r):
-                continue
-            cand = linalg.row_space_basis(self.sel + [r])
-            if len(cand) > len(self.sel):
-                self.sel.append(r)
-                self.reps.append(z)
-
-    @property
-    def dim(self):
-        return len(self.reps)
-
-    def _reduce(self, flat):
-        if self.bpiv:
-            return linalg.reduce_mod_rows(self.bred, self.bpiv, flat)
-        return list(flat)
-
-    def coords(self, mor):
-        """Class coordinates of a cocycle in the chosen representatives."""
-        if mor is None:
-            return [F0] * self.dim
-        r = self._reduce(mor.flatten())
-        if not any(r):
-            return [F0] * self.dim
-        if not self.dim:
-            raise HgaError("nonzero class in a zero Ext space")
-        sol = linalg.solve(linalg.transpose(self.sel), r)
-        if sol is None:
-            raise HgaError("Ext class escapes the chosen basis")
-        return sol
-
-
-def _chain_lift_degree(f, k):
-    """Comparison lift P_k(source) -> P_k(target) of f along the minimal
-    resolutions; None when the source resolution has stopped before k."""
-    tm, dm, _, _ = reps.minimal_resolution(f.source, k)
-    tn, dn, _, _ = reps.minimal_resolution(f.target, k)
-    if len(tm) <= k or len(tn) <= k:
-        return None
-    cur = reps.factor_through(f.compose(dm[0]), dn[0])
-    for i in range(1, k + 1):
-        cur = reps.factor_through(cur.compose(dm[i]), dn[i])
-        if cur is None:
-            raise HgaError("resolution lift failed")
-    return cur
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +228,7 @@ def cluster_endo_algebra(c):
     ext_space = {}
     for i in range(t):
         for j in range(t):
-            ext_space[(i, j)] = _ExtSpace(mods[i], taus[j], d)
+            ext_space[(i, j)] = reps.ExtSpace(mods[i], taus[j], d)
 
     # basis: vertex idempotents, then Hom radical, then Ext classes.
     # an element M_a -> M_b is a path from vertex a to vertex b.
@@ -427,22 +286,6 @@ def cluster_endo_algebra(c):
                 out[ext_ids[(a, b, k)]] = cval
         return out
 
-    tau_mor_cache = {}
-
-    def tau_of(mor):
-        key = id(mor)
-        if key not in tau_mor_cache:
-            tau_mor_cache[key] = _tau_d_inv_mor(mor, d)
-        return tau_mor_cache[key]
-
-    lift_cache = {}
-
-    def lift_of(mor):
-        key = id(mor)
-        if key not in lift_cache:
-            lift_cache[key] = _chain_lift_degree(mor, d)
-        return lift_cache[key]
-
     mult = {}
     for i in range(t):
         mult[(i, i)] = {i: F1}
@@ -464,14 +307,16 @@ def cluster_endo_algebra(c):
                 prod = payp.compose(payq)
                 entry = hom_coords(aq, bp, prod)
             elif kp == "ext" and kq == "hom":
-                lift = lift_of(payq)
+                lift = memo(payq, ("resolution lift", d),
+                            lambda: reps.resolution_lift(payq, d))
                 if lift is None:
                     entry = {}
                 else:
                     xi = ext_space[(ap, bp)].reps[payp]
                     entry = ext_coords(aq, bp, xi.compose(lift))
             else:  # kp == "hom", kq == "ext"
-                tg = tau_of(payp)
+                tg = memo(payp, ("tau_d_inv", d),
+                          lambda: _tau_d_inv_mor(payp, d))
                 xi = ext_space[(aq, bq)].reps[payq]
                 entry = ext_coords(aq, bp, tg.compose(xi))
             if entry:

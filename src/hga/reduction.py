@@ -605,38 +605,31 @@ class SgInvariant:
 
 
 def gentle_sg_invariant(g):
-    """Multiset of lengths of repetition-free full-relation cycles of a
-    gentle algebra: cyclic paths with pairwise distinct vertices all of
-    whose consecutive compositions (including the wrap-around) vanish.
-    The total length counts the indecomposable singular objects."""
+    """Multiset of lengths of the full-relation cycles of a gentle algebra:
+    cycles of arrows, each used once, all of whose consecutive compositions
+    (including the wrap-around) vanish.  The total length counts the
+    indecomposable singular objects (Kalck 2015).
+
+    In a gentle algebra an arrow has at most one arrow after it with zero
+    composition, and at most one before it, so these zero successors form
+    a partial permutation of the arrows; the cycles are its cycles."""
     p = g.presentation if isinstance(g, Algebra) else g
     if not is_gentle(p)["gentle"]:
         raise NotGentle("the singularity invariant needs a gentle algebra")
     alg = built(p)
-    quiver = p.quiver
-    order = {v: k for k, v in enumerate(sorted(quiver.vertices, key=str))}
-
-    def zero2(first, second):
-        return not _two_path_value(alg, first, second)
-
-    lengths = []
-
-    def dfs(start, v, path, visited):
-        for ar in sorted(quiver.arrows_from[v], key=lambda x: x.name):
-            if path and not zero2(path[-1], ar.name):
-                continue
-            w = ar.target
-            if w == start:
-                if zero2(ar.name, path[0]) if path else zero2(ar.name,
-                                                              ar.name):
-                    lengths.append(len(path) + 1)
-                continue
-            if w in visited or order[w] < order[start]:
-                continue
-            dfs(start, w, path + [ar.name], visited | {w})
-
-    for start in sorted(quiver.vertices, key=str):
-        dfs(start, start, [], {start})
+    succ = {ar.name: nxt.name for ar in p.quiver.arrows
+            for nxt in p.quiver.arrows_from[ar.target]
+            if not _two_path_value(alg, ar.name, nxt.name)}
+    lengths, seen = [], set()
+    for start in succ:
+        if start in seen:
+            continue
+        walk = [start]
+        while walk[-1] in succ and succ[walk[-1]] not in walk:
+            walk.append(succ[walk[-1]])
+        seen.update(walk)
+        if succ.get(walk[-1]) == start:
+            lengths.append(len(walk))
     return SgInvariant(sorted(lengths))
 
 

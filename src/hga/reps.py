@@ -479,36 +479,68 @@ def projective_cover(m):
     """Minimal projective cover; returns (P, epi, summand vertex list)."""
     alg = m.algebra
     rad = radical_vectors(m)
-    summands = []
-    lifts = []
+    summands, images = [], []
     for v in alg.vertices:
         piv = set(linalg.rref(rad[v])[1]) if rad[v] else set()
         for k in range(m.dims[v]):
             if k not in piv:
-                e = [F0] * m.dims[v]
-                e[k] = F1
                 summands.append(v)
-                lifts.append((v, e))
+                images.extend(F1 if i == k else F0 for i in range(m.dims[v]))
     if not summands:
         p = zero_representation(alg)
         return p, Morphism(p, m, {}, check=False), []
-    ps = [projective(alg, v) for v in summands]
-    # one summand is the projective itself: share it rather than copy it
-    total = ps[0] if len(ps) == 1 else _sum_module(ps)[0]
-    blocks = {w: [[F0] * total.dims[w] for _ in range(m.dims[w])]
+    total = _projective_sum(alg, summands)
+    return total, from_generators(total, summands, m, images), summands
+
+
+def _projective_sum(alg, vertices):
+    """The sum of the projectives P_v (v in vertices); one summand is the
+    memoised P_v itself, shared rather than copied."""
+    ps = [projective(alg, v) for v in vertices]
+    return ps[0] if len(ps) == 1 else _sum_module(ps)[0]
+
+
+def from_generators(p, vertices, n, images):
+    """The morphism p -> n, for p the sum of the projectives P_v (v in
+    vertices), that sends the generator of each summand to its image.
+
+    images concatenates one vector of n_v per summand, in order.  A basis
+    path b of P_v goes to n(b) applied to the image, one arrow at a time."""
+    alg = p.algebra
+    blocks = {w: [[F0] * p.dims[w] for _ in range(n.dims[w])]
               for w in alg.vertices}
-    off = {w: 0 for w in alg.vertices}
-    for p, (v, lift) in zip(ps, lifts):
+    start = 0
+    for v, (pv, off) in zip(vertices, _summand_offsets(alg, vertices)):
+        acted = {(): images[start:start + n.dims[v]]}
+        start += n.dims[v]
         for w in alg.vertices:
-            for col, b in enumerate(p.proj_basis_ids[w]):
-                mat = m.basis_matrix(b)
-                vec = linalg.mat_vec(mat, lift) if mat else []
-                for row, x in enumerate(vec):
-                    blocks[w][row][off[w] + col] = x
-        for w in alg.vertices:
-            off[w] += p.dims[w]
-    epi = Morphism(total, m, blocks, check=False)
-    return total, epi, summands
+            block, first = blocks[w], off[w]
+            for col, b in enumerate(pv.proj_basis_ids[w]):
+                path = alg.basis_labels[b] if b >= len(alg.vertices) else ()
+                for row, x in enumerate(_act(n, path, acted)):
+                    block[row][first + col] = x
+    return Morphism(p, n, blocks, check=False)
+
+
+def _act(n, path, acted):
+    """n(path) applied to acted[()], memoised in acted by prefix."""
+    vec = acted.get(path)
+    if vec is None:
+        vec = linalg.mat_vec(n.maps[path[-1]], _act(n, path[:-1], acted))
+        acted[path] = vec
+    return vec
+
+
+def generator_images(f, vertices):
+    """The images under f of the generators of its source, the sum of the
+    projectives P_v (v in vertices), concatenated as from_generators reads
+    them."""
+    images = []
+    for v, (pv, off) in zip(vertices,
+                            _summand_offsets(f.source.algebra, vertices)):
+        gen = off[v] + pv.gen_pos
+        images.extend(row[gen] for row in f.blocks[v])
+    return images
 
 
 def syzygy(m):
@@ -571,8 +603,9 @@ def _summand_offsets(alg, vertices):
     return out
 
 
-def _coboundary_rank(n, summands, diff, k):
-    """Rank of f -> f.d on Hom(P_k, n), for d = diff: P_{k+1} -> P_k and
+def _coboundary(n, summands, diff, k):
+    """Matrix of f -> f.d from Hom(P_k, n) to Hom(P_{k+1}, n) in generator
+    images (see from_generators), for d = diff: P_{k+1} -> P_k and
     summands[j] the vertices of the projective summands of P_j.
 
     The columns of summand s of P_k hold the image x_s of its generator;
@@ -591,8 +624,8 @@ def _coboundary_rank(n, summands, diff, k):
                 for r, row in enumerate(n.basis_matrix(b)):
                     for q, x in enumerate(row):
                         block[r][c0 + q] += c * x
-        rows.extend(row for row in block if any(row))
-    return linalg.rank(rows)
+        rows.extend(block)
+    return rows
 
 
 def ext_dim(m, n, i):
@@ -601,9 +634,9 @@ def ext_dim(m, n, i):
     Hom(P_k, n) for P_k = (+)_s P_{v_s} is (+)_s n_{v_s}: a morphism is
     fixed by the images of the generators.  So Ext^i is
     sum_s dim n_{v_s} - rank delta_i - rank delta_{i-1}, with the
-    coboundaries delta built by _coboundary_rank without solving any Hom
-    system.  Only the dimension is computed; cluster._ExtSpace chooses
-    cocycle representatives where they are needed."""
+    coboundaries delta built by _coboundary without solving any Hom
+    system.  ExtSpace chooses cocycle representatives on the same
+    coboundaries where they are needed."""
     if i < 0:
         raise ValueError("negative cohomological degree")
     if i == 0:
@@ -611,10 +644,81 @@ def ext_dim(m, n, i):
     terms, diffs, summands, _, _ = _resolution(m, i + 1)
     if len(terms) <= i:
         return 0
-    rank_i = _coboundary_rank(n, summands, diffs[i + 1], i) \
-        if len(terms) > i + 1 else 0
-    return (sum(n.dims[v] for v in summands[i]) - rank_i
-            - _coboundary_rank(n, summands, diffs[i], i - 1))
+
+    def rank(k):
+        return linalg.rank([row for row in
+                            _coboundary(n, summands, diffs[k + 1], k)
+                            if any(row)])
+
+    return (sum(n.dims[v] for v in summands[i])
+            - (rank(i) if len(terms) > i + 1 else 0) - rank(i - 1))
+
+
+class ExtSpace:
+    """Ext^d(m, n), d >= 1, with chosen cocycle representatives and class
+    coordinates.
+
+    A class is a map P_d -> n out of the d-th term of m's cached minimal
+    resolution, in generator images (see from_generators), modulo the
+    coboundaries g.d_d.  The cocycles are the nullspace basis of delta_d;
+    the coboundaries are spanned by the columns of delta_{d-1}.  The
+    representatives are the cocycles, in order, that are independent
+    modulo the coboundaries."""
+
+    def __init__(self, m, n, d):
+        terms, diffs, summands, _, _ = _resolution(m, d + 1)
+        self.reps, self._sel, self._bred, self._bpiv = [], [], [], []
+        self._summands = summands[d] if len(terms) > d else []
+        if len(terms) <= d:
+            return
+        cocycles = linalg.nullspace(
+            _coboundary(n, summands, diffs[d + 1], d)
+            if len(terms) > d + 1 else [],
+            ncols=sum(n.dims[v] for v in summands[d]))
+        bounds = [col for col in linalg.transpose(
+            _coboundary(n, summands, diffs[d], d - 1)) if any(col)]
+        if bounds:
+            red, self._bpiv = linalg.rref(bounds)
+            self._bred = red[: len(self._bpiv)]
+        for z in cocycles:
+            r = linalg.reduce_mod_rows(self._bred, self._bpiv, z)
+            if any(r) and len(linalg.row_space_basis(self._sel + [r])) \
+                    > len(self._sel):
+                self._sel.append(r)
+                self.reps.append(from_generators(terms[d], summands[d], n, z))
+
+    @property
+    def dim(self):
+        return len(self.reps)
+
+    def coords(self, mor):
+        """Class coordinates of a cocycle mor: P_d -> n in the chosen
+        representatives."""
+        r = linalg.reduce_mod_rows(self._bred, self._bpiv,
+                                   generator_images(mor, self._summands))
+        if not any(r):
+            return [F0] * self.dim
+        if not self.dim:
+            raise HgaError("nonzero class in a zero Ext space")
+        sol = linalg.solve(linalg.transpose(self._sel), r)
+        if sol is None:
+            raise HgaError("Ext class escapes the chosen basis")
+        return sol
+
+
+def resolution_lift(f, k):
+    """Comparison map P_k(source) -> P_k(target) lifting f along the cached
+    minimal resolutions; None when either stops before P_k."""
+    tm, dm = _resolution(f.source, k)[:2]
+    tn, dn = _resolution(f.target, k)[:2]
+    if len(tm) <= k or len(tn) <= k:
+        return None
+    cur = f
+    for i in range(k + 1):
+        cur = factor_through(cur.compose(dm[i]), dn[i])
+        if cur is None:
+            raise HgaError("resolution lift failed")
+    return cur
 
 
 def proj_dim(m, cap=None):
@@ -696,27 +800,6 @@ def factor_through(f, g):
     return _solution_morphism(x, mrep, var_index, sol)
 
 
-def right_mult_morphism(alg, src_vertex, tgt_vertex, elem):
-    """Morphism P_tgt -> P_src given by right multiplication with elem,
-    where elem has source src_vertex and target tgt_vertex in the algebra."""
-    pt = projective(alg, tgt_vertex)
-    ps = projective(alg, src_vertex)
-    blocks = {}
-    for w in alg.vertices:
-        mat = [[F0] * pt.dims[w] for _ in range(ps.dims[w])]
-        for col, b in enumerate(pt.proj_basis_ids[w]):
-            out = {}
-            for i, c in elem.items():
-                prod = alg.mult_basis(b, i)
-                for t, ct in prod.items():
-                    out[t] = out.get(t, F0) + c * ct
-            for t, c in out.items():
-                if c:
-                    mat[ps.proj_pos[t]][col] = c
-        blocks[w] = mat
-    return Morphism(pt, ps, blocks, check=False)
-
-
 def component_elements(f, src_verts, tgt_verts):
     """Element matrix of a morphism f between sums of projectives.
 
@@ -725,17 +808,36 @@ def component_elements(f, src_verts, tgt_verts):
     [k][l] is the component P_{src_verts[l]} -> P_{tgt_verts[k]} as the
     sparse algebra element that f gives the generator of P_{src_verts[l]}.
     """
-    alg = f.source.algebra
-    targets = _summand_offsets(alg, tgt_verts)
+    images = generator_images(f, src_verts)
+    targets = _summand_offsets(f.source.algebra, tgt_verts)
     elems = [[None] * len(src_verts) for _ in tgt_verts]
-    for l, (u, (ps, off_s)) in enumerate(
-            zip(src_verts, _summand_offsets(alg, src_verts))):
-        gen = off_s[u] + ps.gen_pos
-        col = [row[gen] for row in f.blocks[u]]
-        for k, (pt, off_t) in enumerate(targets):
-            ids = pt.proj_basis_ids[u]
-            elems[k][l] = {b: c for b, c in zip(ids, col[off_t[u]:]) if c}
+    start = 0
+    for l, u in enumerate(src_verts):
+        col = images[start:start + f.target.dims[u]]
+        start += f.target.dims[u]
+        for k, (pt, off) in enumerate(targets):
+            elems[k][l] = {b: c for b, c in
+                           zip(pt.proj_basis_ids[u], col[off[u]:]) if c}
     return elems
+
+
+def projective_star(alg, tgt_verts, src_verts, elems):
+    """(-)* = Hom_A(-, A) of the map (+)_l P_{src_verts[l]} ->
+    (+)_k P_{tgt_verts[k]} with element matrix elems: the map
+    (+)_k P'_{tgt_verts[k]} -> (+)_l P'_{src_verts[l]} of projectives over
+    the opposite algebra that sends the generator of P'_{tgt_verts[k]} to
+    elems[k][l] in each P'_{src_verts[l]}."""
+    op = alg.opposite()
+    targets = [projective(op, u) for u in src_verts]
+    images = []
+    for v, row in zip(tgt_verts, elems):
+        for pu, elem in zip(targets, row):
+            vec = [F0] * pu.dims[v]
+            for b, c in elem.items():
+                vec[pu.proj_pos[b]] = c
+            images.extend(vec)
+    return from_generators(_projective_sum(op, tgt_verts), tgt_verts,
+                           _projective_sum(op, src_verts), images)
 
 
 def presentation_matrix(m):
@@ -759,30 +861,16 @@ def transpose_data(m):
     """Tr m over the opposite algebra, from the minimal presentation
     P1 -> P0 -> m, with the pieces that transport morphisms.
 
-    Tr m is the cokernel of the dual map P0* -> P1* of projectives over the
-    opposite algebra.  Keys: "tr", the cokernel projection "proj" (None when
-    Tr m is zero because m is projective), and otherwise "srcs" (the
-    summands of P1), "epi0", "d1" and the sum P1* with its inclusions and
-    projections ("big_tgt", "tgt_incl", "tgt_proj")."""
-    op = m.algebra.opposite()
+    Tr m is the cokernel of the map P0* -> P1* that projective_star gives.
+    Keys: "tr", the cokernel projection "proj" (None when Tr m is zero
+    because m is projective), and otherwise "srcs" (the summands of P1),
+    "epi0" and "d1"."""
     tgts, srcs, elems, (_, epi0, _, d1) = presentation_matrix(m)
     if not srcs or not tgts:
-        return {"tr": zero_representation(op), "proj": None}
-    big_src, _, src_proj = direct_sum([projective(op, v) for v in tgts])
-    big_tgt, tgt_incl, tgt_proj = direct_sum([projective(op, u) for u in srcs])
-    total = zero_morphism(big_src, big_tgt)
-    for kidx, vk in enumerate(tgts):
-        for l, ul in enumerate(srcs):
-            elem = elems[kidx][l]
-            if not elem:
-                continue
-            comp = right_mult_morphism(op, ul, vk, elem)
-            total = total.add(
-                tgt_incl[l].compose(comp).compose(src_proj[kidx])
-            )
-    c, proj = cokernel(total)
-    return {"tr": c, "proj": proj, "srcs": srcs, "epi0": epi0, "d1": d1,
-            "big_tgt": big_tgt, "tgt_incl": tgt_incl, "tgt_proj": tgt_proj}
+        return {"tr": zero_representation(m.algebra.opposite()),
+                "proj": None}
+    c, proj = cokernel(projective_star(m.algebra, tgts, srcs, elems))
+    return {"tr": c, "proj": proj, "srcs": srcs, "epi0": epi0, "d1": d1}
 
 
 def transpose(m):
@@ -814,6 +902,24 @@ def syzygy_power(m, k):
         return memo(m, "zero syzygy",
                     lambda: zero_representation(m.algebra))
     return kern
+
+
+def syzygy_morphism(f):
+    """Omega on morphisms: the map Omega(source) -> Omega(target) that f
+    induces on the first steps of the cached minimal resolutions."""
+    (ex, ix), (ey, iy) = _cover_steps(f.source), _cover_steps(f.target)
+    g = factor_through(factor_through(f.compose(ex), ey).compose(ix), iy)
+    if g is None:
+        raise HgaError("syzygy lift failed")
+    return g
+
+
+def _cover_steps(m):
+    """The projective cover P_0 -> m and the inclusion Omega m -> P_0."""
+    terms, diffs, _, _, incl = _resolution(m, 0)
+    if incl is None:
+        incl = zero_morphism(syzygy(m), terms[0])
+    return diffs[0], incl
 
 
 def cosyzygy_power(m, k):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from collections import Counter
 from math import comb
 
@@ -14,6 +16,7 @@ from hga.cluster import (
     is_d_tilting,
 )
 from hga.errors import AdjacencyViolation, HgaError, UnsupportedSummand
+from hga.presentations import presentation_to_dict
 from hga.typea import build_typeA_auslander, canonical_cluster_tilting
 
 SEC5_LABELS = [
@@ -261,3 +264,37 @@ def test_mixed_collection_syzygy_orbit(fam24):
         cur, _ = reps.kernel(epi)
     assert seen == [sorted(x) for x in EX_OMEGA_ORBIT]
     assert reps.is_isomorphic(cur, reps.simple(b, "136"))
+
+
+def _endo_digest(res):
+    raw = res.algebra.raw
+    data = {
+        "presentation": presentation_to_dict(res.presentation),
+        "labels": raw.basis_labels,
+        "mult": sorted([list(k), sorted((x, str(c)) for x, c in v.items())]
+                       for k, v in raw.mult.items()),
+    }
+    return hashlib.sha256(
+        json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+
+# the raw mult table holds coordinates in the chosen Hom bases and Ext
+# cocycle representatives, so it changes with either choice; the relation
+# chords compared above cannot see that
+ENDO_DIGESTS = {
+    (4, 2, (2, 4)):
+        "3f7b06c0b2ce17a566e9017866d39764d0295446b5ae8ba5392ba7bdadffa45f",
+    (5, 2, (3,)):
+        "ed30d0362c5e7c9b58a5fa738a2dabaeb608b7226efb4c106f7fa6dbc01c3cc7",
+    (5, 2, (2, 5)):
+        "71fe2d7f7ea484e4417077eaab7c0bbb4fa8e963e78bba2a44d4760078803753",
+    (3, 3, (2,)):
+        "914b54341d7dcc08e522125f6b08c07ac22725fe75c6990ce34002433af7ae23",
+}
+
+
+@pytest.mark.parametrize("key", sorted(ENDO_DIGESTS))
+def test_endo_algebra_frozen_digest(key):
+    n, d, index_set = key
+    res = cluster_endo_algebra(ctgent_family(n, d, list(index_set)))
+    assert _endo_digest(res) == ENDO_DIGESTS[key]

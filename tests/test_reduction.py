@@ -254,6 +254,36 @@ def test_sg_invariant_two_cycle():
     assert gentle_sg_invariant(built(two_cycle())) == [2]
 
 
+def four_cycle_through_one_vertex():
+    # the full-relation cycle a b c d passes vertex 1 twice
+    q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "1"),
+                                 ("c", "1", "3"), ("d", "3", "1")])
+    return BoundQuiverPresentation(q, [zero_relation(p) for p in (
+        ("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"))])
+
+
+def test_sg_invariant_cycle_repeating_a_vertex():
+    g = built(four_cycle_through_one_vertex())
+    assert g.dim == 9 and is_gentle(g.presentation)["gentle"]
+    assert reps.homological_dims(g)["globalDim"] == math.inf
+    assert gentle_sg_invariant(g) == [4]
+
+
+def test_sg_invariant_empty_iff_global_dim_finite(sec5_trace):
+    # D_sg of an Iwanaga-Gorenstein algebra vanishes exactly when its
+    # global dimension is finite (Buchweitz; Happel)
+    algebras = [
+        built(linear(3)),
+        built(linear(4, [zero_relation(("a1", "a2"))])),
+        built(two_cycle()),
+        built(four_cycle_through_one_vertex()),
+        sec5_trace.terminal,
+    ]
+    for g in algebras:
+        finite = reps.homological_dims(g)["globalDim"] < math.inf
+        assert (gentle_sg_invariant(g) == []) == finite
+
+
 def test_sg_invariant_requires_gentle():
     with pytest.raises(NotGentle):
         gentle_sg_invariant(built(square()))

@@ -1,18 +1,15 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from hga import BoundQuiverPresentation, Quiver, build_algebra, zero_relation
 from hga import linalg, reps
-from hga.cluster import (
-    SummandCollection,
-    _ExtSpace,
-    cluster_endo_algebra,
-    ctgent_family,
-)
+from hga.cluster import SummandCollection, cluster_endo_algebra, ctgent_family
 from hga.errors import HgaError, NotGorensteinVerified
 from hga.reps import (
+    ExtSpace,
     Representation,
     ar_translate,
     ar_translate_inverse,
@@ -499,7 +496,7 @@ def test_ext_dim_matches_hom_basis_reference(n, d):
         for i in (1, 2, 3):
             got = ext_dim(m, x, i)
             assert got == _ext_dim_by_hom_bases(m, x, i)
-            assert got == _ExtSpace(m, x, i).dim
+            assert got == ExtSpace(m, x, i).dim
             nonzero += got > 0
     assert nonzero > 0
 
@@ -513,3 +510,75 @@ def test_ext_dim_keeps_resolution_signs():
     for x in (projective(a, "147"), injective(a, "258")):
         for i in (1, 2, 3):
             assert ext_dim(s, x, i) == _ext_dim_by_hom_bases(s, x, i)
+
+
+@pytest.mark.parametrize("n, d", [(4, 2), (3, 3)])
+def test_generator_images_round_trip(n, d):
+    a = build_typeA_auslander(n, d)
+    pool = _module_pool(a)
+    rng = random.Random(f"generators-{n}-{d}")
+    for _ in range(25):
+        x = rng.choice(pool)
+        vs = [rng.choice(a.vertices) for _ in range(rng.randint(1, 3))]
+        p = direct_sum([projective(a, v) for v in vs])[0]
+        images = [Fraction(rng.randint(-3, 3))
+                  for v in vs for _ in range(x.dims[v])]
+        f = reps.from_generators(p, vs, x, images)
+        assert reps.generator_images(f, vs) == images
+        # Hom(P, x) is (+)_v x_v, and hom_basis lists its unit vectors in
+        # this order
+        basis = hom_basis(p, x)
+        assert [reps.generator_images(g, vs) for g in basis] == \
+            linalg.identity(len(images))
+        combo = zero_morphism(p, x)
+        for c, g in zip(images, basis):
+            combo = combo.add(g.scale(c))
+        assert f.blocks == combo.blocks
+
+
+def test_projective_star_transposes_the_element_matrix():
+    a = build_typeA_auslander(4, 2)
+    checked = 0
+    for m in _module_pool(a):
+        tgts, srcs, elems, (_, _, _, d1) = reps.presentation_matrix(m)
+        if not srcs:
+            continue
+        star = reps.projective_star(a, tgts, srcs, elems)
+        reps.Morphism(star.source, star.target, star.blocks)
+        star_elems = reps.component_elements(star, tgts, srcs)
+        assert star_elems == [list(col) for col in zip(*elems)]
+        back = reps.projective_star(a.opposite(), srcs, tgts, star_elems)
+        assert back.blocks == d1.blocks
+        checked += 1
+    assert checked > 5
+
+
+def test_ext_space_coordinates():
+    dims, with_boundaries = set(), 0
+    for n, d in ((4, 1), (4, 2)):
+        a = build_typeA_auslander(n, d)
+        pool = _module_pool(a)
+        rng = random.Random(f"ext-space-{n}-{d}")
+        for _ in range(100):
+            m, i = rng.choice(pool), rng.choice((1, 2))
+            x = direct_sum(rng.sample(pool, 2))[0]
+            if not ext_dim(m, x, i):
+                continue
+            sp = ExtSpace(m, x, i)
+            assert sp.dim == ext_dim(m, x, i)
+            terms, diffs, _, _ = minimal_resolution(m, i + 1)
+            boundaries = [g.compose(diffs[i])
+                          for g in hom_basis(terms[i - 1], x)]
+            for b in boundaries:
+                assert not any(sp.coords(b))
+            for k, z in enumerate(sp.reps):
+                unit = [int(j == k) for j in range(sp.dim)]
+                assert sp.coords(z) == unit
+                if len(terms) > i + 1:
+                    assert z.compose(diffs[i + 1]).is_zero()
+                for b in boundaries:
+                    assert sp.coords(z.scale(2).add(b)) == \
+                        [2 * c for c in unit]
+            dims.add(sp.dim)
+            with_boundaries += any(not b.is_zero() for b in boundaries)
+    assert max(dims) > 1 and with_boundaries > 0
