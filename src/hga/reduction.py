@@ -10,7 +10,7 @@ its full-relation cycles.
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebras import (
     Algebra,
@@ -27,6 +27,7 @@ from .errors import (
     NotGorensteinVerified,
     NotReducible,
 )
+from .memo import memo
 from .presentations import Idempotent
 from . import linalg, reps
 
@@ -39,15 +40,6 @@ def _as_algebra(a):
 
 def _support(m):
     return sorted((v for v in m.algebra.vertices if m.dims[v]), key=str)
-
-
-def _quotient(a, f_vertices):
-    """A/<f> for the idempotent over the given vertex subset; None when the
-    quotient is the zero algebra."""
-    cut = set(f_vertices)
-    if cut >= set(a.vertices):
-        return None
-    return quotient_by_idempotent(a, Idempotent.of(cut))
 
 
 def _derived_arrow_ambient(derived):
@@ -116,8 +108,71 @@ def corner_column_module(corner, v):
     return reps.Representation(corner, dims, maps, check=False)
 
 
+class _CandidateScope:
+    """The quotients and corners of one algebra by vertex sets, and the
+    quotient projectives and injectives lifted back to it, shared by every
+    check made on one reduction candidate.
+
+    Each value is memoised on this object, not on the algebra, so it is
+    dropped together with the candidate.  A lifted module is one object per
+    (vertex set, vertex), so its cached resolution serves every check, and
+    so does the translate of a lifted projective."""
+
+    def __init__(self, alg):
+        self.alg = alg
+
+    def quotient(self, f_set):
+        """A/<f> for the idempotent over f_set; None when it is zero."""
+        key = frozenset(f_set)
+
+        def compute():
+            if key >= set(self.alg.vertices):
+                return None
+            return quotient_by_idempotent(self.alg, Idempotent.of(key))
+
+        return memo(self, ("quotient", key), compute)
+
+    def corner(self, f_set):
+        """The corner fAf for the idempotent over f_set."""
+        key = frozenset(f_set)
+        return memo(self, ("corner", key), lambda: idempotent_subalgebra(
+            self.alg, Idempotent.of(key)))
+
+    def lifted_projective(self, f_set, v):
+        """The projective of A/<f> at v, as an A-module."""
+        return self._lifted(f_set, v, reps.projective)
+
+    def lifted_injective(self, f_set, v):
+        """The injective of A/<f> at v, as an A-module."""
+        return self._lifted(f_set, v, reps.injective)
+
+    def translate(self, f_set, v):
+        """tau of the lifted projective of A/<f> at v."""
+        key = frozenset(f_set)
+        return memo(self, ("tau", key, v), lambda: reps.ar_translate(
+            self.lifted_projective(key, v)))
+
+    def _lifted(self, f_set, v, module):
+        key = frozenset(f_set)
+
+        def compute():
+            q = self.quotient(key)
+            return ambient_from_quotient(q, module(q, v))
+
+        return memo(self, (module, key, v), compute)
+
+
 def _supported_off(m, cut):
     return all(m.dims[v] == 0 for v in cut)
+
+
+def _morphism_rank(f):
+    total = 0
+    for v in f.source.algebra.vertices:
+        b = f.blocks[v]
+        if b and f.source.dims[v]:
+            total += len(linalg.rref([list(r) for r in b])[1])
+    return total
 
 
 def _max_rank_morphism(basis, want_rank):
@@ -125,30 +180,26 @@ def _max_rank_morphism(basis, want_rank):
 
     Rank is lower-semicontinuous, so a generic integer combination attains
     the maximum; single basis elements are tried first, then deterministic
-    pseudo-random combinations.
+    pseudo-random combinations.  A one-element basis needs no search: every
+    morphism in its span is a multiple of that element, so its rank is the
+    maximum.
     """
-    def rank(f):
-        total = 0
-        for v in f.source.algebra.vertices:
-            b = f.blocks[v]
-            if b and f.source.dims[v]:
-                total += len(linalg.rref([list(r) for r in b])[1])
-        return total
-
     best = None
     best_rank = -1
     for f in basis:
-        r = rank(f)
+        r = _morphism_rank(f)
         if r > best_rank:
             best, best_rank = f, r
         if best_rank >= want_rank:
             return best, best_rank
+    if len(basis) == 1:
+        return best, best_rank
     rng = random.Random(0)
     for _ in range(120):
         combo = basis[0].scale(0)
         for f in basis:
             combo = combo.add(f.scale(rng.randint(-7, 7)))
-        r = rank(combo)
+        r = _morphism_rank(combo)
         if r > best_rank:
             best, best_rank = combo, r
         if best_rank >= want_rank:
@@ -192,10 +243,13 @@ def is_fabric_idempotent(a, f, e):
     a = _as_algebra(a)
     f.validate(a.vertices)
     e.validate(a.vertices)
-    f_set = set(f.vertex_subset)
-    e_set = set(e.vertex_subset)
-    qf = _quotient(a, f_set)
-    qe = _quotient(a, e_set)
+    return _fabric_report(_CandidateScope(a), f.vertex_subset,
+                          e.vertex_subset)
+
+
+def _fabric_report(scope, f_set, e_set):
+    qf = scope.quotient(f_set)
+    qe = scope.quotient(e_set)
     conditions = {}
 
     # condition 1: proj.dim_A(A/<f>) <= 1
@@ -204,8 +258,7 @@ def is_fabric_idempotent(a, f, e):
     else:
         witness = None
         for v in qf.vertices:
-            p = ambient_from_quotient(qf, reps.projective(qf, v))
-            pd = reps.proj_dim(p)
+            pd = reps.proj_dim(scope.lifted_projective(f_set, v))
             if pd > 1:
                 witness = {"vertex": str(v), "projDim":
                            "inf" if pd == math.inf else pd}
@@ -217,8 +270,7 @@ def is_fabric_idempotent(a, f, e):
     witness = None
     if qf is not None:
         for v in qf.vertices:
-            p = ambient_from_quotient(qf, reps.projective(qf, v))
-            t = reps.ar_translate(p)
+            t = scope.translate(f_set, v)
             if t.is_zero():
                 continue
             if not _supported_off(t, e_set):
@@ -241,8 +293,7 @@ def is_fabric_idempotent(a, f, e):
     witness = None
     if qe is not None:
         for v in qe.vertices:
-            i = ambient_from_quotient(qe, reps.injective(qe, v))
-            t = reps.ar_translate_inverse(i)
+            t = reps.ar_translate_inverse(scope.lifted_injective(e_set, v))
             if t.is_zero():
                 continue
             if not _supported_off(t, f_set):
@@ -272,8 +323,12 @@ def chensing_conditions(a, f):
     f.validate(a.vertices)
     if not f.vertex_subset:
         raise EmptyIdempotent("corner idempotent over the empty vertex set")
-    f_set = set(f.vertex_subset)
-    corner = idempotent_subalgebra(a, f)
+    return _chensing(_CandidateScope(a), f.vertex_subset)
+
+
+def _chensing(scope, f_set):
+    a = scope.alg
+    corner = scope.corner(f_set)
     checks = {"cornerColumns": [], "quotientSimples": []}
     ok = True
     for v in sorted(a.vertices, key=str):
@@ -295,18 +350,19 @@ def chensing_conditions(a, f):
     return checks
 
 
-def _smallest_removal(a, m):
+def _smallest_removal(scope, m):
     """Vertex set to remove so that m becomes projective over the quotient,
-    starting from the support of m; returns (removed, quotient) or None."""
+    starting from the support of m; returns the removed set or None."""
+    a = scope.alg
     removed = set(_support(m))
     for _ in range(len(a.vertices) + 1):
-        qf = _quotient(a, set(a.vertices) - removed)
+        qf = scope.quotient(set(a.vertices) - removed)
         if qf is None:
             return None
         mq = restrict_to_quotient(qf, m)
         _, _, summands, k, _ = reps._resolution(mq, 0)
         if k is None:
-            return removed, qf
+            return removed
         grow = set(_support(ambient_from_quotient(qf, k)))
         grow |= set(summands[0])
         if grow <= removed:
@@ -315,17 +371,16 @@ def _smallest_removal(a, m):
     return None
 
 
-def _companion_for(a, f_set):
+def _companion_for(scope, f_set):
     """Canonical companion idempotent: the complement of the union of
     supports of the translates of the quotient projectives."""
-    qf = _quotient(a, f_set)
+    qf = scope.quotient(f_set)
     supp = set()
     if qf is not None:
         for v in qf.vertices:
-            p = ambient_from_quotient(qf, reps.projective(qf, v))
-            t = reps.ar_translate(p)
+            t = scope.translate(f_set, v)
             supp |= set(_support(t))
-    return set(a.vertices) - supp
+    return set(scope.alg.vertices) - supp
 
 
 def _step_candidates(a):
@@ -365,26 +420,23 @@ def _step_candidates(a):
     return out
 
 
-def _try_candidate(a, cand):
+def _try_candidate(scope, cand):
     """The primal recipe on one candidate: an inclusion P_target into
     P_mid, the cokernel, and the smallest removal making it projective."""
+    a = scope.alg
     mid = cand["removedMid"]
     tgt = cand["target"]
     inc = find_injection(reps.projective(a, tgt), reps.projective(a, mid))
     if inc is None:
         return None
     m, _ = reps.cokernel(inc)
-    found = _smallest_removal(a, m)
-    if found is None:
+    removed = _smallest_removal(scope, m)
+    if removed is None or removed >= set(a.vertices):
         return None
-    removed, qf = found
-    f_set = set(a.vertices) - removed
-    if not f_set:
-        return None
-    return f_set, removed
+    return removed
 
 
-def _grow_to_fabric(a, removed):
+def _grow_to_fabric(scope, removed):
     """Enlarge a removal set until the fabric conditions hold.
 
     The initial set (the cokernel support) need not be closed under the
@@ -392,21 +444,20 @@ def _grow_to_fabric(a, removed):
     injective may stick out of it.  Each such failure names the vertices to
     add, so the closure is reached in finitely many deterministic steps.
     """
+    a = scope.alg
     removed = set(removed)
     for _ in range(len(a.vertices) + 1):
         f_set = set(a.vertices) - removed
         if not f_set:
             return None
-        f = Idempotent.of(f_set)
-        e_set = _companion_for(a, f_set)
-        fabric = is_fabric_idempotent(a, f, Idempotent.of(e_set))
+        e_set = _companion_for(scope, f_set)
+        fabric = _fabric_report(scope, f_set, e_set)
         if fabric.verdict:
-            return f_set, Idempotent.of(e_set), fabric
+            return f_set, fabric
         bad = fabric.conditions["inverseTranslateProjective"]["witness"]
         if bad is None or bad["reason"] != "inverse translate not killed by f":
             return None
-        qe = _quotient(a, e_set)
-        i = ambient_from_quotient(qe, reps.injective(qe, bad["vertex"]))
+        i = scope.lifted_injective(e_set, bad["vertex"])
         grow = set(_support(reps.ar_translate_inverse(i)))
         if grow <= removed:
             return None
@@ -419,11 +470,14 @@ def localisable_report(a, f_set):
     over A and no self-extensions.  Together with the singular-equivalence
     criterion this certifies a corner step when no companion idempotent
     exists for the full fabric conditions."""
-    qf = _quotient(a, f_set)
+    return _localisable(_CandidateScope(a), f_set)
+
+
+def _localisable(scope, f_set):
+    qf = scope.quotient(f_set)
     if qf is None:
         return {"pass": True, "projDim": 0, "selfExt": 0}
-    projs = [ambient_from_quotient(qf, reps.projective(qf, v))
-             for v in qf.vertices]
+    projs = [scope.lifted_projective(f_set, v) for v in qf.vertices]
     pd = max(reps.proj_dim(p) for p in projs)
     if pd > 1:
         return {"pass": False,
@@ -433,25 +487,23 @@ def localisable_report(a, f_set):
             "projDim": pd, "selfExt": ext}
 
 
-def _certify_step(a, f_set, e, fabric):
+def _certify_step(scope, f_set, fabric):
     """Certificate for one accepted step: the fabric report (or the
     localisable fallback), the finite global dimension of the quotient, and
     the singular-equivalence criterion.  Returns None when the step cannot
     be certified."""
-    loc = localisable_report(a, f_set)
+    loc = _localisable(scope, f_set)
     if not (fabric is not None and fabric.verdict) and not loc["pass"]:
         return None
-    qf = _quotient(a, f_set)
+    qf = scope.quotient(f_set)
     gl = 0 if qf is None else reps.homological_dims(qf)["globalDim"]
     if gl == math.inf:
         return None
-    chen = chensing_conditions(a, Idempotent.of(f_set))
+    chen = _chensing(scope, f_set)
     if chen["verdict"] != "pass":
         return None
     if fabric is None:
-        f = Idempotent.of(f_set)
-        fabric = is_fabric_idempotent(
-            a, f, Idempotent.of(_companion_for(a, f_set)))
+        fabric = _fabric_report(scope, f_set, _companion_for(scope, f_set))
     return {
         "fabric": fabric.to_dict(),
         "localisable": loc,
@@ -484,27 +536,38 @@ def _certified_steps(a, rng, tried):
     for cand in cands:
         for side, alg in (("primal", a), ("dual", a.opposite())):
             use = _dualize_candidate(cand) if side == "dual" else cand
-            got = _try_candidate(alg, use)
-            if got is None:
+            # the scope is dropped before the yield, so nothing it holds
+            # lives on while the walk goes deeper
+            step = _certified_move(_CandidateScope(alg), a, use)
+            if step is None:
                 continue
-            _, removed = got
-            grown = _grow_to_fabric(alg, removed)
-            if grown is not None:
-                f_set, e, fabric = grown
-                cert = _certify_step(alg, f_set, e, fabric)
-            else:
-                f_set = set(alg.vertices) - removed
-                cert = _certify_step(alg, f_set, None, None)
-            if cert is None:
-                continue
-            removed = set(a.vertices) - f_set
-            f = Idempotent.of(f_set)
-            corner = idempotent_subalgebra(a, f)
+            f, corner, cert = step
             cert["side"] = side
             cert["candidate"] = {k: v for k, v in cand.items()}
-            cert["removed"] = sorted(map(str, removed))
+            cert["removed"] = sorted(map(str, set(a.vertices)
+                                         - f.vertex_subset))
             yield f, corner, cert
         tried.append(cand)
+
+
+def _certified_move(scope, a, cand):
+    """One candidate on one side, with ``scope`` over ``a`` or its
+    opposite: (f, the corner fAf of ``a``, certificate), or None."""
+    removed = _try_candidate(scope, cand)
+    if removed is None:
+        return None
+    grown = _grow_to_fabric(scope, removed)
+    if grown is not None:
+        f_set, fabric = grown
+    else:
+        f_set, fabric = set(scope.alg.vertices) - removed, None
+    cert = _certify_step(scope, f_set, fabric)
+    if cert is None:
+        return None
+    f = Idempotent.of(f_set)
+    corner = (scope.corner(f_set) if scope.alg is a
+              else idempotent_subalgebra(a, f))
+    return f, corner, cert
 
 
 def _dualize_candidate(cand):
@@ -522,7 +585,8 @@ def _dualize_candidate(cand):
 class ReductionTrace:
     steps: list
     terminal: object
-    terminal_vertices: list = field(default_factory=list)
+    terminal_vertices: list
+    terminal_gentle: bool
 
     def to_dict(self):
         return {
@@ -535,7 +599,7 @@ class ReductionTrace:
                 for s in self.steps
             ],
             "terminalVertices": self.terminal_vertices,
-            "terminalGentle": True,
+            "terminalGentle": self.terminal_gentle,
         }
 
 
@@ -562,9 +626,10 @@ def reduce_to_gentle(a, seed=None, max_steps=None):
             dead_ends.append(NotReducible(
                 "reduction failed to terminate in the step cap"))
             return None
-        if is_gentle(current.presentation)["gentle"]:
+        gentle = is_gentle(current.presentation)["gentle"]
+        if gentle:
             return ReductionTrace(
-                steps, current, sorted(map(str, current.vertices)))
+                steps, current, sorted(map(str, current.vertices)), gentle)
         tried = []
         try:
             for f, corner, cert in _certified_steps(current, rng, tried):

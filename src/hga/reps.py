@@ -227,8 +227,13 @@ def dual(m):
     Memoised on m, so D(P_v) and the injectives are shared objects whose
     resolutions are cached."""
     def compute():
-        maps = {ar.name: linalg.transpose(m.maps[ar.name])
-                for ar in m.algebra.presentation.quiver.arrows}
+        # an arrow into a zero space has a matrix with no rows; its
+        # transpose still has one empty row per dimension at the source
+        maps = {}
+        for ar in m.algebra.presentation.quiver.arrows:
+            mat = m.maps[ar.name]
+            maps[ar.name] = (linalg.transpose(mat) if mat else
+                             [[] for _ in range(m.dims[ar.source])])
         return Representation(m.algebra.opposite(), dict(m.dims), maps,
                               check=False)
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 
@@ -11,7 +13,7 @@ from hga import (
     idempotent_subalgebra,
     zero_relation,
 )
-from hga import reps
+from hga import memo, reduction, reps
 from hga.axioms import built, is_gentle
 from hga.cluster import SummandCollection, cluster_endo_algebra, ctgent_family
 from hga.errors import (
@@ -23,6 +25,7 @@ from hga.errors import (
 )
 from hga.reduction import (
     chensing_conditions,
+    find_injection,
     gentle_sg_invariant,
     is_fabric_idempotent,
     localisable_report,
@@ -297,7 +300,7 @@ def test_sg_invariant_sec5_terminal(sec5_trace):
 
 def test_trace_to_dict_shape(sec5_trace):
     d = sec5_trace.to_dict()
-    assert d["terminalGentle"]
+    assert d["terminalGentle"] is sec5_trace.terminal_gentle is True
     assert d["terminalVertices"] == TERMINAL_VERTICES
     assert all("certificate" in s for s in d["steps"])
 
@@ -355,11 +358,128 @@ CTGENT_KEYS = [(4, 2, [2]), (4, 2, [3]), (4, 2, [4]), (4, 2, [2, 4]),
                (3, 3, [2]), (3, 3, [3])]
 
 
+# sha256 of the sorted-key JSON of reduce_to_gentle(...).to_dict() for seed
+# None and the two seeds drawn below, taken on the reduction that rebuilt
+# every quotient and corner for each check; caching them must not change a
+# byte
+TRACE_DIGESTS = {
+    (4, 2, (2,)): (
+        "d8c2f8bd43c1dd14c49c82cd85310be0de7f332c2e8def21f7e527bb4f9c702d",
+        "621827d7230fa52746715e32c31e9e1c8995fe8ff6673a9391417b6d0af02e56",
+        "d8c2f8bd43c1dd14c49c82cd85310be0de7f332c2e8def21f7e527bb4f9c702d",
+    ),
+    (4, 2, (3,)): (
+        "995827b680380f51244b707ee85a3b2eafde9788c91ae25f8e0dc9e76de7642d",
+        "e0625f543f9972c7775157e38d482acaa2a1a0c5c691540fe496fb4dbd55b214",
+        "116e71c247b01d0dafb104950c865d135d483e84eeecdd2bc461be4797002eeb",
+    ),
+    (4, 2, (4,)): (
+        "4d3f7e45f622b5f0cc0981ddff65da70b679581300271e7067548a2347145c5c",
+        "bc1136d5d38b6c9fc6545b17c40d9675ee118d7d03e0febc1c4206da6ab7ce91",
+        "aed341f985c2bc8e532691f165b6db43be9fdb8e95b70ea92689c13c0d29ed7c",
+    ),
+    (4, 2, (2, 4)): (
+        "eaa45830393c7694ae7368f477ed6ccea3627326ab06c5c132ba2e23bc4c1ac2",
+        "89b7b76f0115006f65f8b25931d124c6f116be6eff29b0d4b472bb08fba4155b",
+        "eaa45830393c7694ae7368f477ed6ccea3627326ab06c5c132ba2e23bc4c1ac2",
+    ),
+    (5, 2, (2,)): (
+        "ba3004cb451b172c1b0444177265790b349aa5f540df31151085c0db1042cd31",
+        "96e9d1d54541c4cf9cd459053eb9d3580c6547adf41dd0caf2e6c8897a8ec028",
+        "968e6c8458fe06fb221e701a1074c6825eaf391be757f0b4a8b929d56a0d9ca1",
+    ),
+    (5, 2, (3,)): (
+        "670c03823c11eba0abe0870a19c66645a5d16d961db5ecbf479f97f2928628e9",
+        "5a60f19f47f1cbc20c14f001f4a79ba82c527fc77228802b0620c358b196dad6",
+        "8821e77646840f0eccc2ee240f99b8a7afd8f578c4b63ce2ae206e809717f166",
+    ),
+    (5, 2, (4,)): (
+        "c35f009428874665e2f2adcb06098d99fe5696dac073859b8dfc87f45b9a9758",
+        "8c312ec86983674496945f780c7e9414613aec0e31af989b80741a526e16a4a2",
+        "8c312ec86983674496945f780c7e9414613aec0e31af989b80741a526e16a4a2",
+    ),
+    (5, 2, (5,)): (
+        "3298563215c5c99bdd3b51ae4dc71869fd2fd8833dc107f728ca36c11dfcd576",
+        "fe7ef881c22df70677446296a86517578f3cd554162ba50db622be6909afd73f",
+        "f0d421902b7761894b6f4e0aad5ca75474568b2b73e64cfc350e27bc33be7d06",
+    ),
+    (5, 2, (2, 4)): (
+        "545abdacd40a7b09663df741ef2c004380d53fb2f21c168a548478170abc0f73",
+        "8c3b2b9ab85a3daadef128a27909dff7a3429af1d63d17671f89a8f98568f23e",
+        "68c0848f2c3d0b5e29aed0ae288dd72a58121c588d9f29b63b444894b812b905",
+    ),
+    (5, 2, (2, 5)): (
+        "9a0b63eb6897e6203b584be21c64f6db781e6491a9dbda82d367d467db3459c3",
+        "c46da98c86a0b325c38d9d3a547670a6542262a61d51a1d82e015702919a49f4",
+        "d1c497740cde1b6317f136f04349c8fdc85ed28674b4067c01aec051502ce930",
+    ),
+    (5, 2, (3, 5)): (
+        "845f9a0bb5f157b93da1a8057a2dfbd6b6b85864aead266a7397063577c3edab",
+        "7ab32bca35d3ab744ea064e6e22170a214521c8509b297649f30d9ef64b04333",
+        "2609bb8cb74076baff718f1db9389992f3287f2b665899fdcf7e6e99d18053a1",
+    ),
+    (3, 3, (2,)): (
+        "3e6a2b047fd7c8011baa4c123baac6b797e143ac39681a98050aadaa2d71878e",
+        "3e6a2b047fd7c8011baa4c123baac6b797e143ac39681a98050aadaa2d71878e",
+        "3e6a2b047fd7c8011baa4c123baac6b797e143ac39681a98050aadaa2d71878e",
+    ),
+    (3, 3, (3,)): (
+        "11de2bd621eb4036a44fae34793cce0a2da12a6aeaa8267de4629079d5ca83b3",
+        "91d6163fdce29c5a21c9986c3e7e1e70fbcb384b215df06ea76a1ad4f463f6ee",
+        "cd6904472aead51b69ba7bf166a466242af7c3b713b274f2b6e60e8dffafd39b",
+    ),
+}
+
+
 @pytest.mark.parametrize("n, d, idx", CTGENT_KEYS)
 def test_reduce_to_gentle_invariant_is_seed_free(n, d, idx):
     a = cluster_endo_algebra(ctgent_family(n, d, idx)).algebra
-    base = gentle_sg_invariant(reduce_to_gentle(a).terminal)
     rng = random.Random(f"sg-{n}-{d}-{idx}")
-    for seed in [rng.randrange(2 ** 31) for _ in range(2)]:
-        assert gentle_sg_invariant(
-            reduce_to_gentle(a, seed=seed).terminal) == base
+    seeds = [None] + [rng.randrange(2 ** 31) for _ in range(2)]
+    traces = [reduce_to_gentle(a, seed=seed) for seed in seeds]
+    base = gentle_sg_invariant(traces[0].terminal)
+    for trace in traces[1:]:
+        assert gentle_sg_invariant(trace.terminal) == base
+    digests = tuple(
+        hashlib.sha256(json.dumps(t.to_dict(), sort_keys=True).encode())
+        .hexdigest() for t in traces)
+    assert digests == TRACE_DIGESTS[(n, d, tuple(idx))]
+
+
+def test_reduction_leaves_no_quotient_or_corner_on_its_input():
+    # the quotients and corners of a candidate are cached on a scope that
+    # ends with the candidate, never on the algebra being reduced
+    a = cluster_endo_algebra(ctgent_family(4, 2, [2, 4])).algebra
+    trace = reduce_to_gentle(a)
+    assert trace.steps
+    vertex_sets = [frozenset(s["idempotent"]) for s in trace.steps] + [
+        frozenset(s["certificate"]["removed"]) for s in trace.steps]
+    for alg in (a, a.opposite()):
+        for key in vertex_sets:
+            assert memo.peek(alg, ("quotient", key)) is None
+            assert memo.peek(alg, ("corner", key)) is None
+        assert not any(isinstance(part, frozenset)
+                       for key in alg.__dict__.get("_memo", {})
+                       if isinstance(key, tuple) for part in key)
+
+
+def test_find_injection_one_dimensional_hom_needs_no_search(monkeypatch):
+    # Hom(P_1, S_1) is spanned by the projective cover, which is not
+    # injective; every other morphism is a multiple of it
+    a = built(linear(2))
+    p1, s1 = reps.projective(a, "1"), reps.simple(a, "1")
+    assert len(reps.hom_basis(p1, s1)) == 1
+    calls = {"scale": 0, "rank": 0}
+
+    def counting(name, orig):
+        def counted(*args):
+            calls[name] += 1
+            return orig(*args)
+        return counted
+
+    monkeypatch.setattr(reps.Morphism, "scale",
+                        counting("scale", reps.Morphism.scale))
+    monkeypatch.setattr(reduction, "_morphism_rank",
+                        counting("rank", reduction._morphism_rank))
+    assert find_injection(p1, s1) is None
+    assert calls == {"scale": 0, "rank": 1}

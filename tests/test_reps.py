@@ -165,6 +165,21 @@ def test_dual_is_involutive():
     assert is_isomorphic(dd, m)
 
 
+def test_dual_keeps_shape_of_maps_into_zero_spaces():
+    # on A^2_4 the injective I_24 is zero at 13 and one-dimensional at 14,
+    # so its map of arrow 13_14 is 1x0: one empty row, not no rows
+    alg = build_typeA_auslander(4, 2)
+    i24 = injective(alg, "24")
+    assert (i24.dims["13"], i24.dims["14"]) == (0, 1)
+    assert i24.maps["13_14"] == [[]]
+    back = representation_from_dict(alg, representation_to_dict(i24))
+    assert back.dims == i24.dims and back.maps == i24.maps
+    basis = hom_basis(projective(alg, "14"), i24)
+    assert basis
+    for f in basis:
+        reps.Morphism(f.source, f.target, f.blocks, check=True)
+
+
 def test_decompose_direct_sum():
     alg = nakayama3()
     m = direct_sum(
