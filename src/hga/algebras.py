@@ -11,7 +11,7 @@ from .errors import (
     InvalidPresentation,
     NotAdmissible,
 )
-from .linalg import F0, F1, SparseRREF
+from .linalg import F0, F1, SparseRREF, div
 from .memo import memo
 from .presentations import (
     Arrow,
@@ -435,7 +435,7 @@ def minimal_presentation(a, validate=True):
                 if not rem:
                     continue
                 piv = max(rem)
-                inv = F1 / rem[piv]
+                inv = div(F1, rem[piv])
                 rem = {j: c * inv for j, c in rem.items()}
                 terms = sorted(
                     ((c, table.by_index[j]) for j, c in rem.items()),

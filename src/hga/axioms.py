@@ -13,7 +13,7 @@ from itertools import combinations
 
 from .algebras import build_algebra, idempotent_subalgebra
 from .errors import NotAdmissible, UnknownArrow
-from .linalg import F0, F1
+from .linalg import F0, F1, div
 from . import linalg
 from .memo import memo
 from .presentations import Idempotent, RelationElement
@@ -41,7 +41,7 @@ def _proportional(x, y):
         return None
     items = iter(x.items())
     k0, c0 = next(items)
-    ratio = c0 / y[k0]
+    ratio = div(c0, y[k0])
     for k, c in x.items():
         if c != ratio * y[k]:
             return None

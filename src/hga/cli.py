@@ -1,6 +1,7 @@
 """Command line interface: build, check, enumerate, reduce, verify.
 
-Exit codes: 0 success, 1 negative verdict, 2 input error, 3 scale cap.
+Exit codes: 0 success, 1 negative verdict, 2 input error, 3 scale cap,
+4 internal error (a fault of hga, not of its input).
 All reports are JSON with sorted keys so identical invocations produce
 byte-identical output; exact values are emitted as strings where they are
 not integers.
@@ -17,6 +18,7 @@ from .axioms import built, is_d_gentle_certificate
 from .cluster import SummandCollection, cluster_endo_algebra
 from .errors import (
     HgaError,
+    InternalError,
     InvalidPresentation,
     NoCommutativeSquare,
     NotReducible,
@@ -40,6 +42,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_SCALE = 3
+EXIT_INTERNAL = 4
 
 
 def _dump(data, out):
@@ -277,6 +280,11 @@ def main(argv=None):
     except ScaleExceeded as exc:
         sys.stderr.write(f"scale cap: {exc}\n")
         return EXIT_SCALE
+    except (InternalError, ArithmeticError, AssertionError) as exc:
+        detail = exc if isinstance(exc, InternalError) else \
+            f"{type(exc).__name__}: {exc}"
+        sys.stderr.write(f"internal error: {detail}\n")
+        return EXIT_INTERNAL
     except (OSError, json.JSONDecodeError, KeyError, ValueError,
             HgaError) as exc:
         sys.stderr.write(f"input error: {exc}\n")

@@ -15,8 +15,13 @@ from dataclasses import dataclass
 
 from . import linalg, reps
 from .algebras import Algebra, represent
-from .errors import AdjacencyViolation, HgaError, UnsupportedSummand
-from .linalg import F0, F1
+from .errors import (
+    AdjacencyViolation,
+    HgaError,
+    InternalError,
+    UnsupportedSummand,
+)
+from .linalg import F0, F1, div
 from .memo import memo
 from .typea import (
     Tuple,
@@ -108,7 +113,7 @@ def _local_radical_basis(mod, endo_basis):
     track = linalg.SparseRREF()
     out = []
     for f in endo_basis:
-        lam = _trace(f) / dim
+        lam = div(_trace(f), dim)
         g = f.add(reps.identity_morphism(mod).scale(-lam))
         if g.is_zero():
             continue
@@ -155,7 +160,7 @@ def _transpose_mor(h):
     h0 = reps.factor_through(h.compose(dx["epi0"]), dy["epi0"])
     h1 = reps.factor_through(h0.compose(dx["d1"]), dy["d1"])
     if h1 is None:
-        raise HgaError("presentation lift failed")
+        raise InternalError("presentation lift failed")
     psi = reps.projective_star(
         alg, dy["srcs"], dx["srcs"],
         reps.component_elements(h1, dx["srcs"], dy["srcs"]))

@@ -5,6 +5,11 @@ class HgaError(Exception):
     """Base class for all workbench errors."""
 
 
+class InternalError(HgaError):
+    """A step that cannot fail on valid input failed: a fault of hga itself,
+    not of its input."""
+
+
 class InvalidPresentation(HgaError):
     pass
 

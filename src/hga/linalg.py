@@ -1,13 +1,37 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of lists of Fraction; all routines are deterministic
-(fixed pivot order) so downstream bases never depend on evaluation order.
+A scalar is an exact rational held as a Python int while it is integral and
+as a Fraction otherwise (`exact`); the two compare, hash and print alike, and
+most values met here are integers, which ints handle far faster.  Arithmetic
+on ints stays exact except for true division, so every quotient is taken
+with `div`.  Matrices are lists of lists of scalars; all routines are
+deterministic (fixed pivot order) so downstream bases never depend on
+evaluation order.
 """
 
 from fractions import Fraction
 
-F0 = Fraction(0)
-F1 = Fraction(1)
+F0 = 0
+F1 = 1
+
+
+def exact(x):
+    """x as an exact scalar: an int when it is integral, else a Fraction.
+    Accepts whatever Fraction accepts (ints, Fractions, strings "1/2")."""
+    if type(x) is int:
+        return x
+    q = Fraction(x)
+    return q.numerator if q.denominator == 1 else q
+
+
+def div(x, y):
+    """The exact quotient x / y of two scalars, an int when it is integral.
+    Raises ZeroDivisionError when y is zero."""
+    if type(x) is int and type(y) is int:
+        q, r = divmod(x, y)
+        if not r:
+            return q
+    return exact(Fraction(x) / y)
 
 
 def zeros(nrows, ncols):
@@ -77,7 +101,7 @@ def rref(m):
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = F1 / m[r][c]
+        inv = div(F1, m[r][c])
         m[r] = [x * inv for x in m[r]]
         for i in range(nrows):
             if i != r and m[i][c]:
@@ -168,7 +192,7 @@ def invert(m):
 
 
 class SparseRREF:
-    """Incremental Gaussian elimination on sparse vectors {index: Fraction}.
+    """Incremental Gaussian elimination on sparse vectors {index: scalar}.
 
     Pivot of a vector is its largest index, so elimination rewrites
     later-ordered coordinates in terms of earlier ones.  Used for path-class
@@ -211,7 +235,7 @@ class SparseRREF:
         if not vec:
             return None
         piv = max(vec)
-        inv = F1 / vec[piv]
+        inv = div(F1, vec[piv])
         row = {j: c * inv for j, c in vec.items()}
         # keep stored rows fully reduced against one another: only the rows
         # with an entry at piv change, and each loses that entry

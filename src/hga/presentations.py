@@ -8,9 +8,9 @@ reversed relative to the internal order.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import InvalidPresentation, UnknownVertex
+from .linalg import exact
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ class RelationElement:
     terms: list
 
     def __post_init__(self):
-        self.terms = [(Fraction(c), tuple(p)) for c, p in self.terms]
+        self.terms = [(exact(c), tuple(p)) for c, p in self.terms]
 
     def validate(self, quiver):
         if not self.terms:
@@ -166,7 +166,7 @@ def presentation_from_dict(d):
     relations = [
         RelationElement(
             [
-                (Fraction(t["coef"]), tuple(reversed(t["path"])))
+                (exact(t["coef"]), tuple(reversed(t["path"])))
                 for t in r["terms"]
             ]
         )

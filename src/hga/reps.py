@@ -6,11 +6,16 @@ Morphism blocks follow the same covariant convention.
 """
 
 import math
-from fractions import Fraction
 
 from . import linalg
-from .errors import AlgebraMismatch, HgaError, NotGorensteinVerified, UnknownVertex
-from .linalg import F0, F1
+from .errors import (
+    AlgebraMismatch,
+    HgaError,
+    InternalError,
+    NotGorensteinVerified,
+    UnknownVertex,
+)
+from .linalg import F0, F1, div, exact
 from .memo import memo, peek
 
 
@@ -33,7 +38,7 @@ class Representation:
             m = maps.get(ar.name)
             if m is None:
                 m = [[F0] * self.dims[ar.source] for _ in range(self.dims[ar.target])]
-            self.maps[ar.name] = [[Fraction(x) for x in row] for row in m]
+            self.maps[ar.name] = [[exact(x) for x in row] for row in m]
         if check:
             self._check()
 
@@ -108,7 +113,7 @@ class Morphism:
             b = blocks.get(v)
             if b is None:
                 b = [[F0] * source.dims[v] for _ in range(target.dims[v])]
-            self.blocks[v] = [[Fraction(x) for x in row] for row in b]
+            self.blocks[v] = [[exact(x) for x in row] for row in b]
         if check:
             self._check()
 
@@ -142,7 +147,7 @@ class Morphism:
         return Morphism(self.source, self.target, blocks, check=False)
 
     def scale(self, c):
-        blocks = {v: linalg.mat_scale(Fraction(c), b) for v, b in self.blocks.items()}
+        blocks = {v: linalg.mat_scale(exact(c), b) for v, b in self.blocks.items()}
         return Morphism(self.source, self.target, blocks, check=False)
 
     def is_zero(self):
@@ -722,7 +727,7 @@ def resolution_lift(f, k):
     for i in range(k + 1):
         cur = factor_through(cur.compose(dm[i]), dn[i])
         if cur is None:
-            raise HgaError("resolution lift failed")
+            raise InternalError("resolution lift failed")
     return cur
 
 
@@ -915,7 +920,7 @@ def syzygy_morphism(f):
     (ex, ix), (ey, iy) = _cover_steps(f.source), _cover_steps(f.target)
     g = factor_through(factor_through(f.compose(ex), ey).compose(ix), iy)
     if g is None:
-        raise HgaError("syzygy lift failed")
+        raise InternalError("syzygy lift failed")
     return g
 
 
@@ -1011,9 +1016,9 @@ def _try_split(m, phi):
         g2 = g2 * f**e
     s, t, h = g1.gcdex(g2)
     # s g1 + t g2 = h with h a nonzero constant, so (t g2)/h is idempotent
-    c = sympy.Rational(str(h.all_coeffs()[0]))
+    c = exact(str(h.all_coeffs()[0]))
     tg2 = (t * g2).all_coeffs()[::-1]
-    ecoeffs = [Fraction(str(q / c)) for q in tg2]
+    ecoeffs = [div(exact(str(q)), c) for q in tg2]
     e = _poly_eval_morphism(ecoeffs, phi)
     if e.is_zero() or e.add(identity_morphism(m).scale(-1)).is_zero():
         return None
@@ -1133,7 +1138,7 @@ def representation_to_dict(m):
 
 def representation_from_dict(alg, d):
     maps = {
-        name: [[Fraction(x) for x in row] for row in mat]
+        name: [[exact(x) for x in row] for row in mat]
         for name, mat in d.get("maps", {}).items()
     }
     return Representation(alg, d["dims"], maps)

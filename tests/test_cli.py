@@ -9,7 +9,9 @@ from hga import (
     presentation_to_dict,
     zero_relation,
 )
+from hga import cli
 from hga.cli import main
+from hga.errors import InternalError
 
 
 def write(path, data):
@@ -171,3 +173,22 @@ def test_verify_example_negative(tmp_path):
     rep = json.loads(out.read_text())
     assert not rep["pass"]
     assert any(f["check"] == "gorensteinProjective" for f in rep["failures"])
+
+
+@pytest.mark.parametrize("exc", [
+    InternalError("syzygy lift failed"), ZeroDivisionError("division by zero"),
+    ArithmeticError("overflow"), AssertionError(),
+])
+def test_internal_failure_exit_four(tmp_path, capsys, monkeypatch, exc):
+    """A fault of hga reads neither as a negative verdict (1) nor as an
+    input error (2), and writes no report."""
+    def failing(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_homdims", failing)
+    alg = tmp_path / "g.json"
+    write(alg, gentle_chain_dict())
+    assert main(["homdims", str(alg)]) == cli.EXIT_INTERNAL == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: ")

@@ -1,7 +1,13 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from hga import linalg
 from hga.linalg import F0, F1, SparseRREF
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "hga"
 
 
 def fr(rows):
@@ -64,3 +70,64 @@ def test_sparse_rref_copy_is_independent():
     for p, row in dup.rows.items():
         assert max(row) == p and row[p] == F1
         assert not set(row) & (set(dup.rows) - {p})
+
+
+def test_div_keeps_integral_quotients_ints():
+    q = linalg.div(-3, 3)
+    assert q == -1 and type(q) is int
+    assert linalg.div(1, 2) == Fraction(1, 2)
+    q = linalg.div(Fraction(3, 2), Fraction(1, 2))
+    assert q == 3 and type(q) is int
+    with pytest.raises(ZeroDivisionError):
+        linalg.div(1, 0)
+    with pytest.raises(ZeroDivisionError):
+        linalg.div(Fraction(1, 2), 0)
+
+
+def test_exact_reads_what_fraction_reads():
+    two = linalg.exact("4/2")
+    assert two == 2 and type(two) is int
+    third = linalg.exact("1/3")
+    assert third == Fraction(1, 3) and type(third) is Fraction
+    assert type(linalg.exact(Fraction(6, 3))) is int
+    assert type(linalg.exact(-5)) is int
+
+
+def true_divisions(source, exempt=()):
+    """(line, text) of each true division in source outside the bodies of
+    the functions named in exempt: a ``/`` or ``/=``, or a power with a
+    negated exponent.  Either turns two ints into a float."""
+    tree = ast.parse(source)
+    skip = {id(n) for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef) and f.name in exempt
+            for n in ast.walk(f)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp):
+            right = node.right
+        elif isinstance(node, ast.AugAssign):
+            right = node.value
+        else:
+            continue
+        negated = isinstance(right, ast.UnaryOp) and \
+            isinstance(right.op, ast.USub)
+        if id(node) not in skip and (isinstance(node.op, ast.Div) or (
+                isinstance(node.op, ast.Pow) and negated)):
+            found.append((node.lineno, ast.get_source_segment(source, node)))
+    return sorted(found)
+
+
+def test_scan_finds_true_divisions():
+    source = ("def div(x, y):\n    return x / y\n\n"
+              "def f(a, b, k):\n    c = a / b\n    a /= 2\n"
+              "    return a ** -1 + b ** -k + a ** 2 + div(a, b) + a // b\n")
+    assert true_divisions(source, exempt=("div",)) == [
+        (5, "a / b"), (6, "a /= 2"), (7, "a ** -1"), (7, "b ** -k")]
+    assert true_divisions(source)[0] == (2, "x / y")
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_true_division_outside_div(path):
+    exempt = ("div",) if path.name == "linalg.py" else ()
+    assert true_divisions(path.read_text(encoding="utf-8"), exempt) == []

@@ -1,4 +1,6 @@
-"""Property tests of the incremental sparse elimination against dense rref."""
+"""Property tests of the incremental sparse elimination against dense rref,
+and of the scalar form: inputs that mix ints and Fractions give the same
+values as all-Fraction inputs, and never a float."""
 
 from fractions import Fraction
 
@@ -76,3 +78,75 @@ def test_sparse_rref_copy_stays_independent(first, second):
     assert rr.rows == rows and rr.cols == cols
     assert_consistent(dup)
     assert dup.rows == dense_rref(first + second)
+
+
+# exact scalars as callers pass them: ints where integral, some Fractions
+scalars = st.one_of(st.integers(-3, 3),
+                    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+
+
+def matrices(nrows, ncols):
+    return st.lists(st.lists(scalars, min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows)
+
+
+shapes = st.tuples(st.integers(1, 4), st.integers(1, 4))
+dense = shapes.flatmap(lambda s: matrices(*s))
+square = st.integers(1, 4).flatmap(lambda n: matrices(n, n))
+mixed_vectors = st.dictionaries(st.integers(0, WIDTH - 1),
+                                scalars.filter(bool), max_size=4)
+
+
+def as_fractions(x):
+    """x with every scalar made a Fraction, lists and dicts kept."""
+    if isinstance(x, list):
+        return [as_fractions(v) for v in x]
+    if isinstance(x, dict):
+        return {k: as_fractions(v) for k, v in x.items()}
+    return Fraction(x)
+
+
+def scalar_types(x):
+    """The types of the scalars in a nested result (None counts as none)."""
+    if isinstance(x, (list, tuple)):
+        return set().union(*map(scalar_types, x)) if x else set()
+    if isinstance(x, dict):
+        return scalar_types(list(x.values()))
+    return set() if x is None else {type(x)}
+
+
+def assert_same(got, want):
+    assert got == want
+    assert scalar_types(got) <= {int, Fraction}
+
+
+@hypothesis.given(dense)
+def test_mixed_rref_and_nullspace_match_fractions(m):
+    red, pivots = linalg.rref(m)
+    fred, fpivots = linalg.rref(as_fractions(m))
+    assert pivots == fpivots
+    assert_same(red, fred)
+    assert_same(linalg.nullspace(m), linalg.nullspace(as_fractions(m)))
+
+
+@hypothesis.given(shapes.flatmap(lambda s: st.tuples(
+    matrices(*s), st.lists(scalars, min_size=s[0], max_size=s[0]))))
+def test_mixed_solve_matches_fractions(system):
+    a, b = system
+    assert_same(linalg.solve(a, b),
+                linalg.solve(as_fractions(a), as_fractions(b)))
+
+
+@hypothesis.given(square)
+def test_mixed_invert_matches_fractions(m):
+    assert_same(linalg.invert(m), linalg.invert(as_fractions(m)))
+
+
+@hypothesis.given(st.lists(mixed_vectors, max_size=10), mixed_vectors)
+def test_mixed_sparse_rref_matches_fractions(vecs, probe):
+    rr, fr = SparseRREF(), SparseRREF()
+    for v in vecs:
+        assert rr.add(dict(v)) == fr.add(as_fractions(v))
+        assert_consistent(rr)
+    assert_same(rr.rows, fr.rows)
+    assert_same(rr.reduce(probe), fr.reduce(as_fractions(probe)))
