@@ -27,10 +27,15 @@ class Algebra:
     basis_labels[i] is ("e", v) for a vertex idempotent or a tuple of arrow
     names (application order) for a path class.  The first len(vertices)
     basis slots are the vertex idempotents, in vertex order.
+
+    A corner or quotient of another algebra records that algebra as
+    `ambient`, and in `arrow_ambient` the ambient basis id that each of its
+    arrows is.
     """
 
     def __init__(self, vertices, basis_labels, basis_src, basis_tgt, mult,
-                 presentation=None, arrow_class=None):
+                 presentation=None, arrow_class=None, ambient=None,
+                 arrow_ambient=None):
         self.vertices = list(vertices)
         self.basis_labels = list(basis_labels)
         self.basis_src = list(basis_src)
@@ -38,6 +43,8 @@ class Algebra:
         self.mult = mult
         self.presentation = presentation
         self.arrow_class = arrow_class or {}
+        self.ambient = ambient
+        self.arrow_ambient = arrow_ambient or {}
         self.e_index = {v: i for i, v in enumerate(self.vertices)}
         self.monomial = all(len(t) <= 1 for t in mult.values())
 
@@ -158,10 +165,12 @@ def opposite(a):
     return a.opposite()
 
 
-def build_algebra(presentation, length_cap=None):
+def build_algebra(presentation, length_cap=None, ambient=None,
+                  arrow_ambient=None):
     """Quotient of the path algebra by the relation ideal, via degreewise
     exact row reduction.  Raises NotAdmissible if path classes keep appearing
-    up to the length cap."""
+    up to the length cap.  `ambient` and `arrow_ambient` are recorded on the
+    result as they are given."""
     quiver = presentation.quiver
     nv = len(quiver.vertices)
     max_term_len = max(
@@ -283,6 +292,7 @@ def build_algebra(presentation, length_cap=None):
     return Algebra(
         list(quiver.vertices), basis_labels, basis_src, basis_tgt, mult,
         presentation=presentation, arrow_class=arrow_class,
+        ambient=ambient, arrow_ambient=arrow_ambient,
     )
 
 
@@ -376,20 +386,19 @@ def minimal_presentation(a, validate=True):
     """Quiver with rad/rad^2 arrows plus a minimal generating set of the
     kernel ideal, found degree by degree.
 
-    The returned presentation carries `arrow_representatives`, mapping each
-    arrow name to its representing element of `a` (sparse over a's basis).
+    Returns the presentation and, for each arrow name, the basis id of `a`
+    that the arrow is.
     """
-    arrow_layer = _arrow_layer(a)
     name_count = {}
     arrows = []
-    reps = {}
-    for src, tgt, b in arrow_layer:
+    arrow_ids = {}
+    for src, tgt, b in _arrow_layer(a):
         base = f"{src}_{tgt}"
         k = name_count.get(base, 0)
         name_count[base] = k + 1
         name = base if k == 0 else f"{base}_{k}"
         arrows.append(Arrow(name, src, tgt))
-        reps[name] = {b: F1}
+        arrow_ids[name] = b
     quiver = Quiver(list(a.vertices), arrows)
     arrow_by_name = quiver.arrow_by_name
 
@@ -397,7 +406,7 @@ def minimal_presentation(a, validate=True):
     lmax_search = nilp + 1
 
     table = _PathTable(quiver)
-    values = {p: reps[p[0]] for p in table.paths(1)}
+    values = {p: {arrow_ids[p[0]]: F1} for p in table.paths(1)}
 
     kgen = SparseRREF()
     generators = []  # (terms, lmax, src, tgt)
@@ -408,7 +417,8 @@ def minimal_presentation(a, validate=True):
         if length > lmax_search + a.dim:
             raise InvalidPresentation("relation search failed to stabilize")
         for p in table.paths(length):
-            values[p] = a.mult_elements(reps[p[-1]], values[p[:-1]])
+            values[p] = a.mult_elements({arrow_ids[p[-1]]: F1},
+                                        values[p[:-1]])
         _extend_generated(kgen, generators, length, table)
         # full kernel at this length, one vertex-pair block at a time
         blocks = {}
@@ -450,7 +460,6 @@ def minimal_presentation(a, validate=True):
             break
 
     pres = BoundQuiverPresentation(quiver, relations)
-    pres.arrow_representatives = reps
     if validate:
         rebuilt = build_algebra(pres)
         if rebuilt.dim != a.dim:
@@ -458,78 +467,55 @@ def minimal_presentation(a, validate=True):
                 f"presentation round-trip changed dimension "
                 f"({a.dim} -> {rebuilt.dim})"
             )
-    return pres
+    return pres, arrow_ids
 
 
-def represent(raw):
+def represent(raw, ambient=None, ambient_basis=None):
     """Rebuild a raw structure-constant algebra as a presented one.
 
-    The result carries `raw`, plus exact change-of-basis matrices
-    `to_raw` / `from_raw` between the rebuilt path-class basis and the raw
-    basis.
+    Each path class of the result must be a raw element between the same
+    vertices, and in every block e_t A e_s the path classes must form a basis
+    of the raw block.  A corner or quotient passes its ambient algebra and
+    the ambient id of each raw basis element, and the result records them as
+    `ambient` and `arrow_ambient`.
     """
-    pres = minimal_presentation(raw, validate=False)
-    alg = build_algebra(pres)
+    pres, arrow_ids = minimal_presentation(raw, validate=False)
+    arrow_ambient = None
+    if ambient is not None:
+        arrow_ambient = {name: ambient_basis[b]
+                         for name, b in arrow_ids.items()}
+    alg = build_algebra(pres, ambient=ambient, arrow_ambient=arrow_ambient)
     if alg.dim != raw.dim:
         raise InvalidPresentation(
             f"re-presentation changed dimension ({raw.dim} -> {alg.dim})"
         )
-    reps = pres.arrow_representatives
     nv = len(raw.vertices)
-    # both bases split over the blocks e_t A e_s, so to_raw is block diagonal
-    blocks = {}  # (source, target) -> (raw ids, alg ids)
+    blocks = {}  # (source, target) -> (raw ids, path classes as raw elements)
     for b in range(raw.dim):
         key = (raw.basis_src[b], raw.basis_tgt[b])
         blocks.setdefault(key, ([], []))[0].append(b)
-    to_raw = linalg.zeros(raw.dim, alg.dim)
     for i in range(alg.dim):
         if i < nv:
             elem = {raw.e_index[alg.vertices[i]]: F1}
         else:
             path = alg.basis_labels[i]
-            elem = reps[path[0]]
+            elem = {arrow_ids[path[0]]: F1}
             for name in path[1:]:
-                elem = raw.mult_elements(reps[name], elem)
+                elem = raw.mult_elements({arrow_ids[name]: F1}, elem)
         key = (alg.basis_src[i], alg.basis_tgt[i])
-        blocks.setdefault(key, ([], []))[1].append(i)
-        for b, c in elem.items():
-            if (raw.basis_src[b], raw.basis_tgt[b]) != key:
-                raise InvalidPresentation("re-presentation leaves its block")
-            to_raw[b][i] = c
-    from_raw = linalg.zeros(alg.dim, raw.dim)
-    for rows, cols in blocks.values():
-        inv = len(rows) == len(cols) and linalg.invert(
-            [[to_raw[b][i] for i in cols] for b in rows])
-        if not inv:
+        if any((raw.basis_src[b], raw.basis_tgt[b]) != key for b in elem):
+            raise InvalidPresentation("re-presentation leaves its block")
+        blocks.setdefault(key, ([], []))[1].append(elem)
+    for rows, elems in blocks.values():
+        if len(rows) != len(elems) or linalg.rank(
+                [[x.get(b, F0) for x in elems] for b in rows]) != len(rows):
             raise InvalidPresentation("re-presentation basis is degenerate")
-        for i, inv_row in zip(cols, inv):
-            for b, c in zip(rows, inv_row):
-                from_raw[i][b] = c
-    alg.raw = raw
-    alg.to_raw = to_raw
-    alg.from_raw = from_raw
     return alg
-
-
-def from_raw_element(alg, raw_vec):
-    """Transport a sparse element of alg.raw into alg coordinates."""
-    out = {}
-    for b, c in raw_vec.items():
-        for i in range(alg.dim):
-            coef = alg.from_raw[i][b]
-            if coef:
-                nv = out.get(i, F0) + c * coef
-                if nv:
-                    out[i] = nv
-                else:
-                    out.pop(i, None)
-    return out
 
 
 def idempotent_subalgebra(a, e):
     """Corner algebra eAe for a vertex-subset idempotent, re-presented on its
-    own quiver.  The raw corner (kept as `.raw`) records `ambient` and
-    `ambient_ids` into a's basis."""
+    own quiver, with ambient `a`."""
     e.validate(a.vertices)
     if not e.vertex_subset:
         raise EmptyIdempotent("idempotent over the empty vertex set")
@@ -550,15 +536,12 @@ def idempotent_subalgebra(a, e):
         [a.basis_tgt[i] for i in ids],
         mult,
     )
-    raw.ambient = a
-    raw.ambient_ids = ids
-    return represent(raw)
+    return represent(raw, a, ids)
 
 
 def quotient_by_idempotent(a, f):
     """Quotient of a by the two-sided ideal generated by a vertex-subset
-    idempotent, re-presented on its own quiver.  The raw quotient records
-    `ambient`, `kept_ids` and the eliminating row basis `ideal_span`."""
+    idempotent, re-presented on its own quiver, with ambient `a`."""
     f.validate(a.vertices)
     cut = f.vertex_subset
     span = SparseRREF()
@@ -578,19 +561,14 @@ def quotient_by_idempotent(a, f):
         if probe.add({b: F1}) is not None:
             kept.append(b)
     new_pos = {b: k for k, b in enumerate(kept)}
-
-    def reduce_class(vec):
-        rem = span.reduce(dict(vec))
-        return {new_pos[b]: c for b, c in rem.items()}
-
     mult = {}
     for k, i in enumerate(kept):
         for l, j in enumerate(kept):
             prod = a.mult.get((i, j))
             if prod:
-                cls = reduce_class(prod)
-                if cls:
-                    mult[(k, l)] = cls
+                rem = span.reduce(dict(prod))
+                if rem:
+                    mult[(k, l)] = {new_pos[b]: c for b, c in rem.items()}
     raw = Algebra(
         [v for v in a.vertices if v not in cut],
         [a.basis_labels[i] for i in kept],
@@ -598,14 +576,4 @@ def quotient_by_idempotent(a, f):
         [a.basis_tgt[i] for i in kept],
         mult,
     )
-    raw.ambient = a
-    raw.kept_ids = kept
-    raw.ideal_span = span
-    return represent(raw)
-
-
-def quotient_class(raw_quotient, ambient_vec):
-    """Class of an ambient sparse element inside a raw quotient algebra."""
-    rem = raw_quotient.ideal_span.reduce(dict(ambient_vec))
-    pos = {b: k for k, b in enumerate(raw_quotient.kept_ids)}
-    return {pos[b]: c for b, c in rem.items()}
+    return represent(raw, a, kept)

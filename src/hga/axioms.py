@@ -11,17 +11,39 @@ import copy
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .algebras import build_algebra, idempotent_subalgebra
+from .algebras import Algebra, build_algebra, idempotent_subalgebra
 from .errors import NotAdmissible, UnknownArrow
 from .linalg import F0, F1, div
 from . import linalg
 from .memo import memo
-from .presentations import Idempotent, RelationElement
+from .presentations import (
+    BoundQuiverPresentation,
+    Idempotent,
+    RelationElement,
+)
 
 
 def built(p):
     """The algebra of a presentation, built once per presentation."""
     return memo(p, "built", lambda: build_algebra(p))
+
+
+def _as_algebra(a):
+    """a itself when it is an Algebra, else the algebra of the presentation a."""
+    return a if isinstance(a, Algebra) else built(a)
+
+
+def _closure_dim(alg, relations):
+    """Dimension of the algebra of alg's quiver modulo relations, or None
+    when path classes still appear past the length cap
+    max(2·|Q0|, rad nilpotency of alg + 2, 8)."""
+    quiver = alg.presentation.quiver
+    cap = max(2 * len(quiver.vertices), alg.rad_nilpotency() + 2, 8)
+    try:
+        return build_algebra(BoundQuiverPresentation(quiver, relations),
+                             length_cap=cap).dim
+    except NotAdmissible:
+        return None
 
 
 def _register_built(alg):
@@ -449,12 +471,7 @@ def check_axiom_a4(p):
             terms = [(vec[c], tuple(paths[c])) for c in range(npaths) if vec[c]]
             relations.append(RelationElement(terms))
     alg = built(p)
-    cap = max(2 * len(p.quiver.vertices), alg.rad_nilpotency() + 2, 8)
-    try:
-        quad = build_algebra(type(p)(p.quiver, relations), length_cap=cap)
-        quad_dim = quad.dim
-    except NotAdmissible:
-        quad_dim = None
+    quad_dim = _closure_dim(alg, relations)
     generated_ok = quad_dim == alg.dim
     witness = None
     if not shape_ok:
@@ -821,17 +838,8 @@ def is_gentle(p):
             })
         zero_paths.extend(zero_here)
     if not any(f["condition"] == "commutativity relation" for f in failures):
-        from .presentations import BoundQuiverPresentation
-
-        cap = max(2 * len(quiver.vertices), alg.rad_nilpotency() + 2, 8)
-        try:
-            quad = build_algebra(BoundQuiverPresentation(
-                quiver,
-                [RelationElement([(F1, tuple(pth))]) for pth in zero_paths],
-            ), length_cap=cap)
-            quad_dim = quad.dim
-        except NotAdmissible:
-            quad_dim = None
+        quad_dim = _closure_dim(
+            alg, [RelationElement([(F1, tuple(pth))]) for pth in zero_paths])
         if quad_dim != alg.dim:
             failures.append({"condition": "ideal not quadratic monomial"})
     return {"gentle": not failures, "failures": failures}
@@ -908,10 +916,7 @@ def is_d_gentle_certificate(cover, e, d, idempotent_cap=2 ** 20):
     on the cover's presentation and shared by every corner certified
     against the same cover.
     """
-    from .algebras import Algebra
-
-    if not isinstance(cover, Algebra):
-        cover = built(cover)
+    cover = _as_algebra(cover)
     hull = _hull_idempotent(cover, e)
     hull_corner = idempotent_subalgebra(cover, hull)
     _register_built(cover)

@@ -200,7 +200,8 @@ def _tau_d_inv_mor(f, d):
 
 @dataclass
 class ClusterEndoResult:
-    algebra: object          # re-presented algebra, carries .raw
+    algebra: object          # re-presented algebra
+    raw: object              # structure constants on the Hom and Ext bases
     presentation: object     # minimal presentation of the raw algebra
     end_dim: int             # dimension of the module-category part
     ext_dim: int             # dimension of the Ext part
@@ -337,6 +338,7 @@ def cluster_endo_algebra(c):
     )
     return ClusterEndoResult(
         algebra=presented,
+        raw=raw,
         presentation=presented.presentation,
         end_dim=end_dim,
         ext_dim=ext_dimension,

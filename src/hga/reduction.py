@@ -12,16 +12,16 @@ import math
 import random
 from dataclasses import dataclass
 
-from .algebras import (
-    Algebra,
-    from_raw_element,
-    idempotent_subalgebra,
-    quotient_by_idempotent,
-    quotient_class,
+from .algebras import idempotent_subalgebra, quotient_by_idempotent
+from .axioms import (
+    _as_algebra,
+    _two_path_value,
+    commutativity_squares,
+    is_gentle,
 )
-from .axioms import _two_path_value, built, commutativity_squares, is_gentle
 from .errors import (
     EmptyIdempotent,
+    InternalError,
     NoCommutativeSquare,
     NotGentle,
     NotGorensteinVerified,
@@ -32,63 +32,41 @@ from .presentations import Idempotent
 from . import linalg, reps
 
 
-def _as_algebra(a):
-    if isinstance(a, Algebra):
-        return a
-    return built(a)
-
-
 def _support(m):
     return sorted((v for v in m.algebra.vertices if m.dims[v]), key=str)
-
-
-def _derived_arrow_ambient(derived):
-    """Ambient sparse element representing each arrow of a derived
-    (corner or quotient) algebra's presentation."""
-    raw = derived.raw
-    ids = getattr(raw, "ambient_ids", None)
-    if ids is None:
-        ids = raw.kept_ids
-    out = {}
-    for name, elem in derived.presentation.arrow_representatives.items():
-        out[name] = {ids[b]: c for b, c in elem.items()}
-    return out
 
 
 def restrict_to_quotient(quot, m):
     """View an ambient representation with zero spaces at the removed
     vertices as a representation of the quotient algebra."""
-    arrow_elems = _derived_arrow_ambient(quot)
     dims = {v: m.dims[v] for v in quot.vertices}
-    maps = {}
-    for ar in quot.presentation.quiver.arrows:
-        maps[ar.name] = m.element_matrix(
-            arrow_elems[ar.name], ar.source, ar.target)
+    maps = {name: m.basis_matrix(i) for name, i in quot.arrow_ambient.items()}
     return reps.Representation(quot, dims, maps, check=False)
 
 
 def ambient_from_quotient(quot, x):
     """Pull a quotient-algebra representation back to the ambient algebra
-    (zero spaces at the removed vertices)."""
-    amb = quot.raw.ambient
+    (zero spaces at the removed vertices).  Every ambient arrow between kept
+    vertices is the quotient arrow with the same ambient id."""
+    amb = quot.ambient
     dims = {v: x.dims.get(v, 0) for v in amb.vertices}
+    name_of = {i: name for name, i in quot.arrow_ambient.items()}
     maps = {}
     kept = set(quot.vertices)
     for ar in amb.presentation.quiver.arrows:
         if ar.source not in kept or ar.target not in kept:
             continue
-        i = amb.arrow_class[ar.name]
-        raw_vec = quotient_class(quot.raw, {i: 1})
-        elem = from_raw_element(quot, raw_vec)
-        if elem:
-            maps[ar.name] = x.element_matrix(elem, ar.source, ar.target)
+        name = name_of.get(amb.arrow_class[ar.name])
+        if name is None:
+            raise InternalError(
+                f"ambient arrow {ar.name} is no arrow of the quotient")
+        maps[ar.name] = x.maps[name]
     return reps.Representation(amb, dims, maps, check=False)
 
 
 def corner_column_module(corner, v):
     """f·A·e_v as a module over the corner algebra fAf."""
-    amb = corner.raw.ambient
-    arrow_elems = _derived_arrow_ambient(corner)
+    amb = corner.ambient
     col_ids = {}
     for w in corner.vertices:
         col_ids[w] = [i for i in range(amb.dim)
@@ -99,10 +77,9 @@ def corner_column_module(corner, v):
         u, w = ar.source, ar.target
         pos = {b: k for k, b in enumerate(col_ids[w])}
         mat = [[0] * dims[u] for _ in range(dims[w])]
-        x = arrow_elems[ar.name]
+        x = corner.arrow_ambient[ar.name]
         for col, j in enumerate(col_ids[u]):
-            prod = amb.mult_elements(x, {j: 1})
-            for t, c in prod.items():
+            for t, c in amb.mult_basis(x, j).items():
                 mat[pos[t]][col] = c
         maps[ar.name] = mat
     return reps.Representation(corner, dims, maps, check=False)
@@ -678,10 +655,10 @@ def gentle_sg_invariant(g):
     In a gentle algebra an arrow has at most one arrow after it with zero
     composition, and at most one before it, so these zero successors form
     a partial permutation of the arrows; the cycles are its cycles."""
-    p = g.presentation if isinstance(g, Algebra) else g
+    alg = _as_algebra(g)
+    p = alg.presentation
     if not is_gentle(p)["gentle"]:
         raise NotGentle("the singularity invariant needs a gentle algebra")
-    alg = built(p)
     succ = {ar.name: nxt.name for ar in p.quiver.arrows
             for nxt in p.quiver.arrows_from[ar.target]
             if not _two_path_value(alg, ar.name, nxt.name)}

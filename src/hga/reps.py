@@ -28,6 +28,14 @@ def mmul(a, b, bcols):
     return linalg.mat_mul(a, b)
 
 
+def _entries(m, check):
+    """A copy of the matrix m, with each entry made exact when it is to be
+    checked; unchecked callers pass entries that are exact already."""
+    if check:
+        return [[exact(x) for x in row] for row in m]
+    return [list(row) for row in m]
+
+
 class Representation:
     def __init__(self, algebra, dims, maps, check=True):
         self.algebra = algebra
@@ -38,7 +46,7 @@ class Representation:
             m = maps.get(ar.name)
             if m is None:
                 m = [[F0] * self.dims[ar.source] for _ in range(self.dims[ar.target])]
-            self.maps[ar.name] = [[exact(x) for x in row] for row in m]
+            self.maps[ar.name] = _entries(m, check)
         if check:
             self._check()
 
@@ -113,7 +121,7 @@ class Morphism:
             b = blocks.get(v)
             if b is None:
                 b = [[F0] * source.dims[v] for _ in range(target.dims[v])]
-            self.blocks[v] = [[exact(x) for x in row] for row in b]
+            self.blocks[v] = _entries(b, check)
         if check:
             self._check()
 
@@ -214,7 +222,6 @@ def _build_projective(alg, v):
                 mat[pos[t]][col] = c
         maps[ar.name] = mat
     rep = Representation(alg, dims, maps, check=False)
-    rep.proj_vertex = v
     rep.proj_basis_ids = basis_ids
     rep.proj_pos = pos
     rep.gen_pos = pos[alg.e_index[v]]

@@ -13,7 +13,6 @@ from hga import (
     quotient_by_idempotent,
     zero_relation,
 )
-from hga import linalg
 from hga.algebras import Algebra, represent
 from hga.errors import EmptyIdempotent, InvalidPresentation, NotAdmissible
 from hga.typea import build_typeA_auslander
@@ -119,9 +118,11 @@ def test_opposite_involution():
 
 def test_minimal_presentation_round_trip():
     a = square_algebra()
-    pres = minimal_presentation(a)
+    pres, arrow_ids = minimal_presentation(a)
     assert len(pres.quiver.arrows) == 4
     assert len(pres.relations) == 1
+    assert sorted(a.basis_labels[b] for b in arrow_ids.values()) == \
+        [("p",), ("q",), ("r",), ("s",)]
     rebuilt = build_algebra(pres)
     assert rebuilt.dim == a.dim
 
@@ -129,8 +130,9 @@ def test_minimal_presentation_round_trip():
 def test_minimal_presentation_zero_relation():
     q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
     alg = build_algebra(BoundQuiverPresentation(q, [zero_relation(("a", "b"))]))
-    pres = minimal_presentation(alg)
+    pres, arrow_ids = minimal_presentation(alg)
     assert len(pres.quiver.arrows) == 2
+    assert set(arrow_ids) == {ar.name for ar in pres.quiver.arrows}
     assert len(pres.relations) == 1
     assert pres.relations[0].terms[0][0] == 1
     assert len(pres.relations[0].terms) == 1
@@ -143,7 +145,8 @@ def test_corner_algebra_of_square():
     assert corner.vertices == ["a", "d"]
     assert len(corner.presentation.quiver.arrows) == 1
     assert corner.presentation.relations == []
-    assert corner.raw.ambient is a
+    assert corner.ambient is a
+    assert corner.arrow_ambient == {"a_d": a.basis_labels.index(("p", "r"))}
 
 
 def test_corner_requires_vertices():
@@ -188,19 +191,38 @@ def auslander_corner(n, d, cut, quotient=False):
     return make(build_typeA_auslander(n, d), Idempotent.of(cut))
 
 
-@pytest.mark.parametrize("make", [
-    lambda: idempotent_subalgebra(square_algebra(), Idempotent.of(["a", "d"])),
-    lambda: quotient_by_idempotent(square_algebra(), Idempotent.of(["b"])),
-    lambda: auslander_corner(4, 2, ["13", "24", "35", "15"]),
-    lambda: auslander_corner(4, 2, ["13", "14", "15"]),
-    lambda: auslander_corner(4, 2, ["24", "35"], quotient=True),
-    lambda: auslander_corner(3, 3, ["135", "136", "246"], quotient=True),
-    lambda: represent(twisted_raw()),
-])
-def test_represent_change_of_basis_is_exact_inverse(make):
+@pytest.mark.parametrize("make, quotient", [
+    (lambda: idempotent_subalgebra(square_algebra(), Idempotent.of(["a", "d"])),
+     False),
+    (lambda: quotient_by_idempotent(square_algebra(), Idempotent.of(["b"])),
+     True),
+    (lambda: auslander_corner(4, 2, ["13", "24", "35", "15"]), False),
+    (lambda: auslander_corner(4, 2, ["13", "14", "15"]), False),
+    (lambda: auslander_corner(4, 2, ["24", "35"], quotient=True), True),
+    (lambda: auslander_corner(3, 3, ["135", "136", "246"], quotient=True),
+     True),
+    (lambda: represent(twisted_raw()), False),
+], ids=["square-corner", "square-quotient", "A24-corner4", "A24-corner3",
+        "A24-quotient", "A33-quotient", "twisted-raw"])
+def test_arrow_ambient_embeds_arrows(make, quotient):
     alg = make()
-    assert alg.from_raw == linalg.invert(alg.to_raw)
-    assert linalg.mat_mul(alg.from_raw, alg.to_raw) == linalg.identity(alg.dim)
+    amb = alg.ambient
+    if amb is None:
+        assert alg.arrow_ambient == {}
+        return
+    arrows = alg.presentation.quiver.arrows
+    assert sorted(alg.arrow_ambient) == sorted(ar.name for ar in arrows)
+    for ar in arrows:
+        i = alg.arrow_ambient[ar.name]
+        assert (amb.basis_src[i], amb.basis_tgt[i]) == (ar.source, ar.target)
+    if not quotient:
+        return
+    # the arrows of a quotient are the ambient arrows between kept vertices
+    kept = set(alg.vertices)
+    between = sorted(amb.arrow_class[ar.name]
+                     for ar in amb.presentation.quiver.arrows
+                     if ar.source in kept and ar.target in kept)
+    assert sorted(alg.arrow_ambient.values()) == between
 
 
 def test_represent_rejects_singular_block():

@@ -267,7 +267,7 @@ def test_mixed_collection_syzygy_orbit(fam24):
 
 
 def _endo_digest(res):
-    raw = res.algebra.raw
+    raw = res.raw
     data = {
         "presentation": presentation_to_dict(res.presentation),
         "labels": raw.basis_labels,

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,7 @@ from hga import (
     Quiver,
     commutativity_relation,
     idempotent_subalgebra,
+    quotient_by_idempotent,
     zero_relation,
 )
 from hga import memo, reduction, reps
@@ -24,6 +26,7 @@ from hga.errors import (
     NotReducible,
 )
 from hga.reduction import (
+    ambient_from_quotient,
     chensing_conditions,
     find_injection,
     gentle_sg_invariant,
@@ -31,6 +34,7 @@ from hga.reduction import (
     localisable_report,
     reduce_to_gentle,
     reduction_step,
+    restrict_to_quotient,
     verify_sg_example,
 )
 from hga.typea import build_typeA_auslander, canonical_cluster_tilting
@@ -483,3 +487,40 @@ def test_find_injection_one_dimensional_hom_needs_no_search(monkeypatch):
                         counting("rank", reduction._morphism_rank))
     assert find_injection(p1, s1) is None
     assert calls == {"scale": 0, "rank": 1}
+
+
+def _rescaled(m, primes):
+    """m with the basis at each vertex v scaled by primes[v]: an isomorphic
+    module whose arrow maps differ between any two vertex pairs."""
+    maps = {}
+    for ar in m.algebra.presentation.quiver.arrows:
+        c = Fraction(primes[ar.target], primes[ar.source])
+        maps[ar.name] = [[c * x for x in row] for row in m.maps[ar.name]]
+    return reps.Representation(m.algebra, m.dims, maps)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: built(square()),
+    lambda: build_typeA_auslander(4, 2),
+    lambda: build_typeA_auslander(3, 3),
+])
+def test_quotient_restriction_round_trip(make):
+    # a module that vanishes on the cut is a module of the quotient, and
+    # lifting its restriction back gives the same spaces and maps
+    a = make()
+    primes = dict(zip(a.vertices, [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]))
+    lifted = 0
+    for v in a.vertices:
+        for m in (reps.projective(a, v), reps.injective(a, v)):
+            cut = [w for w in a.vertices if not m.dims[w]]
+            if not cut:
+                continue
+            m = _rescaled(m, primes)
+            q = quotient_by_idempotent(a, Idempotent.of(cut))
+            r = restrict_to_quotient(q, m)
+            reps.Representation(q, r.dims, r.maps)  # satisfies q's relations
+            back = ambient_from_quotient(q, r)
+            assert back.dims == m.dims
+            assert back.maps == m.maps
+            lifted += 1
+    assert lifted
