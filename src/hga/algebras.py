@@ -11,7 +11,7 @@ from .errors import (
     InvalidPresentation,
     NotAdmissible,
 )
-from .linalg import F0, F1, SparseRREF, div
+from .linalg import F0, F1, SparseRREF, add_scaled, div
 from .memo import memo
 from .presentations import (
     Arrow,
@@ -66,13 +66,7 @@ class Algebra:
             for j, cj in y.items():
                 prod = self.mult.get((i, j))
                 if prod:
-                    c = ci * cj
-                    for k, ck in prod.items():
-                        nv = out.get(k, F0) + c * ck
-                        if nv:
-                            out[k] = nv
-                        else:
-                            out.pop(k, None)
+                    add_scaled(out, ci * cj, prod)
         return out
 
     def unit(self, i, coef=F1):
@@ -93,13 +87,7 @@ class Algebra:
     def relation_value(self, relation):
         total = {}
         for coef, path in relation.terms:
-            val = self.path_value(path)
-            for k, c in val.items():
-                nv = total.get(k, F0) + coef * c
-                if nv:
-                    total[k] = nv
-                else:
-                    total.pop(k, None)
+            add_scaled(total, coef, self.path_value(path))
         return total
 
     def rad_nilpotency(self):
@@ -260,12 +248,7 @@ def build_algebra(presentation, length_cap=None, ambient=None,
             for k, c in vec.items():
                 row = act.get(k)
                 if row:
-                    for t, ct in row.items():
-                        val = nxt.get(t, F0) + c * ct
-                        if val:
-                            nxt[t] = val
-                        else:
-                            nxt.pop(t, None)
+                    add_scaled(nxt, c, row)
             vec = nxt
             if not vec:
                 break
@@ -328,30 +311,39 @@ def _arrow_layer(a):
 
 class _PathTable:
     """The paths of positive length of a quiver, indexed in (length, lex)
-    order as they are first asked for, one length at a time."""
+    order as they are first asked for, one length at a time.  Each length
+    is also listed by the vertex its paths end at and by the vertex they
+    start at, in lex order; the empty path ends and starts everywhere."""
 
     def __init__(self, quiver):
         self.arrow = quiver.arrow_by_name
         self.names = sorted(self.arrow)
+        self.out_names = {v: sorted(ar.name for ar in arrows)
+                          for v, arrows in quiver.arrows_from.items()}
         self.index = {}      # path -> index
         self.by_index = []
         self.by_len = {0: [()]}
+        self.ending = {(0, v): [()] for v in quiver.vertices}
+        self.starting = dict(self.ending)
         self._add(1, [(name,) for name in self.names])
 
     def _add(self, length, paths):
-        for p in paths:
-            self.index[p] = len(self.by_index)
-            self.by_index.append(p)
+        arrow, index, ending, starting = (self.arrow, self.index,
+                                          self.ending, self.starting)
+        for k, p in enumerate(paths, len(self.by_index)):
+            index[p] = k
+            ending.setdefault((length, arrow[p[-1]].target), []).append(p)
+            starting.setdefault((length, arrow[p[0]].source), []).append(p)
+        self.by_index.extend(paths)
         self.by_len[length] = paths
 
     def paths(self, length):
         """The paths of one length in lex order."""
         if length not in self.by_len:
-            arrow = self.arrow
+            arrow, out_names = self.arrow, self.out_names
             self._add(length, [
                 p + (name,) for p in self.paths(length - 1)
-                for name in self.names
-                if arrow[name].source == arrow[p[-1]].target])
+                for name in out_names[arrow[p[-1]].target]])
         return self.by_len[length]
 
 
@@ -359,27 +351,47 @@ def _extend_generated(ideal, generators, length, table):
     """Add to ideal u*g*w for each generator g = (terms, longest term
     length, source, target), with longest term exactly ``length``.  The
     paths of that length are indexed first."""
-    arrow = table.arrow
     table.paths(length)
+    index = table.index
     for g_terms, g_lmax, g_src, g_tgt in generators:
         room = length - g_lmax
-        if room < 0:
-            continue
         for pre_len in range(room + 1):
-            suf_len = room - pre_len
-            for u in table.paths(pre_len):
-                if u and arrow[u[-1]].target != g_src:
-                    continue
-                for w in table.paths(suf_len):
-                    if w and arrow[w[0]].source != g_tgt:
-                        continue
+            suffixes = table.starting.get((room - pre_len, g_tgt), ())
+            for u in table.ending.get((pre_len, g_src), ()):
+                for w in suffixes:
                     vec = {}
                     for coef, term in g_terms:
-                        idx = table.index[u + term + w]
+                        idx = index[u + term + w]
                         vec[idx] = vec.get(idx, F0) + coef
                     vec = {k: c for k, c in vec.items() if c}
                     if vec:
                         ideal.add(vec)
+
+
+def _kernel_vector(echelon, value, index):
+    """Reduce the value of the path with table index `index` against the
+    earlier path values of its block.
+
+    `echelon` maps a pivot (the largest basis id of a row) to the row: a
+    path value with entry 1 at its pivot, and the combination of paths
+    whose value it is.  A value that stays nonzero joins the echelon and
+    gives None.  One that reduces to zero gives the kernel vector: the path
+    minus the combination of earlier paths with the same value."""
+    value = dict(value)
+    combo = {index: F1}
+    for piv in sorted(echelon, reverse=True):
+        f = value.get(piv)
+        if f:
+            row, row_combo = echelon[piv]
+            add_scaled(value, -f, row)
+            add_scaled(combo, -f, row_combo)
+    if value:
+        piv = max(value)
+        inv = div(F1, value[piv])
+        echelon[piv] = ({j: c * inv for j, c in value.items()},
+                        {j: c * inv for j, c in combo.items()})
+        return None
+    return combo
 
 
 def minimal_presentation(a, validate=True):
@@ -388,6 +400,14 @@ def minimal_presentation(a, validate=True):
 
     Returns the presentation and, for each arrow name, the basis id of `a`
     that the arrow is.
+
+    The kernel at each length is read from the paths of that length alone:
+    a kernel vector whose last path is shorter depends only on the paths
+    before it, so it was found, and reduced against the generated ideal, at
+    an earlier length.  The arrows lift rad/rad^2, so the path values of
+    length L span rad^L: the nilpotency index is the first length whose
+    path values all vanish, and the radical is nilpotent exactly when the
+    path values span it.
     """
     name_count = {}
     arrows = []
@@ -402,45 +422,42 @@ def minimal_presentation(a, validate=True):
     quiver = Quiver(list(a.vertices), arrows)
     arrow_by_name = quiver.arrow_by_name
 
-    nilp = a.rad_nilpotency()
-    lmax_search = nilp + 1
-
     table = _PathTable(quiver)
     values = {p: {arrow_ids[p[0]]: F1} for p in table.paths(1)}
-
+    echelons = {}  # (source, target) -> path values of length >= 2
     kgen = SparseRREF()
     generators = []  # (terms, lmax, src, tgt)
     relations = []
+    nilp = None  # least length at which every path value vanishes
+    new_here = False
     length = 1
     while True:
+        if nilp is None and not any(values[p] for p in table.paths(length)):
+            nilp = length
+            spanned = len(arrows) + sum(map(len, echelons.values()))
+            if spanned != a.dim - len(a.vertices):
+                raise NotAdmissible("radical is not nilpotent")
+        if nilp is not None and length > nilp and not new_here:
+            break
         length += 1
-        if length > lmax_search + a.dim:
+        if nilp is None and length > a.dim + 2:
+            raise NotAdmissible("radical is not nilpotent")
+        if nilp is not None and length > nilp + 1 + a.dim:
             raise InvalidPresentation("relation search failed to stabilize")
+        blocks = {}
         for p in table.paths(length):
             values[p] = a.mult_elements({arrow_ids[p[-1]]: F1},
                                         values[p[:-1]])
+            key = (arrow_by_name[p[0]].source, arrow_by_name[p[-1]].target)
+            blocks.setdefault(key, []).append(p)
         _extend_generated(kgen, generators, length, table)
-        # full kernel at this length, one vertex-pair block at a time
-        blocks = {}
-        for ln in range(2, length + 1):
-            for p in table.paths(ln):
-                key = (arrow_by_name[p[0]].source, arrow_by_name[p[-1]].target)
-                blocks.setdefault(key, []).append(p)
         new_here = False
         for key in sorted(blocks, key=lambda st: (str(st[0]), str(st[1]))):
-            cols = blocks[key]
-            coord_ids = sorted(
-                i for i in range(a.dim)
-                if a.basis_src[i] == key[0] and a.basis_tgt[i] == key[1]
-            )
-            pos = {b: r for r, b in enumerate(coord_ids)}
-            matrix = [[F0] * len(cols) for _ in coord_ids]
-            for c, p in enumerate(cols):
-                for b, coef in values[p].items():
-                    matrix[pos[b]][c] = coef
-            for kv in linalg.nullspace(matrix, ncols=len(cols)):
-                vec = {table.index[cols[c]]: coef
-                       for c, coef in enumerate(kv) if coef}
+            echelon = echelons.setdefault(key, {})
+            for p in blocks[key]:
+                vec = _kernel_vector(echelon, values[p], table.index[p])
+                if vec is None:
+                    continue
                 rem = kgen.reduce(vec)
                 if not rem:
                     continue
@@ -451,13 +468,11 @@ def minimal_presentation(a, validate=True):
                     ((c, table.by_index[j]) for j, c in rem.items()),
                     key=lambda t: (len(t[1]), t[1]),
                 )
-                g_lmax = max(len(p) for _, p in terms)
+                g_lmax = max(len(path) for _, path in terms)
                 generators.append((terms, g_lmax, key[0], key[1]))
                 relations.append(RelationElement(list(terms)))
                 kgen.add(dict(rem))
                 new_here = True
-        if length >= lmax_search and not new_here:
-            break
 
     pres = BoundQuiverPresentation(quiver, relations)
     if validate:

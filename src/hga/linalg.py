@@ -34,6 +34,17 @@ def div(x, y):
     return exact(Fraction(x) / y)
 
 
+def add_scaled(vec, f, row):
+    """vec += f * row, in place, for sparse vectors {index: scalar}; an
+    entry that becomes zero is dropped."""
+    for j, c in row.items():
+        nv = vec.get(j, F0) + f * c
+        if nv:
+            vec[j] = nv
+        else:
+            vec.pop(j, None)
+
+
 def zeros(nrows, ncols):
     return [[F0] * ncols for _ in range(nrows)]
 
@@ -211,23 +222,16 @@ class SparseRREF:
         return out
 
     def reduce(self, vec):
-        """Fully reduce a sparse vector against the current rows."""
+        """Fully reduce a sparse vector against the current rows.
+
+        A stored row has no entry at another row's pivot, so subtracting it
+        brings in no pivot: the pivots eliminated are those of the input,
+        largest first."""
+        rows = self.rows
         vec = {j: c for j, c in vec.items() if c}
-        while True:
-            target = None
-            for j in sorted(vec, reverse=True):
-                if j in self.rows:
-                    target = j
-                    break
-            if target is None:
-                return vec
-            f = vec[target]
-            for j, c in self.rows[target].items():
-                nv = vec.get(j, F0) - f * c
-                if nv:
-                    vec[j] = nv
-                else:
-                    vec.pop(j, None)
+        for target in sorted([j for j in vec if j in rows], reverse=True):
+            add_scaled(vec, -vec[target], rows[target])
+        return vec
 
     def add(self, vec):
         """Insert a vector; returns its pivot index or None if dependent."""

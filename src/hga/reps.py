@@ -29,11 +29,13 @@ def mmul(a, b, bcols):
 
 
 def _entries(m, check):
-    """A copy of the matrix m, with each entry made exact when it is to be
-    checked; unchecked callers pass entries that are exact already."""
+    """The matrix m as a representation or morphism stores it.  A checked
+    matrix is copied with each entry made exact.  An unchecked one is taken
+    as it is: its entries are exact already, and from then on it is owned
+    by the object and read-only, for the caller and everyone else."""
     if check:
         return [[exact(x) for x in row] for row in m]
-    return [list(row) for row in m]
+    return m
 
 
 class Representation:

@@ -14,8 +14,10 @@ from hga import (
     zero_relation,
 )
 from hga.algebras import Algebra, represent
+from hga.cluster import cluster_endo_algebra, ctgent_family
 from hga.errors import EmptyIdempotent, InvalidPresentation, NotAdmissible
 from hga.typea import build_typeA_auslander
+from reference_presentation import matches_reference, presented_during
 
 
 def linear_a2():
@@ -231,4 +233,52 @@ def test_represent_rejects_singular_block():
     raw = Algebra(["1"], [("e", "1"), ("x",), ("w",)], ["1"] * 3, ["1"] * 3,
                   {(1, 1): {0: Fraction(1)}, (2, 1): {2: Fraction(1)}})
     with pytest.raises(InvalidPresentation, match="degenerate"):
+        represent(raw)
+
+
+@pytest.mark.parametrize("n,d", [(4, 2), (3, 3)])
+def test_relation_search_matches_full_kernel_on_corners_and_quotients(n, d):
+    a = build_typeA_auslander(n, d)
+    verts = list(a.vertices)
+    cuts = ([[v] for v in verts] + [verts[:k] for k in range(2, len(verts))]
+            + [verts[k::2] for k in (0, 1)])
+
+    def run():
+        for cut in cuts:
+            idempotent_subalgebra(a, Idempotent.of(cut))
+            quotient_by_idempotent(a, Idempotent.of(cut))
+
+    seen = presented_during(run)
+    assert len(seen) == 2 * len(cuts)
+    for raw, result in seen + [(a, minimal_presentation(a))]:
+        assert matches_reference(raw, result)
+
+
+def test_relation_search_matches_full_kernel_on_endo_algebra():
+    # every algebra re-presented on the way to the endomorphism algebra of
+    # (4,2,[2,4]), and that algebra itself
+    res = []
+    seen = presented_during(lambda: res.append(
+        cluster_endo_algebra(ctgent_family(4, 2, [2, 4]))))
+    endo = res[0].algebra
+    assert [raw.dim for raw, _ in seen] == [endo.dim]
+    for raw, result in seen + [(endo, minimal_presentation(endo))]:
+        assert matches_reference(raw, result)
+
+
+@pytest.mark.parametrize("mult", [
+    # x = x^2: the radical has no arrow, and is not nilpotent
+    {(1, 1): {1: 1}},
+    # y is an arrow with y^2 = 0, but x = x^2 is left out of its paths
+    {(2, 2): {2: 1}},
+    # y^2 = x and every longer power of y is x: the paths never vanish
+    {(1, 1): {2: 1}, (1, 2): {2: 1}, (2, 1): {2: 1}, (2, 2): {2: 1}},
+], ids=["no-arrow", "paths-vanish", "paths-persist"])
+def test_non_nilpotent_radical_not_admissible(mult):
+    nb = 1 + max(k for key in mult for k in key)
+    raw = Algebra(["1"], [("e", "1")] + [(f"b{i}",) for i in range(1, nb)],
+                  ["1"] * nb, ["1"] * nb, mult)
+    with pytest.raises(NotAdmissible, match="not nilpotent"):
+        minimal_presentation(raw)
+    with pytest.raises(NotAdmissible, match="not nilpotent"):
         represent(raw)

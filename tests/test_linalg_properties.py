@@ -150,3 +150,37 @@ def test_mixed_sparse_rref_matches_fractions(vecs, probe):
         assert_consistent(rr)
     assert_same(rr.rows, fr.rows)
     assert_same(rr.reduce(probe), fr.reduce(as_fractions(probe)))
+
+
+def reduce_resorting(rr, vec):
+    """SparseRREF.reduce as it was first written: after each elimination,
+    sort the vector again and eliminate its largest pivot."""
+    vec = {j: c for j, c in vec.items() if c}
+    while True:
+        target = next((j for j in sorted(vec, reverse=True) if j in rr.rows),
+                      None)
+        if target is None:
+            return vec
+        f = vec[target]
+        for j, c in rr.rows[target].items():
+            nv = vec.get(j, linalg.F0) - f * c
+            if nv:
+                vec[j] = nv
+            else:
+                vec.pop(j, None)
+
+
+@hypothesis.given(st.lists(mixed_vectors, max_size=10),
+                  st.lists(mixed_vectors, min_size=1, max_size=4), st.data())
+def test_one_pass_reduce_matches_resorting_reduce(vecs, probes, data):
+    rr = SparseRREF()
+    for v in vecs:
+        rr.add(dict(v))
+    if rr.rows:
+        # several pivots at once, so the elimination order shows
+        pivots = data.draw(st.sets(st.sampled_from(sorted(rr.rows))))
+        probes = probes + [{p: 1 for p in pivots}, dict.fromkeys(rr.rows, 1)]
+    for probe in probes:
+        got, want = rr.reduce(probe), reduce_resorting(rr, probe)
+        # equal values, and the same keys in the same order
+        assert list(got.items()) == list(want.items())

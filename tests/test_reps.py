@@ -597,3 +597,40 @@ def test_ext_space_coordinates():
             dims.add(sp.dim)
             with_boundaries += any(not b.is_zero() for b in boundaries)
     assert max(dims) > 1 and with_boundaries > 0
+
+
+class _ReadOnlyList(list):
+    """A list whose mutators raise."""
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("write to a matrix owned by a representation "
+                             "or morphism")
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
+    append = extend = insert = pop = remove = clear = sort = reverse = _refuse
+
+
+@pytest.mark.parametrize("n,d,idx", [(4, 2, [2, 4]), (3, 3, [2])])
+def test_unchecked_matrices_are_never_written(monkeypatch, n, d, idx):
+    # an unchecked Representation or Morphism owns the matrices it is given:
+    # nobody may write to them through the object, and the caller may not
+    # write to them after handing them over
+    from hga import axioms, cluster, reduction
+
+    handed = []
+    checked_entries = reps._entries
+
+    def guarded(m, check):
+        if check:
+            return checked_entries(m, check)
+        handed.append((m, [list(row) for row in m]))
+        return _ReadOnlyList(_ReadOnlyList(row) for row in m)
+
+    monkeypatch.setattr(reps, "_entries", guarded)
+    c = cluster.ctgent_family(n, d, idx)
+    res = cluster.cluster_endo_algebra(c)
+    cover, e = cluster.ctgent_cover(c)
+    axioms.is_d_gentle_certificate(cover.algebra, e, d)
+    reduction.reduce_to_gentle(res.algebra)
+    assert handed
+    assert all(m == snapshot for m, snapshot in handed)
