@@ -30,12 +30,13 @@ class Algebra:
 
     A corner or quotient of another algebra records that algebra as
     `ambient`, and in `arrow_ambient` the ambient basis id that each of its
-    arrows is.
+    arrows is.  The higher Auslander algebra A^d_n records {"n": n, "d": d}
+    as `typeA`.
     """
 
     def __init__(self, vertices, basis_labels, basis_src, basis_tgt, mult,
                  presentation=None, arrow_class=None, ambient=None,
-                 arrow_ambient=None):
+                 arrow_ambient=None, typeA=None):
         self.vertices = list(vertices)
         self.basis_labels = list(basis_labels)
         self.basis_src = list(basis_src)
@@ -45,6 +46,7 @@ class Algebra:
         self.arrow_class = arrow_class or {}
         self.ambient = ambient
         self.arrow_ambient = arrow_ambient or {}
+        self.typeA = typeA
         self.e_index = {v: i for i, v in enumerate(self.vertices)}
         self.monomial = all(len(t) <= 1 for t in mult.values())
 
@@ -154,11 +156,11 @@ def opposite(a):
 
 
 def build_algebra(presentation, length_cap=None, ambient=None,
-                  arrow_ambient=None):
+                  arrow_ambient=None, typeA=None):
     """Quotient of the path algebra by the relation ideal, via degreewise
     exact row reduction.  Raises NotAdmissible if path classes keep appearing
-    up to the length cap.  `ambient` and `arrow_ambient` are recorded on the
-    result as they are given."""
+    up to the length cap.  `ambient`, `arrow_ambient` and `typeA` are
+    recorded on the result as they are given."""
     quiver = presentation.quiver
     nv = len(quiver.vertices)
     max_term_len = max(
@@ -275,7 +277,7 @@ def build_algebra(presentation, length_cap=None, ambient=None,
     return Algebra(
         list(quiver.vertices), basis_labels, basis_src, basis_tgt, mult,
         presentation=presentation, arrow_class=arrow_class,
-        ambient=ambient, arrow_ambient=arrow_ambient,
+        ambient=ambient, arrow_ambient=arrow_ambient, typeA=typeA,
     )
 
 
@@ -290,14 +292,10 @@ def _arrow_layer(a):
     for b in rad_ids:
         blocks.setdefault((a.basis_src[b], a.basis_tgt[b]), []).append(b)
     rad2 = {}
-    for i in rad_ids:
-        for j in rad_ids:
-            if a.basis_src[i] != a.basis_tgt[j]:
-                continue
-            prod = a.mult.get((i, j))
-            if prod:
-                key = (a.basis_src[j], a.basis_tgt[i])
-                rad2.setdefault(key, []).append(prod)
+    for (i, j), prod in a.mult.items():
+        if i >= nv and j >= nv and prod:
+            key = (a.basis_src[j], a.basis_tgt[i])
+            rad2.setdefault(key, []).append(prod)
     out = []
     for key in sorted(blocks, key=lambda st: (str(st[0]), str(st[1]))):
         span = SparseRREF()

@@ -5,6 +5,10 @@ a composition lies in the ideal iff its value is zero, and two parallel
 paths are commutativity-related iff their values are proportional and
 nonzero.  Squares and cube faces "commute" only when the shared value is
 nonzero; squares whose both routes vanish do not count as cubes.
+
+Each check takes an Algebra and reads its quiver from ``alg.presentation``.
+A public check also takes a presentation, and builds its algebra once for
+that call.
 """
 
 import copy
@@ -23,14 +27,10 @@ from .presentations import (
 )
 
 
-def built(p):
-    """The algebra of a presentation, built once per presentation."""
-    return memo(p, "built", lambda: build_algebra(p))
-
-
 def _as_algebra(a):
-    """a itself when it is an Algebra, else the algebra of the presentation a."""
-    return a if isinstance(a, Algebra) else built(a)
+    """a itself when it is an Algebra, else the algebra of the presentation a,
+    built for this call."""
+    return a if isinstance(a, Algebra) else build_algebra(a)
 
 
 def _closure_dim(alg, relations):
@@ -44,12 +44,6 @@ def _closure_dim(alg, relations):
                              length_cap=cap).dim
     except NotAdmissible:
         return None
-
-
-def _register_built(alg):
-    """Record an algebra its presentation builds (such as a re-presented
-    corner), so that built() never builds it again."""
-    memo(alg.presentation, "built", lambda: alg)
 
 
 def _two_path_value(alg, first, second):
@@ -70,16 +64,16 @@ def _proportional(x, y):
     return ratio
 
 
-def strong_neighbors(p, arrow_name):
+def strong_neighbors(a, arrow_name):
     """Strong successors and predecessors of an arrow.
 
     beta is a strong successor of alpha when the composition is nonzero and
     not commutativity-paired with any other length-2 path.
     """
-    quiver = p.quiver
+    alg = _as_algebra(a)
+    quiver = alg.presentation.quiver
     if arrow_name not in quiver.arrow_by_name:
         raise UnknownArrow(f"unknown arrow {arrow_name!r}")
-    alg = built(p)
     alpha = quiver.arrow_by_name[arrow_name]
 
     def paired(first, second):
@@ -238,11 +232,11 @@ def _cube_search(alg, m, fixed_corner=None, fixed_arrows=None):
     return results
 
 
-def find_m_cubes(p, m):
+def find_m_cubes(a, m):
     """All m-cubes with commuting faces, deduplicated up to cube symmetry."""
     if m < 2:
         raise ValueError("cube dimension must be at least 2")
-    raw = _cube_search(built(p), m)
+    raw = _cube_search(_as_algebra(a), m)
     seen = {}
     from itertools import permutations
 
@@ -281,11 +275,11 @@ class SandwichWitness:
         }
 
 
-def commutativity_squares(p):
+def commutativity_squares(a):
     """Pairs of parallel 2-paths with proportional nonzero values and
     distinct middle vertices; four corners pairwise distinct."""
-    quiver = p.quiver
-    alg = built(p)
+    alg = _as_algebra(a)
+    quiver = alg.presentation.quiver
     squares = []
     paths = []
     for a in quiver.arrows:
@@ -315,7 +309,7 @@ def commutativity_squares(p):
     return squares
 
 
-def find_sandwiches(p):
+def find_sandwiches(a):
     """Complete matches of the four sandwich configurations.
 
     A configuration only counts when it is the full local picture: the two
@@ -328,8 +322,8 @@ def find_sandwiches(p):
     the shadow of higher-dimensional mesh geometry (the class escapes along
     the remaining direction) and obstructs nothing.
     """
-    quiver = p.quiver
-    alg = built(p)
+    alg = _as_algebra(a)
+    quiver = alg.presentation.quiver
     out = []
 
     def zero2(first, second):
@@ -348,7 +342,7 @@ def find_sandwiches(p):
         out.append(SandwichWitness(
             config, sq, (z1, killed_pre), (z2, killed_post), routes))
 
-    for sq in commutativity_squares(p):
+    for sq in commutativity_squares(alg):
         x, y = sq["x"], sq["y"]
         r0, r1 = sq["routes"]
         if {a.name for a in quiver.arrows_from[x]} != {r0[0], r1[0]}:
@@ -416,10 +410,9 @@ class AxiomReport:
         }
 
 
-def _degree_two_kernel(p):
+def _degree_two_kernel(alg):
     """Per vertex pair: 2-paths and a basis of their value relations."""
-    quiver = p.quiver
-    alg = built(p)
+    quiver = alg.presentation.quiver
     blocks = {}
     for a in quiver.arrows:
         for b in quiver.arrows_from[a.target]:
@@ -440,9 +433,10 @@ def _degree_two_kernel(p):
     return out
 
 
-def check_axiom_a4(p):
+def check_axiom_a4(a):
     """Ideal generated by zero paths and commutativity relations of length 2."""
-    kernels = _degree_two_kernel(p)
+    alg = _as_algebra(a)
+    kernels = _degree_two_kernel(alg)
     relations = []
     shape_ok = True
     bad_block = None
@@ -470,7 +464,6 @@ def check_axiom_a4(p):
         for vec in kernel_basis:
             terms = [(vec[c], tuple(paths[c])) for c in range(npaths) if vec[c]]
             relations.append(RelationElement(terms))
-    alg = built(p)
     quad_dim = _closure_dim(alg, relations)
     generated_ok = quad_dim == alg.dim
     witness = None
@@ -506,28 +499,29 @@ def _plane_intersection(basis_rows, pivots, n, i1, i2):
     return sols
 
 
-def check_axioms(p, d):
+def check_axioms(a, d):
     """Axioms (A1)-(A4) and (E1)-(E3), checked exhaustively."""
-    return AxiomReport(dict(_cover_axioms(p, d), E3=_e3_entry(p)), d)
+    alg = _as_algebra(a)
+    return AxiomReport(dict(_cover_axioms(alg, d), E3=_e3_entry(alg)), d)
 
 
-def _e3_entry(p):
-    """(E3): no complete sandwich configuration in p."""
-    sandwiches = find_sandwiches(p)
+def _e3_entry(alg):
+    """(E3): no complete sandwich configuration in alg."""
+    sandwiches = find_sandwiches(alg)
     return {"pass": not sandwiches,
             "witnesses": [s.to_dict() for s in sandwiches[:5]]}
 
 
-def _cover_axioms(p, d):
-    """(A1)-(A4) and (E1)-(E2) of p at degree bound d, memoised on (p, d).
+def _cover_axioms(alg, d):
+    """(A1)-(A4) and (E1)-(E2) of alg at degree bound d, memoised on alg
+    per d.
 
     Every caller gets the same entries dict: read it, never change it."""
-    return memo(p, ("axioms", d), lambda: _axiom_entries(p, d))
+    return memo(alg, ("axioms", d), lambda: _axiom_entries(alg, d))
 
 
-def _axiom_entries(p, d):
-    quiver = p.quiver
-    alg = built(p)
+def _axiom_entries(alg, d):
+    quiver = alg.presentation.quiver
     entries = {}
 
     def entry(ok, witnesses):
@@ -540,7 +534,7 @@ def _axiom_entries(p, d):
          if len(quiver.arrows_to[v]) > d]
     entries["A1'"] = entry(not w, w)
 
-    strong = {a.name: strong_neighbors(p, a.name) for a in quiver.arrows}
+    strong = {a.name: strong_neighbors(alg, a.name) for a in quiver.arrows}
     w = [{"arrow": n, "strongSuccessors": s["strongSuccessors"]}
          for n, s in sorted(strong.items())
          if len(s["strongSuccessors"]) > 1]
@@ -583,7 +577,7 @@ def _axiom_entries(p, d):
     entries["A3"] = entry(not w3, w3)
     entries["A3'"] = entry(not w3p, w3p)
 
-    entries["A4"] = check_axiom_a4(p)
+    entries["A4"] = check_axiom_a4(alg)
 
     # (E1): per arrow alpha, at most one beta with alpha.beta in I
     w = []
@@ -745,7 +739,7 @@ class PreGentleReport:
         }
 
 
-def _witness_span(p, key, w):
+def _witness_span(alg, key, w):
     """Vertices touched by an (E1)-(E3) witness."""
     if key == "E1":
         names = [w["arrow"]] + w["zeroPredecessors"]
@@ -756,27 +750,27 @@ def _witness_span(p, key, w):
         names += [z[0] for z in w["zeroRelations"]]
     span = set()
     for n in names:
-        a = p.quiver.arrow_by_name[n]
+        a = alg.presentation.quiver.arrow_by_name[n]
         span |= {a.source, a.target}
     return sorted(span, key=str)
 
 
-def _heredity(entries, p, e3_p):
+def _heredity(entries, alg, e3_alg):
     """(E4) from the first failing (E1)-(E3) entry; its witness spans the
-    vertices of p (of e3_p for (E3))."""
+    vertices of alg (of e3_alg for (E3))."""
     witness = None
     for key in ("E1", "E2", "E3"):
         if not entries[key]["pass"]:
             witness = dict(entries[key]["witnesses"][0])
             witness["axiom"] = key
             witness["subset"] = _witness_span(
-                e3_p if key == "E3" else p, key, witness)
+                e3_alg if key == "E3" else alg, key, witness)
             break
     return {"mode": "heredity", "complete": True, "cappedAt": None,
             "witness": witness, "verdict": "fail" if witness else "pass"}
 
 
-def is_pre_gentle(p, d):
+def is_pre_gentle(a, d):
     """Axioms (A1)-(A4) and (E1)-(E4).
 
     (E4) asks that every corner eAe again satisfies (E1)-(E3).  Removing
@@ -792,15 +786,16 @@ def is_pre_gentle(p, d):
     covers, whose corners collapse commuting squares onto configurations
     indistinguishable from genuine sandwiches.
     """
-    report = check_axioms(p, d)
-    return PreGentleReport(report, _heredity(report.entries, p, p))
+    alg = _as_algebra(a)
+    report = check_axioms(alg, d)
+    return PreGentleReport(report, _heredity(report.entries, alg, alg))
 
 
-def is_gentle(p):
+def is_gentle(a):
     """Classical gentle test: degree bounds, quadratic monomial ideal, and
     the one-in/one-out composition conditions."""
-    quiver = p.quiver
-    alg = built(p)
+    alg = _as_algebra(a)
+    quiver = alg.presentation.quiver
     failures = []
     for v in quiver.vertices:
         if len(quiver.arrows_from[v]) > 2:
@@ -828,7 +823,7 @@ def is_gentle(p):
     # quadratic monomial ideal: every degree-2 relation is a zero path and
     # the ideal is generated in degree 2
     zero_paths = []
-    kernels = _degree_two_kernel(p)
+    kernels = _degree_two_kernel(alg)
     for key, (paths, kernel_basis) in kernels.items():
         zero_here = [pth for pth in paths if not alg.path_value(pth)]
         if len(kernel_basis) != len(zero_here):
@@ -913,17 +908,14 @@ def is_d_gentle_certificate(cover, e, d, idempotent_cap=2 ** 20):
     structure that justifies them lives.
 
     The cover-level checks depend only on (cover, d), so they are memoised
-    on the cover's presentation and shared by every corner certified
-    against the same cover.
+    on the cover algebra and shared by every corner certified against the
+    same cover.
     """
     cover = _as_algebra(cover)
     hull = _hull_idempotent(cover, e)
     hull_corner = idempotent_subalgebra(cover, hull)
-    _register_built(cover)
-    _register_built(hull_corner)
-    entries = dict(_cover_axioms(cover.presentation, d + 1),
-                   E3=_e3_entry(hull_corner.presentation))
-    e4 = _heredity(entries, cover.presentation, hull_corner.presentation)
+    entries = dict(_cover_axioms(cover, d + 1), E3=_e3_entry(hull_corner))
+    e4 = _heredity(entries, cover, hull_corner)
     pre = PreGentleReport(AxiomReport(entries, d + 1), e4,
                           sorted(hull.vertex_subset, key=str))
     corner = idempotent_subalgebra(cover, e)
@@ -945,9 +937,8 @@ def is_d_gentle_certificate(cover, e, d, idempotent_cap=2 ** 20):
         for subset in _subsets_largest_first(verts, idempotent_cap):
             if len(subset) < 2 ** m:
                 continue
-            sub = idempotent_subalgebra(corner, Idempotent.of(subset))
-            _register_built(sub)
-            cubes = find_m_cubes(sub.presentation, m)
+            cubes = find_m_cubes(
+                idempotent_subalgebra(corner, Idempotent.of(subset)), m)
             if cubes:
                 witness = {"subset": subset, "cube": cubes[0].to_dict()}
                 break

@@ -14,7 +14,8 @@ import os
 import sys
 
 from . import reps
-from .axioms import built, is_d_gentle_certificate
+from .algebras import build_algebra
+from .axioms import is_d_gentle_certificate
 from .cluster import SummandCollection, cluster_endo_algebra
 from .errors import (
     HgaError,
@@ -78,7 +79,7 @@ def _load_presentation(path):
 
 
 def _load_algebra(path):
-    return built(_load_presentation(path))
+    return build_algebra(_load_presentation(path))
 
 
 def _cap(default):
@@ -149,7 +150,7 @@ def cmd_endo(args):
         "extDim": res.ext_dim,
         "extSquareZero": res.ext_square_zero,
         "summands": list(res.summand_labels),
-        "presentation": presentation_to_dict(res.presentation),
+        "presentation": presentation_to_dict(res.algebra.presentation),
     }
     _dump(report, args.out)
     return EXIT_OK

@@ -33,13 +33,18 @@ from .typea import (
 
 @dataclass
 class SummandCollection:
-    """A subset of a labelled module family, closed over for direct sums."""
+    """A subset of a labelled module family, closed over for direct sums.
+
+    A collection made by ctgent_family records in ``ctgent`` what it
+    matched: the positions, the chain of simples and the labels of the
+    projectives and simples."""
 
     family: object
     labels: list
+    ctgent: dict = None
 
     def __post_init__(self):
-        info = getattr(self.family.algebra, "typeA", None)
+        info = self.family.algebra.typeA
         if info is None:
             raise HgaError("family algebra lacks type-A construction data")
         self.n, self.d = info["n"], info["d"]
@@ -144,17 +149,12 @@ def _cosyz_mor(f):
     return _dual_mor(reps.syzygy_morphism(_dual_mor(f)))
 
 
-def _transpose_data(m):
-    """Tr m together with the pieces needed to transport morphisms."""
-    return memo(m, "transpose", lambda: reps.transpose_data(m))
-
-
 def _transpose_mor(h):
     """Tr on morphisms; contravariant.  h: X -> Y gives Tr Y -> Tr X."""
     x, y = h.source, h.target
     alg = x.algebra
-    dx = _transpose_data(x)
-    dy = _transpose_data(y)
+    dx = reps.transpose_data(x)
+    dy = reps.transpose_data(y)
     if dx["tr"].is_zero() or dy["tr"].is_zero():
         return reps.zero_morphism(dy["tr"], dx["tr"])
     h0 = reps.factor_through(h.compose(dx["epi0"]), dy["epi0"])
@@ -165,28 +165,20 @@ def _transpose_mor(h):
         alg, dy["srcs"], dx["srcs"],
         reps.component_elements(h1, dx["srcs"], dy["srcs"]))
     cls = dx["proj"].compose(psi)
-    blocks = {w: [[row[k] for k in dy["proj"].section_coords[w]]
+    blocks = {w: [[row[k] for k in dy["section"][w]]
                   for row in cls.blocks[w]] for w in alg.vertices}
     return reps.Morphism(dy["tr"], dx["tr"], blocks, check=False)
 
 
-def _tau_d_inv_obj(m, d):
-    def compute():
-        x = m
-        for _ in range(d - 1):
-            x = reps.cosyzygy(x)
-        return _transpose_data(reps.dual(x))["tr"]
-
-    return memo(m, ("tau_d_inv", d), compute)
-
-
 def _tau_d_inv_mor(f, d):
-    """tau_d^- on morphisms, matching the objects built by _tau_d_inv_obj.
+    """tau_d^- on morphisms, matching the objects built by
+    reps.higher_translate_inverse.
 
     Well defined up to maps factoring through injectives, which act by
     zero on the Ext classes it is applied to.  The duals, syzygies and
     transposes it passes through are memoised on their modules, so its
-    source and target are the objects _tau_d_inv_obj returns."""
+    source and target are the objects reps.higher_translate_inverse
+    returns."""
     g = f
     for _ in range(d - 1):
         g = _cosyz_mor(g)
@@ -202,7 +194,6 @@ def _tau_d_inv_mor(f, d):
 class ClusterEndoResult:
     algebra: object          # re-presented algebra
     raw: object              # structure constants on the Hom and Ext bases
-    presentation: object     # minimal presentation of the raw algebra
     end_dim: int             # dimension of the module-category part
     ext_dim: int             # dimension of the Ext part
     ext_square_zero: bool
@@ -230,7 +221,7 @@ def cluster_endo_algebra(c):
                 pair_basis[(i, j)] = _local_radical_basis(mods[i], hb)
             else:
                 pair_basis[(i, j)] = hb
-    taus = [_tau_d_inv_obj(m, d) for m in mods]
+    taus = [reps.higher_translate_inverse(m, d) for m in mods]
     ext_space = {}
     for i in range(t):
         for j in range(t):
@@ -339,7 +330,6 @@ def cluster_endo_algebra(c):
     return ClusterEndoResult(
         algebra=presented,
         raw=raw,
-        presentation=presented.presentation,
         end_dim=end_dim,
         ext_dim=ext_dimension,
         ext_square_zero=square_zero,
@@ -490,8 +480,7 @@ def ctgent_family(n, d, index_set, family=None):
     if family is None:
         family = canonical_cluster_tilting(build_typeA_auslander(n, d))
     alg = family.algebra
-    info = alg.typeA
-    if info["n"] != n or info["d"] != d:
+    if alg.typeA != {"n": n, "d": d}:
         raise HgaError("family does not match the requested parameters")
     index_set = sorted(set(index_set))
     if any(i < 1 or i > n for i in index_set):
@@ -525,16 +514,9 @@ def ctgent_family(n, d, index_set, family=None):
     labels += [simple_label[chain[i - 2]] for i in index_set]
     if len(set(labels)) != len(labels):
         raise HgaError("replacement simple collides with a kept projective")
-    c = SummandCollection(family, labels)
-    info = {"n": n, "d": d, "positions": list(index_set),
-            "chain": list(chain), "projLabel": proj_label,
-            "simpleLabel": simple_label}
-    memo(c, "ctgent", lambda: info)
-    return c
-
-
-def _not_ctgent():
-    raise HgaError("collection was not produced by ctgent_family")
+    return SummandCollection(family, labels, {
+        "n": n, "d": d, "positions": list(index_set), "chain": list(chain),
+        "projLabel": proj_label, "simpleLabel": simple_label})
 
 
 def ctgent_cover(c):
@@ -544,7 +526,9 @@ def ctgent_cover(c):
     and the labels come from what ctgent_family matched."""
     from .presentations import Idempotent
 
-    info = memo(c, "ctgent", _not_ctgent)
+    info = c.ctgent
+    if info is None:
+        raise HgaError("collection was not produced by ctgent_family")
     proj_label, chain = info["projLabel"], info["chain"]
     cover_labels = [proj_label[v] for v in c.family.algebra.vertices]
     cover_labels += [

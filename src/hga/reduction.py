@@ -365,7 +365,7 @@ def _step_candidates(a):
     long zero relations (remove the source of the last arrow)."""
     p = a.presentation
     out = []
-    for sq in commutativity_squares(p):
+    for sq in commutativity_squares(a):
         (r0, r1) = sq["routes"]
         for keep, drop in ((r0, r1), (r1, r0)):
             out.append({
@@ -603,7 +603,7 @@ def reduce_to_gentle(a, seed=None, max_steps=None):
             dead_ends.append(NotReducible(
                 "reduction failed to terminate in the step cap"))
             return None
-        gentle = is_gentle(current.presentation)["gentle"]
+        gentle = is_gentle(current)["gentle"]
         if gentle:
             return ReductionTrace(
                 steps, current, sorted(map(str, current.vertices)), gentle)
@@ -657,7 +657,7 @@ def gentle_sg_invariant(g):
     a partial permutation of the arrows; the cycles are its cycles."""
     alg = _as_algebra(g)
     p = alg.presentation
-    if not is_gentle(p)["gentle"]:
+    if not is_gentle(alg)["gentle"]:
         raise NotGentle("the singularity invariant needs a gentle algebra")
     succ = {ar.name: nxt.name for ar in p.quiver.arrows
             for nxt in p.quiver.arrows_from[ar.target]

@@ -203,16 +203,23 @@ def projective(alg, v):
     return memo(alg, ("projective", v), lambda: _build_projective(alg, v))
 
 
+def _projective_basis(alg, v):
+    """The basis of P_v, memoised on alg: per vertex w, the ids of the
+    basis elements from v to w, and each id's position among them."""
+    def compute():
+        basis_ids = {w: [] for w in alg.vertices}
+        for i in range(alg.dim):
+            if alg.basis_src[i] == v:
+                basis_ids[alg.basis_tgt[i]].append(i)
+        pos = {i: k for ids in basis_ids.values() for k, i in enumerate(ids)}
+        return basis_ids, pos
+
+    return memo(alg, ("projective basis", v), compute)
+
+
 def _build_projective(alg, v):
-    basis_ids = {w: [] for w in alg.vertices}
-    for i in range(alg.dim):
-        if alg.basis_src[i] == v:
-            basis_ids[alg.basis_tgt[i]].append(i)
+    basis_ids, pos = _projective_basis(alg, v)
     dims = {w: len(basis_ids[w]) for w in alg.vertices}
-    pos = {}
-    for w in alg.vertices:
-        for k, i in enumerate(basis_ids[w]):
-            pos[i] = k
     maps = {}
     for ar in alg.presentation.quiver.arrows:
         u, w = ar.source, ar.target
@@ -223,11 +230,7 @@ def _build_projective(alg, v):
             for t, c in prod.items():
                 mat[pos[t]][col] = c
         maps[ar.name] = mat
-    rep = Representation(alg, dims, maps, check=False)
-    rep.proj_basis_ids = basis_ids
-    rep.proj_pos = pos
-    rep.gen_pos = pos[alg.e_index[v]]
-    return rep
+    return Representation(alg, dims, maps, check=False)
 
 
 def simple(alg, v):
@@ -395,7 +398,13 @@ def kernel(f):
 
 
 def cokernel(f):
-    """Cokernel with projection; the projection records coordinate sections."""
+    """Cokernel with its projection."""
+    return _cokernel(f)[:2]
+
+
+def _cokernel(f):
+    """Cokernel, projection, and per vertex the coordinates of the target
+    that the cokernel keeps (its basis is their classes)."""
     n = f.target
     alg = n.algebra
     proj_blocks = {}
@@ -429,9 +438,7 @@ def cokernel(f):
                 mat[row][col] = x
         maps[ar.name] = mat
     c = Representation(alg, dims, maps, check=False)
-    proj = Morphism(n, c, proj_blocks, check=False)
-    proj.section_coords = section
-    return c, proj
+    return c, Morphism(n, c, proj_blocks, check=False), section
 
 
 def sub_representation(n, vectors):
@@ -529,12 +536,12 @@ def from_generators(p, vertices, n, images):
     blocks = {w: [[F0] * p.dims[w] for _ in range(n.dims[w])]
               for w in alg.vertices}
     start = 0
-    for v, (pv, off) in zip(vertices, _summand_offsets(alg, vertices)):
+    for v, ((ids, _), off) in zip(vertices, _summand_offsets(alg, vertices)):
         acted = {(): images[start:start + n.dims[v]]}
         start += n.dims[v]
         for w in alg.vertices:
             block, first = blocks[w], off[w]
-            for col, b in enumerate(pv.proj_basis_ids[w]):
+            for col, b in enumerate(ids[w]):
                 path = alg.basis_labels[b] if b >= len(alg.vertices) else ()
                 for row, x in enumerate(_act(n, path, acted)):
                     block[row][first + col] = x
@@ -554,10 +561,10 @@ def generator_images(f, vertices):
     """The images under f of the generators of its source, the sum of the
     projectives P_v (v in vertices), concatenated as from_generators reads
     them."""
+    alg = f.source.algebra
     images = []
-    for v, (pv, off) in zip(vertices,
-                            _summand_offsets(f.source.algebra, vertices)):
-        gen = off[v] + pv.gen_pos
+    for v, ((_, pos), off) in zip(vertices, _summand_offsets(alg, vertices)):
+        gen = off[v] + pos[alg.e_index[v]]
         images.extend(row[gen] for row in f.blocks[v])
     return images
 
@@ -611,14 +618,15 @@ def is_injective(m):
 
 
 def _summand_offsets(alg, vertices):
-    """Each summand of the sum of projectives P_v (v in vertices), with its
-    first coordinate at every vertex."""
+    """Each summand P_v of the sum of projectives (v in vertices), as its
+    basis (see _projective_basis) with its first coordinate at every
+    vertex."""
     out, run = [], {w: 0 for w in alg.vertices}
     for v in vertices:
-        p = projective(alg, v)
-        out.append((p, dict(run)))
+        basis = _projective_basis(alg, v)
+        out.append((basis, dict(run)))
         for w in alg.vertices:
-            run[w] += p.dims[w]
+            run[w] += len(basis[0][w])
     return out
 
 
@@ -834,9 +842,8 @@ def component_elements(f, src_verts, tgt_verts):
     for l, u in enumerate(src_verts):
         col = images[start:start + f.target.dims[u]]
         start += f.target.dims[u]
-        for k, (pt, off) in enumerate(targets):
-            elems[k][l] = {b: c for b, c in
-                           zip(pt.proj_basis_ids[u], col[off[u]:]) if c}
+        for k, ((ids, _), off) in enumerate(targets):
+            elems[k][l] = {b: c for b, c in zip(ids[u], col[off[u]:]) if c}
     return elems
 
 
@@ -847,13 +854,13 @@ def projective_star(alg, tgt_verts, src_verts, elems):
     the opposite algebra that sends the generator of P'_{tgt_verts[k]} to
     elems[k][l] in each P'_{src_verts[l]}."""
     op = alg.opposite()
-    targets = [projective(op, u) for u in src_verts]
+    targets = [_projective_basis(op, u) for u in src_verts]
     images = []
     for v, row in zip(tgt_verts, elems):
-        for pu, elem in zip(targets, row):
-            vec = [F0] * pu.dims[v]
+        for (ids, pos), elem in zip(targets, row):
+            vec = [F0] * len(ids[v])
             for b, c in elem.items():
-                vec[pu.proj_pos[b]] = c
+                vec[pos[b]] = c
             images.extend(vec)
     return from_generators(_projective_sum(op, tgt_verts), tgt_verts,
                            _projective_sum(op, src_verts), images)
@@ -878,22 +885,29 @@ def presentation_matrix(m):
 
 def transpose_data(m):
     """Tr m over the opposite algebra, from the minimal presentation
-    P1 -> P0 -> m, with the pieces that transport morphisms.
+    P1 -> P0 -> m, with the pieces that transport morphisms; memoised on m.
 
     Tr m is the cokernel of the map P0* -> P1* that projective_star gives.
     Keys: "tr", the cokernel projection "proj" (None when Tr m is zero
     because m is projective), and otherwise "srcs" (the summands of P1),
-    "epi0" and "d1"."""
-    tgts, srcs, elems, (_, epi0, _, d1) = presentation_matrix(m)
-    if not srcs or not tgts:
-        return {"tr": zero_representation(m.algebra.opposite()),
-                "proj": None}
-    c, proj = cokernel(projective_star(m.algebra, tgts, srcs, elems))
-    return {"tr": c, "proj": proj, "srcs": srcs, "epi0": epi0, "d1": d1}
+    "epi0", "d1" and "section" (per vertex, the coordinates of P1* that
+    the cokernel keeps)."""
+    def compute():
+        tgts, srcs, elems, (_, epi0, _, d1) = presentation_matrix(m)
+        if not srcs or not tgts:
+            return {"tr": zero_representation(m.algebra.opposite()),
+                    "proj": None}
+        c, proj, section = _cokernel(
+            projective_star(m.algebra, tgts, srcs, elems))
+        return {"tr": c, "proj": proj, "srcs": srcs, "epi0": epi0, "d1": d1,
+                "section": section}
+
+    return memo(m, "transpose", compute)
 
 
 def transpose(m):
-    """Tr over the opposite algebra, from the minimal presentation."""
+    """Tr over the opposite algebra, from the minimal presentation; the
+    module of the memoised transpose_data."""
     return transpose_data(m)["tr"]
 
 
@@ -905,10 +919,6 @@ def ar_translate(m):
 def ar_translate_inverse(m):
     """tau^- = Tr D."""
     return transpose(dual(m))
-
-
-def cosyzygy(m):
-    return cosyzygy_power(m, 1)
 
 
 def syzygy_power(m, k):
@@ -941,9 +951,9 @@ def _cover_steps(m):
     return diffs[0], incl
 
 
-def cosyzygy_power(m, k):
-    """Omega^-k m = D Omega^k D m."""
-    return dual(syzygy_power(dual(m), k)) if k else m
+def cosyzygy(m):
+    """Omega^- m = D Omega D m."""
+    return dual(syzygy(dual(m)))
 
 
 def higher_translate(m, d):
@@ -952,8 +962,17 @@ def higher_translate(m, d):
 
 
 def higher_translate_inverse(m, d):
-    """tau_d^- = tau^- of the (d-1)-st cosyzygy."""
-    return ar_translate_inverse(cosyzygy_power(m, d - 1))
+    """tau_d^- = tau^- = Tr D of the (d-1)-st cosyzygy, taken one cosyzygy
+    at a time; memoised on m per d.  Each step is memoised on its module,
+    so the morphism version in hga.cluster, which goes the same way, lands
+    on these objects."""
+    def compute():
+        x = m
+        for _ in range(d - 1):
+            x = cosyzygy(x)
+        return ar_translate_inverse(x)
+
+    return memo(m, ("tau_d_inv", d), compute)
 
 
 def translate(m, d=1, mode=None):

@@ -219,9 +219,8 @@ def build_typeA_auslander(n, d):
                          arrow_name[(mid_l, k)])
                     ))
     quiver = Quiver([labels[t.entries] for t in verts], arrows)
-    alg = build_algebra(BoundQuiverPresentation(quiver, relations))
-    alg.typeA = {"n": n, "d": d}
-    return alg
+    return build_algebra(BoundQuiverPresentation(quiver, relations),
+                         typeA={"n": n, "d": d})
 
 
 @dataclass
@@ -254,7 +253,7 @@ def canonical_cluster_tilting(a):
     inside that box.  Each module is checked against the relations, and
     the Ext^d criterion (Ext^d(M_I, M_J) != 0 iff J intertwines I) is
     verified on every pair."""
-    info = getattr(a, "typeA", None)
+    info = a.typeA
     if info is None:
         raise ValueError("algebra was not built by build_typeA_auslander")
     n, d = info["n"], info["d"]

@@ -197,7 +197,7 @@ def test_04_maximal_collection_enumeration(capfd):
 def test_05_cycle_example_endo_quiver(cycle_algebra, capfd):
     res = cycle_algebra
     assert (res.end_dim, res.ext_dim) == (64, 3)
-    p = res.presentation
+    p = res.algebra.presentation
     assert sorted(p.quiver.vertices) == sorted(CYCLE_LABELS)
     assert {(a.source, a.target) for a in p.quiver.arrows} == CYCLE_ARROWS
     assert chord_counter(p) == Counter(CYCLE_CHORDS)

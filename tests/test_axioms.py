@@ -26,7 +26,6 @@ from hga.axioms import (
     is_gentle,
     is_pre_gentle,
     strong_neighbors,
-    built,
 )
 from hga.errors import UnknownArrow
 from hga.typea import build_typeA_auslander
@@ -158,12 +157,13 @@ def test_cube_search_rejects_repeated_vertex():
     p = BoundQuiverPresentation(
         q, [commutativity_relation(("a", "c"), ("b", "c"))])
     assert find_m_cubes(p, 2) == []
-    assert _count_corner_cubes(built(p), "1", ["a", "b"]) == 0
+    assert _count_corner_cubes(build_algebra(p), "1", ["a", "b"]) == 0
 
 
 def rebuilt_opposite(p):
     """The opposite presentation rebuilt from p: arrows and relation paths
-    reversed.  Reference for the (A3') counts on ``built(p).opposite()``."""
+    reversed.  Reference for the (A3') counts on
+    ``build_algebra(p).opposite()``."""
     quiver = Quiver(list(p.quiver.vertices),
                     [(a.name, a.target, a.source) for a in p.quiver.arrows])
     relations = [RelationElement([(c, tuple(reversed(path)))
@@ -177,7 +177,8 @@ def test_dual_corner_counts_match_rebuilt_opposite():
     presentations += [three_routes(), sandwich_config1(), cube3()]
     counts = set()
     for p in presentations:
-        op, ref = built(p).opposite(), built(rebuilt_opposite(p))
+        op = build_algebra(p).opposite()
+        ref = build_algebra(rebuilt_opposite(p))
         for v in p.quiver.vertices:
             incoming = sorted(a.name for a in p.quiver.arrows_to[v])
             for m in (2, 3):
@@ -349,7 +350,7 @@ def test_is_pre_gentle_witness_localizes():
 
 def test_is_pre_gentle_non_monomial():
     p = three_routes()
-    assert not built(p).monomial
+    assert not build_algebra(p).monomial
     rep = is_pre_gentle(p, 3)
     assert rep.e4["mode"] == "heredity"
     assert rep.e4["complete"]
@@ -384,26 +385,28 @@ def test_certificate_builds_no_enumerated_corner_again(monkeypatch):
 
 def test_certificate_linear_is_1_gentle():
     p = linear(3)
-    cert = is_d_gentle_certificate(built(p), Idempotent.of(["1", "2", "3"]), 1)
+    cert = is_d_gentle_certificate(build_algebra(p),
+                                   Idempotent.of(["1", "2", "3"]), 1)
     assert cert.verdict == "pass"
 
 
 def test_certificate_square_fails_at_1_passes_at_2():
     p = square()
     cert = is_d_gentle_certificate(
-        built(p), Idempotent.of(["a", "b", "c", "d"]), 1
+        build_algebra(p), Idempotent.of(["a", "b", "c", "d"]), 1
     )
     assert cert.verdict == "fail"
     assert cert.cube_check["witness"] is not None
     cert = is_d_gentle_certificate(
-        built(p), Idempotent.of(["a", "b", "c", "d"]), 2
+        build_algebra(p), Idempotent.of(["a", "b", "c", "d"]), 2
     )
     assert cert.verdict == "pass"
 
 
 def test_certificate_square_corner_passes():
     p = square()
-    cert = is_d_gentle_certificate(built(p), Idempotent.of(["a", "b", "d"]), 2)
+    cert = is_d_gentle_certificate(build_algebra(p),
+                                   Idempotent.of(["a", "b", "d"]), 2)
     assert cert.verdict == "pass"
     assert sorted(cert.corner.vertices) == ["a", "b", "d"]
 
@@ -411,7 +414,7 @@ def test_certificate_square_corner_passes():
 def test_sandwich_cover_fails_certificate():
     p = sandwich_config1()
     cert = is_d_gentle_certificate(
-        built(p), Idempotent.of(p.quiver.vertices), 2
+        build_algebra(p), Idempotent.of(p.quiver.vertices), 2
     )
     assert cert.verdict == "fail"
     assert cert.pre_gentle.verdict == "fail"

@@ -101,7 +101,7 @@ def test_projectives_endo_recovers_algebra(fam12):
     res = cluster_endo_algebra(c)
     assert res.end_dim == 3
     assert res.ext_dim == 0
-    p = res.presentation
+    p = res.algebra.presentation
     assert [(a.source, a.target) for a in p.quiver.arrows] == [("13", "14")]
     assert p.relations == []
 
@@ -149,12 +149,13 @@ def test_empty_index_set_recovers_regular_algebra():
     res = cluster_endo_algebra(c)
     assert res.end_dim == 15
     assert res.ext_dim == 0
-    arrows = {(a.source, a.target) for a in res.presentation.quiver.arrows}
+    arrows = {(a.source, a.target)
+              for a in res.algebra.presentation.quiver.arrows}
     assert arrows == {
         ("135", "136"), ("136", "137"), ("136", "146"), ("137", "147"),
         ("146", "147"), ("147", "157"),
     }
-    assert chord_set(res.presentation) == Counter(
+    assert chord_set(res.algebra.presentation) == Counter(
         frozenset(x) for x in
         [("135", "146"), ("136", "147"), ("146", "157")]
     )
@@ -178,12 +179,13 @@ def test_ctgent_one_replacement():
     res = cluster_endo_algebra(c)
     assert (res.end_dim, res.ext_dim) == (14, 1)
     assert res.ext_square_zero
-    arrows = {(a.source, a.target) for a in res.presentation.quiver.arrows}
+    arrows = {(a.source, a.target)
+              for a in res.algebra.presentation.quiver.arrows}
     assert arrows == {
         ("135", "136"), ("136", "137"), ("137", "147"),
         ("147", "157"), ("157", "357"), ("357", "135"),
     }
-    assert chord_set(res.presentation) == Counter(
+    assert chord_set(res.algebra.presentation) == Counter(
         frozenset(x) for x in
         [("135", "147"), ("135", "157"), ("136", "157"),
          ("136", "357"), ("147", "357")]
@@ -222,9 +224,10 @@ def test_cycle_collection_endo_quiver(sec5):
     _, res = sec5
     assert (res.end_dim, res.ext_dim) == (64, 3)
     assert res.ext_square_zero
-    arrows = {(a.source, a.target) for a in res.presentation.quiver.arrows}
+    arrows = {(a.source, a.target)
+              for a in res.algebra.presentation.quiver.arrows}
     assert arrows == SEC5_ARROWS
-    assert chord_set(res.presentation) == Counter(SEC5_CHORDS)
+    assert chord_set(res.algebra.presentation) == Counter(SEC5_CHORDS)
 
 
 def test_cycle_collection_certificates(sec5):
@@ -246,9 +249,10 @@ def test_mixed_collection_endo(fam24):
     res = cluster_endo_algebra(c)
     assert (res.end_dim, res.ext_dim) == (30, 4)
     assert res.ext_square_zero
-    arrows = {(a.source, a.target) for a in res.presentation.quiver.arrows}
+    arrows = {(a.source, a.target)
+              for a in res.algebra.presentation.quiver.arrows}
     assert arrows == EX_ARROWS
-    assert chord_set(res.presentation) == Counter(EX_CHORDS)
+    assert chord_set(res.algebra.presentation) == Counter(EX_CHORDS)
 
 
 def test_mixed_collection_syzygy_orbit(fam24):
@@ -269,7 +273,7 @@ def test_mixed_collection_syzygy_orbit(fam24):
 def _endo_digest(res):
     raw = res.raw
     data = {
-        "presentation": presentation_to_dict(res.presentation),
+        "presentation": presentation_to_dict(res.algebra.presentation),
         "labels": raw.basis_labels,
         "mult": sorted([list(k), sorted((x, str(c)) for x, c in v.items())]
                        for k, v in raw.mult.items()),

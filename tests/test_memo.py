@@ -1,11 +1,14 @@
-"""The per-object memo and the cover-level axiom report it shares between
-certificates on one cover."""
+"""The per-object memo, the cover-level axiom report it shares between
+certificates on one cover, and the rule that derived data lives in a memo
+or a constructor field, never in an attribute set from outside."""
 
+import ast
 import json
 import random
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +25,8 @@ from hga.axioms import is_d_gentle_certificate
 from hga.cluster import SummandCollection, is_d_rigid
 from hga.presentations import Idempotent
 from hga.typea import build_typeA_auslander, canonical_cluster_tilting
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "hga"
 
 
 def cert_bytes(cover, e, d=2):
@@ -191,7 +196,7 @@ def test_mutating_to_dict_leaves_next_certificate_unchanged():
     expected = json.dumps(first.to_dict(), sort_keys=True)
     out = first.to_dict()
     _vandalise(out)
-    _vandalise(axioms.check_axioms(cover.presentation, 2).to_dict())
+    _vandalise(axioms.check_axioms(cover, 2).to_dict())
     assert json.dumps(first.to_dict(), sort_keys=True) == expected
     assert cert_bytes(cover, e, 1) == expected
 
@@ -220,7 +225,7 @@ def test_threads_share_first_certificate(draws):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == expected * 2
-    assert "E3" not in axioms._cover_axioms(cover.presentation, 3)
+    assert "E3" not in axioms._cover_axioms(cover, 3)
 
 
 def test_second_certificate_reuses_cover_report(draws, monkeypatch):
@@ -235,11 +240,70 @@ def test_second_certificate_reuses_cover_report(draws, monkeypatch):
     cover = build_typeA_auslander(3, 3)
     e1, e2 = draws[3][:2]
     first = is_d_gentle_certificate(cover, e1, 2)
-    assert calls == [cover.presentation]
+    assert calls == [cover]
     hits = memo.stats()["hits"]
     second = is_d_gentle_certificate(cover, e2, 2)
-    assert calls == [cover.presentation]
+    assert calls == [cover]
     assert memo.stats()["hits"] > hits
-    shared = axioms._cover_axioms(cover.presentation, 3)
+    shared = axioms._cover_axioms(cover, 3)
     for cert in (first, second):
         assert cert.pre_gentle.axioms.entries["A4"] is shared["A4"]
+
+
+def attribute_stores(source, exempt=()):
+    """(line, text) of each attribute store in source, sorted, except a
+    store on ``self`` inside ``__init__`` or ``__post_init__`` and any store
+    inside the methods named in exempt (as ``Class.method``)."""
+    tree = ast.parse(source)
+    owner, method = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for f in node.body:
+                method[id(f)] = f"{node.name}.{getattr(f, 'name', '')}"
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            # walked outside in, so a nested function overwrites its parent
+            for inner in ast.walk(node):
+                owner[id(inner)] = node
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)):
+            continue
+        f = owner.get(id(node))
+        if f is not None and method.get(id(f)) in exempt:
+            continue
+        if (f is not None and f.name in ("__init__", "__post_init__")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"):
+            continue
+        found.append((node.lineno, ast.get_source_segment(source, node)))
+    return sorted(found)
+
+
+def test_scan_finds_attribute_stores():
+    source = ("class A:\n"
+              "    def __init__(self, x):\n"
+              "        self.x = x\n"
+              "        x.y = 1\n"
+              "    def f(self):\n"
+              "        self.z = 2\n"
+              "    def copy(self):\n"
+              "        out = A(1)\n"
+              "        out.x = 3\n"
+              "        return out\n"
+              "def g(a, b):\n"
+              "    a.w, c = 1, 2\n"
+              "    b.v += 1\n"
+              "    for a.u in b:\n"
+              "        pass\n")
+    assert attribute_stores(source, exempt=("A.copy",)) == [
+        (4, "x.y"), (6, "self.z"), (12, "a.w"), (13, "b.v"), (14, "a.u")]
+    assert (9, "out.x") in attribute_stores(source)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_attribute_store_outside_constructors(path):
+    # SparseRREF.copy fills in the copy it has just made
+    exempt = ("SparseRREF.copy",) if path.name == "linalg.py" else ()
+    assert attribute_stores(path.read_text(encoding="utf-8"), exempt) == []

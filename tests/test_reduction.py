@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,13 +11,14 @@ from hga import (
     BoundQuiverPresentation,
     Idempotent,
     Quiver,
+    build_algebra,
     commutativity_relation,
     idempotent_subalgebra,
     quotient_by_idempotent,
     zero_relation,
 )
-from hga import memo, reduction, reps
-from hga.axioms import built, is_gentle
+from hga import algebras, memo, reduction, reps
+from hga.axioms import is_gentle
 from hga.cluster import SummandCollection, cluster_endo_algebra, ctgent_family
 from hga.errors import (
     EmptyIdempotent,
@@ -91,7 +93,8 @@ def five_vertex_corner():
         commutativity_relation(("w1", "w2"), ("w3", "w4")),
         zero_relation(("wx", "w1")),
     ])
-    return idempotent_subalgebra(built(p), Idempotent.of(["x", "a", "c", "d"]))
+    return idempotent_subalgebra(build_algebra(p),
+                                 Idempotent.of(["x", "a", "c", "d"]))
 
 
 def two_cycle():
@@ -129,14 +132,14 @@ def ex51_orbit(ex51_algebra):
 
 
 def test_fabric_all_vertices_vacuous():
-    a = built(square())
+    a = build_algebra(square())
     f = Idempotent.of(a.vertices)
     rep = is_fabric_idempotent(a, f, f)
     assert rep.verdict
 
 
 def test_fabric_condition_one_fails():
-    a = built(square())
+    a = build_algebra(square())
     f = Idempotent.of(["b", "c", "d"])
     rep = is_fabric_idempotent(a, f, Idempotent.of(a.vertices))
     assert not rep.conditions["quotientProjDim"]["pass"]
@@ -154,27 +157,27 @@ def test_fabric_five_vertex_corner():
 
 
 def test_chensing_full_idempotent_trivial():
-    a = built(square())
+    a = build_algebra(square())
     rep = chensing_conditions(a, Idempotent.of(a.vertices))
     assert rep["verdict"] == "pass"
     assert rep["quotientSimples"] == []
 
 
 def test_chensing_rejects_empty():
-    a = built(square())
+    a = build_algebra(square())
     with pytest.raises(EmptyIdempotent):
         chensing_conditions(a, Idempotent.of([]))
 
 
 def test_chensing_loop_algebra():
     q = Quiver(["1"], [("x", "1", "1")])
-    a = built(BoundQuiverPresentation(q, [zero_relation(("x", "x"))]))
+    a = build_algebra(BoundQuiverPresentation(q, [zero_relation(("x", "x"))]))
     rep = chensing_conditions(a, Idempotent.of(["1"]))
     assert rep["verdict"] == "pass"
 
 
 def test_reduction_step_gentle_input_raises():
-    a = built(linear(3, [zero_relation(("a1", "a2"))]))
+    a = build_algebra(linear(3, [zero_relation(("a1", "a2"))]))
     with pytest.raises(NoCommutativeSquare):
         reduction_step(a)
 
@@ -192,14 +195,14 @@ def test_reduction_step_five_vertex_pinned():
 
 
 def test_reduction_step_square():
-    a = built(square())
+    a = build_algebra(square())
     f, corner, cert = reduction_step(a)
     assert corner.dim < a.dim
     assert len(corner.presentation.relations) == 0
 
 
 def test_reduce_to_gentle_gentle_input_identity():
-    a = built(linear(4, [zero_relation(("a1", "a2"))]))
+    a = build_algebra(linear(4, [zero_relation(("a1", "a2"))]))
     trace = reduce_to_gentle(a)
     assert trace.steps == []
     assert trace.terminal is a
@@ -245,20 +248,20 @@ def test_reduce_to_gentle_ex51_not_reducible(ex51_algebra):
 
 
 def test_localisable_report_simple_of_pd_one():
-    a = built(linear(3))
+    a = build_algebra(linear(3))
     rep = localisable_report(a, {"1", "2"})
     assert rep["pass"] and rep["projDim"] <= 1 and rep["selfExt"] == 0
-    rep = localisable_report(built(square()), {"b", "c", "d"})
+    rep = localisable_report(build_algebra(square()), {"b", "c", "d"})
     assert not rep["pass"]
 
 
 def test_sg_invariant_linear_empty():
-    g = built(linear(4, [zero_relation(("a1", "a2"))]))
+    g = build_algebra(linear(4, [zero_relation(("a1", "a2"))]))
     assert gentle_sg_invariant(g) == []
 
 
 def test_sg_invariant_two_cycle():
-    assert gentle_sg_invariant(built(two_cycle())) == [2]
+    assert gentle_sg_invariant(build_algebra(two_cycle())) == [2]
 
 
 def four_cycle_through_one_vertex():
@@ -270,7 +273,7 @@ def four_cycle_through_one_vertex():
 
 
 def test_sg_invariant_cycle_repeating_a_vertex():
-    g = built(four_cycle_through_one_vertex())
+    g = build_algebra(four_cycle_through_one_vertex())
     assert g.dim == 9 and is_gentle(g.presentation)["gentle"]
     assert reps.homological_dims(g)["globalDim"] == math.inf
     assert gentle_sg_invariant(g) == [4]
@@ -280,10 +283,10 @@ def test_sg_invariant_empty_iff_global_dim_finite(sec5_trace):
     # D_sg of an Iwanaga-Gorenstein algebra vanishes exactly when its
     # global dimension is finite (Buchweitz; Happel)
     algebras = [
-        built(linear(3)),
-        built(linear(4, [zero_relation(("a1", "a2"))])),
-        built(two_cycle()),
-        built(four_cycle_through_one_vertex()),
+        build_algebra(linear(3)),
+        build_algebra(linear(4, [zero_relation(("a1", "a2"))])),
+        build_algebra(two_cycle()),
+        build_algebra(four_cycle_through_one_vertex()),
         sec5_trace.terminal,
     ]
     for g in algebras:
@@ -293,7 +296,7 @@ def test_sg_invariant_empty_iff_global_dim_finite(sec5_trace):
 
 def test_sg_invariant_requires_gentle():
     with pytest.raises(NotGentle):
-        gentle_sg_invariant(built(square()))
+        gentle_sg_invariant(build_algebra(square()))
 
 
 def test_sg_invariant_sec5_terminal(sec5_trace):
@@ -338,7 +341,7 @@ def test_verify_sg_example_requires_gorenstein():
     # arrow into a loop with all length-2 paths zero: both self-injective
     # dimensions are infinite
     q = Quiver(["1", "2"], [("a", "1", "2"), ("l", "2", "2")])
-    bad = built(BoundQuiverPresentation(
+    bad = build_algebra(BoundQuiverPresentation(
         q, [zero_relation(("l", "l")), zero_relation(("a", "l"))]))
     with pytest.raises(NotGorensteinVerified):
         verify_sg_example(bad, [reps.simple(bad, "1")])
@@ -467,10 +470,31 @@ def test_reduction_leaves_no_quotient_or_corner_on_its_input():
                        if isinstance(key, tuple) for part in key)
 
 
+@pytest.mark.parametrize("n, d, idx", [(4, 2, [2, 4]), (3, 3, [2])])
+def test_reduction_builds_no_algebra_twice(n, d, idx, monkeypatch):
+    # every check is handed the algebra it reads, so no presentation is
+    # built again; the list keeps each one alive, so the ids are distinct
+    a = cluster_endo_algebra(ctgent_family(n, d, idx)).algebra
+    presentations = []
+    build = algebras.build_algebra
+
+    def counting_build(pres, *args, **kwargs):
+        presentations.append(pres)
+        return build(pres, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "hga" and \
+                getattr(mod, "build_algebra", None) is build:
+            monkeypatch.setattr(mod, "build_algebra", counting_build)
+    gentle_sg_invariant(reduce_to_gentle(a).terminal)
+    assert presentations
+    assert len({id(p) for p in presentations}) == len(presentations)
+
+
 def test_find_injection_one_dimensional_hom_needs_no_search(monkeypatch):
     # Hom(P_1, S_1) is spanned by the projective cover, which is not
     # injective; every other morphism is a multiple of it
-    a = built(linear(2))
+    a = build_algebra(linear(2))
     p1, s1 = reps.projective(a, "1"), reps.simple(a, "1")
     assert len(reps.hom_basis(p1, s1)) == 1
     calls = {"scale": 0, "rank": 0}
@@ -500,7 +524,7 @@ def _rescaled(m, primes):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: built(square()),
+    lambda: build_algebra(square()),
     lambda: build_typeA_auslander(4, 2),
     lambda: build_typeA_auslander(3, 3),
 ])

@@ -9,8 +9,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from hga import BoundQuiverPresentation, Quiver, reps, zero_relation
-from hga.axioms import built, is_gentle
+from hga import (BoundQuiverPresentation, Quiver, build_algebra, reps,
+                 zero_relation)
+from hga.axioms import is_gentle
 from hga.errors import NotAdmissible
 from hga.reduction import gentle_sg_invariant
 
@@ -46,9 +47,9 @@ def test_sg_invariant_empty_iff_global_dim_finite(p):
     # D_sg of a gentle (so Iwanaga-Gorenstein) algebra vanishes exactly
     # when its global dimension is finite (Buchweitz; Happel)
     try:
-        alg = built(p)
+        alg = build_algebra(p)
     except NotAdmissible:
         hypothesis.reject()
-    hypothesis.assume(is_gentle(p)["gentle"])
+    hypothesis.assume(is_gentle(alg)["gentle"])
     finite = reps.homological_dims(alg)["globalDim"] < math.inf
     assert (gentle_sg_invariant(alg) == []) == finite
