@@ -93,15 +93,18 @@ class Algebra:
         return total
 
     def rad_nilpotency(self):
-        """Least N with rad^N = 0."""
+        """Least N with rad^N = 0.  Each radical basis element is a path,
+        so rad^(k+1) is the sum of the a·rad^k over the arrows a; an
+        algebra with no arrows recorded multiplies by the whole radical."""
         rad = [self.unit(i) for i in self.radical_indices()]
+        gens = [self.unit(i) for i in self.arrow_class.values()] or rad
         span = rad
         n = 1
         while span:
             rr = SparseRREF()
             nxt = []
             for x in span:
-                for r in rad:
+                for r in gens:
                     prod = self.mult_elements(r, x)
                     if prod and rr.add(dict(prod)) is not None:
                         nxt.append(prod)
@@ -159,8 +162,9 @@ def build_algebra(presentation, length_cap=None, ambient=None,
                   arrow_ambient=None, typeA=None):
     """Quotient of the path algebra by the relation ideal, via degreewise
     exact row reduction.  Raises NotAdmissible if path classes keep appearing
-    up to the length cap.  `ambient`, `arrow_ambient` and `typeA` are
-    recorded on the result as they are given."""
+    up to the length cap, or if the radical is not nilpotent.  `ambient`,
+    `arrow_ambient` and `typeA` are recorded on the result as they are
+    given."""
     quiver = presentation.quiver
     nv = len(quiver.vertices)
     max_term_len = max(
@@ -274,11 +278,18 @@ def build_algebra(presentation, length_cap=None, ambient=None,
             raise InvalidPresentation(f"arrow {name} not a basis class")
         arrow_class[name] = next(iter(cls))
 
-    return Algebra(
+    alg = Algebra(
         list(quiver.vertices), basis_labels, basis_src, basis_tgt, mult,
         presentation=presentation, arrow_class=arrow_class,
         ambient=ambient, arrow_ambient=arrow_ambient, typeA=typeA,
     )
+    if spread:
+        # a relation mixing term lengths can close up the ideal with a
+        # path class that is idempotent modulo it, as x^2 - x^3 at a loop
+        # does; homogeneous relations give a graded algebra, whose radical
+        # is nilpotent once the closure above has ended
+        alg.rad_nilpotency()
+    return alg
 
 
 def _arrow_layer(a):

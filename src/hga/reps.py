@@ -3,6 +3,15 @@
 A representation assigns a rational vector space to each vertex and a matrix
 to each arrow; the matrix of an arrow u -> w has shape dims[w] x dims[u].
 Morphism blocks follow the same covariant convention.
+
+Every step works on the support of its modules, the vertices with a nonzero
+space, and on the arrows whose two ends are both in it.  A representation
+still has a key in ``dims`` for every vertex and in ``maps`` for every
+arrow, and a morphism one in ``blocks`` for every vertex: a constructor
+copies a per-algebra template of zeros and fills in the support alone.  A
+matrix with no rows is the one shared ``_EMPTY``, and a matrix with no
+columns has ``_EMPTY`` as each of its rows; like every matrix an unchecked
+object is given, they are read-only.
 """
 
 import math
@@ -17,6 +26,9 @@ from .errors import (
 )
 from .linalg import F0, F1, div, exact
 from .memo import memo, peek
+
+# the one matrix with no rows, and the one row with no entries; read-only
+_EMPTY = []
 
 
 def mmul(a, b, bcols):
@@ -38,27 +50,55 @@ def _entries(m, check):
     return m
 
 
+def _zero_template(alg):
+    """Memoised on alg: dimension 0 at every vertex, and the shared empty
+    matrix at every arrow and at every vertex, for the constructors of
+    Representation and Morphism to copy."""
+    def compute():
+        names = [ar.name for ar in alg.presentation.quiver.arrows]
+        return (dict.fromkeys(alg.vertices, 0), dict.fromkeys(names, _EMPTY),
+                dict.fromkeys(alg.vertices, _EMPTY))
+
+    return memo(alg, "zero template", compute)
+
+
 class Representation:
+    """dims and maps as the module docstring says; support is the tuple of
+    the vertices with a nonzero space, in vertex order."""
+
     def __init__(self, algebra, dims, maps, check=True):
         self.algebra = algebra
-        self.dims = {v: int(dims.get(v, 0)) for v in algebra.vertices}
+        zero_dims, zero_maps, _ = _zero_template(algebra)
+        self.dims = own = dict(zero_dims)
+        for v, k in dims.items():
+            if v in zero_dims and k:
+                own[v] = int(k) if check else k
+        self.support = tuple(sorted((v for v in dims if own.get(v)),
+                                    key=algebra.e_index.__getitem__))
+        self.maps = dict(zero_maps)
         quiver = algebra.presentation.quiver
-        self.maps = {}
-        for ar in quiver.arrows:
-            m = maps.get(ar.name)
-            if m is None:
-                m = [[F0] * self.dims[ar.source] for _ in range(self.dims[ar.target])]
-            self.maps[ar.name] = _entries(m, check)
+        for u in self.support:
+            cols = own[u]
+            for ar in quiver.arrows_from[u]:
+                rows = own[ar.target]
+                if rows:
+                    m = maps.get(ar.name)
+                    if m is None:
+                        m = [[F0] * cols for _ in range(rows)]
+                    self.maps[ar.name] = _entries(m, check)
+        for w in self.support:
+            for ar in quiver.arrows_to[w]:
+                if not own[ar.source]:
+                    self.maps[ar.name] = [_EMPTY] * own[w]
         if check:
-            self._check()
+            self._check(maps)
 
-    def _check(self):
+    def _check(self, given):
         quiver = self.algebra.presentation.quiver
-        for ar in quiver.arrows:
-            m = self.maps[ar.name]
-            if len(m) != self.dims[ar.target] or any(
-                len(row) != self.dims[ar.source] for row in m
-            ):
+        for name, m in given.items():
+            ar = quiver.arrow_by_name.get(name)
+            if ar is not None and (len(m) != self.dims[ar.target] or any(
+                    len(row) != self.dims[ar.source] for row in m)):
                 raise ValueError(f"matrix shape mismatch at arrow {ar.name}")
         for rel in self.algebra.presentation.relations:
             src = quiver.path_source(rel.terms[0][1])
@@ -79,7 +119,7 @@ class Representation:
         return tuple(self.dims[v] for v in self.algebra.vertices)
 
     def is_zero(self):
-        return self.total_dim == 0
+        return not self.support
 
     def path_matrix(self, path):
         """Matrix of a path of arrow names (application order)."""
@@ -113,17 +153,23 @@ class Representation:
 
 
 class Morphism:
+    """blocks as the module docstring says."""
+
     def __init__(self, source, target, blocks, check=True):
         if source.algebra is not target.algebra:
             raise AlgebraMismatch("morphism between different algebras")
         self.source = source
         self.target = target
-        self.blocks = {}
-        for v in source.algebra.vertices:
-            b = blocks.get(v)
-            if b is None:
-                b = [[F0] * source.dims[v] for _ in range(target.dims[v])]
-            self.blocks[v] = _entries(b, check)
+        self.blocks = dict(_zero_template(source.algebra)[2])
+        for v in target.support:
+            rows, cols = target.dims[v], source.dims[v]
+            if cols:
+                b = blocks.get(v)
+                if b is None:
+                    b = [[F0] * cols for _ in range(rows)]
+                self.blocks[v] = _entries(b, check)
+            else:
+                self.blocks[v] = [_EMPTY] * rows
         if check:
             self._check()
 
@@ -138,43 +184,46 @@ class Morphism:
             if left != right:
                 raise ValueError(f"blocks do not commute with arrow {ar.name}")
 
+    def _both_nonzero(self):
+        """The vertices where source and target are both nonzero."""
+        dims = self.source.dims
+        return [v for v in self.target.support if dims[v]]
+
     def compose(self, other):
         """self after other (other applied first)."""
         if other.target is not self.source:
             if other.target.dims != self.source.dims:
                 raise AlgebraMismatch("morphisms not composable")
-        blocks = {
-            v: mmul(self.blocks[v], other.blocks[v], other.source.dims[v])
-            for v in self.source.algebra.vertices
-        }
-        return Morphism(other.source, self.target, blocks, check=False)
+        src, mid = other.source, self.source
+        blocks = {v: linalg.mat_mul(self.blocks[v], other.blocks[v])
+                  for v in self.target.support if src.dims[v] and mid.dims[v]}
+        return Morphism(src, self.target, blocks, check=False)
 
     def add(self, other):
-        blocks = {
-            v: linalg.mat_add(self.blocks[v], other.blocks[v])
-            for v in self.blocks
-        }
+        blocks = {v: linalg.mat_add(self.blocks[v], other.blocks[v])
+                  for v in self._both_nonzero()}
         return Morphism(self.source, self.target, blocks, check=False)
 
     def scale(self, c):
-        blocks = {v: linalg.mat_scale(exact(c), b) for v, b in self.blocks.items()}
+        c = exact(c)
+        blocks = {v: linalg.mat_scale(c, self.blocks[v])
+                  for v in self._both_nonzero()}
         return Morphism(self.source, self.target, blocks, check=False)
 
     def is_zero(self):
         return all(
-            all(all(x == 0 for x in row) for row in b) for b in self.blocks.values()
+            all(all(x == 0 for x in row) for row in self.blocks[v])
+            for v in self._both_nonzero()
         )
 
     def is_iso(self):
-        return all(
-            self.source.dims[v] == self.target.dims[v]
-            and (self.source.dims[v] == 0 or linalg.invert(self.blocks[v]) is not None)
-            for v in self.blocks
-        )
+        return self.source.dims == self.target.dims and all(
+            linalg.invert(self.blocks[v]) is not None
+            for v in self.source.support)
 
     def flatten(self):
         out = []
-        for v in self.source.algebra.vertices:
+        for v in self.target.support:
             for row in self.blocks[v]:
                 out.extend(row)
         return out
@@ -192,7 +241,7 @@ def zero_morphism(source, target):
 
 
 def identity_morphism(m):
-    blocks = {v: linalg.identity(m.dims[v]) for v in m.algebra.vertices}
+    blocks = {v: linalg.identity(m.dims[v]) for v in m.support}
     return Morphism(m, m, blocks, check=False)
 
 
@@ -204,13 +253,16 @@ def projective(alg, v):
 
 
 def _projective_basis(alg, v):
-    """The basis of P_v, memoised on alg: per vertex w, the ids of the
-    basis elements from v to w, and each id's position among them."""
+    """The basis of P_v, memoised on alg: per vertex w of its support, in
+    vertex order, the ids of the basis elements from v to w, and each id's
+    position among them."""
     def compute():
-        basis_ids = {w: [] for w in alg.vertices}
+        found = {}
         for i in range(alg.dim):
             if alg.basis_src[i] == v:
-                basis_ids[alg.basis_tgt[i]].append(i)
+                found.setdefault(alg.basis_tgt[i], []).append(i)
+        basis_ids = {w: found[w]
+                     for w in sorted(found, key=alg.e_index.__getitem__)}
         pos = {i: k for ids in basis_ids.values() for k, i in enumerate(ids)}
         return basis_ids, pos
 
@@ -219,17 +271,20 @@ def _projective_basis(alg, v):
 
 def _build_projective(alg, v):
     basis_ids, pos = _projective_basis(alg, v)
-    dims = {w: len(basis_ids[w]) for w in alg.vertices}
+    arrows_from = alg.presentation.quiver.arrows_from
     maps = {}
-    for ar in alg.presentation.quiver.arrows:
-        u, w = ar.source, ar.target
-        mat = [[F0] * dims[u] for _ in range(dims[w])]
-        ai = alg.arrow_class[ar.name]
-        for col, b in enumerate(basis_ids[u]):
-            prod = alg.mult_basis(ai, b)
-            for t, c in prod.items():
-                mat[pos[t]][col] = c
-        maps[ar.name] = mat
+    for u, col_ids in basis_ids.items():
+        for ar in arrows_from[u]:
+            row_ids = basis_ids.get(ar.target)
+            if not row_ids:
+                continue
+            mat = [[F0] * len(col_ids) for _ in row_ids]
+            ai = alg.arrow_class[ar.name]
+            for col, b in enumerate(col_ids):
+                for t, c in alg.mult_basis(ai, b).items():
+                    mat[pos[t]][col] = c
+            maps[ar.name] = mat
+    dims = {w: len(ids) for w, ids in basis_ids.items()}
     return Representation(alg, dims, maps, check=False)
 
 
@@ -244,14 +299,12 @@ def dual(m):
     Memoised on m, so D(P_v) and the injectives are shared objects whose
     resolutions are cached."""
     def compute():
-        # an arrow into a zero space has a matrix with no rows; its
-        # transpose still has one empty row per dimension at the source
-        maps = {}
-        for ar in m.algebra.presentation.quiver.arrows:
-            mat = m.maps[ar.name]
-            maps[ar.name] = (linalg.transpose(mat) if mat else
-                             [[] for _ in range(m.dims[ar.source])])
-        return Representation(m.algebra.opposite(), dict(m.dims), maps,
+        arrows_from = m.algebra.presentation.quiver.arrows_from
+        maps = {ar.name: linalg.transpose(m.maps[ar.name])
+                for u in m.support for ar in arrows_from[u]
+                if m.dims[ar.target]}
+        return Representation(m.algebra.opposite(),
+                              {v: m.dims[v] for v in m.support}, maps,
                               check=False)
 
     return memo(m, "dual", compute)
@@ -263,43 +316,46 @@ def injective(alg, v):
 
 def _sum_module(reps):
     """The direct sum module alone, with each summand's first coordinate at
-    every vertex."""
+    every vertex of its support."""
     if not reps:
         raise ValueError("empty direct sum; use zero_representation")
     alg = reps[0].algebra
     for r in reps:
         if r.algebra is not alg:
             raise AlgebraMismatch("direct sum across algebras")
-    dims = {v: sum(r.dims[v] for r in reps) for v in alg.vertices}
-    offsets = []
-    run = {v: 0 for v in alg.vertices}
+    dims, offsets = {}, []
     for r in reps:
-        offsets.append(dict(run))
-        for v in alg.vertices:
-            run[v] += r.dims[v]
+        offsets.append({v: dims.get(v, 0) for v in r.support})
+        for v in r.support:
+            dims[v] = dims.get(v, 0) + r.dims[v]
+    arrows_from = alg.presentation.quiver.arrows_from
     maps = {}
-    for ar in alg.presentation.quiver.arrows:
-        u, w = ar.source, ar.target
-        mat = [[F0] * dims[u] for _ in range(dims[w])]
-        for r, off in zip(reps, offsets):
-            block = r.maps[ar.name]
-            for i, row in enumerate(block):
-                for j, x in enumerate(row):
-                    if x:
-                        mat[off[w] + i][off[u] + j] = x
-        maps[ar.name] = mat
+    for r, off in zip(reps, offsets):
+        for u in r.support:
+            for ar in arrows_from[u]:
+                w = ar.target
+                if not r.dims[w]:
+                    continue
+                mat = maps.get(ar.name)
+                if mat is None:
+                    mat = maps[ar.name] = [[F0] * dims[u]
+                                           for _ in range(dims[w])]
+                for i, row in enumerate(r.maps[ar.name], off[w]):
+                    for j, x in enumerate(row, off[u]):
+                        if x:
+                            mat[i][j] = x
     return Representation(alg, dims, maps, check=False), offsets
 
 
 def direct_sum(reps):
     """Direct sum with inclusion and projection morphisms per summand."""
     total, offsets = _sum_module(reps)
-    alg, dims = total.algebra, total.dims
+    dims = total.dims
     incls, projs = [], []
     for r, off in zip(reps, offsets):
         inc = {}
         prj = {}
-        for v in alg.vertices:
+        for v in r.support:
             im = [[F0] * r.dims[v] for _ in range(dims[v])]
             pm = [[F0] * dims[v] for _ in range(r.dims[v])]
             for k in range(r.dims[v]):
@@ -347,7 +403,7 @@ def _solution_morphism(m, n, var_index, sol):
     blocks = {
         v: [[sol[var_index[(v, i, j)]] for j in range(m.dims[v])]
             for i in range(n.dims[v])]
-        for v in m.algebra.vertices
+        for v in n.support if m.dims[v]
     }
     return Morphism(m, n, blocks, check=False)
 
@@ -366,35 +422,44 @@ def hom_dim(m, n):
 
 
 def kernel(f):
-    """Kernel subrepresentation with its inclusion."""
-    m = f.source
+    """Kernel subrepresentation with its inclusion.
+
+    One rref of f's block per support vertex gives the kernel there: one
+    basis vector per free column, 1 at that column and 0 at the other free
+    ones.  So the coordinates of a kernel vector are its entries at the
+    free columns, and each arrow's map on the kernel is read off the rows
+    of (arrow matrix) x (inclusion block) at those columns."""
+    m, n = f.source, f.target
     alg = m.algebra
-    kbasis = {}
-    for v in alg.vertices:
-        kbasis[v] = linalg.nullspace(f.blocks[v], ncols=m.dims[v])
-    dims = {v: len(kbasis[v]) for v in alg.vertices}
-    incl_blocks = {
-        v: linalg.transpose(kbasis[v]) if kbasis[v] else
-        [[] for _ in range(m.dims[v])]
-        for v in alg.vertices
-    }
+    free, incl_blocks = {}, {}
+    for v in m.support:
+        red, pivots = linalg.rref(f.blocks[v]) if n.dims[v] else ([], [])
+        piv = set(pivots)
+        cols = [j for j in range(m.dims[v]) if j not in piv]
+        if not cols:
+            continue
+        block = [[F0] * len(cols) for _ in range(m.dims[v])]
+        for t, j in enumerate(cols):
+            block[j][t] = F1
+            for r, pc in enumerate(pivots):
+                block[pc][t] = -red[r][j]
+        free[v], incl_blocks[v] = cols, block
+    arrows_from = alg.presentation.quiver.arrows_from
     maps = {}
-    for ar in alg.presentation.quiver.arrows:
-        u, w = ar.source, ar.target
-        mat = [[F0] * dims[u] for _ in range(dims[w])]
-        bw = incl_blocks[w]
-        for col, kv in enumerate(kbasis[u]):
-            img = linalg.mat_vec(m.maps[ar.name], kv) if m.maps[ar.name] else []
-            sol = linalg.solve(bw, img) if dims[w] else (
-                None if any(img) else [])
-            if sol is None:
-                raise HgaError("kernel is not a subrepresentation")
-            for row, x in enumerate(sol):
-                mat[row][col] = x
-        maps[ar.name] = mat
+    for u, block in incl_blocks.items():
+        for ar in arrows_from[u]:
+            w = ar.target
+            if not m.dims[w]:
+                continue
+            img = linalg.mat_mul(m.maps[ar.name], block)
+            if n.dims[w] and any(
+                    any(row) for row in linalg.mat_mul(f.blocks[w], img)):
+                raise InternalError("kernel is not a subrepresentation")
+            if w in free:
+                maps[ar.name] = [img[j] for j in free[w]]
+    dims = {v: len(cols) for v, cols in free.items()}
     k = Representation(alg, dims, maps, check=False)
-    incl = Morphism(k, m, incl_blocks, check=False)
-    return k, incl
+    return k, Morphism(k, m, incl_blocks, check=False)
 
 
 def cokernel(f):
@@ -476,7 +541,7 @@ def sub_representation(n, vectors):
             sol = linalg.solve(incl_blocks[w], img) if dims[w] else (
                 None if any(img) else [])
             if sol is None:
-                raise HgaError("span is not arrow-closed")
+                raise InternalError("span is not arrow-closed")
             for row, x in enumerate(sol):
                 mat[row][col] = x
         maps[ar.name] = mat
@@ -492,12 +557,16 @@ def image(f):
 
 
 def radical_vectors(m):
-    """Spanning vectors of rad M per vertex (images of all arrows)."""
-    alg = m.algebra
-    out = {v: [] for v in alg.vertices}
-    for ar in alg.presentation.quiver.arrows:
-        cols = linalg.transpose(m.maps[ar.name]) if m.maps[ar.name] else []
-        out[ar.target].extend(col for col in cols if any(col))
+    """Spanning vectors of rad M per support vertex (images of all arrows
+    into it, in arrow order)."""
+    dims, arrows_to = m.dims, m.algebra.presentation.quiver.arrows_to
+    out = {}
+    for w in m.support:
+        vecs = out[w] = []
+        for ar in arrows_to[w]:
+            if dims[ar.source]:
+                vecs.extend(list(col) for col in zip(*m.maps[ar.name])
+                            if any(col))
     return out
 
 
@@ -506,8 +575,8 @@ def projective_cover(m):
     alg = m.algebra
     rad = radical_vectors(m)
     summands, images = [], []
-    for v in alg.vertices:
-        piv = set(linalg.rref(rad[v])[1]) if rad[v] else set()
+    for v in m.support:
+        piv = set(linalg.rref(rad[v])[1]) if rad[v] else ()
         for k in range(m.dims[v]):
             if k not in piv:
                 summands.append(v)
@@ -533,18 +602,26 @@ def from_generators(p, vertices, n, images):
     images concatenates one vector of n_v per summand, in order.  A basis
     path b of P_v goes to n(b) applied to the image, one arrow at a time."""
     alg = p.algebra
-    blocks = {w: [[F0] * p.dims[w] for _ in range(n.dims[w])]
-              for w in alg.vertices}
+    nv = len(alg.vertices)
+    blocks = {}
     start = 0
     for v, ((ids, _), off) in zip(vertices, _summand_offsets(alg, vertices)):
-        acted = {(): images[start:start + n.dims[v]]}
+        gen = images[start:start + n.dims[v]]
         start += n.dims[v]
-        for w in alg.vertices:
-            block, first = blocks[w], off[w]
-            for col, b in enumerate(ids[w]):
-                path = alg.basis_labels[b] if b >= len(alg.vertices) else ()
+        if not any(gen):
+            continue
+        acted = {(): gen}
+        for w, w_ids in ids.items():
+            if not n.dims[w]:
+                continue
+            block = blocks.get(w)
+            if block is None:
+                block = blocks[w] = [[F0] * p.dims[w] for _ in range(n.dims[w])]
+            for col, b in enumerate(w_ids, off[w]):
+                path = alg.basis_labels[b] if b >= nv else ()
                 for row, x in enumerate(_act(n, path, acted)):
-                    block[row][first + col] = x
+                    if x:
+                        block[row][col] = x
     return Morphism(p, n, blocks, check=False)
 
 
@@ -600,7 +677,7 @@ def _resolution(m, k):
                 return prev
         p, epi, cover_summands = projective_cover(current)
         kern, kincl = kernel(epi)
-        if kern.is_zero():
+        if not kern.support:
             kern = kincl = None
         d = epi if incl is None else incl.compose(epi)
         return (terms + (p,), diffs + (d,), summands + (cover_summands,),
@@ -620,13 +697,13 @@ def is_injective(m):
 def _summand_offsets(alg, vertices):
     """Each summand P_v of the sum of projectives (v in vertices), as its
     basis (see _projective_basis) with its first coordinate at every
-    vertex."""
-    out, run = [], {w: 0 for w in alg.vertices}
+    vertex of its support."""
+    out, run = [], {}
     for v in vertices:
         basis = _projective_basis(alg, v)
-        out.append((basis, dict(run)))
-        for w in alg.vertices:
-            run[w] += len(basis[0][w])
+        out.append((basis, {w: run.get(w, 0) for w in basis[0]}))
+        for w, ids in basis[0].items():
+            run[w] = run.get(w, 0) + len(ids)
     return out
 
 
@@ -726,10 +803,10 @@ class ExtSpace:
         if not any(r):
             return [F0] * self.dim
         if not self.dim:
-            raise HgaError("nonzero class in a zero Ext space")
+            raise InternalError("nonzero class in a zero Ext space")
         sol = linalg.solve(linalg.transpose(self._sel), r)
         if sol is None:
-            raise HgaError("Ext class escapes the chosen basis")
+            raise InternalError("Ext class escapes the chosen basis")
         return sol
 
 
@@ -760,7 +837,7 @@ def proj_dim(m, cap=None):
         if k is None:
             return step
         for old in seen:
-            if old.dim_vector() == k.dim_vector() and is_isomorphic(old, k):
+            if old.dims == k.dims and is_isomorphic(old, k):
                 return math.inf
         seen.append(k)
     raise HgaError("projective dimension undecided within the step cap")
@@ -775,7 +852,7 @@ def is_isomorphic(m, n):
     """Isomorphism test: dimension checks, then invertible Hom combinations."""
     if m.algebra is not n.algebra:
         raise AlgebraMismatch("isomorphism test across algebras")
-    if m.dim_vector() != n.dim_vector():
+    if m.dims != n.dims:
         return False
     if m.is_zero():
         return True
@@ -843,7 +920,9 @@ def component_elements(f, src_verts, tgt_verts):
         col = images[start:start + f.target.dims[u]]
         start += f.target.dims[u]
         for k, ((ids, _), off) in enumerate(targets):
-            elems[k][l] = {b: c for b, c in zip(ids[u], col[off[u]:]) if c}
+            first = off.get(u)
+            elems[k][l] = {} if first is None else {
+                b: col[i] for i, b in enumerate(ids[u], first) if col[i]}
     return elems
 
 
@@ -858,7 +937,7 @@ def projective_star(alg, tgt_verts, src_verts, elems):
     images = []
     for v, row in zip(tgt_verts, elems):
         for (ids, pos), elem in zip(targets, row):
-            vec = [F0] * len(ids[v])
+            vec = [F0] * len(ids.get(v, ()))
             for b, c in elem.items():
                 vec[pos[b]] = c
             images.extend(vec)

@@ -105,6 +105,15 @@ def test_inhomogeneous_relation_collapses():
     assert alg.path_value(("x",)) != {}
 
 
+def test_idempotent_path_class_not_admissible():
+    # x^2 = x^3 alone closes up the ideal at length 3, but leaves x^2 a
+    # nonzero idempotent inside the radical
+    q = Quiver(["v"], [("x", "v", "v")])
+    rel = [[(1, ("x", "x")), (-1, ("x", "x", "x"))]]
+    with pytest.raises(NotAdmissible, match="not nilpotent"):
+        build_algebra(BoundQuiverPresentation(q, rel))
+
+
 def test_opposite_involution():
     a = square_algebra()
     op = a.opposite()

@@ -192,3 +192,29 @@ def test_internal_failure_exit_four(tmp_path, capsys, monkeypatch, exc):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("internal error: ")
+
+
+def test_broken_l2_invariant_exits_four(tmp_path, capsys, monkeypatch):
+    """An L2 invariant that fails inside `hga homdims` is an internal error:
+    a cover map that does not commute with the arrows makes the kernel of
+    the next resolution step leave its module."""
+    from hga import reps
+
+    cover = reps.projective_cover
+
+    def broken_cover(m):
+        p, epi, summands = cover(m)
+        if summands:
+            v = summands[0]
+            blocks = dict(epi.blocks)
+            blocks[v] = [[0] * p.dims[v] for _ in range(m.dims[v])]
+            epi = reps.Morphism(p, m, blocks, check=False)
+        return p, epi, summands
+
+    monkeypatch.setattr(reps, "projective_cover", broken_cover)
+    alg = tmp_path / "g.json"
+    write(alg, gentle_chain_dict())
+    assert main(["homdims", str(alg)]) == cli.EXIT_INTERNAL == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: kernel is not a subrepresentation\n"

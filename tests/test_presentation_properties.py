@@ -71,8 +71,9 @@ def test_relation_search_matches_full_kernel(p, data):
     try:
         result = minimal_presentation(alg)
     except NotAdmissible:
-        # build_algebra lets some non-nilpotent radicals through, such as
-        # x^2 = x^3 at a loop; both searches must refuse them
+        # build_algebra refuses a non-nilpotent radical, such as x^2 = x^3
+        # at a loop, so this is reached only if that check lets one
+        # through; both searches must then refuse it
         with pytest.raises(NotAdmissible):
             reference_minimal_presentation(alg)
         return

@@ -626,6 +626,9 @@ def test_unchecked_matrices_are_never_written(monkeypatch, n, d, idx):
         handed.append((m, [list(row) for row in m]))
         return _ReadOnlyList(_ReadOnlyList(row) for row in m)
 
+    # the empty matrix, and the empty row, that every constructor shares
+    empty = _ReadOnlyList()
+    monkeypatch.setattr(reps, "_EMPTY", empty)
     monkeypatch.setattr(reps, "_entries", guarded)
     c = cluster.ctgent_family(n, d, idx)
     res = cluster.cluster_endo_algebra(c)
@@ -634,3 +637,32 @@ def test_unchecked_matrices_are_never_written(monkeypatch, n, d, idx):
     reduction.reduce_to_gentle(res.algebra)
     assert handed
     assert all(m == snapshot for m, snapshot in handed)
+    assert not empty
+    arrows = res.algebra.presentation.quiver.arrows
+    ar = next(a for a in arrows if a.source != a.target)
+    s = reps.simple(res.algebra, ar.target)
+    assert s.maps[ar.name] == [empty] and s.maps[ar.name][0] is empty
+    assert any(m is empty for m in s.maps.values())
+
+
+def test_kernel_step_costs_one_rref_per_support_vertex(monkeypatch):
+    # a resolution step pays for the support of its module, not for the
+    # quiver: the kernel of the cover of a simple over A^2_8 takes one
+    # rref per vertex where the projective is nonzero and no other
+    # elimination
+    a = build_typeA_auslander(8, 2)
+    v = a.vertices[len(a.vertices) // 2]
+    p, epi, _ = projective_cover(simple(a, v))
+    calls = dict.fromkeys(("rref", "nullspace", "solve"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _orig=getattr(linalg, name), **kw):
+            calls[_name] += 1
+            return _orig(*args, **kw)
+        monkeypatch.setattr(linalg, name, counted)
+    k, incl = kernel(epi)
+    assert calls["nullspace"] == calls["solve"] == 0
+    support = [w for w in a.vertices if p.dims[w]]
+    assert 0 < calls["rref"] <= len(support) < len(a.vertices)
+    assert k.total_dim == p.total_dim - 1
+    Representation(a, k.dims, k.maps)
+    reps.Morphism(k, p, incl.blocks)

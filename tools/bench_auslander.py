@@ -2,6 +2,7 @@
 
     PYTHONPATH=<tree>/src python3 tools/bench_auslander.py \
         --side before|after [--out BENCH_auslander.json]
+    PYTHONPATH=src python3 tools/bench_auslander.py --check
 
 For each (n, d) of the pool in ``perfbench/workloads.py``, and for the hga
 found on the import path, it measures:
@@ -12,13 +13,19 @@ found on the import path, it measures:
 - counts, from one more run with counting wrappers: calls of
   ``projective_cover``, ``kernel``, ``direct_sum`` and ``SparseRREF.add``;
   ``add_rows_stored``, the stored rows at each ``add`` that inserts a pivot
-  (what the benchmark's ``linalg.sparse_add.rows_scanned`` reads); and
+  (what the benchmark's ``linalg.sparse_add.rows_scanned`` reads);
   ``add_rows_visited``, the stored rows that ``add`` then back-reduces
   against the new pivot: all of them without a column index, only those
-  with an entry in the pivot column with one.
+  with an entry in the pivot column with one; and the calls of
+  ``linalg.rref``, ``nullspace``, ``solve`` and ``mat_vec``, counting those
+  that linalg makes itself (``nullspace`` and ``solve`` each run an
+  ``rref``).
 
-The counts do not depend on the machine.  The result is merged into the
-JSON file under ``--side``, so one run on each tree fills in both sides.
+The counts do not depend on the machine.  ``--side`` merges the result into
+the JSON file, so one run on each tree fills in both sides.  ``--check``
+measures the counts only, writes nothing, and exits 1 if any differs from
+the file's ``after`` side: a guard, independent of the machine, against a
+resolution step that pays for the whole quiver again.
 """
 
 import argparse
@@ -48,7 +55,8 @@ def seconds(fn):
 
 
 COUNTS = ("projective_cover_calls", "kernel_calls", "direct_sum_calls",
-          "sparse_add_calls", "add_rows_stored", "add_rows_visited")
+          "sparse_add_calls", "add_rows_stored", "add_rows_visited",
+          "rref_calls", "nullspace_calls", "solve_calls", "mat_vec_calls")
 
 
 class Counters:
@@ -95,12 +103,22 @@ class Counters:
     def __enter__(self):
         for attr in ("projective_cover", "kernel", "direct_sum"):
             self.wrap_call(reps, attr)
+        for attr in ("rref", "nullspace", "solve", "mat_vec"):
+            self.wrap_call(linalg, attr)
         self.wrap_sparse_add()
         return self
 
     def __exit__(self, *exc):
         for owner, attr, orig in reversed(self.saved):
             setattr(owner, attr, orig)
+
+
+def counts(n, d):
+    with Counters() as c:
+        alg = build_typeA_auslander(n, d)
+        build = c.take()
+        reps.homological_dims(alg)
+        return {"build_counts": build, "homdims_counts": c.take()}
 
 
 def measure(n, d):
@@ -112,19 +130,35 @@ def measure(n, d):
         "homdims_s": round(min(seconds(lambda a=a: reps.homological_dims(a))
                                for a in algs), 4),
     }
-    with Counters() as c:
-        alg = build_typeA_auslander(n, d)
-        row["build_counts"] = c.take()
-        reps.homological_dims(alg)
-        row["homdims_counts"] = c.take()
+    row.update(counts(n, d))
     return row
+
+
+def check(path):
+    with open(path, encoding="utf-8") as fh:
+        want = json.load(fh)["after"]["pool"]
+    bad = 0
+    for n, d in AUSLANDER_POOL:
+        key = auslander_key(n, d)
+        got = counts(n, d)
+        expected = {name: want[key][name] for name in got}
+        same = got == expected
+        bad += not same
+        print(key, "ok" if same else
+              f"differs: {json.dumps(got)} != {json.dumps(expected)}",
+              flush=True)
+    return 1 if bad else 0
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--side", required=True, choices=("before", "after"))
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--side", choices=("before", "after"))
+    mode.add_argument("--check", action="store_true")
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_auslander.json"))
     args = ap.parse_args(argv)
+    if args.check:
+        return check(args.out)
     table = {}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
@@ -141,7 +175,8 @@ def main(argv=None):
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(table, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
