@@ -160,136 +160,192 @@ def opposite(a):
 
 def build_algebra(presentation, length_cap=None, ambient=None,
                   arrow_ambient=None, typeA=None):
-    """Quotient of the path algebra by the relation ideal, via degreewise
-    exact row reduction.  Raises NotAdmissible if path classes keep appearing
-    up to the length cap, or if the radical is not nilpotent.  `ambient`,
-    `arrow_ambient` and `typeA` are recorded on the result as they are
-    given."""
+    """Quotient of the path algebra by the relation ideal, on the classes of
+    its normal words.
+
+    Paths are ordered by length, then lexicographically by arrow name.  A
+    path is normal when it is not the largest path (the tip) of any element
+    of the ideal; the normal words are closed under taking subpaths, and
+    their classes are a basis of the quotient.  They are found one length
+    at a time by `_normal_words`, together with the arrow action on them:
+    the normal form of each normal word followed by each arrow.  The
+    product of two basis paths is the arrow action applied one letter at a
+    time, so mult(i, j) is the last arrow of i applied to
+    mult(prefix of i, j).
+
+    Raises NotAdmissible if normal words still appear at the length cap,
+    or if the radical is not nilpotent.  `ambient`, `arrow_ambient` and
+    `typeA` are recorded on the result as they are given."""
     quiver = presentation.quiver
-    nv = len(quiver.vertices)
-    max_term_len = max(
-        (len(p) for r in presentation.relations for _, p in r.terms),
-        default=0,
-    )
+    vertices = quiver.vertices
+    nv = len(vertices)
+    relations = [r.terms for r in presentation.relations]
     if length_cap is None:
-        length_cap = max(2 * nv, 2 * max_term_len, 8)
-
-    arrow = quiver.arrow_by_name
-    table = _PathTable(quiver)
-    relations = presentation.relations
-    generators = []  # (terms, lmax, src, tgt)
-    for r in relations:
-        lens = [len(p) for _, p in r.terms]
-        src = quiver.path_source(r.terms[0][1])
-        tgt = quiver.path_target(r.terms[0][1])
-        generators.append((r.terms, max(lens), src, tgt))
-    max_rel_len = max((m for _, m, _, _ in generators), default=0)
-    spread = max(
-        (max(len(p) for _, p in r.terms) - min(len(p) for _, p in r.terms)
-         for r in relations),
-        default=0,
-    )
-
-    ideal = SparseRREF()
-    closure_len = None
-    length = 1
+        length_cap = max(2 * nv, 2 * max(
+            (len(p) for terms in relations for _, p in terms), default=0), 8)
+    mixed = any(len({len(p) for _, p in terms}) > 1 for terms in relations)
+    generators = [_generator(quiver, terms) for terms in relations]
     while True:
-        length += 1
-        if length > length_cap:
-            raise NotAdmissible(
-                f"path classes still appearing at length cap {length_cap}"
-            )
-        _extend_generated(ideal, generators, length, table)
-        survivors = [p for p in table.paths(length)
-                     if table.index[p] not in ideal.rows]
-        if not survivors and length >= max_rel_len:
-            closure_len = length
+        words, collapse = _normal_words(quiver, generators, length_cap, mixed)
+        if collapse is None:
             break
-    # safety margin for relations mixing term lengths
-    for extra in range(1, spread + 1):
-        _extend_generated(ideal, generators, closure_len + extra, table)
+        generators.append(_generator(quiver, collapse))
+    paths, src, tgt, parent, last, act = words
 
-    basis_paths = []
-    for ln in range(1, closure_len):
-        basis_paths.extend(
-            p for p in table.paths(ln) if table.index[p] not in ideal.rows
-        )
-    if any(table.index[p] not in ideal.rows
-           for p in table.paths(closure_len)):
-        raise NotAdmissible("ideal closure unstable after margin pass")
-
-    basis_labels = [("e", v) for v in quiver.vertices] + basis_paths
-    basis_src = list(quiver.vertices) + [arrow[p[0]].source for p in basis_paths]
-    basis_tgt = list(quiver.vertices) + [arrow[p[-1]].target for p in basis_paths]
-    basis_id = {p: nv + k for k, p in enumerate(basis_paths)}
-
-    def reduce_to_basis(path):
-        """Class of a path (length <= closure_len) as {basis id: coef}."""
-        rem = ideal.reduce({table.index[path]: F1})
-        return {basis_id[table.by_index[idx]]: c for idx, c in rem.items()}
-
-    # left action of each arrow on the basis
-    arrow_action = {}
-    for name in table.names:
-        ar = arrow[name]
-        action = {}
-        for b in range(len(basis_labels)):
-            if b < nv:
-                if ar.source == quiver.vertices[b]:
-                    action[b] = reduce_to_basis((name,))
-            else:
-                lab = basis_labels[b]
-                if arrow[lab[-1]].target == ar.source:
-                    action[b] = reduce_to_basis(lab + (name,))
-        arrow_action[name] = action
-
-    def left_mult_by_basis(i, vec):
-        if i < nv:
-            v = quiver.vertices[i]
-            return {k: c for k, c in vec.items() if basis_tgt[k] == v}
-        lab = basis_labels[i]
-        for name in lab:
-            nxt = {}
-            act = arrow_action[name]
-            for k, c in vec.items():
-                row = act.get(k)
-                if row:
-                    add_scaled(nxt, c, row)
-            vec = nxt
-            if not vec:
-                break
-        return vec
-
+    starting = {v: [] for v in vertices}
+    for i, v in enumerate(src):
+        starting[v].append(i)
     mult = {}
-    dim = len(basis_labels)
-    for j in range(dim):
-        vec_j = {j: F1}
-        for i in range(dim):
-            if basis_src[i] != basis_tgt[j]:
-                continue
-            prod = left_mult_by_basis(i, vec_j)
-            if prod:
-                mult[(i, j)] = prod
-
-    arrow_class = {}
-    for name in table.names:
-        cls = reduce_to_basis((name,))
-        if len(cls) != 1 or next(iter(cls.values())) != 1:
-            raise InvalidPresentation(f"arrow {name} not a basis class")
-        arrow_class[name] = next(iter(cls))
+    for j, v in enumerate(tgt):
+        column = {}  # i -> basis_i * basis_j, over the i that start at v
+        for i in starting[v]:
+            if i < nv:
+                prod = {j: F1}
+            else:
+                prev = column.get(parent[i])
+                prod = _apply(prev, act[last[i]]) if prev else None
+                if not prod:
+                    continue
+            column[i] = mult[(i, j)] = prod
 
     alg = Algebra(
-        list(quiver.vertices), basis_labels, basis_src, basis_tgt, mult,
-        presentation=presentation, arrow_class=arrow_class,
+        vertices, [("e", v) for v in vertices] + paths[nv:], src, tgt, mult,
+        presentation=presentation,
+        arrow_class={p[0]: i for i, p in enumerate(paths) if len(p) == 1},
         ambient=ambient, arrow_ambient=arrow_ambient, typeA=typeA,
     )
-    if spread:
+    if mixed:
         # a relation mixing term lengths can close up the ideal with a
         # path class that is idempotent modulo it, as x^2 - x^3 at a loop
         # does; homogeneous relations give a graded algebra, whose radical
-        # is nilpotent once the closure above has ended
+        # is nilpotent once the normal words have run out
         alg.rad_nilpotency()
     return alg
+
+
+def _generator(quiver, terms):
+    """A relation as (terms, longest term length, source vertex)."""
+    return (terms, max(len(p) for _, p in terms),
+            quiver.path_source(terms[0][1]))
+
+
+def _apply(vec, action):
+    """A sparse vector of normal words followed by one arrow, whose action
+    on the normal words is `action`."""
+    out = {}
+    for k, c in vec.items():
+        row = action.get(k)
+        if row:
+            add_scaled(out, c, row)
+    return out
+
+
+def _evaluate(act, n, terms):
+    """The normal word n followed by the relation `terms`, evaluated one
+    arrow at a time by the arrow action act."""
+    total = {}
+    for coef, path in terms:
+        vec = {n: F1}
+        for name in path:
+            vec = _apply(vec, act[name])
+            if not vec:
+                break
+        else:
+            add_scaled(total, coef, vec)
+    return total
+
+
+def _normal_words(quiver, generators, length_cap, mixed):
+    """The normal words of the ideal generated by `generators` (see
+    `_generator`) and the arrow action on them, or a combination of shorter
+    normal words that lies in the ideal.
+
+    Returns (words, None) or (None, terms of that combination).  words is
+    (paths, src, tgt, parent, last, act): word ids 0..|Q0|-1 are the empty
+    paths at the vertices, in vertex order, and the others follow in
+    (length, lex) order; a word of positive length is its prefix
+    parent[i] followed by the arrow last[i]; act[name][i] is the normal
+    form of word i followed by that arrow, with no entry where it is 0.
+
+    The candidates of length L are the n·a for n a normal word of length
+    L - 1, in lex order; every normal word of length L is one.  The ideal
+    meets their span, modulo the shorter normal words, in the span of the
+    n·g for each generator g and each normal word n with |n| + (longest
+    term of g) = L, evaluated by the arrow action known below L; the
+    multiples n·g·w need no vectors of their own, since the arrow action
+    already takes n·g to 0.  Row reduction with the largest candidate as
+    pivot makes the pivots the tips of length L, and each fully reduced
+    row the normal form of its tip.  The candidates that are not pivots
+    are the normal words of length L.
+
+    Relations whose terms have different lengths can give a row in which
+    every candidate cancels: a combination of shorter normal words in the
+    ideal, which those shorter lengths missed.  It is returned, so that the
+    caller adds it to the generators and starts again.  For the same reason,
+    once the normal words have run out, every n·g not yet reduced must
+    evaluate to 0; for homogeneous relations it lies past the last normal
+    word and does."""
+    vertices = quiver.vertices
+    arrow = quiver.arrow_by_name
+    out_names = {v: sorted(a.name for a in arrows)
+                 for v, arrows in quiver.arrows_from.items()}
+    nv = len(vertices)
+    paths = [()] * nv
+    src, tgt = list(vertices), list(vertices)
+    parent, last = [None] * nv, [None] * nv
+    act = {name: {} for name in arrow}
+    ending = {(0, v): [i] for i, v in enumerate(vertices)}
+    level = list(range(nv))  # the normal words of the current length
+    length = 0
+    while level:
+        if length >= length_cap:
+            raise NotAdmissible(
+                f"path classes still appearing at length cap {length_cap}"
+            )
+        length += 1
+        cands = sorted((paths[w] + (name,), w, name)
+                       for w in level for name in out_names[tgt[w]])
+        base = len(paths)  # candidate k has the provisional id base + k
+        for k, (_, w, name) in enumerate(cands, base):
+            act[name][w] = {k: F1}
+        rows = SparseRREF()
+        for g_terms, g_lmax, g_src in generators:
+            for n in ending.get((length - g_lmax, g_src), ()):
+                vec = _evaluate(act, n, g_terms)
+                piv = rows.add(vec) if vec else None
+                if piv is not None and piv < base:
+                    return None, [(c, paths[j])
+                                  for j, c in rows.rows[piv].items()]
+        level = []
+        renumber = {}
+        for k, (p, w, name) in enumerate(cands, base):
+            row = rows.rows.get(k)
+            if row is None:
+                renumber[k] = i = len(paths)
+                paths.append(p)
+                src.append(src[w])
+                tgt.append(arrow[name].target)
+                parent.append(w)
+                last.append(name)
+                level.append(i)
+                ending.setdefault((length, tgt[i]), []).append(i)
+                act[name][w] = {i: F1}
+                continue
+            # a reduced row has entries only at shorter words and at
+            # candidates before k that are not pivots, renumbered above
+            form = {renumber.get(j, j): -c for j, c in row.items() if j != k}
+            if form:
+                act[name][w] = form
+            else:
+                del act[name][w]
+    if mixed:
+        for g_terms, g_lmax, g_src in generators:
+            for n, p in enumerate(paths):
+                if tgt[n] == g_src and len(p) + g_lmax > length:
+                    vec = _evaluate(act, n, g_terms)
+                    if vec:
+                        return None, [(c, paths[j]) for j, c in vec.items()]
+    return (paths, src, tgt, parent, last, act), None
 
 
 def _arrow_layer(a):

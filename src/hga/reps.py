@@ -715,7 +715,7 @@ def _coboundary(n, summands, diff, k):
     The columns of summand s of P_k hold the image x_s of its generator;
     the rows of summand t of P_{k+1} hold f(d(g_t)), the sum of c n(b) x_s
     over the terms c b of the component of d from t to s."""
-    elems = component_elements(diff, summands[k + 1], summands[k])
+    elems = _differential_elements(diff, summands, k)
     col_off, ncols = [], 0
     for v in summands[k]:
         col_off.append(ncols)
@@ -730,6 +730,14 @@ def _coboundary(n, summands, diff, k):
                         block[r][c0 + q] += c * x
         rows.extend(block)
     return rows
+
+
+def _differential_elements(diff, summands, k):
+    """component_elements of diff: P_{k+1} -> P_k of a cached resolution,
+    whose summand lists are summands[k + 1] and summands[k]; memoised on
+    diff."""
+    return memo(diff, "elements", lambda: component_elements(
+        diff, summands[k + 1], summands[k]))
 
 
 def ext_dim(m, n, i):
@@ -958,7 +966,7 @@ def presentation_matrix(m):
     tgts = summands[0]
     if len(terms) == 1:
         return tgts, [], [[] for _ in tgts], (terms[0], diffs[0], None, None)
-    elems = component_elements(diffs[1], summands[1], tgts)
+    elems = _differential_elements(diffs[1], summands, 0)
     return tgts, summands[1], elems, (terms[0], diffs[0], terms[1], diffs[1])
 
 

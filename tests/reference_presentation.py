@@ -1,18 +1,25 @@
-"""The full-kernel relation search, kept as a test oracle for
+"""Test oracles for ``algebras.build_algebra`` and
 ``algebras.minimal_presentation``.
 
-At each length L it row-reduces the values of every path of lengths 2..L,
-one (source, target) block at a time, and reduces each kernel vector of
-that matrix against the ideal generated so far.  The nilpotency index of the
+``reference_build_algebra`` is the degreewise build: at each length L it
+row-reduces the span of every u·g·w whose longest term has length L, over
+all paths of length L, and reads the basis off the paths that are not
+pivots.
+
+``reference_minimal_presentation`` is the full-kernel relation search.  At
+each length L it row-reduces the values of every path of lengths 2..L, one
+(source, target) block at a time, and reduces each kernel vector of that
+matrix against the ideal generated so far.  The nilpotency index of the
 radical comes from ``Algebra.rad_nilpotency``, which multiplies out its
-powers, and the ideal is generated by filtering all prefixes and suffixes.
-The arrows are chosen by the same ``_arrow_layer``.
+powers.  The arrows are chosen by the same ``_arrow_layer``.
+
+Both generate ideals by filtering all prefixes and suffixes.
 """
 
 from hga import algebras, linalg
-from hga.algebras import _arrow_layer, _PathTable
-from hga.errors import InvalidPresentation
-from hga.linalg import F0, F1, SparseRREF, div
+from hga.algebras import Algebra, _arrow_layer, _PathTable
+from hga.errors import InvalidPresentation, NotAdmissible
+from hga.linalg import F0, F1, SparseRREF, add_scaled, div
 from hga.presentations import (
     Arrow,
     BoundQuiverPresentation,
@@ -42,6 +49,170 @@ def _extend_generated(ideal, generators, length, table):
                     vec = {k: c for k, c in vec.items() if c}
                     if vec:
                         ideal.add(vec)
+
+
+def reference_build_algebra(presentation):
+    """The algebra of a presentation, by degreewise exact row reduction over
+    all paths.  Raises NotAdmissible if path classes keep appearing up to
+    the length cap of ``build_algebra``, or if the radical is not
+    nilpotent."""
+    quiver = presentation.quiver
+    nv = len(quiver.vertices)
+    max_term_len = max(
+        (len(p) for r in presentation.relations for _, p in r.terms),
+        default=0,
+    )
+    length_cap = max(2 * nv, 2 * max_term_len, 8)
+
+    arrow = quiver.arrow_by_name
+    table = _PathTable(quiver)
+    relations = presentation.relations
+    generators = []  # (terms, lmax, src, tgt)
+    for r in relations:
+        lens = [len(p) for _, p in r.terms]
+        src = quiver.path_source(r.terms[0][1])
+        tgt = quiver.path_target(r.terms[0][1])
+        generators.append((r.terms, max(lens), src, tgt))
+    max_rel_len = max((m for _, m, _, _ in generators), default=0)
+    spread = max(
+        (max(len(p) for _, p in r.terms) - min(len(p) for _, p in r.terms)
+         for r in relations),
+        default=0,
+    )
+
+    ideal = SparseRREF()
+    closure_len = None
+    length = 1
+    while True:
+        length += 1
+        if length > length_cap:
+            raise NotAdmissible(
+                f"path classes still appearing at length cap {length_cap}"
+            )
+        _extend_generated(ideal, generators, length, table)
+        survivors = [p for p in table.paths(length)
+                     if table.index[p] not in ideal.rows]
+        if not survivors and length >= max_rel_len:
+            closure_len = length
+            break
+    # safety margin for relations mixing term lengths
+    for extra in range(1, spread + 1):
+        _extend_generated(ideal, generators, closure_len + extra, table)
+
+    basis_paths = []
+    for ln in range(1, closure_len):
+        basis_paths.extend(
+            p for p in table.paths(ln) if table.index[p] not in ideal.rows
+        )
+    if any(table.index[p] not in ideal.rows
+           for p in table.paths(closure_len)):
+        raise NotAdmissible("ideal closure unstable after margin pass")
+
+    basis_labels = [("e", v) for v in quiver.vertices] + basis_paths
+    basis_src = list(quiver.vertices) + [arrow[p[0]].source for p in basis_paths]
+    basis_tgt = list(quiver.vertices) + [arrow[p[-1]].target for p in basis_paths]
+    basis_id = {p: nv + k for k, p in enumerate(basis_paths)}
+
+    def reduce_to_basis(path):
+        """Class of a path (length <= closure_len) as {basis id: coef}."""
+        rem = ideal.reduce({table.index[path]: F1})
+        return {basis_id[table.by_index[idx]]: c for idx, c in rem.items()}
+
+    # left action of each arrow on the basis
+    arrow_action = {}
+    for name in table.names:
+        ar = arrow[name]
+        action = {}
+        for b in range(len(basis_labels)):
+            if b < nv:
+                if ar.source == quiver.vertices[b]:
+                    action[b] = reduce_to_basis((name,))
+            else:
+                lab = basis_labels[b]
+                if arrow[lab[-1]].target == ar.source:
+                    action[b] = reduce_to_basis(lab + (name,))
+        arrow_action[name] = action
+
+    def left_mult_by_basis(i, vec):
+        if i < nv:
+            v = quiver.vertices[i]
+            return {k: c for k, c in vec.items() if basis_tgt[k] == v}
+        lab = basis_labels[i]
+        for name in lab:
+            nxt = {}
+            act = arrow_action[name]
+            for k, c in vec.items():
+                row = act.get(k)
+                if row:
+                    add_scaled(nxt, c, row)
+            vec = nxt
+            if not vec:
+                break
+        return vec
+
+    mult = {}
+    dim = len(basis_labels)
+    for j in range(dim):
+        vec_j = {j: F1}
+        for i in range(dim):
+            if basis_src[i] != basis_tgt[j]:
+                continue
+            prod = left_mult_by_basis(i, vec_j)
+            if prod:
+                mult[(i, j)] = prod
+
+    arrow_class = {}
+    for name in table.names:
+        cls = reduce_to_basis((name,))
+        if len(cls) != 1 or next(iter(cls.values())) != 1:
+            raise InvalidPresentation(f"arrow {name} not a basis class")
+        arrow_class[name] = next(iter(cls))
+
+    alg = Algebra(
+        list(quiver.vertices), basis_labels, basis_src, basis_tgt, mult,
+        presentation=presentation, arrow_class=arrow_class,
+    )
+    if spread:
+        # a relation mixing term lengths can close up the ideal with a
+        # path class that is idempotent modulo it, as x^2 - x^3 at a loop
+        # does; homogeneous relations give a graded algebra, whose radical
+        # is nilpotent once the closure above has ended
+        alg.rad_nilpotency()
+    return alg
+
+
+def assert_builds_like_reference(presentation):
+    """``build_algebra`` gives the algebra the degreewise build gives: the
+    same basis labels, ends, ``mult`` and ``arrow_class``.  Where the
+    degreewise build refuses, ``build_algebra`` refuses too, unless the
+    relations mix term lengths: a truncated degreewise span can miss a
+    shorter path in the ideal until past its length cap, and
+    ``build_algebra`` may then return an algebra in which every relation
+    evaluates to 0 and ``mult`` is associative."""
+    try:
+        ref = reference_build_algebra(presentation)
+    except NotAdmissible:
+        ref = None
+    try:
+        alg = algebras.build_algebra(presentation)
+    except NotAdmissible:
+        assert ref is None
+        return
+    if ref is not None:
+        assert (alg.basis_labels, alg.basis_src, alg.basis_tgt, alg.mult,
+                alg.arrow_class) == (ref.basis_labels, ref.basis_src,
+                                     ref.basis_tgt, ref.mult, ref.arrow_class)
+        return
+    assert any(len({len(p) for _, p in r.terms}) > 1
+               for r in presentation.relations)
+    for r in presentation.relations:
+        assert alg.relation_value(r) == {}
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            ij = alg.mult_basis(i, j)
+            for k in range(alg.dim):
+                assert (alg.mult_elements(ij, {k: F1})
+                        == alg.mult_elements({i: F1}, alg.mult_basis(j, k)))
 
 
 def reference_minimal_presentation(a):

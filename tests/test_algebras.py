@@ -17,7 +17,11 @@ from hga.algebras import Algebra, represent
 from hga.cluster import cluster_endo_algebra, ctgent_family
 from hga.errors import EmptyIdempotent, InvalidPresentation, NotAdmissible
 from hga.typea import build_typeA_auslander
-from reference_presentation import matches_reference, presented_during
+from reference_presentation import (
+    assert_builds_like_reference,
+    matches_reference,
+    presented_during,
+)
 
 
 def linear_a2():
@@ -112,6 +116,29 @@ def test_idempotent_path_class_not_admissible():
     rel = [[(1, ("x", "x")), (-1, ("x", "x", "x"))]]
     with pytest.raises(NotAdmissible, match="not nilpotent"):
         build_algebra(BoundQuiverPresentation(q, rel))
+
+
+def test_mixed_length_relation_closes_at_its_normal_words():
+    # x(xx - yyy) = xxx - xyyy puts xxx in the ideal, since xy = 0; a
+    # truncated degreewise span only reaches xxx at length 4
+    q = Quiver(["v"], [("x", "v", "v"), ("y", "v", "v")])
+    rel = [
+        [(1, ("x", "x")), (-1, ("y", "y", "y"))],
+        [(1, ("x", "y"))],
+        [(1, ("y", "x"))],
+    ]
+    alg = build_algebra(BoundQuiverPresentation(q, rel))
+    assert alg.dim == 5
+    assert alg.basis_labels == [("e", "v"), ("x",), ("y",), ("x", "x"),
+                                ("y", "y")]
+    assert alg.path_value(("y", "y", "y")) == alg.path_value(("x", "x"))
+    assert alg.path_value(("x", "x", "x")) == {}
+
+
+@pytest.mark.parametrize("n, d", [(6, 2), (7, 2), (8, 2), (9, 2), (4, 3),
+                                  (5, 3), (6, 3), (4, 4)])
+def test_typeA_build_matches_degreewise_reference(n, d):
+    assert_builds_like_reference(build_typeA_auslander(n, d).presentation)
 
 
 def test_opposite_involution():

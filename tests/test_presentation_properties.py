@@ -1,6 +1,7 @@
-"""Property test of the relation search of ``minimal_presentation`` against
-the full-kernel search, over small random bound quivers and their corners
-and quotients: round trips through ``minimal_presentation``."""
+"""Property tests of ``build_algebra`` against the degreewise build, and of
+the relation search of ``minimal_presentation`` against the full-kernel
+search, over small random bound quivers and their corners and quotients:
+round trips through ``minimal_presentation``."""
 
 from collections import Counter
 from fractions import Fraction
@@ -21,6 +22,7 @@ from hga import (  # noqa: E402
 )
 from hga.errors import NotAdmissible  # noqa: E402
 from reference_presentation import (  # noqa: E402
+    assert_builds_like_reference,
     matches_reference,
     presented_during,
     reference_minimal_presentation,
@@ -60,6 +62,14 @@ def bound_quivers(draw):
     return BoundQuiverPresentation(quiver, relations)
 
 
+def corner_and_quotient(alg, cut):
+    """The corner of alg at the vertices cut and, unless cut is every
+    vertex, the quotient by them."""
+    idempotent_subalgebra(alg, Idempotent.of(cut))
+    if len(cut) < len(alg.vertices):
+        quotient_by_idempotent(alg, Idempotent.of(cut))
+
+
 @hypothesis.given(bound_quivers(), st.data())
 @hypothesis.settings(max_examples=80, suppress_health_check=[
     hypothesis.HealthCheck.filter_too_much, hypothesis.HealthCheck.too_slow])
@@ -79,11 +89,21 @@ def test_relation_search_matches_full_kernel(p, data):
         return
     assert matches_reference(alg, result)
     cut = data.draw(st.sets(st.sampled_from(alg.vertices), min_size=1))
-
-    def run():
-        idempotent_subalgebra(alg, Idempotent.of(cut))
-        if len(cut) < len(alg.vertices):
-            quotient_by_idempotent(alg, Idempotent.of(cut))
-
-    for raw, result in presented_during(run):
+    for raw, result in presented_during(
+            lambda: corner_and_quotient(alg, cut)):
         assert matches_reference(raw, result)
+
+
+@hypothesis.given(bound_quivers(), st.data())
+@hypothesis.settings(max_examples=80, suppress_health_check=[
+    hypothesis.HealthCheck.filter_too_much, hypothesis.HealthCheck.too_slow])
+def test_build_matches_degreewise_reference(p, data):
+    assert_builds_like_reference(p)
+    try:
+        alg = build_algebra(p)
+    except NotAdmissible:
+        hypothesis.reject()
+    cut = data.draw(st.sets(st.sampled_from(alg.vertices), min_size=1))
+    for _, (pres, _) in presented_during(
+            lambda: corner_and_quotient(alg, cut)):
+        assert_builds_like_reference(pres)
