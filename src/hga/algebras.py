@@ -5,13 +5,13 @@ one idempotent per vertex.  Products follow the composition convention of
 presentations: mult(i, j) is "basis j first, then basis i".
 """
 
-from . import linalg
 from .errors import (
     EmptyIdempotent,
+    InternalError,
     InvalidPresentation,
     NotAdmissible,
 )
-from .linalg import F0, F1, SparseRREF, add_scaled, div
+from .linalg import F1, SparseRREF, add_scaled, div, exact
 from .memo import memo
 from .presentations import (
     Arrow,
@@ -168,30 +168,36 @@ def build_algebra(presentation, length_cap=None, ambient=None,
     of the ideal; the normal words are closed under taking subpaths, and
     their classes are a basis of the quotient.  They are found one length
     at a time by `_normal_words`, together with the arrow action on them:
-    the normal form of each normal word followed by each arrow.  The
-    product of two basis paths is the arrow action applied one letter at a
-    time, so mult(i, j) is the last arrow of i applied to
-    mult(prefix of i, j).
+    the normal form of each normal word followed by each arrow.
 
     Raises NotAdmissible if normal words still appear at the length cap,
     or if the radical is not nilpotent.  `ambient`, `arrow_ambient` and
     `typeA` are recorded on the result as they are given."""
     quiver = presentation.quiver
-    vertices = quiver.vertices
-    nv = len(vertices)
     relations = [r.terms for r in presentation.relations]
     if length_cap is None:
-        length_cap = max(2 * nv, 2 * max(
+        length_cap = max(2 * len(quiver.vertices), 2 * max(
             (len(p) for terms in relations for _, p in terms), default=0), 8)
-    mixed = any(len({len(p) for _, p in terms}) > 1 for terms in relations)
     generators = [_generator(quiver, terms) for terms in relations]
     while True:
-        words, collapse = _normal_words(quiver, generators, length_cap, mixed)
+        words, collapse = _normal_words(quiver, generators, length_cap)
         if collapse is None:
             break
         generators.append(_generator(quiver, collapse))
-    paths, src, tgt, parent, last, act = words
+    return _on_words(presentation, words, ambient=ambient,
+                     arrow_ambient=arrow_ambient, typeA=typeA)
 
+
+def _on_words(presentation, words, **fields):
+    """The algebra of `presentation` on its normal words `words` (see
+    `_normal_words`), with `fields` recorded as they are given.
+
+    The product of two basis paths is the arrow action applied one letter
+    at a time, so mult(i, j) is the last arrow of i applied to
+    mult(prefix of i, j)."""
+    paths, src, tgt, parent, last, act = words
+    vertices = presentation.quiver.vertices
+    nv = len(vertices)
     starting = {v: [] for v in vertices}
     for i, v in enumerate(src):
         starting[v].append(i)
@@ -212,15 +218,19 @@ def build_algebra(presentation, length_cap=None, ambient=None,
         vertices, [("e", v) for v in vertices] + paths[nv:], src, tgt, mult,
         presentation=presentation,
         arrow_class={p[0]: i for i, p in enumerate(paths) if len(p) == 1},
-        ambient=ambient, arrow_ambient=arrow_ambient, typeA=typeA,
+        **fields,
     )
-    if mixed:
+    if any(_mixes(r.terms) for r in presentation.relations):
         # a relation mixing term lengths can close up the ideal with a
         # path class that is idempotent modulo it, as x^2 - x^3 at a loop
         # does; homogeneous relations give a graded algebra, whose radical
         # is nilpotent once the normal words have run out
         alg.rad_nilpotency()
     return alg
+
+
+def _mixes(terms):
+    return len({len(p) for _, p in terms}) > 1
 
 
 def _generator(quiver, terms):
@@ -255,7 +265,7 @@ def _evaluate(act, n, terms):
     return total
 
 
-def _normal_words(quiver, generators, length_cap, mixed):
+def _normal_words(quiver, generators, length_cap, relation_at=None):
     """The normal words of the ideal generated by `generators` (see
     `_generator`) and the arrow action on them, or a combination of shorter
     normal words that lies in the ideal.
@@ -277,6 +287,15 @@ def _normal_words(quiver, generators, length_cap, mixed):
     pivot makes the pivots the tips of length L, and each fully reduced
     row the normal form of its tip.  The candidates that are not pivots
     are the normal words of length L.
+
+    `relation_at`, when given, finds relations as it goes: it is called
+    with (i, p, w) for each candidate p that is not a pivot, in lex order,
+    where w is its prefix and i the id p gets if it is a normal word.  It
+    returns None, or the terms of a relation whose tip is p and whose other
+    terms are normal words.  That relation is already in normal form.  It
+    is appended to `generators` and reduced as one more row, so p becomes
+    a tip.  The relations of one length are appended in the order of their
+    (source, target) blocks, then in lex order.
 
     Relations whose terms have different lengths can give a row in which
     every candidate cancels: a combination of shorter normal words in the
@@ -318,27 +337,40 @@ def _normal_words(quiver, generators, length_cap, mixed):
                                   for j, c in rows.rows[piv].items()]
         level = []
         renumber = {}
+        found = []
         for k, (p, w, name) in enumerate(cands, base):
-            row = rows.rows.get(k)
-            if row is None:
-                renumber[k] = i = len(paths)
-                paths.append(p)
-                src.append(src[w])
-                tgt.append(arrow[name].target)
-                parent.append(w)
-                last.append(name)
-                level.append(i)
-                ending.setdefault((length, tgt[i]), []).append(i)
-                act[name][w] = {i: F1}
+            if k in rows.rows:
+                continue
+            i = len(paths)
+            terms = relation_at(i, p, w) if relation_at else None
+            if terms:
+                found.append((str(src[w]), str(arrow[name].target), terms))
+                continue
+            renumber[k] = i
+            paths.append(p)
+            src.append(src[w])
+            tgt.append(arrow[name].target)
+            parent.append(w)
+            last.append(name)
+            level.append(i)
+            ending.setdefault((length, tgt[i]), []).append(i)
+        for _, _, terms in sorted(found, key=lambda f: f[:2]):
+            g = _generator(quiver, terms)
+            generators.append(g)
+            rows.add(_evaluate(act, ending[(0, g[2])][0], terms))
+        for k, (p, w, name) in enumerate(cands, base):
+            if k in renumber:
+                act[name][w] = {renumber[k]: F1}
                 continue
             # a reduced row has entries only at shorter words and at
             # candidates before k that are not pivots, renumbered above
-            form = {renumber.get(j, j): -c for j, c in row.items() if j != k}
+            form = {renumber.get(j, j): -c
+                    for j, c in rows.rows[k].items() if j != k}
             if form:
                 act[name][w] = form
             else:
                 del act[name][w]
-    if mixed:
+    if any(_mixes(g_terms) for g_terms, _, _ in generators):
         for g_terms, g_lmax, g_src in generators:
             for n, p in enumerate(paths):
                 if tgt[n] == g_src and len(p) + g_lmax > length:
@@ -367,230 +399,143 @@ def _arrow_layer(a):
     for key in sorted(blocks, key=lambda st: (str(st[0]), str(st[1]))):
         span = SparseRREF()
         for vec in rad2.get(key, []):
-            span.add(dict(vec))
+            span.add(vec)
         for b in blocks[key]:
             if span.add({b: F1}) is not None:
                 out.append((key[0], key[1], b))
     return out
 
 
-class _PathTable:
-    """The paths of positive length of a quiver, indexed in (length, lex)
-    order as they are first asked for, one length at a time.  Each length
-    is also listed by the vertex its paths end at and by the vertex they
-    start at, in lex order; the empty path ends and starts everywhere."""
+def _reduce_value(echelon, value, word):
+    """Reduce the raw value of `word` against the values in `echelon`.
 
-    def __init__(self, quiver):
-        self.arrow = quiver.arrow_by_name
-        self.names = sorted(self.arrow)
-        self.out_names = {v: sorted(ar.name for ar in arrows)
-                          for v, arrows in quiver.arrows_from.items()}
-        self.index = {}      # path -> index
-        self.by_index = []
-        self.by_len = {0: [()]}
-        self.ending = {(0, v): [()] for v in quiver.vertices}
-        self.starting = dict(self.ending)
-        self._add(1, [(name,) for name in self.names])
-
-    def _add(self, length, paths):
-        arrow, index, ending, starting = (self.arrow, self.index,
-                                          self.ending, self.starting)
-        for k, p in enumerate(paths, len(self.by_index)):
-            index[p] = k
-            ending.setdefault((length, arrow[p[-1]].target), []).append(p)
-            starting.setdefault((length, arrow[p[0]].source), []).append(p)
-        self.by_index.extend(paths)
-        self.by_len[length] = paths
-
-    def paths(self, length):
-        """The paths of one length in lex order."""
-        if length not in self.by_len:
-            arrow, out_names = self.arrow, self.out_names
-            self._add(length, [
-                p + (name,) for p in self.paths(length - 1)
-                for name in out_names[arrow[p[-1]].target]])
-        return self.by_len[length]
-
-
-def _extend_generated(ideal, generators, length, table):
-    """Add to ideal u*g*w for each generator g = (terms, longest term
-    length, source, target), with longest term exactly ``length``.  The
-    paths of that length are indexed first."""
-    table.paths(length)
-    index = table.index
-    for g_terms, g_lmax, g_src, g_tgt in generators:
-        room = length - g_lmax
-        for pre_len in range(room + 1):
-            suffixes = table.starting.get((room - pre_len, g_tgt), ())
-            for u in table.ending.get((pre_len, g_src), ()):
-                for w in suffixes:
-                    vec = {}
-                    for coef, term in g_terms:
-                        idx = index[u + term + w]
-                        vec[idx] = vec.get(idx, F0) + coef
-                    vec = {k: c for k, c in vec.items() if c}
-                    if vec:
-                        ideal.add(vec)
-
-
-def _kernel_vector(echelon, value, index):
-    """Reduce the value of the path with table index `index` against the
-    earlier path values of its block.
-
-    `echelon` maps a pivot (the largest basis id of a row) to the row: a
-    path value with entry 1 at its pivot, and the combination of paths
-    whose value it is.  A value that stays nonzero joins the echelon and
-    gives None.  One that reduces to zero gives the kernel vector: the path
-    minus the combination of earlier paths with the same value."""
+    `echelon` maps a pivot (the largest raw id of a row) to the row: a
+    value with entry 1 at its pivot, and the combination of words whose
+    value it is.  A value that stays nonzero joins the echelon and gives
+    None.  One that reduces to zero gives the combination: `word` minus the
+    combination of the words in the echelon with the same value."""
     value = dict(value)
-    combo = {index: F1}
-    for piv in sorted(echelon, reverse=True):
-        f = value.get(piv)
-        if f:
-            row, row_combo = echelon[piv]
-            add_scaled(value, -f, row)
-            add_scaled(combo, -f, row_combo)
-    if value:
+    combo = {word: F1}
+    while value:
         piv = max(value)
-        inv = div(F1, value[piv])
-        echelon[piv] = ({j: c * inv for j, c in value.items()},
-                        {j: c * inv for j, c in combo.items()})
-        return None
+        row = echelon.get(piv)
+        if row is None:
+            inv = div(F1, value[piv])
+            echelon[piv] = ({j: c * inv for j, c in value.items()},
+                            {j: c * inv for j, c in combo.items()})
+            return None
+        f = value[piv]
+        add_scaled(value, -f, row[0])
+        add_scaled(combo, -f, row[1])
     return combo
 
 
-def minimal_presentation(a, validate=True):
-    """Quiver with rad/rad^2 arrows plus a minimal generating set of the
-    kernel ideal, found degree by degree.
-
-    Returns the presentation and, for each arrow name, the basis id of `a`
-    that the arrow is.
-
-    The kernel at each length is read from the paths of that length alone:
-    a kernel vector whose last path is shorter depends only on the paths
-    before it, so it was found, and reduced against the generated ideal, at
-    an earlier length.  The arrows lift rad/rad^2, so the path values of
-    length L span rad^L: the nilpotency index is the first length whose
-    path values all vanish, and the radical is nilpotent exactly when the
-    path values span it.
-    """
+def _present(raw, ambient=None, ambient_basis=None):
+    """(algebra, arrow ids): raw re-presented as `represent` says, and for
+    each arrow name the basis id of raw that the arrow is."""
     name_count = {}
     arrows = []
     arrow_ids = {}
-    for src, tgt, b in _arrow_layer(a):
+    for src, tgt, b in _arrow_layer(raw):
         base = f"{src}_{tgt}"
         k = name_count.get(base, 0)
         name_count[base] = k + 1
         name = base if k == 0 else f"{base}_{k}"
         arrows.append(Arrow(name, src, tgt))
         arrow_ids[name] = b
-    quiver = Quiver(list(a.vertices), arrows)
-    arrow_by_name = quiver.arrow_by_name
+    quiver = Quiver(list(raw.vertices), arrows)
+    arrow = quiver.arrow_by_name
+    values = {}    # normal word of positive length -> its raw value
+    echelons = {}  # (source, target) -> values of normal words of length >= 2
 
-    table = _PathTable(quiver)
-    values = {p: {arrow_ids[p[0]]: F1} for p in table.paths(1)}
-    echelons = {}  # (source, target) -> path values of length >= 2
-    kgen = SparseRREF()
-    generators = []  # (terms, lmax, src, tgt)
-    relations = []
-    nilp = None  # least length at which every path value vanishes
-    new_here = False
-    length = 1
-    while True:
-        if nilp is None and not any(values[p] for p in table.paths(length)):
-            nilp = length
-            spanned = len(arrows) + sum(map(len, echelons.values()))
-            if spanned != a.dim - len(a.vertices):
-                raise NotAdmissible("radical is not nilpotent")
-        if nilp is not None and length > nilp and not new_here:
-            break
-        length += 1
-        if nilp is None and length > a.dim + 2:
-            raise NotAdmissible("radical is not nilpotent")
-        if nilp is not None and length > nilp + 1 + a.dim:
-            raise InvalidPresentation("relation search failed to stabilize")
-        blocks = {}
-        for p in table.paths(length):
-            values[p] = a.mult_elements({arrow_ids[p[-1]]: F1},
-                                        values[p[:-1]])
-            key = (arrow_by_name[p[0]].source, arrow_by_name[p[-1]].target)
-            blocks.setdefault(key, []).append(p)
-        _extend_generated(kgen, generators, length, table)
-        new_here = False
-        for key in sorted(blocks, key=lambda st: (str(st[0]), str(st[1]))):
-            echelon = echelons.setdefault(key, {})
-            for p in blocks[key]:
-                vec = _kernel_vector(echelon, values[p], table.index[p])
-                if vec is None:
-                    continue
-                rem = kgen.reduce(vec)
-                if not rem:
-                    continue
-                piv = max(rem)
-                inv = div(F1, rem[piv])
-                rem = {j: c * inv for j, c in rem.items()}
-                terms = sorted(
-                    ((c, table.by_index[j]) for j, c in rem.items()),
-                    key=lambda t: (len(t[1]), t[1]),
-                )
-                g_lmax = max(len(path) for _, path in terms)
-                generators.append((terms, g_lmax, key[0], key[1]))
-                relations.append(RelationElement(list(terms)))
-                kgen.add(dict(rem))
-                new_here = True
+    def relation_at(i, p, w):
+        b = arrow_ids[p[-1]]
+        if len(p) == 1:
+            values[i] = {b: F1}
+            return None
+        value = raw.mult_elements({b: F1}, values[w])
+        key = (arrow[p[0]].source, arrow[p[-1]].target)
+        if any((raw.basis_src[j], raw.basis_tgt[j]) != key for j in value):
+            raise InvalidPresentation("re-presentation leaves its block")
+        combo = _reduce_value(echelons.setdefault(key, {}), value, p)
+        if combo is None:
+            values[i] = value
+            return None
+        return sorted(((exact(c), q) for q, c in combo.items()),
+                      key=lambda t: (len(t[1]), t[1]))
 
-    pres = BoundQuiverPresentation(quiver, relations)
-    if validate:
-        rebuilt = build_algebra(pres)
-        if rebuilt.dim != a.dim:
-            raise InvalidPresentation(
-                f"presentation round-trip changed dimension "
-                f"({a.dim} -> {rebuilt.dim})"
-            )
-    return pres, arrow_ids
-
-
-def represent(raw, ambient=None, ambient_basis=None):
-    """Rebuild a raw structure-constant algebra as a presented one.
-
-    Each path class of the result must be a raw element between the same
-    vertices, and in every block e_t A e_s the path classes must form a basis
-    of the raw block.  A corner or quotient passes its ambient algebra and
-    the ambient id of each raw basis element, and the result records them as
-    `ambient` and `arrow_ambient`.
-    """
-    pres, arrow_ids = minimal_presentation(raw, validate=False)
+    generators = []
+    words, collapse = _normal_words(quiver, generators, raw.dim + 2,
+                                    relation_at)
+    if collapse is not None:
+        raise InternalError("found relations put shorter normal words "
+                            "into the ideal")
+    if len(words[0]) != raw.dim:
+        raise NotAdmissible("radical is not nilpotent")
     arrow_ambient = None
     if ambient is not None:
         arrow_ambient = {name: ambient_basis[b]
                          for name, b in arrow_ids.items()}
-    alg = build_algebra(pres, ambient=ambient, arrow_ambient=arrow_ambient)
-    if alg.dim != raw.dim:
-        raise InvalidPresentation(
-            f"re-presentation changed dimension ({raw.dim} -> {alg.dim})"
-        )
-    nv = len(raw.vertices)
-    blocks = {}  # (source, target) -> (raw ids, path classes as raw elements)
-    for b in range(raw.dim):
-        key = (raw.basis_src[b], raw.basis_tgt[b])
-        blocks.setdefault(key, ([], []))[0].append(b)
-    for i in range(alg.dim):
-        if i < nv:
-            elem = {raw.e_index[alg.vertices[i]]: F1}
-        else:
-            path = alg.basis_labels[i]
-            elem = {arrow_ids[path[0]]: F1}
-            for name in path[1:]:
-                elem = raw.mult_elements({arrow_ids[name]: F1}, elem)
-        key = (alg.basis_src[i], alg.basis_tgt[i])
-        if any((raw.basis_src[b], raw.basis_tgt[b]) != key for b in elem):
+    pres = BoundQuiverPresentation(quiver, [g[0] for g in generators])
+    alg = _on_words(pres, words, ambient=ambient, arrow_ambient=arrow_ambient)
+    # with as many normal words as raw basis elements, their values form a
+    # basis of each block exactly when they are independent there; those of
+    # length >= 2 already are, so adding the vertices and arrows is the
+    # rank test
+    for s, t, b in ([(v, v, raw.e_index[v]) for v in raw.vertices]
+                    + [(ar.source, ar.target, arrow_ids[ar.name])
+                       for ar in arrows]):
+        if (raw.basis_src[b], raw.basis_tgt[b]) != (s, t):
             raise InvalidPresentation("re-presentation leaves its block")
-        blocks.setdefault(key, ([], []))[1].append(elem)
-    for rows, elems in blocks.values():
-        if len(rows) != len(elems) or linalg.rank(
-                [[x.get(b, F0) for x in elems] for b in rows]) != len(rows):
+        if _reduce_value(echelons.setdefault((s, t), {}), {b: F1},
+                         None) is not None:
             raise InvalidPresentation("re-presentation basis is degenerate")
-    return alg
+    return alg, arrow_ids
+
+
+def minimal_presentation(a):
+    """Quiver with rad/rad^2 arrows plus a minimal generating set of the
+    kernel ideal, as `represent` finds them.
+
+    Returns the presentation and, for each arrow name, the basis id of `a`
+    that the arrow is."""
+    alg, arrow_ids = _present(a)
+    return alg.presentation, arrow_ids
+
+
+def represent(raw, ambient=None, ambient_basis=None):
+    """Rebuild a raw structure-constant algebra as a presented one, in one
+    pass over its normal words.
+
+    The arrows lift rad/rad^2, one block e_t A e_s at a time, and are named
+    source_target.  `_normal_words` then runs with no relation given.  The
+    value in raw of each candidate that is not a tip is its arrow times the
+    value of its prefix.  It must stay in its block, and it is reduced
+    against the values of the normal words of length >= 2 in that block.
+    An independent value makes the candidate a normal word.  A dependent
+    one gives a relation: the candidate minus the normal words with the
+    same value.  The relations appear in (length, block, lex) order, each
+    with its tip at coefficient 1.
+
+    The normal words must be as many as the raw basis elements, or the
+    radical is not nilpotent (NotAdmissible); with the vertices and arrows
+    their values must be independent in each block, or the basis is
+    degenerate (InvalidPresentation).  A corner or quotient passes its
+    ambient algebra and the ambient id of each raw basis element, and the
+    result records them as `ambient` and `arrow_ambient`.
+    """
+    return _present(raw, ambient, ambient_basis)[0]
+
+
+def _composable(ids, src, tgt):
+    """The pairs (k, i, l, j) of positions k, l in `ids` whose basis ids
+    i = ids[k], j = ids[l] compose (j first, then i), in (k, l) order."""
+    ending = {}
+    for l, j in enumerate(ids):
+        ending.setdefault(tgt[j], []).append((l, j))
+    for k, i in enumerate(ids):
+        for l, j in ending.get(src[i], ()):
+            yield k, i, l, j
 
 
 def idempotent_subalgebra(a, e):
@@ -604,11 +549,10 @@ def idempotent_subalgebra(a, e):
            if a.basis_src[i] in keep and a.basis_tgt[i] in keep]
     new_pos = {b: k for k, b in enumerate(ids)}
     mult = {}
-    for k, i in enumerate(ids):
-        for l, j in enumerate(ids):
-            prod = a.mult.get((i, j))
-            if prod:
-                mult[(k, l)] = {new_pos[t]: c for t, c in prod.items()}
+    for k, i, l, j in _composable(ids, a.basis_src, a.basis_tgt):
+        prod = a.mult.get((i, j))
+        if prod:
+            mult[(k, l)] = {new_pos[t]: c for t, c in prod.items()}
     raw = Algebra(
         [v for v in a.vertices if v in keep],
         [a.basis_labels[i] for i in ids],
@@ -621,7 +565,11 @@ def idempotent_subalgebra(a, e):
 
 def quotient_by_idempotent(a, f):
     """Quotient of a by the two-sided ideal generated by a vertex-subset
-    idempotent, re-presented on its own quiver, with ambient `a`."""
+    idempotent, re-presented on its own quiver, with ambient `a`.
+
+    The basis ids kept are those that are not pivots of the ideal's span:
+    with the largest id as pivot, every other id is a combination of the
+    smaller ids kept."""
     f.validate(a.vertices)
     cut = f.vertex_subset
     span = SparseRREF()
@@ -633,22 +581,17 @@ def quotient_by_idempotent(a, f):
             for i in outof:
                 prod = a.mult.get((i, j))
                 if prod:
-                    span.add(dict(prod))
+                    span.add(prod)
         span.add({ev: F1})
-    probe = span.copy()
-    kept = []
-    for b in range(a.dim):
-        if probe.add({b: F1}) is not None:
-            kept.append(b)
+    kept = [b for b in range(a.dim) if b not in span.rows]
     new_pos = {b: k for k, b in enumerate(kept)}
     mult = {}
-    for k, i in enumerate(kept):
-        for l, j in enumerate(kept):
-            prod = a.mult.get((i, j))
-            if prod:
-                rem = span.reduce(dict(prod))
-                if rem:
-                    mult[(k, l)] = {new_pos[b]: c for b, c in rem.items()}
+    for k, i, l, j in _composable(kept, a.basis_src, a.basis_tgt):
+        prod = a.mult.get((i, j))
+        if prod:
+            rem = span.reduce(prod)
+            if rem:
+                mult[(k, l)] = {new_pos[b]: c for b, c in rem.items()}
     raw = Algebra(
         [v for v in a.vertices if v not in cut],
         [a.basis_labels[i] for i in kept],

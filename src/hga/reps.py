@@ -372,17 +372,19 @@ def _hom_equations(m, n):
     """Unknowns and equations of Hom(m, n).
 
     The unknown (v, i, j) is entry (i, j) of the block at v; each row says
-    that the blocks commute with one arrow.  All-zero rows are dropped."""
-    alg = m.algebra
+    that the blocks commute with one arrow.  Only the arrows from supp(m)
+    to supp(n) give rows, in arrow order; all-zero rows are dropped."""
     var_index = {}
-    for v in alg.vertices:
+    for v in m.support:
         for i in range(n.dims[v]):
             for j in range(m.dims[v]):
                 var_index[(v, i, j)] = len(var_index)
     nvars = len(var_index)
     rows = []
-    for ar in alg.presentation.quiver.arrows:
+    for ar in m.algebra.presentation.quiver.arrows:
         u, w = ar.source, ar.target
+        if not (m.dims[u] and n.dims[w]):
+            continue
         na, ma = n.maps[ar.name], m.maps[ar.name]
         for i in range(n.dims[w]):
             for j in range(m.dims[u]):

@@ -1,5 +1,5 @@
 """Test oracles for ``algebras.build_algebra`` and
-``algebras.minimal_presentation``.
+``algebras.minimal_presentation``, and checks against them.
 
 ``reference_build_algebra`` is the degreewise build: at each length L it
 row-reduces the span of every u·g·w whose longest term has length L, over
@@ -17,7 +17,7 @@ Both generate ideals by filtering all prefixes and suffixes.
 """
 
 from hga import algebras, linalg
-from hga.algebras import Algebra, _arrow_layer, _PathTable
+from hga.algebras import Algebra, _arrow_layer
 from hga.errors import InvalidPresentation, NotAdmissible
 from hga.linalg import F0, F1, SparseRREF, add_scaled, div
 from hga.presentations import (
@@ -27,6 +27,36 @@ from hga.presentations import (
     RelationElement,
     presentation_to_dict,
 )
+
+
+class _PathTable:
+    """The paths of positive length of a quiver, indexed in (length, lex)
+    order as they are first asked for, one length at a time."""
+
+    def __init__(self, quiver):
+        self.arrow = quiver.arrow_by_name
+        self.names = sorted(self.arrow)
+        self.out_names = {v: sorted(ar.name for ar in arrows)
+                          for v, arrows in quiver.arrows_from.items()}
+        self.index = {}      # path -> index
+        self.by_index = []
+        self.by_len = {0: [()]}
+        self._add(1, [(name,) for name in self.names])
+
+    def _add(self, length, paths):
+        for k, p in enumerate(paths, len(self.by_index)):
+            self.index[p] = k
+        self.by_index.extend(paths)
+        self.by_len[length] = paths
+
+    def paths(self, length):
+        """The paths of one length in lex order."""
+        if length not in self.by_len:
+            arrow, out_names = self.arrow, self.out_names
+            self._add(length, [
+                p + (name,) for p in self.paths(length - 1)
+                for name in out_names[arrow[p[-1]].target]])
+        return self.by_len[length]
 
 
 def _extend_generated(ideal, generators, length, table):
@@ -215,6 +245,20 @@ def assert_builds_like_reference(presentation):
                         == alg.mult_elements({i: F1}, alg.mult_basis(j, k)))
 
 
+def assert_presented_like_build(alg):
+    """A re-presented algebra is the algebra ``build_algebra`` builds from
+    its presentation: the same vertices, basis labels and ends, ``mult``
+    with its entries, their order and their coefficient types, and
+    ``arrow_class`` in the same order."""
+    def fields(a):
+        return (a.vertices, a.basis_labels, a.basis_src, a.basis_tgt,
+                [(key, [(j, type(c), c) for j, c in prod.items()])
+                 for key, prod in a.mult.items()],
+                list(a.arrow_class.items()))
+
+    assert fields(alg) == fields(algebras.build_algebra(alg.presentation))
+
+
 def reference_minimal_presentation(a):
     """(presentation, arrow ids) as ``minimal_presentation(a)`` gives them."""
     name_count = {}
@@ -286,28 +330,30 @@ def reference_minimal_presentation(a):
 
 
 def presented_during(run):
-    """Call run() and return, for each algebra it handed to
-    ``minimal_presentation``, the pair (algebra, result)."""
+    """Call run() and return, for each raw algebra it re-presented, the
+    triple (raw algebra, presented algebra, arrow ids) that
+    ``algebras._present``, behind ``represent`` and
+    ``minimal_presentation``, gave."""
     seen = []
-    search = algebras.minimal_presentation
+    present = algebras._present
 
-    def recording(a, validate=True):
-        out = search(a, validate)
-        seen.append((a, out))
-        return out
+    def recording(raw, *args):
+        alg, arrow_ids = present(raw, *args)
+        seen.append((raw, alg, arrow_ids))
+        return alg, arrow_ids
 
-    algebras.minimal_presentation = recording
+    algebras._present = recording
     try:
         run()
     finally:
-        algebras.minimal_presentation = search
+        algebras._present = present
     return seen
 
 
-def matches_reference(a, result):
-    """Whether a (presentation, arrow ids) result of ``minimal_presentation``
-    on a is what the full-kernel search gives, arrow order included."""
-    pres, arrow_ids = result
+def matches_reference(a, pres, arrow_ids):
+    """Whether a presentation and arrow ids that ``minimal_presentation``
+    gave for a are what the full-kernel search gives, arrow order
+    included."""
     ref_pres, ref_ids = reference_minimal_presentation(a)
     return (presentation_to_dict(pres) == presentation_to_dict(ref_pres)
             and list(arrow_ids.items()) == list(ref_ids.items()))

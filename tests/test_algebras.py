@@ -13,12 +13,14 @@ from hga import (
     quotient_by_idempotent,
     zero_relation,
 )
+from hga import algebras
 from hga.algebras import Algebra, represent
 from hga.cluster import cluster_endo_algebra, ctgent_family
 from hga.errors import EmptyIdempotent, InvalidPresentation, NotAdmissible
 from hga.typea import build_typeA_auslander
 from reference_presentation import (
     assert_builds_like_reference,
+    assert_presented_like_build,
     matches_reference,
     presented_during,
 )
@@ -286,8 +288,23 @@ def test_relation_search_matches_full_kernel_on_corners_and_quotients(n, d):
 
     seen = presented_during(run)
     assert len(seen) == 2 * len(cuts)
-    for raw, result in seen + [(a, minimal_presentation(a))]:
-        assert matches_reference(raw, result)
+    for raw, alg, arrow_ids in seen:
+        assert matches_reference(raw, alg.presentation, arrow_ids)
+        assert_presented_like_build(alg)
+    assert matches_reference(a, *minimal_presentation(a))
+
+
+def test_corners_and_quotients_call_no_build(monkeypatch):
+    # the re-presentation builds its algebra in the pass that finds the
+    # relations, so no presentation is built a second time
+    def build(*args, **kwargs):
+        raise AssertionError("build_algebra called")
+
+    a = build_typeA_auslander(4, 2)
+    monkeypatch.setattr(algebras, "build_algebra", build)
+    for cut in (["13", "24", "35", "15"], ["24", "35"]):
+        idempotent_subalgebra(a, Idempotent.of(cut))
+        quotient_by_idempotent(a, Idempotent.of(cut))
 
 
 def test_relation_search_matches_full_kernel_on_endo_algebra():
@@ -297,9 +314,11 @@ def test_relation_search_matches_full_kernel_on_endo_algebra():
     seen = presented_during(lambda: res.append(
         cluster_endo_algebra(ctgent_family(4, 2, [2, 4]))))
     endo = res[0].algebra
-    assert [raw.dim for raw, _ in seen] == [endo.dim]
-    for raw, result in seen + [(endo, minimal_presentation(endo))]:
-        assert matches_reference(raw, result)
+    assert [(raw.dim, alg) for raw, alg, _ in seen] == [(endo.dim, endo)]
+    for raw, alg, arrow_ids in seen:
+        assert matches_reference(raw, alg.presentation, arrow_ids)
+        assert_presented_like_build(alg)
+    assert matches_reference(endo, *minimal_presentation(endo))
 
 
 @pytest.mark.parametrize("mult", [

@@ -1,7 +1,8 @@
-"""Property tests of ``build_algebra`` against the degreewise build, and of
-the relation search of ``minimal_presentation`` against the full-kernel
-search, over small random bound quivers and their corners and quotients:
-round trips through ``minimal_presentation``."""
+"""Property tests of ``build_algebra`` against the degreewise build, of the
+relation search of ``minimal_presentation`` against the full-kernel search,
+and of the algebra ``represent`` builds in the same pass against
+``build_algebra`` of its presentation, over small random bound quivers and
+their corners and quotients."""
 
 from collections import Counter
 from fractions import Fraction
@@ -20,9 +21,11 @@ from hga import (  # noqa: E402
     minimal_presentation,
     quotient_by_idempotent,
 )
+from hga.algebras import represent  # noqa: E402
 from hga.errors import NotAdmissible  # noqa: E402
 from reference_presentation import (  # noqa: E402
     assert_builds_like_reference,
+    assert_presented_like_build,
     matches_reference,
     presented_during,
     reference_minimal_presentation,
@@ -87,11 +90,11 @@ def test_relation_search_matches_full_kernel(p, data):
         with pytest.raises(NotAdmissible):
             reference_minimal_presentation(alg)
         return
-    assert matches_reference(alg, result)
+    assert matches_reference(alg, *result)
     cut = data.draw(st.sets(st.sampled_from(alg.vertices), min_size=1))
-    for raw, result in presented_during(
+    for raw, presented, arrow_ids in presented_during(
             lambda: corner_and_quotient(alg, cut)):
-        assert matches_reference(raw, result)
+        assert matches_reference(raw, presented.presentation, arrow_ids)
 
 
 @hypothesis.given(bound_quivers(), st.data())
@@ -104,6 +107,23 @@ def test_build_matches_degreewise_reference(p, data):
     except NotAdmissible:
         hypothesis.reject()
     cut = data.draw(st.sets(st.sampled_from(alg.vertices), min_size=1))
-    for _, (pres, _) in presented_during(
+    for _, presented, _ in presented_during(
             lambda: corner_and_quotient(alg, cut)):
-        assert_builds_like_reference(pres)
+        assert_builds_like_reference(presented.presentation)
+
+
+@hypothesis.given(bound_quivers(), st.data())
+@hypothesis.settings(max_examples=80, suppress_health_check=[
+    hypothesis.HealthCheck.filter_too_much, hypothesis.HealthCheck.too_slow])
+def test_one_pass_algebra_is_the_build_of_its_presentation(p, data):
+    try:
+        alg = build_algebra(p)
+    except NotAdmissible:
+        hypothesis.reject()
+    cut = data.draw(st.sets(st.sampled_from(alg.vertices), min_size=1))
+    seen = presented_during(lambda: (represent(alg),
+                                     corner_and_quotient(alg, cut)))
+    assert len(seen) == 2 + (len(cut) < len(alg.vertices))
+    for raw, presented, arrow_ids in seen:
+        assert matches_reference(raw, presented.presentation, arrow_ids)
+        assert_presented_like_build(presented)

@@ -14,10 +14,11 @@ key, and for the hga found on the import path, it measures:
 - ``wall_s``: wall seconds, the best of ``REPEAT`` runs with no counter
   installed;
 - ``counts``, from one more run with counting wrappers:
-  - ``nullspace_calls`` and ``sparse_reduce_calls``: the calls of
-    ``linalg.nullspace`` and ``SparseRREF.reduce`` that
-    ``minimal_presentation`` makes itself (not those of the ideal
-    generation it calls, whose ``SparseRREF.add`` reduces too);
+  - ``nullspace_calls``, ``sparse_add_calls``, ``sparse_reduce_calls`` and
+    ``rank_calls``: the calls of ``linalg.nullspace``, ``SparseRREF.add``,
+    ``SparseRREF.reduce`` and ``linalg.rank`` made inside ``represent``, at
+    any depth (each ``SparseRREF.add`` reduces once, so it counts as a
+    reduce too);
   - ``rad_nilpotency_calls``: every ``Algebra.rad_nilpotency`` call;
   - ``unchecked_rows_copied``: the matrix rows that ``reps._entries``
     copies for an unchecked ``Representation`` or ``Morphism``.
@@ -27,8 +28,8 @@ pool keys: one seedless round of the ``ctgent`` workload.  ``--side``
 merges the result into the JSON file, so one run on each tree fills in both
 sides.  ``--check`` measures the counts only, of the keys with n at most
 ``CHECK_MAX_N``, writes nothing, and exits 1 if any differs from the file's
-``after`` side: a guard, independent of the machine, against the
-full-kernel relation search or the copies coming back.
+``after`` side: a guard, independent of the machine, against the ideal
+generation, the second build or the copies coming back.
 """
 
 import argparse
@@ -52,8 +53,8 @@ KEYS = [(n, d, list(idx)) for n, d, idx in CTGENT_POOL] + [(7, 2, [2, 4, 6])]
 POOL = {ctgent_key(n, d, idx) for n, d, idx in CTGENT_POOL}
 # the keys --check runs: the 13 pool keys, in about 3 s
 CHECK_MAX_N = 5
-COUNTS = ("nullspace_calls", "sparse_reduce_calls", "rad_nilpotency_calls",
-          "unchecked_rows_copied")
+COUNTS = ("nullspace_calls", "sparse_add_calls", "sparse_reduce_calls",
+          "rank_calls", "rad_nilpotency_calls", "unchecked_rows_copied")
 
 
 def ctgent_job(n, d, idx):
@@ -85,11 +86,20 @@ class Counters:
 
     def __enter__(self):
         counts = self.counts
-        presenting = algebras.minimal_presentation.__code__
+        depth = [0]  # represent calls under way
+
+        def presenting(orig):
+            def wrapped(*args, **kwargs):
+                depth[0] += 1
+                try:
+                    return orig(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+            return wrapped
 
         def from_presenting(orig, count):
             def wrapped(*args, **kwargs):
-                if sys._getframe(1).f_code is presenting:
+                if depth[0]:
                     counts[count] += 1
                 return orig(*args, **kwargs)
             return wrapped
@@ -108,10 +118,13 @@ class Counters:
                 return out
             return wrapped
 
-        self._wrap(linalg, "nullspace",
-                   lambda f: from_presenting(f, "nullspace_calls"))
-        self._wrap(linalg.SparseRREF, "reduce",
-                   lambda f: from_presenting(f, "sparse_reduce_calls"))
+        self._wrap(algebras, "represent", presenting)
+        for home, name, count in (
+                (linalg, "nullspace", "nullspace_calls"),
+                (linalg.SparseRREF, "add", "sparse_add_calls"),
+                (linalg.SparseRREF, "reduce", "sparse_reduce_calls"),
+                (linalg, "rank", "rank_calls")):
+            self._wrap(home, name, lambda f, c=count: from_presenting(f, c))
         self._wrap(algebras.Algebra, "rad_nilpotency", nilpotency)
         self._wrap(reps, "_entries", entries)
         return self
