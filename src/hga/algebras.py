@@ -380,6 +380,16 @@ def _normal_words(quiver, generators, length_cap, relation_at=None):
     return (paths, src, tgt, parent, last, act), None
 
 
+def _add_new(span, vec, seen):
+    """span.add(vec), or None without a reduction when vec is an exact
+    repeat of a vector in ``seen``, the vectors already added to span."""
+    key = frozenset(vec.items())
+    if key in seen:
+        return None
+    seen.add(key)
+    return span.add(vec)
+
+
 def _arrow_layer(a):
     """Per vertex pair, basis elements lifting a basis of rad / rad^2.
 
@@ -397,11 +407,11 @@ def _arrow_layer(a):
             rad2.setdefault(key, []).append(prod)
     out = []
     for key in sorted(blocks, key=lambda st: (str(st[0]), str(st[1]))):
-        span = SparseRREF()
+        span, seen = SparseRREF(), set()
         for vec in rad2.get(key, []):
-            span.add(vec)
+            _add_new(span, vec, seen)
         for b in blocks[key]:
-            if span.add({b: F1}) is not None:
+            if _add_new(span, {b: F1}, seen) is not None:
                 out.append((key[0], key[1], b))
     return out
 
@@ -572,7 +582,7 @@ def quotient_by_idempotent(a, f):
     smaller ids kept."""
     f.validate(a.vertices)
     cut = f.vertex_subset
-    span = SparseRREF()
+    span, seen = SparseRREF(), set()
     for v in cut:
         ev = a.e_index[v]
         into = [j for j in range(a.dim) if a.basis_tgt[j] == v]
@@ -581,8 +591,8 @@ def quotient_by_idempotent(a, f):
             for i in outof:
                 prod = a.mult.get((i, j))
                 if prod:
-                    span.add(prod)
-        span.add({ev: F1})
+                    _add_new(span, prod, seen)
+        _add_new(span, {ev: F1}, seen)
     kept = [b for b in range(a.dim) if b not in span.rows]
     new_pos = {b: k for k, b in enumerate(kept)}
     mult = {}

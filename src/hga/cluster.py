@@ -49,7 +49,7 @@ class SummandCollection:
             raise HgaError("family algebra lacks type-A construction data")
         self.n, self.d = info["n"], info["d"]
         m = self.n + 2 * self.d
-        pool = {t.entries: t for t in self.family.labels}
+        fam = self.family
         norm = []
         for lab in self.labels:
             ent = tuple(lab.entries) if isinstance(lab, Tuple) else tuple(lab)
@@ -57,9 +57,11 @@ class SummandCollection:
                 raise UnsupportedSummand(
                     f"label {ent} is a shifted projective (entry {m + 1})"
                 )
-            if ent not in pool:
-                raise HgaError(f"label {ent} is not in the module family")
-            norm.append(pool[ent])
+            try:
+                norm.append(fam.labels[fam.index_of(ent)])
+            except KeyError:
+                raise HgaError(
+                    f"label {ent} is not in the module family") from None
         if not norm:
             raise HgaError("empty summand collection")
         if len(set(norm)) != len(norm):
@@ -75,8 +77,9 @@ class SummandCollection:
 
 
 def is_d_rigid(c, ambient="modules"):
-    """Rigidity of the collection, decided on labels and cross-checked on
-    the representations.
+    """Rigidity of the collection, decided on labels and cross-checked
+    against the family's Ext^d table, which canonical_cluster_tilting
+    checked on the representations for every ordered pair.
 
     In the module category Ext^d(M_I, M_J) is nonzero exactly when J
     intertwines I; in the cluster category the criterion is symmetric in
@@ -85,18 +88,14 @@ def is_d_rigid(c, ambient="modules"):
     if ambient not in ("modules", "cluster"):
         raise ValueError(f"unknown ambient {ambient!r}")
     labs = c.labels
-    verdict = True
-    for x in labs:
-        for y in labs:
-            if x != y and intertwines(y, x):
-                verdict = False
-    mods = c.modules()
-    computed = all(
-        reps.ext_dim(mi, mj, c.d) == 0 for mi in mods for mj in mods
-    )
+    verdict = not any(
+        x != y and intertwines(y, x) for x in labs for y in labs)
+    fam = c.family
+    pos = [fam.index_of(t) for t in labs]
+    computed = not any((i, k) in fam.ext_edges for i in pos for k in pos)
     if computed != verdict:
         raise HgaError(
-            "label rigidity disagrees with the Ext computation"
+            "label rigidity disagrees with the family's Ext^d table"
         )
     return verdict
 
@@ -130,6 +129,27 @@ def _local_radical_basis(mod, endo_basis):
             "summand endomorphism ring is not local over the rationals"
         )
     return out
+
+
+def _pair_homs(fam, x, y):
+    """Basis of Hom(M_x, M_y) for family labels x, y; on the diagonal the
+    radical basis of End(M_x).  Memoised on the family by label pair, so
+    every collection over it shares these morphisms and what is memoised
+    on them."""
+    def compute():
+        mx = fam.module_of(x)
+        hb = reps.hom_basis(mx, fam.module_of(y))
+        return _local_radical_basis(mx, hb) if x == y else hb
+
+    return memo(fam, ("hom", x.entries, y.entries), compute)
+
+
+def _pair_ext(fam, x, y, d):
+    """Ext^d(M_x, tau_d^- M_y) for family labels x, y, memoised on the
+    family by label pair; tau_d^- is memoised on M_y."""
+    return memo(fam, ("ext", x.entries, y.entries, d), lambda: reps.ExtSpace(
+        fam.module_of(x),
+        reps.higher_translate_inverse(fam.module_of(y), d), d))
 
 
 # ---------------------------------------------------------------------------
@@ -211,21 +231,13 @@ def cluster_endo_algebra(c):
     d = c.d
     mods = c.modules()
     t = len(mods)
-    vnames = [lab.label() for lab in c.labels]
+    labs = c.labels
+    vnames = [lab.label() for lab in labs]
 
-    pair_basis = {}
-    for i in range(t):
-        for j in range(t):
-            hb = reps.hom_basis(mods[i], mods[j])
-            if i == j:
-                pair_basis[(i, j)] = _local_radical_basis(mods[i], hb)
-            else:
-                pair_basis[(i, j)] = hb
-    taus = [reps.higher_translate_inverse(m, d) for m in mods]
-    ext_space = {}
-    for i in range(t):
-        for j in range(t):
-            ext_space[(i, j)] = reps.ExtSpace(mods[i], taus[j], d)
+    pair_basis = {(i, j): _pair_homs(fam, labs[i], labs[j])
+                  for i in range(t) for j in range(t)}
+    ext_space = {(i, j): _pair_ext(fam, labs[i], labs[j], d)
+                 for i in range(t) for j in range(t)}
 
     # basis: vertex idempotents, then Hom radical, then Ext classes.
     # an element M_a -> M_b is a path from vertex a to vertex b.
@@ -396,15 +408,9 @@ def is_d_tilting(c):
             for k in range(1, d + 1):
                 if reps.ext_dim(mi, mj, k):
                     return False
-    rad_pair = {}
-    for j in range(len(mods)):
-        for i in range(len(mods)):
-            if i == j:
-                rad_pair[(j, i)] = _local_radical_basis(
-                    mods[i], reps.hom_basis(mods[i], mods[i])
-                )
-            else:
-                rad_pair[(j, i)] = reps.hom_basis(mods[j], mods[i])
+    labs = c.labels
+    rad_pair = {(j, i): _pair_homs(c.family, labs[j], labs[i])
+                for j in range(len(mods)) for i in range(len(mods))}
     current = reps.regular_module(alg)
     for _ in range(d + 1):
         if current.is_zero():
@@ -505,7 +511,7 @@ def ctgent_family(n, d, index_set, family=None):
     for v in alg.vertices:
         lab = _family_match(
             family, reps.projective(alg, v),
-            lambda other: reps.projective_cover(other)[2] == [v])
+            lambda other: reps.minimal_resolution(other, 0)[2][0] == [v])
         if lab is None:
             raise HgaError(f"projective at {v} is missing from the family")
         proj_label[v] = lab

@@ -6,6 +6,7 @@ from itertools import combinations
 
 from .algebras import build_algebra
 from .errors import ArityMismatch, LabelMatchFailed, ScaleExceeded
+from .memo import memo
 from .presentations import (
     BoundQuiverPresentation,
     Quiver,
@@ -225,19 +226,27 @@ def build_typeA_auslander(n, d):
 
 @dataclass
 class LabelledModuleFamily:
+    """Modules with tuple labels.  Data about pairs of its modules is
+    memoised on the family (see hga.cluster), and refers to the modules,
+    never back to the family."""
+
     algebra: object
     modules: list               # indecomposables, lexicographic label order
     labels: list                # Tuple per module, aligned with modules
     ext_edges: set              # pairs (i, j) with Ext^d(M_i, M_j) != 0
     report: dict
 
+    def index_of(self, t):
+        """Position of the module labelled t (a Tuple or its entries)."""
+        index = memo(self, "label index", lambda: {
+            lab.entries: i for i, lab in enumerate(self.labels)})
+        ent = t.entries if isinstance(t, Tuple) else tuple(t)
+        if ent not in index:
+            raise KeyError(f"no module labelled {ent}")
+        return index[ent]
+
     def module_of(self, t):
-        if isinstance(t, Tuple):
-            t = t.entries
-        for mod, lab in zip(self.modules, self.labels):
-            if lab.entries == tuple(t):
-                return mod
-        raise KeyError(f"no module labelled {t}")
+        return self.modules[self.index_of(t)]
 
 
 def canonical_cluster_tilting(a):
@@ -252,7 +261,8 @@ def canonical_cluster_tilting(a):
     (k = 0..d-1), zero elsewhere, and acts as the identity on every arrow
     inside that box.  Each module is checked against the relations, and
     the Ext^d criterion (Ext^d(M_I, M_J) != 0 iff J intertwines I) is
-    verified on every pair."""
+    verified on every ordered pair, the diagonal included, so ext_edges is
+    the complete table of where Ext^d vanishes."""
     info = a.typeA
     if info is None:
         raise ValueError("algebra was not built by build_typeA_auslander")
@@ -273,8 +283,6 @@ def canonical_cluster_tilting(a):
     ext_edges = set()
     for i, (x, mx) in enumerate(zip(labels, modules)):
         for k, (y, my) in enumerate(zip(labels, modules)):
-            if i == k:
-                continue
             edge = intertwines(y, x)
             if edge != bool(reps.ext_dim(mx, my, d)):
                 raise LabelMatchFailed(

@@ -13,7 +13,7 @@ from hga import (
     quotient_by_idempotent,
     zero_relation,
 )
-from hga import algebras
+from hga import algebras, linalg
 from hga.algebras import Algebra, represent
 from hga.cluster import cluster_endo_algebra, ctgent_family
 from hga.errors import EmptyIdempotent, InvalidPresentation, NotAdmissible
@@ -337,3 +337,12 @@ def test_non_nilpotent_radical_not_admissible(mult):
         minimal_presentation(raw)
     with pytest.raises(NotAdmissible, match="not nilpotent"):
         represent(raw)
+
+
+def test_spans_skip_exact_repeats_only():
+    span, seen = linalg.SparseRREF(), set()
+    assert algebras._add_new(span, {0: 1, 1: 1}, seen) == 1
+    assert algebras._add_new(span, {0: 1, 1: 1}, seen) is None
+    # same support, different vector: reduced and added
+    assert algebras._add_new(span, {0: 1, 1: 2}, seen) == 0
+    assert sorted(span.rows) == [0, 1]

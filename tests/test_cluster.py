@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import random
 from collections import Counter
 from math import comb
 
@@ -302,3 +304,79 @@ def test_endo_algebra_frozen_digest(key):
     n, d, index_set = key
     res = cluster_endo_algebra(ctgent_family(n, d, list(index_set)))
     assert _endo_digest(res) == ENDO_DIGESTS[key]
+
+
+def _ext_oracle_rigid(c):
+    """Rigidity computed per query on the representations: Ext^d vanishes
+    on every ordered pair of the collection's modules."""
+    mods = c.modules()
+    return all(reps.ext_dim(mi, mj, c.d) == 0 for mi in mods for mj in mods)
+
+
+@pytest.mark.parametrize("n, d", [(3, 2), (4, 2), (5, 2), (3, 3)])
+def test_rigidity_agrees_with_ext_oracle(n, d):
+    fam = canonical_cluster_tilting(build_typeA_auslander(n, d))
+    rng = random.Random(f"rigid-oracle-{n}-{d}")
+    verdicts = set()
+    for _ in range(30):
+        k = rng.randint(1, min(6, len(fam.labels)))
+        chosen = rng.sample(fam.labels, k)
+        c = SummandCollection(fam, [t.entries for t in chosen])
+        verdict = is_d_rigid(c)
+        assert verdict == _ext_oracle_rigid(c), [t.entries for t in chosen]
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_rigidity_reads_the_family_table(fam24, monkeypatch):
+    def no_ext(*args):
+        raise AssertionError("is_d_rigid computed an Ext group")
+
+    monkeypatch.setattr(reps, "ext_dim", no_ext)
+    assert not is_d_rigid(SummandCollection(fam24, [(1, 3, 5), (2, 4, 6)]))
+    assert is_d_rigid(SummandCollection(fam24, [(1, 3, 5), (1, 3, 6)]))
+    # the label verdict is still cross-checked against the table
+    blank = dataclasses.replace(fam24, ext_edges=set())
+    with pytest.raises(HgaError):
+        is_d_rigid(SummandCollection(blank, [(1, 3, 5), (2, 4, 6)]))
+
+
+def _endo_table(res):
+    """Everything a cluster endomorphism algebra reports, with the raw
+    mult table in its entry order."""
+    raw = res.raw
+    return (
+        [(k, list(v.items())) for k, v in raw.mult.items()],
+        raw.basis_labels,
+        res.algebra.basis_labels,
+        presentation_to_dict(res.algebra.presentation),
+        (res.end_dim, res.ext_dim, res.ext_square_zero, res.summand_labels),
+    )
+
+
+@pytest.mark.parametrize("key", [(4, 2, [2]), (3, 3, [3])])
+def test_endo_algebras_independent_of_order(key):
+    """End(c) and End(cover) share the family's pair data, and neither
+    depends on which of them was taken first."""
+    fresh_c = _endo_table(cluster_endo_algebra(ctgent_family(*key)))
+    fresh_cover = _endo_table(ctgent_cover(ctgent_family(*key))[0])
+    c = ctgent_family(*key)
+    assert _endo_table(ctgent_cover(c)[0]) == fresh_cover
+    assert _endo_table(cluster_endo_algebra(c)) == fresh_c
+    c = ctgent_family(*key)
+    assert _endo_table(cluster_endo_algebra(c)) == fresh_c
+    assert _endo_table(ctgent_cover(c)[0]) == fresh_cover
+
+
+def test_endo_algebras_share_pair_data(monkeypatch):
+    """End(cover) after End(c) computes Hom bases only for the pairs that
+    are not pairs of c."""
+    c = ctgent_family(4, 2, [2])
+    calls = []
+    hom_basis = reps.hom_basis
+    monkeypatch.setattr(reps, "hom_basis",
+                        lambda m, n: calls.append(1) or hom_basis(m, n))
+    cluster_endo_algebra(c)
+    assert len(calls) == len(c) ** 2
+    cover, _ = ctgent_cover(c)
+    assert len(calls) == len(cover.summand_labels) ** 2

@@ -3,7 +3,7 @@ from math import comb
 import pytest
 
 from hga import reps
-from hga.errors import ArityMismatch, ScaleExceeded
+from hga.errors import ArityMismatch, LabelMatchFailed, ScaleExceeded
 from hga.typea import (
     Tuple,
     TupleCollection,
@@ -172,6 +172,32 @@ def test_canonical_cluster_tilting_a23():
             if i == j:
                 continue
             assert ((i, j) in fam.ext_edges) == intertwines(y, x)
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (3, 2), (3, 3)])
+def test_ext_table_has_no_diagonal_pair(n, d):
+    fam = canonical_cluster_tilting(build_typeA_auslander(n, d))
+    assert fam.ext_edges
+    assert all(i != j for i, j in fam.ext_edges)
+
+
+def test_family_checks_the_diagonal(monkeypatch):
+    """A module with Ext^d(M, M) != 0 breaks the criterion, since no tuple
+    intertwines itself."""
+    ext_dim = reps.ext_dim
+    monkeypatch.setattr(reps, "ext_dim",
+                        lambda m, n, i: 1 if m is n else ext_dim(m, n, i))
+    with pytest.raises(LabelMatchFailed):
+        canonical_cluster_tilting(build_typeA_auslander(3, 2))
+
+
+def test_module_of_reads_the_label_index():
+    fam = canonical_cluster_tilting(build_typeA_auslander(3, 2))
+    for i, t in enumerate(fam.labels):
+        assert fam.index_of(t) == fam.index_of(t.entries) == i
+        assert fam.module_of(list(t.entries)) is fam.modules[i]
+    with pytest.raises(KeyError):
+        fam.module_of((1, 2, 3))
 
 
 def test_sec5_collection_among_maximal_cyclic():

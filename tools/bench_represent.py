@@ -11,8 +11,8 @@ algebra, cover, d-gentle certificate, ``reduce_to_gentle`` and sg invariant.
 Every run starts from nothing, so no memoised value carries over.  For each
 key, and for the hga found on the import path, it measures:
 
-- ``wall_s``: wall seconds, the best of ``REPEAT`` runs with no counter
-  installed;
+- ``wall_s``: wall seconds, the median of ``REPEAT`` runs with no counter
+  installed (on the small keys a best-of-3 is host noise, not the change);
 - ``counts``, from one more run with counting wrappers:
   - ``nullspace_calls``, ``sparse_add_calls``, ``sparse_reduce_calls`` and
     ``rank_calls``: the calls of ``linalg.nullspace``, ``SparseRREF.add``,
@@ -36,6 +36,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import sys
 import time
 
@@ -47,8 +48,8 @@ from workloads import CTGENT_POOL, ctgent_key  # noqa: E402
 from hga import algebras, axioms, cluster, linalg, reduction, reps  # noqa: E402
 
 
-# Timings are best-of-REPEAT; both committed sides were measured with it.
-REPEAT = 3
+# Timings are medians of REPEAT runs; both committed sides were measured so.
+REPEAT = 7
 KEYS = [(n, d, list(idx)) for n, d, idx in CTGENT_POOL] + [(7, 2, [2, 4, 6])]
 POOL = {ctgent_key(n, d, idx) for n, d, idx in CTGENT_POOL}
 # the keys --check runs: the 13 pool keys, in about 3 s
@@ -147,8 +148,8 @@ def counts(n, d, idx):
 
 
 def measure(n, d, idx):
-    best = min(seconds(n, d, idx) for _ in range(REPEAT))
-    return {"wall_s": round(best, 4), "counts": counts(n, d, idx)}
+    wall = statistics.median(seconds(n, d, idx) for _ in range(REPEAT))
+    return {"wall_s": round(wall, 4), "counts": counts(n, d, idx)}
 
 
 def check(path):
