@@ -5,13 +5,15 @@ one idempotent per vertex.  Products follow the composition convention of
 presentations: mult(i, j) is "basis j first, then basis i".
 """
 
+from collections import defaultdict
+
 from .errors import (
     EmptyIdempotent,
     InternalError,
     InvalidPresentation,
     NotAdmissible,
 )
-from .linalg import F1, SparseRREF, add_scaled, div, exact
+from .linalg import F1, SparseRREF, TrackedSpan, add_scaled, exact
 from .memo import memo
 from .presentations import (
     Arrow,
@@ -416,30 +418,6 @@ def _arrow_layer(a):
     return out
 
 
-def _reduce_value(echelon, value, word):
-    """Reduce the raw value of `word` against the values in `echelon`.
-
-    `echelon` maps a pivot (the largest raw id of a row) to the row: a
-    value with entry 1 at its pivot, and the combination of words whose
-    value it is.  A value that stays nonzero joins the echelon and gives
-    None.  One that reduces to zero gives the combination: `word` minus the
-    combination of the words in the echelon with the same value."""
-    value = dict(value)
-    combo = {word: F1}
-    while value:
-        piv = max(value)
-        row = echelon.get(piv)
-        if row is None:
-            inv = div(F1, value[piv])
-            echelon[piv] = ({j: c * inv for j, c in value.items()},
-                            {j: c * inv for j, c in combo.items()})
-            return None
-        f = value[piv]
-        add_scaled(value, -f, row[0])
-        add_scaled(combo, -f, row[1])
-    return combo
-
-
 def _present(raw, ambient=None, ambient_basis=None):
     """(algebra, arrow ids): raw re-presented as `represent` says, and for
     each arrow name the basis id of raw that the arrow is."""
@@ -456,7 +434,7 @@ def _present(raw, ambient=None, ambient_basis=None):
     quiver = Quiver(list(raw.vertices), arrows)
     arrow = quiver.arrow_by_name
     values = {}    # normal word of positive length -> its raw value
-    echelons = {}  # (source, target) -> values of normal words of length >= 2
+    spans = defaultdict(TrackedSpan)  # block -> its words of length >= 2
 
     def relation_at(i, p, w):
         b = arrow_ids[p[-1]]
@@ -467,7 +445,7 @@ def _present(raw, ambient=None, ambient_basis=None):
         key = (arrow[p[0]].source, arrow[p[-1]].target)
         if any((raw.basis_src[j], raw.basis_tgt[j]) != key for j in value):
             raise InvalidPresentation("re-presentation leaves its block")
-        combo = _reduce_value(echelons.setdefault(key, {}), value, p)
+        combo = spans[key].add(value, p)
         if combo is None:
             values[i] = value
             return None
@@ -497,8 +475,7 @@ def _present(raw, ambient=None, ambient_basis=None):
                        for ar in arrows]):
         if (raw.basis_src[b], raw.basis_tgt[b]) != (s, t):
             raise InvalidPresentation("re-presentation leaves its block")
-        if _reduce_value(echelons.setdefault((s, t), {}), {b: F1},
-                         None) is not None:
+        if spans[(s, t)].add({b: F1}) is not None:
             raise InvalidPresentation("re-presentation basis is degenerate")
     return alg, arrow_ids
 

@@ -26,6 +26,8 @@ from .presentations import (
     RelationElement,
 )
 
+IDEMPOTENT_CAP = 2 ** 20  # subsets tried before "pass-up-to-cap"
+
 
 def _as_algebra(a):
     """a itself when it is an Algebra, else the algebra of the presentation a,
@@ -882,7 +884,7 @@ def _hull_idempotent(cover, e):
     return Idempotent.of(out & inn)
 
 
-def is_d_gentle_certificate(cover, e, d, idempotent_cap=2 ** 20):
+def is_d_gentle_certificate(cover, e, d):
     """Certify d-gentleness of B = e·cover·e.
 
     Checks three things, all with degree bound d + 1: the cover passes the
@@ -932,9 +934,9 @@ def is_d_gentle_certificate(cover, e, d, idempotent_cap=2 ** 20):
     else:
         verts = sorted(corner.vertices, key=str)
         total = 2 ** len(verts) - 1
-        complete = total <= idempotent_cap
+        complete = total <= IDEMPOTENT_CAP
         witness = None
-        for subset in _subsets_largest_first(verts, idempotent_cap):
+        for subset in _subsets_largest_first(verts, IDEMPOTENT_CAP):
             if len(subset) < 2 ** m:
                 continue
             cubes = find_m_cubes(
@@ -945,7 +947,7 @@ def is_d_gentle_certificate(cover, e, d, idempotent_cap=2 ** 20):
         cube_check = {
             "mode": "enumeration",
             "complete": complete,
-            "cappedAt": None if complete else idempotent_cap,
+            "cappedAt": None if complete else IDEMPOTENT_CAP,
             "witness": witness,
             "verdict": "fail" if witness else (
                 "pass" if complete else "pass-up-to-cap"),

@@ -76,17 +76,14 @@ class SummandCollection:
         return len(self.labels)
 
 
-def is_d_rigid(c, ambient="modules"):
+def is_d_rigid(c):
     """Rigidity of the collection, decided on labels and cross-checked
     against the family's Ext^d table, which canonical_cluster_tilting
     checked on the representations for every ordered pair.
 
     In the module category Ext^d(M_I, M_J) is nonzero exactly when J
-    intertwines I; in the cluster category the criterion is symmetric in
-    the pair.  For collections of modules the two ambients agree.
+    intertwines I.
     """
-    if ambient not in ("modules", "cluster"):
-        raise ValueError(f"unknown ambient {ambient!r}")
     labs = c.labels
     verdict = not any(
         x != y and intertwines(y, x) for x in labs for y in labs)
@@ -121,8 +118,7 @@ def _local_radical_basis(mod, endo_basis):
         g = f.add(reps.identity_morphism(mod).scale(-lam))
         if g.is_zero():
             continue
-        vec = {t: x for t, x in enumerate(g.flatten()) if x}
-        if track.add(vec) is not None:
+        if track.add(linalg.sparse(g.flatten())) is not None:
             out.append(g)
     if len(out) != len(endo_basis) - 1:
         raise HgaError(
@@ -267,33 +263,30 @@ def cluster_endo_algebra(c):
                 basis_tgt.append(vnames[j])
                 basis_labels.append(("ext", vnames[i], vnames[j], k))
 
-    # coordinate solvers for the Hom pairs (identity included on diagonals)
+    hom_spans = {}
+
     def hom_coords(a, b, mor):
-        base_ids = []
-        flats = []
-        if a == b:
-            base_ids.append(a)
-            flats.append(reps.identity_morphism(mods[a]).flatten())
-        for k, f in enumerate(pair_basis[(a, b)]):
-            base_ids.append(hom_ids[(a, b, k)])
-            flats.append(f.flatten())
-        target = mor.flatten()
-        if not any(target):
+        """{basis id: coefficient} of mor: M_a -> M_b on the pair's Hom
+        basis, the identity included on the diagonal; one span per pair."""
+        vec = linalg.sparse(mor.flatten())
+        if not vec:
             return {}
-        if not flats:
+        span = hom_spans.get((a, b))
+        if span is None:
+            span = hom_spans[(a, b)] = linalg.TrackedSpan()
+            if a == b:
+                span.add(linalg.sparse(
+                    reps.identity_morphism(mods[a]).flatten()), a)
+            for k, f in enumerate(pair_basis[(a, b)]):
+                span.add(linalg.sparse(f.flatten()), hom_ids[(a, b, k)])
+        coords = span.coords(vec)
+        if coords is None:
             raise HgaError("composition escapes the Hom space")
-        sol = linalg.solve(linalg.transpose(flats), target)
-        if sol is None:
-            raise HgaError("composition escapes the Hom space")
-        return {bid: cval for bid, cval in zip(base_ids, sol) if cval}
+        return dict(sorted(coords.items()))
 
     def ext_coords(a, b, cocycle):
-        sp = ext_space[(a, b)]
-        out = {}
-        for k, cval in enumerate(sp.coords(cocycle)):
-            if cval:
-                out[ext_ids[(a, b, k)]] = cval
-        return out
+        return {ext_ids[(a, b, k)]: c for k, c in
+                enumerate(ext_space[(a, b)].coords(cocycle)) if c}
 
     mult = {}
     for i in range(t):
@@ -364,25 +357,13 @@ def _minimal_left_approximation(x, mods, rad_pair):
     homs = [reps.hom_basis(x, m) for m in mods]
     chosen = []
     for i in range(len(mods)):
-        rad_flats = []
+        span = linalg.TrackedSpan()
         for j in range(len(mods)):
             for h in rad_pair[(j, i)]:
                 for g in homs[j]:
-                    comp = h.compose(g)
-                    fl = comp.flatten()
-                    if any(fl):
-                        rad_flats.append(fl)
-        if rad_flats:
-            red, piv = linalg.rref(rad_flats)
-            red = red[: len(piv)]
-        else:
-            red, piv = [], []
-        track = linalg.SparseRREF()
+                    span.add(linalg.sparse(h.compose(g).flatten()))
         for g in homs[i]:
-            r = linalg.reduce_mod_rows(red, piv, g.flatten()) if piv \
-                else g.flatten()
-            vec = {idx: val for idx, val in enumerate(r) if val}
-            if vec and track.add(vec) is not None:
+            if span.add(linalg.sparse(g.flatten())) is None:
                 chosen.append((i, g))
     if not chosen:
         z = reps.zero_representation(alg)

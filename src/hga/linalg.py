@@ -45,6 +45,11 @@ def add_scaled(vec, f, row):
             vec.pop(j, None)
 
 
+def sparse(vec):
+    """The sparse vector {index: scalar} of the nonzero entries of vec."""
+    return {j: c for j, c in enumerate(vec) if c}
+
+
 def zeros(nrows, ncols):
     return [[F0] * ncols for _ in range(nrows)]
 
@@ -58,10 +63,6 @@ def identity(n):
 
 def copy_matrix(m):
     return [row[:] for row in m]
-
-
-def shape(m):
-    return (len(m), len(m[0]) if m else 0)
 
 
 def mat_mul(a, b):
@@ -124,9 +125,8 @@ def rref(m):
 
 
 def rank(m):
-    if not m or not m[0]:
-        return 0
-    return len(rref(m)[1])
+    rows = [row for row in m if any(row)]
+    return len(rref(rows)[1]) if rows else 0
 
 
 def nullspace(m, ncols=None):
@@ -264,3 +264,49 @@ class SparseRREF:
             cols.setdefault(j, set()).add(piv)
         self.rows[piv] = row
         return piv
+
+
+class TrackedSpan:
+    """The span of sparse vectors added under tags, in echelon form: a row
+    has entry 1 at its pivot, its largest index, and keeps the combination
+    of tagged vectors it is.  A vector is reduced largest pivot first.  One
+    added under the tag None spans a subspace that combinations are taken
+    modulo: it enters none of them."""
+
+    def __init__(self):
+        self.rows = {}  # pivot -> (row, {tag: coefficient})
+
+    def _reduce(self, vec, combo):
+        """vec reduced, and combo less the combinations of the rows used."""
+        vec = {j: c for j, c in vec.items() if c}
+        rows = self.rows
+        while vec:
+            piv = max(vec)
+            row = rows.get(piv)
+            if row is None:
+                break
+            f = vec[piv]
+            add_scaled(vec, -f, row[0])
+            add_scaled(combo, -f, row[1])
+        return vec, combo
+
+    def add(self, vec, tag=None):
+        """Add vec under tag.  None when vec is independent of the span; it
+        joins it.  Otherwise the dependency it satisfies: tag at 1 less the
+        combination of tags whose vectors sum to vec modulo the untagged
+        ones; vec does not join."""
+        vec, combo = self._reduce(vec, {} if tag is None else {tag: F1})
+        if not vec:
+            return combo
+        piv = max(vec)
+        inv = div(F1, vec[piv])
+        self.rows[piv] = ({j: c * inv for j, c in vec.items()},
+                          {t: c * inv for t, c in combo.items()})
+        return None
+
+    def coords(self, vec):
+        """{tag: c}, zeros left out, with vec the sum of c times the vector
+        added under each tag, modulo the untagged ones; None when vec is
+        not in the span."""
+        rest, combo = self._reduce(vec, {})
+        return None if rest else {t: -c for t, c in combo.items()}

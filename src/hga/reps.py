@@ -15,6 +15,7 @@ object is given, they are read-only.
 """
 
 import math
+from itertools import count
 
 from . import linalg
 from .errors import (
@@ -137,16 +138,6 @@ class Representation:
             n = self.dims[alg.vertices[i]]
             return linalg.identity(n)
         return self.path_matrix(alg.basis_labels[i])
-
-    def element_matrix(self, elem, src, tgt):
-        """Matrix of a sparse algebra element with the given endpoints."""
-        alg = self.algebra
-        total = [[F0] * self.dims[src] for _ in range(self.dims[tgt])]
-        for i, c in elem.items():
-            if alg.basis_src[i] != src or alg.basis_tgt[i] != tgt:
-                raise ValueError("element not homogeneous for the endpoints")
-            total = linalg.mat_add(total, linalg.mat_scale(c, self.basis_matrix(i)))
-        return total
 
     def __repr__(self):
         return f"Representation(dims={self.dims})"
@@ -508,56 +499,6 @@ def _cokernel(f):
     return c, Morphism(n, c, proj_blocks, check=False), section
 
 
-def sub_representation(n, vectors):
-    """Subrepresentation spanned by given vectors per vertex, with inclusion."""
-    alg = n.algebra
-    basis = {}
-    for v in alg.vertices:
-        rows = [vec for vec in vectors.get(v, []) if any(vec)]
-        basis[v] = linalg.row_space_basis(rows) if rows else []
-    # close under arrows
-    changed = True
-    while changed:
-        changed = False
-        for ar in alg.presentation.quiver.arrows:
-            u, w = ar.source, ar.target
-            for vec in basis[u]:
-                img = linalg.mat_vec(n.maps[ar.name], vec) if n.maps[ar.name] else []
-                if img and any(img):
-                    new = linalg.row_space_basis(basis[w] + [img])
-                    if len(new) != len(basis[w]):
-                        basis[w] = new
-                        changed = True
-    dims = {v: len(basis[v]) for v in alg.vertices}
-    incl_blocks = {
-        v: linalg.transpose(basis[v]) if basis[v] else
-        [[] for _ in range(n.dims[v])]
-        for v in alg.vertices
-    }
-    maps = {}
-    for ar in alg.presentation.quiver.arrows:
-        u, w = ar.source, ar.target
-        mat = [[F0] * dims[u] for _ in range(dims[w])]
-        for col, vec in enumerate(basis[u]):
-            img = linalg.mat_vec(n.maps[ar.name], vec) if n.maps[ar.name] else []
-            sol = linalg.solve(incl_blocks[w], img) if dims[w] else (
-                None if any(img) else [])
-            if sol is None:
-                raise InternalError("span is not arrow-closed")
-            for row, x in enumerate(sol):
-                mat[row][col] = x
-        maps[ar.name] = mat
-    s = Representation(alg, dims, maps, check=False)
-    return s, Morphism(s, n, incl_blocks, check=False)
-
-
-def image(f):
-    vectors = {}
-    for v in f.target.algebra.vertices:
-        vectors[v] = linalg.transpose(f.blocks[v]) if f.blocks[v] else []
-    return sub_representation(f.target, vectors)
-
-
 def radical_vectors(m):
     """Spanning vectors of rad M per support vertex (images of all arrows
     into it, in arrow order)."""
@@ -743,81 +684,64 @@ def _differential_elements(diff, summands, k):
 
 
 def ext_dim(m, n, i):
-    """dim Ext^i(m, n) from the cached minimal projective resolution of m.
-
-    Hom(P_k, n) for P_k = (+)_s P_{v_s} is (+)_s n_{v_s}: a morphism is
-    fixed by the images of the generators.  So Ext^i is
-    sum_s dim n_{v_s} - rank delta_i - rank delta_{i-1}, with the
-    coboundaries delta built by _coboundary without solving any Hom
-    system.  ExtSpace chooses cocycle representatives on the same
-    coboundaries where they are needed."""
+    """dim Ext^i(m, n): dim Hom(m, n) for i = 0, else ExtSpace(m, n, i)."""
     if i < 0:
         raise ValueError("negative cohomological degree")
     if i == 0:
         return hom_dim(m, n)
-    terms, diffs, summands, _, _ = _resolution(m, i + 1)
-    if len(terms) <= i:
-        return 0
-
-    def rank(k):
-        return linalg.rank([row for row in
-                            _coboundary(n, summands, diffs[k + 1], k)
-                            if any(row)])
-
-    return (sum(n.dims[v] for v in summands[i])
-            - (rank(i) if len(terms) > i + 1 else 0) - rank(i - 1))
+    return ExtSpace(m, n, i).dim
 
 
 class ExtSpace:
-    """Ext^d(m, n), d >= 1, with chosen cocycle representatives and class
-    coordinates.
+    """Ext^d(m, n), d >= 1: its dimension, chosen cocycle representatives
+    and class coordinates.
 
     A class is a map P_d -> n out of the d-th term of m's cached minimal
     resolution, in generator images (see from_generators), modulo the
-    coboundaries g.d_d.  The cocycles are the nullspace basis of delta_d;
-    the coboundaries are spanned by the columns of delta_{d-1}.  The
-    representatives are the cocycles, in order, that are independent
-    modulo the coboundaries."""
+    coboundaries g.d_d.  A map out of P_k = (+)_s P_{v_s} is fixed by the
+    images of the generators, so _coboundary builds the coboundaries delta
+    without solving any Hom system.  The columns of delta_{d-1} span the
+    coboundaries: they enter a TrackedSpan untagged, and its rank gives
+    dim = nullity delta_d - rank delta_{d-1}.  Only a nonzero space takes
+    the cocycles, the nullspace basis of delta_d, in order and tagged by
+    position; those that join the span are the representatives."""
 
     def __init__(self, m, n, d):
         terms, diffs, summands, _, _ = _resolution(m, d + 1)
-        self.reps, self._sel, self._bred, self._bpiv = [], [], [], []
-        self._summands = summands[d] if len(terms) > d else []
+        self.dim, self._cocycles, self._summands = 0, [], []
+        self._span = span = linalg.TrackedSpan()
         if len(terms) <= d:
             return
-        cocycles = linalg.nullspace(
-            _coboundary(n, summands, diffs[d + 1], d)
-            if len(terms) > d + 1 else [],
-            ncols=sum(n.dims[v] for v in summands[d]))
-        bounds = [col for col in linalg.transpose(
-            _coboundary(n, summands, diffs[d], d - 1)) if any(col)]
-        if bounds:
-            red, self._bpiv = linalg.rref(bounds)
-            self._bred = red[: len(self._bpiv)]
-        for z in cocycles:
-            r = linalg.reduce_mod_rows(self._bred, self._bpiv, z)
-            if any(r) and len(linalg.row_space_basis(self._sel + [r])) \
-                    > len(self._sel):
-                self._sel.append(r)
-                self.reps.append(from_generators(terms[d], summands[d], n, z))
+        self._p, self._n, self._summands = terms[d], n, summands[d]
+        for col in linalg.transpose(
+                _coboundary(n, summands, diffs[d], d - 1)):
+            span.add(linalg.sparse(col))
+        cocycle_eqs = (_coboundary(n, summands, diffs[d + 1], d)
+                       if len(terms) > d + 1 else [])
+        ncols = sum(n.dims[v] for v in summands[d])
+        self.dim = ncols - linalg.rank(cocycle_eqs) - len(span.rows)
+        for z in linalg.nullspace(cocycle_eqs, ncols) if self.dim else ():
+            if span.add(linalg.sparse(z), len(self._cocycles)) is None:
+                self._cocycles.append(z)
+        if len(self._cocycles) != self.dim:
+            raise InternalError("Ext representatives miss the dimension")
 
     @property
-    def dim(self):
-        return len(self.reps)
+    def reps(self):
+        """The representatives as maps P_d -> n, built on first use: most
+        callers want the dimension alone."""
+        return memo(self, "reps", lambda: [
+            from_generators(self._p, self._summands, self._n, z)
+            for z in self._cocycles])
 
     def coords(self, mor):
         """Class coordinates of a cocycle mor: P_d -> n in the chosen
         representatives."""
-        r = linalg.reduce_mod_rows(self._bred, self._bpiv,
-                                   generator_images(mor, self._summands))
-        if not any(r):
-            return [F0] * self.dim
-        if not self.dim:
-            raise InternalError("nonzero class in a zero Ext space")
-        sol = linalg.solve(linalg.transpose(self._sel), r)
-        if sol is None:
+        c = self._span.coords(
+            linalg.sparse(generator_images(mor, self._summands)))
+        if c is None:
             raise InternalError("Ext class escapes the chosen basis")
-        return sol
+        return [c.get(k, F0) for k in range(self.dim)]
 
 
 def resolution_lift(f, k):
@@ -1078,31 +1002,23 @@ def translate(m, d=1, mode=None):
 
 
 def _split_by_idempotent(m, e):
-    """Split m as im(e) + ker(e) for an idempotent endomorphism e."""
-    im, ii = image(e)
+    """Split m as im(e) + ker(e), with im(e) = ker(e - 1), for e idempotent."""
+    im, ii = kernel(e.add(identity_morphism(m).scale(-1)))
     k, ki = kernel(e)
-    if im.total_dim + k.total_dim != m.total_dim:
-        return None
     if im.is_zero() or k.is_zero():
         return None
     return [(im, ii), (k, ki)]
 
 
 def _min_poly(phi):
-    """Minimal polynomial coefficients (ascending) of an endomorphism."""
-    flat_powers = []
-    current = identity_morphism(phi.source)
-    while True:
-        flat_powers.append(current.flatten())
-        rows = flat_powers
-        red, pivots = linalg.rref(rows)
-        if len(pivots) < len(rows):
-            # last power depends on the previous ones
-            sol = linalg.solve(
-                linalg.transpose(flat_powers[:-1]), flat_powers[-1]
-            )
-            return [-c for c in sol] + [F1]
-        current = current.compose(phi)
+    """Minimal polynomial coefficients (ascending) of an endomorphism: the
+    first dependency among the powers of phi."""
+    span, power = linalg.TrackedSpan(), identity_morphism(phi.source)
+    for k in count():
+        dep = span.add(linalg.sparse(power.flatten()), k)
+        if dep is not None:
+            return [dep.get(j, F0) for j in range(k + 1)]
+        power = power.compose(phi)
 
 
 def _poly_eval_morphism(coeffs, phi):
@@ -1137,8 +1053,6 @@ def _try_split(m, phi):
     tg2 = (t * g2).all_coeffs()[::-1]
     ecoeffs = [div(exact(str(q)), c) for q in tg2]
     e = _poly_eval_morphism(ecoeffs, phi)
-    if e.is_zero() or e.add(identity_morphism(m).scale(-1)).is_zero():
-        return None
     if not e.compose(e).add(e.scale(-1)).is_zero():
         return None
     return _split_by_idempotent(m, e)

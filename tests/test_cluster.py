@@ -128,12 +128,6 @@ def test_rigidity_matches_intertwining(fam12):
     assert not is_d_tilting(full)
 
 
-def test_rigidity_cluster_ambient(fam12):
-    c = SummandCollection(fam12, [(1, 3), (2, 4)])
-    assert is_d_rigid(c, ambient="modules") == is_d_rigid(
-        c, ambient="cluster")
-
-
 def test_all_projectives_tilting():
     c = ctgent_family(3, 2, [])
     assert is_d_tilting(c)

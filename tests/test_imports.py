@@ -1,4 +1,5 @@
-"""Every name a module of hga imports is used in that module."""
+"""Every name a module of hga imports is used in that module, and every
+module-level private def of hga is read somewhere in hga."""
 
 import ast
 from pathlib import Path
@@ -41,3 +42,41 @@ def test_scan_finds_unused_imports():
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_defs_never_read(sources):
+    """Names of the module-level functions and classes named _private in
+    sources that no code of sources reads by name outside their own body,
+    sorted.  An attribute read (module._name) counts as a read."""
+    defined, read = set(), set()
+    for source in sources:
+        for node in ast.parse(source).body:
+            owner = getattr(node, "name", None)
+            if owner and owner.startswith("_") and not owner.startswith("__"):
+                defined.add(owner)
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    name = sub.id
+                elif isinstance(sub, ast.Attribute):
+                    name = sub.attr
+                else:
+                    continue
+                if name != owner:
+                    read.add(name)
+    return sorted(defined - read)
+
+
+def test_scan_finds_private_defs_never_read():
+    first = ("def _used():\n    return 1\n\n"
+             "def _recursive(n):\n    return _recursive(n - 1)\n\n"
+             "class _Dead:\n    pass\n\n"
+             "def public():\n    return other._helper() + _used()\n")
+    second = "def _helper():\n    return 2\n\ndef _orphan():\n    return 3\n"
+    assert private_defs_never_read([first, second]) == [
+        "_Dead", "_orphan", "_recursive"]
+
+
+def test_every_private_def_is_read():
+    sources = [path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))]
+    assert private_defs_never_read(sources) == []

@@ -1,6 +1,7 @@
-"""Property tests of the incremental sparse elimination against dense rref,
-and of the scalar form: inputs that mix ints and Fractions give the same
-values as all-Fraction inputs, and never a float."""
+"""Property tests of the incremental sparse elimination and of the tracked
+span against dense rref, rank and solve, and of the scalar form: inputs
+that mix ints and Fractions give the same values as all-Fraction inputs,
+and never a float."""
 
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from hga import linalg
-from hga.linalg import SparseRREF
+from hga.linalg import SparseRREF, TrackedSpan
 
 WIDTH = 8
 
@@ -184,3 +185,67 @@ def test_one_pass_reduce_matches_resorting_reduce(vecs, probes, data):
         got, want = rr.reduce(probe), reduce_resorting(rr, probe)
         # equal values, and the same keys in the same order
         assert list(got.items()) == list(want.items())
+
+
+def dense_vector(v):
+    return [v.get(j, linalg.F0) for j in range(WIDTH)]
+
+
+def combine(coeffs, vecs):
+    """The sparse vector sum of coeffs[t] * vecs[t]."""
+    out = {}
+    for t, c in coeffs.items():
+        linalg.add_scaled(out, c, vecs[t])
+    return out
+
+
+def dense_rank(vecs):
+    return linalg.rank([dense_vector(v) for v in vecs])
+
+
+@hypothesis.given(st.lists(vectors, max_size=6), st.lists(vectors, max_size=8),
+                  vectors)
+def test_tracked_span_matches_dense_rank_and_solve(untagged, tagged, probe):
+    span = TrackedSpan()
+    for u in untagged:
+        span.add(dict(u))
+    joined = {}
+    for t, v in enumerate(tagged):
+        before = list(untagged) + list(joined.values())
+        dep = span.add(dict(v), t)
+        assert (dep is None) == (dense_rank(before + [v]) > dense_rank(before))
+        if dep is None:
+            joined[t] = v
+            continue
+        # v at 1 less a combination of the joined vectors lies in the
+        # untagged span
+        assert dep[t] == 1 and set(dep) <= set(joined) | {t}
+        rest = combine(dep, {**joined, t: v})
+        assert dense_rank(list(untagged) + [rest]) == dense_rank(untagged)
+    cols = [dense_vector(v) for v in list(joined.values()) + list(untagged)]
+    if cols:
+        sol = linalg.solve(linalg.transpose(cols), dense_vector(probe))
+    else:
+        sol = None if probe else []
+    got = span.coords(dict(probe))
+    assert (got is None) == (sol is None)
+    if got is not None:
+        # the joined vectors are independent modulo the untagged ones, so
+        # every solution has the same coordinates on them
+        assert got == {t: c for t, c in zip(joined, sol) if c}
+
+
+@hypothesis.given(st.lists(vectors, max_size=5), st.lists(vectors, max_size=6),
+                  st.data())
+def test_tracked_span_coords_of_a_combination(untagged, tagged, data):
+    span = TrackedSpan()
+    for u in untagged:
+        span.add(dict(u))
+    joined = {t: v for t, v in enumerate(tagged)
+              if span.add(dict(v), t) is None}
+    want = {t: data.draw(coefficients | st.just(0)) for t in joined}
+    vec = combine(want, joined)
+    # a multiple of every untagged vector leaves the coordinates unchanged
+    for u in untagged:
+        linalg.add_scaled(vec, data.draw(coefficients), u)
+    assert span.coords(vec) == {t: c for t, c in want.items() if c}

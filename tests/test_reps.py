@@ -197,7 +197,6 @@ def test_isomorphism_checks():
     alg = nakayama3()
     assert is_isomorphic(projective(alg, "1"), injective(alg, "2"))
     assert not is_isomorphic(simple(alg, "1"), simple(alg, "2"))
-    assert not is_isomorphic(projective(alg, "2"), injective(alg, "3")) or True
     # P_2 = [2,3] and I_3 = [2,3] coincide here
     assert is_isomorphic(projective(alg, "2"), injective(alg, "3"))
 
@@ -666,3 +665,82 @@ def test_kernel_step_costs_one_rref_per_support_vertex(monkeypatch):
     assert k.total_dim == p.total_dim - 1
     Representation(a, k.dims, k.maps)
     reps.Morphism(k, p, incl.blocks)
+
+
+def test_zero_ext_space_reads_coboundaries_and_refuses_the_rest():
+    # a zero space still checks its classes: a cocycle is a coboundary and
+    # has no coordinates, and a map that is no cocycle escapes
+    a = build_typeA_auslander(4, 2)
+    pool = _module_pool(a)
+    rng = random.Random("zero-ext-space")
+    cocycles = escapes = 0
+    for _ in range(400):
+        m, x, i = rng.choice(pool), rng.choice(pool), rng.choice((1, 2))
+        terms, diffs, _, _ = minimal_resolution(m, i + 1)
+        sp = ExtSpace(m, x, i)
+        if sp.dim or len(terms) <= i + 1:
+            continue
+        for f in hom_basis(terms[i], x):
+            if f.compose(diffs[i + 1]).is_zero():
+                assert sp.coords(f) == []
+                cocycles += 1
+            else:
+                with pytest.raises(reps.InternalError):
+                    sp.coords(f)
+                escapes += 1
+    assert cocycles and escapes
+
+
+def _sum_idempotents(m, incls, projs):
+    """Idempotents of End(m) for m the direct sum with these inclusions and
+    projections: the projection onto the first k summands, for each proper
+    k, and each sheared to e + e h (1 - e) by the sum h of an End basis."""
+    one = reps.identity_morphism(m)
+    h = _combination(hom_basis(m, m), random.Random("shear"), m, m)
+    out = []
+    for k in range(1, len(incls)):
+        e = zero_morphism(m, m)
+        for inc, prj in zip(incls[:k], projs[:k]):
+            e = e.add(inc.compose(prj))
+        out += [e, e.add(e.compose(h).compose(one.add(e.scale(-1))))]
+    return out
+
+
+@pytest.mark.parametrize("summands", [("P1", "S2", "S2"),
+                                      ("S2", "P1", "S2"),
+                                      ("P2", "P1", "S3", "S2")])
+def test_split_by_idempotent_is_a_direct_sum(summands):
+    alg = nakayama3()
+    make = {"P": projective, "S": simple}
+    m, incls, projs = direct_sum([make[s[0]](alg, s[1]) for s in summands])
+    for e in _sum_idempotents(m, incls, projs):
+        assert e.compose(e).add(e.scale(-1)).is_zero()
+        (im, ii), (k, ki) = reps._split_by_idempotent(m, e)
+        for v in m.support:
+            both = [ri + rk for ri, rk in zip(ii.blocks[v], ki.blocks[v])]
+            assert linalg.invert(both) is not None
+        assert e.compose(ii).add(ii.scale(-1)).is_zero()
+        assert e.compose(ki).is_zero()
+
+
+def test_min_poly_is_the_least_monic_annihilator():
+    alg = nakayama3()
+    m, incls, projs = direct_sum([projective(alg, "1"), simple(alg, "2"),
+                                  simple(alg, "2"), projective(alg, "2")])
+    end = hom_basis(m, m)
+    rng = random.Random("min-poly")
+    phis = list(end) + [_combination(end, rng, m, m) for _ in range(20)]
+    phis += [e.scale(2).add(reps.identity_morphism(m).scale(3))
+             for e in _sum_idempotents(m, incls, projs)]
+    degrees = set()
+    for phi in phis:
+        coeffs = reps._min_poly(phi)
+        assert coeffs[-1] == 1
+        assert reps._poly_eval_morphism(coeffs, phi).is_zero()
+        power, flats = reps.identity_morphism(m), []
+        for _ in range(len(coeffs) - 1):
+            flats.append(power.flatten())
+            power = power.compose(phi)
+        assert linalg.rank(flats) == len(flats)
+        degrees.add(len(coeffs) - 1)
+    assert max(degrees) > 2
