@@ -15,12 +15,7 @@ from dataclasses import dataclass
 
 from . import linalg, reps
 from .algebras import Algebra, represent
-from .errors import (
-    AdjacencyViolation,
-    HgaError,
-    InternalError,
-    UnsupportedSummand,
-)
+from .errors import AdjacencyViolation, HgaError, UnsupportedSummand
 from .linalg import F0, F1, div
 from .memo import memo
 from .typea import (
@@ -149,59 +144,6 @@ def _pair_ext(fam, x, y, d):
 
 
 # ---------------------------------------------------------------------------
-# functors on morphisms: cosyzygy, transpose, higher inverse translate
-# ---------------------------------------------------------------------------
-
-
-def _dual_mor(f):
-    blocks = {v: linalg.transpose(f.blocks[v]) for v in f.blocks}
-    return reps.Morphism(
-        reps.dual(f.target), reps.dual(f.source), blocks, check=False
-    )
-
-
-def _cosyz_mor(f):
-    # Omega^- = D Omega D, covariant
-    return _dual_mor(reps.syzygy_morphism(_dual_mor(f)))
-
-
-def _transpose_mor(h):
-    """Tr on morphisms; contravariant.  h: X -> Y gives Tr Y -> Tr X."""
-    x, y = h.source, h.target
-    alg = x.algebra
-    dx = reps.transpose_data(x)
-    dy = reps.transpose_data(y)
-    if dx["tr"].is_zero() or dy["tr"].is_zero():
-        return reps.zero_morphism(dy["tr"], dx["tr"])
-    h0 = reps.factor_through(h.compose(dx["epi0"]), dy["epi0"])
-    h1 = reps.factor_through(h0.compose(dx["d1"]), dy["d1"])
-    if h1 is None:
-        raise InternalError("presentation lift failed")
-    psi = reps.projective_star(
-        alg, dy["srcs"], dx["srcs"],
-        reps.component_elements(h1, dx["srcs"], dy["srcs"]))
-    cls = dx["proj"].compose(psi)
-    blocks = {w: [[row[k] for k in dy["section"][w]]
-                  for row in cls.blocks[w]] for w in alg.vertices}
-    return reps.Morphism(dy["tr"], dx["tr"], blocks, check=False)
-
-
-def _tau_d_inv_mor(f, d):
-    """tau_d^- on morphisms, matching the objects built by
-    reps.higher_translate_inverse.
-
-    Well defined up to maps factoring through injectives, which act by
-    zero on the Ext classes it is applied to.  The duals, syzygies and
-    transposes it passes through are memoised on their modules, so its
-    source and target are the objects reps.higher_translate_inverse
-    returns."""
-    g = f
-    for _ in range(d - 1):
-        g = _cosyz_mor(g)
-    return _transpose_mor(_dual_mor(g))
-
-
-# ---------------------------------------------------------------------------
 # the endomorphism algebra in the cluster category
 # ---------------------------------------------------------------------------
 
@@ -309,16 +251,14 @@ def cluster_endo_algebra(c):
                 prod = payp.compose(payq)
                 entry = hom_coords(aq, bp, prod)
             elif kp == "ext" and kq == "hom":
-                lift = memo(payq, ("resolution lift", d),
-                            lambda: reps.resolution_lift(payq, d))
+                lift = reps.comparison_map(payq, d)
                 if lift is None:
                     entry = {}
                 else:
                     xi = ext_space[(ap, bp)].reps[payp]
                     entry = ext_coords(aq, bp, xi.compose(lift))
             else:  # kp == "hom", kq == "ext"
-                tg = memo(payp, ("tau_d_inv", d),
-                          lambda: _tau_d_inv_mor(payp, d))
+                tg = reps.higher_translate_inverse_morphism(payp, d)
                 xi = ext_space[(aq, bq)].reps[payq]
                 entry = ext_coords(aq, bp, tg.compose(xi))
             if entry:

@@ -159,9 +159,12 @@ def row_space_basis(rows):
 
 
 def solve(a, b):
-    """One solution x of a x = b, or None if inconsistent."""
+    """One solution x of a x = b, or None if inconsistent.  An a with no
+    rows stands for len(b) equations in no unknowns."""
+    if not a:
+        return None if any(b) else []
     nrows = len(a)
-    ncols = len(a[0]) if a else 0
+    ncols = len(a[0])
     aug = [a[i][:] + [b[i]] for i in range(nrows)]
     red, pivots = rref(aug)
     if ncols in pivots:

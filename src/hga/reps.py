@@ -301,6 +301,13 @@ def dual(m):
     return memo(m, "dual", compute)
 
 
+def dual_morphism(f):
+    """D on maps, contravariant: f: X -> Y gives D Y -> D X, between the
+    memoised duals."""
+    blocks = {v: linalg.transpose(f.blocks[v]) for v in f._both_nonzero()}
+    return Morphism(dual(f.target), dual(f.source), blocks, check=False)
+
+
 def injective(alg, v):
     return dual(projective(alg.opposite(), v))
 
@@ -391,23 +398,18 @@ def _hom_equations(m, n):
     return var_index, rows
 
 
-def _solution_morphism(m, n, var_index, sol):
-    """The morphism m -> n whose unknowns (see _hom_equations) are sol."""
-    blocks = {
-        v: [[sol[var_index[(v, i, j)]] for j in range(m.dims[v])]
-            for i in range(n.dims[v])]
-        for v in n.support if m.dims[v]
-    }
-    return Morphism(m, n, blocks, check=False)
-
-
 def hom_basis(m, n):
     """Basis of Hom(m, n) as a list of morphisms; deterministic order."""
     if m.algebra is not n.algebra:
         raise AlgebraMismatch("Hom across different algebras")
     var_index, rows = _hom_equations(m, n)
-    return [_solution_morphism(m, n, var_index, sol)
-            for sol in linalg.nullspace(rows, ncols=len(var_index))]
+    out = []
+    for sol in linalg.nullspace(rows, ncols=len(var_index)):
+        blocks = {v: [[sol[var_index[(v, i, j)]] for j in range(m.dims[v])]
+                      for i in range(n.dims[v])]
+                  for v in n.support if m.dims[v]}
+        out.append(Morphism(m, n, blocks, check=False))
+    return out
 
 
 def hom_dim(m, n):
@@ -589,6 +591,46 @@ def generator_images(f, vertices):
     return images
 
 
+def _preimage(g, v, spans, y):
+    """A vector x of g's source at v with g_v x = y, read off a TrackedSpan
+    of g_v's columns, which spans caches per vertex; InternalError when y
+    is not in the image of g_v."""
+    span = spans.get(v)
+    if span is None:
+        span = spans[v] = linalg.TrackedSpan()
+        for j, col in enumerate(zip(*g.blocks[v])):
+            span.add(linalg.sparse(col), j)
+    c = span.coords(linalg.sparse(y))
+    if c is None:
+        raise InternalError("lift leaves the image of the map")
+    return [c.get(j, F0) for j in range(g.source.dims[v])]
+
+
+def lift_from_projectives(f, vertices, g):
+    """The map h with g.h = f, for f out of the sum of the projectives P_v
+    (v in vertices): each generator image of f lifted through g at its own
+    vertex, then from_generators."""
+    images = generator_images(f, vertices)
+    spans, lifted, start = {}, [], 0
+    for v in vertices:
+        k = f.target.dims[v]
+        lifted.extend(_preimage(g, v, spans, images[start:start + k]))
+        start += k
+    return from_generators(f.source, vertices, g.source, lifted)
+
+
+def lift_through_mono(f, g):
+    """The map h with g.h = f, for g a monomorphism: each column of f at
+    each vertex lifted through g there.  As g is mono, h commutes with the
+    arrows because f does."""
+    spans, blocks = {}, {}
+    for v in f.source.support:
+        cols = [_preimage(g, v, spans, col) for col in zip(*f.blocks[v])]
+        if g.source.dims[v]:
+            blocks[v] = linalg.transpose(cols)
+    return Morphism(f.source, g.source, blocks, check=False)
+
+
 def syzygy(m):
     return syzygy_power(m, 1)
 
@@ -746,17 +788,21 @@ class ExtSpace:
 
 def resolution_lift(f, k):
     """Comparison map P_k(source) -> P_k(target) lifting f along the cached
-    minimal resolutions; None when either stops before P_k."""
-    tm, dm = _resolution(f.source, k)[:2]
+    minimal resolutions, one degree at a time out of sums of projectives;
+    None when either stops before P_k."""
+    tm, dm, sm = _resolution(f.source, k)[:3]
     tn, dn = _resolution(f.target, k)[:2]
     if len(tm) <= k or len(tn) <= k:
         return None
     cur = f
     for i in range(k + 1):
-        cur = factor_through(cur.compose(dm[i]), dn[i])
-        if cur is None:
-            raise InternalError("resolution lift failed")
+        cur = lift_from_projectives(cur.compose(dm[i]), sm[i], dn[i])
     return cur
+
+
+def comparison_map(f, k):
+    """resolution_lift(f, k), memoised on f per k."""
+    return memo(f, ("resolution lift", k), lambda: resolution_lift(f, k))
 
 
 def proj_dim(m, cap=None):
@@ -809,33 +855,6 @@ def is_isomorphic(m, n):
         if combo.is_iso():
             return True
     return False
-
-
-def factor_through(f, g):
-    """Morphism h with f = g . h, if one exists (else None).
-
-    f: X -> N, g: M -> N, h: X -> M.
-    """
-    x, n, mrep = f.source, f.target, g.source
-    var_index, rows = _hom_equations(x, mrep)
-    rhs = [F0] * len(rows)
-    # g h = f
-    for v in x.algebra.vertices:
-        gb, fb = g.blocks[v], f.blocks[v]
-        for i in range(n.dims[v]):
-            for j in range(x.dims[v]):
-                row = [F0] * len(var_index)
-                for k in range(mrep.dims[v]):
-                    if gb[i][k]:
-                        row[var_index[(v, k, j)]] += gb[i][k]
-                rows.append(row)
-                rhs.append(fb[i][j])
-    if not rows:
-        return zero_morphism(x, mrep)
-    sol = linalg.solve(rows, rhs)
-    if sol is None:
-        return None
-    return _solution_morphism(x, mrep, var_index, sol)
 
 
 def component_elements(f, src_verts, tgt_verts):
@@ -896,32 +915,46 @@ def presentation_matrix(m):
     return tgts, summands[1], elems, (terms[0], diffs[0], terms[1], diffs[1])
 
 
-def transpose_data(m):
-    """Tr m over the opposite algebra, from the minimal presentation
-    P1 -> P0 -> m, with the pieces that transport morphisms; memoised on m.
-
-    Tr m is the cokernel of the map P0* -> P1* that projective_star gives.
-    Keys: "tr", the cokernel projection "proj" (None when Tr m is zero
-    because m is projective), and otherwise "srcs" (the summands of P1),
-    "epi0", "d1" and "section" (per vertex, the coordinates of P1* that
-    the cokernel keeps)."""
+def _transpose_data(m):
+    """Tr m over the opposite algebra, memoised on m: the cokernel of the
+    map P0* -> P1* that projective_star gives on the minimal presentation
+    P1 -> P0 -> m, its projection, and per vertex the coordinates of P1*
+    that it keeps; both None when m is projective."""
     def compute():
-        tgts, srcs, elems, (_, epi0, _, d1) = presentation_matrix(m)
+        tgts, srcs, elems, _ = presentation_matrix(m)
         if not srcs or not tgts:
-            return {"tr": zero_representation(m.algebra.opposite()),
-                    "proj": None}
-        c, proj, section = _cokernel(
-            projective_star(m.algebra, tgts, srcs, elems))
-        return {"tr": c, "proj": proj, "srcs": srcs, "epi0": epi0, "d1": d1,
-                "section": section}
+            return zero_representation(m.algebra.opposite()), None, None
+        return _cokernel(projective_star(m.algebra, tgts, srcs, elems))
 
     return memo(m, "transpose", compute)
 
 
 def transpose(m):
-    """Tr over the opposite algebra, from the minimal presentation; the
-    module of the memoised transpose_data."""
-    return transpose_data(m)["tr"]
+    """Tr over the opposite algebra, from the minimal presentation."""
+    return _transpose_data(m)[0]
+
+
+def transpose_morphism(h):
+    """Tr on maps, contravariant: h: X -> Y gives Tr Y -> Tr X.
+
+    h lifts to P0(X) -> P0(Y), then to h1: P1(X) -> P1(Y), on the minimal
+    presentations, both out of sums of projectives.  (-)* of h1, followed
+    by the projection onto Tr X, vanishes on the image of P0(Y)*, so the
+    induced map is read at the coordinates of P1(Y)* that Tr Y keeps."""
+    alg = h.source.algebra
+    tr_x, proj, _ = _transpose_data(h.source)
+    tr_y, _, kept = _transpose_data(h.target)
+    if tr_x.is_zero() or tr_y.is_zero():
+        return zero_morphism(tr_y, tr_x)
+    tx, sx, _, (_, ex, _, dx) = presentation_matrix(h.source)
+    _, sy, _, (_, ey, _, dy) = presentation_matrix(h.target)
+    h1 = lift_from_projectives(
+        lift_from_projectives(h.compose(ex), tx, ey).compose(dx), sx, dy)
+    cls = proj.compose(projective_star(
+        alg, sy, sx, component_elements(h1, sx, sy)))
+    blocks = {w: [[row[k] for k in kept[w]] for row in cls.blocks[w]]
+              for w in alg.vertices}
+    return Morphism(tr_y, tr_x, blocks, check=False)
 
 
 def ar_translate(m):
@@ -947,26 +980,31 @@ def syzygy_power(m, k):
 
 
 def syzygy_morphism(f):
-    """Omega on morphisms: the map Omega(source) -> Omega(target) that f
-    induces on the first steps of the cached minimal resolutions."""
-    (ex, ix), (ey, iy) = _cover_steps(f.source), _cover_steps(f.target)
-    g = factor_through(factor_through(f.compose(ex), ey).compose(ix), iy)
-    if g is None:
-        raise InternalError("syzygy lift failed")
-    return g
+    """Omega on maps: the map Omega(source) -> Omega(target) that f induces
+    on the first steps of the cached minimal resolutions; it lifts f out of
+    the cover of the source, then through the inclusion of Omega(target)."""
+    (ex, ix, vx), (ey, iy, _) = _cover_steps(f.source), _cover_steps(f.target)
+    return lift_through_mono(
+        lift_from_projectives(f.compose(ex), vx, ey).compose(ix), iy)
 
 
 def _cover_steps(m):
-    """The projective cover P_0 -> m and the inclusion Omega m -> P_0."""
-    terms, diffs, _, _, incl = _resolution(m, 0)
+    """The projective cover P_0 -> m, the inclusion Omega m -> P_0 and the
+    summands of P_0."""
+    terms, diffs, summands, _, incl = _resolution(m, 0)
     if incl is None:
         incl = zero_morphism(syzygy(m), terms[0])
-    return diffs[0], incl
+    return diffs[0], incl, summands[0]
 
 
 def cosyzygy(m):
     """Omega^- m = D Omega D m."""
     return dual(syzygy(dual(m)))
+
+
+def cosyzygy_morphism(f):
+    """Omega^- = D Omega D on maps, covariant."""
+    return dual_morphism(syzygy_morphism(dual_morphism(f)))
 
 
 def higher_translate(m, d):
@@ -977,8 +1015,8 @@ def higher_translate(m, d):
 def higher_translate_inverse(m, d):
     """tau_d^- = tau^- = Tr D of the (d-1)-st cosyzygy, taken one cosyzygy
     at a time; memoised on m per d.  Each step is memoised on its module,
-    so the morphism version in hga.cluster, which goes the same way, lands
-    on these objects."""
+    so higher_translate_inverse_morphism, which goes the same way on maps,
+    lands on these objects."""
     def compute():
         x = m
         for _ in range(d - 1):
@@ -986,6 +1024,20 @@ def higher_translate_inverse(m, d):
         return ar_translate_inverse(x)
 
     return memo(m, ("tau_d_inv", d), compute)
+
+
+def higher_translate_inverse_morphism(f, d):
+    """tau_d^- on maps, memoised on f per d.
+
+    Well defined up to maps factoring through injectives, which act by zero
+    on the Ext classes it is applied to."""
+    return memo(f, ("tau_d_inv", d), lambda: _tau_d_inv_mor(f, d))
+
+
+def _tau_d_inv_mor(f, d):
+    for _ in range(d - 1):
+        f = cosyzygy_morphism(f)
+    return transpose_morphism(dual_morphism(f))
 
 
 def translate(m, d=1, mode=None):

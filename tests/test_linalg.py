@@ -38,6 +38,13 @@ def test_solve_inconsistent():
     assert linalg.solve(a, [F1, F0]) is None
 
 
+def test_solve_with_no_unknowns():
+    # [] stands for as many equations as b has entries, in no unknowns
+    assert linalg.solve([], []) == []
+    assert linalg.solve([], [F0, F0]) == []
+    assert linalg.solve([], [F0, F1]) is None
+
+
 def test_sparse_rref_reduces_chains():
     rr = SparseRREF()
     # x2 = x3, x3 = x4, x4 = 0 should force x2 = 0

@@ -223,10 +223,7 @@ def test_tracked_span_matches_dense_rank_and_solve(untagged, tagged, probe):
         rest = combine(dep, {**joined, t: v})
         assert dense_rank(list(untagged) + [rest]) == dense_rank(untagged)
     cols = [dense_vector(v) for v in list(joined.values()) + list(untagged)]
-    if cols:
-        sol = linalg.solve(linalg.transpose(cols), dense_vector(probe))
-    else:
-        sol = None if probe else []
+    sol = linalg.solve(linalg.transpose(cols), dense_vector(probe))
     got = span.coords(dict(probe))
     assert (got is None) == (sol is None)
     if got is not None:

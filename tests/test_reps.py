@@ -7,9 +7,10 @@ import pytest
 from hga import BoundQuiverPresentation, Quiver, build_algebra, zero_relation
 from hga import linalg, reps
 from hga.cluster import SummandCollection, cluster_endo_algebra, ctgent_family
-from hga.errors import HgaError, NotGorensteinVerified
+from hga.errors import HgaError, InternalError, NotGorensteinVerified
 from hga.reps import (
     ExtSpace,
+    Morphism,
     Representation,
     ar_translate,
     ar_translate_inverse,
@@ -18,9 +19,9 @@ from hga.reps import (
     direct_sum,
     dual,
     ext_dim,
-    factor_through,
     higher_translate,
     higher_translate_inverse,
+    identity_morphism,
     hom_basis,
     hom_dim,
     homological_dims,
@@ -342,15 +343,18 @@ def test_capped_homological_dims_ignore_call_history():
     assert homological_dims(a) is full
 
 
-def test_factor_through_lifts():
+def test_lift_outside_the_image_raises():
     alg = nakayama3()
     s1 = simple(alg, "1")
-    p, epi, _ = projective_cover(s1)
-    h = factor_through(epi, epi)
-    assert h is not None
-    assert epi.compose(h).blocks == epi.blocks
+    p, epi, vs = projective_cover(s1)
+    h = reps.lift_from_projectives(epi, vs, epi)
+    assert h.blocks == identity_morphism(p).blocks
     k, ki = kernel(epi)
-    assert factor_through(epi, ki) is None
+    # the generator of P_1 goes to the top of S_1, which Omega S_1 misses
+    with pytest.raises(InternalError):
+        reps.lift_from_projectives(epi, vs, ki)
+    with pytest.raises(InternalError):
+        reps.lift_through_mono(epi, ki)
 
 
 def _combination(basis, rng, source, target):
@@ -360,33 +364,135 @@ def _combination(basis, rng, source, target):
     return f
 
 
+def _assert_lift(f, g, h):
+    """h is a morphism, checked on a rebuild, and g.h = f exactly."""
+    Morphism(h.source, h.target, h.blocks)
+    assert g.compose(h).blocks == f.blocks
+
+
 @pytest.mark.parametrize("n, d", [(4, 2), (3, 3)])
-def test_factor_through_matches_composition_span(n, d):
+def test_lifts_match_composition_span(n, d):
+    """A map f: X -> Y lifts through g: M -> Y iff it lies in the span of
+    the g.h, h in Hom(X, M).  X is the projective cover of a pool module
+    for lift_from_projectives, and g the inclusion of Omega of one for
+    lift_through_mono, with X a pool module or a projective."""
     a = build_typeA_auslander(n, d)
     pool = _module_pool(a)
-    rng = random.Random(f"factor-{n}-{d}")
-    drawn = lifted = missed = 0
-    while drawn < 40:
-        x, m, y = (rng.choice(pool) for _ in range(3))
-        homs, gs = hom_basis(x, m), hom_basis(m, y)
-        if not homs or not gs:
-            continue
-        drawn += 1
-        g = _combination(gs, rng, m, y)
-        f = g.compose(_combination(homs, rng, x, m))
-        h = factor_through(f, g)
-        assert h is not None and g.compose(h).blocks == f.blocks
-        lifted += not f.is_zero()
-        # f': X -> Y factors through g iff it lies in the span of the g.h_i
-        f2 = _combination(hom_basis(x, y), rng, x, y)
-        image = [g.compose(b).flatten() for b in homs]
-        inside = linalg.rank(image + [f2.flatten()]) == linalg.rank(image)
-        h2 = factor_through(f2, g)
-        assert (h2 is not None) == inside
-        if h2 is not None:
-            assert g.compose(h2).blocks == f2.blocks
-        missed += not inside
-    assert lifted > 0 and missed > 0
+    sources = pool + [projective(a, v) for v in a.vertices]
+    rng = random.Random(f"lift-{n}-{d}")
+    for through_mono in (False, True):
+        drawn = lifted = missed = 0
+        while drawn < 25:
+            if through_mono:
+                x = rng.choice(sources)
+                m, g = kernel(projective_cover(rng.choice(pool))[1])
+                y = g.target
+
+                def lift(f):
+                    return reps.lift_through_mono(f, g)
+            else:
+                x, _, vs = projective_cover(rng.choice(pool))
+                m, y = rng.choice(pool), rng.choice(pool)
+                gs = hom_basis(m, y)
+                if not gs:
+                    continue
+                g = _combination(gs, rng, m, y)
+
+                def lift(f):
+                    return reps.lift_from_projectives(f, vs, g)
+            homs, maps = hom_basis(x, m), hom_basis(x, y)
+            if not maps:
+                continue
+            drawn += 1
+            f = g.compose(_combination(homs, rng, x, m))
+            _assert_lift(f, g, lift(f))
+            lifted += not f.is_zero()
+            f2 = _combination(maps, rng, x, y)
+            image = [g.compose(b).flatten() for b in homs]
+            inside = linalg.rank(image + [f2.flatten()]) == linalg.rank(image)
+            try:
+                h2 = lift(f2)
+            except InternalError:
+                h2 = None
+            assert (h2 is not None) == inside
+            if h2 is not None:
+                _assert_lift(f2, g, h2)
+            missed += not inside
+        assert lifted > 0 and missed > 0, through_mono
+
+
+def _family_maps(n, d, count):
+    """The thin family of A^d_n and seeded combinations of Hom bases
+    between its modules, zero maps left out."""
+    fam = canonical_cluster_tilting(build_typeA_auslander(n, d)).modules
+    rng = random.Random(f"family-maps-{n}-{d}")
+    maps = []
+    while len(maps) < count:
+        x, y = rng.choice(fam), rng.choice(fam)
+        f = _combination(hom_basis(x, y), rng, x, y)
+        if not f.is_zero():
+            maps.append(f)
+    return fam, maps
+
+
+@pytest.mark.parametrize("n, d", [(4, 2), (3, 3)])
+def test_functors_send_identities_to_identities(n, d):
+    fam, _ = _family_maps(n, d, 0)
+    for m in fam:
+        one = identity_morphism(m)
+        for on_maps, on_objects in (
+                (reps.syzygy_morphism, syzygy(m)),
+                (reps.cosyzygy_morphism, reps.cosyzygy(m)),
+                (reps.transpose_morphism, transpose(m)),
+                (lambda f: reps.higher_translate_inverse_morphism(f, d),
+                 higher_translate_inverse(m, d))):
+            image = on_maps(one)
+            assert image.source is on_objects and image.target is on_objects
+            assert image.blocks == identity_morphism(on_objects).blocks
+
+
+@pytest.mark.parametrize("n, d", [(4, 2), (3, 3)])
+def test_functor_lifts_are_exact(n, d, monkeypatch):
+    """Every lift the functors on maps and the comparison maps make is a
+    morphism h with g.h = f."""
+    seen = []
+    for name in ("lift_from_projectives", "lift_through_mono"):
+        orig = getattr(reps, name)
+
+        def record(*args, orig=orig):
+            h = orig(*args)
+            seen.append((args[0], args[-1], h))
+            return h
+        monkeypatch.setattr(reps, name, record)
+    _, maps = _family_maps(n, d, 12)
+    for f in maps:
+        reps.syzygy_morphism(f)
+        reps.transpose_morphism(f)
+        reps.higher_translate_inverse_morphism(f, d)
+        reps.resolution_lift(f, d)
+    assert len(seen) > 50
+    for f, g, h in seen:
+        _assert_lift(f, g, h)
+
+
+@pytest.mark.parametrize("n, d", [(4, 2), (3, 3)])
+def test_resolution_lift_commutes_with_the_differentials(n, d):
+    _, maps = _family_maps(n, d, 12)
+    longest = 0
+    for f in maps:
+        dm = minimal_resolution(f.source, d)[1]
+        dn = minimal_resolution(f.target, d)[1]
+        below = f
+        for k in range(d + 1):
+            lift = reps.resolution_lift(f, k)
+            if k >= min(len(dm), len(dn)):
+                assert lift is None
+                break
+            # dn[k].lift = below.dm[k]: at k = 0, below is f itself
+            assert dn[k].compose(lift).blocks == below.compose(dm[k]).blocks
+            assert reps.comparison_map(f, k).blocks == lift.blocks
+            below, longest = lift, max(longest, k)
+    assert longest == d
 
 
 def kronecker_modules():

@@ -15,9 +15,11 @@ Two workloads, each for the hga found on the import path:
   Each key builds a fresh family with ``ctgent_family``, then End(c) with
   ``cluster_endo_algebra`` and End(cover) with ``ctgent_cover``.  The counts
   are the calls of ``reps.hom_basis``, ``reps.ExtSpace``,
-  ``cluster._local_radical_basis``, ``cluster._tau_d_inv_mor`` and
+  ``cluster._local_radical_basis``, ``reps._tau_d_inv_mor`` and
   ``reps.resolution_lift`` made inside ``cluster_endo_algebra``, at any
-  depth.
+  depth.  The last two are the computes behind the memos of
+  ``reps.higher_translate_inverse_morphism`` and ``reps.comparison_map``,
+  so they count the maps computed, not the lookups.
 
 ``wall_s`` is the median of ``REPEAT`` runs with no counter installed, each
 on fresh families, whose building is not timed: of the pass's
@@ -53,7 +55,7 @@ COUNTED = {
     "rigid": ("is_d_rigid", [(reps, "ext_dim")]),
     "ctgent": ("cluster_endo_algebra", [
         (reps, "hom_basis"), (reps, "ExtSpace"),
-        (cluster, "_local_radical_basis"), (cluster, "_tau_d_inv_mor"),
+        (cluster, "_local_radical_basis"), (reps, "_tau_d_inv_mor"),
         (reps, "resolution_lift")]),
 }
 
