@@ -32,13 +32,11 @@ from .presentations import Idempotent
 from . import linalg, reps
 
 
-def _support(m):
-    return sorted((v for v in m.algebra.vertices if m.dims[v]), key=str)
-
-
 def restrict_to_quotient(quot, m):
-    """View an ambient representation with zero spaces at the removed
-    vertices as a representation of the quotient algebra."""
+    """View an ambient representation as one of a quotient A/<f> or a
+    corner fAf: its spaces at their vertices, and at each of their arrows
+    the action of that arrow's ambient basis element.  For a quotient, m
+    must have zero spaces at the removed vertices."""
     dims = {v: m.dims[v] for v in quot.vertices}
     maps = {name: m.basis_matrix(i) for name, i in quot.arrow_ambient.items()}
     return reps.Representation(quot, dims, maps, check=False)
@@ -65,24 +63,9 @@ def ambient_from_quotient(quot, x):
 
 
 def corner_column_module(corner, v):
-    """f·A·e_v as a module over the corner algebra fAf."""
-    amb = corner.ambient
-    col_ids = {}
-    for w in corner.vertices:
-        col_ids[w] = [i for i in range(amb.dim)
-                      if amb.basis_src[i] == v and amb.basis_tgt[i] == w]
-    dims = {w: len(col_ids[w]) for w in corner.vertices}
-    maps = {}
-    for ar in corner.presentation.quiver.arrows:
-        u, w = ar.source, ar.target
-        pos = {b: k for k, b in enumerate(col_ids[w])}
-        mat = [[0] * dims[u] for _ in range(dims[w])]
-        x = corner.arrow_ambient[ar.name]
-        for col, j in enumerate(col_ids[u]):
-            for t, c in amb.mult_basis(x, j).items():
-                mat[pos[t]][col] = c
-        maps[ar.name] = mat
-    return reps.Representation(corner, dims, maps, check=False)
+    """f·A·e_v as a module over the corner algebra fAf: the ambient
+    projective P_v restricted to the corner."""
+    return restrict_to_quotient(corner, reps.projective(corner.ambient, v))
 
 
 class _CandidateScope:
@@ -139,17 +122,8 @@ class _CandidateScope:
         return memo(self, (module, key, v), compute)
 
 
-def _supported_off(m, cut):
-    return all(m.dims[v] == 0 for v in cut)
-
-
 def _morphism_rank(f):
-    total = 0
-    for v in f.source.algebra.vertices:
-        b = f.blocks[v]
-        if b and f.source.dims[v]:
-            total += len(linalg.rref([list(r) for r in b])[1])
-    return total
+    return sum(linalg.rank(f.blocks[v]) for v in f.source.support)
 
 
 def _max_rank_morphism(basis, want_rank):
@@ -250,7 +224,7 @@ def _fabric_report(scope, f_set, e_set):
             t = scope.translate(f_set, v)
             if t.is_zero():
                 continue
-            if not _supported_off(t, e_set):
+            if e_set.intersection(t.support):
                 witness = {"vertex": str(v),
                            "reason": "translate not killed by e"}
                 break
@@ -273,7 +247,7 @@ def _fabric_report(scope, f_set, e_set):
             t = reps.ar_translate_inverse(scope.lifted_injective(e_set, v))
             if t.is_zero():
                 continue
-            if not _supported_off(t, f_set):
+            if f_set.intersection(t.support):
                 witness = {"vertex": str(v),
                            "reason": "inverse translate not killed by f"}
                 break
@@ -331,7 +305,7 @@ def _smallest_removal(scope, m):
     """Vertex set to remove so that m becomes projective over the quotient,
     starting from the support of m; returns the removed set or None."""
     a = scope.alg
-    removed = set(_support(m))
+    removed = set(m.support)
     for _ in range(len(a.vertices) + 1):
         qf = scope.quotient(set(a.vertices) - removed)
         if qf is None:
@@ -340,7 +314,7 @@ def _smallest_removal(scope, m):
         _, _, summands, k, _ = reps._resolution(mq, 0)
         if k is None:
             return removed
-        grow = set(_support(ambient_from_quotient(qf, k)))
+        grow = set(ambient_from_quotient(qf, k).support)
         grow |= set(summands[0])
         if grow <= removed:
             return None
@@ -356,7 +330,7 @@ def _companion_for(scope, f_set):
     if qf is not None:
         for v in qf.vertices:
             t = scope.translate(f_set, v)
-            supp |= set(_support(t))
+            supp |= set(t.support)
     return set(scope.alg.vertices) - supp
 
 
@@ -435,7 +409,7 @@ def _grow_to_fabric(scope, removed):
         if bad is None or bad["reason"] != "inverse translate not killed by f":
             return None
         i = scope.lifted_injective(e_set, bad["vertex"])
-        grow = set(_support(reps.ar_translate_inverse(i)))
+        grow = set(reps.ar_translate_inverse(i).support)
         if grow <= removed:
             return None
         removed |= grow
@@ -678,8 +652,11 @@ def gentle_sg_invariant(g):
 def verify_sg_example(a, modules):
     """Check a proposed syzygy orbit: each module Gorenstein projective and
     stably nonzero, the syzygy of each isomorphic to the next one around
-    the circle, and consecutive morphism compositions vanishing."""
+    the circle, and consecutive morphism compositions vanishing.  An empty
+    orbit certifies nothing, so it raises ValueError."""
     a = _as_algebra(a)
+    if not modules:
+        raise ValueError("empty syzygy orbit")
     rec = reps.homological_dims(a)
     if rec["injDimOfA"] != rec["projDimOfDA"] or \
             rec["injDimOfA"] == math.inf:

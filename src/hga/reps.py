@@ -417,7 +417,13 @@ def hom_dim(m, n):
 
 
 def kernel(f):
-    """Kernel subrepresentation with its inclusion.
+    """Kernel subrepresentation with its inclusion."""
+    return _kernel(f)[:2]
+
+
+def _kernel(f):
+    """Kernel, inclusion, and per support vertex of the kernel the free
+    columns of f's block there.
 
     One rref of f's block per support vertex gives the kernel there: one
     basis vector per free column, 1 at that column and 0 at the other free
@@ -454,7 +460,7 @@ def kernel(f):
                 maps[ar.name] = [img[j] for j in free[w]]
     dims = {v: len(cols) for v, cols in free.items()}
     k = Representation(alg, dims, maps, check=False)
-    return k, Morphism(k, m, incl_blocks, check=False)
+    return k, Morphism(k, m, incl_blocks, check=False), free
 
 
 def cokernel(f):
@@ -463,42 +469,17 @@ def cokernel(f):
 
 
 def _cokernel(f):
-    """Cokernel, projection, and per vertex the coordinates of the target
-    that the cokernel keeps (its basis is their classes)."""
-    n = f.target
-    alg = n.algebra
-    proj_blocks = {}
-    section = {}
-    for v in alg.vertices:
-        img_rows = linalg.transpose(f.blocks[v]) if f.blocks[v] else []
-        red, pivots = linalg.rref(img_rows) if img_rows else ([], [])
-        piv_set = set(pivots)
-        free = [k for k in range(n.dims[v]) if k not in piv_set]
-        section[v] = free
-        # projection of a unit vector: reduce then read free coords
-        cols = []
-        for k in range(n.dims[v]):
-            e = [F0] * n.dims[v]
-            e[k] = F1
-            r = linalg.reduce_mod_rows(red[: len(pivots)], pivots, e)
-            cols.append([r[x] for x in free])
-        proj_blocks[v] = linalg.transpose(cols) if cols else [
-            [] for _ in free]
-    dims = {v: len(section[v]) for v in alg.vertices}
-    maps = {}
-    for ar in alg.presentation.quiver.arrows:
-        u, w = ar.source, ar.target
-        mat = [[F0] * dims[u] for _ in range(dims[w])]
-        for col, k in enumerate(section[u]):
-            e = [F0] * n.dims[u]
-            e[k] = F1
-            img = linalg.mat_vec(n.maps[ar.name], e) if n.maps[ar.name] else []
-            cls = linalg.mat_vec(proj_blocks[w], img) if dims[w] else []
-            for row, x in enumerate(cls):
-                mat[row][col] = x
-        maps[ar.name] = mat
-    c = Representation(alg, dims, maps, check=False)
-    return c, Morphism(n, c, proj_blocks, check=False), section
+    """Cokernel, projection, and per support vertex of the cokernel the
+    coordinates of the target that it keeps (its basis is their classes).
+
+    D is exact, so Coker f = D Ker(D f).  A kernel vector of (D f)_v is 1
+    at one free column and 0 at the others, so the transposed inclusion
+    block sends the unit vector of a free coordinate to the class of that
+    coordinate: the free columns are the kept coordinates."""
+    k, incl, kept = _kernel(dual_morphism(f))
+    proj = {v: linalg.transpose(incl.blocks[v]) for v in k.support}
+    c = dual(k)
+    return c, Morphism(f.target, c, proj, check=False), kept
 
 
 def radical_vectors(m):
@@ -952,8 +933,8 @@ def transpose_morphism(h):
         lift_from_projectives(h.compose(ex), tx, ey).compose(dx), sx, dy)
     cls = proj.compose(projective_star(
         alg, sy, sx, component_elements(h1, sx, sy)))
-    blocks = {w: [[row[k] for k in kept[w]] for row in cls.blocks[w]]
-              for w in alg.vertices}
+    blocks = {w: [[row[k] for k in cols] for row in cls.blocks[w]]
+              for w, cols in kept.items()}
     return Morphism(tr_y, tr_x, blocks, check=False)
 
 

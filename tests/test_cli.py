@@ -175,6 +175,19 @@ def test_verify_example_negative(tmp_path):
     assert any(f["check"] == "gorensteinProjective" for f in rep["failures"])
 
 
+def test_verify_example_empty_orbit_is_an_input_error(tmp_path, capsys):
+    alg = tmp_path / "g.json"
+    write(alg, gentle_chain_dict())
+    mods = tmp_path / "m.json"
+    write(mods, [])
+    out = tmp_path / "v.json"
+    rc = main(["verify-example", "--algebra", str(alg),
+               "--modules", str(mods), "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert "empty syzygy orbit" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("exc", [
     InternalError("syzygy lift failed"), ZeroDivisionError("division by zero"),
     ArithmeticError("overflow"), AssertionError(),

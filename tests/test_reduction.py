@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -30,6 +31,7 @@ from hga.errors import (
 from hga.reduction import (
     ambient_from_quotient,
     chensing_conditions,
+    corner_column_module,
     find_injection,
     gentle_sg_invariant,
     is_fabric_idempotent,
@@ -337,6 +339,12 @@ def test_verify_sg_example_shifted_module_two_mismatches(
     assert positions == [4, 5]
 
 
+def test_verify_sg_example_refuses_an_empty_orbit(ex51_algebra):
+    # no module, no certificate: an empty orbit is an input error
+    with pytest.raises(ValueError, match="empty syzygy orbit"):
+        verify_sg_example(ex51_algebra, [])
+
+
 def test_verify_sg_example_requires_gorenstein():
     # arrow into a loop with all length-2 paths zero: both self-injective
     # dimensions are infinite
@@ -521,6 +529,47 @@ def _rescaled(m, primes):
         c = Fraction(primes[ar.target], primes[ar.source])
         maps[ar.name] = [[c * x for x in row] for row in m.maps[ar.name]]
     return reps.Representation(m.algebra, m.dims, maps)
+
+
+def reference_corner_column_module(corner, v):
+    """f·A·e_v over fAf by a scan of the whole ambient basis: the ambient
+    ids from v to each corner vertex, acted on by each corner arrow's
+    ambient basis element."""
+    amb = corner.ambient
+    col_ids = {}
+    for w in corner.vertices:
+        col_ids[w] = [i for i in range(amb.dim)
+                      if amb.basis_src[i] == v and amb.basis_tgt[i] == w]
+    dims = {w: len(col_ids[w]) for w in corner.vertices}
+    maps = {}
+    for ar in corner.presentation.quiver.arrows:
+        u, w = ar.source, ar.target
+        pos = {b: k for k, b in enumerate(col_ids[w])}
+        mat = [[0] * dims[u] for _ in range(dims[w])]
+        x = corner.arrow_ambient[ar.name]
+        for col, j in enumerate(col_ids[u]):
+            for t, c in amb.mult_basis(x, j).items():
+                mat[pos[t]][col] = c
+        maps[ar.name] = mat
+    return reps.Representation(corner, dims, maps, check=False)
+
+
+def test_corner_column_module_matches_the_basis_scan():
+    # f.A.e_v is the ambient projective P_v restricted to the corner fAf
+    a = build_typeA_auslander(4, 2)
+    compared = 0
+    for size in (2, 3):
+        for sub in itertools.combinations(a.vertices, size):
+            corner = idempotent_subalgebra(a, Idempotent.of(sub))
+            for v in a.vertices:
+                m = corner_column_module(corner, v)
+                want = reference_corner_column_module(corner, v)
+                assert m.algebra is corner
+                assert m.dims == want.dims
+                assert m.maps == want.maps
+                reps.Representation(corner, m.dims, m.maps)
+                compared += not m.is_zero()
+    assert compared > 500
 
 
 @pytest.mark.parametrize("make", [

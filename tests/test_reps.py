@@ -750,6 +750,92 @@ def test_unchecked_matrices_are_never_written(monkeypatch, n, d, idx):
     assert any(m is empty for m in s.maps.values())
 
 
+def reference_cokernel(f):
+    """Cokernel by reduction of unit vectors: per vertex, the rref of the
+    image rows of f, one reduced unit vector per target coordinate for the
+    projection, and one per kept coordinate through each arrow for the
+    maps.  Returns the cokernel, its projection and the kept coordinates
+    at every vertex."""
+    n = f.target
+    alg = n.algebra
+    proj_blocks = {}
+    section = {}
+    for v in alg.vertices:
+        img_rows = linalg.transpose(f.blocks[v]) if f.blocks[v] else []
+        red, pivots = linalg.rref(img_rows) if img_rows else ([], [])
+        piv_set = set(pivots)
+        free = [k for k in range(n.dims[v]) if k not in piv_set]
+        section[v] = free
+        cols = []
+        for k in range(n.dims[v]):
+            e = [0] * n.dims[v]
+            e[k] = 1
+            r = linalg.reduce_mod_rows(red[: len(pivots)], pivots, e)
+            cols.append([r[x] for x in free])
+        proj_blocks[v] = linalg.transpose(cols) if cols else [
+            [] for _ in free]
+    dims = {v: len(section[v]) for v in alg.vertices}
+    maps = {}
+    for ar in alg.presentation.quiver.arrows:
+        u, w = ar.source, ar.target
+        mat = [[0] * dims[u] for _ in range(dims[w])]
+        for col, k in enumerate(section[u]):
+            e = [0] * n.dims[u]
+            e[k] = 1
+            img = linalg.mat_vec(n.maps[ar.name], e) if n.maps[ar.name] else []
+            cls = linalg.mat_vec(proj_blocks[w], img) if dims[w] else []
+            for row, x in enumerate(cls):
+                mat[row][col] = x
+        maps[ar.name] = mat
+    c = Representation(alg, dims, maps, check=False)
+    return c, Morphism(n, c, proj_blocks, check=False), section
+
+
+def _cokernel_test_maps(mods, rng):
+    """Every Hom basis element and one seeded integer combination of each
+    Hom basis between the modules, then the map P0* -> P1* of the minimal
+    presentation of each module."""
+    maps = []
+    for x in mods:
+        for y in mods:
+            basis = hom_basis(x, y)
+            maps.extend(basis)
+            if basis:
+                maps.append(_combination(basis, rng, x, y))
+    for m in mods:
+        tgts, srcs, elems, _ = reps.presentation_matrix(m)
+        if srcs:
+            maps.append(reps.projective_star(m.algebra, tgts, srcs, elems))
+    return maps
+
+
+@pytest.mark.parametrize("family", ["A^2_3", "nakayama3"])
+def test_cokernel_matches_unit_vector_reduction(family):
+    # Coker f = D Ker(D f) gives the same module, projection and kept
+    # coordinates as reducing unit vectors modulo the image of f
+    if family == "nakayama3":
+        alg = nakayama3()
+        mods = [make(alg, v) for v in alg.vertices
+                for make in (projective, injective, simple)]
+    else:
+        mods = canonical_cluster_tilting(build_typeA_auslander(3, 2)).modules
+    maps = _cokernel_test_maps(mods, random.Random(f"cokernel-{family}"))
+    stars = 0
+    for f in maps:
+        c, proj, kept = reps._cokernel(f)
+        want, want_proj, want_kept = reference_cokernel(f)
+        assert proj.source is f.target and proj.target is c
+        assert cokernel(f)[1].source is f.target
+        assert c.dims == want.dims
+        assert c.maps == want.maps
+        assert proj.blocks == want_proj.blocks
+        assert kept == {v: cols for v, cols in want_kept.items() if cols}
+        Representation(c.algebra, c.dims, c.maps)
+        Morphism(f.target, c, proj.blocks)
+        stars += f.source.algebra is not mods[0].algebra
+    assert stars > 0 and len(maps) > 50
+
+
 def test_kernel_step_costs_one_rref_per_support_vertex(monkeypatch):
     # a resolution step pays for the support of its module, not for the
     # quiver: the kernel of the cover of a simple over A^2_8 takes one
