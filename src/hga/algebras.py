@@ -79,14 +79,14 @@ class Algebra:
     def identity_element(self):
         return {i: F1 for i in range(len(self.vertices))}
 
+    @property
+    def quiver(self):
+        """The quiver of its presentation, as `CornerQuiver.quiver` is."""
+        return self.presentation.quiver
+
     def path_value(self, path):
         """Value of an arrow-name path (application order) as a sparse element."""
-        if not path:
-            raise ValueError("empty path")
-        value = self.unit(self.arrow_class[path[0]])
-        for name in path[1:]:
-            value = self.mult_elements(self.unit(self.arrow_class[name]), value)
-        return value
+        return _path_value(self, self.arrow_class, path)
 
     def relation_value(self, relation):
         total = {}
@@ -125,7 +125,7 @@ class Algebra:
 
 
 def _build_opposite(a):
-    quiver = a.presentation.quiver
+    quiver = a.quiver
     op_quiver = Quiver(
         list(quiver.vertices),
         [(ar.name, ar.target, ar.source) for ar in quiver.arrows],
@@ -154,6 +154,17 @@ def _build_opposite(a):
     )
     memo(op, "op", lambda: a)
     return op
+
+
+def _path_value(a, arrow_ids, path):
+    """Value in a of an arrow-name path (application order), each arrow
+    being the basis id arrow_ids[name]."""
+    if not path:
+        raise ValueError("empty path")
+    value = {arrow_ids[path[0]]: F1}
+    for name in path[1:]:
+        value = a.mult_elements({arrow_ids[name]: F1}, value)
+    return value
 
 
 def opposite(a):
@@ -418,9 +429,10 @@ def _arrow_layer(a):
     return out
 
 
-def _present(raw, ambient=None, ambient_basis=None):
-    """(algebra, arrow ids): raw re-presented as `represent` says, and for
-    each arrow name the basis id of raw that the arrow is."""
+def _arrows(raw):
+    """(quiver, arrow ids): the arrows of raw that `_arrow_layer` chooses,
+    named source_target with a suffix _k on the k-th further arrow of the
+    same block, and for each name the basis id of raw that the arrow is."""
     name_count = {}
     arrows = []
     arrow_ids = {}
@@ -431,7 +443,13 @@ def _present(raw, ambient=None, ambient_basis=None):
         name = base if k == 0 else f"{base}_{k}"
         arrows.append(Arrow(name, src, tgt))
         arrow_ids[name] = b
-    quiver = Quiver(list(raw.vertices), arrows)
+    return Quiver(list(raw.vertices), arrows), arrow_ids
+
+
+def _present(raw, ambient=None, ambient_basis=None):
+    """(algebra, arrow ids): raw re-presented as `represent` says, and for
+    each arrow name the basis id of raw that the arrow is."""
+    quiver, arrow_ids = _arrows(raw)
     arrow = quiver.arrow_by_name
     values = {}    # normal word of positive length -> its raw value
     spans = defaultdict(TrackedSpan)  # block -> its words of length >= 2
@@ -472,7 +490,7 @@ def _present(raw, ambient=None, ambient_basis=None):
     # rank test
     for s, t, b in ([(v, v, raw.e_index[v]) for v in raw.vertices]
                     + [(ar.source, ar.target, arrow_ids[ar.name])
-                       for ar in arrows]):
+                       for ar in quiver.arrows]):
         if (raw.basis_src[b], raw.basis_tgt[b]) != (s, t):
             raise InvalidPresentation("re-presentation leaves its block")
         if spans[(s, t)].add({b: F1}) is not None:
@@ -525,9 +543,10 @@ def _composable(ids, src, tgt):
             yield k, i, l, j
 
 
-def idempotent_subalgebra(a, e):
-    """Corner algebra eAe for a vertex-subset idempotent, re-presented on its
-    own quiver, with ambient `a`."""
+def _raw_corner(a, e):
+    """(raw, ids): the corner eAe for a vertex-subset idempotent e as a
+    structure-constant algebra on the basis ids of a between e-vertices
+    (ids, in increasing order), with the products of a."""
     e.validate(a.vertices)
     if not e.vertex_subset:
         raise EmptyIdempotent("idempotent over the empty vertex set")
@@ -547,6 +566,34 @@ def idempotent_subalgebra(a, e):
         [a.basis_tgt[i] for i in ids],
         mult,
     )
+    return raw, ids
+
+
+class CornerQuiver:
+    """The corner eAe of a vertex-subset idempotent e with its quiver, not
+    re-presented.
+
+    `raw` is the corner from `_raw_corner`, and `quiver` and `arrow_ids`
+    are its arrows as `_arrows` names them.  `idempotent_subalgebra(a, e)`
+    is raw re-presented on this quiver; the isomorphism that takes each of
+    its normal words to that word's value in raw takes each path value
+    there to the value here.  So a check that reads only the quiver and
+    whether path values vanish or are proportional gets the same answers
+    here, with no normal-word pass."""
+
+    def __init__(self, a, e):
+        self.raw = _raw_corner(a, e)[0]
+        self.quiver, self.arrow_ids = _arrows(self.raw)
+
+    def path_value(self, path):
+        """Value in raw of an arrow-name path (application order)."""
+        return _path_value(self.raw, self.arrow_ids, path)
+
+
+def idempotent_subalgebra(a, e):
+    """Corner algebra eAe for a vertex-subset idempotent, re-presented on its
+    own quiver (that of `CornerQuiver(a, e)`), with ambient `a`."""
+    raw, ids = _raw_corner(a, e)
     return represent(raw, a, ids)
 
 

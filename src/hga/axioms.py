@@ -6,16 +6,23 @@ paths are commutativity-related iff their values are proportional and
 nonzero.  Squares and cube faces "commute" only when the shared value is
 nonzero; squares whose both routes vanish do not count as cubes.
 
-Each check takes an Algebra and reads its quiver from ``alg.presentation``.
-A public check also takes a presentation, and builds its algebra once for
-that call.
+Each check takes an Algebra and reads its quiver from ``alg.quiver``.  A
+public check also takes a presentation, and builds its algebra once for
+that call.  The checks that read only the quiver and its 2-path values (the
+commutativity squares, the sandwiches and the cube search) also take a
+``CornerQuiver``, which answers them for a corner without re-presenting it.
 """
 
 import copy
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .algebras import Algebra, build_algebra, idempotent_subalgebra
+from .algebras import (
+    Algebra,
+    CornerQuiver,
+    build_algebra,
+    idempotent_subalgebra,
+)
 from .errors import NotAdmissible, UnknownArrow
 from .linalg import F0, F1, div
 from . import linalg
@@ -31,15 +38,25 @@ IDEMPOTENT_CAP = 2 ** 20  # subsets tried before "pass-up-to-cap"
 
 def _as_algebra(a):
     """a itself when it is an Algebra, else the algebra of the presentation a,
-    built for this call."""
+    built for this call.  A CornerQuiver is refused: it has no basis of its
+    own to build dimensions, opposites or closures from."""
+    if isinstance(a, CornerQuiver):
+        raise TypeError("this check needs an Algebra or a presentation, "
+                        "not a CornerQuiver")
     return a if isinstance(a, Algebra) else build_algebra(a)
+
+
+def _as_quiver_values(a):
+    """a itself when it is an Algebra or a CornerQuiver, else _as_algebra(a):
+    for the checks that read only a quiver and its 2-path values."""
+    return a if isinstance(a, CornerQuiver) else _as_algebra(a)
 
 
 def _closure_dim(alg, relations):
     """Dimension of the algebra of alg's quiver modulo relations, or None
     when path classes still appear past the length cap
     max(2·|Q0|, rad nilpotency of alg + 2, 8)."""
-    quiver = alg.presentation.quiver
+    quiver = alg.quiver
     cap = max(2 * len(quiver.vertices), alg.rad_nilpotency() + 2, 8)
     try:
         return build_algebra(BoundQuiverPresentation(quiver, relations),
@@ -73,7 +90,7 @@ def strong_neighbors(a, arrow_name):
     not commutativity-paired with any other length-2 path.
     """
     alg = _as_algebra(a)
-    quiver = alg.presentation.quiver
+    quiver = alg.quiver
     if arrow_name not in quiver.arrow_by_name:
         raise UnknownArrow(f"unknown arrow {arrow_name!r}")
     alpha = quiver.arrow_by_name[arrow_name]
@@ -195,12 +212,12 @@ def _cube_walk(pending, vertices, used, arrows, state, out, target,
 
 def _cube_search(alg, m, fixed_corner=None, fixed_arrows=None):
     """All directed m-cubes with commuting (nonzero) faces in the quiver of
-    a built algebra; canonical order.
+    a built algebra or a CornerQuiver; canonical order.
 
     fixed_corner/fixed_arrows pin the source vertex and the ordered arrows
     leaving it (used by (A3) uniqueness counting).
     """
-    quiver = alg.presentation.quiver
+    quiver = alg.quiver
     arrow = quiver.arrow_by_name
     out = {v: sorted(a.name for a in arrs)
            for v, arrs in quiver.arrows_from.items()}
@@ -238,7 +255,7 @@ def find_m_cubes(a, m):
     """All m-cubes with commuting faces, deduplicated up to cube symmetry."""
     if m < 2:
         raise ValueError("cube dimension must be at least 2")
-    raw = _cube_search(_as_algebra(a), m)
+    raw = _cube_search(_as_quiver_values(a), m)
     seen = {}
     from itertools import permutations
 
@@ -280,8 +297,8 @@ class SandwichWitness:
 def commutativity_squares(a):
     """Pairs of parallel 2-paths with proportional nonzero values and
     distinct middle vertices; four corners pairwise distinct."""
-    alg = _as_algebra(a)
-    quiver = alg.presentation.quiver
+    alg = _as_quiver_values(a)
+    quiver = alg.quiver
     squares = []
     paths = []
     for a in quiver.arrows:
@@ -324,8 +341,8 @@ def find_sandwiches(a):
     the shadow of higher-dimensional mesh geometry (the class escapes along
     the remaining direction) and obstructs nothing.
     """
-    alg = _as_algebra(a)
-    quiver = alg.presentation.quiver
+    alg = _as_quiver_values(a)
+    quiver = alg.quiver
     out = []
 
     def zero2(first, second):
@@ -414,7 +431,7 @@ class AxiomReport:
 
 def _degree_two_kernel(alg):
     """Per vertex pair: 2-paths and a basis of their value relations."""
-    quiver = alg.presentation.quiver
+    quiver = alg.quiver
     blocks = {}
     for a in quiver.arrows:
         for b in quiver.arrows_from[a.target]:
@@ -523,7 +540,7 @@ def _cover_axioms(alg, d):
 
 
 def _axiom_entries(alg, d):
-    quiver = alg.presentation.quiver
+    quiver = alg.quiver
     entries = {}
 
     def entry(ok, witnesses):
@@ -752,7 +769,7 @@ def _witness_span(alg, key, w):
         names += [z[0] for z in w["zeroRelations"]]
     span = set()
     for n in names:
-        a = alg.presentation.quiver.arrow_by_name[n]
+        a = alg.quiver.arrow_by_name[n]
         span |= {a.source, a.target}
     return sorted(span, key=str)
 
@@ -797,7 +814,7 @@ def is_gentle(a):
     """Classical gentle test: degree bounds, quadratic monomial ideal, and
     the one-in/one-out composition conditions."""
     alg = _as_algebra(a)
-    quiver = alg.presentation.quiver
+    quiver = alg.quiver
     failures = []
     for v in quiver.vertices:
         if len(quiver.arrows_from[v]) > 2:
@@ -872,10 +889,14 @@ class GentleCertificate:
 
 
 def _hull_idempotent(cover, e):
-    """Vertices of the cover lying on a nonzero path that both starts and
-    ends at e-vertices.  Restricting the cover to this set leaves the
-    corner e·cover·e unchanged, since every nonzero path between e-vertices
-    passes only through such vertices."""
+    """Vertices of the cover reached from an e-vertex by a nonzero path and
+    reaching an e-vertex by a nonzero path.  The two paths need not compose
+    to a nonzero path, so the hull holds every vertex on a nonzero path
+    between e-vertices and may hold more: for e on {247, 357} in A^3_3 it
+    keeps 257, though every path 247 -> 257 -> 357 is zero.  Restricting
+    the cover to this set leaves the corner e·cover·e unchanged, since
+    every nonzero path between e-vertices passes only through its
+    vertices."""
     keep = set(e.vertex_subset)
     out = {cover.basis_tgt[i] for i in range(cover.dim)
            if cover.basis_src[i] in keep}
@@ -890,9 +911,10 @@ def is_d_gentle_certificate(cover, e, d):
     Checks three things, all with degree bound d + 1: the cover passes the
     degree/strong-successor/quadraticity axioms (A1)-(A4) and the zero-chain
     axioms (E1)-(E2); the part of the cover that actually covers B (the hull
-    of e, the vertices on nonzero through-paths between e-vertices) contains
-    no sandwich configuration (E3); and no corner fBf contains a
-    (d + 1)-cube in its quiver.  The shift d -> d + 1 is forced by the
+    of e: the vertices reached from e by a nonzero path and reaching e by
+    one, see `_hull_idempotent`) contains no sandwich configuration (E3);
+    and no corner fBf contains a (d + 1)-cube in its quiver.  The shift
+    d -> d + 1 is forced by the
     iterated construction: the canonical cover of a d-dimensional corner is
     built from (d + 1)-dimensional meshes, so its vertices carry up to
     d + 1 arrows and its quiver is full of commuting d-cubes; the
@@ -911,11 +933,15 @@ def is_d_gentle_certificate(cover, e, d):
 
     The cover-level checks depend only on (cover, d), so they are memoised
     on the cover algebra and shared by every corner certified against the
-    same cover.
+    same cover.  (E3) on the hull and the enumerated cube search read only
+    a corner's quiver and the values of its 2-paths, so they run on a
+    `CornerQuiver` and re-present nothing.  Only the reported corner B is
+    re-presented (`idempotent_subalgebra`), because its `monomial` flag and
+    the mask tables of the pattern scan read its normal-word basis.
     """
     cover = _as_algebra(cover)
     hull = _hull_idempotent(cover, e)
-    hull_corner = idempotent_subalgebra(cover, hull)
+    hull_corner = CornerQuiver(cover, hull)
     entries = dict(_cover_axioms(cover, d + 1), E3=_e3_entry(hull_corner))
     e4 = _heredity(entries, cover, hull_corner)
     pre = PreGentleReport(AxiomReport(entries, d + 1), e4,
@@ -940,7 +966,7 @@ def is_d_gentle_certificate(cover, e, d):
             if len(subset) < 2 ** m:
                 continue
             cubes = find_m_cubes(
-                idempotent_subalgebra(corner, Idempotent.of(subset)), m)
+                CornerQuiver(corner, Idempotent.of(subset)), m)
             if cubes:
                 witness = {"subset": subset, "cube": cubes[0].to_dict()}
                 break

@@ -349,34 +349,37 @@ def is_d_tilting(c):
 # ---------------------------------------------------------------------------
 
 
-def _family_match(family, mod, same=lambda other: True):
-    """Family label of the first module with the dimension vector of mod
-    that passes the exact isomorphism test ``same``; None if absent."""
-    dv = mod.dim_vector()
-    for other, lab in zip(family.modules, family.labels):
-        if other.dim_vector() == dv and same(other):
+def _family_match(family, dims, dv, same=lambda other: True):
+    """Family label of the first module whose dimension vector, read from
+    ``dims`` (the family's, in module order), is dv and that passes the
+    exact isomorphism test ``same``; None if absent."""
+    for other, lab, odv in zip(family.modules, family.labels, dims):
+        if odv == dv and same(other):
             return lab
     return None
 
 
-def _simple_chain(family):
+def _simple_chain(family, dims):
     """The vertices whose simples lie in the family, ordered so that
     tau_d^- S_{v_i} = S_{v_{i-1}}; the chain starts at the vertex whose
     translate leaves the module category.  A module with the dimension
-    vector of a simple is that simple."""
+    vector of a simple is that simple, so the family's own module stands
+    for it.  ``dims`` are the family's dimension vectors."""
     alg = family.algebra
     d = alg.typeA["d"]
+    simple_dv = {v: reps.simple(alg, v).dim_vector() for v in alg.vertices}
     simple_label = {}
     for v in alg.vertices:
-        lab = _family_match(family, reps.simple(alg, v))
+        lab = _family_match(family, dims, simple_dv[v])
         if lab is not None:
             simple_label[v] = lab
     succ = {}
-    for v in simple_label:
-        dv = reps.higher_translate_inverse(reps.simple(alg, v), d).dim_vector()
+    for v, lab in simple_label.items():
+        dv = reps.higher_translate_inverse(
+            family.module_of(lab), d).dim_vector()
         hit = None
         for w in simple_label:
-            if dv == reps.simple(alg, w).dim_vector():
+            if dv == simple_dv[w]:
                 hit = w
         succ[v] = hit
     starts = [v for v in simple_label if succ[v] is None]
@@ -417,7 +420,8 @@ def ctgent_family(n, d, index_set, family=None):
             raise AdjacencyViolation(
                 f"positions {j} and {(j % n) + 1} are adjacent modulo {n}"
             )
-    chain, simple_label = _simple_chain(family)
+    dims = [m.dim_vector() for m in family.modules]
+    chain, simple_label = _simple_chain(family, dims)
     if len(chain) != n:
         raise HgaError(
             f"expected {n} simples in the family, found {len(chain)}"
@@ -431,7 +435,7 @@ def ctgent_family(n, d, index_set, family=None):
     proj_label = {}
     for v in alg.vertices:
         lab = _family_match(
-            family, reps.projective(alg, v),
+            family, dims, reps.projective(alg, v).dim_vector(),
             lambda other: reps.minimal_resolution(other, 0)[2][0] == [v])
         if lab is None:
             raise HgaError(f"projective at {v} is missing from the family")

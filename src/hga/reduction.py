@@ -51,7 +51,7 @@ def ambient_from_quotient(quot, x):
     name_of = {i: name for name, i in quot.arrow_ambient.items()}
     maps = {}
     kept = set(quot.vertices)
-    for ar in amb.presentation.quiver.arrows:
+    for ar in amb.quiver.arrows:
         if ar.source not in kept or ar.target not in kept:
             continue
         name = name_of.get(amb.arrow_class[ar.name])
@@ -447,7 +447,7 @@ def _certify_step(scope, f_set, fabric):
     if not (fabric is not None and fabric.verdict) and not loc["pass"]:
         return None
     qf = scope.quotient(f_set)
-    gl = 0 if qf is None else reps.homological_dims(qf)["globalDim"]
+    gl = 0 if qf is None else reps.global_dim(qf)
     if gl == math.inf:
         return None
     chen = _chensing(scope, f_set)

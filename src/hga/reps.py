@@ -56,7 +56,7 @@ def _zero_template(alg):
     matrix at every arrow and at every vertex, for the constructors of
     Representation and Morphism to copy."""
     def compute():
-        names = [ar.name for ar in alg.presentation.quiver.arrows]
+        names = [ar.name for ar in alg.quiver.arrows]
         return (dict.fromkeys(alg.vertices, 0), dict.fromkeys(names, _EMPTY),
                 dict.fromkeys(alg.vertices, _EMPTY))
 
@@ -77,7 +77,7 @@ class Representation:
         self.support = tuple(sorted((v for v in dims if own.get(v)),
                                     key=algebra.e_index.__getitem__))
         self.maps = dict(zero_maps)
-        quiver = algebra.presentation.quiver
+        quiver = algebra.quiver
         for u in self.support:
             cols = own[u]
             for ar in quiver.arrows_from[u]:
@@ -95,7 +95,7 @@ class Representation:
             self._check(maps)
 
     def _check(self, given):
-        quiver = self.algebra.presentation.quiver
+        quiver = self.algebra.quiver
         for name, m in given.items():
             ar = quiver.arrow_by_name.get(name)
             if ar is not None and (len(m) != self.dims[ar.target] or any(
@@ -124,7 +124,7 @@ class Representation:
 
     def path_matrix(self, path):
         """Matrix of a path of arrow names (application order)."""
-        quiver = self.algebra.presentation.quiver
+        quiver = self.algebra.quiver
         mat = self.maps[path[0]]
         for name in path[1:]:
             mat = mmul(self.maps[name], mat,
@@ -165,7 +165,7 @@ class Morphism:
             self._check()
 
     def _check(self):
-        quiver = self.source.algebra.presentation.quiver
+        quiver = self.source.algebra.quiver
         for ar in quiver.arrows:
             u, w = ar.source, ar.target
             left = mmul(self.target.maps[ar.name], self.blocks[u],
@@ -262,7 +262,7 @@ def _projective_basis(alg, v):
 
 def _build_projective(alg, v):
     basis_ids, pos = _projective_basis(alg, v)
-    arrows_from = alg.presentation.quiver.arrows_from
+    arrows_from = alg.quiver.arrows_from
     maps = {}
     for u, col_ids in basis_ids.items():
         for ar in arrows_from[u]:
@@ -290,7 +290,7 @@ def dual(m):
     Memoised on m, so D(P_v) and the injectives are shared objects whose
     resolutions are cached."""
     def compute():
-        arrows_from = m.algebra.presentation.quiver.arrows_from
+        arrows_from = m.algebra.quiver.arrows_from
         maps = {ar.name: linalg.transpose(m.maps[ar.name])
                 for u in m.support for ar in arrows_from[u]
                 if m.dims[ar.target]}
@@ -326,7 +326,7 @@ def _sum_module(reps):
         offsets.append({v: dims.get(v, 0) for v in r.support})
         for v in r.support:
             dims[v] = dims.get(v, 0) + r.dims[v]
-    arrows_from = alg.presentation.quiver.arrows_from
+    arrows_from = alg.quiver.arrows_from
     maps = {}
     for r, off in zip(reps, offsets):
         for u in r.support:
@@ -379,7 +379,7 @@ def _hom_equations(m, n):
                 var_index[(v, i, j)] = len(var_index)
     nvars = len(var_index)
     rows = []
-    for ar in m.algebra.presentation.quiver.arrows:
+    for ar in m.algebra.quiver.arrows:
         u, w = ar.source, ar.target
         if not (m.dims[u] and n.dims[w]):
             continue
@@ -445,7 +445,7 @@ def _kernel(f):
             for r, pc in enumerate(pivots):
                 block[pc][t] = -red[r][j]
         free[v], incl_blocks[v] = cols, block
-    arrows_from = alg.presentation.quiver.arrows_from
+    arrows_from = alg.quiver.arrows_from
     maps = {}
     for u, block in incl_blocks.items():
         for ar in arrows_from[u]:
@@ -485,7 +485,7 @@ def _cokernel(f):
 def radical_vectors(m):
     """Spanning vectors of rad M per support vertex (images of all arrows
     into it, in arrow order)."""
-    dims, arrows_to = m.dims, m.algebra.presentation.quiver.arrows_to
+    dims, arrows_to = m.dims, m.algebra.quiver.arrows_to
     out = {}
     for w in m.support:
         vecs = out[w] = []
@@ -1137,9 +1137,19 @@ def homological_dims(alg, cap=None):
     return record
 
 
-def _homological_dims(alg, cap):
+def global_dim(alg):
+    """Global dimension: the largest projective dimension of a simple."""
+    return _simple_proj_dims(alg, None)[1]
+
+
+def _simple_proj_dims(alg, cap):
+    """The projective dimension of each simple, and their maximum."""
     proj_dims = {v: proj_dim(simple(alg, v), cap=cap) for v in alg.vertices}
-    global_dim = max(proj_dims.values()) if proj_dims else 0
+    return proj_dims, max(proj_dims.values(), default=0)
+
+
+def _homological_dims(alg, cap):
+    proj_dims, gl = _simple_proj_dims(alg, cap)
     dual_projs = [dual(projective(alg, v)) for v in alg.vertices]
     inj_of_a = max(proj_dim(x, cap=cap) for x in dual_projs)
     proj_of_da = max(
@@ -1147,7 +1157,7 @@ def _homological_dims(alg, cap):
     )
     return {
         "projDims": proj_dims,
-        "globalDim": global_dim,
+        "globalDim": gl,
         "dominantDim": _dominant_dim(alg, dual_projs, cap),
         "injDimOfA": inj_of_a,
         "projDimOfDA": proj_of_da,

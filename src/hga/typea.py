@@ -269,7 +269,7 @@ def canonical_cluster_tilting(a):
     n, d = info["n"], info["d"]
     m = n + 2 * d
     verts = tuple_set(d - 1, m - 2)
-    arrows = a.presentation.quiver.arrows
+    arrows = a.quiver.arrows
     labels = tuple_set(d, m)
     modules = []
     for t in labels:

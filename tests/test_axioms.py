@@ -8,16 +8,21 @@ from hga import (
     Idempotent,
     Quiver,
     RelationElement,
+    algebras,
     axioms,
     build_algebra,
     commutativity_relation,
     idempotent_subalgebra,
     zero_relation,
 )
+from hga.algebras import CornerQuiver
 from hga.axioms import (
     _corner_cube_violation,
     _count_corner_cubes,
+    _e3_entry,
+    _hull_idempotent,
     _mask_tables,
+    _witness_span,
     check_axioms,
     commutativity_squares,
     find_m_cubes,
@@ -27,6 +32,7 @@ from hga.axioms import (
     is_pre_gentle,
     strong_neighbors,
 )
+from hga.cluster import ctgent_cover, ctgent_family
 from hga.errors import UnknownArrow
 from hga.typea import build_typeA_auslander
 
@@ -418,3 +424,124 @@ def test_sandwich_cover_fails_certificate():
     )
     assert cert.verdict == "fail"
     assert cert.pre_gentle.verdict == "fail"
+
+
+def mixed_routes(rng):
+    """x -> m1..m4 -> y with w -> x and y -> z: the four routes r_i through
+    m_i satisfy r1 + c2·r2 + c3·r3 = 0 and r4 = c4·r1 for seeded nonzero
+    integers c, so the x -> y block is not monomial and (x, m1, m4, y) is
+    a commuting square; w·x·m1 and m4·y·z are zero."""
+    q = Quiver(
+        ["w", "x", "m1", "m2", "m3", "m4", "y", "z"],
+        [("g", "w", "x"), ("h", "y", "z")]
+        + [(f"a{i}", "x", f"m{i}") for i in range(1, 5)]
+        + [(f"b{i}", f"m{i}", "y") for i in range(1, 5)])
+    c2, c3, c4 = (rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(3))
+    route = lambda i: (f"a{i}", f"b{i}")
+    return BoundQuiverPresentation(q, [
+        RelationElement([(1, route(1)), (c2, route(2)), (c3, route(3))]),
+        RelationElement([(1, route(4)), (-c4, route(1))]),
+        zero_relation(("g", "a1")),
+        zero_relation(("b4", "h")),
+    ])
+
+
+def seeded_corners():
+    """(ambient, subset) pairs: seeded corners of A^3_3..A^3_5, of the
+    covers of the d = 3 ctgent keys (their hulls fail (E3)) and of seeded
+    algebras whose corners are not monomial."""
+    rng = random.Random(24)
+    cases = []
+    for n in (3, 4, 5):
+        a = build_typeA_auslander(n, 3)
+        cases += [(a, rng.sample(a.vertices, rng.randint(4, len(a.vertices))))
+                  for _ in range(4)]
+    for idx in ([2], [3]):
+        cover, e = ctgent_cover(ctgent_family(3, 3, idx))
+        a = cover.algebra
+        cases.append((a, sorted(_hull_idempotent(a, e).vertex_subset)))
+        cases += [(a, rng.sample(a.vertices, rng.randint(6, len(a.vertices))))
+                  for _ in range(3)]
+    for _ in range(3):
+        a = build_algebra(mixed_routes(rng))
+        cases += [(a, rng.sample(a.vertices, rng.randint(2, len(a.vertices))))
+                  for _ in range(4)]
+        cases.append((a, a.vertices))
+    t = build_algebra(three_routes())
+    cases += [(t, s) for s in (t.vertices, ["x", "y"], ["x", "u", "v", "y"])]
+    return cases
+
+
+def test_corner_quiver_checks_match_the_re_presented_corner():
+    sandwiches = cubes = non_monomial = parallel = 0
+    for a, subset in seeded_corners():
+        e = Idempotent.of(subset)
+        cq, corner = CornerQuiver(a, e), idempotent_subalgebra(a, e)
+        assert cq.quiver == corner.quiver
+        assert commutativity_squares(cq) == commutativity_squares(corner)
+        entry = _e3_entry(cq)
+        assert entry == _e3_entry(corner)
+        for w in entry["witnesses"]:
+            assert _witness_span(cq, "E3", w) == _witness_span(corner, "E3", w)
+        for m in (2, 3):
+            got = [c.to_dict() for c in find_m_cubes(cq, m)]
+            assert got == [c.to_dict() for c in find_m_cubes(corner, m)]
+            cubes += len(got)
+        sandwiches += len(entry["witnesses"])
+        non_monomial += not corner.monomial
+        parallel += any(name.count("_") > 1 for name in cq.arrow_ids)
+    # the comparisons see sandwiches, cubes, non-monomial corners and
+    # parallel arrows
+    assert sandwiches and cubes and non_monomial and parallel
+
+
+@pytest.mark.parametrize("check", [
+    is_gentle,
+    lambda cq: check_axioms(cq, 2),
+    lambda cq: is_pre_gentle(cq, 2),
+    lambda cq: strong_neighbors(cq, cq.quiver.arrows[0].name),
+    axioms.check_axiom_a4,
+])
+def test_checks_needing_a_built_algebra_refuse_a_corner_quiver(check):
+    a = build_typeA_auslander(3, 3)
+    cq = CornerQuiver(a, Idempotent.of(a.vertices[:6]))
+    with pytest.raises(TypeError, match="CornerQuiver"):
+        check(cq)
+
+
+@pytest.mark.parametrize("mode", ["pattern-scan", "enumeration"])
+def test_certificate_represents_only_the_reported_corner(monkeypatch, mode):
+    if mode == "enumeration":
+        cover = build_algebra(three_routes())
+        e, d = Idempotent.of(cover.vertices), 1
+    else:
+        cover = build_typeA_auslander(3, 3)
+        e, d = Idempotent.of(["136", "146", "147", "157", "257", "357"]), 2
+    calls = []
+    represent = algebras.represent
+    monkeypatch.setattr(algebras, "represent",
+                        lambda raw, *args: calls.append(raw)
+                        or represent(raw, *args))
+    cert = is_d_gentle_certificate(cover, e, d)
+    assert cert.cube_check["mode"] == mode
+    if mode == "pattern-scan":
+        assert len(cert.pre_gentle.hull) > len(e.vertex_subset)
+    # (E3) on the hull and each enumerated subset re-present nothing
+    assert [(raw.vertices, raw.dim) for raw in calls] == [
+        (cert.corner.vertices, cert.corner.dim)]
+
+
+def test_hull_keeps_vertices_whose_paths_do_not_compose():
+    cover = build_typeA_auslander(3, 3)
+    e = Idempotent.of(["247", "357"])
+    hull = _hull_idempotent(cover, e).vertex_subset
+    assert hull == {"247", "257", "357"}
+    ids = lambda s, t: [i for i in range(cover.dim)
+                        if (cover.basis_src[i], cover.basis_tgt[i]) == (s, t)]
+    # 257 is reached from 247 and reaches 357 by nonzero paths, but no
+    # nonzero path from 247 to 357 passes through it
+    assert ids("247", "257") and ids("257", "357")
+    assert not any(cover.mult.get((i, j)) for j in ids("247", "257")
+                   for i in ids("257", "357"))
+    cert = is_d_gentle_certificate(cover, e, 2)
+    assert cert.to_dict()["hull"] == ["247", "257", "357"]

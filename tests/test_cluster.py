@@ -18,6 +18,7 @@ from hga.cluster import (
     is_d_tilting,
 )
 from hga.errors import AdjacencyViolation, HgaError, UnsupportedSummand
+from hga.memo import peek
 from hga.presentations import presentation_to_dict
 from hga.typea import build_typeA_auslander, canonical_cluster_tilting
 
@@ -374,3 +375,22 @@ def test_endo_algebras_share_pair_data(monkeypatch):
     assert len(calls) == len(c) ** 2
     cover, _ = ctgent_cover(c)
     assert len(calls) == len(cover.summand_labels) ** 2
+
+
+@pytest.mark.parametrize("n, d, idx", [(4, 2, [2]), (3, 3, [3])])
+def test_simple_chain_translates_the_family_modules(n, d, idx, monkeypatch):
+    """ctgent_family matches each family module's dimension vector once,
+    and translates the family's own simples, so tau_d^- of each is the
+    one the pair data reads."""
+    fam = canonical_cluster_tilting(build_typeA_auslander(n, d))
+    calls = []
+    dim_vector = reps.Representation.dim_vector
+    monkeypatch.setattr(reps.Representation, "dim_vector",
+                        lambda m: calls.append(m) or dim_vector(m))
+    c = ctgent_family(n, d, idx, family=fam)
+    family_calls = [m for m in calls if any(m is x for x in fam.modules)]
+    assert len(family_calls) == len(fam.modules)
+    for v, lab in c.ctgent["simpleLabel"].items():
+        m = fam.module_of(lab)
+        assert m.dim_vector() == reps.simple(fam.algebra, v).dim_vector()
+        assert peek(m, ("tau_d_inv", d)) is not None

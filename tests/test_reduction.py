@@ -478,6 +478,22 @@ def test_reduction_leaves_no_quotient_or_corner_on_its_input():
                        if isinstance(key, tuple) for part in key)
 
 
+def test_step_certificates_build_no_homological_record(monkeypatch):
+    # a step reports the quotient's global dimension, and nothing else of
+    # its homological record, so it computes that alone
+    a = cluster_endo_algebra(ctgent_family(4, 2, [2, 4])).algebra
+    records, dims = [], []
+    homological_dims, global_dim = reps.homological_dims, reps.global_dim
+    monkeypatch.setattr(reps, "homological_dims",
+                        lambda *args: records.append(1)
+                        or homological_dims(*args))
+    monkeypatch.setattr(reps, "global_dim",
+                        lambda *args: dims.append(1) or global_dim(*args))
+    trace = reduce_to_gentle(a)
+    assert trace.steps and not records
+    assert len(dims) >= len(trace.steps)
+
+
 @pytest.mark.parametrize("n, d, idx", [(4, 2, [2, 4]), (3, 3, [2])])
 def test_reduction_builds_no_algebra_twice(n, d, idx, monkeypatch):
     # every check is handed the algebra it reads, so no presentation is

@@ -8,6 +8,7 @@ from hga import BoundQuiverPresentation, Quiver, build_algebra, zero_relation
 from hga import linalg, reps
 from hga.cluster import SummandCollection, cluster_endo_algebra, ctgent_family
 from hga.errors import HgaError, InternalError, NotGorensteinVerified
+from hga.memo import peek
 from hga.reps import (
     ExtSpace,
     Morphism,
@@ -210,6 +211,20 @@ def test_homological_dims_record():
     assert rec["dominantDim"] == 2
     assert rec["injDimOfA"] == 2
     assert rec["projDimOfDA"] == 2
+
+
+def test_global_dim_alone_matches_the_record(cluster_tilted):
+    builds = [nakayama3, loop_algebra,
+              lambda: build_typeA_auslander(4, 2)]
+    builds += [lambda p=p: build_algebra(p) for p in cluster_tilted]
+    got = []
+    for build in builds:
+        alg = build()
+        got.append(reps.global_dim(alg))
+        # it reads only the simples: no record is made or marked
+        assert peek(alg, "homdims") is None
+        assert got[-1] == homological_dims(build())["globalDim"]
+    assert got == [2, math.inf, 2, math.inf, math.inf, math.inf]
 
 
 def test_gorenstein_projective_gate():
