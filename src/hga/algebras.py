@@ -117,7 +117,9 @@ class Algebra:
         return n
 
     def opposite(self):
-        """Opposite algebra; involutive up to identity on basis ids."""
+        """Opposite algebra; involutive up to identity on basis ids.  The
+        opposite of a corner or quotient has the ambient's opposite as its
+        ambient, and the same ambient ids."""
         return memo(self, "op", lambda: _build_opposite(self))
 
     def __repr__(self):
@@ -151,6 +153,8 @@ def _build_opposite(a):
         op_mult,
         presentation=op_pres,
         arrow_class=dict(a.arrow_class),
+        ambient=None if a.ambient is None else a.ambient.opposite(),
+        arrow_ambient=dict(a.arrow_ambient),
     )
     memo(op, "op", lambda: a)
     return op

@@ -4,7 +4,9 @@ All relation membership is decided semantically in the built algebra:
 a composition lies in the ideal iff its value is zero, and two parallel
 paths are commutativity-related iff their values are proportional and
 nonzero.  Squares and cube faces "commute" only when the shared value is
-nonzero; squares whose both routes vanish do not count as cubes.
+nonzero; squares whose both routes vanish do not count as cubes.  Every
+check reads these degree-two relations from one table per algebra or
+corner quiver, `_TwoPaths`, which evaluates each 2-path once.
 
 Each check takes an Algebra and reads its quiver from ``alg.quiver``.  A
 public check also takes a presentation, and builds its algebra once for
@@ -24,8 +26,7 @@ from .algebras import (
     idempotent_subalgebra,
 )
 from .errors import NotAdmissible, UnknownArrow
-from .linalg import F0, F1, div
-from . import linalg
+from .linalg import F1, SparseRREF, div
 from .memo import memo
 from .presentations import (
     BoundQuiverPresentation,
@@ -65,11 +66,6 @@ def _closure_dim(alg, relations):
         return None
 
 
-def _two_path_value(alg, first, second):
-    """Value of 'first then second' as a sparse element."""
-    return alg.path_value((first, second))
-
-
 def _proportional(x, y):
     """Nonzero proportionality coefficient c with x = c*y, else None."""
     if not x or not y or set(x) != set(y):
@@ -83,48 +79,81 @@ def _proportional(x, y):
     return ratio
 
 
+class _TwoPaths:
+    """The degree-two relations of an Algebra or a CornerQuiver, read off the
+    values of its 2-paths, each evaluated once.
+
+    ``blocks[(x, z)]`` is (zero, classes, rank) for the 2-paths x -> z in
+    name order: those whose value is zero, the classes of those whose values
+    are nonzero and proportional, each a list of (path, c) with the path's
+    value c times that of the class's first path, and the rank of the nonzero
+    values.  The blocks are in (str(x), str(z)) order.  ``class_of`` maps
+    each nonzero 2-path to its class: a 2-path is zero when it has none, and
+    two are commutativity-related when their classes are one object."""
+
+    def __init__(self, alg):
+        quiver = alg.quiver
+        paths = {}
+        for a in quiver.arrows:
+            for b in quiver.arrows_from[a.target]:
+                paths.setdefault((a.source, b.target), []).append(
+                    (a.name, b.name))
+        self.blocks = {}
+        self.class_of = {}
+        for key in sorted(paths, key=lambda k: (str(k[0]), str(k[1]))):
+            zero, classes, values = [], [], []
+            for path in sorted(paths[key]):
+                value = alg.path_value(path)
+                if not value:
+                    zero.append(path)
+                    continue
+                for cls, rep in zip(classes, values):
+                    c = _proportional(value, rep)
+                    if c is not None:
+                        cls.append((path, c))
+                        break
+                else:
+                    classes.append([(path, F1)])
+                    values.append(value)
+            rank = len(values)
+            if rank > 1:
+                span = SparseRREF()
+                rank = sum(span.add(v) is not None for v in values)
+            self.blocks[key] = (zero, classes, rank)
+            for cls in classes:
+                for path, _ in cls:
+                    self.class_of[path] = cls
+
+
+def _two_paths(a):
+    """The `_TwoPaths` of an Algebra or a CornerQuiver, memoised on it."""
+    return memo(a, "two_paths", lambda: _TwoPaths(a))
+
+
 def strong_neighbors(a, arrow_name):
     """Strong successors and predecessors of an arrow.
 
     beta is a strong successor of alpha when the composition is nonzero and
-    not commutativity-paired with any other length-2 path.
+    not commutativity-paired with any other length-2 path: its class holds
+    it alone.
     """
     alg = _as_algebra(a)
     quiver = alg.quiver
     if arrow_name not in quiver.arrow_by_name:
         raise UnknownArrow(f"unknown arrow {arrow_name!r}")
     alpha = quiver.arrow_by_name[arrow_name]
+    class_of = _two_paths(alg).class_of
 
-    def paired(first, second):
-        """The 2-path is commutativity-paired with a different parallel one."""
-        val = _two_path_value(alg, first.name, second.name)
-        if not val:
-            return None
-        x, z = first.source, second.target
-        for mid1 in quiver.arrows_from[x]:
-            for mid2 in quiver.arrows_from[mid1.target]:
-                if mid2.target != z:
-                    continue
-                if (mid1.name, mid2.name) == (first.name, second.name):
-                    continue
-                other = _two_path_value(alg, mid1.name, mid2.name)
-                if _proportional(val, other) is not None:
-                    return (mid1.name, mid2.name)
-        return False
+    def strong(path):
+        return len(class_of.get(path, ())) == 1
 
-    successors = []
-    for beta in quiver.arrows_from[alpha.target]:
-        if _two_path_value(alg, alpha.name, beta.name) and \
-                paired(alpha, beta) is False:
-            successors.append(beta.name)
-    predecessors = []
-    for gamma in quiver.arrows_to[alpha.source]:
-        if _two_path_value(alg, gamma.name, alpha.name) and \
-                paired(gamma, alpha) is False:
-            predecessors.append(gamma.name)
     return {
-        "strongSuccessors": sorted(successors),
-        "strongPredecessors": sorted(predecessors),
+        "strongSuccessors": sorted(
+            b.name for b in quiver.arrows_from[alpha.target]
+            if strong((arrow_name, b.name))),
+        "strongPredecessors": sorted(
+            g.name for g in quiver.arrows_to[alpha.source]
+            if strong((g.name, arrow_name))),
     }
 
 
@@ -221,11 +250,11 @@ def _cube_search(alg, m, fixed_corner=None, fixed_arrows=None):
     arrow = quiver.arrow_by_name
     out = {v: sorted(a.name for a in arrs)
            for v, arrs in quiver.arrows_from.items()}
+    class_of = _two_paths(alg).class_of
 
     def face_ok(a1, b1, a2, b2):
-        v1 = _two_path_value(alg, a1, b1)
-        return v1 and _proportional(v1, _two_path_value(alg, a2, b2)) \
-            is not None
+        cls = class_of.get((a1, b1))
+        return cls is not None and cls is class_of.get((a2, b2))
 
     edges = _cube_edges(m)
     results = []
@@ -299,31 +328,18 @@ def commutativity_squares(a):
     distinct middle vertices; four corners pairwise distinct."""
     alg = _as_quiver_values(a)
     quiver = alg.quiver
+    arrow = quiver.arrow_by_name
+    # a square lists its routes in the quiver's order of their first arrows
+    order = {ar.name: i for i, ar in enumerate(quiver.arrows)}
     squares = []
-    paths = []
-    for a in quiver.arrows:
-        for b in quiver.arrows_from[a.target]:
-            val = _two_path_value(alg, a.name, b.name)
-            if val:
-                paths.append((a, b, val))
-    for (a1, b1, v1), (a2, b2, v2) in combinations(paths, 2):
-        if a1.source != a2.source or b1.target != b2.target:
-            continue
-        if a1.target == a2.target:
-            continue
-        corners = {a1.source, a1.target, a2.target, b1.target}
-        if len(corners) != 4:
-            continue
-        if _proportional(v1, v2) is None:
-            continue
-        squares.append({
-            "x": a1.source,
-            "y": b1.target,
-            "routes": [
-                (a1.name, b1.name, a1.target),
-                (a2.name, b2.name, a2.target),
-            ],
-        })
+    for (x, y), (_, classes, _) in _two_paths(alg).blocks.items():
+        for cls in classes:
+            for (p1, _), (p2, _) in combinations(cls, 2):
+                routes = sorted([p1 + (arrow[p1[0]].target,),
+                                 p2 + (arrow[p2[0]].target,)],
+                                key=lambda r: order[r[0]])
+                if len({x, y, routes[0][2], routes[1][2]}) == 4:
+                    squares.append({"x": x, "y": y, "routes": routes})
     squares.sort(key=lambda s: (str(s["x"]), str(s["y"]), s["routes"]))
     return squares
 
@@ -344,9 +360,10 @@ def find_sandwiches(a):
     alg = _as_quiver_values(a)
     quiver = alg.quiver
     out = []
+    class_of = _two_paths(alg).class_of
 
     def zero2(first, second):
-        return not _two_path_value(alg, first, second)
+        return (first, second) not in class_of
 
     def emit(config, sq, square_names, z1, v1, z2, v2, killed_pre,
              killed_post, routes):
@@ -429,93 +446,33 @@ class AxiomReport:
         }
 
 
-def _degree_two_kernel(alg):
-    """Per vertex pair: 2-paths and a basis of their value relations."""
-    quiver = alg.quiver
-    blocks = {}
-    for a in quiver.arrows:
-        for b in quiver.arrows_from[a.target]:
-            key = (a.source, b.target)
-            blocks.setdefault(key, []).append((a.name, b.name))
-    out = {}
-    for key in sorted(blocks, key=lambda k: (str(k[0]), str(k[1]))):
-        paths = sorted(blocks[key])
-        coords = sorted({
-            i for pth in paths for i in alg.path_value(pth)
-        })
-        pos = {i: r for r, i in enumerate(coords)}
-        matrix = [[F0] * len(paths) for _ in coords]
-        for c, pth in enumerate(paths):
-            for i, coef in alg.path_value(pth).items():
-                matrix[pos[i]][c] = coef
-        out[key] = (paths, linalg.nullspace(matrix, ncols=len(paths)))
-    return out
-
-
 def check_axiom_a4(a):
-    """Ideal generated by zero paths and commutativity relations of length 2."""
+    """Ideal generated by zero paths and commutativity relations of length 2.
+
+    The kernel of a block's 2-path values is spanned by its 1- and 2-term
+    vectors, the zero paths and the differences within a class, exactly
+    when the values of the classes are independent: when the rank of the
+    block is its number of classes.  Those relations then span every
+    degree-two relation, and the ideal they generate must be all of it."""
     alg = _as_algebra(a)
-    kernels = _degree_two_kernel(alg)
+    blocks = _two_paths(alg).blocks
+    bad = [key for key, (_, classes, rank) in blocks.items()
+           if rank != len(classes)]
+    if bad:
+        return {"pass": False, "witnesses": [{
+            "block": [str(v) for v in bad[-1]],
+            "reason": "kernel not spanned by 1- and 2-term vectors"}]}
     relations = []
-    shape_ok = True
-    bad_block = None
-    for key, (paths, kernel_basis) in kernels.items():
-        if not kernel_basis:
-            continue
-        # vectors of support <= 2 inside the kernel
-        small = []
-        npaths = len(paths)
-        rows = kernel_basis
-        red, pivots = linalg.rref(rows)
-        basis_rows = red[: len(pivots)]
-        for idx in range(npaths):
-            v = [F0] * npaths
-            v[idx] = F1
-            if linalg.in_span(basis_rows, pivots, v):
-                small.append(v)
-        for i1, i2 in combinations(range(npaths), 2):
-            small.extend(
-                _plane_intersection(basis_rows, pivots, npaths, i1, i2)
-            )
-        if len(linalg.row_space_basis(small) if small else []) != len(pivots):
-            shape_ok = False
-            bad_block = key
-        for vec in kernel_basis:
-            terms = [(vec[c], tuple(paths[c])) for c in range(npaths) if vec[c]]
-            relations.append(RelationElement(terms))
+    for zero, classes, _ in blocks.values():
+        relations += [RelationElement([(F1, p)]) for p in zero]
+        relations += [RelationElement([(F1, p), (-c, cls[0][0])])
+                      for cls in classes for p, c in cls[1:]]
     quad_dim = _closure_dim(alg, relations)
-    generated_ok = quad_dim == alg.dim
-    witness = None
-    if not shape_ok:
-        witness = {"block": [str(v) for v in bad_block],
-                   "reason": "kernel not spanned by 1- and 2-term vectors"}
-    elif not generated_ok:
-        witness = {"reason": "ideal needs generators of length > 2",
-                   "quadraticDim": quad_dim, "dim": alg.dim}
-    return {"pass": shape_ok and generated_ok,
-            "witnesses": [witness] if witness else []}
-
-
-def _plane_intersection(basis_rows, pivots, n, i1, i2):
-    """Kernel vectors supported on coordinates {i1, i2}."""
-    # c1 e_{i1} + c2 e_{i2} lies in the row space of basis_rows iff it
-    # reduces to zero against them
-    sols = []
-    e1 = [F0] * n
-    e1[i1] = F1
-    e2 = [F0] * n
-    e2[i2] = F1
-    r1 = linalg.reduce_mod_rows(basis_rows, pivots, e1)
-    r2 = linalg.reduce_mod_rows(basis_rows, pivots, e2)
-    # c1 r1 + c2 r2 = 0 with (c1, c2) != 0
-    mat = [[r1[k], r2[k]] for k in range(n)]
-    for c1, c2 in linalg.nullspace(mat, ncols=2):
-        v = [F0] * n
-        v[i1] = c1
-        v[i2] = c2
-        if any(v):
-            sols.append(v)
-    return sols
+    if quad_dim == alg.dim:
+        return {"pass": True, "witnesses": []}
+    return {"pass": False, "witnesses": [{
+        "reason": "ideal needs generators of length > 2",
+        "quadraticDim": quad_dim, "dim": alg.dim}]}
 
 
 def check_axioms(a, d):
@@ -541,6 +498,7 @@ def _cover_axioms(alg, d):
 
 def _axiom_entries(alg, d):
     quiver = alg.quiver
+    class_of = _two_paths(alg).class_of
     entries = {}
 
     def entry(ok, witnesses):
@@ -570,8 +528,7 @@ def _axiom_entries(alg, d):
         for beta in strong[name]["strongSuccessors"]:
             candidates = sorted(
                 b.name for b in quiver.arrows_from[alpha.target]
-                if b.name != beta and
-                _two_path_value(alg, name, b.name)
+                if b.name != beta and (name, b.name) in class_of
             )
             for m in range(2, d):
                 for combo in combinations(candidates, m):
@@ -583,8 +540,7 @@ def _axiom_entries(alg, d):
         for beta in strong[name]["strongPredecessors"]:
             candidates = sorted(
                 b.name for b in quiver.arrows_to[alpha.source]
-                if b.name != beta and
-                _two_path_value(alg, b.name, name)
+                if b.name != beta and (b.name, name) in class_of
             )
             for m in range(2, d):
                 for combo in combinations(candidates, m):
@@ -603,7 +559,7 @@ def _axiom_entries(alg, d):
     for a in quiver.arrows:
         zeros = sorted(
             b.name for b in quiver.arrows_to[a.source]
-            if not _two_path_value(alg, b.name, a.name)
+            if (b.name, a.name) not in class_of
         )
         if len(zeros) > 1:
             w.append({"arrow": a.name, "zeroPredecessors": zeros})
@@ -612,7 +568,7 @@ def _axiom_entries(alg, d):
     for g in quiver.arrows:
         zeros = sorted(
             b.name for b in quiver.arrows_from[g.target]
-            if not _two_path_value(alg, g.name, b.name)
+            if (g.name, b.name) not in class_of
         )
         if len(zeros) > 1:
             w.append({"arrow": g.name, "zeroSuccessors": zeros})
@@ -821,36 +777,33 @@ def is_gentle(a):
             failures.append({"condition": "out-degree", "vertex": str(v)})
         if len(quiver.arrows_to[v]) > 2:
             failures.append({"condition": "in-degree", "vertex": str(v)})
+    table = _two_paths(alg)
     for a in quiver.arrows:
-        succ_zero = [b.name for b in quiver.arrows_from[a.target]
-                     if not _two_path_value(alg, a.name, b.name)]
-        succ_nonzero = [b.name for b in quiver.arrows_from[a.target]
-                        if _two_path_value(alg, a.name, b.name)]
-        pred_zero = [b.name for b in quiver.arrows_to[a.source]
-                     if not _two_path_value(alg, b.name, a.name)]
-        pred_nonzero = [b.name for b in quiver.arrows_to[a.source]
-                        if _two_path_value(alg, b.name, a.name)]
-        for cond, lst in [
-            ("zero successors", succ_zero),
-            ("nonzero successors", succ_nonzero),
-            ("zero predecessors", pred_zero),
-            ("nonzero predecessors", pred_nonzero),
+        succ = [(b.name, (a.name, b.name) in table.class_of)
+                for b in quiver.arrows_from[a.target]]
+        pred = [(b.name, (b.name, a.name) in table.class_of)
+                for b in quiver.arrows_to[a.source]]
+        for cond, pairs, nonzero in [
+            ("zero successors", succ, False),
+            ("nonzero successors", succ, True),
+            ("zero predecessors", pred, False),
+            ("nonzero predecessors", pred, True),
         ]:
+            lst = sorted(name for name, nz in pairs if nz == nonzero)
             if len(lst) > 1:
                 failures.append({"condition": cond, "arrow": a.name,
-                                 "arrows": sorted(lst)})
-    # quadratic monomial ideal: every degree-2 relation is a zero path and
-    # the ideal is generated in degree 2
+                                 "arrows": lst})
+    # quadratic monomial ideal: every degree-2 relation is a zero path, so
+    # the nonzero 2-path values of each block are independent, and the
+    # ideal is generated in degree 2
     zero_paths = []
-    kernels = _degree_two_kernel(alg)
-    for key, (paths, kernel_basis) in kernels.items():
-        zero_here = [pth for pth in paths if not alg.path_value(pth)]
-        if len(kernel_basis) != len(zero_here):
+    for key, (zero, classes, rank) in table.blocks.items():
+        if rank != sum(map(len, classes)):
             failures.append({
                 "condition": "commutativity relation",
                 "block": [str(v) for v in key],
             })
-        zero_paths.extend(zero_here)
+        zero_paths.extend(zero)
     if not any(f["condition"] == "commutativity relation" for f in failures):
         quad_dim = _closure_dim(
             alg, [RelationElement([(F1, tuple(pth))]) for pth in zero_paths])

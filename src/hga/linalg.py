@@ -150,14 +150,6 @@ def nullspace(m, ncols=None):
     return basis
 
 
-def row_space_basis(rows):
-    """Independent subset echelonized; rows of the rref with zero rows dropped."""
-    if not rows:
-        return []
-    red, pivots = rref(rows)
-    return red[: len(pivots)]
-
-
 def solve(a, b):
     """One solution x of a x = b, or None if inconsistent.  An a with no
     rows stands for len(b) equations in no unknowns."""
@@ -173,16 +165,6 @@ def solve(a, b):
     for r, pc in enumerate(pivots):
         x[pc] = red[r][ncols]
     return x
-
-
-def in_span(rows_rref, pivots, v):
-    """Test membership of v in the row space given its rref and pivots."""
-    v = v[:]
-    for r, pc in enumerate(pivots):
-        if v[pc]:
-            f = v[pc]
-            v = [x - f * y for x, y in zip(v, rows_rref[r])]
-    return all(x == 0 for x in v)
 
 
 def reduce_mod_rows(rows_rref, pivots, v):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .algebras import idempotent_subalgebra, quotient_by_idempotent
 from .axioms import (
     _as_algebra,
-    _two_path_value,
+    _two_paths,
     commutativity_squares,
     is_gentle,
 )
@@ -71,15 +71,18 @@ def corner_column_module(corner, v):
 class _CandidateScope:
     """The quotients and corners of one algebra by vertex sets, and the
     quotient projectives and injectives lifted back to it, shared by every
-    check made on one reduction candidate.
+    check made on one reduction candidate.  A dual scope works in the
+    opposite of its base algebra.
 
     Each value is memoised on this object, not on the algebra, so it is
     dropped together with the candidate.  A lifted module is one object per
     (vertex set, vertex), so its cached resolution serves every check, and
     so does the translate of a lifted projective."""
 
-    def __init__(self, alg):
-        self.alg = alg
+    def __init__(self, base, dual=False):
+        self.base = base
+        self.dual = dual
+        self.alg = base.opposite() if dual else base
 
     def quotient(self, f_set):
         """A/<f> for the idempotent over f_set; None when it is zero."""
@@ -93,10 +96,16 @@ class _CandidateScope:
         return memo(self, ("quotient", key), compute)
 
     def corner(self, f_set):
-        """The corner fAf for the idempotent over f_set."""
+        """The corner fAf for the idempotent over f_set.  A dual scope's
+        corner is the opposite of the base algebra's, whose opposite is that
+        corner again, so a dual step builds one corner."""
         key = frozenset(f_set)
-        return memo(self, ("corner", key), lambda: idempotent_subalgebra(
-            self.alg, Idempotent.of(key)))
+
+        def compute():
+            corner = idempotent_subalgebra(self.base, Idempotent.of(key))
+            return corner.opposite() if self.dual else corner
+
+        return memo(self, ("corner", key), compute)
 
     def lifted_projective(self, f_set, v):
         """The projective of A/<f> at v, as an A-module."""
@@ -485,11 +494,12 @@ def _certified_steps(a, rng, tried):
     if rng is not None:
         rng.shuffle(cands)
     for cand in cands:
-        for side, alg in (("primal", a), ("dual", a.opposite())):
-            use = _dualize_candidate(cand) if side == "dual" else cand
+        for side in ("primal", "dual"):
+            dual = side == "dual"
+            use = _dualize_candidate(cand) if dual else cand
             # the scope is dropped before the yield, so nothing it holds
             # lives on while the walk goes deeper
-            step = _certified_move(_CandidateScope(alg), a, use)
+            step = _certified_move(_CandidateScope(a, dual), use)
             if step is None:
                 continue
             f, corner, cert = step
@@ -501,9 +511,9 @@ def _certified_steps(a, rng, tried):
         tried.append(cand)
 
 
-def _certified_move(scope, a, cand):
-    """One candidate on one side, with ``scope`` over ``a`` or its
-    opposite: (f, the corner fAf of ``a``, certificate), or None."""
+def _certified_move(scope, cand):
+    """One candidate on one side of ``scope``: (f, the corner fAf of the
+    scope's base algebra A, certificate), or None."""
     removed = _try_candidate(scope, cand)
     if removed is None:
         return None
@@ -515,10 +525,9 @@ def _certified_move(scope, a, cand):
     cert = _certify_step(scope, f_set, fabric)
     if cert is None:
         return None
-    f = Idempotent.of(f_set)
-    corner = (scope.corner(f_set) if scope.alg is a
-              else idempotent_subalgebra(a, f))
-    return f, corner, cert
+    corner = scope.corner(f_set)
+    return (Idempotent.of(f_set),
+            corner.opposite() if scope.dual else corner, cert)
 
 
 def _dualize_candidate(cand):
@@ -585,7 +594,10 @@ def reduce_to_gentle(a, seed=None, max_steps=None):
         try:
             for f, corner, cert in _certified_steps(current, rng, tried):
                 if corner.dim >= current.dim:
-                    raise NotReducible("corner did not decrease the dimension")
+                    # f misses a vertex, so fAf loses at least its
+                    # idempotent: a corner that does not shrink is a fault
+                    raise InternalError(
+                        "corner did not decrease the dimension")
                 found = walk(corner, steps + [{
                     "idempotent": sorted(map(str, f.vertex_subset)),
                     "certificate": cert,
@@ -633,9 +645,10 @@ def gentle_sg_invariant(g):
     p = alg.presentation
     if not is_gentle(alg)["gentle"]:
         raise NotGentle("the singularity invariant needs a gentle algebra")
+    class_of = _two_paths(alg).class_of
     succ = {ar.name: nxt.name for ar in p.quiver.arrows
             for nxt in p.quiver.arrows_from[ar.target]
-            if not _two_path_value(alg, ar.name, nxt.name)}
+            if (ar.name, nxt.name) not in class_of}
     lengths, seen = [], set()
     for start in succ:
         if start in seen:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
@@ -32,8 +33,9 @@ from hga.axioms import (
     is_pre_gentle,
     strong_neighbors,
 )
-from hga.cluster import ctgent_cover, ctgent_family
+from hga.cluster import cluster_endo_algebra, ctgent_cover, ctgent_family
 from hga.errors import UnknownArrow
+from hga.reduction import gentle_sg_invariant, reduce_to_gentle
 from hga.typea import build_typeA_auslander
 
 
@@ -384,9 +386,11 @@ def test_certificate_builds_no_enumerated_corner_again(monkeypatch):
     monkeypatch.setattr(axioms, "build_algebra", counting_build)
     cert = is_d_gentle_certificate(p, Idempotent.of(p.quiver.vertices), 1)
     assert cert.cube_check["mode"] == "enumeration"
-    # the cover itself, and the quadratic algebra that (A4) compares with
-    # it; every enumerated subset algebra is already built
-    assert len(calls) == 2 and calls[0] is p
+    # the cover itself and nothing more: every enumerated subset algebra is
+    # already built, and (A4) builds no quadratic algebra to compare with
+    # the cover, since the three-term relation fails its shape test
+    assert not cert.pre_gentle.axioms.entries["A4"]["pass"]
+    assert len(calls) == 1 and calls[0] is p
 
 
 def test_certificate_linear_is_1_gentle():
@@ -545,3 +549,24 @@ def test_hull_keeps_vertices_whose_paths_do_not_compose():
                    for i in ids("257", "357"))
     cert = is_d_gentle_certificate(cover, e, 2)
     assert cert.to_dict()["hull"] == ["247", "257", "357"]
+
+
+def test_ctgent_chain_evaluates_each_two_path_once(monkeypatch):
+    """The 2-path values of each algebra or corner quiver of the paper's
+    chain are read off one memoised table: family, endomorphism algebra,
+    cover, d-gentle certificate, seedless reduction and its invariant."""
+    seen = []   # (object, path); holding the objects keeps their ids apart
+    for cls in (algebras.Algebra, CornerQuiver):
+        def counted(self, path, _orig=cls.path_value):
+            if len(path) == 2:
+                seen.append((self, tuple(path)))
+            return _orig(self, path)
+        monkeypatch.setattr(cls, "path_value", counted)
+    c = ctgent_family(4, 2, [2])
+    res = cluster_endo_algebra(c)
+    cover, e = ctgent_cover(c)
+    is_d_gentle_certificate(cover.algebra, e, 2)
+    gentle_sg_invariant(reduce_to_gentle(res.algebra).terminal)
+    counts = Counter((id(obj), path) for obj, path in seen)
+    assert len(counts) > 50
+    assert max(counts.values()) == 1

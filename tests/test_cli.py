@@ -4,7 +4,9 @@ import pytest
 
 from hga import (
     BoundQuiverPresentation,
+    Idempotent,
     Quiver,
+    commutativity_relation,
     presentation_from_dict,
     presentation_to_dict,
     zero_relation,
@@ -94,6 +96,30 @@ def test_reduce_gentle_input_trivial(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["steps"] == []
     assert rep["sgInvariant"]["cycleLengths"] == []
+
+
+def test_reduce_non_shrinking_corner_exits_four(tmp_path, capsys,
+                                                monkeypatch):
+    """A certified step whose corner does not shrink breaks an invariant of
+    the reduction: it is an internal error (4), not a negative verdict."""
+    from hga import reduction
+
+    def steps(a, rng, tried):
+        yield Idempotent.of(a.vertices), a, {}
+
+    monkeypatch.setattr(reduction, "_certified_steps", steps)
+    q = Quiver(["a", "b", "c", "d"], [("p", "a", "b"), ("q", "a", "c"),
+                                      ("r", "b", "d"), ("s", "c", "d")])
+    square = BoundQuiverPresentation(
+        q, [commutativity_relation(("p", "r"), ("q", "s"))])
+    alg = tmp_path / "sq.json"
+    write(alg, presentation_to_dict(square))
+    out = tmp_path / "trace.json"
+    assert main(["reduce", str(alg), "--out", str(out)]) == \
+        cli.EXIT_INTERNAL == 4
+    assert not out.exists()
+    assert capsys.readouterr().err == \
+        "internal error: corner did not decrease the dimension\n"
 
 
 def test_homdims_report(tmp_path):
