@@ -5,7 +5,7 @@ one idempotent per vertex.  Products follow the composition convention of
 presentations: mult(i, j) is "basis j first, then basis i".
 """
 
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 
 from .errors import (
     EmptyIdempotent,
@@ -21,6 +21,9 @@ from .presentations import (
     Quiver,
     RelationElement,
 )
+
+
+BasisIndex = namedtuple("BasisIndex", "source target block")
 
 
 class Algebra:
@@ -55,6 +58,20 @@ class Algebra:
     @property
     def dim(self):
         return len(self.basis_labels)
+
+    def basis_index(self):
+        """BasisIndex(source, target, block): the basis ids by source
+        vertex, by target vertex and by block (source, target), each in
+        increasing id order, a key with no ids absent; memoised."""
+        def compute():
+            index = BasisIndex({}, {}, {})
+            for i, (s, t) in enumerate(zip(self.basis_src, self.basis_tgt)):
+                index.source.setdefault(s, []).append(i)
+                index.target.setdefault(t, []).append(i)
+                index.block.setdefault((s, t), []).append(i)
+            return index
+
+        return memo(self, "basis index", compute)
 
     def radical_indices(self):
         return list(range(len(self.vertices), self.dim))
@@ -555,8 +572,9 @@ def _raw_corner(a, e):
     if not e.vertex_subset:
         raise EmptyIdempotent("idempotent over the empty vertex set")
     keep = e.vertex_subset
-    ids = [i for i in range(a.dim)
-           if a.basis_src[i] in keep and a.basis_tgt[i] in keep]
+    from_keep = a.basis_index().source
+    ids = sorted(i for v in keep for i in from_keep[v]
+                 if a.basis_tgt[i] in keep)
     new_pos = {b: k for k, b in enumerate(ids)}
     mult = {}
     for k, i, l, j in _composable(ids, a.basis_src, a.basis_tgt):
@@ -611,16 +629,14 @@ def quotient_by_idempotent(a, f):
     f.validate(a.vertices)
     cut = f.vertex_subset
     span, seen = SparseRREF(), set()
+    index = a.basis_index()
     for v in cut:
-        ev = a.e_index[v]
-        into = [j for j in range(a.dim) if a.basis_tgt[j] == v]
-        outof = [i for i in range(a.dim) if a.basis_src[i] == v]
-        for j in into:
-            for i in outof:
+        for j in index.target[v]:
+            for i in index.source[v]:
                 prod = a.mult.get((i, j))
                 if prod:
                     _add_new(span, prod, seen)
-        _add_new(span, {ev: F1}, seen)
+        _add_new(span, {a.e_index[v]: F1}, seen)
     kept = [b for b in range(a.dim) if b not in span.rows]
     new_pos = {b: k for k, b in enumerate(kept)}
     mult = {}

@@ -15,7 +15,6 @@ commutativity squares, the sandwiches and the cube search) also take a
 ``CornerQuiver``, which answers them for a corner without re-presenting it.
 """
 
-import copy
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -427,6 +426,16 @@ def find_sandwiches(a):
     return out
 
 
+def _copied(x):
+    """x with every dict and list in it copied.  The report parts shared
+    through the memo hold nothing else that is mutable."""
+    if isinstance(x, dict):
+        return {k: _copied(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_copied(v) for v in x]
+    return x
+
+
 @dataclass
 class AxiomReport:
     entries: dict
@@ -440,7 +449,7 @@ class AxiomReport:
         # the entries may be shared through the memo: hand out copies
         return {
             "d": self.d,
-            "axioms": {k: copy.deepcopy(self.entries[k])
+            "axioms": {k: _copied(self.entries[k])
                        for k in sorted(self.entries)},
             "verdict": self.verdict,
         }
@@ -609,29 +618,20 @@ def _build_mask_tables(a):
         raise ValueError("mask tables need a monomial multiplication table")
     nv = len(a.vertices)
     vbit = {v: 1 << i for i, v in enumerate(a.vertices)}
-    pos = list(range(nv, a.dim))
-    vm = {}
-    for b in pos:
-        vm[b] = vbit[a.basis_src[b]] | vbit[a.basis_tgt[b]]
-    prod = {}
-    mid = {b: 0 for b in pos}
-    by_source = {}
-    by_target = {}
-    for b in pos:
-        by_source.setdefault(a.basis_src[b], []).append(b)
-        by_target.setdefault(a.basis_tgt[b], []).append(b)
-    for j in pos:
+    # the positive basis elements from each vertex: all but its idempotent
+    by_source = {v: [b for b in ids if b >= nv]
+                 for v, ids in a.basis_index().source.items()}
+    vm, prod, mid = {}, {}, dict.fromkeys(range(nv, a.dim), 0)
+    for j in range(nv, a.dim):
         w = a.basis_tgt[j]
-        for i in by_source.get(w, []):
+        vm[j] = vbit[a.basis_src[j]] | vbit[w]
+        for i in by_source[w]:
             entry = a.mult.get((i, j))
             if entry:
                 ((k, coef),) = entry.items()
                 prod[(i, j)] = (k, coef)
                 mid[k] |= vbit[w]
-    return {
-        "vbit": vbit, "pos": pos, "vm": vm, "prod": prod, "mid": mid,
-        "by_source": by_source, "by_target": by_target,
-    }
+    return {"vm": vm, "prod": prod, "mid": mid, "by_source": by_source}
 
 
 def _mask_vertices(a, mask):
@@ -709,7 +709,7 @@ class PreGentleReport:
     def to_dict(self):
         return {
             "axioms": self.axioms.to_dict(),
-            "E4": copy.deepcopy(self.e4),
+            "E4": _copied(self.e4),
             "verdict": self.verdict,
         }
 
@@ -833,7 +833,7 @@ class GentleCertificate:
         out = {
             "d": self.d,
             "preGentle": self.pre_gentle.to_dict(),
-            "cubeCheck": copy.deepcopy(self.cube_check),
+            "cubeCheck": _copied(self.cube_check),
             "verdict": self.verdict,
         }
         if self.pre_gentle.hull is not None:
@@ -850,11 +850,11 @@ def _hull_idempotent(cover, e):
     the cover to this set leaves the corner e·cover·e unchanged, since
     every nonzero path between e-vertices passes only through its
     vertices."""
-    keep = set(e.vertex_subset)
-    out = {cover.basis_tgt[i] for i in range(cover.dim)
-           if cover.basis_src[i] in keep}
-    inn = {cover.basis_src[i] for i in range(cover.dim)
-           if cover.basis_tgt[i] in keep}
+    index = cover.basis_index()
+    out = {cover.basis_tgt[i] for v in e.vertex_subset
+           for i in index.source.get(v, ())}
+    inn = {cover.basis_src[i] for v in e.vertex_subset
+           for i in index.target.get(v, ())}
     return Idempotent.of(out & inn)
 
 

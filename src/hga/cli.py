@@ -8,6 +8,7 @@ not integers.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -207,6 +208,8 @@ def cmd_export_dot(args):
 
 
 def build_parser():
+    """The parser of every subcommand; `main` runs subcommand x-y as the
+    function cmd_x_y of this module."""
     parser = argparse.ArgumentParser(
         prog="hga", description="Workbench for higher gentle algebras")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -215,21 +218,18 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_auslander)
 
     p = sub.add_parser("check-gentle", help="run the d-gentle certificate")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--cover", required=True)
     p.add_argument("--e", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_check_gentle)
 
     p = sub.add_parser("tuples", help="enumerate separated index tuples")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--cyclic", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_tuples)
 
     p = sub.add_parser(
         "collections", help="enumerate maximal non-intertwining collections")
@@ -237,7 +237,6 @@ def build_parser():
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--cyclic", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_collections)
 
     p = sub.add_parser(
         "endo", help="endomorphism algebra of a summand collection")
@@ -245,39 +244,40 @@ def build_parser():
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--collection", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_endo)
 
     p = sub.add_parser("reduce", help="reduce to a gentle algebra")
     p.add_argument("algebra")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.add_argument("--terminal-out")
-    p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("homdims", help="homological dimension report")
     p.add_argument("algebra")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_homdims)
 
     p = sub.add_parser(
         "verify-example", help="verify a proposed syzygy orbit")
     p.add_argument("--algebra", required=True)
     p.add_argument("--modules", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_verify_example)
 
     p = sub.add_parser("export-dot", help="emit a DOT figure")
     p.add_argument("algebra")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_export_dot)
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built on first use: parse_args keeps no state."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except ScaleExceeded as exc:
         sys.stderr.write(f"scale cap: {exc}\n")
         return EXIT_SCALE

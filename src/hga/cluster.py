@@ -30,9 +30,11 @@ from .typea import (
 class SummandCollection:
     """A subset of a labelled module family, closed over for direct sums.
 
-    A collection made by ctgent_family records in ``ctgent`` what it
-    matched: the positions, the chain of simples and the labels of the
-    projectives and simples."""
+    ``positions`` are the members' positions in the family, increasing, and
+    ``labels`` their family labels in the same order, which is
+    lexicographic.  A collection made by ctgent_family records in
+    ``ctgent`` what it matched: the positions, the chain of simples and the
+    labels of the projectives and simples."""
 
     family: object
     labels: list
@@ -45,7 +47,7 @@ class SummandCollection:
         self.n, self.d = info["n"], info["d"]
         m = self.n + 2 * self.d
         fam = self.family
-        norm = []
+        pos = []
         for lab in self.labels:
             ent = tuple(lab.entries) if isinstance(lab, Tuple) else tuple(lab)
             if any(e == m + 1 for e in ent):
@@ -53,15 +55,16 @@ class SummandCollection:
                     f"label {ent} is a shifted projective (entry {m + 1})"
                 )
             try:
-                norm.append(fam.labels[fam.index_of(ent)])
+                pos.append(fam.index_of(ent))
             except KeyError:
                 raise HgaError(
                     f"label {ent} is not in the module family") from None
-        if not norm:
+        if not pos:
             raise HgaError("empty summand collection")
-        if len(set(norm)) != len(norm):
+        if len(set(pos)) != len(pos):
             raise HgaError("duplicate labels in the collection")
-        self.labels = sorted(norm)
+        self.positions = sorted(pos)
+        self.labels = [fam.labels[i] for i in self.positions]
 
     def modules(self):
         return memo(self, "modules",
@@ -71,21 +74,37 @@ class SummandCollection:
         return len(self.labels)
 
 
+def _rigidity_masks(fam):
+    """Two tables of bitmasks over the family's positions, memoised on the
+    family: per position i, the positions whose label intertwines label i,
+    and the positions k with (i, k) in the Ext^d table."""
+    def compute():
+        labs = fam.labels
+        by_label = [
+            sum(1 << k for k, y in enumerate(labs) if intertwines(y, x))
+            for x in labs]
+        by_ext = [0] * len(labs)
+        for i, k in fam.ext_edges:
+            by_ext[i] |= 1 << k
+        return by_label, by_ext
+
+    return memo(fam, "rigidity masks", compute)
+
+
 def is_d_rigid(c):
     """Rigidity of the collection, decided on labels and cross-checked
     against the family's Ext^d table, which canonical_cluster_tilting
-    checked on the representations for every ordered pair.
+    checked on the representations for every ordered pair.  Both are read
+    as per-family bitmasks over the collection's positions.
 
     In the module category Ext^d(M_I, M_J) is nonzero exactly when J
     intertwines I.
     """
-    labs = c.labels
-    verdict = not any(
-        x != y and intertwines(y, x) for x in labs for y in labs)
-    fam = c.family
-    pos = [fam.index_of(t) for t in labs]
-    computed = not any((i, k) in fam.ext_edges for i in pos for k in pos)
-    if computed != verdict:
+    pos = c.positions
+    sel = sum(1 << i for i in pos)
+    by_label, by_ext = _rigidity_masks(c.family)
+    verdict = not any(by_label[i] & sel for i in pos)
+    if verdict != (not any(by_ext[i] & sel for i in pos)):
         raise HgaError(
             "label rigidity disagrees with the family's Ext^d table"
         )

@@ -248,12 +248,9 @@ def _projective_basis(alg, v):
     vertex order, the ids of the basis elements from v to w, and each id's
     position among them."""
     def compute():
-        found = {}
-        for i in range(alg.dim):
-            if alg.basis_src[i] == v:
-                found.setdefault(alg.basis_tgt[i], []).append(i)
-        basis_ids = {w: found[w]
-                     for w in sorted(found, key=alg.e_index.__getitem__)}
+        block = alg.basis_index().block
+        basis_ids = {w: block[(v, w)] for w in alg.vertices
+                     if (v, w) in block}
         pos = {i: k for ids in basis_ids.values() for k, i in enumerate(ids)}
         return basis_ids, pos
 
@@ -725,23 +722,28 @@ class ExtSpace:
     images of the generators, so _coboundary builds the coboundaries delta
     without solving any Hom system.  The columns of delta_{d-1} span the
     coboundaries: they enter a TrackedSpan untagged, and its rank gives
-    dim = nullity delta_d - rank delta_{d-1}.  Only a nonzero space takes
-    the cocycles, the nullspace basis of delta_d, in order and tagged by
-    position; those that join the span are the representatives."""
+    dim = nullity delta_d - rank delta_{d-1}.  When no summand P_v of P_d
+    has v in the support of n, Hom(P_d, n) = 0: the space is zero, and
+    neither delta is built nor P_{d+1} resolved.  Only a nonzero space
+    takes the cocycles, the nullspace basis of delta_d, in order and tagged
+    by position; those that join the span are the representatives."""
 
     def __init__(self, m, n, d):
-        terms, diffs, summands, _, _ = _resolution(m, d + 1)
+        terms, diffs, summands, _, _ = _resolution(m, d)
         self.dim, self._cocycles, self._summands = 0, [], []
         self._span = span = linalg.TrackedSpan()
         if len(terms) <= d:
             return
         self._p, self._n, self._summands = terms[d], n, summands[d]
+        ncols = sum(n.dims[v] for v in summands[d])
+        if not ncols:
+            return
         for col in linalg.transpose(
                 _coboundary(n, summands, diffs[d], d - 1)):
             span.add(linalg.sparse(col))
+        terms, diffs, summands, _, _ = _resolution(m, d + 1)
         cocycle_eqs = (_coboundary(n, summands, diffs[d + 1], d)
                        if len(terms) > d + 1 else [])
-        ncols = sum(n.dims[v] for v in summands[d])
         self.dim = ncols - linalg.rank(cocycle_eqs) - len(span.rows)
         for z in linalg.nullspace(cocycle_eqs, ncols) if self.dim else ():
             if span.add(linalg.sparse(z), len(self._cocycles)) is None:

@@ -1,8 +1,15 @@
 """Shared test settings.
 
 Property tests draw their examples from a seed derived from each test, so a
-run is reproducible: the same examples every time, in CI as locally.
+run is reproducible: the same examples every time, in CI as locally.  The
+benchmark's fixed pools (``perfbench/workloads.py``) are importable as
+``workloads``, so tests can run on the inputs the benchmark measures.
 """
+
+import sys
+from pathlib import Path
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 try:
     from hypothesis import settings

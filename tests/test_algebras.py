@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,17 +14,19 @@ from hga import (
     quotient_by_idempotent,
     zero_relation,
 )
-from hga import algebras, linalg
+from hga import algebras, axioms, linalg, reps
 from hga.algebras import Algebra, represent
-from hga.cluster import cluster_endo_algebra, ctgent_family
+from hga.cluster import cluster_endo_algebra, ctgent_cover, ctgent_family
 from hga.errors import EmptyIdempotent, InvalidPresentation, NotAdmissible
 from hga.typea import build_typeA_auslander
+import reference_scans
 from reference_presentation import (
     assert_builds_like_reference,
     assert_presented_like_build,
     matches_reference,
     presented_during,
 )
+from workloads import CTGENT_POOL
 
 
 def linear_a2():
@@ -346,3 +349,40 @@ def test_spans_skip_exact_repeats_only():
     # same support, different vector: reduced and added
     assert algebras._add_new(span, {0: 1, 1: 2}, seen) == 0
     assert sorted(span.rows) == [0, 1]
+
+
+def _index_cases():
+    """(algebra, idempotents): random vertex subsets of A^3_n, n = 3, 4, 5,
+    and each ctgent cover with its collection's idempotent."""
+    rng = random.Random("basis-index")
+    for n in (3, 4, 5):
+        a = build_typeA_auslander(n, 3)
+        yield a, [Idempotent.of(rng.sample(a.vertices, k))
+                  for k in (1, 2, 3, len(a.vertices) // 2)]
+    for n, d, idx in CTGENT_POOL:
+        res, e = ctgent_cover(ctgent_family(n, d, list(idx)))
+        cover = res.algebra
+        yield cover, [e, Idempotent.of(rng.sample(cover.vertices, 2))]
+
+
+def _quotient_kept_ids(a, f):
+    """The basis ids of a that quotient_by_idempotent keeps, read off the
+    labels of the raw quotient it re-presents."""
+    (raw, _, _), = presented_during(lambda: quotient_by_idempotent(a, f))
+    position = {label: i for i, label in enumerate(a.basis_labels)}
+    assert len(position) == a.dim
+    return [position[label] for label in raw.basis_labels]
+
+
+def test_basis_index_readers_match_endpoint_scans():
+    for a, idems in _index_cases():
+        for v in a.vertices:
+            assert list(reps._projective_basis(a, v)[0].items()) == \
+                list(reference_scans.projective_basis_ids(a, v).items())
+        for e in idems:
+            assert algebras._raw_corner(a, e)[1] == \
+                reference_scans.corner_ids(a, e)
+            assert axioms._hull_idempotent(a, e).vertex_subset == \
+                reference_scans.hull_vertices(a, e)
+            assert _quotient_kept_ids(a, e) == \
+                reference_scans.quotient_kept_ids(a, e)

@@ -1,4 +1,8 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -257,3 +261,38 @@ def test_broken_l2_invariant_exits_four(tmp_path, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "internal error: kernel is not a subrepresentation\n"
+
+
+def test_main_builds_one_parser_on_first_call(tmp_path, monkeypatch):
+    """Importing the CLI builds no parser; the first main call builds the
+    one every later call parses with, and the reports keep their bytes."""
+    probe = ("import hga.cli as c; "
+             "print(c._parser.cache_info().currsize)")
+    imported = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(cli.__file__))),
+        capture_output=True, text=True, check=True).stdout
+    assert imported == "0\n"
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    report, dims = tmp_path / "a.json", tmp_path / "h.json"
+    try:
+        assert main(["auslander", "--n", "3", "--d", "2",
+                     "--out", str(report)]) == 0
+        assert main(["homdims", str(report), "--out", str(dims)]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    digests = [hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (report, dims)]
+    assert digests == [
+        "3dbe75b8eac66c3c41ea689d3d4ed166f515e8e6ba88d2e5afc98cbbcd5253d9",
+        "76669a10901a5d33f5fe9995ce2663969ffb5f2684c2247007bf989cf951fd98"]

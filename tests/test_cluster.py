@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from hga import reps
+from hga import cluster, reps
 from hga.axioms import is_d_gentle_certificate
 from hga.cluster import (
     SummandCollection,
@@ -20,7 +20,14 @@ from hga.cluster import (
 from hga.errors import AdjacencyViolation, HgaError, UnsupportedSummand
 from hga.memo import peek
 from hga.presentations import presentation_to_dict
-from hga.typea import build_typeA_auslander, canonical_cluster_tilting
+from hga.typea import (
+    LabelledModuleFamily,
+    Tuple,
+    build_typeA_auslander,
+    canonical_cluster_tilting,
+    intertwines,
+)
+from workloads import rigid_pool
 
 SEC5_LABELS = [
     "135", "136", "137", "138", "139", "147", "148", "149",
@@ -334,6 +341,45 @@ def test_rigidity_reads_the_family_table(fam24, monkeypatch):
     blank = dataclasses.replace(fam24, ext_edges=set())
     with pytest.raises(HgaError):
         is_d_rigid(SummandCollection(blank, [(1, 3, 5), (2, 4, 6)]))
+
+
+def _pairwise_rigid(c):
+    """Rigidity by the label predicate on every ordered pair."""
+    return not any(x != y and intertwines(y, x)
+                   for x in c.labels for y in c.labels)
+
+
+def test_rigidity_masks_match_pairwise_intertwining():
+    pool = rigid_pool()
+    rng = random.Random("rigidity-masks")
+    for n, d in [(3, 2), (4, 2), (5, 2), (3, 3)]:
+        fam = canonical_cluster_tilting(build_typeA_auslander(n, d))
+        subsets = [[t] for t in fam.labels] + [fam.labels]
+        subsets += [rng.sample(fam.labels, rng.randint(2, len(fam.labels)))
+                    for _ in range(40)]
+        if d == 2:
+            rigid, other = pool[n]
+            subsets += [[Tuple(t, n + 2 * d) for t in sub]
+                        for sub in rigid + other]
+        for sub in subsets:
+            c = SummandCollection(fam, [t.entries for t in sub])
+            assert c.labels == sorted(sub)
+            assert [fam.labels[i] for i in c.positions] == c.labels
+            assert is_d_rigid(c) == _pairwise_rigid(c), c.labels
+
+
+def test_rigidity_query_reads_only_the_family_masks(fam24, monkeypatch):
+    full = SummandCollection(fam24, fam24.labels)
+    assert not is_d_rigid(full)
+    c = SummandCollection(fam24, [(1, 3, 5), (1, 3, 6)])
+
+    def per_query(*args):
+        raise AssertionError("is_d_rigid compared labels per query")
+
+    monkeypatch.setattr(cluster, "intertwines", per_query)
+    monkeypatch.setattr(LabelledModuleFamily, "index_of", per_query)
+    assert is_d_rigid(c)
+    assert not is_d_rigid(full)
 
 
 def _endo_table(res):

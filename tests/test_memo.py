@@ -4,7 +4,9 @@ or a constructor field, never in an attribute set from outside."""
 
 import ast
 import json
+import os
 import random
+import subprocess
 import sys
 import threading
 import time
@@ -248,6 +250,50 @@ def test_second_certificate_reuses_cover_report(draws, monkeypatch):
     shared = axioms._cover_axioms(cover, 3)
     for cert in (first, second):
         assert cert.pre_gentle.axioms.entries["A4"] is shared["A4"]
+
+
+def _containers(x):
+    """Every dict and list nested in x, x included."""
+    if isinstance(x, dict):
+        children = x.values()
+    elif isinstance(x, (list, tuple)):
+        children = x
+    else:
+        return []
+    own = [x] if isinstance(x, (dict, list)) else []
+    return own + [c for child in children for c in _containers(child)]
+
+
+def test_reports_are_independent_copies(draws):
+    """A report hands out copies of what the memo shares: mutating every
+    list and dict of one leaves the next certificate on the cover as a
+    fresh process writes it."""
+    e1, e2 = draws[3][:2]
+    script = (
+        "import json, sys\n"
+        "from hga import axioms, build_typeA_auslander, Idempotent\n"
+        "e = Idempotent.of(json.loads(sys.argv[1]))\n"
+        "cert = axioms.is_d_gentle_certificate(build_typeA_auslander(3, 3),"
+        " e, 2)\n"
+        "sys.stdout.write(json.dumps(cert.to_dict(), sort_keys=True))\n")
+    fresh = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(sorted(e2.vertex_subset))],
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+        capture_output=True, text=True, check=True).stdout
+    cover = build_typeA_auslander(3, 3)
+    first = is_d_gentle_certificate(cover, e1, 2)
+    report = first.to_dict()
+    before = json.dumps(report, sort_keys=True)
+    mutable = _containers(report)
+    assert any(isinstance(x, list) and x for x in mutable)
+    for x in mutable:
+        if isinstance(x, dict):
+            x.clear()
+            x["mutated"] = True
+        else:
+            x[:] = ["mutated"]
+    assert cert_bytes(cover, e2) == fresh
+    assert json.dumps(first.to_dict(), sort_keys=True) == before
 
 
 def attribute_stores(source, exempt=()):

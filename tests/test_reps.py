@@ -898,6 +898,38 @@ def test_zero_ext_space_reads_coboundaries_and_refuses_the_rest():
     assert cocycles and escapes
 
 
+def test_ext_space_without_cochains_builds_no_coboundary(monkeypatch):
+    """When no summand P_v of P_d has v in the support of n, Hom(P_d, n)
+    is zero: the space is zero with no coboundary built and P_{d+1} not
+    resolved, and a vector outside it still escapes."""
+    built = []
+    coboundary = reps._coboundary
+
+    def counted(*args):
+        built.append(args)
+        return coboundary(*args)
+
+    a = build_typeA_auslander(4, 2)
+    pool = _module_pool(a)
+    monkeypatch.setattr(reps, "_coboundary", counted)
+    rng = random.Random("ext-no-cochains")
+    found = 0
+    for _ in range(200):
+        m, x, i = rng.choice(pool), rng.choice(pool), rng.choice((1, 2))
+        m = Representation(a, m.dims, m.maps, check=False)
+        terms, _, summands, _, _ = reps._resolution(m, i)
+        if len(terms) <= i or any(x.dims[v] for v in summands[i]):
+            continue
+        sp = ExtSpace(m, x, i)
+        assert (sp.dim, sp.reps, built) == (0, [], [])
+        assert peek(m, ("resolution", i + 1)) is None
+        assert sp.coords(zero_morphism(terms[i], x)) == []
+        with pytest.raises(InternalError):
+            sp.coords(identity_morphism(terms[i]))
+        found += 1
+    assert found
+
+
 def _sum_idempotents(m, incls, projs):
     """Idempotents of End(m) for m the direct sum with these inclusions and
     projections: the projection onto the first k summands, for each proper

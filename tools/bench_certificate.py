@@ -8,18 +8,18 @@ Two workloads, each for the hga found on the import path:
 
 - ``rigid``: the 72 rigid entries of the ``rigid`` pool in
   ``perfbench/workloads.py`` (24 label subsets for each n = 3, 4, 5), each
-  certified with d = 2 against the cover A^3_n, as a ``rigid`` job does.
-  One row per n.
+  certified with d = 2 against the cover A^3_n and reported with
+  ``to_dict``, as a ``rigid`` job does.  One row per n.
 - ``ctgent``: the 13 keys of the ``ctgent`` pool, each certified against
-  its ``ctgent_cover``.  One row per key.
+  its ``ctgent_cover`` and reported the same way.  One row per key.
 
 For each row it measures:
 
-- ``counts``: the calls of ``algebras.represent`` and of
-  ``algebras._normal_words`` made inside ``axioms.is_d_gentle_certificate``,
-  at any depth;
-- ``wall_s``: wall seconds of the row's certificates, the median of
-  ``REPEAT`` runs with no counter installed.
+- ``counts``: the top-level calls (those a function does not make itself)
+  of ``algebras.represent``, ``algebras._normal_words`` and
+  ``copy.deepcopy`` made while the row is certified and reported;
+- ``wall_s``: wall seconds of the row's certificates and reports, the
+  median of ``REPEAT`` runs with no counter installed.
 
 Covers are built, and their cover-level axioms memoised, before anything
 is counted or timed, so a row measures what each certificate adds over its
@@ -29,10 +29,11 @@ workload.  ``--side`` merges the result into the JSON file, so one run on
 each tree fills in both sides.  ``--check`` measures the counts only,
 writes nothing, and exits 1 if any differs from the file's ``after`` side:
 a guard against corners that a certificate does not report being
-re-presented again.
+re-presented again, and against reports deep-copying what the memo shares.
 """
 
 import argparse
+import copy
 import json
 import os
 import platform
@@ -51,7 +52,9 @@ from hga.presentations import Idempotent  # noqa: E402
 
 # Timings are medians of REPEAT runs; both committed sides were measured so.
 REPEAT = 7
-COUNTED = ("represent", "_normal_words")
+# (home, name) of each counted function
+COUNTED = ((algebras, "represent"), (algebras, "_normal_words"),
+           (copy, "deepcopy"))
 
 
 def rows():
@@ -75,28 +78,35 @@ def rows():
 
 def certify(jobs):
     for cover, e, d in jobs:
-        axioms.is_d_gentle_certificate(cover, e, d)
+        axioms.is_d_gentle_certificate(cover, e, d).to_dict()
 
 
 def counts(jobs):
-    """Calls of each COUNTED function of ``algebras`` made while the jobs
-    are certified; the wrappers are removed on exit."""
-    got = dict.fromkeys((f"{name.lstrip('_')}_calls" for name in COUNTED), 0)
-    saved = [(name, getattr(algebras, name)) for name in COUNTED]
+    """Top-level calls (those not made by the function itself) of each
+    COUNTED function made while the jobs are certified and reported; the
+    wrappers are removed on exit."""
+    got = {f"{name.lstrip('_')}_calls": 0 for _, name in COUNTED}
+    saved = [(home, name, getattr(home, name)) for home, name in COUNTED]
 
     def counting(orig, key):
+        depth = [0]
+
         def wrapped(*args, **kwargs):
-            got[key] += 1
-            return orig(*args, **kwargs)
+            got[key] += not depth[0]
+            depth[0] += 1
+            try:
+                return orig(*args, **kwargs)
+            finally:
+                depth[0] -= 1
         return wrapped
 
-    for name, orig in saved:
-        setattr(algebras, name, counting(orig, f"{name.lstrip('_')}_calls"))
+    for home, name, orig in saved:
+        setattr(home, name, counting(orig, f"{name.lstrip('_')}_calls"))
     try:
         certify(jobs)
     finally:
-        for name, orig in saved:
-            setattr(algebras, name, orig)
+        for home, name, orig in saved:
+            setattr(home, name, orig)
     return got
 
 

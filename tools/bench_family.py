@@ -9,8 +9,11 @@ Two workloads, each for the hga found on the import path:
 - ``rigid``: one pass of the ``rigid`` workload in ``perfbench/workloads.py``,
   that is its 216 label subsets (six rounds draw each pool entry once), on
   the canonical families of A^2_n, n = 3, 4, 5.  Each subset
-  runs ``is_d_rigid``.  ``ext_dim_calls`` counts the ``reps.ext_dim`` calls
-  made inside ``is_d_rigid``.
+  runs ``is_d_rigid``.  The counts are the calls of ``reps.ext_dim``,
+  ``typea.intertwines`` and ``typea.LabelledModuleFamily.index_of`` made
+  inside ``is_d_rigid``.  Each family first runs ``is_d_rigid`` on all of
+  its labels, uncounted, as the benchmark's warm-up does, so what the
+  family memoises for rigidity is built before the pass.
 - ``ctgent``: one seedless round of the 13 keys of the ``ctgent`` pool.
   Each key builds a fresh family with ``ctgent_family``, then End(c) with
   ``cluster_endo_algebra`` and End(cover) with ``ctgent_cover``.  The counts
@@ -27,8 +30,9 @@ on fresh families, whose building is not timed: of the pass's
 The counts do not depend on the machine.  ``--side`` merges the result into
 the JSON file, so one run on each tree fills in both sides.  ``--check``
 measures the counts only, writes nothing, and exits 1 if any differs from
-the file's ``after`` side: a guard against per-query Ext computations and
-per-collection pair data coming back.
+the file's ``after`` side: a guard against per-query Ext computations,
+label comparisons and label lookups, and per-collection pair data, coming
+back.
 """
 
 import argparse
@@ -52,7 +56,8 @@ REPEAT = 7
 # workload -> (the hga.cluster function inside which calls are counted,
 # (home, name) of each counted function)
 COUNTED = {
-    "rigid": ("is_d_rigid", [(reps, "ext_dim")]),
+    "rigid": ("is_d_rigid", [(reps, "ext_dim"), (typea, "intertwines"),
+                             (typea.LabelledModuleFamily, "index_of")]),
     "ctgent": ("cluster_endo_algebra", [
         (reps, "hom_basis"), (reps, "ExtSpace"),
         (cluster, "_local_radical_basis"), (reps, "_tau_d_inv_mor"),
@@ -63,7 +68,8 @@ COUNTED = {
 class Counters:
     """Counting wrappers on one workload's names, counting only calls made
     inside its scope (a function of hga.cluster); removed on exit.  Each
-    name is rebound in every hga module that imported it."""
+    name is rebound on its home, a module or a class, and in every hga
+    module that imported it."""
 
     def __init__(self, workload):
         self.scope, self.names = COUNTED[workload]
@@ -116,6 +122,7 @@ def rigid_collections():
     for n, (rigid, other) in rigid_pool().items():
         fam = typea.canonical_cluster_tilting(
             typea.build_typeA_auslander(n, 2))
+        cluster.is_d_rigid(cluster.SummandCollection(fam, fam.labels))
         out += [cluster.SummandCollection(fam, [list(t) for t in sub])
                 for sub in rigid + other]
     return out
