@@ -16,7 +16,7 @@ commutativity squares, the sandwiches and the cube search) also take a
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, permutations
 
 from .algebras import (
     Algebra,
@@ -285,8 +285,6 @@ def find_m_cubes(a, m):
         raise ValueError("cube dimension must be at least 2")
     raw = _cube_search(_as_quiver_values(a), m)
     seen = {}
-    from itertools import permutations
-
     for cube in raw:
         keys = []
         for perm in permutations(range(m)):

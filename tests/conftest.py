@@ -3,13 +3,16 @@
 Property tests draw their examples from a seed derived from each test, so a
 run is reproducible: the same examples every time, in CI as locally.  The
 benchmark's fixed pools (``perfbench/workloads.py``) are importable as
-``workloads``, so tests can run on the inputs the benchmark measures.
+``workloads``, so tests can run on the inputs the benchmark measures, and
+the BENCH harness (``tools/bench.py``) as ``bench``.
 """
 
 import sys
 from pathlib import Path
 
-sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.append(str(ROOT / "perfbench"))
+sys.path.append(str(ROOT / "tools"))
 
 try:
     from hypothesis import settings

@@ -1,0 +1,63 @@
+"""The counting harness of the BENCH ladders (``tools/bench.py``): it
+rebinds a counted name wherever hga bound it, puts every binding back, and
+counts the calls each mode asks for."""
+
+import pytest
+
+from bench import Counting
+from hga import algebras, cluster, reps
+from hga.presentations import Idempotent
+from hga.typea import build_typeA_auslander
+
+CORNER = Idempotent.of(["13", "14", "24"])
+
+
+def test_rebinds_every_binding_and_restores_it_on_exit():
+    orig = algebras.represent
+    assert cluster.represent is orig
+    with Counting([(algebras, "represent", "calls", "all")]):
+        assert cluster.represent is algebras.represent is not orig
+    assert cluster.represent is algebras.represent is orig
+    with pytest.raises(RuntimeError):
+        with Counting([(algebras, "represent", "calls", "all")]):
+            raise RuntimeError
+    assert cluster.represent is algebras.represent is orig
+
+
+def test_a_missing_name_raises_on_entry_and_leaves_nothing_bound():
+    orig = algebras.represent
+    counting = Counting([(algebras, "represent", "calls", "all"),
+                         (algebras, "no_such_function", "missing", "all")])
+    with pytest.raises(AttributeError, match="no_such_function"):
+        with counting:
+            pass
+    assert cluster.represent is algebras.represent is orig
+
+
+def test_scoped_calls_count_only_inside_the_scope():
+    a = build_typeA_auslander(3, 2)
+
+    def run():
+        build_typeA_auslander(3, 2)     # one normal-word pass, no represent
+        algebras.idempotent_subalgebra(a, CORNER)
+        algebras.quotient_by_idempotent(a, CORNER)
+
+    with Counting([(algebras, "_normal_words", "inside", "scoped"),
+                   (algebras, "represent", "represent", "all")],
+                  scope=(algebras, "represent")) as scoped:
+        run()
+    with Counting([(algebras, "_normal_words", "every", "all")]) as every:
+        run()
+    assert scoped.counts == {"inside": 2, "represent": 2}
+    assert every.counts == {"every": 3}
+
+
+def test_top_level_calls_leave_out_the_nested_ones():
+    # _resolution(m, k) extends _resolution(m, k - 1), down to k = 0
+    corner = algebras.idempotent_subalgebra(build_typeA_auslander(3, 2),
+                                            CORNER)
+    with Counting([(reps, "_resolution", "top", "top")]) as top, \
+            Counting([(reps, "_resolution", "every", "all")]) as every:
+        reps.minimal_resolution(reps.simple(corner, "13"), 3)
+    assert top.counts == {"top": 1}
+    assert every.counts == {"every": 4}

@@ -1,12 +1,16 @@
-"""Every name a module of hga imports is used in that module, and every
-module-level private def of hga is read somewhere in hga."""
+"""Every name a module of hga imports is used in that module, every
+module-level private def of hga is read somewhere in hga, and hga needs
+nothing but the standard library to run."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "hga"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "hga"
 
 
 def unused_imports(source):
@@ -80,3 +84,34 @@ def test_every_private_def_is_read():
     sources = [path.read_text(encoding="utf-8")
                for path in sorted(SRC.glob("*.py"))]
     assert private_defs_never_read(sources) == []
+
+
+def outside_imports(source):
+    """Top-level names of the modules source imports, anywhere in it, that
+    are neither relative imports nor in the standard library, sorted."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return sorted(names - set(sys.stdlib_module_names))
+
+
+def test_scan_finds_outside_imports():
+    source = ("import os.path\nfrom . import linalg\nfrom .memo import memo\n"
+              "from hga import reps\nimport numpy as np\n\n"
+              "def f():\n    import sympy\n    from fractions import Fraction\n")
+    assert outside_imports(source) == ["hga", "numpy", "sympy"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_imports_only_the_standard_library(path):
+    assert outside_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_no_runtime_dependency():
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    found = re.search(r"^dependencies\s*=\s*(\[[^\]]*\])", text, re.M)
+    assert found and ast.literal_eval(found.group(1)) == []

@@ -14,6 +14,7 @@ from hga.typea import (
     maximal_nonintertwining,
     tuple_set,
 )
+from reference_decompose import decompose_indecomposables
 
 A24_EDGES = {
     ("13", "14"), ("24", "25"), ("35", "36"), ("15", "25"), ("26", "36"),
@@ -263,7 +264,7 @@ def _orbit_family(a):
         for mod in frontier:
             t = reps.higher_translate(mod, d)
             if not t.is_zero():
-                nxt += [p for p, _ in reps.decompose_indecomposables(t) if add(p)]
+                nxt += [p for p, _ in decompose_indecomposables(t) if add(p)]
         frontier = nxt
     pool = tuple_set(d, n + 2 * d)
     assert len(modules) == len(pool)

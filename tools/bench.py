@@ -1,0 +1,631 @@
+"""Before/after numbers for the committed ``BENCH_*.json`` ladders.
+
+    PYTHONPATH=<tree>/src python3 tools/bench.py NAME \
+        --side before|after [--out BENCH_NAME.json]
+    PYTHONPATH=src python3 tools/bench.py NAME --check
+
+NAME is one of the ladders below: ``auslander``, ``certificate``,
+``family``, ``reduction``, ``represent`` or ``scalars``.  Each guards a
+speed-up by counting the operations it removed.  A ladder is a list of
+rows built from the pools in ``perfbench/workloads.py``.  A row runs one
+job, for the hga found on the import path, on inputs made for it whose
+making is not measured, and gives:
+
+- its wall seconds, from ``repeat`` runs with no counter installed, each
+  on fresh inputs: the best or the median, as the ladder's committed sides
+  were measured;
+- its counts, from one more run on fresh inputs with the ladder's counting
+  wrappers installed (``Counting``).
+
+The counts do not depend on the machine.  ``--side`` merges the result,
+with the host and this command, into the JSON file, so one run on each
+tree fills in both sides.  ``--check`` measures the counts only, of the
+rows with n at most the ladder's ``check_max_n``, writes nothing, and
+exits 1 if any differs from the file's ``after`` side (for ``scalars``: if
+any is above it).  One process runs one ladder, so no memo carries over
+from one ladder to the next.
+"""
+
+import argparse
+import copy
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from collections import namedtuple
+from fractions import Fraction
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+from workloads import (  # noqa: E402
+    AUSLANDER_POOL,
+    CTGENT_POOL,
+    RIGID_NS,
+    auslander_key,
+    ctgent_key,
+    rigid_pool,
+)
+
+from hga import algebras, axioms, cluster, linalg, reduction, reps, typea  # noqa: E402
+from hga.presentations import Idempotent  # noqa: E402
+
+
+class Counting:
+    """Counting wrappers on named functions, installed on entry and removed
+    on exit, also on an exception.
+
+    ``counted`` lists (home, name, key, how): the function ``name`` of
+    ``home``, a module or a class, and the count ``key`` it adds to.  With
+    ``how`` ``"all"`` every call counts, with ``"top"`` only the calls not
+    made while another call of the same function is under way, and with
+    ``"scoped"`` only those made while ``scope``, a (home, name) pair, is
+    under way.  Any other ``how`` is a function that takes the original
+    and the counts and returns the wrapper; ``key`` is then the tuple of
+    the counts it adds to.
+
+    Each name is rebound on its home and on every hga module that bound
+    the same object by name, so calls from any module count.  A name its
+    home does not define raises AttributeError on entry: a function
+    renamed in hga must fail the count, not leave it reading 0.
+    """
+
+    def __init__(self, counted, scope=None):
+        self.counted, self.scope = counted, scope
+        self.counts = {}
+        for _, _, key, _ in counted:
+            self.counts.update(dict.fromkeys(
+                (key,) if isinstance(key, str) else key, 0))
+        self.depth = {}         # name -> its calls under way
+        self.saved = []
+
+    def __enter__(self):
+        try:
+            if self.scope:
+                self._wrap(*self.scope, self._tracked(self.scope[1], None))
+            for home, name, key, how in self.counted:
+                self._wrap(home, name, how if callable(how)
+                           else self._tracked(name, key, how))
+        except BaseException:
+            self.__exit__()
+            raise
+        return self
+
+    def __exit__(self, *exc):
+        for holder, name, raw in reversed(self.saved):
+            setattr(holder, name, raw)
+        self.saved = []
+
+    def _wrap(self, home, name, make):
+        if name not in vars(home):
+            raise AttributeError(f"{home.__name__} defines no {name!r} "
+                                 "to count")
+        raw = vars(home)[name]
+        static = isinstance(raw, staticmethod)
+        new = make(raw.__func__ if static else raw, self.counts)
+        new = staticmethod(new) if static else new
+        holders = [home] + [m for key, m in sys.modules.items()
+                            if key.startswith("hga.") and m is not home]
+        for holder in holders:
+            if vars(holder).get(name) is raw:
+                self.saved.append((holder, name, raw))
+                setattr(holder, name, new)
+
+    def _tracked(self, name, key, how=None):
+        depth = self.depth
+        depth[name] = 0
+        scope = self.scope and self.scope[1]
+
+        def make(orig, counts):
+            def wrapper(*args, **kwargs):
+                if (how == "all" or how == "top" and not depth[name]
+                        or how == "scoped" and depth[scope]):
+                    counts[key] += 1
+                depth[name] += 1
+                try:
+                    return orig(*args, **kwargs)
+                finally:
+                    depth[name] -= 1
+            return wrapper
+        return make
+
+
+def rows_added(orig, counts):
+    """``SparseRREF.add``, counting its calls, ``add_rows_stored``: the
+    stored rows at each add that inserts a pivot (what the benchmark's
+    ``linalg.sparse_add.rows_scanned`` reads), and ``add_rows_visited``:
+    the stored rows it then back-reduces against the new pivot, all of
+    them without a column index, only those with an entry in the pivot
+    column with one."""
+    def add(rr, vec):
+        counts["sparse_add_calls"] += 1
+        reduced = rr.reduce(dict(vec))
+        if reduced:
+            index = getattr(rr, "cols", None)
+            counts["add_rows_stored"] += len(rr.rows)
+            counts["add_rows_visited"] += (
+                len(rr.rows) if index is None
+                else len(index.get(max(reduced), ())))
+        return orig(rr, vec)
+    return add
+
+
+def rows_copied(orig, counts):
+    """``reps._entries``, counting the matrix rows it copies for an
+    unchecked ``Representation`` or ``Morphism``."""
+    def entries(m, check):
+        out = orig(m, check)
+        if not check and out is not m:
+            counts["unchecked_rows_copied"] += len(m)
+        return out
+    return entries
+
+
+def no_inputs():
+    return None
+
+
+# key: the row's name in the file; n: what --check compares with
+# check_max_n; run(inputs) is measured on inputs = setup(); group: the
+# total the row adds to, if any; phase: for a row with several measured
+# phases, the prefix of its fields
+Row = namedtuple("Row", "key n run setup group phase",
+                 defaults=(no_inputs, None, None))
+
+
+def summed(rows, digits):
+    """Field-wise sums of measured rows, float sums rounded to digits."""
+    out = {}
+    for row in rows:
+        for k, v in row.items():
+            out[k] = (summed([out.get(k, {}), v], digits)
+                      if isinstance(v, dict) else out.get(k, 0) + v)
+    return {k: round(v, digits) if isinstance(v, float) else v
+            for k, v in out.items()}
+
+
+def grouped(measured, group):
+    return [m for row, m in measured if row.group == group]
+
+
+class Ladder:
+    """One ``BENCH_*.json``: its rows, its counted names and its layout."""
+
+    # as the committed sides were timed: the best of 3 runs, or the median
+    # of 7 where a best-of-3 is host noise on the small rows
+    repeat, average, digits = 3, staticmethod(min), 4
+    rows_at = "keys"        # the side's field holding the rows; None: itself
+    time_key, count_key = "wall_s", "counts"
+    check_max_n = None      # --check measures the rows with n <= this
+    ceiling = False         # --check passes a count below the file's
+    counted, scope = (), None
+
+    def rows(self):
+        raise NotImplementedError
+
+    def counting(self, row):
+        return Counting(self.counted, self.scope)
+
+    def tally(self, counts):
+        """The counts as the row records them."""
+        return counts
+
+    def totals(self, measured):
+        """Fields the side adds from its [(row, measured)]."""
+        return {}
+
+    def fields(self, row):
+        if row.phase:
+            return f"{row.phase}_s", f"{row.phase}_counts"
+        return self.time_key, self.count_key
+
+
+def count(ladder, row):
+    inputs = row.setup()
+    with ladder.counting(row) as c:
+        row.run(inputs)
+    return ladder.tally(c.counts)
+
+
+def measure(ladder, row):
+    walls = []
+    for _ in range(ladder.repeat):
+        inputs = row.setup()
+        t0 = time.perf_counter()
+        row.run(inputs)
+        walls.append(time.perf_counter() - t0)
+    time_key, count_key = ladder.fields(row)
+    return {time_key: round(ladder.average(walls), ladder.digits),
+            count_key: count(ladder, row)}
+
+
+def check(ladder, path):
+    with open(path, encoding="utf-8") as fh:
+        want = json.load(fh)["after"]
+    want = want[ladder.rows_at] if ladder.rows_at else want
+    bad = 0
+    for row in ladder.rows():
+        if ladder.check_max_n and row.n > ladder.check_max_n:
+            continue
+        got = count(ladder, row)
+        expected = want[row.key][ladder.fields(row)[1]]
+        fails = got > expected if ladder.ceiling else got != expected
+        bad += fails
+        print(row.key, row.phase or "", "ok" if got == expected else
+              f"{'differs' if fails else 'below the file'}: "
+              f"{json.dumps(got, sort_keys=True)} != "
+              f"{json.dumps(expected, sort_keys=True)}", flush=True)
+    return 1 if bad else 0
+
+
+def write_side(ladder, name, side_name, path):
+    table = {}
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            table = json.load(fh)
+    side = {"host": f"{platform.python_implementation()} "
+                    f"{platform.python_version()}, {os.cpu_count()} cpus"}
+    measured = []
+    for row in ladder.rows():
+        m = measure(ladder, row)
+        rows = side.setdefault(ladder.rows_at, {}) if ladder.rows_at else side
+        rows.setdefault(row.key, {}).update(m)
+        measured.append((row, m))
+        print(row.key, row.phase or "", json.dumps(m), flush=True)
+    side.update(ladder.totals(measured))
+    table[side_name] = side
+    table["command"] = (f"PYTHONPATH=<tree>/src python3 tools/bench.py {name}"
+                        " --side <side>")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(table, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+def ctgent_job(n, d, idx):
+    """The ``ctgent`` workload's chain job with no reduction seed, from
+    nothing: family, cluster endomorphism algebra, cover, d-gentle
+    certificate, ``reduce_to_gentle`` and sg invariant."""
+    c = cluster.ctgent_family(n, d, list(idx))
+    res = cluster.cluster_endo_algebra(c)
+    cover, e = cluster.ctgent_cover(c)
+    axioms.is_d_gentle_certificate(cover.algebra, e, d)
+    trace = reduction.reduce_to_gentle(res.algebra)
+    reduction.gentle_sg_invariant(trace.terminal)
+
+
+CTGENT_KEYS = {ctgent_key(n, d, idx) for n, d, idx in CTGENT_POOL}
+
+
+def chain_rows(group):
+    """A ``ctgent_job`` row for each key of the ``ctgent`` pool, in group,
+    then one for (7, 2, [2, 4, 6]), in none."""
+    return [Row(ctgent_key(n, d, idx), n,
+                lambda _, job=(n, d, idx): ctgent_job(*job),
+                group=group if ctgent_key(n, d, idx) in CTGENT_KEYS else None)
+            for n, d, idx in CTGENT_POOL + [(7, 2, (2, 4, 6))]]
+
+
+class Auslander(Ladder):
+    """``build_typeA_auslander`` and ``homological_dims`` on each (n, d) of
+    the ``auslander`` pool.
+
+    A row has two phases, each the best of 3: ``build_s`` builds A^d_n, and
+    ``homdims_s`` runs ``homological_dims`` on a fresh build (it is
+    memoised on its algebra).  Their counts, ``build_counts`` and
+    ``homdims_counts``, are the calls of ``projective_cover``, ``kernel``,
+    ``direct_sum`` and ``SparseRREF.add``, the rows ``add`` stores and
+    visits (``rows_added``), and the calls of ``linalg.rref``,
+    ``nullspace``, ``solve`` and ``mat_vec``, counting those that linalg
+    makes itself (``nullspace`` and ``solve`` each run an ``rref``).
+    ``--check`` runs every row: a guard against a resolution step that pays
+    for the whole quiver again.
+    """
+
+    rows_at = "pool"
+    counted = [(reps, name, f"{name}_calls", "all")
+               for name in ("projective_cover", "kernel", "direct_sum")] + [
+        (linalg.SparseRREF, "add",
+         ("sparse_add_calls", "add_rows_stored", "add_rows_visited"),
+         rows_added)] + [
+        (linalg, name, f"{name}_calls", "all")
+        for name in ("rref", "nullspace", "solve", "mat_vec")]
+
+    def rows(self):
+        out = []
+        for n, d in AUSLANDER_POOL:
+            def build(_=None, n=n, d=d):
+                return typea.build_typeA_auslander(n, d)
+            out += [Row(auslander_key(n, d), n, build, phase="build"),
+                    Row(auslander_key(n, d), n,
+                        lambda a: reps.homological_dims(a), build,
+                        phase="homdims")]
+        return out
+
+
+def certify(jobs):
+    for cover, e, d in jobs:
+        axioms.is_d_gentle_certificate(cover, e, d).to_dict()
+
+
+class Certificate(Ladder):
+    """The d-gentle certificate's corners and reports.
+
+    Two workloads:
+
+    - ``rigid``: the 72 rigid entries of the ``rigid`` pool (24 label
+      subsets for each n = 3, 4, 5), each certified with d = 2 against the
+      cover A^3_n and reported with ``to_dict``, as a ``rigid`` job does.
+      One row per n.
+    - ``ctgent``: the 13 keys of the ``ctgent`` pool, each certified against
+      its ``ctgent_cover`` and reported the same way.  One row per key.
+
+    ``wall_s`` is the median of 7 runs of a row's certificates and reports;
+    the counts are the top-level calls (those a function does not make
+    itself) of ``algebras.represent``, ``algebras._normal_words`` and
+    ``copy.deepcopy``.  Covers are built, and their cover-level axioms
+    memoised, before anything is counted or timed, so a row measures what
+    each certificate adds over its cover's shared checks: the hull's (E3),
+    the corner and its cube check.  ``total`` sums the rows of each
+    workload.  ``--check`` runs every row: a guard against corners that a
+    certificate does not report being re-presented again, and against
+    reports deep-copying what the memo shares.
+    """
+
+    repeat, average, digits = 7, staticmethod(statistics.median), 5
+    rows_at = "rows"
+    counted = [(algebras, "represent", "represent_calls", "top"),
+               (algebras, "_normal_words", "normal_words_calls", "top"),
+               (copy, "deepcopy", "deepcopy_calls", "top")]
+
+    def rows(self):
+        pool = rigid_pool()
+        out = []
+        for n in RIGID_NS:
+            cover = typea.build_typeA_auslander(n, 3)
+            jobs = [(cover, Idempotent.of(["".join(map(str, t))
+                                           for t in sub]), 2)
+                    for sub in pool[n][0]]
+            out.append(Row(f"A^3_{n}", n, certify, lambda j=jobs: j,
+                           "rigid"))
+        for n, d, idx in CTGENT_POOL:
+            cover, e = cluster.ctgent_cover(
+                cluster.ctgent_family(n, d, list(idx)))
+            jobs = [(cover.algebra, e, d)]
+            out.append(Row(ctgent_key(n, d, idx), n, certify,
+                           lambda j=jobs: j, "ctgent"))
+        for row in out:
+            for cover, _, d in row.setup():
+                axioms._cover_axioms(cover, d + 1)
+        return out
+
+    def totals(self, measured):
+        return {"total": {group: dict(
+            summed(grouped(measured, group), self.digits),
+            certificates=sum(len(row.setup()) for row, _ in measured
+                             if row.group == group))
+            for group in ("rigid", "ctgent")}}
+
+
+def rigid_collections():
+    """The label subsets of one ``rigid`` pass, as collections on shared
+    families, each family warmed as the benchmark's warm-up does."""
+    out = []
+    for n, (rigid, other) in rigid_pool().items():
+        fam = typea.canonical_cluster_tilting(
+            typea.build_typeA_auslander(n, 2))
+        cluster.is_d_rigid(cluster.SummandCollection(fam, fam.labels))
+        out += [cluster.SummandCollection(fam, [list(t) for t in sub])
+                for sub in rigid + other]
+    return out
+
+
+def rigid_pass(collections):
+    for c in collections:
+        cluster.is_d_rigid(c)
+
+
+def ctgent_families():
+    return [cluster.ctgent_family(n, d, list(idx))
+            for n, d, idx in CTGENT_POOL]
+
+
+def ctgent_round(collections):
+    for c in collections:
+        cluster.cluster_endo_algebra(c)
+        cluster.ctgent_cover(c)
+
+
+class Family(Ladder):
+    """Pair data on the labelled module family.
+
+    Two rows, each timed by the median of 7 runs on fresh families:
+
+    - ``rigid``: one pass of the ``rigid`` workload, that is its 216 label
+      subsets (six rounds draw each pool entry once), on the canonical
+      families of A^2_n, n = 3, 4, 5.  Each subset runs ``is_d_rigid``.
+      The counts are the calls of ``reps.ext_dim``, ``typea.intertwines``
+      and ``typea.LabelledModuleFamily.index_of`` made inside
+      ``is_d_rigid``.  Each family first runs ``is_d_rigid`` on all of its
+      labels, unmeasured, as the benchmark's warm-up does, so what the
+      family memoises for rigidity is built before the pass.
+    - ``ctgent``: one seedless round of the 13 keys of the ``ctgent`` pool.
+      Each key builds a fresh family with ``ctgent_family``, unmeasured,
+      then End(c) with ``cluster_endo_algebra`` and End(cover) with
+      ``ctgent_cover``.  The counts are the calls of ``reps.hom_basis``,
+      ``reps.ExtSpace``, ``cluster._local_radical_basis``,
+      ``reps._tau_d_inv_mor`` and ``reps.resolution_lift`` made inside
+      ``cluster_endo_algebra``, at any depth.  The last two are the
+      computes behind the memos of ``reps.higher_translate_inverse_morphism``
+      and ``reps.comparison_map``, so they count the maps computed, not the
+      lookups.
+
+    ``--check`` runs both: a guard against per-query Ext computations,
+    label comparisons and label lookups, and per-collection pair data,
+    coming back.
+    """
+
+    repeat, average = 7, staticmethod(statistics.median)
+    rows_at = None
+    # row -> (counted, scope): calls count only inside the scope
+    COUNTED = {
+        "rigid": ([(reps, "ext_dim", "ext_dim_calls", "scoped"),
+                   (typea, "intertwines", "intertwines_calls", "scoped"),
+                   (typea.LabelledModuleFamily, "index_of", "index_of_calls",
+                    "scoped")],
+                  (cluster, "is_d_rigid")),
+        "ctgent": ([(home, name, f"{name}_calls", "scoped")
+                    for home, name in ((reps, "hom_basis"), (reps, "ExtSpace"),
+                                       (cluster, "_local_radical_basis"),
+                                       (reps, "_tau_d_inv_mor"),
+                                       (reps, "resolution_lift"))],
+                   (cluster, "cluster_endo_algebra")),
+    }
+
+    def rows(self):
+        return [Row("rigid", None, rigid_pass, rigid_collections),
+                Row("ctgent", None, ctgent_round, ctgent_families)]
+
+    def counting(self, row):
+        return Counting(*self.COUNTED[row.key])
+
+
+class Reduction(Ladder):
+    """A seedless ``reduce_to_gentle`` on the cluster endomorphism algebra
+    of ``ctgent_family``, for the 13 keys of the ``ctgent`` pool, then
+    (7, 2, [2, 4, 6]) and (5, 3, [3]).
+
+    ``reduce_s`` is the best of 3 runs, each on a freshly built algebra
+    (the reduction memoises on its input).  The counts are the calls of
+    ``quotient_by_idempotent``, ``idempotent_subalgebra`` and
+    ``represent``, and ``rank_evals``, the morphism ranks that
+    ``reduction._max_rank_morphism`` evaluates (``_morphism_rank`` calls).
+    ``pool_counts`` sums them over the 13 pool keys: one seedless round of
+    the chain's reductions.  ``--check`` runs every key but
+    (7, 2, [2, 4, 6]): a guard against rebuilt quotients and corners
+    coming back.
+    """
+
+    time_key = "reduce_s"
+    check_max_n = 5
+    counted = [(algebras, name, f"{name}_calls", "all")
+               for name in ("quotient_by_idempotent", "idempotent_subalgebra",
+                            "represent")] + [
+        (reduction, "_morphism_rank", "rank_evals", "all")]
+
+    def rows(self):
+        out = []
+        for n, d, idx in CTGENT_POOL + [(7, 2, (2, 4, 6)), (5, 3, (3,))]:
+            key = ctgent_key(n, d, idx)
+            out.append(Row(
+                key, n, lambda a: reduction.reduce_to_gentle(a),
+                lambda n=n, d=d, idx=idx: cluster.cluster_endo_algebra(
+                    cluster.ctgent_family(n, d, list(idx))).algebra,
+                "pool" if key in CTGENT_KEYS else None))
+        return out
+
+    def totals(self, measured):
+        return {"pool_counts": summed(
+            [m["counts"] for m in grouped(measured, "pool")], self.digits)}
+
+
+class Represent(Ladder):
+    """Re-presentation on the ``ctgent`` chain: the 13 keys of the
+    ``ctgent`` pool, then (7, 2, [2, 4, 6]), each running ``ctgent_job``.
+
+    ``wall_s`` is the median of 7 runs (on the small keys a best-of-3 is
+    host noise, not the change).  The counts:
+
+    - ``nullspace_calls``, ``sparse_add_calls``, ``sparse_reduce_calls``
+      and ``rank_calls``: the calls of ``linalg.nullspace``,
+      ``SparseRREF.add``, ``SparseRREF.reduce`` and ``linalg.rank`` made
+      inside ``represent``, at any depth (each ``SparseRREF.add`` reduces
+      once, so it counts as a reduce too);
+    - ``rad_nilpotency_calls``: every ``Algebra.rad_nilpotency`` call;
+    - ``unchecked_rows_copied``: see ``rows_copied``.
+
+    ``round`` sums both over the 13 pool keys: one seedless round of the
+    ``ctgent`` workload.  ``--check`` runs the 13 pool keys: a guard
+    against the ideal generation, the second build or the copies coming
+    back.
+    """
+
+    repeat, average = 7, staticmethod(statistics.median)
+    check_max_n = 5
+    scope = (algebras, "represent")
+    counted = [(linalg, "nullspace", "nullspace_calls", "scoped"),
+               (linalg.SparseRREF, "add", "sparse_add_calls", "scoped"),
+               (linalg.SparseRREF, "reduce", "sparse_reduce_calls", "scoped"),
+               (linalg, "rank", "rank_calls", "scoped"),
+               (algebras.Algebra, "rad_nilpotency", "rad_nilpotency_calls",
+                "all"),
+               (reps, "_entries", ("unchecked_rows_copied",), rows_copied)]
+
+    def rows(self):
+        return chain_rows("round")
+
+    def totals(self, measured):
+        return {"round": summed(grouped(measured, "round"), self.digits)}
+
+
+class Scalars(Ladder):
+    """Wall time and ``Fraction`` constructions of the exact scalars.
+
+    The keys are the 7 (n, d) of the ``auslander`` pool, each running
+    ``homological_dims(build_typeA_auslander(n, d))``, and the 13 keys of
+    the ``ctgent`` pool, then (7, 2, [2, 4, 6]), each running
+    ``ctgent_job``.  ``wall_s`` is the best of 3; ``fractions`` counts the
+    ``fractions.Fraction`` objects one more run builds, by a wrapper on
+    ``Fraction.__new__``.  On CPython up to 3.11 every Fraction, arithmetic
+    results included, goes through ``__new__``.  ``rounds`` sums them over
+    each pool: one round of the ``auslander`` and of the seedless
+    ``ctgent`` workload.  ``--check`` runs the keys with n <= 5 and fails
+    if any builds more Fractions than the file: a guard against scalars
+    going back to Fraction everywhere.
+    """
+
+    count_key = "fractions"
+    check_max_n = 5
+    ceiling = True
+    counted = [(Fraction, "__new__", "fractions", "all")]
+
+    def rows(self):
+        return [Row(auslander_key(n, d), n,
+                    lambda _, n=n, d=d: reps.homological_dims(
+                        typea.build_typeA_auslander(n, d)),
+                    group="auslander")
+                for n, d in AUSLANDER_POOL] + chain_rows("ctgent")
+
+    def tally(self, counts):
+        return counts["fractions"]
+
+    def totals(self, measured):
+        return {"rounds": {group: summed(grouped(measured, group),
+                                         self.digits)
+                           for group in ("auslander", "ctgent")}}
+
+
+LADDERS = {"auslander": Auslander, "certificate": Certificate,
+           "family": Family, "reduction": Reduction, "represent": Represent,
+           "scalars": Scalars}
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("name", choices=sorted(LADDERS))
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--side", choices=("before", "after"))
+    mode.add_argument("--check", action="store_true")
+    ap.add_argument("--out", help="default: BENCH_<name>.json in the repo")
+    args = ap.parse_args(argv)
+    ladder = LADDERS[args.name]()
+    path = args.out or os.path.join(ROOT, f"BENCH_{args.name}.json")
+    if args.check:
+        return check(ladder, path)
+    return write_side(ladder, args.name, args.side, path)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
