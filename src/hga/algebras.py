@@ -18,6 +18,7 @@ from .memo import memo
 from .presentations import (
     Arrow,
     BoundQuiverPresentation,
+    Idempotent,
     Quiver,
     RelationElement,
 )
@@ -72,6 +73,31 @@ class Algebra:
             return index
 
         return memo(self, "basis index", compute)
+
+    def radical_products(self):
+        """(mid, multi), memoised, read off the products x·y of two radical
+        basis elements, y: s -> w and x: w -> t.  A block (s, t) is
+        single-term when each such product is a multiple of one basis
+        element k of the block; bit i of mid[k] then marks the middle vertex
+        w of such a product on k, w the i-th vertex.  multi holds the other
+        blocks."""
+        def compute():
+            nv, src, tgt = len(self.vertices), self.basis_src, self.basis_tgt
+            mid, multi = [0] * self.dim, set()
+            for j in range(nv, self.dim):
+                s, w = src[j], tgt[j]
+                for i in self.basis_index().source[w]:
+                    prod = self.mult.get((i, j)) if i >= nv else None
+                    if not prod:
+                        continue
+                    k = next(iter(prod))
+                    if len(prod) == 1 and (src[k], tgt[k]) == (s, tgt[i]):
+                        mid[k] |= 1 << self.e_index[w]
+                    else:
+                        multi.add((s, tgt[i]))
+            return mid, multi
+
+        return memo(self, "radical products", compute)
 
     def radical_indices(self):
         return list(range(len(self.vertices), self.dim))
@@ -424,55 +450,87 @@ def _add_new(span, vec, seen):
     return span.add(vec)
 
 
-def _arrow_layer(a):
-    """Per vertex pair, basis elements lifting a basis of rad / rad^2.
+def _corner_arrows(a, keep):
+    """(quiver, arrow ids, dim) of the corner eAe, e the idempotent on the
+    vertex set keep: arrows lifting rad/rad^2, by block in (str(source),
+    str(target)) order, each a basis id of a, and the dimension of eAe.
 
-    Returns a list of (source, target, basis id) in deterministic order.
-    """
+    A radical id b of a block is an arrow when it is not in the span of the
+    block's products through kept vertices and of its ids below b, largest
+    id as pivot (`SparseRREF`).  A product through a kept vertex that is a
+    multiple of b puts b in that span: so b is an arrow only when mid[b]
+    (`Algebra.radical_products`) has no bit in keep, and in a single-term
+    block exactly then.  Arrows are named source_target, suffixed _k for the
+    k-th further one of a name.  A corner keeps the order of a's ids, so
+    these are also the arrows of eAe taken as an algebra of its own, with
+    every vertex kept."""
     nv = len(a.vertices)
-    rad_ids = a.radical_indices()
-    blocks = {}
-    for b in rad_ids:
-        blocks.setdefault((a.basis_src[b], a.basis_tgt[b]), []).append(b)
-    rad2 = {}
-    for (i, j), prod in a.mult.items():
-        if i >= nv and j >= nv and prod:
-            key = (a.basis_src[j], a.basis_tgt[i])
-            rad2.setdefault(key, []).append(prod)
-    out = []
-    for key in sorted(blocks, key=lambda st: (str(st[0]), str(st[1]))):
-        span, seen = SparseRREF(), set()
-        for vec in rad2.get(key, []):
-            _add_new(span, vec, seen)
-        for b in blocks[key]:
-            if _add_new(span, {b: F1}, seen) is not None:
-                out.append((key[0], key[1], b))
-    return out
+    index, tgt = a.basis_index(), a.basis_tgt
+    mid, multi = a.radical_products()
+    mask = sum(1 << a.e_index[v] for v in keep)
+    dim, blocks = 0, {}
+    for s in keep:
+        for b in index.source[s]:
+            if tgt[b] in keep:
+                dim += 1
+                if b >= nv and not mid[b] & mask:
+                    blocks.setdefault((s, tgt[b]), []).append(b)
+    name_count, arrows, arrow_ids = {}, [], {}
+    for (s, t), ids in sorted(blocks.items(),
+                              key=lambda kv: (str(kv[0][0]), str(kv[0][1]))):
+        if (s, t) in multi:
+            span, seen = SparseRREF(), set()
+            for w in keep:
+                for j in index.block.get((s, w), ()):
+                    for i in index.block.get((w, t), ()):
+                        prod = a.mult.get((i, j)) if min(i, j) >= nv else None
+                        if prod:
+                            _add_new(span, prod, seen)
+            ids = [b for b in ids if _add_new(span, {b: F1}, seen) is not None]
+        base = f"{s}_{t}"
+        for b in ids:
+            k = name_count[base] = name_count.get(base, -1) + 1
+            name = f"{base}_{k}" if k else base
+            arrows.append(Arrow(name, s, t))
+            arrow_ids[name] = b
+    quiver = Quiver([v for v in a.vertices if v in keep], arrows)
+    return quiver, arrow_ids, dim
 
 
-def _arrows(raw):
-    """(quiver, arrow ids): the arrows of raw that `_arrow_layer` chooses,
-    named source_target with a suffix _k on the k-th further arrow of the
-    same block, and for each name the basis id of raw that the arrow is."""
-    name_count = {}
-    arrows = []
-    arrow_ids = {}
-    for src, tgt, b in _arrow_layer(raw):
-        base = f"{src}_{tgt}"
-        k = name_count.get(base, 0)
-        name_count[base] = k + 1
-        name = base if k == 0 else f"{base}_{k}"
-        arrows.append(Arrow(name, src, tgt))
-        arrow_ids[name] = b
-    return Quiver(list(raw.vertices), arrows), arrow_ids
+class CornerQuiver:
+    """The corner eAe of a vertex-subset idempotent e, read in A and not
+    re-presented.
+
+    `algebra` is A, `dim` is that of eAe, and `quiver` and `arrow_ids` are
+    its arrows from `_corner_arrows`, each a basis id of A.
+    `idempotent_subalgebra(a, e)` is this corner re-presented on this
+    quiver; the isomorphism that takes each of its normal words to that
+    word's value in A takes each path value there to the value here.  So a
+    check that reads only the quiver and whether path values vanish or are
+    proportional gets the same answers here, with no normal-word pass."""
+
+    def __init__(self, a, e):
+        e.validate(a.vertices)
+        if not e.vertex_subset:
+            raise EmptyIdempotent("idempotent over the empty vertex set")
+        self.algebra = a
+        self.quiver, self.arrow_ids, self.dim = _corner_arrows(
+            a, e.vertex_subset)
+
+    def path_value(self, path):
+        """Value in A of an arrow-name path (application order)."""
+        return _path_value(self.algebra, self.arrow_ids, path)
 
 
-def _present(raw, ambient=None, ambient_basis=None):
-    """(algebra, arrow ids): raw re-presented as `represent` says, and for
-    each arrow name the basis id of raw that the arrow is."""
-    quiver, arrow_ids = _arrows(raw)
+def _present(corner, ambient=None, ambient_basis=None):
+    """(algebra, arrow ids): a raw algebra or a CornerQuiver re-presented as
+    `represent` says, and for each arrow name the basis id that the arrow
+    is, of the raw algebra or of the corner's `algebra`."""
+    if isinstance(corner, Algebra):
+        corner = CornerQuiver(corner, Idempotent.of(corner.vertices))
+    a, quiver, arrow_ids = corner.algebra, corner.quiver, corner.arrow_ids
     arrow = quiver.arrow_by_name
-    values = {}    # normal word of positive length -> its raw value
+    values = {}    # normal word of positive length -> its value in a
     spans = defaultdict(TrackedSpan)  # block -> its words of length >= 2
 
     def relation_at(i, p, w):
@@ -480,9 +538,9 @@ def _present(raw, ambient=None, ambient_basis=None):
         if len(p) == 1:
             values[i] = {b: F1}
             return None
-        value = raw.mult_elements({b: F1}, values[w])
+        value = a.mult_elements({b: F1}, values[w])
         key = (arrow[p[0]].source, arrow[p[-1]].target)
-        if any((raw.basis_src[j], raw.basis_tgt[j]) != key for j in value):
+        if any((a.basis_src[j], a.basis_tgt[j]) != key for j in value):
             raise InvalidPresentation("re-presentation leaves its block")
         combo = spans[key].add(value, p)
         if combo is None:
@@ -492,27 +550,27 @@ def _present(raw, ambient=None, ambient_basis=None):
                       key=lambda t: (len(t[1]), t[1]))
 
     generators = []
-    words, collapse = _normal_words(quiver, generators, raw.dim + 2,
+    words, collapse = _normal_words(quiver, generators, corner.dim + 2,
                                     relation_at)
     if collapse is not None:
         raise InternalError("found relations put shorter normal words "
                             "into the ideal")
-    if len(words[0]) != raw.dim:
+    if len(words[0]) != corner.dim:
         raise NotAdmissible("radical is not nilpotent")
     arrow_ambient = None
     if ambient is not None:
-        arrow_ambient = {name: ambient_basis[b]
+        arrow_ambient = {name: ambient_basis[b] if ambient_basis else b
                          for name, b in arrow_ids.items()}
     pres = BoundQuiverPresentation(quiver, [g[0] for g in generators])
     alg = _on_words(pres, words, ambient=ambient, arrow_ambient=arrow_ambient)
-    # with as many normal words as raw basis elements, their values form a
-    # basis of each block exactly when they are independent there; those of
+    # with as many normal words as basis elements, their values form a basis
+    # of each block exactly when they are independent there; those of
     # length >= 2 already are, so adding the vertices and arrows is the
     # rank test
-    for s, t, b in ([(v, v, raw.e_index[v]) for v in raw.vertices]
+    for s, t, b in ([(v, v, a.e_index[v]) for v in quiver.vertices]
                     + [(ar.source, ar.target, arrow_ids[ar.name])
                        for ar in quiver.arrows]):
-        if (raw.basis_src[b], raw.basis_tgt[b]) != (s, t):
+        if (a.basis_src[b], a.basis_tgt[b]) != (s, t):
             raise InvalidPresentation("re-presentation leaves its block")
         if spans[(s, t)].add({b: F1}) is not None:
             raise InvalidPresentation("re-presentation basis is degenerate")
@@ -530,93 +588,35 @@ def minimal_presentation(a):
 
 
 def represent(raw, ambient=None, ambient_basis=None):
-    """Rebuild a raw structure-constant algebra as a presented one, in one
-    pass over its normal words.
+    """Rebuild a raw structure-constant algebra, or a corner read in its
+    ambient (a `CornerQuiver`), as a presented one, in one pass over its
+    normal words.
 
-    The arrows lift rad/rad^2, one block e_t A e_s at a time, and are named
-    source_target.  `_normal_words` then runs with no relation given.  The
-    value in raw of each candidate that is not a tip is its arrow times the
-    value of its prefix.  It must stay in its block, and it is reduced
-    against the values of the normal words of length >= 2 in that block.
-    An independent value makes the candidate a normal word.  A dependent
-    one gives a relation: the candidate minus the normal words with the
-    same value.  The relations appear in (length, block, lex) order, each
-    with its tip at coefficient 1.
+    The arrows are those of `_corner_arrows`, with every vertex kept for a
+    raw algebra.  `_normal_words` then runs with no relation given.  The
+    value of each candidate that is not a tip is its arrow times the value
+    of its prefix.  It must stay in its block, and it is reduced against
+    the values of the normal words of length >= 2 in that block.  An
+    independent value makes the candidate a normal word.  A dependent one
+    gives a relation: the candidate minus the normal words with the same
+    value.  The relations appear in (length, block, lex) order, each with
+    its tip at coefficient 1.
 
-    The normal words must be as many as the raw basis elements, or the
-    radical is not nilpotent (NotAdmissible); with the vertices and arrows
-    their values must be independent in each block, or the basis is
-    degenerate (InvalidPresentation).  A corner or quotient passes its
-    ambient algebra and the ambient id of each raw basis element, and the
-    result records them as `ambient` and `arrow_ambient`.
+    The normal words must be as many as the basis elements, or the radical
+    is not nilpotent (NotAdmissible); with the vertices and arrows their
+    values must be independent in each block, or the basis is degenerate
+    (InvalidPresentation).  The result records `ambient` and, for each
+    arrow, its ambient basis id as `arrow_ambient`: a quotient passes the
+    ambient id of each raw basis element as `ambient_basis`, and a corner's
+    arrow ids already are ambient ids.
     """
     return _present(raw, ambient, ambient_basis)[0]
-
-
-def _composable(ids, src, tgt):
-    """The pairs (k, i, l, j) of positions k, l in `ids` whose basis ids
-    i = ids[k], j = ids[l] compose (j first, then i), in (k, l) order."""
-    ending = {}
-    for l, j in enumerate(ids):
-        ending.setdefault(tgt[j], []).append((l, j))
-    for k, i in enumerate(ids):
-        for l, j in ending.get(src[i], ()):
-            yield k, i, l, j
-
-
-def _raw_corner(a, e):
-    """(raw, ids): the corner eAe for a vertex-subset idempotent e as a
-    structure-constant algebra on the basis ids of a between e-vertices
-    (ids, in increasing order), with the products of a."""
-    e.validate(a.vertices)
-    if not e.vertex_subset:
-        raise EmptyIdempotent("idempotent over the empty vertex set")
-    keep = e.vertex_subset
-    from_keep = a.basis_index().source
-    ids = sorted(i for v in keep for i in from_keep[v]
-                 if a.basis_tgt[i] in keep)
-    new_pos = {b: k for k, b in enumerate(ids)}
-    mult = {}
-    for k, i, l, j in _composable(ids, a.basis_src, a.basis_tgt):
-        prod = a.mult.get((i, j))
-        if prod:
-            mult[(k, l)] = {new_pos[t]: c for t, c in prod.items()}
-    raw = Algebra(
-        [v for v in a.vertices if v in keep],
-        [a.basis_labels[i] for i in ids],
-        [a.basis_src[i] for i in ids],
-        [a.basis_tgt[i] for i in ids],
-        mult,
-    )
-    return raw, ids
-
-
-class CornerQuiver:
-    """The corner eAe of a vertex-subset idempotent e with its quiver, not
-    re-presented.
-
-    `raw` is the corner from `_raw_corner`, and `quiver` and `arrow_ids`
-    are its arrows as `_arrows` names them.  `idempotent_subalgebra(a, e)`
-    is raw re-presented on this quiver; the isomorphism that takes each of
-    its normal words to that word's value in raw takes each path value
-    there to the value here.  So a check that reads only the quiver and
-    whether path values vanish or are proportional gets the same answers
-    here, with no normal-word pass."""
-
-    def __init__(self, a, e):
-        self.raw = _raw_corner(a, e)[0]
-        self.quiver, self.arrow_ids = _arrows(self.raw)
-
-    def path_value(self, path):
-        """Value in raw of an arrow-name path (application order)."""
-        return _path_value(self.raw, self.arrow_ids, path)
 
 
 def idempotent_subalgebra(a, e):
     """Corner algebra eAe for a vertex-subset idempotent, re-presented on its
     own quiver (that of `CornerQuiver(a, e)`), with ambient `a`."""
-    raw, ids = _raw_corner(a, e)
-    return represent(raw, a, ids)
+    return represent(CornerQuiver(a, e), a)
 
 
 def quotient_by_idempotent(a, f):
@@ -640,12 +640,12 @@ def quotient_by_idempotent(a, f):
     kept = [b for b in range(a.dim) if b not in span.rows]
     new_pos = {b: k for k, b in enumerate(kept)}
     mult = {}
-    for k, i, l, j in _composable(kept, a.basis_src, a.basis_tgt):
-        prod = a.mult.get((i, j))
-        if prod:
-            rem = span.reduce(prod)
+    for k, i in enumerate(kept):
+        for j in index.target[a.basis_src[i]]:
+            prod = a.mult.get((i, j)) if j in new_pos else None
+            rem = span.reduce(prod) if prod else None
             if rem:
-                mult[(k, l)] = {new_pos[b]: c for b, c in rem.items()}
+                mult[(k, new_pos[j])] = {new_pos[b]: c for b, c in rem.items()}
     raw = Algebra(
         [v for v in a.vertices if v not in cut],
         [a.basis_labels[i] for i in kept],

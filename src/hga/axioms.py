@@ -12,7 +12,8 @@ Each check takes an Algebra and reads its quiver from ``alg.quiver``.  A
 public check also takes a presentation, and builds its algebra once for
 that call.  The checks that read only the quiver and its 2-path values (the
 commutativity squares, the sandwiches and the cube search) also take a
-``CornerQuiver``, which answers them for a corner without re-presenting it.
+``CornerQuiver``: a corner's arrows and path values read in its ambient
+algebra, with no raw corner built and nothing re-presented.
 """
 
 from dataclasses import dataclass, field
@@ -23,6 +24,7 @@ from .algebras import (
     CornerQuiver,
     build_algebra,
     idempotent_subalgebra,
+    represent,
 )
 from .errors import NotAdmissible, UnknownArrow
 from .linalg import F1, SparseRREF, div
@@ -619,17 +621,10 @@ def _build_mask_tables(a):
     # the positive basis elements from each vertex: all but its idempotent
     by_source = {v: [b for b in ids if b >= nv]
                  for v, ids in a.basis_index().source.items()}
-    vm, prod, mid = {}, {}, dict.fromkeys(range(nv, a.dim), 0)
-    for j in range(nv, a.dim):
-        w = a.basis_tgt[j]
-        vm[j] = vbit[a.basis_src[j]] | vbit[w]
-        for i in by_source[w]:
-            entry = a.mult.get((i, j))
-            if entry:
-                ((k, coef),) = entry.items()
-                prod[(i, j)] = (k, coef)
-                mid[k] |= vbit[w]
-    return {"vm": vm, "prod": prod, "mid": mid, "by_source": by_source}
+    vm = {j: vbit[a.basis_src[j]] | vbit[a.basis_tgt[j]]
+          for j in range(nv, a.dim)}
+    return {"vm": vm, "mid": a.radical_products()[0],
+            "by_source": by_source}
 
 
 def _mask_vertices(a, mask):
@@ -649,14 +644,15 @@ def _corner_cube_violation(a, m):
     the first witness is the one the unpruned search finds.
     """
     t = _mask_tables(a)
-    vm, mid, prod = t["vm"], t["mid"], t["prod"]
+    vm, mid, mult = t["vm"], t["mid"], a.mult
     lab = a.basis_labels
     out = {v: sorted(bs, key=lambda x: lab[x])
            for v, bs in t["by_source"].items()}
 
     def face_ok(a1, b1, a2, b2):
-        p1, p2 = prod.get((b1, a1)), prod.get((b2, a2))
-        return p1 is not None and p2 is not None and p1[0] == p2[0]
+        # each product is a multiple of one basis element
+        p1, p2 = mult.get((b1, a1)), mult.get((b2, a2))
+        return p1 and p2 and p1.keys() == p2.keys()
 
     def step(state, b):
         req, forb = state[0] | vm[b], state[1] | mid[b]
@@ -884,20 +880,24 @@ def is_d_gentle_certificate(cover, e, d):
 
     The cover-level checks depend only on (cover, d), so they are memoised
     on the cover algebra and shared by every corner certified against the
-    same cover.  (E3) on the hull and the enumerated cube search read only
-    a corner's quiver and the values of its 2-paths, so they run on a
-    `CornerQuiver` and re-present nothing.  Only the reported corner B is
-    re-presented (`idempotent_subalgebra`), because its `monomial` flag and
-    the mask tables of the pattern scan read its normal-word basis.
+    same cover.  e is validated against the cover before its hull is taken.
+    (E3) on the hull and the enumerated cube search read only a corner's
+    quiver and the values of its 2-paths, so they run on a `CornerQuiver`,
+    read in its ambient, and re-present nothing.  Only the reported corner
+    B is re-presented, because its `monomial` flag and the mask tables of
+    the pattern scan read its normal-word basis; when the hull is e itself,
+    B is re-presented from the hull's `CornerQuiver`.
     """
     cover = _as_algebra(cover)
+    e.validate(cover.vertices)
     hull = _hull_idempotent(cover, e)
     hull_corner = CornerQuiver(cover, hull)
     entries = dict(_cover_axioms(cover, d + 1), E3=_e3_entry(hull_corner))
     e4 = _heredity(entries, cover, hull_corner)
     pre = PreGentleReport(AxiomReport(entries, d + 1), e4,
                           sorted(hull.vertex_subset, key=str))
-    corner = idempotent_subalgebra(cover, e)
+    corner = (represent(hull_corner, cover) if hull == e
+              else idempotent_subalgebra(cover, e))
     m = d + 1
     if corner.monomial:
         witness = _corner_cube_violation(corner, m)

@@ -11,22 +11,22 @@ each length L it row-reduces the values of every path of lengths 2..L, one
 (source, target) block at a time, and reduces each kernel vector of that
 matrix against the ideal generated so far.  The nilpotency index of the
 radical comes from ``Algebra.rad_nilpotency``, which multiplies out its
-powers.  The arrows are chosen by the same ``_arrow_layer``.
+powers.  The arrows are those of ``reference_scans.raw_arrows``.
 
 Both generate ideals by filtering all prefixes and suffixes.
 """
 
 from hga import algebras, linalg
-from hga.algebras import Algebra, _arrow_layer
+from hga.algebras import Algebra
 from hga.errors import InvalidPresentation, NotAdmissible
 from hga.linalg import F0, F1, SparseRREF, add_scaled, div
 from hga.presentations import (
-    Arrow,
     BoundQuiverPresentation,
-    Quiver,
+    Idempotent,
     RelationElement,
     presentation_to_dict,
 )
+from reference_scans import raw_arrows, raw_corner
 
 
 class _PathTable:
@@ -261,17 +261,7 @@ def assert_presented_like_build(alg):
 
 def reference_minimal_presentation(a):
     """(presentation, arrow ids) as ``minimal_presentation(a)`` gives them."""
-    name_count = {}
-    arrows = []
-    arrow_ids = {}
-    for src, tgt, b in _arrow_layer(a):
-        base = f"{src}_{tgt}"
-        k = name_count.get(base, 0)
-        name_count[base] = k + 1
-        name = base if k == 0 else f"{base}_{k}"
-        arrows.append(Arrow(name, src, tgt))
-        arrow_ids[name] = b
-    quiver = Quiver(list(a.vertices), arrows)
+    quiver, arrow_ids = raw_arrows(a)
     arrow_by_name = quiver.arrow_by_name
 
     lmax_search = a.rad_nilpotency() + 1
@@ -330,16 +320,25 @@ def reference_minimal_presentation(a):
 
 
 def presented_during(run):
-    """Call run() and return, for each raw algebra it re-presented, the
-    triple (raw algebra, presented algebra, arrow ids) that
-    ``algebras._present``, behind ``represent`` and
-    ``minimal_presentation``, gave."""
+    """Call run() and return, for each algebra it re-presented, the triple
+    (raw algebra, presented algebra, arrow ids) that ``algebras._present``,
+    behind ``represent`` and ``minimal_presentation``, gave.  A corner read
+    in its ambient (a ``CornerQuiver``) is recorded as the reference raw
+    corner (``reference_scans.raw_corner``), with its arrow ids renumbered
+    as the raw corner numbers them."""
     seen = []
     present = algebras._present
 
-    def recording(raw, *args):
-        alg, arrow_ids = present(raw, *args)
-        seen.append((raw, alg, arrow_ids))
+    def recording(corner, *args):
+        alg, arrow_ids = present(corner, *args)
+        if isinstance(corner, Algebra):
+            seen.append((corner, alg, arrow_ids))
+        else:
+            raw, ids = raw_corner(corner.algebra,
+                                  Idempotent.of(corner.quiver.vertices))
+            position = {b: k for k, b in enumerate(ids)}
+            seen.append((raw, alg, {name: position[b]
+                                    for name, b in arrow_ids.items()}))
         return alg, arrow_ids
 
     algebras._present = recording

@@ -1,8 +1,23 @@
-"""Test oracle for the basis index of ``hga.algebras.Algebra``: each reader
-of the index, computed by scanning every basis element for its endpoints.
+"""Test oracles for the basis index of ``hga.algebras.Algebra`` and for the
+corners read in their ambient algebra.
+
+Each reader of the basis index is computed here by scanning every basis
+element for its endpoints.  A corner eAe is taken here as a
+structure-constant algebra of its own (``raw_corner``), whose arrows lift
+rad/rad^2 by a row reduction of all its products of two radical elements
+(``raw_arrows``), and whose path values are evaluated in it
+(``raw_path_value``), with none of the program's corner code.
 """
 
+from hga.algebras import (
+    Algebra,
+    CornerQuiver,
+    idempotent_subalgebra,
+    represent,
+)
+from hga.axioms import _TwoPaths
 from hga.linalg import F1, SparseRREF
+from hga.presentations import Arrow, Quiver, presentation_to_dict
 
 
 def corner_ids(a, e):
@@ -47,3 +62,102 @@ def quotient_kept_ids(a, f):
                     span.add(dict(prod))
         span.add({a.e_index[v]: F1})
     return [b for b in range(a.dim) if b not in span.rows]
+
+
+def raw_corner(a, e):
+    """(raw, ids): the corner eAe as an algebra of its own on the basis ids
+    of a between e-vertices (ids, from ``corner_ids``), with the products
+    of a renumbered."""
+    ids = corner_ids(a, e)
+    position = {b: k for k, b in enumerate(ids)}
+    mult = {}
+    for k, i in enumerate(ids):
+        for l, j in enumerate(ids):
+            prod = a.mult.get((i, j))
+            if prod:
+                mult[(k, l)] = {position[t]: c for t, c in prod.items()}
+    raw = Algebra([v for v in a.vertices if v in e.vertex_subset],
+                  [a.basis_labels[i] for i in ids],
+                  [a.basis_src[i] for i in ids],
+                  [a.basis_tgt[i] for i in ids], mult)
+    return raw, ids
+
+
+def raw_arrows(raw):
+    """(quiver, arrow ids) of raw: per block (source, target), in
+    (str(source), str(target)) order, the radical basis ids in increasing
+    order that are not in the span of the block's products of two radical
+    elements and of the ids taken before them, named source_target with a
+    suffix _k on the k-th further arrow of the same name."""
+    nv = len(raw.vertices)
+    blocks, products = {}, {}
+    for b in range(nv, raw.dim):
+        blocks.setdefault((raw.basis_src[b], raw.basis_tgt[b]), []).append(b)
+    for (i, j), prod in raw.mult.items():
+        if i >= nv and j >= nv and prod:
+            products.setdefault((raw.basis_src[j], raw.basis_tgt[i]),
+                                []).append(prod)
+    count, arrows, arrow_ids = {}, [], {}
+    for key in sorted(blocks, key=lambda st: (str(st[0]), str(st[1]))):
+        span = SparseRREF()
+        for prod in products.get(key, []):
+            span.add(dict(prod))
+        for b in blocks[key]:
+            if span.add({b: F1}) is None:
+                continue
+            base = f"{key[0]}_{key[1]}"
+            k = count.get(base, 0)
+            count[base] = k + 1
+            name = base if k == 0 else f"{base}_{k}"
+            arrows.append(Arrow(name, *key))
+            arrow_ids[name] = b
+    return Quiver(list(raw.vertices), arrows), arrow_ids
+
+
+def raw_path_value(raw, arrow_ids, path):
+    """Value in raw of an arrow-name path (application order), arrow by
+    arrow from the first."""
+    value = {arrow_ids[path[0]]: F1}
+    for name in path[1:]:
+        out = {}
+        for j, c in value.items():
+            for k, d in raw.mult.get((arrow_ids[name], j), {}).items():
+                out[k] = out.get(k, 0) + c * d
+        value = {k: c for k, c in out.items() if c}
+    return value
+
+
+class RawCorner:
+    """A corner taken the reference way, with the ``quiver`` and
+    ``path_value`` that the 2-path table ``axioms._TwoPaths`` reads: raw
+    and ids from ``raw_corner``, and its arrows from ``raw_arrows``, with
+    ``ambient_ids`` each arrow's basis id in the ambient."""
+
+    def __init__(self, a, e):
+        self.raw, self.ids = raw_corner(a, e)
+        self.quiver, self.arrow_ids = raw_arrows(self.raw)
+        self.ambient_ids = {name: self.ids[b]
+                            for name, b in self.arrow_ids.items()}
+
+    def path_value(self, path):
+        return raw_path_value(self.raw, self.arrow_ids, path)
+
+
+def assert_corner_matches_raw_route(a, e):
+    """The corner eAe read in a (``CornerQuiver``, ``idempotent_subalgebra``)
+    is the reference raw corner: the same quiver, the same arrows as ambient
+    ids, in order, the same dimension and 2-path table, and, re-presented,
+    the presentation, ``arrow_ambient`` and ``mult`` of the raw corner
+    re-presented by ``represent``.  Returns (CornerQuiver, RawCorner)."""
+    cq, ref = CornerQuiver(a, e), RawCorner(a, e)
+    assert cq.quiver == ref.quiver
+    assert list(cq.arrow_ids.items()) == list(ref.ambient_ids.items())
+    assert cq.dim == ref.raw.dim
+    assert _TwoPaths(cq).blocks == _TwoPaths(ref).blocks
+    corner, expected = idempotent_subalgebra(a, e), represent(ref.raw, a,
+                                                              ref.ids)
+    assert presentation_to_dict(corner.presentation) == \
+        presentation_to_dict(expected.presentation)
+    assert corner.arrow_ambient == expected.arrow_ambient == ref.ambient_ids
+    assert corner.mult == expected.mult
+    return cq, ref

@@ -353,16 +353,23 @@ def test_spans_skip_exact_repeats_only():
 
 def _index_cases():
     """(algebra, idempotents): random vertex subsets of A^3_n, n = 3, 4, 5,
-    and each ctgent cover with its collection's idempotent."""
+    each ctgent cover with its collection's idempotent and a random pair of
+    its vertices, and random vertex subsets of A^2_5."""
     rng = random.Random("basis-index")
+
+    def subsets(a):
+        return [Idempotent.of(rng.sample(a.vertices, k))
+                for k in (1, 2, 3, len(a.vertices) // 2)]
+
     for n in (3, 4, 5):
         a = build_typeA_auslander(n, 3)
-        yield a, [Idempotent.of(rng.sample(a.vertices, k))
-                  for k in (1, 2, 3, len(a.vertices) // 2)]
+        yield a, subsets(a)
     for n, d, idx in CTGENT_POOL:
         res, e = ctgent_cover(ctgent_family(n, d, list(idx)))
         cover = res.algebra
         yield cover, [e, Idempotent.of(rng.sample(cover.vertices, 2))]
+    a = build_typeA_auslander(5, 2)
+    yield a, subsets(a)
 
 
 def _quotient_kept_ids(a, f):
@@ -380,8 +387,7 @@ def test_basis_index_readers_match_endpoint_scans():
             assert list(reps._projective_basis(a, v)[0].items()) == \
                 list(reference_scans.projective_basis_ids(a, v).items())
         for e in idems:
-            assert algebras._raw_corner(a, e)[1] == \
-                reference_scans.corner_ids(a, e)
+            reference_scans.assert_corner_matches_raw_route(a, e)
             assert axioms._hull_idempotent(a, e).vertex_subset == \
                 reference_scans.hull_vertices(a, e)
             assert _quotient_kept_ids(a, e) == \

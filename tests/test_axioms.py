@@ -34,9 +34,12 @@ from hga.axioms import (
     strong_neighbors,
 )
 from hga.cluster import cluster_endo_algebra, ctgent_cover, ctgent_family
-from hga.errors import UnknownArrow
+from hga.errors import EmptyIdempotent, UnknownArrow, UnknownVertex
 from hga.reduction import gentle_sg_invariant, reduce_to_gentle
 from hga.typea import build_typeA_auslander
+import reference_scans
+from reference_presentation import presented_during
+from workloads import CTGENT_POOL
 
 
 def linear(n, relations=()):
@@ -201,16 +204,16 @@ def reference_corner_cube(a, m):
     """The corner cube search with vertex distinctness and the mask test
     ``req & forb == 0`` applied only to complete cubes."""
     t = _mask_tables(a)
-    lab, tgt, prod = a.basis_labels, a.basis_tgt, t["prod"]
+    lab, tgt = a.basis_labels, a.basis_tgt
     edges = sorted(
         ((frozenset(s), d) for k in range(m) for s in combinations(range(m), k)
          for d in range(m) if d not in s),
         key=lambda sd: (len(sd[0]), sorted(sd[0]), sd[1]))
 
     def commutes(arrows, s, i, j):
-        p1 = prod.get((arrows[(s | {i}, j)], arrows[(s, i)]))
-        p2 = prod.get((arrows[(s | {j}, i)], arrows[(s, j)]))
-        return p1 is not None and p2 is not None and p1[0] == p2[0]
+        p1 = a.mult.get((arrows[(s | {i}, j)], arrows[(s, i)]))
+        p2 = a.mult.get((arrows[(s | {j}, i)], arrows[(s, j)]))
+        return p1 and p2 and set(p1) == set(p2)
 
     def search(vertices, arrows, k):
         if k == len(edges):
@@ -452,8 +455,9 @@ def mixed_routes(rng):
 
 def seeded_corners():
     """(ambient, subset) pairs: seeded corners of A^3_3..A^3_5, of the
-    covers of the d = 3 ctgent keys (their hulls fail (E3)) and of seeded
-    algebras whose corners are not monomial."""
+    covers of the d = 3 ctgent keys (their hulls fail (E3)), of seeded
+    algebras whose corners are not monomial and of A^2_5, and the corner
+    of each ctgent cover at its collection."""
     rng = random.Random(24)
     cases = []
     for n in (3, 4, 5):
@@ -473,6 +477,12 @@ def seeded_corners():
         cases.append((a, a.vertices))
     t = build_algebra(three_routes())
     cases += [(t, s) for s in (t.vertices, ["x", "y"], ["x", "u", "v", "y"])]
+    a = build_typeA_auslander(5, 2)
+    cases += [(a, rng.sample(a.vertices, rng.randint(2, len(a.vertices))))
+              for _ in range(4)]
+    for n, d, idx in CTGENT_POOL:
+        cover, e = ctgent_cover(ctgent_family(n, d, list(idx)))
+        cases.append((cover.algebra, sorted(e.vertex_subset)))
     return cases
 
 
@@ -480,7 +490,8 @@ def test_corner_quiver_checks_match_the_re_presented_corner():
     sandwiches = cubes = non_monomial = parallel = 0
     for a, subset in seeded_corners():
         e = Idempotent.of(subset)
-        cq, corner = CornerQuiver(a, e), idempotent_subalgebra(a, e)
+        cq, _ = reference_scans.assert_corner_matches_raw_route(a, e)
+        corner = idempotent_subalgebra(a, e)
         assert cq.quiver == corner.quiver
         assert commutativity_squares(cq) == commutativity_squares(corner)
         entry = _e3_entry(cq)
@@ -514,25 +525,41 @@ def test_checks_needing_a_built_algebra_refuse_a_corner_quiver(check):
 
 
 @pytest.mark.parametrize("mode", ["pattern-scan", "enumeration"])
-def test_certificate_represents_only_the_reported_corner(monkeypatch, mode):
+def test_certificate_represents_only_the_reported_corner(mode):
     if mode == "enumeration":
         cover = build_algebra(three_routes())
         e, d = Idempotent.of(cover.vertices), 1
     else:
         cover = build_typeA_auslander(3, 3)
         e, d = Idempotent.of(["136", "146", "147", "157", "257", "357"]), 2
-    calls = []
-    represent = algebras.represent
-    monkeypatch.setattr(algebras, "represent",
-                        lambda raw, *args: calls.append(raw)
-                        or represent(raw, *args))
-    cert = is_d_gentle_certificate(cover, e, d)
+    certs = []
+    calls = presented_during(
+        lambda: certs.append(is_d_gentle_certificate(cover, e, d)))
+    cert, = certs
     assert cert.cube_check["mode"] == mode
     if mode == "pattern-scan":
         assert len(cert.pre_gentle.hull) > len(e.vertex_subset)
     # (E3) on the hull and each enumerated subset re-present nothing
-    assert [(raw.vertices, raw.dim) for raw in calls] == [
+    assert [(raw.vertices, raw.dim) for raw, _, _ in calls] == [
         (cert.corner.vertices, cert.corner.dim)]
+
+
+@pytest.mark.parametrize("labels", [["999"], ["999", "136"]])
+def test_certificate_validates_e_before_taking_its_hull(labels):
+    # e is checked against the cover first: an unknown vertex is reported
+    # as such, not as the empty hull it leaves
+    with pytest.raises(UnknownVertex, match="999"):
+        is_d_gentle_certificate(build_typeA_auslander(3, 3),
+                                Idempotent.of(labels), 2)
+
+
+@pytest.mark.parametrize("make", [
+    CornerQuiver, idempotent_subalgebra,
+    lambda a, e: is_d_gentle_certificate(a, e, 2)],
+    ids=["corner-quiver", "corner", "certificate"])
+def test_corner_entry_points_refuse_the_empty_idempotent(make):
+    with pytest.raises(EmptyIdempotent):
+        make(build_typeA_auslander(3, 3), Idempotent.of([]))
 
 
 def test_hull_keeps_vertices_whose_paths_do_not_compose():

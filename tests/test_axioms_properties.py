@@ -1,7 +1,9 @@
 """Property tests of the degree-two checks, (A4) and the classical gentle
 test, which read the memoised table of 2-path relations, against the dense
-nullspace computation of ``reference_degree_two``, over small bound quivers
-with 1- to 3-term relations among parallel 2-paths, and their corners."""
+nullspace computation of ``reference_degree_two``, and of corners read in
+their ambient algebra against the raw corners of ``reference_scans``, over
+small bound quivers with parallel arrows and 1- to 3-term relations among
+parallel 2-paths, and their corners."""
 
 from fractions import Fraction
 
@@ -20,6 +22,7 @@ from hga import (  # noqa: E402
     zero_relation,
 )
 from hga.axioms import check_axiom_a4, is_gentle  # noqa: E402
+from reference_scans import assert_corner_matches_raw_route  # noqa: E402
 from reference_degree_two import (  # noqa: E402
     reference_a4,
     reference_is_gentle,
@@ -74,3 +77,13 @@ def test_degree_two_checks_match_dense_reference(p, data):
                          if a4["witnesses"] else "A4 pass")
         assert a4 == reference_a4(a)
         assert is_gentle(a) == reference_is_gentle(a)
+
+
+@hypothesis.given(block_presentations(), st.data())
+@hypothesis.settings(max_examples=150, suppress_health_check=[
+    hypothesis.HealthCheck.too_slow])
+def test_corner_read_in_ambient_matches_raw_route(p, data):
+    alg = build_algebra(p)
+    cut = data.draw(st.sets(st.sampled_from(alg.vertices), min_size=1))
+    hypothesis.event("monomial" if alg.monomial else "not monomial")
+    assert_corner_matches_raw_route(alg, Idempotent.of(cut))

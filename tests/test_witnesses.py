@@ -1,0 +1,93 @@
+"""The witnesses of d-gentle certificates, re-checked by the independent
+checker of ``witness_check``: on every label subset of the ``rigid`` pool,
+certified against A^3_n, on the ``ctgent`` covers, and on fixtures whose
+corners hold cubes."""
+
+import copy
+import random
+from collections import Counter
+
+import pytest
+
+from hga import Idempotent, build_algebra
+from hga.axioms import is_d_gentle_certificate
+from hga.cluster import ctgent_cover, ctgent_family
+from hga.typea import build_typeA_auslander
+from test_axioms import mixed_routes
+from witness_check import check_certificate
+from workloads import CTGENT_POOL, RIGID_NS, rigid_pool
+
+
+def certified(cover, e, d):
+    cert = is_d_gentle_certificate(cover, e, d)
+    return cert.to_dict(), cover, cert.corner
+
+
+def test_rigid_pool_witnesses():
+    pool, checked = rigid_pool(), Counter()
+    for n in RIGID_NS:
+        cover = build_typeA_auslander(n, 3)
+        for part in pool[n]:
+            for sub in part:
+                e = Idempotent.of(["".join(map(str, t)) for t in sub])
+                checked += check_certificate(*certified(cover, e, 2))
+    assert checked == {"sandwich": 52, "E4 sandwich": 37}
+
+
+def test_ctgent_cover_witnesses():
+    checked = Counter()
+    for n, d, idx in CTGENT_POOL:
+        cover, e = ctgent_cover(ctgent_family(n, d, list(idx)))
+        checked += check_certificate(*certified(cover.algebra, e, d))
+    assert checked == {"sandwich": 4, "E4 sandwich": 2}
+
+
+def cube_fixtures():
+    """(cover, e, d) whose cube checks report a cube: A^2_n at d = 1, whose
+    2-cubes have composite edges, A^3_4 at d = 2, and a corner that is not
+    monomial, searched by enumeration."""
+    out = []
+    for n, dd, d in ((3, 2, 1), (4, 2, 1), (5, 2, 1), (4, 3, 2)):
+        a = build_typeA_auslander(n, dd)
+        out.append((a, Idempotent.of(a.vertices), d))
+    a = build_algebra(mixed_routes(random.Random(1)))
+    out.append((a, Idempotent.of(a.vertices), 1))
+    return out
+
+
+def test_cube_witnesses():
+    checked = Counter()
+    for cover, e, d in cube_fixtures():
+        checked += check_certificate(*certified(cover, e, d))
+    assert checked == {"pattern-scan cube": 4, "enumeration cube": 1,
+                       "sandwich": 2, "E4 sandwich": 1}
+
+
+def tampered(report, mode):
+    """report with its cube or its first sandwich made false."""
+    report = copy.deepcopy(report)
+    if mode == "cube":
+        arrows = report["cubeCheck"]["witness"]["arrows"]
+        arrows["+0"], arrows["+1"] = arrows["+1"], arrows["+0"]
+    elif mode == "face":
+        arrows = report["cubeCheck"]["witness"]["arrows"]
+        arrows["0+1"] = arrows["+1"]
+    else:
+        w = report["preGentle"]["axioms"]["axioms"]["E3"]["witnesses"][0]
+        w["zeroRelations"][0] = w["commutativity"][0]
+    return report
+
+
+@pytest.mark.parametrize("mode", ["cube", "face", "sandwich"])
+def test_checker_rejects_tampered_witnesses(mode):
+    if mode == "sandwich":
+        cover = build_typeA_auslander(3, 3)
+        e = Idempotent.of(["136", "146", "147", "157", "257", "357"])
+        report, cover, corner = certified(cover, e, 2)
+    else:
+        cover = build_typeA_auslander(4, 2)
+        report, cover, corner = certified(
+            cover, Idempotent.of(cover.vertices), 1)
+    check_certificate(report, cover, corner)
+    with pytest.raises(AssertionError):
+        check_certificate(tampered(report, mode), cover, corner)

@@ -365,7 +365,8 @@ class Certificate(Ladder):
     ``wall_s`` is the median of 7 runs of a row's certificates and reports;
     the counts are the top-level calls (those a function does not make
     itself) of ``algebras.represent``, ``algebras._normal_words`` and
-    ``copy.deepcopy``.  Covers are built, and their cover-level axioms
+    ``copy.deepcopy``, and every ``Algebra`` construction and
+    ``SparseRREF.add`` call.  Covers are built, and their cover-level axioms
     memoised, before anything is counted or timed, so a row measures what
     each certificate adds over its cover's shared checks: the hull's (E3),
     the corner and its cube check.  ``total`` sums the rows of each
@@ -378,7 +379,9 @@ class Certificate(Ladder):
     rows_at = "rows"
     counted = [(algebras, "represent", "represent_calls", "top"),
                (algebras, "_normal_words", "normal_words_calls", "top"),
-               (copy, "deepcopy", "deepcopy_calls", "top")]
+               (copy, "deepcopy", "deepcopy_calls", "top"),
+               (algebras.Algebra, "__init__", "algebra_inits", "all"),
+               (linalg.SparseRREF, "add", "sparse_add_calls", "all")]
 
     def rows(self):
         pool = rigid_pool()
