@@ -236,8 +236,7 @@ def build_algebra(presentation, length_cap=None, ambient=None,
     quiver = presentation.quiver
     relations = [r.terms for r in presentation.relations]
     if length_cap is None:
-        length_cap = max(2 * len(quiver.vertices), 2 * max(
-            (len(p) for terms in relations for _, p in terms), default=0), 8)
+        length_cap = _default_cap(quiver, relations)
     generators = [_generator(quiver, terms) for terms in relations]
     while True:
         words, collapse = _normal_words(quiver, generators, length_cap)
@@ -246,6 +245,11 @@ def build_algebra(presentation, length_cap=None, ambient=None,
         generators.append(_generator(quiver, collapse))
     return _on_words(presentation, words, ambient=ambient,
                      arrow_ambient=arrow_ambient, typeA=typeA)
+
+
+def _default_cap(quiver, relations):
+    return max(2 * len(quiver.vertices), 2 * max(
+        (len(p) for terms in relations for _, p in terms), default=0), 8)
 
 
 def _on_words(presentation, words, **fields):
@@ -522,11 +526,12 @@ class CornerQuiver:
         return _path_value(self.algebra, self.arrow_ids, path)
 
 
-def _present(corner, ambient=None, ambient_basis=None):
+def _present(corner):
     """(algebra, arrow ids): a raw algebra or a CornerQuiver re-presented as
     `represent` says, and for each arrow name the basis id that the arrow
     is, of the raw algebra or of the corner's `algebra`."""
-    if isinstance(corner, Algebra):
+    raw = isinstance(corner, Algebra)
+    if raw:
         corner = CornerQuiver(corner, Idempotent.of(corner.vertices))
     a, quiver, arrow_ids = corner.algebra, corner.quiver, corner.arrow_ids
     arrow = quiver.arrow_by_name
@@ -557,12 +562,9 @@ def _present(corner, ambient=None, ambient_basis=None):
                             "into the ideal")
     if len(words[0]) != corner.dim:
         raise NotAdmissible("radical is not nilpotent")
-    arrow_ambient = None
-    if ambient is not None:
-        arrow_ambient = {name: ambient_basis[b] if ambient_basis else b
-                         for name, b in arrow_ids.items()}
     pres = BoundQuiverPresentation(quiver, [g[0] for g in generators])
-    alg = _on_words(pres, words, ambient=ambient, arrow_ambient=arrow_ambient)
+    alg = _on_words(pres, words, ambient=None if raw else a,
+                    arrow_ambient=None if raw else dict(arrow_ids))
     # with as many normal words as basis elements, their values form a basis
     # of each block exactly when they are independent there; those of
     # length >= 2 already are, so adding the vertices and arrows is the
@@ -587,7 +589,7 @@ def minimal_presentation(a):
     return alg.presentation, arrow_ids
 
 
-def represent(raw, ambient=None, ambient_basis=None):
+def represent(corner):
     """Rebuild a raw structure-constant algebra, or a corner read in its
     ambient (a `CornerQuiver`), as a presented one, in one pass over its
     normal words.
@@ -605,52 +607,50 @@ def represent(raw, ambient=None, ambient_basis=None):
     The normal words must be as many as the basis elements, or the radical
     is not nilpotent (NotAdmissible); with the vertices and arrows their
     values must be independent in each block, or the basis is degenerate
-    (InvalidPresentation).  The result records `ambient` and, for each
-    arrow, its ambient basis id as `arrow_ambient`: a quotient passes the
-    ambient id of each raw basis element as `ambient_basis`, and a corner's
-    arrow ids already are ambient ids.
+    (InvalidPresentation).  A corner's result records the corner's
+    `algebra` as `ambient` and its arrow ids as `arrow_ambient`; a raw
+    algebra's records neither.
     """
-    return _present(raw, ambient, ambient_basis)[0]
+    return _present(corner)[0]
 
 
 def idempotent_subalgebra(a, e):
     """Corner algebra eAe for a vertex-subset idempotent, re-presented on its
     own quiver (that of `CornerQuiver(a, e)`), with ambient `a`."""
-    return represent(CornerQuiver(a, e), a)
+    return represent(CornerQuiver(a, e))
 
 
 def quotient_by_idempotent(a, f):
     """Quotient of a by the two-sided ideal generated by a vertex-subset
-    idempotent, re-presented on its own quiver, with ambient `a`.
+    idempotent f, with ambient `a`.
 
-    The basis ids kept are those that are not pivots of the ideal's span:
-    with the largest id as pivot, every other id is a combination of the
-    smaller ids kept."""
+    The algebra map that kills the paths through f takes the path algebra
+    of a's quiver onto that of its full subquiver on the kept vertices.  So
+    the quotient is presented there by a's relations with their terms
+    through f dropped, and built from that presentation.  Its arrows are
+    a's arrows between kept vertices, under a's names.
+
+    Every normal word of the quotient is a normal word of a (a tip of a's
+    ideal off f is the tip of its image).  With homogeneous relations the
+    pass over normal words meets no others, so one past a's longest basis
+    word is enough, where `build_algebra`'s default may not be (a's words
+    can outrun it, when a was built with a larger cap).  Relations of
+    mixed lengths can put longer words in a pass before a shorter relation
+    collapses them, as x^2 - x^3 with x^5 does, which the default allows
+    for.  The cap is the larger of the two."""
     f.validate(a.vertices)
     cut = f.vertex_subset
-    span, seen = SparseRREF(), set()
-    index = a.basis_index()
-    for v in cut:
-        for j in index.target[v]:
-            for i in index.source[v]:
-                prod = a.mult.get((i, j))
-                if prod:
-                    _add_new(span, prod, seen)
-        _add_new(span, {a.e_index[v]: F1}, seen)
-    kept = [b for b in range(a.dim) if b not in span.rows]
-    new_pos = {b: k for k, b in enumerate(kept)}
-    mult = {}
-    for k, i in enumerate(kept):
-        for j in index.target[a.basis_src[i]]:
-            prod = a.mult.get((i, j)) if j in new_pos else None
-            rem = span.reduce(prod) if prod else None
-            if rem:
-                mult[(k, new_pos[j])] = {new_pos[b]: c for b, c in rem.items()}
-    raw = Algebra(
-        [v for v in a.vertices if v not in cut],
-        [a.basis_labels[i] for i in kept],
-        [a.basis_src[i] for i in kept],
-        [a.basis_tgt[i] for i in kept],
-        mult,
-    )
-    return represent(raw, a, kept)
+    arrows = [ar for ar in a.quiver.arrows
+              if ar.source not in cut and ar.target not in cut]
+    names = {ar.name for ar in arrows}
+    relations = []
+    for r in a.presentation.relations:
+        terms = [(c, p) for c, p in r.terms if names.issuperset(p)]
+        if terms:
+            relations.append(terms)
+    quiver = Quiver([v for v in a.vertices if v not in cut], arrows)
+    cap = max(1 + max(map(len, a.basis_labels[len(a.vertices):]), default=0),
+              _default_cap(quiver, relations))
+    return build_algebra(
+        BoundQuiverPresentation(quiver, relations), length_cap=cap, ambient=a,
+        arrow_ambient={ar.name: a.arrow_class[ar.name] for ar in arrows})

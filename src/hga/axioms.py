@@ -896,7 +896,7 @@ def is_d_gentle_certificate(cover, e, d):
     e4 = _heredity(entries, cover, hull_corner)
     pre = PreGentleReport(AxiomReport(entries, d + 1), e4,
                           sorted(hull.vertex_subset, key=str))
-    corner = (represent(hull_corner, cover) if hull == e
+    corner = (represent(hull_corner) if hull == e
               else idempotent_subalgebra(cover, e))
     m = d + 1
     if corner.monomial:

@@ -177,16 +177,6 @@ def reduce_mod_rows(rows_rref, pivots, v):
     return v
 
 
-def invert(m):
-    """Inverse of a square matrix, or None if singular."""
-    n = len(m)
-    aug = [m[i][:] + [F1 if j == i else F0 for j in range(n)] for i in range(n)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        return None
-    return [row[n:] for row in red[:n]]
-
-
 class SparseRREF:
     """Incremental Gaussian elimination on sparse vectors {index: scalar}.
 

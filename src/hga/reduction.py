@@ -44,22 +44,9 @@ def restrict_to_quotient(quot, m):
 
 def ambient_from_quotient(quot, x):
     """Pull a quotient-algebra representation back to the ambient algebra
-    (zero spaces at the removed vertices).  Every ambient arrow between kept
-    vertices is the quotient arrow with the same ambient id."""
-    amb = quot.ambient
-    dims = {v: x.dims.get(v, 0) for v in amb.vertices}
-    name_of = {i: name for name, i in quot.arrow_ambient.items()}
-    maps = {}
-    kept = set(quot.vertices)
-    for ar in amb.quiver.arrows:
-        if ar.source not in kept or ar.target not in kept:
-            continue
-        name = name_of.get(amb.arrow_class[ar.name])
-        if name is None:
-            raise InternalError(
-                f"ambient arrow {ar.name} is no arrow of the quotient")
-        maps[ar.name] = x.maps[name]
-    return reps.Representation(amb, dims, maps, check=False)
+    (zero spaces at the removed vertices).  The quotient's arrows are the
+    ambient arrows between kept vertices, under the same names."""
+    return reps.Representation(quot.ambient, x.dims, x.maps, check=False)
 
 
 def corner_column_module(corner, v):

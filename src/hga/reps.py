@@ -208,7 +208,7 @@ class Morphism:
 
     def is_iso(self):
         return self.source.dims == self.target.dims and all(
-            linalg.invert(self.blocks[v]) is not None
+            linalg.rank(self.blocks[v]) == len(self.blocks[v])
             for v in self.source.support)
 
     def flatten(self):
@@ -1020,19 +1020,6 @@ def _tau_d_inv_mor(f, d):
     for _ in range(d - 1):
         f = cosyzygy_morphism(f)
     return transpose_morphism(dual_morphism(f))
-
-
-def translate(m, d=1, mode=None):
-    """Dispatch by mode name: 'tau', 'tau-', 'tau_d', 'tau_d-'."""
-    if mode in (None, "tau"):
-        return ar_translate(m)
-    if mode == "tau-":
-        return ar_translate_inverse(m)
-    if mode == "tau_d":
-        return higher_translate(m, d)
-    if mode == "tau_d-":
-        return higher_translate_inverse(m, d)
-    raise ValueError(f"unknown translate mode {mode!r}")
 
 
 def regular_module(alg):

@@ -1,23 +1,31 @@
-"""Test oracles for the basis index of ``hga.algebras.Algebra`` and for the
-corners read in their ambient algebra.
+"""Test oracles for the basis index of ``hga.algebras.Algebra``, for the
+corners read in their ambient algebra and for the quotients A/<f>.
 
 Each reader of the basis index is computed here by scanning every basis
 element for its endpoints.  A corner eAe is taken here as a
 structure-constant algebra of its own (``raw_corner``), whose arrows lift
 rad/rad^2 by a row reduction of all its products of two radical elements
 (``raw_arrows``), and whose path values are evaluated in it
-(``raw_path_value``), with none of the program's corner code.
+(``raw_path_value``), with none of the program's corner code.  A quotient
+A/<f> is taken here as a structure-constant algebra on the basis ids
+outside the span of the ideal, re-presented (``reference_quotient``).
 """
 
 from hga.algebras import (
     Algebra,
     CornerQuiver,
+    _present,
     idempotent_subalgebra,
-    represent,
+    quotient_by_idempotent,
 )
 from hga.axioms import _TwoPaths
 from hga.linalg import F1, SparseRREF
-from hga.presentations import Arrow, Quiver, presentation_to_dict
+from hga.presentations import (
+    Arrow,
+    Quiver,
+    RelationElement,
+    presentation_to_dict,
+)
 
 
 def corner_ids(a, e):
@@ -47,10 +55,10 @@ def projective_basis_ids(alg, v):
     return {w: found[w] for w in sorted(found, key=alg.e_index.__getitem__)}
 
 
-def quotient_kept_ids(a, f):
-    """Basis ids that are not pivots of the span of the ideal generated by
-    the idempotent f: the products through each cut vertex, in (into,
-    out of) scan order, then its idempotent."""
+def ideal_span(a, f):
+    """The span of the ideal generated by the idempotent f, as a
+    ``SparseRREF``: the products through each cut vertex, in (into, out of)
+    scan order, then its idempotent."""
     span = SparseRREF()
     for v in f.vertex_subset:
         into = [j for j in range(a.dim) if a.basis_tgt[j] == v]
@@ -61,7 +69,53 @@ def quotient_kept_ids(a, f):
                 if prod:
                     span.add(dict(prod))
         span.add({a.e_index[v]: F1})
-    return [b for b in range(a.dim) if b not in span.rows]
+    return span
+
+
+def reference_quotient(a, f):
+    """(presented, ambient ids): A/<f> as a structure-constant algebra on
+    the basis ids of a that are not pivots of ``ideal_span``, each product
+    reduced modulo the span, re-presented on its own quiver; and for each
+    of its arrows the basis id of a that the arrow is."""
+    span = ideal_span(a, f)
+    kept = [b for b in range(a.dim) if b not in span.rows]
+    position = {b: k for k, b in enumerate(kept)}
+    mult = {}
+    for k, i in enumerate(kept):
+        for l, j in enumerate(kept):
+            prod = a.mult.get((i, j))
+            rem = span.reduce(dict(prod)) if prod else None
+            if rem:
+                mult[(k, l)] = {position[b]: c for b, c in rem.items()}
+    raw = Algebra([v for v in a.vertices if v not in f.vertex_subset],
+                  [a.basis_labels[i] for i in kept],
+                  [a.basis_src[i] for i in kept],
+                  [a.basis_tgt[i] for i in kept], mult)
+    presented, arrow_ids = _present(raw)
+    return presented, {name: kept[b] for name, b in arrow_ids.items()}
+
+
+def assert_quotient_matches_reference(a, f):
+    """``quotient_by_idempotent(a, f)`` is the reference quotient up to
+    isomorphism: the same vertices, dimension and arrows as ambient ids,
+    and every reference relation, its arrows renamed through their ambient
+    ids, is 0 in it.  The reference quotient then maps onto it, arrow to
+    arrow, and with equal dimensions that map is an isomorphism.  Returns
+    the quotient."""
+    quot = quotient_by_idempotent(a, f)
+    ref, ambient_ids = reference_quotient(a, f)
+    assert quot.vertices == ref.vertices
+    assert quot.dim == ref.dim
+    assert sorted(quot.arrow_ambient.values()) == \
+        sorted(ambient_ids.values())
+    name_of = {b: name for name, b in quot.arrow_ambient.items()}
+    for r in ref.presentation.relations:
+        renamed = RelationElement([
+            (c, tuple(name_of[ambient_ids[x]] for x in p))
+            for c, p in r.terms])
+        renamed.validate(quot.quiver)
+        assert quot.relation_value(renamed) == {}
+    return quot
 
 
 def raw_corner(a, e):
@@ -147,17 +201,19 @@ def assert_corner_matches_raw_route(a, e):
     """The corner eAe read in a (``CornerQuiver``, ``idempotent_subalgebra``)
     is the reference raw corner: the same quiver, the same arrows as ambient
     ids, in order, the same dimension and 2-path table, and, re-presented,
-    the presentation, ``arrow_ambient`` and ``mult`` of the raw corner
-    re-presented by ``represent``.  Returns (CornerQuiver, RawCorner)."""
+    the presentation and ``mult`` of the raw corner re-presented, and as
+    ``arrow_ambient`` the arrows it re-presents on, taken to ambient ids.
+    Returns (CornerQuiver, RawCorner)."""
     cq, ref = CornerQuiver(a, e), RawCorner(a, e)
     assert cq.quiver == ref.quiver
     assert list(cq.arrow_ids.items()) == list(ref.ambient_ids.items())
     assert cq.dim == ref.raw.dim
     assert _TwoPaths(cq).blocks == _TwoPaths(ref).blocks
-    corner, expected = idempotent_subalgebra(a, e), represent(ref.raw, a,
-                                                              ref.ids)
+    corner = idempotent_subalgebra(a, e)
+    expected, raw_ids = _present(ref.raw)
     assert presentation_to_dict(corner.presentation) == \
         presentation_to_dict(expected.presentation)
-    assert corner.arrow_ambient == expected.arrow_ambient == ref.ambient_ids
+    assert corner.arrow_ambient == ref.ambient_ids == {
+        name: ref.ids[b] for name, b in raw_ids.items()}
     assert corner.mult == expected.mult
     return cq, ref

@@ -171,7 +171,7 @@ def test_02_canonical_cluster_tilting_family(fam24, capfd):
 
 def test_03_translate_ext_reciprocity(fam24, capfd):
     mods = fam24.modules
-    taus = [reps.translate(m, 2, "tau_d") for m in mods]
+    taus = [reps.higher_translate(m, 2) for m in mods]
     pairs = 0
     for m in mods:
         for j, n in enumerate(mods):

@@ -216,6 +216,30 @@ def test_quotient_by_two_vertices():
     assert quot.presentation.quiver.arrows == []
 
 
+def test_quotient_cap_covers_long_words_and_mixed_relations():
+    # eight loops with x_i x_j = 0 for i >= j: the word x1 x2 ... x8 is
+    # longer than build_algebra's default cap of 8 allows, so the
+    # ambient needs a larger cap, and so does its quotient
+    loops = [f"x{i}" for i in range(1, 9)]
+    q = Quiver(["v", "w"], [(x, "v", "v") for x in loops])
+    rel = [[(1, (x, y))] for i, x in enumerate(loops) for y in loops[:i + 1]]
+    a = build_algebra(BoundQuiverPresentation(q, rel), length_cap=9)
+    with pytest.raises(NotAdmissible):
+        build_algebra(BoundQuiverPresentation(q, rel))
+    quot = quotient_by_idempotent(a, Idempotent.of(["w"]))
+    assert quot.dim == a.dim - 1 == 2 ** 8
+    # x^2 = x^3 with x^5 = 0 leaves only x, but a pass meets x^2 before
+    # x^2 - x^3 collapses it; a cap one past the longest word would stop
+    # that pass
+    q = Quiver(["v", "w"], [("x", "v", "v")])
+    rel = [[(1, ("x", "x")), (-1, ("x", "x", "x"))], [(1, ("x",) * 5)]]
+    a = build_algebra(BoundQuiverPresentation(q, rel))
+    with pytest.raises(NotAdmissible):
+        build_algebra(BoundQuiverPresentation(q, rel), length_cap=2)
+    quot = quotient_by_idempotent(a, Idempotent.of(["w"]))
+    assert quot.dim == 2
+
+
 def twisted_raw():
     # a: 1 -> 3, b: 3 -> 2 and two raw elements r, s from 1 to 2 with
     # b * a = r + s, so the arrow is r and the path class ba is not a raw
@@ -289,25 +313,38 @@ def test_relation_search_matches_full_kernel_on_corners_and_quotients(n, d):
             idempotent_subalgebra(a, Idempotent.of(cut))
             quotient_by_idempotent(a, Idempotent.of(cut))
 
+    # a quotient is built from its presentation and re-presents nothing
     seen = presented_during(run)
-    assert len(seen) == 2 * len(cuts)
+    assert len(seen) == len(cuts)
     for raw, alg, arrow_ids in seen:
         assert matches_reference(raw, alg.presentation, arrow_ids)
         assert_presented_like_build(alg)
     assert matches_reference(a, *minimal_presentation(a))
 
 
-def test_corners_and_quotients_call_no_build(monkeypatch):
+def test_corners_call_no_build_and_quotients_no_represent(monkeypatch):
     # the re-presentation builds its algebra in the pass that finds the
-    # relations, so no presentation is built a second time
-    def build(*args, **kwargs):
-        raise AssertionError("build_algebra called")
-
+    # relations, so no presentation is built a second time; a quotient is
+    # built once, from its presentation, and re-presents nothing
     a = build_typeA_auslander(4, 2)
-    monkeypatch.setattr(algebras, "build_algebra", build)
+    build, builds = algebras.build_algebra, []
+
+    def counted_build(*args, **kwargs):
+        builds.append(args[0])
+        return build(*args, **kwargs)
+
+    def present(*args):
+        raise AssertionError("represent called")
+
+    monkeypatch.setattr(algebras, "build_algebra", counted_build)
     for cut in (["13", "24", "35", "15"], ["24", "35"]):
         idempotent_subalgebra(a, Idempotent.of(cut))
-        quotient_by_idempotent(a, Idempotent.of(cut))
+        assert builds == []
+        with monkeypatch.context() as m:
+            m.setattr(algebras, "_present", present)
+            quot = quotient_by_idempotent(a, Idempotent.of(cut))
+        assert builds == [quot.presentation]
+        builds.clear()
 
 
 def test_relation_search_matches_full_kernel_on_endo_algebra():
@@ -372,15 +409,6 @@ def _index_cases():
     yield a, subsets(a)
 
 
-def _quotient_kept_ids(a, f):
-    """The basis ids of a that quotient_by_idempotent keeps, read off the
-    labels of the raw quotient it re-presents."""
-    (raw, _, _), = presented_during(lambda: quotient_by_idempotent(a, f))
-    position = {label: i for i, label in enumerate(a.basis_labels)}
-    assert len(position) == a.dim
-    return [position[label] for label in raw.basis_labels]
-
-
 def test_basis_index_readers_match_endpoint_scans():
     for a, idems in _index_cases():
         for v in a.vertices:
@@ -390,5 +418,33 @@ def test_basis_index_readers_match_endpoint_scans():
             reference_scans.assert_corner_matches_raw_route(a, e)
             assert axioms._hull_idempotent(a, e).vertex_subset == \
                 reference_scans.hull_vertices(a, e)
-            assert _quotient_kept_ids(a, e) == \
-                reference_scans.quotient_kept_ids(a, e)
+            reference_scans.assert_quotient_matches_reference(a, e)
+
+
+def _oracle_cases():
+    """(algebra, cuts): random vertex subsets of A^2_4, A^2_5, A^3_3 and
+    A^3_4, then of each cluster endomorphism algebra of the ctgent pool and
+    of its opposite, the algebra a dual reduction step cuts."""
+    rng = random.Random("quotient-oracle")
+
+    def cuts(a):
+        return [Idempotent.of(rng.sample(a.vertices, k))
+                for k in (1, 2, len(a.vertices) // 2, len(a.vertices) - 1)]
+
+    for n, d in ((4, 2), (5, 2), (3, 3), (4, 3)):
+        a = build_typeA_auslander(n, d)
+        yield a, cuts(a)
+    for n, d, idx in CTGENT_POOL:
+        a = cluster_endo_algebra(ctgent_family(n, d, list(idx))).algebra
+        yield a, cuts(a)
+        yield a.opposite(), cuts(a)
+
+
+def test_quotient_matches_raw_table_reference():
+    for a, cuts in _oracle_cases():
+        for f in cuts:
+            quot = reference_scans.assert_quotient_matches_reference(a, f)
+            assert quot.ambient is a
+            assert quot.quiver.arrows == [
+                ar for ar in a.quiver.arrows
+                if quot.arrow_ambient.get(ar.name) == a.arrow_class[ar.name]]

@@ -10,6 +10,7 @@ from hga.presentations import Idempotent
 from hga.typea import build_typeA_auslander
 
 CORNER = Idempotent.of(["13", "14", "24"])
+OTHER_CORNER = Idempotent.of(["24", "25", "35"])
 
 
 def test_rebinds_every_binding_and_restores_it_on_exit():
@@ -40,7 +41,7 @@ def test_scoped_calls_count_only_inside_the_scope():
     def run():
         build_typeA_auslander(3, 2)     # one normal-word pass, no represent
         algebras.idempotent_subalgebra(a, CORNER)
-        algebras.quotient_by_idempotent(a, CORNER)
+        algebras.idempotent_subalgebra(a, OTHER_CORNER)
 
     with Counting([(algebras, "_normal_words", "inside", "scoped"),
                    (algebras, "represent", "represent", "all")],

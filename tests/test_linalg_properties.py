@@ -93,7 +93,6 @@ def matrices(nrows, ncols):
 
 shapes = st.tuples(st.integers(1, 4), st.integers(1, 4))
 dense = shapes.flatmap(lambda s: matrices(*s))
-square = st.integers(1, 4).flatmap(lambda n: matrices(n, n))
 mixed_vectors = st.dictionaries(st.integers(0, WIDTH - 1),
                                 scalars.filter(bool), max_size=4)
 
@@ -136,11 +135,6 @@ def test_mixed_solve_matches_fractions(system):
     a, b = system
     assert_same(linalg.solve(a, b),
                 linalg.solve(as_fractions(a), as_fractions(b)))
-
-
-@hypothesis.given(square)
-def test_mixed_invert_matches_fractions(m):
-    assert_same(linalg.invert(m), linalg.invert(as_fractions(m)))
 
 
 @hypothesis.given(st.lists(mixed_vectors, max_size=10), mixed_vectors)

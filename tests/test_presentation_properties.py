@@ -1,8 +1,9 @@
 """Property tests of ``build_algebra`` against the degreewise build, of the
 relation search of ``minimal_presentation`` against the full-kernel search,
-and of the algebra ``represent`` builds in the same pass against
-``build_algebra`` of its presentation, over small random bound quivers and
-their corners and quotients."""
+of the algebra ``represent`` builds in the same pass against
+``build_algebra`` of its presentation, and of ``quotient_by_idempotent``
+against the raw-table quotient, over small random bound quivers and their
+corners and quotients."""
 
 from collections import Counter
 from fractions import Fraction
@@ -30,6 +31,7 @@ from reference_presentation import (  # noqa: E402
     presented_during,
     reference_minimal_presentation,
 )
+from reference_scans import assert_quotient_matches_reference  # noqa: E402
 
 
 @st.composite
@@ -66,11 +68,12 @@ def bound_quivers(draw):
 
 
 def corner_and_quotient(alg, cut):
-    """The corner of alg at the vertices cut and, unless cut is every
-    vertex, the quotient by them."""
+    """Build the corner of alg at the vertices cut and, unless cut is every
+    vertex, the quotient by them; returns the quotient, or None."""
     idempotent_subalgebra(alg, Idempotent.of(cut))
     if len(cut) < len(alg.vertices):
-        quotient_by_idempotent(alg, Idempotent.of(cut))
+        return quotient_by_idempotent(alg, Idempotent.of(cut))
+    return None
 
 
 @hypothesis.given(bound_quivers(), st.data())
@@ -107,9 +110,12 @@ def test_build_matches_degreewise_reference(p, data):
     except NotAdmissible:
         hypothesis.reject()
     cut = data.draw(st.sets(st.sampled_from(alg.vertices), min_size=1))
+    quot = []
     for _, presented, _ in presented_during(
-            lambda: corner_and_quotient(alg, cut)):
+            lambda: quot.append(corner_and_quotient(alg, cut))):
         assert_builds_like_reference(presented.presentation)
+    if quot[0] is not None:
+        assert_builds_like_reference(quot[0].presentation)
 
 
 @hypothesis.given(bound_quivers(), st.data())
@@ -121,9 +127,27 @@ def test_one_pass_algebra_is_the_build_of_its_presentation(p, data):
     except NotAdmissible:
         hypothesis.reject()
     cut = data.draw(st.sets(st.sampled_from(alg.vertices), min_size=1))
-    seen = presented_during(lambda: (represent(alg),
-                                     corner_and_quotient(alg, cut)))
-    assert len(seen) == 2 + (len(cut) < len(alg.vertices))
+    quot = []
+    seen = presented_during(lambda: (represent(alg), quot.append(
+        corner_and_quotient(alg, cut))))
+    # the quotient is built from its presentation, not re-presented
+    assert len(seen) == 2
     for raw, presented, arrow_ids in seen:
         assert matches_reference(raw, presented.presentation, arrow_ids)
         assert_presented_like_build(presented)
+    if quot[0] is not None:
+        assert_presented_like_build(quot[0])
+
+
+@hypothesis.given(bound_quivers(), st.data())
+@hypothesis.settings(max_examples=80, suppress_health_check=[
+    hypothesis.HealthCheck.filter_too_much, hypothesis.HealthCheck.too_slow])
+def test_quotient_matches_raw_table_reference(p, data):
+    try:
+        alg = build_algebra(p)
+    except NotAdmissible:
+        hypothesis.reject()
+    hypothesis.assume(len(alg.vertices) > 1)
+    cut = data.draw(st.sets(st.sampled_from(alg.vertices), min_size=1,
+                            max_size=len(alg.vertices) - 1))
+    assert_quotient_matches_reference(alg, Idempotent.of(cut))

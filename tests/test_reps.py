@@ -38,7 +38,6 @@ from hga.reps import (
     representation_to_dict,
     simple,
     syzygy,
-    translate,
     transpose,
     zero_morphism,
 )
@@ -153,10 +152,10 @@ def test_higher_translate_degree_two():
     s1, s3 = simple(alg, "1"), simple(alg, "3")
     assert is_isomorphic(higher_translate(s1, 2), s3)
     assert is_isomorphic(higher_translate_inverse(s3, 2), s1)
-    assert is_isomorphic(translate(s1, 2, "tau_d"), s3)
-    assert is_isomorphic(translate(s3, 2, "tau_d-"), s1)
     # degree one agrees with the classical translate
-    assert is_isomorphic(translate(s1, 1, "tau_d"), ar_translate(s1))
+    assert is_isomorphic(higher_translate(s1, 1), ar_translate(s1))
+    assert is_isomorphic(higher_translate_inverse(s3, 1),
+                         ar_translate_inverse(s3))
 
 
 def test_dual_is_involutive():
@@ -957,7 +956,7 @@ def test_split_by_idempotent_is_a_direct_sum(summands):
         (im, ii), (k, ki) = reference_decompose._split_by_idempotent(m, e)
         for v in m.support:
             both = [ri + rk for ri, rk in zip(ii.blocks[v], ki.blocks[v])]
-            assert linalg.invert(both) is not None
+            assert linalg.rank(both) == len(both)
         assert e.compose(ii).add(ii.scale(-1)).is_zero()
         assert e.compose(ki).is_zero()
 

@@ -502,20 +502,22 @@ class Reduction(Ladder):
 
     ``reduce_s`` is the best of 3 runs, each on a freshly built algebra
     (the reduction memoises on its input).  The counts are the calls of
-    ``quotient_by_idempotent``, ``idempotent_subalgebra`` and
-    ``represent``, and ``rank_evals``, the morphism ranks that
+    ``quotient_by_idempotent``, ``idempotent_subalgebra``, ``represent``
+    and ``build_algebra``, and ``rank_evals``, the morphism ranks that
     ``reduction._max_rank_morphism`` evaluates (``_morphism_rank`` calls).
-    ``pool_counts`` sums them over the 13 pool keys: one seedless round of
-    the chain's reductions.  ``--check`` runs every key but
-    (7, 2, [2, 4, 6]): a guard against rebuilt quotients and corners
-    coming back.
+    A quotient is built once from its presentation and re-presents
+    nothing, so ``represent`` counts the corners, and ``build_algebra``
+    counts each quotient once among its calls.  ``pool_counts`` sums them over the 13 pool keys: one
+    seedless round of the chain's reductions.  ``--check`` runs every key
+    but (7, 2, [2, 4, 6]): a guard against rebuilt quotients and corners,
+    and quotients re-presented through a raw table, coming back.
     """
 
     time_key = "reduce_s"
     check_max_n = 5
     counted = [(algebras, name, f"{name}_calls", "all")
                for name in ("quotient_by_idempotent", "idempotent_subalgebra",
-                            "represent")] + [
+                            "represent", "build_algebra")] + [
         (reduction, "_morphism_rank", "rank_evals", "all")]
 
     def rows(self):
