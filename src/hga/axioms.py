@@ -24,9 +24,8 @@ from .algebras import (
     CornerQuiver,
     build_algebra,
     idempotent_subalgebra,
-    represent,
 )
-from .errors import NotAdmissible, UnknownArrow
+from .errors import InternalError, NotAdmissible, UnknownArrow
 from .linalg import F1, SparseRREF, div
 from .memo import memo
 from .presentations import (
@@ -181,12 +180,11 @@ class CubeWitness:
 
 def _cube_edges(m):
     """The edges (subset, direction) of an m-cube in search order: by the
-    size of the source subset, then the subset, then the direction."""
-    edges = [(frozenset(s), d)
-             for size in range(m) for s in combinations(range(m), size)
-             for d in range(m) if d not in s]
-    edges.sort(key=lambda sd: (len(sd[0]), sorted(sd[0]), sd[1]))
-    return edges
+    size of the source subset, then the subset (in the lexicographic order
+    `combinations` yields), then the direction."""
+    return [(frozenset(s), d)
+            for size in range(m) for s in combinations(range(m), size)
+            for d in range(m) if d not in s]
 
 
 def _cube_walk(pending, vertices, used, arrows, state, out, target,
@@ -606,6 +604,9 @@ def _count_corner_cubes(alg, corner, arrow_names):
 # all the forbidden middles; the corner spanned by exactly the required
 # vertices realizes it.  This decides the quantification over all 2^n
 # idempotents without enumerating them.
+# A corner B = eAe of a monomial A is monomial, and `represent` maps B's
+# basis onto the ids of eAe, each word to a multiple of one id, respecting
+# products: so B's scan is A's restricted to e, and both find a cube or not.
 # ---------------------------------------------------------------------------
 
 
@@ -618,8 +619,9 @@ def _build_mask_tables(a):
         raise ValueError("mask tables need a monomial multiplication table")
     nv = len(a.vertices)
     vbit = {v: 1 << i for i, v in enumerate(a.vertices)}
-    # the positive basis elements from each vertex: all but its idempotent
-    by_source = {v: [b for b in ids if b >= nv]
+    # the positive basis elements from each vertex, by label
+    by_source = {v: sorted((b for b in ids if b >= nv),
+                           key=a.basis_labels.__getitem__)
                  for v, ids in a.basis_index().source.items()}
     vm = {j: vbit[a.basis_src[j]] | vbit[a.basis_tgt[j]]
           for j in range(nv, a.dim)}
@@ -631,23 +633,26 @@ def _mask_vertices(a, mask):
     return [v for i, v in enumerate(a.vertices) if mask & (1 << i)]
 
 
-def _corner_cube_violation(a, m):
-    """A corner f with an m-cube in the quiver of fAf, or None.
+def _corner_cube_violation(a, m, keep=None):
+    """A corner f with an m-cube in the quiver of fAf, or None; with a
+    vertex set ``keep``, an f inside it, as for the corner keep·A·keep.
 
-    The search places the cube's edges (positive basis elements) one at a
-    time in ``_cube_edges`` order and returns the first cube with commuting
-    faces, distinct vertices and required vertices ``req`` disjoint from the
-    forbidden middles ``forb``.  Along a branch the placed vertices, ``req``
-    and ``forb`` only grow, so a repeated vertex or a nonzero ``req & forb``
-    is never undone by a later edge: an element that causes either is
-    rejected when it is placed.  No pruned branch holds a passing cube, so
-    the first witness is the one the unpruned search finds.
+    The search places the cube's edges (positive basis elements between
+    kept vertices) one at a time in ``_cube_edges`` order and returns the
+    first cube with commuting faces, distinct vertices and required vertices
+    ``req`` (all kept) disjoint from the forbidden middles ``forb``.  Along
+    a branch the placed vertices, ``req`` and ``forb`` only grow, so a
+    repeated vertex or a nonzero ``req & forb`` is never undone by a later
+    edge: an element that causes either is rejected when it is placed.  No
+    pruned branch holds a passing cube, so the first witness is the one the
+    unpruned search finds.
     """
     t = _mask_tables(a)
     vm, mid, mult = t["vm"], t["mid"], a.mult
     lab = a.basis_labels
-    out = {v: sorted(bs, key=lambda x: lab[x])
-           for v, bs in t["by_source"].items()}
+    kept = ~0 if keep is None else sum(1 << a.e_index[v] for v in keep)
+    out = {v: [b for b in t["by_source"][v] if not vm[b] & ~kept]
+           for v in _mask_vertices(a, kept)}
 
     def face_ok(a1, b1, a2, b2):
         # each product is a multiple of one basis element
@@ -659,7 +664,7 @@ def _corner_cube_violation(a, m):
         return None if req & forb else (req, forb)
 
     edges = _cube_edges(m)
-    for corner in sorted(a.vertices, key=str):
+    for corner in sorted(out, key=str):
         found = next(_cube_walk(edges, {frozenset(): corner}, {corner}, {},
                                 (0, 0), out, a.basis_tgt.__getitem__,
                                 face_ok, step), None)
@@ -808,10 +813,22 @@ def is_gentle(a):
 
 @dataclass
 class GentleCertificate:
+    """The report of `is_d_gentle_certificate`: its cube check is made on
+    construction, and its corner re-presented on first read."""
     pre_gentle: PreGentleReport
-    cube_check: dict
     d: int
-    corner: object = None   # the certified algebra e·cover·e
+    cover: Algebra = field(repr=False)
+    e: Idempotent = field(repr=False)
+    cube_check: dict = field(init=False)
+
+    def __post_init__(self):
+        self.cube_check = _cube_check(self)
+
+    @property
+    def corner(self):
+        """The certified algebra e·cover·e, re-presented on first read."""
+        return memo(self, "corner",
+                    lambda: idempotent_subalgebra(self.cover, self.e))
 
     @property
     def verdict(self):
@@ -883,10 +900,10 @@ def is_d_gentle_certificate(cover, e, d):
     same cover.  e is validated against the cover before its hull is taken.
     (E3) on the hull and the enumerated cube search read only a corner's
     quiver and the values of its 2-paths, so they run on a `CornerQuiver`,
-    read in its ambient, and re-present nothing.  Only the reported corner
-    B is re-presented, because its `monomial` flag and the mask tables of
-    the pattern scan read its normal-word basis; when the hull is e itself,
-    B is re-presented from the hull's `CornerQuiver`.
+    read in its ambient, and re-present nothing.  On a monomial cover the
+    pattern scan reads the cover restricted to e, so a passing certificate
+    re-presents no corner.  B is re-presented once, on the first read of
+    ``corner``: to name the first cube of B, or to scan B itself.
     """
     cover = _as_algebra(cover)
     e.validate(cover.vertices)
@@ -896,37 +913,43 @@ def is_d_gentle_certificate(cover, e, d):
     e4 = _heredity(entries, cover, hull_corner)
     pre = PreGentleReport(AxiomReport(entries, d + 1), e4,
                           sorted(hull.vertex_subset, key=str))
-    corner = (represent(hull_corner) if hull == e
-              else idempotent_subalgebra(cover, e))
-    m = d + 1
-    if corner.monomial:
-        witness = _corner_cube_violation(corner, m)
-        cube_check = {
+    return GentleCertificate(pre, d, cover, e)
+
+
+def _cube_check(cert):
+    """The cube check of a certificate, as `is_d_gentle_certificate` says."""
+    cover, m = cert.cover, cert.d + 1
+    if cover.monomial or cert.corner.monomial:
+        witness = None
+        if not cover.monomial or _corner_cube_violation(
+                cover, m, cert.e.vertex_subset):
+            witness = _corner_cube_violation(cert.corner, m)
+            if witness is None and cover.monomial:
+                raise InternalError("the cover and corner scans disagree")
+        return {
             "mode": "pattern-scan",
             "complete": True,
             "cappedAt": None,
             "witness": witness,
             "verdict": "fail" if witness else "pass",
         }
-    else:
-        verts = sorted(corner.vertices, key=str)
-        total = 2 ** len(verts) - 1
-        complete = total <= IDEMPOTENT_CAP
-        witness = None
-        for subset in _subsets_largest_first(verts, IDEMPOTENT_CAP):
-            if len(subset) < 2 ** m:
-                continue
-            cubes = find_m_cubes(
-                CornerQuiver(corner, Idempotent.of(subset)), m)
-            if cubes:
-                witness = {"subset": subset, "cube": cubes[0].to_dict()}
-                break
-        cube_check = {
-            "mode": "enumeration",
-            "complete": complete,
-            "cappedAt": None if complete else IDEMPOTENT_CAP,
-            "witness": witness,
-            "verdict": "fail" if witness else (
-                "pass" if complete else "pass-up-to-cap"),
-        }
-    return GentleCertificate(pre, cube_check, d, corner)
+    verts = sorted(cert.corner.vertices, key=str)
+    total = 2 ** len(verts) - 1
+    complete = total <= IDEMPOTENT_CAP
+    witness = None
+    for subset in _subsets_largest_first(verts, IDEMPOTENT_CAP):
+        if len(subset) < 2 ** m:
+            break
+        cubes = find_m_cubes(
+            CornerQuiver(cert.corner, Idempotent.of(subset)), m)
+        if cubes:
+            witness = {"subset": subset, "cube": cubes[0].to_dict()}
+            break
+    return {
+        "mode": "enumeration",
+        "complete": complete,
+        "cappedAt": None if complete else IDEMPOTENT_CAP,
+        "witness": witness,
+        "verdict": "fail" if witness else (
+            "pass" if complete else "pass-up-to-cap"),
+    }

@@ -39,7 +39,7 @@ from hga.reduction import gentle_sg_invariant, reduce_to_gentle
 from hga.typea import build_typeA_auslander
 import reference_scans
 from reference_presentation import presented_during
-from workloads import CTGENT_POOL
+from workloads import CTGENT_POOL, RIGID_NS, rigid_pool
 
 
 def linear(n, relations=()):
@@ -200,11 +200,15 @@ def test_dual_corner_counts_match_rebuilt_opposite():
     assert counts == {0, 1}
 
 
-def reference_corner_cube(a, m):
+def reference_corner_cube(a, m, keep=None):
     """The corner cube search with vertex distinctness and the mask test
-    ``req & forb == 0`` applied only to complete cubes."""
+    ``req & forb == 0`` applied only to complete cubes; with a vertex set
+    ``keep``, a cube lies in it and only the middles in it are forbidden."""
     t = _mask_tables(a)
     lab, tgt = a.basis_labels, a.basis_tgt
+    kept = sum(1 << i for i, v in enumerate(a.vertices)
+               if keep is None or v in keep)
+    inside = lambda v: kept >> a.e_index[v] & 1
     edges = sorted(
         ((frozenset(s), d) for k in range(m) for s in combinations(range(m), k)
          for d in range(m) if d not in s),
@@ -220,7 +224,7 @@ def reference_corner_cube(a, m):
             req = forb = 0
             for b in arrows.values():
                 req |= t["vm"][b]
-                forb |= t["mid"][b]
+                forb |= t["mid"][b] & kept
             distinct = len(set(vertices.values())) == len(vertices)
             return (vertices, arrows, req) if distinct and not req & forb \
                 else None
@@ -228,7 +232,7 @@ def reference_corner_cube(a, m):
         top = s | {d}
         for b in sorted(t["by_source"].get(vertices[s], []),
                         key=lambda x: lab[x]):
-            if vertices.get(top, tgt[b]) != tgt[b]:
+            if vertices.get(top, tgt[b]) != tgt[b] or not inside(tgt[b]):
                 continue
             placed = {**arrows, (s, d): b}
             if all(commutes(placed, s - {j}, j, d) for j in s
@@ -239,7 +243,7 @@ def reference_corner_cube(a, m):
         return None
 
     for corner in sorted(a.vertices, key=str):
-        got = search({frozenset(): corner}, {}, 0)
+        got = inside(corner) and search({frozenset(): corner}, {}, 0)
         if got:
             vertices, arrows, req = got
             key = lambda s: "".join(str(d) for d in sorted(s))
@@ -254,20 +258,62 @@ def reference_corner_cube(a, m):
     return None
 
 
+def assert_cover_scan_matches_corner_scan(a, subset, ms=(2, 3),
+                                          reference=True):
+    """The scan of a monomial a restricted to subset finds a cube exactly
+    when the scan of the re-presented corner does, and with ``reference``
+    each agrees with the leaf reference; returns how many of the ms found
+    one."""
+    assert a.monomial
+    corner = idempotent_subalgebra(a, Idempotent.of(subset))
+    assert corner.monomial
+    found = 0
+    for m in ms:
+        witness = _corner_cube_violation(a, m, subset)
+        own = _corner_cube_violation(corner, m)
+        assert (witness is None) == (own is None)
+        if reference:
+            assert witness == reference_corner_cube(a, m, set(subset))
+            assert own == reference_corner_cube(corner, m)
+        found += witness is not None
+    return found
+
+
 def test_corner_cube_violation_matches_leaf_reference():
     rng = random.Random(3)
-    positive = 0
-    for n, d in ((3, 3), (4, 3), (5, 2)):
+    positive = cases = 0
+    for n, d in ((3, 3), (4, 3), (5, 2), (3, 4)):
         a = build_typeA_auslander(n, d)
         for _ in range(8):
             subset = rng.sample(a.vertices, rng.randint(4, len(a.vertices)))
-            corner = idempotent_subalgebra(a, Idempotent.of(subset))
-            assert corner.monomial
-            for m in (2, 3):
-                witness = _corner_cube_violation(corner, m)
-                assert witness == reference_corner_cube(corner, m)
-                positive += witness is not None
-    assert positive > 0
+            positive += assert_cover_scan_matches_corner_scan(a, subset) > 0
+            cases += 1
+    for n, d, idx in [key for key in CTGENT_POOL if key[0] < 5]:
+        a = ctgent_cover(ctgent_family(n, d, list(idx)))[0].algebra
+        for _ in range(4):
+            subset = rng.sample(a.vertices, rng.randint(4, len(a.vertices)))
+            positive += assert_cover_scan_matches_corner_scan(a, subset) > 0
+            cases += 1
+    # both outcomes are seen
+    assert 0 < positive < cases
+
+
+def test_cover_scan_matches_corner_scan_on_the_pools():
+    pool, found = rigid_pool(), Counter()
+    for n in RIGID_NS:
+        cover = build_typeA_auslander(n, 3)
+        for part in pool[n]:
+            for sub in part:
+                subset = ["".join(map(str, t)) for t in sub]
+                found[assert_cover_scan_matches_corner_scan(
+                    cover, subset, (3,), reference=False)] += 1
+    for n, d, idx in CTGENT_POOL:
+        cover, e = ctgent_cover(ctgent_family(n, d, list(idx)))
+        found[assert_cover_scan_matches_corner_scan(
+            cover.algebra, sorted(e.vertex_subset), (d + 1,),
+            reference=False)] += 1
+    # no certificate of either pool holds a cube, as their reports say
+    assert found == {0: 216 + 13}
 
 
 def test_commutativity_squares():
@@ -532,16 +578,51 @@ def test_certificate_represents_only_the_reported_corner(mode):
     else:
         cover = build_typeA_auslander(3, 3)
         e, d = Idempotent.of(["136", "146", "147", "157", "257", "357"]), 2
-    certs = []
+    certs, corners = [], []
     calls = presented_during(
         lambda: certs.append(is_d_gentle_certificate(cover, e, d)))
     cert, = certs
     assert cert.cube_check["mode"] == mode
+    assert cert.cube_check["verdict"] == "pass"
     if mode == "pattern-scan":
         assert len(cert.pre_gentle.hull) > len(e.vertex_subset)
-    # (E3) on the hull and each enumerated subset re-present nothing
+    # (E3) on the hull and each enumerated subset re-present nothing, and a
+    # passing pattern scan reads the cover restricted to e: only the
+    # enumeration re-presents its corner while certifying
+    assert len(calls) == (mode == "enumeration")
+    calls += presented_during(
+        lambda: corners.extend([cert.corner, cert.corner]))
+    # reading the corner re-presents it at most once, and every read gives
+    # the one corner
+    assert corners[0] is corners[1]
     assert [(raw.vertices, raw.dim) for raw, _, _ in calls] == [
         (cert.corner.vertices, cert.corner.dim)]
+    assert cert.corner.ambient is cover
+
+
+def test_certificate_enumeration_stops_at_the_first_small_subset(
+        monkeypatch):
+    cover = build_algebra(three_routes())
+    visited = []
+    largest_first = axioms._subsets_largest_first
+
+    def counting(vertices, cap):
+        for subset in largest_first(vertices, cap):
+            visited.append(subset)
+            yield subset
+
+    monkeypatch.setattr(axioms, "_subsets_largest_first", counting)
+    for d, seen in ((1, 7), (2, 1)):
+        visited.clear()
+        cert = is_d_gentle_certificate(cover, Idempotent.of(cover.vertices), d)
+        # subsets come largest first, so the first one with fewer than
+        # 2^(d+1) vertices ends the search: the 5-set, the five 4-sets and
+        # one 3-set at d = 1, the 5-set alone at d = 2
+        assert len(visited) == seen
+        assert len(visited[-1]) < 2 ** (d + 1)
+        assert cert.cube_check == {"mode": "enumeration", "complete": True,
+                                   "cappedAt": None, "witness": None,
+                                   "verdict": "pass"}
 
 
 @pytest.mark.parametrize("labels", [["999"], ["999", "136"]])

@@ -3,7 +3,9 @@ test, which read the memoised table of 2-path relations, against the dense
 nullspace computation of ``reference_degree_two``, and of corners read in
 their ambient algebra against the raw corners of ``reference_scans``, over
 small bound quivers with parallel arrows and 1- to 3-term relations among
-parallel 2-paths, and their corners."""
+parallel 2-paths, and their corners; and of the cube scan of a monomial
+algebra restricted to a vertex set against the scan of the re-presented
+corner, over grid quivers whose squares commute, anticommute or vanish."""
 
 from fractions import Fraction
 
@@ -23,6 +25,7 @@ from hga import (  # noqa: E402
 )
 from hga.axioms import check_axiom_a4, is_gentle  # noqa: E402
 from reference_scans import assert_corner_matches_raw_route  # noqa: E402
+from test_axioms import assert_cover_scan_matches_corner_scan  # noqa: E402
 from reference_degree_two import (  # noqa: E402
     reference_a4,
     reference_is_gentle,
@@ -87,3 +90,49 @@ def test_corner_read_in_ambient_matches_raw_route(p, data):
     cut = data.draw(st.sets(st.sampled_from(alg.vertices), min_size=1))
     hypothesis.event("monomial" if alg.monomial else "not monomial")
     assert_corner_matches_raw_route(alg, Idempotent.of(cut))
+
+
+@st.composite
+def grid_presentations(draw):
+    """The quiver of a grid of up to 3 x 3 x 2 points with an arrow along
+    each unit step, each square bound by a commutativity, anticommutativity
+    or zero relation on both or one of its routes, or left free: a binomial
+    ideal, so a monomial algebra."""
+    sizes = draw(st.sampled_from([(2, 2, 1), (3, 2, 1), (2, 2, 2),
+                                  (3, 3, 1), (3, 2, 2), (3, 3, 2)]))
+    points = [(i, j, k) for i in range(sizes[0]) for j in range(sizes[1])
+              for k in range(sizes[2])]
+    name = lambda p: "".join(map(str, p))
+    step = lambda p, axis: tuple(c + (n == axis) for n, c in enumerate(p))
+    arrows = [(f"x{axis}_{name(p)}", name(p), name(step(p, axis)))
+              for p in points for axis in range(3)
+              if step(p, axis) in points]
+    relations = []
+    for p in points:
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            top = step(step(p, i), j)
+            if top not in points:
+                continue
+            route_i = (f"x{i}_{name(p)}", f"x{j}_{name(step(p, i))}")
+            route_j = (f"x{j}_{name(p)}", f"x{i}_{name(step(p, j))}")
+            kind = draw(st.sampled_from(
+                ["commute", "commute", "anti", "zero", "one", "free"]))
+            if kind in ("commute", "anti"):
+                relations.append(RelationElement(
+                    [(1, route_i), (1 if kind == "anti" else -1, route_j)]))
+            elif kind == "zero":
+                relations += [zero_relation(route_i), zero_relation(route_j)]
+            elif kind == "one":
+                relations.append(zero_relation(route_i))
+    return BoundQuiverPresentation(Quiver(list(map(name, points)), arrows),
+                                   relations)
+
+
+@hypothesis.given(grid_presentations(), st.data())
+@hypothesis.settings(max_examples=100, deadline=None, suppress_health_check=[
+    hypothesis.HealthCheck.too_slow])
+def test_cover_cube_scan_restricted_to_e_matches_the_corner(p, data):
+    alg = build_algebra(p)
+    keep = data.draw(st.sets(st.sampled_from(alg.vertices), min_size=1))
+    found = assert_cover_scan_matches_corner_scan(alg, sorted(keep))
+    hypothesis.event(f"{found} of m = 2, 3 hold a cube")

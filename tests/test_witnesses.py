@@ -13,6 +13,7 @@ from hga import Idempotent, build_algebra
 from hga.axioms import is_d_gentle_certificate
 from hga.cluster import ctgent_cover, ctgent_family
 from hga.typea import build_typeA_auslander
+from reference_presentation import presented_during
 from test_axioms import mixed_routes
 from witness_check import check_certificate
 from workloads import CTGENT_POOL, RIGID_NS, rigid_pool
@@ -61,6 +62,25 @@ def test_cube_witnesses():
         checked += check_certificate(*certified(cover, e, d))
     assert checked == {"pattern-scan cube": 4, "enumeration cube": 1,
                        "sandwich": 2, "E4 sandwich": 1}
+
+
+def test_failing_pattern_scan_re_presents_its_corner_once():
+    modes = Counter()
+    for cover, e, d in cube_fixtures():
+        certs = []
+        calls = presented_during(
+            lambda: certs.append(is_d_gentle_certificate(cover, e, d)))
+        cert, = certs
+        modes[cert.cube_check["mode"]] += 1
+        if cert.cube_check["mode"] != "pattern-scan":
+            continue
+        assert cert.cube_check["verdict"] == "fail"
+        # the cover's scan restricted to e finds the cube, and the corner
+        # is re-presented once to name it; a later read re-presents nothing
+        calls += presented_during(lambda: cert.corner)
+        assert [(raw.vertices, raw.dim) for raw, _, _ in calls] == [
+            (cert.corner.vertices, cert.corner.dim)]
+    assert modes == {"pattern-scan": 4, "enumeration": 1}
 
 
 def tampered(report, mode):

@@ -353,7 +353,7 @@ def certify(jobs):
 class Certificate(Ladder):
     """The d-gentle certificate's corners and reports.
 
-    Two workloads:
+    Three workloads:
 
     - ``rigid``: the 72 rigid entries of the ``rigid`` pool (24 label
       subsets for each n = 3, 4, 5), each certified with d = 2 against the
@@ -361,6 +361,9 @@ class Certificate(Ladder):
       One row per n.
     - ``ctgent``: the 13 keys of the ``ctgent`` pool, each certified against
       its ``ctgent_cover`` and reported the same way.  One row per key.
+    - ``cube``: the certificates whose pattern scan finds a cube, from the
+      witness tests' fixtures: A^2_n at d = 1 for n = 3, 4, 5 and A^3_4 at
+      d = 2, each on all its vertices.  One row per certificate.
 
     ``wall_s`` is the median of 7 runs of a row's certificates and reports;
     the counts are the top-level calls (those a function does not make
@@ -370,9 +373,9 @@ class Certificate(Ladder):
     memoised, before anything is counted or timed, so a row measures what
     each certificate adds over its cover's shared checks: the hull's (E3),
     the corner and its cube check.  ``total`` sums the rows of each
-    workload.  ``--check`` runs every row: a guard against corners that a
-    certificate does not report being re-presented again, and against
-    reports deep-copying what the memo shares.
+    workload.  ``--check`` runs every row: a guard against a passing
+    certificate re-presenting a corner, a failing one re-presenting more
+    than its corner once, and reports deep-copying what the memo shares.
     """
 
     repeat, average, digits = 7, staticmethod(statistics.median), 5
@@ -399,6 +402,11 @@ class Certificate(Ladder):
             jobs = [(cover.algebra, e, d)]
             out.append(Row(ctgent_key(n, d, idx), n, certify,
                            lambda j=jobs: j, "ctgent"))
+        for n, dd, d in ((3, 2, 1), (4, 2, 1), (5, 2, 1), (4, 3, 2)):
+            cover = typea.build_typeA_auslander(n, dd)
+            jobs = [(cover, Idempotent.of(cover.vertices), d)]
+            out.append(Row(f"A^{dd}_{n},d={d}", n, certify, lambda j=jobs: j,
+                           "cube"))
         for row in out:
             for cover, _, d in row.setup():
                 axioms._cover_axioms(cover, d + 1)
@@ -409,7 +417,7 @@ class Certificate(Ladder):
             summed(grouped(measured, group), self.digits),
             certificates=sum(len(row.setup()) for row, _ in measured
                              if row.group == group))
-            for group in ("rigid", "ctgent")}}
+            for group in ("rigid", "ctgent", "cube")}}
 
 
 def rigid_collections():
