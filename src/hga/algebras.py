@@ -252,13 +252,14 @@ def _default_cap(quiver, relations):
         (len(p) for terms in relations for _, p in terms), default=0), 8)
 
 
-def _on_words(presentation, words, **fields):
+def _on_words(presentation, words, nilpotent=False, **fields):
     """The algebra of `presentation` on its normal words `words` (see
     `_normal_words`), with `fields` recorded as they are given.
 
     The product of two basis paths is the arrow action applied one letter
     at a time, so mult(i, j) is the last arrow of i applied to
-    mult(prefix of i, j)."""
+    mult(prefix of i, j).  With `nilpotent` the caller has proved the
+    radical nilpotent, and the check below is not made."""
     paths, src, tgt, parent, last, act = words
     vertices = presentation.quiver.vertices
     nv = len(vertices)
@@ -284,7 +285,8 @@ def _on_words(presentation, words, **fields):
         arrow_class={p[0]: i for i, p in enumerate(paths) if len(p) == 1},
         **fields,
     )
-    if any(_mixes(r.terms) for r in presentation.relations):
+    if not nilpotent and any(_mixes(r.terms)
+                             for r in presentation.relations):
         # a relation mixing term lengths can close up the ideal with a
         # path class that is idempotent modulo it, as x^2 - x^3 at a loop
         # does; homogeneous relations give a graded algebra, whose radical
@@ -563,7 +565,13 @@ def _present(corner):
     if len(words[0]) != corner.dim:
         raise NotAdmissible("radical is not nilpotent")
     pres = BoundQuiverPresentation(quiver, [g[0] for g in generators])
-    alg = _on_words(pres, words, ambient=None if raw else a,
+    # a corner B of an algebra A that hga presented needs no nilpotency
+    # check: the rank test below makes B's words a basis of eAe that
+    # products respect, so B is isomorphic to eAe, and rad(eAe)^k lies in
+    # e·rad(A)^k·e, which is 0 once rad(A)^k is
+    alg = _on_words(pres, words,
+                    nilpotent=not raw and a.presentation is not None,
+                    ambient=None if raw else a,
                     arrow_ambient=None if raw else dict(arrow_ids))
     # with as many normal words as basis elements, their values form a basis
     # of each block exactly when they are independent there; those of

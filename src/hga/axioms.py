@@ -16,6 +16,7 @@ commutativity squares, the sandwiches and the cube search) also take a
 algebra, with no raw corner built and nothing re-presented.
 """
 
+import copy
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
@@ -424,18 +425,56 @@ def find_sandwiches(a):
     return out
 
 
-def _copied(x):
-    """x with every dict and list in it copied.  The report parts shared
-    through the memo hold nothing else that is mutable."""
-    if isinstance(x, dict):
-        return {k: _copied(v) for k, v in x.items()}
-    if isinstance(x, list):
-        return [_copied(v) for v in x]
+def _read_only(self, *args, **kwargs):
+    raise TypeError("a report part is read-only; copy.deepcopy gives an "
+                    "editable copy")
+
+
+class ReadOnlyDict(dict):
+    """A report part: a dict whose mutators raise TypeError.  It compares,
+    prints and encodes to JSON as a plain dict does, and `copy.deepcopy`
+    turns it into a plain dict that can be edited."""
+
+    __slots__ = ()
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = \
+        setdefault = update = _read_only
+
+    def __deepcopy__(self, seen):
+        return {k: copy.deepcopy(v, seen) for k, v in self.items()}
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
+class ReadOnlyList(list):
+    """A report part: a list whose mutators raise TypeError, as
+    `ReadOnlyDict` is a dict."""
+
+    __slots__ = ()
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = append = clear = \
+        extend = insert = pop = remove = reverse = sort = _read_only
+
+    def __deepcopy__(self, seen):
+        return [copy.deepcopy(v, seen) for v in self]
+
+    def __reduce__(self):
+        return type(self), (list(self),)
+
+
+def _frozen(x):
+    """x with every plain dict and list in it made read-only, built once;
+    a part that is read-only already is kept as it is."""
+    if type(x) is dict:
+        return ReadOnlyDict({k: _frozen(v) for k, v in x.items()})
+    if type(x) is list:
+        return ReadOnlyList([_frozen(v) for v in x])
     return x
 
 
 @dataclass
 class AxiomReport:
+    """Axiom entries by name, each a read-only part, maybe shared through
+    the memo with other reports on the same algebra."""
     entries: dict
     d: int
 
@@ -444,11 +483,13 @@ class AxiomReport:
         return all(e["pass"] for e in self.entries.values())
 
     def to_dict(self):
-        # the entries may be shared through the memo: hand out copies
+        """The report as JSON-ready data.  Only its own two dicts are built
+        here; the entries are handed out as they are, read-only, so editing
+        one raises TypeError and never reaches another report.
+        `copy.deepcopy` of the result gives plain containers to edit."""
         return {
             "d": self.d,
-            "axioms": {k: _copied(self.entries[k])
-                       for k in sorted(self.entries)},
+            "axioms": {k: self.entries[k] for k in sorted(self.entries)},
             "verdict": self.verdict,
         }
 
@@ -489,18 +530,20 @@ def check_axioms(a, d):
 
 
 def _e3_entry(alg):
-    """(E3): no complete sandwich configuration in alg."""
+    """(E3): no complete sandwich configuration in alg; read-only."""
     sandwiches = find_sandwiches(alg)
-    return {"pass": not sandwiches,
-            "witnesses": [s.to_dict() for s in sandwiches[:5]]}
+    return _frozen({"pass": not sandwiches,
+                    "witnesses": [s.to_dict() for s in sandwiches[:5]]})
 
 
 def _cover_axioms(alg, d):
     """(A1)-(A4) and (E1)-(E2) of alg at degree bound d, memoised on alg
     per d.
 
-    Every caller gets the same entries dict: read it, never change it."""
-    return memo(alg, ("axioms", d), lambda: _axiom_entries(alg, d))
+    Every caller gets the same entries, built read-only once: the dict and
+    every dict and list in it raise TypeError on any change, so a report
+    hands them out uncopied."""
+    return memo(alg, ("axioms", d), lambda: _frozen(_axiom_entries(alg, d)))
 
 
 def _axiom_entries(alg, d):
@@ -696,8 +739,9 @@ def _subsets_largest_first(vertices, cap):
 @dataclass
 class PreGentleReport:
     axioms: AxiomReport
-    e4: dict
-    hull: list = None       # vertices of the cover hull, for certificates
+    e4: dict                # read-only
+    hull: list = None       # the cover hull's vertex names, read-only, for
+                            # certificates
 
     @property
     def verdict(self):
@@ -708,7 +752,7 @@ class PreGentleReport:
     def to_dict(self):
         return {
             "axioms": self.axioms.to_dict(),
-            "E4": _copied(self.e4),
+            "E4": self.e4,
             "verdict": self.verdict,
         }
 
@@ -730,8 +774,8 @@ def _witness_span(alg, key, w):
 
 
 def _heredity(entries, alg, e3_alg):
-    """(E4) from the first failing (E1)-(E3) entry; its witness spans the
-    vertices of alg (of e3_alg for (E3))."""
+    """(E4) from the first failing (E1)-(E3) entry, read-only; its witness
+    spans the vertices of alg (of e3_alg for (E3))."""
     witness = None
     for key in ("E1", "E2", "E3"):
         if not entries[key]["pass"]:
@@ -740,8 +784,9 @@ def _heredity(entries, alg, e3_alg):
             witness["subset"] = _witness_span(
                 e3_alg if key == "E3" else alg, key, witness)
             break
-    return {"mode": "heredity", "complete": True, "cappedAt": None,
-            "witness": witness, "verdict": "fail" if witness else "pass"}
+    return _frozen({"mode": "heredity", "complete": True, "cappedAt": None,
+                    "witness": witness,
+                    "verdict": "fail" if witness else "pass"})
 
 
 def is_pre_gentle(a, d):
@@ -814,7 +859,9 @@ def is_gentle(a):
 @dataclass
 class GentleCertificate:
     """The report of `is_d_gentle_certificate`: its cube check is made on
-    construction, and its corner re-presented on first read."""
+    construction, read-only, and its corner re-presented on first read.
+    Every part it stores is read-only, so `to_dict` builds only its own
+    top-level dict and hands the parts out uncopied."""
     pre_gentle: PreGentleReport
     d: int
     cover: Algebra = field(repr=False)
@@ -822,7 +869,7 @@ class GentleCertificate:
     cube_check: dict = field(init=False)
 
     def __post_init__(self):
-        self.cube_check = _cube_check(self)
+        self.cube_check = _frozen(_cube_check(self))
 
     @property
     def corner(self):
@@ -844,11 +891,11 @@ class GentleCertificate:
         out = {
             "d": self.d,
             "preGentle": self.pre_gentle.to_dict(),
-            "cubeCheck": _copied(self.cube_check),
+            "cubeCheck": self.cube_check,
             "verdict": self.verdict,
         }
         if self.pre_gentle.hull is not None:
-            out["hull"] = [str(v) for v in self.pre_gentle.hull]
+            out["hull"] = self.pre_gentle.hull
         return out
 
 
@@ -911,8 +958,8 @@ def is_d_gentle_certificate(cover, e, d):
     hull_corner = CornerQuiver(cover, hull)
     entries = dict(_cover_axioms(cover, d + 1), E3=_e3_entry(hull_corner))
     e4 = _heredity(entries, cover, hull_corner)
-    pre = PreGentleReport(AxiomReport(entries, d + 1), e4,
-                          sorted(hull.vertex_subset, key=str))
+    pre = PreGentleReport(AxiomReport(entries, d + 1), e4, ReadOnlyList(
+        sorted(map(str, hull.vertex_subset))))
     return GentleCertificate(pre, d, cover, e)
 
 

@@ -11,11 +11,16 @@ family over a linear quiver reproduces the next higher Auslander algebra
 with its vertex labels.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import linalg, reps
 from .algebras import Algebra, represent
-from .errors import AdjacencyViolation, HgaError, UnsupportedSummand
+from .errors import (
+    AdjacencyViolation,
+    HgaError,
+    InternalError,
+    UnsupportedSummand,
+)
 from .linalg import F0, F1, div
 from .memo import memo
 from .typea import (
@@ -30,39 +35,44 @@ from .typea import (
 class SummandCollection:
     """A subset of a labelled module family, closed over for direct sums.
 
-    ``positions`` are the members' positions in the family, increasing, and
-    ``labels`` their family labels in the same order, which is
-    lexicographic.  A collection made by ctgent_family records in
-    ``ctgent`` what it matched: the positions, the chain of simples and the
-    labels of the projectives and simples."""
+    The labels are mapped to positions by one read of the family's
+    `label_index`.  ``positions`` are the members' positions in the family,
+    increasing, ``mask`` has bit i set for each of them, and ``labels`` are
+    their family labels in the same order, which is lexicographic.  A
+    collection made by ctgent_family records in ``ctgent`` what it matched:
+    the positions, the chain of simples and the labels of the projectives
+    and simples."""
 
     family: object
     labels: list
     ctgent: dict = None
+    positions: list = field(init=False)
+    mask: int = field(init=False)
 
     def __post_init__(self):
-        info = self.family.algebra.typeA
+        fam = self.family
+        info = fam.algebra.typeA
         if info is None:
             raise HgaError("family algebra lacks type-A construction data")
         self.n, self.d = info["n"], info["d"]
-        m = self.n + 2 * self.d
-        fam = self.family
-        pos = []
-        for lab in self.labels:
-            ent = tuple(lab.entries) if isinstance(lab, Tuple) else tuple(lab)
-            if any(e == m + 1 for e in ent):
+        keys = [lab.entries if isinstance(lab, Tuple) else tuple(lab)
+                for lab in self.labels]
+        pos = list(map(fam.label_index().get, keys))
+        if None in pos:
+            # the first label that misses names the error
+            ent, m = keys[pos.index(None)], self.n + 2 * self.d
+            if m + 1 in ent:
                 raise UnsupportedSummand(
-                    f"label {ent} is a shifted projective (entry {m + 1})"
-                )
-            try:
-                pos.append(fam.index_of(ent))
-            except KeyError:
-                raise HgaError(
-                    f"label {ent} is not in the module family") from None
+                    f"label {ent} is a shifted projective (entry {m + 1})")
+            raise HgaError(f"label {ent} is not in the module family")
         if not pos:
             raise HgaError("empty summand collection")
-        if len(set(pos)) != len(pos):
+        mask = 0
+        for i in pos:
+            mask |= 1 << i
+        if mask.bit_count() != len(pos):
             raise HgaError("duplicate labels in the collection")
+        self.mask = mask
         self.positions = sorted(pos)
         self.labels = [fam.labels[i] for i in self.positions]
 
@@ -95,17 +105,17 @@ def is_d_rigid(c):
     """Rigidity of the collection, decided on labels and cross-checked
     against the family's Ext^d table, which canonical_cluster_tilting
     checked on the representations for every ordered pair.  Both are read
-    as per-family bitmasks over the collection's positions.
+    as per-family bitmasks, against the collection's ``mask``; a
+    disagreement is a fault of hga (InternalError).
 
     In the module category Ext^d(M_I, M_J) is nonzero exactly when J
     intertwines I.
     """
-    pos = c.positions
-    sel = sum(1 << i for i in pos)
+    pos, sel = c.positions, c.mask
     by_label, by_ext = _rigidity_masks(c.family)
     verdict = not any(by_label[i] & sel for i in pos)
     if verdict != (not any(by_ext[i] & sel for i in pos)):
-        raise HgaError(
+        raise InternalError(
             "label rigidity disagrees with the family's Ext^d table"
         )
     return verdict

@@ -42,8 +42,8 @@ class NotGorensteinVerified(HgaError):
     """Gorenstein-projective test called before the algebra was certified."""
 
 
-class LabelMatchFailed(HgaError):
-    """No digraph isomorphism between Ext pattern and intertwining pattern."""
+class LabelMatchFailed(InternalError):
+    """The checked Ext^d criterion fails on a family hga built itself."""
 
 
 class ScaleExceeded(HgaError):

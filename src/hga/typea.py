@@ -236,14 +236,20 @@ class LabelledModuleFamily:
     ext_edges: set              # pairs (i, j) with Ext^d(M_i, M_j) != 0
     report: dict
 
-    def index_of(self, t):
-        """Position of the module labelled t (a Tuple or its entries)."""
-        index = memo(self, "label index", lambda: {
+    def label_index(self):
+        """{entries: position} of every label, memoised on the family: one
+        read maps a whole collection's labels to positions."""
+        return memo(self, "label index", lambda: {
             lab.entries: i for i, lab in enumerate(self.labels)})
+
+    def index_of(self, t):
+        """Position of the module labelled t (a Tuple or its entries), read
+        from `label_index`."""
         ent = t.entries if isinstance(t, Tuple) else tuple(t)
-        if ent not in index:
-            raise KeyError(f"no module labelled {ent}")
-        return index[ent]
+        try:
+            return self.label_index()[ent]
+        except KeyError:
+            raise KeyError(f"no module labelled {ent}") from None
 
     def module_of(self, t):
         return self.modules[self.index_of(t)]

@@ -17,7 +17,12 @@ from hga.cluster import (
     is_d_rigid,
     is_d_tilting,
 )
-from hga.errors import AdjacencyViolation, HgaError, UnsupportedSummand
+from hga.errors import (
+    AdjacencyViolation,
+    HgaError,
+    InternalError,
+    UnsupportedSummand,
+)
 from hga.memo import peek
 from hga.presentations import presentation_to_dict
 from hga.typea import (
@@ -117,15 +122,46 @@ def test_projectives_endo_recovers_algebra(fam12):
 
 
 def test_collection_rejects_shifted_projective(fam12):
-    with pytest.raises(UnsupportedSummand):
-        SummandCollection(fam12, [(1, 3), (2, 5)])
+    # the first label outside the family names the error: one with the
+    # entry n+2d+1 = 5 is a shifted projective, any other an input error
+    with pytest.raises(UnsupportedSummand, match=r"\(2, 5\)"):
+        SummandCollection(fam12, [(1, 3), (2, 5), (1, 2)])
+    with pytest.raises(HgaError, match=r"label \(1, 2\) is not in") as err:
+        SummandCollection(fam12, [(1, 3), (1, 2), (2, 5)])
+    assert not isinstance(err.value, UnsupportedSummand)
 
 
 def test_collection_rejects_unknown_and_duplicates(fam12):
-    with pytest.raises(HgaError):
-        SummandCollection(fam12, [(1, 3), (1, 3)])
-    with pytest.raises(HgaError):
+    with pytest.raises(HgaError, match="not in the module family"):
+        SummandCollection(fam12, [(1, 3), (1, 3), (1, 2)])
+    with pytest.raises(HgaError, match="duplicate"):
+        SummandCollection(fam12, [(1, 4), [1, 3], fam12.labels[0]])
+    with pytest.raises(HgaError, match="empty"):
         SummandCollection(fam12, [])
+
+
+def test_collection_reads_the_label_index_once(fam24, monkeypatch):
+    """One read of the family's label index per collection, whatever the
+    labels' form, and the position mask kept with the positions."""
+    labels = [(2, 4, 6), [1, 3, 5], fam24.labels[3]]
+    positions = sorted(fam24.index_of(t) for t in labels)
+    reads = []
+    index = LabelledModuleFamily.label_index
+
+    def counted(fam):
+        reads.append(fam)
+        return index(fam)
+
+    def per_label(*args):
+        raise AssertionError("the collection looked up a label by itself")
+
+    monkeypatch.setattr(LabelledModuleFamily, "label_index", counted)
+    monkeypatch.setattr(LabelledModuleFamily, "index_of", per_label)
+    c = SummandCollection(fam24, labels)
+    assert reads == [fam24]
+    assert c.positions == positions
+    assert c.labels == [fam24.labels[i] for i in positions]
+    assert c.mask == sum(1 << i for i in positions)
 
 
 def test_rigidity_matches_intertwining(fam12):
@@ -339,7 +375,7 @@ def test_rigidity_reads_the_family_table(fam24, monkeypatch):
     assert is_d_rigid(SummandCollection(fam24, [(1, 3, 5), (1, 3, 6)]))
     # the label verdict is still cross-checked against the table
     blank = dataclasses.replace(fam24, ext_edges=set())
-    with pytest.raises(HgaError):
+    with pytest.raises(InternalError):
         is_d_rigid(SummandCollection(blank, [(1, 3, 5), (2, 4, 6)]))
 
 

@@ -3,8 +3,10 @@ certificates on one cover, and the rule that derived data lives in a memo
 or a constructor field, never in an attribute set from outside."""
 
 import ast
+import copy
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -180,25 +182,49 @@ def test_shared_cover_matches_fresh_cover(draws):
             assert cert_bytes(shared, e) == cert_bytes(fresh, e)
 
 
-def _vandalise(obj):
-    if isinstance(obj, dict):
-        for v in obj.values():
-            _vandalise(v)
-        obj["vandal"] = True
-    elif isinstance(obj, list):
-        for v in obj:
-            _vandalise(v)
-        obj.append("vandal")
+# every way to change a dict or a list in place, each run on x
+DICT_EDITS = ["x['vandal'] = 1", "del x['vandal']", "x |= {'vandal': 1}",
+              "x.clear()", "x.pop('vandal', None)", "x.popitem()",
+              "x.setdefault('vandal', 1)", "x.update(vandal=1)"]
+LIST_EDITS = ["x[:] = ['vandal']", "x[0] = 'vandal'", "del x[:]",
+              "x += ['vandal']", "x *= 2", "x.append('vandal')", "x.clear()",
+              "x.extend(['vandal'])", "x.insert(0, 'vandal')", "x.pop()",
+              "x.remove('vandal')", "x.reverse()", "x.sort()"]
+
+
+def _edits(x):
+    return DICT_EDITS if isinstance(x, dict) else LIST_EDITS
 
 
 def test_mutating_to_dict_leaves_next_certificate_unchanged():
+    """A report's ``to_dict`` builds only its own top-level dicts, which its
+    caller may edit.  Every part below them is shared with the report's
+    next ``to_dict`` and with other reports on the cover, and each way of
+    changing one in place raises TypeError.  So the next report of the
+    first certificate, and the next certificate on the cover, keep their
+    bytes."""
     cover = build_typeA_auslander(3, 3)
     e = Idempotent.of(["135", "136", "146", "246"])
     first = is_d_gentle_certificate(cover, e, 1)
     expected = json.dumps(first.to_dict(), sort_keys=True)
-    out = first.to_dict()
-    _vandalise(out)
-    _vandalise(axioms.check_axioms(cover, 2).to_dict())
+    read_only = 0
+    for report in (first, axioms.check_axioms(cover, 2),
+                   axioms.is_pre_gentle(cover, 2)):
+        out = report.to_dict()
+        shared = {id(x) for x in _containers(report.to_dict())}
+        for x in _containers(out):
+            if id(x) not in shared:
+                assert type(x) is dict
+                x.clear()
+                x["vandal"] = True
+                continue
+            before = copy.deepcopy(x)
+            for edit in _edits(x):
+                with pytest.raises(TypeError):
+                    exec(edit, {"x": x})
+            assert x == before
+            read_only += 1
+    assert read_only > 30
     assert json.dumps(first.to_dict(), sort_keys=True) == expected
     assert cert_bytes(cover, e, 1) == expected
 
@@ -265,9 +291,10 @@ def _containers(x):
 
 
 def test_reports_are_independent_copies(draws):
-    """A report hands out copies of what the memo shares: mutating every
-    list and dict of one leaves the next certificate on the cover as a
-    fresh process writes it."""
+    """``copy.deepcopy`` of a report is an editable copy: plain dicts and
+    lists, equal to the report, with its JSON bytes.  Mutating every list
+    and dict of it leaves the report, and the next certificate on the
+    cover, as a fresh process writes it."""
     e1, e2 = draws[3][:2]
     script = (
         "import json, sys\n"
@@ -284,7 +311,11 @@ def test_reports_are_independent_copies(draws):
     first = is_d_gentle_certificate(cover, e1, 2)
     report = first.to_dict()
     before = json.dumps(report, sort_keys=True)
-    mutable = _containers(report)
+    edited = copy.deepcopy(report)
+    assert edited == report
+    assert json.dumps(edited, sort_keys=True) == before
+    mutable = _containers(edited)
+    assert all(type(x) in (dict, list) for x in mutable)
     assert any(isinstance(x, list) and x for x in mutable)
     for x in mutable:
         if isinstance(x, dict):
@@ -294,6 +325,22 @@ def test_reports_are_independent_copies(draws):
             x[:] = ["mutated"]
     assert cert_bytes(cover, e2) == fresh
     assert json.dumps(first.to_dict(), sort_keys=True) == before
+
+
+def test_read_only_parts_pickle_and_compare_as_plain_data():
+    part = axioms._frozen({"a": [1, {"b": (2, 3)}], "c": []})
+    plain = {"a": [1, {"b": (2, 3)}], "c": []}
+    assert part == plain and plain == part
+    assert isinstance(part["a"], axioms.ReadOnlyList)
+    assert isinstance(part["a"][1], axioms.ReadOnlyDict)
+    assert json.dumps(part, sort_keys=True) == json.dumps(plain,
+                                                          sort_keys=True)
+    assert json.dumps(part, indent=2) == json.dumps(plain, indent=2)
+    assert repr(part) == repr(plain)
+    assert axioms._frozen(part) is part
+    for clone in (pickle.loads(pickle.dumps(part)), copy.copy(part)):
+        assert clone == plain and type(clone) is axioms.ReadOnlyDict
+        assert type(clone["a"]) is axioms.ReadOnlyList
 
 
 def attribute_stores(source, exempt=()):

@@ -461,6 +461,33 @@ def test_reduce_to_gentle_invariant_is_seed_free(n, d, idx):
     assert digests == TRACE_DIGESTS[(n, d, tuple(idx))]
 
 
+@pytest.mark.parametrize("n, d, idx", [(4, 2, [2, 4]), (4, 3, [2])])
+def test_reduction_corners_have_nilpotent_radicals(n, d, idx, monkeypatch):
+    """A corner B = eAe that ``represent`` rebuilds skips the nilpotency
+    check its relations of mixed lengths would ask for: rad(eAe)^k lies in
+    e·rad(A)^k·e.  The dropped check is made here, on every corner of a
+    seedless reduction, against the index of its ambient; on (4, 3, [2])
+    one corner has such relations."""
+    corners = []
+    present = algebras._present
+
+    def recording(corner):
+        out = present(corner)
+        if isinstance(corner, algebras.CornerQuiver):
+            corners.append(out[0])
+        return out
+
+    monkeypatch.setattr(algebras, "_present", recording)
+    reduce_to_gentle(cluster_endo_algebra(ctgent_family(n, d, idx)).algebra)
+    assert corners
+    mixed = 0
+    for b in corners:
+        assert b.rad_nilpotency() <= b.ambient.rad_nilpotency()
+        mixed += any(map(algebras._mixes,
+                         (r.terms for r in b.presentation.relations)))
+    assert mixed == (d == 3)
+
+
 def test_reduction_leaves_no_quotient_or_corner_on_its_input():
     # the quotients and corners of a candidate are cached on a scope that
     # ends with the candidate, never on the algebra being reduced

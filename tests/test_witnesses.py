@@ -1,7 +1,8 @@
 """The witnesses of d-gentle certificates, re-checked by the independent
 checker of ``witness_check``: on every label subset of the ``rigid`` pool,
-certified against A^3_n, on the ``ctgent`` covers, and on fixtures whose
-corners hold cubes."""
+certified against A^3_n, on the ``ctgent`` covers, on fixtures whose
+corners hold cubes and on one whose (E1) and (E2) fail.  Report parts are
+read-only, so a tampered report is an edited ``copy.deepcopy``."""
 
 import copy
 import random
@@ -9,7 +10,13 @@ from collections import Counter
 
 import pytest
 
-from hga import Idempotent, build_algebra
+from hga import (
+    BoundQuiverPresentation,
+    Idempotent,
+    Quiver,
+    build_algebra,
+    zero_relation,
+)
 from hga.axioms import is_d_gentle_certificate
 from hga.cluster import ctgent_cover, ctgent_family
 from hga.typea import build_typeA_auslander
@@ -32,7 +39,8 @@ def test_rigid_pool_witnesses():
             for sub in part:
                 e = Idempotent.of(["".join(map(str, t)) for t in sub])
                 checked += check_certificate(*certified(cover, e, 2))
-    assert checked == {"sandwich": 52, "E4 sandwich": 37}
+    assert checked == {"E1/E2 entries": 432, "sandwich": 52,
+                       "E4 sandwich": 37}
 
 
 def test_ctgent_cover_witnesses():
@@ -40,7 +48,8 @@ def test_ctgent_cover_witnesses():
     for n, d, idx in CTGENT_POOL:
         cover, e = ctgent_cover(ctgent_family(n, d, list(idx)))
         checked += check_certificate(*certified(cover.algebra, e, d))
-    assert checked == {"sandwich": 4, "E4 sandwich": 2}
+    assert checked == {"E1/E2 entries": 26, "sandwich": 4,
+                       "E4 sandwich": 2}
 
 
 def cube_fixtures():
@@ -60,8 +69,33 @@ def test_cube_witnesses():
     checked = Counter()
     for cover, e, d in cube_fixtures():
         checked += check_certificate(*certified(cover, e, d))
-    assert checked == {"pattern-scan cube": 4, "enumeration cube": 1,
-                       "sandwich": 2, "E4 sandwich": 1}
+    assert checked == {"E1/E2 entries": 10, "pattern-scan cube": 4,
+                       "enumeration cube": 1, "sandwich": 2,
+                       "E4 sandwich": 1}
+
+
+def zero_fans():
+    """x -> y by a, with g1, g2 -> x and y -> h1, h2 zero on it and g3, h3
+    nonzero: (E1) and (E2) fail on a, and (E4) names (E1)'s witness."""
+    q = Quiver(["u1", "u2", "u3", "x", "y", "w1", "w2", "w3"],
+               [("g1", "u1", "x"), ("g2", "u2", "x"), ("g3", "u3", "x"),
+                ("a", "x", "y"),
+                ("h1", "y", "w1"), ("h2", "y", "w2"), ("h3", "y", "w3")])
+    return build_algebra(BoundQuiverPresentation(q, [
+        zero_relation(p) for p in (("g1", "a"), ("g2", "a"), ("a", "h1"),
+                                   ("a", "h2"))]))
+
+
+def test_zero_chain_witnesses():
+    a = zero_fans()
+    report, cover, corner = certified(a, Idempotent.of(a.vertices), 2)
+    entries = report["preGentle"]["axioms"]["axioms"]
+    assert entries["E1"]["witnesses"] == [
+        {"arrow": "a", "zeroPredecessors": ["g1", "g2"]}]
+    assert entries["E2"]["witnesses"] == [
+        {"arrow": "a", "zeroSuccessors": ["h1", "h2"]}]
+    assert check_certificate(report, cover, corner) == {
+        "E1/E2 entries": 2, "E1/E2 witness": 2, "E4 zero chain": 1}
 
 
 def test_failing_pattern_scan_re_presents_its_corner_once():
@@ -84,23 +118,38 @@ def test_failing_pattern_scan_re_presents_its_corner_once():
 
 
 def tampered(report, mode):
-    """report with its cube or its first sandwich made false."""
+    """An edited copy of report with its cube, its first sandwich or an
+    (E1)/(E2) entry made false.  The report's parts are read-only, so the
+    copy comes first."""
     report = copy.deepcopy(report)
+    entries = report["preGentle"]["axioms"]["axioms"]
     if mode == "cube":
         arrows = report["cubeCheck"]["witness"]["arrows"]
         arrows["+0"], arrows["+1"] = arrows["+1"], arrows["+0"]
     elif mode == "face":
         arrows = report["cubeCheck"]["witness"]["arrows"]
         arrows["0+1"] = arrows["+1"]
-    else:
-        w = report["preGentle"]["axioms"]["axioms"]["E3"]["witnesses"][0]
+    elif mode == "sandwich":
+        w = entries["E3"]["witnesses"][0]
         w["zeroRelations"][0] = w["commutativity"][0]
+    elif mode == "nonzero partner":
+        entries["E1"]["witnesses"][0]["zeroPredecessors"][1] = "g3"
+    elif mode == "missing witness":
+        entries["E2"] = {"pass": True, "witnesses": []}
+    else:
+        report["preGentle"]["E4"]["witness"]["subset"].pop()
     return report
 
 
-@pytest.mark.parametrize("mode", ["cube", "face", "sandwich"])
+@pytest.mark.parametrize("mode", ["cube", "face", "sandwich",
+                                  "nonzero partner", "missing witness",
+                                  "E4 subset"])
 def test_checker_rejects_tampered_witnesses(mode):
-    if mode == "sandwich":
+    if mode in ("nonzero partner", "missing witness", "E4 subset"):
+        cover = zero_fans()
+        report, cover, corner = certified(
+            cover, Idempotent.of(cover.vertices), 2)
+    elif mode == "sandwich":
         cover = build_typeA_auslander(3, 3)
         e = Idempotent.of(["136", "146", "147", "157", "257", "357"])
         report, cover, corner = certified(cover, e, 2)
@@ -109,5 +158,7 @@ def test_checker_rejects_tampered_witnesses(mode):
         report, cover, corner = certified(
             cover, Idempotent.of(cover.vertices), 1)
     check_certificate(report, cover, corner)
+    with pytest.raises(TypeError):      # the report is not edited in place
+        report["preGentle"]["E4"]["witness"] = None
     with pytest.raises(AssertionError):
         check_certificate(tampered(report, mode), cover, corner)

@@ -16,9 +16,15 @@ what it states, at a cost linear in the witness once its corner is taken.
   nonzero elements, each stated zero relation is a composable pair with
   product 0, and the six vertices are distinct.  An (E4) witness that
   repeats an (E3) sandwich also names those six vertices as its subset.
+- The (E1) and (E2) entries, on the cover: each stated zero predecessor
+  (successor) of an arrow composes with it, the product is 0, and the
+  witnesses are complete, one for each arrow with more than one such
+  partner, naming all of them.  The cover's arrows are its basis elements
+  labelled by one arrow name.  An (E4) witness that repeats an (E1) or
+  (E2) witness also names the ends of its arrows as its subset.
 """
 
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import combinations
 
@@ -108,6 +114,50 @@ def check_sandwich(hull_corner, witness):
     return six
 
 
+def check_zero_chains(cover, entries):
+    """Check the (E1) and (E2) entries of the cover's axioms against its
+    mult; returns {(entry name, arrow): vertices of the witness's arrows}
+    for each witness checked."""
+    nv, src, tgt = len(cover.vertices), cover.basis_src, cover.basis_tgt
+    arrows = {lab[0]: b for b, lab in enumerate(cover.basis_labels)
+              if b >= nv and len(lab) == 1}
+    into, out = defaultdict(list), defaultdict(list)
+    for name, b in arrows.items():
+        out[src[b]].append(name)
+        into[tgt[b]].append(name)
+
+    def zero(first, second):
+        return not _product(cover, arrows[second], arrows[first])
+
+    spans = {}
+    for key, field, before in (("E1", "zeroPredecessors", True),
+                               ("E2", "zeroSuccessors", False)):
+        stated = {}
+        for w in entries[key]["witnesses"]:
+            arrow, partners = w["arrow"], w[field]
+            for z in partners:
+                first, second = (z, arrow) if before else (arrow, z)
+                assert tgt[arrows[first]] == src[arrows[second]], (first,
+                                                                   second)
+                assert zero(first, second), (first, second)
+            assert arrow not in stated
+            stated[arrow] = partners
+            spans[(key, arrow)] = {v for name in [arrow] + partners
+                                   for v in (src[arrows[name]],
+                                             tgt[arrows[name]])}
+        complete = {}
+        for name, b in arrows.items():
+            if before:
+                partners = [z for z in into[src[b]] if zero(z, name)]
+            else:
+                partners = [z for z in out[tgt[b]] if zero(name, z)]
+            if len(partners) > 1:
+                complete[name] = sorted(partners)
+        assert stated == complete, key
+        assert entries[key]["pass"] == (not stated)
+    return spans
+
+
 def check_certificate(report, cover, corner):
     """Check every witness of a certificate's report (``to_dict()``) against
     its cover and its reported corner; returns the counts of witnesses
@@ -116,13 +166,23 @@ def check_certificate(report, cover, corner):
     by_name = {str(v): v for v in cover.vertices}
     hull = RawCorner(cover, Idempotent.of(by_name[v] for v in report["hull"]))
     pre = report["preGentle"]
-    for w in pre["axioms"]["axioms"]["E3"]["witnesses"]:
+    entries = pre["axioms"]["axioms"]
+    spans = check_zero_chains(cover, entries)
+    checked["E1/E2 entries"] += 2
+    checked["E1/E2 witness"] += len(spans)
+    for w in entries["E3"]["witnesses"]:
         check_sandwich(hull, w)
         checked["sandwich"] += 1
     e4 = pre["E4"]["witness"]
     if e4 is not None and e4["axiom"] == "E3":
         assert set(e4["subset"]) == check_sandwich(hull, e4)
         checked["E4 sandwich"] += 1
+    elif e4 is not None:
+        key = e4["axiom"]
+        assert {k: v for k, v in e4.items() if k not in ("axiom", "subset")} \
+            == entries[key]["witnesses"][0]
+        assert e4["subset"] == sorted(spans[(key, e4["arrow"])], key=str)
+        checked["E4 zero chain"] += 1
     cube = report["cubeCheck"]
     if cube["witness"] is not None:
         check_cube(corner, cube["witness"], cube["mode"])

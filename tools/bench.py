@@ -27,7 +27,6 @@ from one ladder to the next.
 """
 
 import argparse
-import copy
 import json
 import os
 import platform
@@ -49,7 +48,16 @@ from workloads import (  # noqa: E402
     rigid_pool,
 )
 
-from hga import algebras, axioms, cluster, linalg, reduction, reps, typea  # noqa: E402
+from hga import (  # noqa: E402
+    algebras,
+    axioms,
+    cluster,
+    linalg,
+    memo,
+    reduction,
+    reps,
+    typea,
+)
 from hga.presentations import Idempotent  # noqa: E402
 
 
@@ -161,6 +169,40 @@ def rows_copied(orig, counts):
             counts["unchecked_rows_copied"] += len(m)
         return out
     return entries
+
+
+def containers(x):
+    """Every dict and list nested in x, x included."""
+    if isinstance(x, dict):
+        children = x.values()
+    elif isinstance(x, (list, tuple)):
+        children = x
+    else:
+        return []
+    own = [x] if isinstance(x, (dict, list)) else []
+    return own + [c for child in children for c in containers(child)]
+
+
+def containers_built(orig, counts):
+    """``GentleCertificate.to_dict``, counting in ``containers_built`` the
+    dicts and lists of its result that a second ``to_dict`` of the same
+    certificate does not share: those each call builds anew."""
+    def to_dict(cert):
+        out, again = orig(cert), orig(cert)
+        shared = {id(x) for x in containers(again)}
+        counts["containers_built"] += sum(
+            id(x) not in shared for x in containers(out))
+        return out
+    return to_dict
+
+
+def label_lookups(orig, counts):
+    """``memo.memo``, counting in ``label_lookups`` the reads of a module
+    family's label index, the memo key ``"label index"``."""
+    def counted(obj, key, compute):
+        counts["label_lookups"] += key == "label index"
+        return orig(obj, key, compute)
+    return counted
 
 
 def no_inputs():
@@ -367,22 +409,24 @@ class Certificate(Ladder):
 
     ``wall_s`` is the median of 7 runs of a row's certificates and reports;
     the counts are the top-level calls (those a function does not make
-    itself) of ``algebras.represent``, ``algebras._normal_words`` and
-    ``copy.deepcopy``, and every ``Algebra`` construction and
-    ``SparseRREF.add`` call.  Covers are built, and their cover-level axioms
-    memoised, before anything is counted or timed, so a row measures what
-    each certificate adds over its cover's shared checks: the hull's (E3),
-    the corner and its cube check.  ``total`` sums the rows of each
-    workload.  ``--check`` runs every row: a guard against a passing
-    certificate re-presenting a corner, a failing one re-presenting more
-    than its corner once, and reports deep-copying what the memo shares.
+    itself) of ``algebras.represent`` and ``algebras._normal_words``, every
+    ``Algebra`` construction and ``SparseRREF.add`` call, and
+    ``containers_built``, the dicts and lists each report's ``to_dict``
+    builds anew (see ``containers_built``).  Covers are built, and their
+    cover-level axioms memoised, before anything is counted or timed, so a
+    row measures what each certificate adds over its cover's shared checks:
+    the hull's (E3), the corner and its cube check.  ``total`` sums the rows
+    of each workload.  ``--check`` runs every row: a guard against a
+    passing certificate re-presenting a corner, a failing one re-presenting
+    more than its corner once, and reports copying what the memo shares.
     """
 
     repeat, average, digits = 7, staticmethod(statistics.median), 5
     rows_at = "rows"
     counted = [(algebras, "represent", "represent_calls", "top"),
                (algebras, "_normal_words", "normal_words_calls", "top"),
-               (copy, "deepcopy", "deepcopy_calls", "top"),
+               (axioms.GentleCertificate, "to_dict", ("containers_built",),
+                containers_built),
                (algebras.Algebra, "__init__", "algebra_inits", "all"),
                (linalg.SparseRREF, "add", "sparse_add_calls", "all")]
 
@@ -420,17 +464,25 @@ class Certificate(Ladder):
             for group in ("rigid", "ctgent", "cube")}}
 
 
-def rigid_collections():
-    """The label subsets of one ``rigid`` pass, as collections on shared
-    families, each family warmed as the benchmark's warm-up does."""
+def rigid_families():
+    """(family, label subsets): the families of a ``rigid`` pass, each
+    warmed as the benchmark's warm-up does, with its label subsets as a
+    ``rigid`` job gives them."""
     out = []
     for n, (rigid, other) in rigid_pool().items():
         fam = typea.canonical_cluster_tilting(
             typea.build_typeA_auslander(n, 2))
         cluster.is_d_rigid(cluster.SummandCollection(fam, fam.labels))
-        out += [cluster.SummandCollection(fam, [list(t) for t in sub])
-                for sub in rigid + other]
+        out.append((fam, [[list(t) for t in sub] for sub in rigid + other]))
     return out
+
+
+def rigid_collections(families=None):
+    """The label subsets of one ``rigid`` pass, as collections on shared
+    families (``rigid_families``)."""
+    return [cluster.SummandCollection(fam, labels)
+            for fam, subsets in families or rigid_families()
+            for labels in subsets]
 
 
 def rigid_pass(collections):
@@ -452,7 +504,7 @@ def ctgent_round(collections):
 class Family(Ladder):
     """Pair data on the labelled module family.
 
-    Two rows, each timed by the median of 7 runs on fresh families:
+    Three rows, each timed by the median of 7 runs on fresh families:
 
     - ``rigid``: one pass of the ``rigid`` workload, that is its 216 label
       subsets (six rounds draw each pool entry once), on the canonical
@@ -462,6 +514,9 @@ class Family(Ladder):
       ``is_d_rigid``.  Each family first runs ``is_d_rigid`` on all of its
       labels, unmeasured, as the benchmark's warm-up does, so what the
       family memoises for rigidity is built before the pass.
+    - ``collections``: the 216 ``SummandCollection`` of that pass, built on
+      the same warmed families.  ``label_lookups`` counts the reads of a
+      family's label index (``label_lookups``).
     - ``ctgent``: one seedless round of the 13 keys of the ``ctgent`` pool.
       Each key builds a fresh family with ``ctgent_family``, unmeasured,
       then End(c) with ``cluster_endo_algebra`` and End(cover) with
@@ -473,9 +528,9 @@ class Family(Ladder):
       and ``reps.comparison_map``, so they count the maps computed, not the
       lookups.
 
-    ``--check`` runs both: a guard against per-query Ext computations,
-    label comparisons and label lookups, and per-collection pair data,
-    coming back.
+    ``--check`` runs all three: a guard against per-query Ext computations,
+    label comparisons and label lookups, a lookup per label, and
+    per-collection pair data, coming back.
     """
 
     repeat, average = 7, staticmethod(statistics.median)
@@ -487,6 +542,8 @@ class Family(Ladder):
                    (typea.LabelledModuleFamily, "index_of", "index_of_calls",
                     "scoped")],
                   (cluster, "is_d_rigid")),
+        "collections": ([(memo, "memo", ("label_lookups",), label_lookups)],
+                        None),
         "ctgent": ([(home, name, f"{name}_calls", "scoped")
                     for home, name in ((reps, "hom_basis"), (reps, "ExtSpace"),
                                        (cluster, "_local_radical_basis"),
@@ -497,6 +554,7 @@ class Family(Ladder):
 
     def rows(self):
         return [Row("rigid", None, rigid_pass, rigid_collections),
+                Row("collections", None, rigid_collections, rigid_families),
                 Row("ctgent", None, ctgent_round, ctgent_families)]
 
     def counting(self, row):
@@ -506,19 +564,22 @@ class Family(Ladder):
 class Reduction(Ladder):
     """A seedless ``reduce_to_gentle`` on the cluster endomorphism algebra
     of ``ctgent_family``, for the 13 keys of the ``ctgent`` pool, then
-    (7, 2, [2, 4, 6]) and (5, 3, [3]).
+    (7, 2, [2, 4, 6]), (5, 3, [3]) and (6, 3, [2]), whose corners have
+    relations of mixed lengths.
 
     ``reduce_s`` is the best of 3 runs, each on a freshly built algebra
     (the reduction memoises on its input).  The counts are the calls of
-    ``quotient_by_idempotent``, ``idempotent_subalgebra``, ``represent``
-    and ``build_algebra``, and ``rank_evals``, the morphism ranks that
-    ``reduction._max_rank_morphism`` evaluates (``_morphism_rank`` calls).
-    A quotient is built once from its presentation and re-presents
-    nothing, so ``represent`` counts the corners, and ``build_algebra``
-    counts each quotient once among its calls.  ``pool_counts`` sums them over the 13 pool keys: one
-    seedless round of the chain's reductions.  ``--check`` runs every key
-    but (7, 2, [2, 4, 6]): a guard against rebuilt quotients and corners,
-    and quotients re-presented through a raw table, coming back.
+    ``quotient_by_idempotent``, ``idempotent_subalgebra``, ``represent``,
+    ``build_algebra`` and ``Algebra.rad_nilpotency``, and ``rank_evals``,
+    the morphism ranks that ``reduction._max_rank_morphism`` evaluates
+    (``_morphism_rank`` calls).  A quotient is built once from its
+    presentation and re-presents nothing, so ``represent`` counts the
+    corners, and ``build_algebra`` counts each quotient once among its
+    calls.  ``pool_counts`` sums them over the 13 pool keys: one seedless
+    round of the chain's reductions.  ``--check`` runs every key but
+    (7, 2, [2, 4, 6]) and (6, 3, [2]): a guard against rebuilt quotients and corners,
+    quotients re-presented through a raw table, and a nilpotency check on
+    a re-presented corner, coming back.
     """
 
     time_key = "reduce_s"
@@ -526,11 +587,13 @@ class Reduction(Ladder):
     counted = [(algebras, name, f"{name}_calls", "all")
                for name in ("quotient_by_idempotent", "idempotent_subalgebra",
                             "represent", "build_algebra")] + [
+        (algebras.Algebra, "rad_nilpotency", "rad_nilpotency_calls", "all"),
         (reduction, "_morphism_rank", "rank_evals", "all")]
 
     def rows(self):
         out = []
-        for n, d, idx in CTGENT_POOL + [(7, 2, (2, 4, 6)), (5, 3, (3,))]:
+        for n, d, idx in CTGENT_POOL + [(7, 2, (2, 4, 6)), (5, 3, (3,)),
+                                        (6, 3, (2,))]:
             key = ctgent_key(n, d, idx)
             out.append(Row(
                 key, n, lambda a: reduction.reduce_to_gentle(a),
