@@ -50,35 +50,26 @@ def sparse(vec):
     return {j: c for j, c in enumerate(vec) if c}
 
 
-def zeros(nrows, ncols):
-    return [[F0] * ncols for _ in range(nrows)]
-
-
 def identity(n):
-    m = zeros(n, n)
+    out = []
     for i in range(n):
-        m[i][i] = F1
-    return m
-
-
-def copy_matrix(m):
-    return [row[:] for row in m]
+        row = [F0] * n
+        row[i] = F1
+        out.append(row)
+    return out
 
 
 def mat_mul(a, b):
-    n, k = len(a), len(b)
     p = len(b[0]) if b else 0
-    out = zeros(n, p)
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
+    out = []
+    for ai in a:
+        row = [F0] * p
+        for c, bt in zip(ai, b):
             if c:
-                bt = b[t]
-                for j in range(p):
-                    if bt[j]:
-                        oi[j] += c * bt[j]
+                for j, y in enumerate(bt):
+                    if y:
+                        row[j] += c * y
+        out.append(row)
     return out
 
 
@@ -91,90 +82,94 @@ def mat_scale(c, a):
 
 
 def mat_vec(a, v):
-    return [sum((c * x for c, x in zip(row, v) if c), F0) for row in a]
+    out = []
+    for row in a:
+        s = F0
+        for c, x in zip(row, v):
+            if c:
+                s += c * x
+        out.append(s)
+    return out
 
 
 def transpose(m):
-    if not m:
-        return []
-    return [list(col) for col in zip(*m)]
+    return list(map(list, zip(*m)))
+
+
+def _echelon(m):
+    """rref's rows and pivots, without the copies: a row that elimination
+    leaves as it is stays the input's own row object.  A pivot row is
+    scaled only when its pivot is not 1; multiplying by 1 would change no
+    value and no scalar type."""
+    rows = list(m)
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        if r == nrows:
+            break
+        for pr in range(r, nrows):
+            if rows[pr][c]:
+                break
+        else:
+            continue
+        prow = rows[pr]
+        rows[pr] = rows[r]
+        if prow[c] != F1:
+            inv = div(F1, prow[c])
+            prow = [x * inv for x in prow]
+        rows[r] = prow
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = [x - f * y for x, y in zip(row, prow)]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
 
 
 def rref(m):
-    """Reduced row echelon form; returns (matrix, pivot column list)."""
-    m = copy_matrix(m)
-    nrows, ncols = len(m), len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = div(F1, m[r][c])
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
+    """Reduced row echelon form; returns (matrix, pivot column list), every
+    row a new list, m left as it is.  One row, as most calls from L2 have,
+    is read directly: its first nonzero entry is the pivot."""
+    if len(m) == 1:
+        row = m[0]
+        for c, x in enumerate(row):
+            if x:
+                if x != F1:
+                    inv = div(F1, x)
+                    return [[y * inv for y in row]], [c]
+                return [row[:]], [c]
+        return [row[:]], []
+    rows, pivots = _echelon(m)
+    given = set(map(id, m))
+    for i, row in enumerate(rows):
+        if id(row) in given:
+            rows[i] = row[:]
+    return rows, pivots
 
 
 def rank(m):
-    rows = [row for row in m if any(row)]
-    return len(rref(rows)[1]) if rows else 0
+    return len(_echelon(m)[1])
 
 
 def nullspace(m, ncols=None):
-    """Basis (list of vectors) of the right nullspace of m."""
+    """Basis (list of vectors) of the right nullspace of m; an m with no
+    rows has ncols columns."""
     if not m:
-        return [] if not ncols else [
-            [F1 if i == j else F0 for i in range(ncols)] for j in range(ncols)
-        ]
-    red, pivots = rref(m)
+        return identity(ncols or 0)
+    red, pivots = _echelon(m)
     ncols = len(m[0])
-    piv_set = set(pivots)
     basis = []
     for free in range(ncols):
-        if free in piv_set:
+        if free in pivots:
             continue
         v = [F0] * ncols
         v[free] = F1
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][free]
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[free]
         basis.append(v)
     return basis
-
-
-def solve(a, b):
-    """One solution x of a x = b, or None if inconsistent.  An a with no
-    rows stands for len(b) equations in no unknowns."""
-    if not a:
-        return None if any(b) else []
-    nrows = len(a)
-    ncols = len(a[0])
-    aug = [a[i][:] + [b[i]] for i in range(nrows)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = [F0] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return x
-
-
-def reduce_mod_rows(rows_rref, pivots, v):
-    """Remainder of v after elimination against an rref row basis."""
-    v = v[:]
-    for r, pc in enumerate(pivots):
-        if v[pc]:
-            f = v[pc]
-            v = [x - f * y for x, y in zip(v, rows_rref[r])]
-    return v
 
 
 class SparseRREF:

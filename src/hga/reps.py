@@ -430,16 +430,14 @@ def _kernel(f):
     alg = m.algebra
     free, incl_blocks = {}, {}
     for v in m.support:
-        red, pivots = linalg.rref(f.blocks[v]) if n.dims[v] else ([], [])
-        piv = set(pivots)
-        cols = [j for j in range(m.dims[v]) if j not in piv]
-        if not cols:
+        red, pivots = linalg.rref(f.blocks[v]) if n.dims[v] else ((), ())
+        if len(pivots) == m.dims[v]:
             continue
-        block = [[F0] * len(cols) for _ in range(m.dims[v])]
-        for t, j in enumerate(cols):
-            block[j][t] = F1
-            for r, pc in enumerate(pivots):
-                block[pc][t] = -red[r][j]
+        cols = [j for j in range(m.dims[v]) if j not in pivots]
+        # the unit rows of the free columns, then each pivot row in its place
+        block = linalg.identity(len(cols))
+        for row, pc in zip(red, pivots):
+            block.insert(pc, [-row[j] for j in cols])
         free[v], incl_blocks[v] = cols, block
     arrows_from = alg.quiver.arrows_from
     maps = {}
@@ -449,8 +447,7 @@ def _kernel(f):
             if not m.dims[w]:
                 continue
             img = linalg.mat_mul(m.maps[ar.name], block)
-            if n.dims[w] and any(
-                    any(row) for row in linalg.mat_mul(f.blocks[w], img)):
+            if n.dims[w] and any(map(any, linalg.mat_mul(f.blocks[w], img))):
                 raise InternalError("kernel is not a subrepresentation")
             if w in free:
                 maps[ar.name] = [img[j] for j in free[w]]
@@ -487,8 +484,7 @@ def radical_vectors(m):
         vecs = out[w] = []
         for ar in arrows_to[w]:
             if dims[ar.source]:
-                vecs.extend(list(col) for col in zip(*m.maps[ar.name])
-                            if any(col))
+                vecs.extend(map(list, filter(any, zip(*m.maps[ar.name]))))
     return out
 
 
@@ -498,11 +494,13 @@ def projective_cover(m):
     rad = radical_vectors(m)
     summands, images = [], []
     for v in m.support:
-        piv = set(linalg.rref(rad[v])[1]) if rad[v] else ()
-        for k in range(m.dims[v]):
-            if k not in piv:
+        pivots = linalg.rref(rad[v])[1] if rad[v] else ()
+        if len(pivots) == m.dims[v]:
+            continue
+        for k, unit in enumerate(linalg.identity(m.dims[v])):
+            if k not in pivots:
                 summands.append(v)
-                images.extend(F1 if i == k else F0 for i in range(m.dims[v]))
+                images += unit
     if not summands:
         p = zero_representation(alg)
         return p, Morphism(p, m, {}, check=False), []
@@ -524,7 +522,7 @@ def from_generators(p, vertices, n, images):
     images concatenates one vector of n_v per summand, in order.  A basis
     path b of P_v goes to n(b) applied to the image, one arrow at a time."""
     alg = p.algebra
-    nv = len(alg.vertices)
+    nv, labels = len(alg.vertices), alg.basis_labels
     blocks = {}
     start = 0
     for v, ((ids, _), off) in zip(vertices, _summand_offsets(alg, vertices)):
@@ -540,10 +538,10 @@ def from_generators(p, vertices, n, images):
             if block is None:
                 block = blocks[w] = [[F0] * p.dims[w] for _ in range(n.dims[w])]
             for col, b in enumerate(w_ids, off[w]):
-                path = alg.basis_labels[b] if b >= nv else ()
-                for row, x in enumerate(_act(n, path, acted)):
+                vec = _act(n, labels[b] if b >= nv else (), acted)
+                for row, x in zip(block, vec):
                     if x:
-                        block[row][col] = x
+                        row[col] = x
     return Morphism(p, n, blocks, check=False)
 
 
@@ -659,14 +657,17 @@ def is_injective(m):
 def _summand_offsets(alg, vertices):
     """Each summand P_v of the sum of projectives (v in vertices), as its
     basis (see _projective_basis) with its first coordinate at every
-    vertex of its support."""
-    out, run = [], {}
-    for v in vertices:
-        basis = _projective_basis(alg, v)
-        out.append((basis, {w: run.get(w, 0) for w in basis[0]}))
-        for w, ids in basis[0].items():
-            run[w] = run.get(w, 0) + len(ids)
-    return out
+    vertex of its support; memoised on alg per vertex list."""
+    def compute():
+        out, run = [], {}
+        for v in vertices:
+            basis = _projective_basis(alg, v)
+            out.append((basis, {w: run.get(w, 0) for w in basis[0]}))
+            for w, ids in basis[0].items():
+                run[w] = run.get(w, 0) + len(ids)
+        return out
+
+    return memo(alg, ("summand offsets", tuple(vertices)), compute)
 
 
 def _coboundary(n, summands, diff, k):

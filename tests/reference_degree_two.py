@@ -17,6 +17,7 @@ from hga import linalg
 from hga.axioms import _as_algebra, _closure_dim
 from hga.linalg import F0, F1
 from hga.presentations import RelationElement
+from reference_linalg import reduce_mod_rows
 
 
 def degree_two_kernel(alg):
@@ -40,7 +41,7 @@ def degree_two_kernel(alg):
 
 
 def _in_span(rows, pivots, v):
-    return not any(linalg.reduce_mod_rows(rows, pivots, v))
+    return not any(reduce_mod_rows(rows, pivots, v))
 
 
 def _plane_intersection(rows, pivots, n, i1, i2):
@@ -50,7 +51,7 @@ def _plane_intersection(rows, pivots, n, i1, i2):
     for i in (i1, i2):
         e = [F0] * n
         e[i] = F1
-        units.append(linalg.reduce_mod_rows(rows, pivots, e))
+        units.append(reduce_mod_rows(rows, pivots, e))
     mat = [[units[0][k], units[1][k]] for k in range(n)]
     out = []
     for c1, c2 in linalg.nullspace(mat, ncols=2):

@@ -1,11 +1,14 @@
 """The counting harness of the BENCH ladders (``tools/bench.py``): it
 rebinds a counted name wherever hga bound it, puts every binding back, and
-counts the calls each mode asks for."""
+counts the calls each mode asks for, and the frames entered in a
+module."""
+
+import sys
 
 import pytest
 
 from bench import Counting
-from hga import algebras, cluster, reps
+from hga import algebras, cluster, linalg, memo, reps
 from hga.presentations import Idempotent
 from hga.typea import build_typeA_auslander
 
@@ -62,3 +65,20 @@ def test_top_level_calls_leave_out_the_nested_ones():
         reps.minimal_resolution(reps.simple(corner, "13"), 3)
     assert top.counts == {"top": 1}
     assert every.counts == {"every": 4}
+
+
+def test_frames_count_the_python_frames_entered_in_a_module():
+    # rank on [[1]] enters rank and _echelon: its pivot needs no scaling
+    # and there is nothing to eliminate; a call into another module's file
+    # counts nothing, and the hook is gone on exit
+    before = sys.getprofile()
+    with Counting([], frames=[(linalg, "frames")]) as c:
+        linalg.rank([[1]])
+        memo.stats()
+    assert c.counts == {"frames": 2}
+    assert sys.getprofile() is before
+    with pytest.raises(AttributeError, match="no_such_function"):
+        with Counting([(linalg, "no_such_function", "missing", "all")],
+                      frames=[(linalg, "frames")]):
+            pass
+    assert sys.getprofile() is before

@@ -1,7 +1,7 @@
 """Property tests of the incremental sparse elimination and of the tracked
-span against dense rref, rank and solve, and of the scalar form: inputs
-that mix ints and Fractions give the same values as all-Fraction inputs,
-and never a float."""
+span against dense rref, rank and solve, of the scalar form: inputs that
+mix ints and Fractions give the same values as all-Fraction inputs, and
+never a float, and of the dense kernel against its first version."""
 
 from fractions import Fraction
 
@@ -12,6 +12,7 @@ st = pytest.importorskip("hypothesis.strategies")
 
 from hga import linalg
 from hga.linalg import SparseRREF, TrackedSpan
+import reference_linalg
 
 WIDTH = 8
 
@@ -133,8 +134,8 @@ def test_mixed_rref_and_nullspace_match_fractions(m):
     matrices(*s), st.lists(scalars, min_size=s[0], max_size=s[0]))))
 def test_mixed_solve_matches_fractions(system):
     a, b = system
-    assert_same(linalg.solve(a, b),
-                linalg.solve(as_fractions(a), as_fractions(b)))
+    assert_same(reference_linalg.solve(a, b),
+                reference_linalg.solve(as_fractions(a), as_fractions(b)))
 
 
 @hypothesis.given(st.lists(mixed_vectors, max_size=10), mixed_vectors)
@@ -217,7 +218,7 @@ def test_tracked_span_matches_dense_rank_and_solve(untagged, tagged, probe):
         rest = combine(dep, {**joined, t: v})
         assert dense_rank(list(untagged) + [rest]) == dense_rank(untagged)
     cols = [dense_vector(v) for v in list(joined.values()) + list(untagged)]
-    sol = linalg.solve(linalg.transpose(cols), dense_vector(probe))
+    sol = reference_linalg.solve(linalg.transpose(cols), dense_vector(probe))
     got = span.coords(dict(probe))
     assert (got is None) == (sol is None)
     if got is not None:
@@ -240,3 +241,90 @@ def test_tracked_span_coords_of_a_combination(untagged, tagged, data):
     for u in untagged:
         linalg.add_scaled(vec, data.draw(coefficients), u)
     assert span.coords(vec) == {t: c for t, c in want.items() if c}
+
+
+# The dense kernel against its first version (tests/reference_linalg.py):
+# the same values, pivots and scalar type in every entry, on the shapes L2
+# meets most (1x1, 1xk, kx1) and on empty, zero-row and all-zero matrices
+def exactly(got, want):
+    """got equals want, with the same type at every scalar."""
+    assert type(got) is type(want)
+    if isinstance(want, (list, tuple)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            exactly(g, w)
+    else:
+        assert got == want
+
+
+def fresh_rows(out, *inputs):
+    """No row of the matrix out is a row of an input matrix."""
+    given = {id(row) for m in inputs for row in m}
+    assert not any(id(row) in given for row in out)
+
+
+zero = st.sampled_from([0, Fraction(0)])
+KERNEL_SHAPES = {
+    "0x0": st.just((0, 0)), "1x1": st.just((1, 1)),
+    "1xk": st.tuples(st.just(1), st.integers(2, 5)),
+    "kx1": st.tuples(st.integers(2, 5), st.just(1)),
+    "rxc": st.tuples(st.integers(2, 4), st.integers(2, 4))}
+
+
+@st.composite
+def kernel_matrices(draw, shape):
+    """A matrix of mixed int and Fraction scalars, some of its rows, or all
+    of them, made of zeros."""
+    nrows, ncols = draw(shape)
+    entries = draw(st.sampled_from([scalars, scalars, zero]))
+    m = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                      min_size=nrows, max_size=nrows))
+    for i in draw(st.sets(st.integers(0, max(nrows - 1, 0)), max_size=2)):
+        if i < nrows:
+            m[i] = [draw(zero) for _ in range(ncols)]
+    return m
+
+
+def copied(m):
+    return [list(row) for row in m]
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_dense_kernel_matches_its_first_version(shape):
+    @hypothesis.given(kernel_matrices(KERNEL_SHAPES[shape]),
+                      st.integers(0, 4))
+    def check(m, ncols):
+        before = copied(m)
+        red, pivots = linalg.rref(m)
+        want_red, want_pivots = reference_linalg.rref(m)
+        assert pivots == want_pivots
+        exactly(red, want_red)
+        fresh_rows(red, m)
+        assert linalg.rank(m) == reference_linalg.rank(m)
+        exactly(linalg.nullspace(m, ncols),
+                reference_linalg.nullspace(m, ncols))
+        exactly(linalg.transpose(m), reference_linalg.transpose(m))
+        exactly(m, before)
+
+    check()
+
+
+@hypothesis.given(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                            st.integers(0, 3)).flatmap(
+    lambda s: st.tuples(kernel_matrices(st.just(s[:2])),
+                        kernel_matrices(st.just(s[1:])),
+                        st.lists(scalars | zero, min_size=s[1],
+                                 max_size=s[1]))))
+def test_dense_products_match_their_first_version(factors):
+    a, b, v = factors
+    before = copied(a), copied(b), list(v)
+    product = linalg.mat_mul(a, b)
+    exactly(product, reference_linalg.mat_mul(a, b))
+    fresh_rows(product, a, b)
+    exactly(linalg.mat_vec(a, v), reference_linalg.mat_vec(a, v))
+    exactly((copied(a), copied(b), list(v)), before)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_identity_matches_its_first_version(n):
+    exactly(linalg.identity(n), reference_linalg.identity(n))

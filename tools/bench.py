@@ -72,7 +72,10 @@ class Counting:
     ``"scoped"`` only those made while ``scope``, a (home, name) pair, is
     under way.  Any other ``how`` is a function that takes the original
     and the counts and returns the wrapper; ``key`` is then the tuple of
-    the counts it adds to.
+    the counts it adds to.  ``frames`` lists (module, key): every Python
+    frame entered in that module's file, counted in ``key`` by a
+    ``sys.setprofile`` hook (on CPython 3.11 and older a comprehension and
+    each resumption of a generator enter a frame too).
 
     Each name is rebound on its home and on every hga module that bound
     the same object by name, so calls from any module count.  A name its
@@ -80,16 +83,19 @@ class Counting:
     renamed in hga must fail the count, not leave it reading 0.
     """
 
-    def __init__(self, counted, scope=None):
+    def __init__(self, counted, scope=None, frames=()):
         self.counted, self.scope = counted, scope
         self.counts = {}
         for _, _, key, _ in counted:
             self.counts.update(dict.fromkeys(
                 (key,) if isinstance(key, str) else key, 0))
+        self.files = {module.__file__: key for module, key in frames}
+        self.counts.update(dict.fromkeys(self.files.values(), 0))
         self.depth = {}         # name -> its calls under way
         self.saved = []
 
     def __enter__(self):
+        self.profile = sys.getprofile()
         try:
             if self.scope:
                 self._wrap(*self.scope, self._tracked(self.scope[1], None))
@@ -99,9 +105,19 @@ class Counting:
         except BaseException:
             self.__exit__()
             raise
+        if self.files:
+            sys.setprofile(self._entered)
         return self
 
+    def _entered(self, frame, event, arg):
+        if event == "call":
+            key = self.files.get(frame.f_code.co_filename)
+            if key:
+                self.counts[key] += 1
+
     def __exit__(self, *exc):
+        if self.files:
+            sys.setprofile(self.profile)
         for holder, name, raw in reversed(self.saved):
             setattr(holder, name, raw)
         self.saved = []
@@ -242,13 +258,13 @@ class Ladder:
     time_key, count_key = "wall_s", "counts"
     check_max_n = None      # --check measures the rows with n <= this
     ceiling = False         # --check passes a count below the file's
-    counted, scope = (), None
+    counted, scope, frames = (), None, ()
 
     def rows(self):
         raise NotImplementedError
 
     def counting(self, row):
-        return Counting(self.counted, self.scope)
+        return Counting(self.counted, self.scope, self.frames)
 
     def tally(self, counts):
         """The counts as the row records them."""
@@ -354,18 +370,21 @@ class Auslander(Ladder):
     """``build_typeA_auslander`` and ``homological_dims`` on each (n, d) of
     the ``auslander`` pool.
 
-    A row has two phases, each the best of 3: ``build_s`` builds A^d_n, and
-    ``homdims_s`` runs ``homological_dims`` on a fresh build (it is
-    memoised on its algebra).  Their counts, ``build_counts`` and
+    A row has two phases, each the median of 7 runs: ``build_s`` builds
+    A^d_n, and ``homdims_s`` runs ``homological_dims`` on a fresh build (it
+    is memoised on its algebra).  Their counts, ``build_counts`` and
     ``homdims_counts``, are the calls of ``projective_cover``, ``kernel``,
     ``direct_sum`` and ``SparseRREF.add``, the rows ``add`` stores and
-    visits (``rows_added``), and the calls of ``linalg.rref``,
-    ``nullspace``, ``solve`` and ``mat_vec``, counting those that linalg
-    makes itself (``nullspace`` and ``solve`` each run an ``rref``).
-    ``--check`` runs every row: a guard against a resolution step that pays
-    for the whole quiver again.
+    visits (``rows_added``), the calls of ``linalg.rref``, ``nullspace``
+    and ``mat_vec``, and ``linalg_frames``, the Python frames entered in
+    ``hga/linalg.py`` (see ``Counting``): what the dense kernel pays per
+    call beyond its arithmetic.  ``--check`` runs every row: a guard
+    against a resolution step that pays for the whole quiver again, and
+    against a dense call that copies, allocates or searches through
+    helpers again.
     """
 
+    repeat, average = 7, staticmethod(statistics.median)
     rows_at = "pool"
     counted = [(reps, name, f"{name}_calls", "all")
                for name in ("projective_cover", "kernel", "direct_sum")] + [
@@ -373,7 +392,8 @@ class Auslander(Ladder):
          ("sparse_add_calls", "add_rows_stored", "add_rows_visited"),
          rows_added)] + [
         (linalg, name, f"{name}_calls", "all")
-        for name in ("rref", "nullspace", "solve", "mat_vec")]
+        for name in ("rref", "nullspace", "mat_vec")]
+    frames = [(linalg, "linalg_frames")]
 
     def rows(self):
         out = []
@@ -567,7 +587,7 @@ class Reduction(Ladder):
     (7, 2, [2, 4, 6]), (5, 3, [3]) and (6, 3, [2]), whose corners have
     relations of mixed lengths.
 
-    ``reduce_s`` is the best of 3 runs, each on a freshly built algebra
+    ``reduce_s`` is the median of 7 runs, each on a freshly built algebra
     (the reduction memoises on its input).  The counts are the calls of
     ``quotient_by_idempotent``, ``idempotent_subalgebra``, ``represent``,
     ``build_algebra`` and ``Algebra.rad_nilpotency``, and ``rank_evals``,
@@ -582,6 +602,7 @@ class Reduction(Ladder):
     a re-presented corner, coming back.
     """
 
+    repeat, average = 7, staticmethod(statistics.median)
     time_key = "reduce_s"
     check_max_n = 5
     counted = [(algebras, name, f"{name}_calls", "all")
