@@ -13,7 +13,7 @@ from .errors import (
     InvalidPresentation,
     NotAdmissible,
 )
-from .linalg import F1, SparseRREF, TrackedSpan, add_scaled, exact
+from .linalg import F1, TrackedSpan, add_scaled, exact
 from .memo import memo
 from .presentations import (
     Arrow,
@@ -119,9 +119,6 @@ class Algebra:
     def unit(self, i, coef=F1):
         return {i: coef}
 
-    def identity_element(self):
-        return {i: F1 for i in range(len(self.vertices))}
-
     @property
     def quiver(self):
         """The quiver of its presentation, as `CornerQuiver.quiver` is."""
@@ -130,12 +127,6 @@ class Algebra:
     def path_value(self, path):
         """Value of an arrow-name path (application order) as a sparse element."""
         return _path_value(self, self.arrow_class, path)
-
-    def relation_value(self, relation):
-        total = {}
-        for coef, path in relation.terms:
-            add_scaled(total, coef, self.path_value(path))
-        return total
 
     def rad_nilpotency(self):
         """Least N with rad^N = 0.  Each radical basis element is a path,
@@ -146,12 +137,12 @@ class Algebra:
         span = rad
         n = 1
         while span:
-            rr = SparseRREF()
+            rr = TrackedSpan()
             nxt = []
             for x in span:
                 for r in gens:
                     prod = self.mult_elements(r, x)
-                    if prod and rr.add(dict(prod)) is not None:
+                    if prod and rr.add(prod) is None:
                         nxt.append(prod)
             span = nxt
             n += 1
@@ -393,14 +384,18 @@ def _normal_words(quiver, generators, length_cap, relation_at=None):
         base = len(paths)  # candidate k has the provisional id base + k
         for k, (_, w, name) in enumerate(cands, base):
             act[name][w] = {k: F1}
-        rows = SparseRREF()
+        rows = TrackedSpan()
         for g_terms, g_lmax, g_src in generators:
             for n in ending.get((length - g_lmax, g_src), ()):
                 vec = _evaluate(act, n, g_terms)
-                piv = rows.add(vec) if vec else None
-                if piv is not None and piv < base:
+                if not vec or rows.add(vec) is not None:
+                    continue
+                # the row just stored is the last; every earlier one has a
+                # candidate as pivot, so one below base is fully reduced
+                piv = next(reversed(rows.rows))
+                if piv < base:
                     return None, [(c, paths[j])
-                                  for j, c in rows.rows[piv].items()]
+                                  for j, c in rows.rows[piv][0].items()]
         level = []
         renumber = {}
         found = []
@@ -424,6 +419,7 @@ def _normal_words(quiver, generators, length_cap, relation_at=None):
             g = _generator(quiver, terms)
             generators.append(g)
             rows.add(_evaluate(act, ending[(0, g[2])][0], terms))
+        reduced = rows.reduced_rows()
         for k, (p, w, name) in enumerate(cands, base):
             if k in renumber:
                 act[name][w] = {renumber[k]: F1}
@@ -431,7 +427,7 @@ def _normal_words(quiver, generators, length_cap, relation_at=None):
             # a reduced row has entries only at shorter words and at
             # candidates before k that are not pivots, renumbered above
             form = {renumber.get(j, j): -c
-                    for j, c in rows.rows[k].items() if j != k}
+                    for j, c in reduced[k].items() if j != k}
             if form:
                 act[name][w] = form
             else:
@@ -447,13 +443,14 @@ def _normal_words(quiver, generators, length_cap, relation_at=None):
 
 
 def _add_new(span, vec, seen):
-    """span.add(vec), or None without a reduction when vec is an exact
-    repeat of a vector in ``seen``, the vectors already added to span."""
+    """Whether vec joins span, a TrackedSpan: False without a reduction
+    when vec is an exact repeat of a vector in ``seen``, the vectors
+    already added to span."""
     key = frozenset(vec.items())
     if key in seen:
-        return None
+        return False
     seen.add(key)
-    return span.add(vec)
+    return span.add(vec) is None
 
 
 def _corner_arrows(a, keep):
@@ -463,7 +460,7 @@ def _corner_arrows(a, keep):
 
     A radical id b of a block is an arrow when it is not in the span of the
     block's products through kept vertices and of its ids below b, largest
-    id as pivot (`SparseRREF`).  A product through a kept vertex that is a
+    id as pivot (`TrackedSpan`).  A product through a kept vertex that is a
     multiple of b puts b in that span: so b is an arrow only when mid[b]
     (`Algebra.radical_products`) has no bit in keep, and in a single-term
     block exactly then.  Arrows are named source_target, suffixed _k for the
@@ -485,14 +482,14 @@ def _corner_arrows(a, keep):
     for (s, t), ids in sorted(blocks.items(),
                               key=lambda kv: (str(kv[0][0]), str(kv[0][1]))):
         if (s, t) in multi:
-            span, seen = SparseRREF(), set()
+            span, seen = TrackedSpan(), set()
             for w in keep:
                 for j in index.block.get((s, w), ()):
                     for i in index.block.get((w, t), ()):
                         prod = a.mult.get((i, j)) if min(i, j) >= nv else None
                         if prod:
                             _add_new(span, prod, seen)
-            ids = [b for b in ids if _add_new(span, {b: F1}, seen) is not None]
+            ids = [b for b in ids if _add_new(span, {b: F1}, seen)]
         base = f"{s}_{t}"
         for b in ids:
             k = name_count[base] = name_count.get(base, -1) + 1

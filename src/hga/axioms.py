@@ -27,7 +27,7 @@ from .algebras import (
     idempotent_subalgebra,
 )
 from .errors import InternalError, NotAdmissible, UnknownArrow
-from .linalg import F1, SparseRREF, div
+from .linalg import F1, TrackedSpan, div
 from .memo import memo
 from .presentations import (
     BoundQuiverPresentation,
@@ -118,8 +118,8 @@ class _TwoPaths:
                     values.append(value)
             rank = len(values)
             if rank > 1:
-                span = SparseRREF()
-                rank = sum(span.add(v) is not None for v in values)
+                span = TrackedSpan()
+                rank = sum(span.add(v) is None for v in values)
             self.blocks[key] = (zero, classes, rank)
             for cls in classes:
                 for path, _ in cls:

@@ -135,14 +135,14 @@ def _local_radical_basis(mod, endo_basis):
     and rational residue field: subtract the trace multiple of the
     identity from each basis endomorphism."""
     dim = mod.total_dim
-    track = linalg.SparseRREF()
+    track = linalg.TrackedSpan()
     out = []
     for f in endo_basis:
         lam = div(_trace(f), dim)
         g = f.add(reps.identity_morphism(mod).scale(-lam))
         if g.is_zero():
             continue
-        if track.add(linalg.sparse(g.flatten())) is not None:
+        if track.add(linalg.sparse(g.flatten())) is None:
             out.append(g)
     if len(out) != len(endo_basis) - 1:
         raise HgaError(

@@ -172,76 +172,13 @@ def nullspace(m, ncols=None):
     return basis
 
 
-class SparseRREF:
-    """Incremental Gaussian elimination on sparse vectors {index: scalar}.
-
-    Pivot of a vector is its largest index, so elimination rewrites
-    later-ordered coordinates in terms of earlier ones.  Used for path-class
-    reduction where indices follow the (length, lex) path order.
-    """
-
-    def __init__(self):
-        self.rows = {}  # pivot index -> normalized sparse row
-        self.cols = {}  # column index -> pivots of the rows with an entry there
-
-    def copy(self):
-        """An independent copy: adding to it leaves this one unchanged."""
-        out = SparseRREF()
-        out.rows = {p: dict(r) for p, r in self.rows.items()}
-        out.cols = {j: set(ps) for j, ps in self.cols.items()}
-        return out
-
-    def reduce(self, vec):
-        """Fully reduce a sparse vector against the current rows.
-
-        A stored row has no entry at another row's pivot, so subtracting it
-        brings in no pivot: the pivots eliminated are those of the input,
-        largest first."""
-        rows = self.rows
-        vec = {j: c for j, c in vec.items() if c}
-        for target in sorted([j for j in vec if j in rows], reverse=True):
-            add_scaled(vec, -vec[target], rows[target])
-        return vec
-
-    def add(self, vec):
-        """Insert a vector; returns its pivot index or None if dependent."""
-        vec = self.reduce(vec)
-        if not vec:
-            return None
-        piv = max(vec)
-        inv = div(F1, vec[piv])
-        row = {j: c * inv for j, c in vec.items()}
-        # keep stored rows fully reduced against one another: only the rows
-        # with an entry at piv change, and each loses that entry
-        cols = self.cols
-        for p in cols.pop(piv, ()):
-            r = self.rows[p]
-            f = r.pop(piv)
-            for j, c in row.items():
-                if j == piv:
-                    continue
-                nv = r.get(j, F0) - f * c
-                if nv:
-                    if j not in r:
-                        cols.setdefault(j, set()).add(p)
-                    r[j] = nv
-                elif j in r:
-                    del r[j]
-                    cols[j].discard(p)
-                    if not cols[j]:
-                        del cols[j]
-        for j in row:
-            cols.setdefault(j, set()).add(piv)
-        self.rows[piv] = row
-        return piv
-
-
 class TrackedSpan:
     """The span of sparse vectors added under tags, in echelon form: a row
     has entry 1 at its pivot, its largest index, and keeps the combination
     of tagged vectors it is.  A vector is reduced largest pivot first.  One
     added under the tag None spans a subspace that combinations are taken
-    modulo: it enters none of them."""
+    modulo: it enters none of them.  This is hga's one sparse eliminator:
+    every sparse span, rank and normal form is read off it."""
 
     def __init__(self):
         self.rows = {}  # pivot -> (row, {tag: coefficient})
@@ -257,7 +194,8 @@ class TrackedSpan:
                 break
             f = vec[piv]
             add_scaled(vec, -f, row[0])
-            add_scaled(combo, -f, row[1])
+            if row[1]:
+                add_scaled(combo, -f, row[1])
         return vec, combo
 
     def add(self, vec, tag=None):
@@ -280,3 +218,17 @@ class TrackedSpan:
         not in the span."""
         rest, combo = self._reduce(vec, {})
         return None if rest else {t: -c for t, c in combo.items()}
+
+    def reduced_rows(self):
+        """{pivot: row}, each row fully reduced: it has no entry at another
+        pivot.  The rows are back-substituted in increasing pivot order, so
+        each is reduced against rows that already are, and the result is
+        the span's unique reduced echelon form."""
+        out = {}
+        for piv in sorted(self.rows):
+            row = dict(self.rows[piv][0])
+            for j in list(row):
+                if j in out:
+                    add_scaled(row, -row[j], out[j])
+            out[piv] = row
+        return out

@@ -180,10 +180,13 @@ class Morphism:
         return [v for v in self.target.support if dims[v]]
 
     def compose(self, other):
-        """self after other (other applied first)."""
-        if other.target is not self.source:
-            if other.target.dims != self.source.dims:
-                raise AlgebraMismatch("morphisms not composable")
+        """self after other (other applied first).  other's target and
+        self's source must be one module, or equal ones: the same dims and
+        the same maps."""
+        if other.target is not self.source and (
+                other.target.dims != self.source.dims
+                or other.target.maps != self.source.maps):
+            raise AlgebraMismatch("morphisms not composable")
         src, mid = other.source, self.source
         blocks = {v: linalg.mat_mul(self.blocks[v], other.blocks[v])
                   for v in self.target.support if src.dims[v] and mid.dims[v]}
@@ -1100,16 +1103,6 @@ def is_gorenstein_projective(m, n=None):
         n = rec["injDimOfA"]
     reg = regular_module(alg)
     return all(ext_dim(m, reg, i) == 0 for i in range(1, n + 1))
-
-
-def representation_to_dict(m):
-    return {
-        "dims": {v: m.dims[v] for v in m.algebra.vertices},
-        "maps": {
-            name: [[str(x) for x in row] for row in mat]
-            for name, mat in m.maps.items()
-        },
-    }
 
 
 def representation_from_dict(alg, d):

@@ -1,7 +1,7 @@
 """Type-A combinatorics: separated tuples, intertwining, higher Auslander
 algebras of linear quivers, and their canonical cluster-tilting modules."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .algebras import build_algebra
@@ -79,25 +79,12 @@ class TupleCollection:
     d: int
     m: int
     cyclic: bool
-    _matrix: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.tuples = sorted(self.tuples)
         for t in self.tuples:
             if t.d != self.d or t.m != self.m or t.cyclic != self.cyclic:
                 raise ArityMismatch("collection over mixed (d, m, cyclic)")
-
-    def intertwining(self, x, y):
-        key = (x.entries, y.entries)
-        if key not in self._matrix:
-            self._matrix[key] = intertwines(x, y)
-        return self._matrix[key]
-
-    def is_nonintertwining(self):
-        for x, y in combinations(self.tuples, 2):
-            if self.intertwining(x, y) or self.intertwining(y, x):
-                return False
-        return True
 
     def labels(self):
         return [t.label() for t in self.tuples]
@@ -112,12 +99,6 @@ class TupleCollection:
             "cyclic": self.cyclic,
             "tuples": [list(t.entries) for t in self.tuples],
         }
-
-
-def collection_from_dict(data):
-    d, m, cyclic = data["d"], data["m"], data["cyclic"]
-    tuples = [Tuple(tuple(e), m, cyclic) for e in data["tuples"]]
-    return TupleCollection(tuples, d, m, cyclic)
 
 
 def maximal_nonintertwining(d, m, cyclic=False, scale_cap=60):

@@ -9,9 +9,18 @@ pivots, the same rows and the same scalar type in every entry.
 
 ``solve`` and ``reduce_mod_rows`` have no caller in ``hga``; they live here
 for the tests and oracles that use them.
+
+``SparseRREF`` is the incremental sparse elimination that ``hga`` kept
+beside ``hga.linalg.TrackedSpan`` until ``TrackedSpan`` became its one
+sparse eliminator.  It keeps its rows fully reduced as it goes, through a
+column index.  It is the oracle of the differential tests of
+``TrackedSpan`` in ``tests/test_linalg_properties.py`` (the same pivots,
+the same independence answers, and ``TrackedSpan.reduced_rows`` equal to
+its rows), and the row reduction of the oracles in
+``tests/reference_presentation.py`` and ``tests/reference_scans.py``.
 """
 
-from hga.linalg import F0, F1, div
+from hga.linalg import F0, F1, add_scaled, div
 
 
 def zeros(nrows, ncols):
@@ -131,3 +140,60 @@ def reduce_mod_rows(rows_rref, pivots, v):
             f = v[pc]
             v = [x - f * y for x, y in zip(v, rows_rref[r])]
     return v
+
+
+class SparseRREF:
+    """Incremental Gaussian elimination on sparse vectors {index: scalar}.
+
+    Pivot of a vector is its largest index, so elimination rewrites
+    later-ordered coordinates in terms of earlier ones.  Used for path-class
+    reduction where indices follow the (length, lex) path order.
+    """
+
+    def __init__(self):
+        self.rows = {}  # pivot index -> normalized sparse row
+        self.cols = {}  # column index -> pivots of the rows with an entry there
+
+    def reduce(self, vec):
+        """Fully reduce a sparse vector against the current rows.
+
+        A stored row has no entry at another row's pivot, so subtracting it
+        brings in no pivot: the pivots eliminated are those of the input,
+        largest first."""
+        rows = self.rows
+        vec = {j: c for j, c in vec.items() if c}
+        for target in sorted([j for j in vec if j in rows], reverse=True):
+            add_scaled(vec, -vec[target], rows[target])
+        return vec
+
+    def add(self, vec):
+        """Insert a vector; returns its pivot index or None if dependent."""
+        vec = self.reduce(vec)
+        if not vec:
+            return None
+        piv = max(vec)
+        inv = div(F1, vec[piv])
+        row = {j: c * inv for j, c in vec.items()}
+        # keep stored rows fully reduced against one another: only the rows
+        # with an entry at piv change, and each loses that entry
+        cols = self.cols
+        for p in cols.pop(piv, ()):
+            r = self.rows[p]
+            f = r.pop(piv)
+            for j, c in row.items():
+                if j == piv:
+                    continue
+                nv = r.get(j, F0) - f * c
+                if nv:
+                    if j not in r:
+                        cols.setdefault(j, set()).add(p)
+                    r[j] = nv
+                elif j in r:
+                    del r[j]
+                    cols[j].discard(p)
+                    if not cols[j]:
+                        del cols[j]
+        for j in row:
+            cols.setdefault(j, set()).add(piv)
+        self.rows[piv] = row
+        return piv

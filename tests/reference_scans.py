@@ -19,13 +19,14 @@ from hga.algebras import (
     quotient_by_idempotent,
 )
 from hga.axioms import _TwoPaths
-from hga.linalg import F1, SparseRREF
+from hga.linalg import F1, add_scaled
 from hga.presentations import (
     Arrow,
     Quiver,
     RelationElement,
     presentation_to_dict,
 )
+from reference_linalg import SparseRREF
 
 
 def corner_ids(a, e):
@@ -114,8 +115,16 @@ def assert_quotient_matches_reference(a, f):
             (c, tuple(name_of[ambient_ids[x]] for x in p))
             for c, p in r.terms])
         renamed.validate(quot.quiver)
-        assert quot.relation_value(renamed) == {}
+        assert relation_value(quot, renamed) == {}
     return quot
+
+
+def relation_value(a, relation):
+    """The value in a of a relation, the sum of its terms' path values."""
+    total = {}
+    for coef, path in relation.terms:
+        add_scaled(total, coef, a.path_value(path))
+    return total
 
 
 def raw_corner(a, e):

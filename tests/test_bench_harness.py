@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import bench
 from bench import Counting
 from hga import algebras, cluster, linalg, memo, reps
 from hga.presentations import Idempotent
@@ -82,3 +83,14 @@ def test_frames_count_the_python_frames_entered_in_a_module():
                       frames=[(linalg, "frames")]):
             pass
     assert sys.getprofile() is before
+
+
+@pytest.mark.parametrize("name", sorted(bench.LADDERS))
+def test_every_counted_name_exists(name):
+    # entering a ladder's counters raises on a counted or scope name that
+    # hga no longer defines, so removing one fails here and not only at
+    # that ladder's --check; a Family row has counters of its own
+    ladder = bench.LADDERS[name]()
+    for key in getattr(ladder, "COUNTED", [None]):
+        with ladder.counting(bench.Row(key, None, None)):
+            pass

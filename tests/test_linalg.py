@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from hga import linalg
-from hga.linalg import F0, F1, SparseRREF
+from hga.linalg import F0, F1, TrackedSpan
 from reference_linalg import solve
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hga"
@@ -44,37 +44,24 @@ def test_solve_with_no_unknowns():
 
 
 def test_sparse_rref_reduces_chains():
-    rr = SparseRREF()
+    span = TrackedSpan()
     # x2 = x3, x3 = x4, x4 = 0 should force x2 = 0
-    rr.add({3: F1, 2: -F1})
-    rr.add({4: F1, 3: -F1})
-    rr.add({4: F1})
-    assert rr.reduce({2: F1}) == {}
-    assert rr.reduce({1: F1}) == {1: F1}
+    span.add({3: F1, 2: -F1})
+    span.add({4: F1, 3: -F1})
+    span.add({4: F1})
+    assert span.coords({2: F1}) == {}
+    assert span.coords({1: F1}) is None
+    assert span.reduced_rows() == {2: {2: F1}, 3: {3: F1}, 4: {4: F1}}
 
 
-def test_sparse_rref_dependent_returns_none():
-    rr = SparseRREF()
-    assert rr.add({5: F1, 1: F1}) == 5
-    assert rr.add({5: Fraction(2), 1: Fraction(2)}) is None
-    # stored rows stay mutually reduced
-    assert rr.add({1: F1}) == 1
-    assert rr.rows[5] == {5: F1}
-
-
-def test_sparse_rref_copy_is_independent():
-    rr = SparseRREF()
-    rr.add({3: F1, 2: -F1})
-    rr.add({2: F1, 1: Fraction(2)})
-    dup = rr.copy()
-    assert dup.rows == rr.rows
-    assert dup.add({1: F1}) == 1
-    assert 1 not in rr.rows
-    assert rr.rows[3] == {3: F1, 1: Fraction(2)}
-    # the copy stays fully reduced: no stored row mentions another pivot
-    for p, row in dup.rows.items():
-        assert max(row) == p and row[p] == F1
-        assert not set(row) & (set(dup.rows) - {p})
+def test_sparse_span_add_returns_the_dependency():
+    span = TrackedSpan()
+    assert span.add({5: F1, 1: F1}) is None
+    # dependent: an untagged vector is in the span with no combination
+    assert span.add({5: Fraction(2), 1: Fraction(2)}) == {}
+    assert span.add({5: F1}, "t") is None
+    assert span.add({1: F1}, "u") == {"u": F1, "t": F1}
+    assert sorted(span.rows) == [1, 5]
 
 
 def test_div_keeps_integral_quotients_ints():

@@ -1,7 +1,8 @@
-"""Property tests of the incremental sparse elimination and of the tracked
-span against dense rref, rank and solve, of the scalar form: inputs that
-mix ints and Fractions give the same values as all-Fraction inputs, and
-never a float, and of the dense kernel against its first version."""
+"""Property tests of the tracked span, hga's one sparse eliminator, against
+dense rref, rank and solve and against the fully reduced sparse elimination
+it replaced, of the scalar form: inputs that mix ints and Fractions give
+the same values as all-Fraction inputs, and never a float, and of the dense
+kernel against its first version."""
 
 from fractions import Fraction
 
@@ -11,8 +12,9 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from hga import linalg
-from hga.linalg import SparseRREF, TrackedSpan
+from hga.linalg import TrackedSpan
 import reference_linalg
+from reference_linalg import SparseRREF
 
 WIDTH = 8
 
@@ -24,17 +26,9 @@ coefficients = st.builds(
 vectors = st.dictionaries(st.integers(0, WIDTH - 1), coefficients, max_size=4)
 
 
-def column_sets(rr):
-    out = {}
-    for p, row in rr.rows.items():
-        for j in row:
-            out.setdefault(j, set()).add(p)
-    return out
-
-
 def dense_rref(vecs):
     """Dense rref with the columns reversed, so that its leftmost pivots are
-    SparseRREF's largest-index pivots; rows read back as sparse dicts."""
+    TrackedSpan's largest-index pivots; rows read back as sparse dicts."""
     if not vecs:
         return {}
     mat = [[v.get(WIDTH - 1 - c, linalg.F0) for c in range(WIDTH)]
@@ -44,42 +38,31 @@ def dense_rref(vecs):
             for row, c in zip(red, pivots)}
 
 
-def assert_consistent(rr):
-    assert rr.cols == column_sets(rr)
-    for p, row in rr.rows.items():
+def assert_echelon(span):
+    for p, (row, _) in span.rows.items():
         assert max(row) == p and row[p] == 1
-        # fully reduced: no stored row has an entry at another pivot
-        assert not set(row) & (set(rr.rows) - {p})
+
+
+def assert_reduced(rows):
+    for p, row in rows.items():
+        assert max(row) == p and row[p] == 1
+        # fully reduced: no row has an entry at another pivot
+        assert not set(row) & (set(rows) - {p})
 
 
 @hypothesis.given(st.lists(vectors, max_size=12))
 def test_sparse_rref_matches_dense_rref(vecs):
-    rr = SparseRREF()
+    span = TrackedSpan()
     for k, v in enumerate(vecs):
-        rank = len(rr.rows)
-        piv = rr.add(dict(v))
+        rank = len(span.rows)
+        joined = span.add(dict(v)) is None
         grew = linalg.rank([[w.get(j, linalg.F0) for j in range(WIDTH)]
                             for w in vecs[:k + 1]]) > rank
-        assert (piv is not None) == grew
-        if grew:
-            assert piv in rr.rows
-        assert_consistent(rr)
-    assert rr.rows == dense_rref(vecs)
-
-
-@hypothesis.given(st.lists(vectors, max_size=8), st.lists(vectors, max_size=8))
-def test_sparse_rref_copy_stays_independent(first, second):
-    rr = SparseRREF()
-    for v in first:
-        rr.add(dict(v))
-    rows = {p: dict(r) for p, r in rr.rows.items()}
-    cols = {j: set(ps) for j, ps in rr.cols.items()}
-    dup = rr.copy()
-    for v in second:
-        dup.add(dict(v))
-    assert rr.rows == rows and rr.cols == cols
-    assert_consistent(dup)
-    assert dup.rows == dense_rref(first + second)
+        assert joined == grew
+        assert_echelon(span)
+    reduced = span.reduced_rows()
+    assert_reduced(reduced)
+    assert reduced == dense_rref(vecs)
 
 
 # exact scalars as callers pass them: ints where integral, some Fractions
@@ -140,46 +123,29 @@ def test_mixed_solve_matches_fractions(system):
 
 @hypothesis.given(st.lists(mixed_vectors, max_size=10), mixed_vectors)
 def test_mixed_sparse_rref_matches_fractions(vecs, probe):
-    rr, fr = SparseRREF(), SparseRREF()
+    span, fspan = TrackedSpan(), TrackedSpan()
+    for t, v in enumerate(vecs):
+        assert_same(span.add(dict(v), t), fspan.add(as_fractions(v), t))
+    assert_same(span.rows, fspan.rows)
+    assert_same(span.reduced_rows(), fspan.reduced_rows())
+    assert_same(span.coords(probe), fspan.coords(as_fractions(probe)))
+
+
+@hypothesis.given(st.lists(mixed_vectors, max_size=12),
+                  st.lists(mixed_vectors, max_size=4))
+def test_tracked_span_matches_the_sparse_rref_oracle(vecs, probes):
+    # the echelon and the fully reduced elimination (tests/reference_linalg.py)
+    # answer every add alike and hold the same pivots, and back-substitution
+    # turns the echelon rows into the oracle's rows
+    span, oracle = TrackedSpan(), SparseRREF()
     for v in vecs:
-        assert rr.add(dict(v)) == fr.add(as_fractions(v))
-        assert_consistent(rr)
-    assert_same(rr.rows, fr.rows)
-    assert_same(rr.reduce(probe), fr.reduce(as_fractions(probe)))
-
-
-def reduce_resorting(rr, vec):
-    """SparseRREF.reduce as it was first written: after each elimination,
-    sort the vector again and eliminate its largest pivot."""
-    vec = {j: c for j, c in vec.items() if c}
-    while True:
-        target = next((j for j in sorted(vec, reverse=True) if j in rr.rows),
-                      None)
-        if target is None:
-            return vec
-        f = vec[target]
-        for j, c in rr.rows[target].items():
-            nv = vec.get(j, linalg.F0) - f * c
-            if nv:
-                vec[j] = nv
-            else:
-                vec.pop(j, None)
-
-
-@hypothesis.given(st.lists(mixed_vectors, max_size=10),
-                  st.lists(mixed_vectors, min_size=1, max_size=4), st.data())
-def test_one_pass_reduce_matches_resorting_reduce(vecs, probes, data):
-    rr = SparseRREF()
-    for v in vecs:
-        rr.add(dict(v))
-    if rr.rows:
-        # several pivots at once, so the elimination order shows
-        pivots = data.draw(st.sets(st.sampled_from(sorted(rr.rows))))
-        probes = probes + [{p: 1 for p in pivots}, dict.fromkeys(rr.rows, 1)]
+        assert (span.add(dict(v)) is None) == (oracle.add(dict(v)) is not None)
+        assert span.rows.keys() == oracle.rows.keys()
+    reduced = span.reduced_rows()
+    assert_same(reduced, oracle.rows)
+    assert_reduced(reduced)
     for probe in probes:
-        got, want = rr.reduce(probe), reduce_resorting(rr, probe)
-        # equal values, and the same keys in the same order
-        assert list(got.items()) == list(want.items())
+        assert (span.coords(probe) is None) == bool(oracle.reduce(probe))
 
 
 def dense_vector(v):

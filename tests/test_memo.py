@@ -343,16 +343,12 @@ def test_read_only_parts_pickle_and_compare_as_plain_data():
         assert type(clone["a"]) is axioms.ReadOnlyList
 
 
-def attribute_stores(source, exempt=()):
+def attribute_stores(source):
     """(line, text) of each attribute store in source, sorted, except a
-    store on ``self`` inside ``__init__`` or ``__post_init__`` and any store
-    inside the methods named in exempt (as ``Class.method``)."""
+    store on ``self`` inside ``__init__`` or ``__post_init__``."""
     tree = ast.parse(source)
-    owner, method = {}, {}
+    owner = {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            for f in node.body:
-                method[id(f)] = f"{node.name}.{getattr(f, 'name', '')}"
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             # walked outside in, so a nested function overwrites its parent
             for inner in ast.walk(node):
@@ -363,8 +359,6 @@ def attribute_stores(source, exempt=()):
                 and isinstance(node.ctx, ast.Store)):
             continue
         f = owner.get(id(node))
-        if f is not None and method.get(id(f)) in exempt:
-            continue
         if (f is not None and f.name in ("__init__", "__post_init__")
                 and isinstance(node.value, ast.Name)
                 and node.value.id == "self"):
@@ -389,14 +383,12 @@ def test_scan_finds_attribute_stores():
               "    b.v += 1\n"
               "    for a.u in b:\n"
               "        pass\n")
-    assert attribute_stores(source, exempt=("A.copy",)) == [
-        (4, "x.y"), (6, "self.z"), (12, "a.w"), (13, "b.v"), (14, "a.u")]
-    assert (9, "out.x") in attribute_stores(source)
+    assert attribute_stores(source) == [
+        (4, "x.y"), (6, "self.z"), (9, "out.x"), (12, "a.w"), (13, "b.v"),
+        (14, "a.u")]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
                          ids=lambda p: p.name)
 def test_no_attribute_store_outside_constructors(path):
-    # SparseRREF.copy fills in the copy it has just made
-    exempt = ("SparseRREF.copy",) if path.name == "linalg.py" else ()
-    assert attribute_stores(path.read_text(encoding="utf-8"), exempt) == []
+    assert attribute_stores(path.read_text(encoding="utf-8")) == []

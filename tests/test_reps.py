@@ -7,7 +7,12 @@ import pytest
 from hga import BoundQuiverPresentation, Quiver, build_algebra, zero_relation
 from hga import linalg, reps
 from hga.cluster import SummandCollection, cluster_endo_algebra, ctgent_family
-from hga.errors import HgaError, InternalError, NotGorensteinVerified
+from hga.errors import (
+    AlgebraMismatch,
+    HgaError,
+    InternalError,
+    NotGorensteinVerified,
+)
 from hga.memo import peek
 from hga.reps import (
     ExtSpace,
@@ -35,7 +40,6 @@ from hga.reps import (
     projective,
     projective_cover,
     representation_from_dict,
-    representation_to_dict,
     simple,
     syzygy,
     transpose,
@@ -44,6 +48,16 @@ from hga.reps import (
 from hga.typea import build_typeA_auslander, canonical_cluster_tilting
 import reference_decompose
 from reference_linalg import reduce_mod_rows
+
+
+def representation_to_dict(m):
+    return {
+        "dims": {v: m.dims[v] for v in m.algebra.vertices},
+        "maps": {
+            name: [[str(x) for x in row] for row in mat]
+            for name, mat in m.maps.items()
+        },
+    }
 
 
 def nakayama3():
@@ -370,6 +384,35 @@ def test_lift_outside_the_image_raises():
         reps.lift_from_projectives(epi, vs, ki)
     with pytest.raises(InternalError):
         reps.lift_through_mono(epi, ki)
+
+
+def test_compose_refuses_a_different_middle_module_of_equal_dims():
+    # X uniserial 13 -> 14 and Y = S13 + S14 have the same dims; S14 -> X
+    # then Y -> S14 would read X as Y and give an iso S14 -> S14
+    a = build_typeA_auslander(3, 2)
+    s14 = simple(a, "14")
+    x = Representation(a, {"13": 1, "14": 1}, {"13_14": [[1]]})
+    y, _, (_, onto_s14) = direct_sum([simple(a, "13"), s14])
+    assert x.dims == y.dims and x.maps != y.maps
+    into_x = Morphism(s14, x, {"14": [[1]]})
+    with pytest.raises(AlgebraMismatch):
+        onto_s14.compose(into_x)
+
+
+def test_compose_accepts_equal_modules_built_apart():
+    a = build_typeA_auslander(3, 2)
+
+    def uniserial():
+        return Representation(a, {"13": 1, "14": 1}, {"13_14": [[1]]})
+
+    first, second = uniserial(), uniserial()
+    assert first is not second
+    into_first = Morphism(simple(a, "14"), first, {"14": [[1]]})
+    out_of_second = Morphism(second, simple(a, "13"), {"13": [[1]]})
+    assert out_of_second.compose(into_first).is_zero()
+    both = identity_morphism(second).compose(identity_morphism(first))
+    assert (both.source, both.target) == (first, second)
+    assert both.blocks == identity_morphism(first).blocks
 
 
 def _combination(basis, rng, source, target):

@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -9,12 +10,24 @@ from hga.typea import (
     TupleCollection,
     build_typeA_auslander,
     canonical_cluster_tilting,
-    collection_from_dict,
     intertwines,
     maximal_nonintertwining,
     tuple_set,
 )
 from reference_decompose import decompose_indecomposables
+
+
+def is_nonintertwining(c):
+    """No two tuples of the collection c intertwine, either way."""
+    return not any(intertwines(x, y) or intertwines(y, x)
+                   for x, y in combinations(c.tuples, 2))
+
+
+def collection_from_dict(data):
+    d, m, cyclic = data["d"], data["m"], data["cyclic"]
+    tuples = [Tuple(tuple(e), m, cyclic) for e in data["tuples"]]
+    return TupleCollection(tuples, d, m, cyclic)
+
 
 A24_EDGES = {
     ("13", "14"), ("24", "25"), ("35", "36"), ("15", "25"), ("26", "36"),
@@ -89,7 +102,7 @@ def test_maximal_nonintertwining_hexagon():
     assert all(len(c) == 4 for c in cols)
     long_edge = (1, 6)
     for c in cols:
-        assert c.is_nonintertwining()
+        assert is_nonintertwining(c)
         assert long_edge in [t.entries for t in c.tuples]
     # non-extendability second pass
     universe = tuple_set(1, 6)
@@ -100,7 +113,7 @@ def test_maximal_nonintertwining_hexagon():
                 continue
             extended = TupleCollection(
                 c.tuples + [cand], 1, 6, False)
-            assert not extended.is_nonintertwining()
+            assert not is_nonintertwining(extended)
 
 
 def test_maximal_nonintertwining_scale_cap():

@@ -156,26 +156,6 @@ class Counting:
         return make
 
 
-def rows_added(orig, counts):
-    """``SparseRREF.add``, counting its calls, ``add_rows_stored``: the
-    stored rows at each add that inserts a pivot (what the benchmark's
-    ``linalg.sparse_add.rows_scanned`` reads), and ``add_rows_visited``:
-    the stored rows it then back-reduces against the new pivot, all of
-    them without a column index, only those with an entry in the pivot
-    column with one."""
-    def add(rr, vec):
-        counts["sparse_add_calls"] += 1
-        reduced = rr.reduce(dict(vec))
-        if reduced:
-            index = getattr(rr, "cols", None)
-            counts["add_rows_stored"] += len(rr.rows)
-            counts["add_rows_visited"] += (
-                len(rr.rows) if index is None
-                else len(index.get(max(reduced), ())))
-        return orig(rr, vec)
-    return add
-
-
 def rows_copied(orig, counts):
     """``reps._entries``, counting the matrix rows it copies for an
     unchecked ``Representation`` or ``Morphism``."""
@@ -374,8 +354,7 @@ class Auslander(Ladder):
     A^d_n, and ``homdims_s`` runs ``homological_dims`` on a fresh build (it
     is memoised on its algebra).  Their counts, ``build_counts`` and
     ``homdims_counts``, are the calls of ``projective_cover``, ``kernel``,
-    ``direct_sum`` and ``SparseRREF.add``, the rows ``add`` stores and
-    visits (``rows_added``), the calls of ``linalg.rref``, ``nullspace``
+    ``direct_sum``, ``TrackedSpan.add``, ``linalg.rref``, ``nullspace``
     and ``mat_vec``, and ``linalg_frames``, the Python frames entered in
     ``hga/linalg.py`` (see ``Counting``): what the dense kernel pays per
     call beyond its arithmetic.  ``--check`` runs every row: a guard
@@ -388,9 +367,7 @@ class Auslander(Ladder):
     rows_at = "pool"
     counted = [(reps, name, f"{name}_calls", "all")
                for name in ("projective_cover", "kernel", "direct_sum")] + [
-        (linalg.SparseRREF, "add",
-         ("sparse_add_calls", "add_rows_stored", "add_rows_visited"),
-         rows_added)] + [
+        (linalg.TrackedSpan, "add", "sparse_add_calls", "all")] + [
         (linalg, name, f"{name}_calls", "all")
         for name in ("rref", "nullspace", "mat_vec")]
     frames = [(linalg, "linalg_frames")]
@@ -430,7 +407,7 @@ class Certificate(Ladder):
     ``wall_s`` is the median of 7 runs of a row's certificates and reports;
     the counts are the top-level calls (those a function does not make
     itself) of ``algebras.represent`` and ``algebras._normal_words``, every
-    ``Algebra`` construction and ``SparseRREF.add`` call, and
+    ``Algebra`` construction and ``TrackedSpan.add`` call, and
     ``containers_built``, the dicts and lists each report's ``to_dict``
     builds anew (see ``containers_built``).  Covers are built, and their
     cover-level axioms memoised, before anything is counted or timed, so a
@@ -448,7 +425,7 @@ class Certificate(Ladder):
                (axioms.GentleCertificate, "to_dict", ("containers_built",),
                 containers_built),
                (algebras.Algebra, "__init__", "algebra_inits", "all"),
-               (linalg.SparseRREF, "add", "sparse_add_calls", "all")]
+               (linalg.TrackedSpan, "add", "sparse_add_calls", "all")]
 
     def rows(self):
         pool = rigid_pool()
@@ -635,11 +612,9 @@ class Represent(Ladder):
     ``wall_s`` is the median of 7 runs (on the small keys a best-of-3 is
     host noise, not the change).  The counts:
 
-    - ``nullspace_calls``, ``sparse_add_calls``, ``sparse_reduce_calls``
-      and ``rank_calls``: the calls of ``linalg.nullspace``,
-      ``SparseRREF.add``, ``SparseRREF.reduce`` and ``linalg.rank`` made
-      inside ``represent``, at any depth (each ``SparseRREF.add`` reduces
-      once, so it counts as a reduce too);
+    - ``nullspace_calls``, ``sparse_add_calls`` and ``rank_calls``: the
+      calls of ``linalg.nullspace``, ``TrackedSpan.add`` and
+      ``linalg.rank`` made inside ``represent``, at any depth;
     - ``rad_nilpotency_calls``: every ``Algebra.rad_nilpotency`` call;
     - ``unchecked_rows_copied``: see ``rows_copied``.
 
@@ -653,8 +628,7 @@ class Represent(Ladder):
     check_max_n = 5
     scope = (algebras, "represent")
     counted = [(linalg, "nullspace", "nullspace_calls", "scoped"),
-               (linalg.SparseRREF, "add", "sparse_add_calls", "scoped"),
-               (linalg.SparseRREF, "reduce", "sparse_reduce_calls", "scoped"),
+               (linalg.TrackedSpan, "add", "sparse_add_calls", "scoped"),
                (linalg, "rank", "rank_calls", "scoped"),
                (algebras.Algebra, "rad_nilpotency", "rad_nilpotency_calls",
                 "all"),
