@@ -105,9 +105,18 @@ def cmd_auslander(args):
     return EXIT_OK
 
 
+def _load_idempotent(path):
+    """The idempotent in a file: a JSON list of vertex names."""
+    data = _load(path)
+    if not isinstance(data, list) or not all(
+            isinstance(v, str) for v in data):
+        raise ValueError(f"{path}: not a JSON list of vertex names")
+    return Idempotent.of(data)
+
+
 def cmd_check_gentle(args):
     cover = _load_algebra(args.cover)
-    e = Idempotent.of(_load(args.e))
+    e = _load_idempotent(args.e)
     cert = is_d_gentle_certificate(cover, e, args.d)
     _dump(cert.to_dict(), args.out)
     return EXIT_OK if cert.verdict == "pass" else EXIT_NEGATIVE
@@ -189,10 +198,18 @@ def cmd_homdims(args):
     return EXIT_OK
 
 
+def _load_modules(a, path):
+    """The modules in a file: a JSON list of {"dims": ..., "maps": ...}."""
+    data = _load(path)
+    try:
+        return [reps.representation_from_dict(a, d) for d in data]
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: not a list of modules: {exc}")
+
+
 def cmd_verify_example(args):
     a = _load_algebra(args.algebra)
-    mods = [reps.representation_from_dict(a, d) for d in _load(args.modules)]
-    rep = verify_sg_example(a, mods)
+    rep = verify_sg_example(a, _load_modules(a, args.modules))
     _dump(rep, args.out)
     return EXIT_OK if rep["pass"] else EXIT_NEGATIVE
 

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .memo import memo
 from .presentations import Idempotent
-from . import linalg, reps
+from . import reps
 
 
 def restrict_to_quotient(quot, m):
@@ -118,49 +118,12 @@ class _CandidateScope:
         return memo(self, (module, key, v), compute)
 
 
-def _morphism_rank(f):
-    return sum(linalg.rank(f.blocks[v]) for v in f.source.support)
-
-
-def _max_rank_morphism(basis, want_rank):
-    """Search the span of a Hom basis for a morphism of the wanted rank.
-
-    Rank is lower-semicontinuous, so a generic integer combination attains
-    the maximum; single basis elements are tried first, then deterministic
-    pseudo-random combinations.  A one-element basis needs no search: every
-    morphism in its span is a multiple of that element, so its rank is the
-    maximum.
-    """
-    best = None
-    best_rank = -1
-    for f in basis:
-        r = _morphism_rank(f)
-        if r > best_rank:
-            best, best_rank = f, r
-        if best_rank >= want_rank:
-            return best, best_rank
-    if len(basis) == 1:
-        return best, best_rank
-    rng = random.Random(0)
-    for _ in range(120):
-        combo = basis[0].scale(0)
-        for f in basis:
-            combo = combo.add(f.scale(rng.randint(-7, 7)))
-        r = _morphism_rank(combo)
-        if r > best_rank:
-            best, best_rank = combo, r
-        if best_rank >= want_rank:
-            return best, best_rank
-    return best, best_rank
-
-
 def find_injection(source, target):
-    """An injective morphism source -> target, or None."""
-    basis = reps.hom_basis(source, target)
-    if not basis:
-        return None
-    f, r = _max_rank_morphism(basis, source.total_dim)
-    return f if r == source.total_dim else None
+    """The first injective morphism source -> target that
+    reps.morphism_of_rank finds in Hom(source, target), or None when there
+    is none."""
+    return reps.morphism_of_rank(reps.hom_basis(source, target),
+                                 source.total_dim)
 
 
 @dataclass

@@ -14,6 +14,8 @@ columns has ``_EMPTY`` as each of its rows; like every matrix an unchecked
 object is given, they are read-only.
 """
 
+import functools
+import itertools
 import math
 
 from . import linalg
@@ -22,6 +24,8 @@ from .errors import (
     HgaError,
     InternalError,
     NotGorensteinVerified,
+    ScaleExceeded,
+    UnknownArrow,
     UnknownVertex,
 )
 from .linalg import F0, F1, exact
@@ -69,10 +73,17 @@ class Representation:
     def __init__(self, algebra, dims, maps, check=True):
         self.algebra = algebra
         zero_dims, zero_maps, _ = _zero_template(algebra)
+        if check:
+            for v, k in dims.items():
+                if v not in zero_dims:
+                    raise UnknownVertex(f"unknown vertex {v!r}")
+                if type(k) is not int or k < 0:
+                    raise ValueError(f"dimension {k!r} at vertex {v} is not "
+                                     "a nonnegative integer")
         self.dims = own = dict(zero_dims)
         for v, k in dims.items():
             if v in zero_dims and k:
-                own[v] = int(k) if check else k
+                own[v] = k
         self.support = tuple(sorted((v for v in dims if own.get(v)),
                                     key=algebra.e_index.__getitem__))
         self.maps = dict(zero_maps)
@@ -97,8 +108,10 @@ class Representation:
         quiver = self.algebra.quiver
         for name, m in given.items():
             ar = quiver.arrow_by_name.get(name)
-            if ar is not None and (len(m) != self.dims[ar.target] or any(
-                    len(row) != self.dims[ar.source] for row in m)):
+            if ar is None:
+                raise UnknownArrow(f"unknown arrow {name!r}")
+            if len(m) != self.dims[ar.target] or any(
+                    len(row) != self.dims[ar.source] for row in m):
                 raise ValueError(f"matrix shape mismatch at arrow {ar.name}")
         for rel in self.algebra.presentation.relations:
             src = quiver.path_source(rel.terms[0][1])
@@ -209,10 +222,9 @@ class Morphism:
             for v in self._both_nonzero()
         )
 
-    def is_iso(self):
-        return self.source.dims == self.target.dims and all(
-            linalg.rank(self.blocks[v]) == len(self.blocks[v])
-            for v in self.source.support)
+    def rank(self):
+        """The rank of the whole map: the sum of the block ranks."""
+        return sum(linalg.rank(self.blocks[v]) for v in self._both_nonzero())
 
     def flatten(self):
         out = []
@@ -814,8 +826,48 @@ def _default_cap(alg):
     return 3 * alg.dim + 8
 
 
+# the most points of the grid that morphism_of_rank searches
+RANK_SEARCH_CAP = 10_000
+
+
+def morphism_of_rank(basis, want):
+    """The first morphism of rank at least want in the span of a Hom basis,
+    or None when the span has none.  None is exact, not a bounded miss.
+
+    The basis elements are tried in order first.  Rank is subadditive, so
+    with fewer than two elements, or with their ranks summing below want,
+    no combination reaches want.  Otherwise each minor of size want of
+    sum_i x_i f_i has degree at most rank f_i in x_i (the rank f_i + 1
+    columns of f_i in it are dependent), and by Alon's Combinatorial
+    Nullstellensatz (1999, Lemma 2.1) a polynomial of those degrees that
+    vanishes on the grid prod_i {0, ..., rank f_i} is zero.  So the grid
+    points with at least two nonzero coordinates are tried, in lex order.
+    A grid of more than RANK_SEARCH_CAP points raises ScaleExceeded."""
+    ranks = []
+    for f in basis:
+        r = f.rank()
+        if r >= want:
+            return f
+        ranks.append(r)
+    if len(basis) < 2 or sum(ranks) < want:
+        return None
+    size = math.prod(r + 1 for r in ranks)
+    if size > RANK_SEARCH_CAP:
+        raise ScaleExceeded(
+            f"a rank search over {size} grid points exceeds the cap "
+            f"{RANK_SEARCH_CAP}")
+    for point in itertools.product(*(range(r + 1) for r in ranks)):
+        terms = [f.scale(c) for c, f in zip(point, basis) if c]
+        if len(terms) > 1:
+            combo = functools.reduce(Morphism.add, terms)
+            if combo.rank() >= want:
+                return combo
+    return None
+
+
 def is_isomorphic(m, n):
-    """Isomorphism test: dimension checks, then invertible Hom combinations."""
+    """Isomorphism test: dimension checks, then an exact search of Hom(m, n)
+    for an invertible morphism (morphism_of_rank)."""
     if m.algebra is not n.algebra:
         raise AlgebraMismatch("isomorphism test across algebras")
     if m.dims != n.dims:
@@ -823,24 +875,9 @@ def is_isomorphic(m, n):
     if m.is_zero():
         return True
     basis = hom_basis(m, n)
-    if not basis:
+    if not basis or len(hom_basis(n, m)) != len(basis):
         return False
-    back = hom_basis(n, m)
-    if len(back) != len(basis):
-        return False
-    for f in basis:
-        if f.is_iso():
-            return True
-    import random
-
-    rng = random.Random(0)
-    for trial in range(120):
-        combo = basis[0].scale(0)
-        for f in basis:
-            combo = combo.add(f.scale(rng.randint(-6, 6)))
-        if combo.is_iso():
-            return True
-    return False
+    return morphism_of_rank(basis, m.total_dim) is not None
 
 
 def component_elements(f, src_verts, tgt_verts):

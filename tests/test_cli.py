@@ -10,14 +10,15 @@ from hga import (
     BoundQuiverPresentation,
     Idempotent,
     Quiver,
+    build_algebra,
     commutativity_relation,
     presentation_from_dict,
     presentation_to_dict,
     zero_relation,
 )
-from hga import cli
+from hga import cli, reps
 from hga.cli import main
-from hga.errors import InternalError
+from hga.errors import InternalError, UnknownArrow, UnknownVertex
 
 
 def write(path, data):
@@ -90,6 +91,59 @@ def test_check_gentle_pass_and_fail(tmp_path):
     assert json.loads(out.read_text())["verdict"] == "pass"
     assert main(["check-gentle", "--d", "2", "--cover", str(cover),
                  "--e", str(e), "--out", str(out)]) in (0, 1)
+
+
+@pytest.mark.parametrize("e", ["12", {"1": 0, "2": 0}, [1, 2], "1"],
+                         ids=["string", "dict", "int-list", "name-string"])
+def test_check_gentle_takes_only_a_list_of_vertex_names(tmp_path, capsys, e):
+    # a string or a dict would be read as the set of its characters or keys
+    cover = tmp_path / "cover.json"
+    write(cover, gentle_chain_dict())
+    path = tmp_path / "e.json"
+    out = tmp_path / "cert.json"
+    write(path, ["1", "2"])
+    assert main(["check-gentle", "--d", "1", "--cover", str(cover),
+                 "--e", str(path), "--out", str(out)]) == 0
+    out.unlink()
+    write(path, e)
+    assert main(["check-gentle", "--d", "1", "--cover", str(cover),
+                 "--e", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "not a JSON list of vertex names" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module, error", [
+    ({"dims": {"1": 1, "2": 1}, "maps": {"b1": [[1]]}}, UnknownArrow),
+    ({"dims": {"1": 1, "4": 1}}, UnknownVertex),
+    ({"dims": {"1": 1.5}}, ValueError),
+    ({"dims": {"1": -1}}, ValueError),
+], ids=["unknown-arrow", "unknown-vertex", "fractional-dim", "negative-dim"])
+def test_verify_example_rejects_a_bad_module(tmp_path, module, error):
+    a = build_algebra(presentation_from_dict(gentle_chain_dict()))
+    with pytest.raises(error):
+        reps.representation_from_dict(a, module)
+    alg = tmp_path / "g.json"
+    write(alg, gentle_chain_dict())
+    mods = tmp_path / "m.json"
+    write(mods, [module])
+    out = tmp_path / "v.json"
+    assert main(["verify-example", "--algebra", str(alg),
+                 "--modules", str(mods), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("modules", [
+    [{"dims": {"1": 1, "2": 1}, "maps": {"a1": 5}}], [{"dims": ["1"]}],
+    ["x"], {"dims": {"1": 1}},
+], ids=["scalar-map", "dims-list", "module-string", "not-a-list"])
+def test_verify_example_malformed_modules_exit_two(tmp_path, capsys, modules):
+    alg = tmp_path / "g.json"
+    write(alg, gentle_chain_dict())
+    mods = tmp_path / "m.json"
+    write(mods, modules)
+    assert main(["verify-example", "--algebra", str(alg),
+                 "--modules", str(mods)]) == 2
+    assert "not a list of modules" in capsys.readouterr().err
 
 
 def test_reduce_gentle_input_trivial(tmp_path):

@@ -1,6 +1,7 @@
 """Every name a module of hga imports is used in that module, every
-module-level private def of hga is read somewhere in hga, and hga needs
-nothing but the standard library to run."""
+module-level private def of hga is read somewhere in hga, hga needs
+nothing but the standard library to run, and no verdict of hga rests on
+a random draw."""
 
 import ast
 import re
@@ -115,3 +116,40 @@ def test_no_runtime_dependency():
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     found = re.search(r"^dependencies\s*=\s*(\[[^\]]*\])", text, re.M)
     assert found and ast.literal_eval(found.group(1)) == []
+
+
+def random_uses(source):
+    """Where source names the random module: "<module>" for a plain
+    ``import random`` at module level, else the name of the top-level def
+    or class holding the import or read; a ``from random import`` anywhere
+    is reported as "from random import", since the names it binds are not
+    followed.  Sorted, without repeats."""
+    found = set()
+    for node in ast.parse(source).body:
+        owner = getattr(node, "name", "<module>")
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.ImportFrom) and sub.module and \
+                    sub.module.split(".")[0] == "random":
+                found.add("from random import")
+            elif isinstance(sub, ast.Import) and any(
+                    a.name.split(".")[0] == "random" for a in sub.names) or \
+                    isinstance(sub, ast.Name) and sub.id == "random":
+                found.add(owner)
+    return sorted(found)
+
+
+def test_scan_finds_random_uses():
+    source = ("import random\n\ndef seeded(s):\n    return random.Random(s)\n"
+              "\nclass Guess:\n    def f(self):\n        import random\n"
+              "\ndef g():\n    from random import randint\n")
+    assert random_uses(source) == ["<module>", "Guess", "from random import",
+                                   "seeded"]
+
+
+def test_random_only_orders_the_reduction_search():
+    # every search whose miss is a verdict is exact; a seed only orders
+    # reduce_to_gentle's depth-first walk
+    uses = {path.name: random_uses(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+    assert {name: u for name, u in uses.items() if u} == {
+        "reduction.py": ["<module>", "reduce_to_gentle"]}

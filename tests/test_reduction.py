@@ -558,8 +558,8 @@ def test_find_injection_one_dimensional_hom_needs_no_search(monkeypatch):
 
     monkeypatch.setattr(reps.Morphism, "scale",
                         counting("scale", reps.Morphism.scale))
-    monkeypatch.setattr(reduction, "_morphism_rank",
-                        counting("rank", reduction._morphism_rank))
+    monkeypatch.setattr(reps.Morphism, "rank",
+                        counting("rank", reps.Morphism.rank))
     assert find_injection(p1, s1) is None
     assert calls == {"scale": 0, "rank": 1}
 

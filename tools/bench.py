@@ -568,8 +568,9 @@ class Reduction(Ladder):
     (the reduction memoises on its input).  The counts are the calls of
     ``quotient_by_idempotent``, ``idempotent_subalgebra``, ``represent``,
     ``build_algebra`` and ``Algebra.rad_nilpotency``, and ``rank_evals``,
-    the morphism ranks that ``reduction._max_rank_morphism`` evaluates
-    (``_morphism_rank`` calls).  A quotient is built once from its
+    the morphism ranks that the injection search evaluates
+    (``reps.Morphism.rank`` calls inside ``reduction.find_injection``, so
+    not those of ``is_isomorphic``).  A quotient is built once from its
     presentation and re-presents nothing, so ``represent`` counts the
     corners, and ``build_algebra`` counts each quotient once among its
     calls.  ``pool_counts`` sums them over the 13 pool keys: one seedless
@@ -586,7 +587,8 @@ class Reduction(Ladder):
                for name in ("quotient_by_idempotent", "idempotent_subalgebra",
                             "represent", "build_algebra")] + [
         (algebras.Algebra, "rad_nilpotency", "rad_nilpotency_calls", "all"),
-        (reduction, "_morphism_rank", "rank_evals", "all")]
+        (reps.Morphism, "rank", "rank_evals", "scoped")]
+    scope = (reduction, "find_injection")
 
     def rows(self):
         out = []
