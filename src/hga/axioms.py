@@ -131,30 +131,32 @@ def _two_paths(a):
     return memo(a, "two_paths", lambda: _TwoPaths(a))
 
 
+def _strong_successors(alg):
+    """{arrow name: the names of its strong successors, sorted} of an
+    Algebra, memoised on it.  beta is a strong successor of alpha when the
+    composition is nonzero and not commutativity-paired with any other
+    length-2 path: its class holds it alone.  The strong predecessors of
+    alg are the strong successors of alg.opposite()."""
+    def compute():
+        quiver, class_of = alg.quiver, _two_paths(alg).class_of
+        return {a.name: tuple(sorted(
+            b.name for b in quiver.arrows_from[a.target]
+            if len(class_of.get((a.name, b.name), ())) == 1))
+            for a in quiver.arrows}
+
+    return memo(alg, "strong successors", compute)
+
+
 def strong_neighbors(a, arrow_name):
-    """Strong successors and predecessors of an arrow.
-
-    beta is a strong successor of alpha when the composition is nonzero and
-    not commutativity-paired with any other length-2 path: its class holds
-    it alone.
-    """
+    """Strong successors and predecessors of an arrow, read from
+    `_strong_successors` of A and of A^op."""
     alg = _as_algebra(a)
-    quiver = alg.quiver
-    if arrow_name not in quiver.arrow_by_name:
+    if arrow_name not in alg.quiver.arrow_by_name:
         raise UnknownArrow(f"unknown arrow {arrow_name!r}")
-    alpha = quiver.arrow_by_name[arrow_name]
-    class_of = _two_paths(alg).class_of
-
-    def strong(path):
-        return len(class_of.get(path, ())) == 1
-
     return {
-        "strongSuccessors": sorted(
-            b.name for b in quiver.arrows_from[alpha.target]
-            if strong((arrow_name, b.name))),
-        "strongPredecessors": sorted(
-            g.name for g in quiver.arrows_to[alpha.source]
-            if strong((g.name, arrow_name))),
+        "strongSuccessors": list(_strong_successors(alg)[arrow_name]),
+        "strongPredecessors": list(
+            _strong_successors(alg.opposite())[arrow_name]),
     }
 
 
@@ -547,83 +549,57 @@ def _cover_axioms(alg, d):
 
 
 def _axiom_entries(alg, d):
+    """(A1)-(A4) and (E1)-(E2) of alg at degree bound d.  Each primed axiom
+    and (E1) is its partner read on alg.opposite(), whose successors are
+    alg's predecessors."""
+    entries = {"A4": check_axiom_a4(alg)}
+    for side, names, word in (
+            (alg, ("A1", "A2", "A3", "E2"), "Successors"),
+            (alg.opposite(), ("A1'", "A2'", "A3'", "E1"), "Predecessors")):
+        entries.update(zip(names, _one_side(side, d, word)))
+    return entries
+
+
+def _one_side(alg, d, word):
+    """(A1), (A2), (A3) and (E2) of alg at degree bound d, each an entry,
+    with witnesses that name an arrow's strong and zero ``word``."""
     quiver = alg.quiver
     class_of = _two_paths(alg).class_of
-    entries = {}
+    strong = sorted(_strong_successors(alg).items())
 
-    def entry(ok, witnesses):
-        return {"pass": ok, "witnesses": witnesses}
+    def entry(witnesses):
+        return {"pass": not witnesses, "witnesses": witnesses}
 
-    w = [str(v) for v in quiver.vertices
-         if len(quiver.arrows_from[v]) > d]
-    entries["A1"] = entry(not w, w)
-    w = [str(v) for v in quiver.vertices
-         if len(quiver.arrows_to[v]) > d]
-    entries["A1'"] = entry(not w, w)
-
-    strong = {a.name: strong_neighbors(alg, a.name) for a in quiver.arrows}
-    w = [{"arrow": n, "strongSuccessors": s["strongSuccessors"]}
-         for n, s in sorted(strong.items())
-         if len(s["strongSuccessors"]) > 1]
-    entries["A2"] = entry(not w, w)
-    w = [{"arrow": n, "strongPredecessors": s["strongPredecessors"]}
-         for n, s in sorted(strong.items())
-         if len(s["strongPredecessors"]) > 1]
-    entries["A2'"] = entry(not w, w)
-
-    # (A3)/(A3'): unique (m+1)-cube for 1 < m < d
-    w3, w3p = [], []
-    for name in sorted(strong):
-        alpha = quiver.arrow_by_name[name]
-        for beta in strong[name]["strongSuccessors"]:
+    # (A1): at most d arrows leave a vertex; (A2): at most one strong
+    # successor follows an arrow
+    a1 = [str(v) for v in quiver.vertices if len(quiver.arrows_from[v]) > d]
+    a2 = [{"arrow": n, "strong" + word: list(s)} for n, s in strong
+          if len(s) > 1]
+    # (A3): unique (m+1)-cube for 1 < m < d
+    a3 = []
+    for name, succ in strong:
+        corner = quiver.arrow_by_name[name].target
+        for beta in succ:
             candidates = sorted(
-                b.name for b in quiver.arrows_from[alpha.target]
+                b.name for b in quiver.arrows_from[corner]
                 if b.name != beta and (name, b.name) in class_of
             )
             for m in range(2, d):
                 for combo in combinations(candidates, m):
-                    cubes = _count_corner_cubes(
-                        alg, alpha.target, (beta,) + combo)
+                    cubes = _count_corner_cubes(alg, corner, (beta,) + combo)
                     if cubes != 1:
-                        w3.append({"arrow": name, "beta": beta,
+                        a3.append({"arrow": name, "beta": beta,
                                    "others": list(combo), "cubes": cubes})
-        for beta in strong[name]["strongPredecessors"]:
-            candidates = sorted(
-                b.name for b in quiver.arrows_to[alpha.source]
-                if b.name != beta and (b.name, name) in class_of
-            )
-            for m in range(2, d):
-                for combo in combinations(candidates, m):
-                    cubes = _count_corner_cubes(
-                        alg.opposite(), alpha.source, (beta,) + combo)
-                    if cubes != 1:
-                        w3p.append({"arrow": name, "beta": beta,
-                                    "others": list(combo), "cubes": cubes})
-    entries["A3"] = entry(not w3, w3)
-    entries["A3'"] = entry(not w3p, w3p)
-
-    entries["A4"] = check_axiom_a4(alg)
-
-    # (E1): per arrow alpha, at most one beta with alpha.beta in I
-    w = []
-    for a in quiver.arrows:
-        zeros = sorted(
-            b.name for b in quiver.arrows_to[a.source]
-            if (b.name, a.name) not in class_of
-        )
-        if len(zeros) > 1:
-            w.append({"arrow": a.name, "zeroPredecessors": zeros})
-    entries["E1"] = entry(not w, w)
-    w = []
+    # (E2): per arrow, at most one arrow after it with zero composition
+    e2 = []
     for g in quiver.arrows:
         zeros = sorted(
             b.name for b in quiver.arrows_from[g.target]
             if (g.name, b.name) not in class_of
         )
         if len(zeros) > 1:
-            w.append({"arrow": g.name, "zeroSuccessors": zeros})
-    entries["E2"] = entry(not w, w)
-    return entries
+            e2.append({"arrow": g.name, "zero" + word: zeros})
+    return entry(a1), entry(a2), entry(a3), entry(e2)
 
 
 def _count_corner_cubes(alg, corner, arrow_names):

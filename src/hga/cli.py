@@ -48,7 +48,11 @@ EXIT_INTERNAL = 4
 
 
 def _dump(data, out):
-    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    _write(json.dumps(data, indent=2, sort_keys=True) + "\n", out)
+
+
+def _write(text, out):
+    """text to the file out, or to stdout when out is not given."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -215,12 +219,7 @@ def cmd_verify_example(args):
 
 
 def cmd_export_dot(args):
-    text = presentation_to_dot(_load_presentation(args.algebra))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(presentation_to_dot(_load_presentation(args.algebra)), args.out)
     return EXIT_OK
 
 

@@ -183,8 +183,9 @@ class ClusterEndoResult:
     raw: object              # structure constants on the Hom and Ext bases
     end_dim: int             # dimension of the module-category part
     ext_dim: int             # dimension of the Ext part
-    ext_square_zero: bool
     summand_labels: list     # vertex names, aligned with the collection
+    # a trivial extension: the product of two Ext classes is zero
+    ext_square_zero = True
 
     @property
     def total_dim(self):
@@ -193,7 +194,9 @@ class ClusterEndoResult:
 
 def cluster_endo_algebra(c):
     """Endomorphism algebra of the direct sum of c in the cluster category,
-    as a trivial extension of End(T) by Ext^d(T, tau_d^- T)."""
+    as a trivial extension of End(T) by Ext^d(T, tau_d^- T): the product
+    of two Ext classes is zero, so the table holds no such product and
+    ``ext_square_zero`` is true by construction."""
     fam = c.family
     d = c.d
     mods = c.modules()
@@ -274,7 +277,7 @@ def cluster_endo_algebra(c):
             # path product (p, q): q first; module maps also compose q first
             if ap != bq:
                 continue
-            if kp == "ext" and kq == "ext":
+            if kp == "ext" and kq == "ext":     # a trivial extension
                 continue
             if kp == "hom" and kq == "hom":
                 prod = payp.compose(payq)
@@ -294,19 +297,11 @@ def cluster_endo_algebra(c):
                 mult[(p, q)] = entry
 
     raw = Algebra(vnames, basis_labels, basis_src, basis_tgt, mult)
-    presented = represent(raw)
-    end_dim = t + len(hom_ids)
-    ext_dimension = len(ext_ids)
-    ext_set = set(ext_ids.values())
-    square_zero = not any(
-        i in ext_set and j in ext_set for (i, j) in raw.mult
-    )
     return ClusterEndoResult(
-        algebra=presented,
+        algebra=represent(raw),
         raw=raw,
-        end_dim=end_dim,
-        ext_dim=ext_dimension,
-        ext_square_zero=square_zero,
+        end_dim=t + len(hom_ids),
+        ext_dim=len(ext_ids),
         summand_labels=vnames,
     )
 

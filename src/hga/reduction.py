@@ -176,53 +176,42 @@ def _fabric_report(scope, f_set, e_set):
         conditions["quotientProjDim"] = {
             "pass": witness is None, "witness": witness}
 
-    # condition 2: tau of each projective A/<f>-module injective over A/<e>
-    witness = None
-    if qf is not None:
-        for v in qf.vertices:
-            t = scope.translate(f_set, v)
-            if t.is_zero():
-                continue
-            if e_set.intersection(t.support):
-                witness = {"vertex": str(v),
-                           "reason": "translate not killed by e"}
-                break
-            if qe is None:
-                witness = {"vertex": str(v),
-                           "reason": "nonzero translate over zero quotient"}
-                break
-            if not reps.is_injective(restrict_to_quotient(qe, t)):
-                witness = {"vertex": str(v),
-                           "reason": "translate not injective"}
-                break
-    conditions["translateInjective"] = {
-        "pass": witness is None, "witness": witness}
-
-    # condition 3: tau^{-1} of each injective A/<e>-module projective
+    # condition 2: tau of each projective A/<f>-module injective over
+    # A/<e>; condition 3: tau^{-1} of each injective A/<e>-module projective
     # over A/<f>
-    witness = None
-    if qe is not None:
-        for v in qe.vertices:
-            t = reps.ar_translate_inverse(scope.lifted_injective(e_set, v))
-            if t.is_zero():
-                continue
-            if f_set.intersection(t.support):
-                witness = {"vertex": str(v),
-                           "reason": "inverse translate not killed by f"}
-                break
-            if qf is None:
-                witness = {"vertex": str(v),
-                           "reason": "nonzero inverse translate over zero "
-                                     "quotient"}
-                break
-            if not reps.is_projective(restrict_to_quotient(qf, t)):
-                witness = {"vertex": str(v),
-                           "reason": "inverse translate not projective"}
-                break
-    conditions["inverseTranslateProjective"] = {
-        "pass": witness is None, "witness": witness}
+    conditions["translateInjective"] = _translate_condition(
+        qf, lambda v: scope.translate(f_set, v), "translate", "e", e_set, qe,
+        "injective")
+    conditions["inverseTranslateProjective"] = _translate_condition(
+        qe, lambda v: reps.ar_translate_inverse(scope.lifted_injective(
+            e_set, v)), "inverse translate", "f", f_set, qf, "projective")
     return FabricReport(sorted(map(str, f_set)), sorted(map(str, e_set)),
                         conditions)
+
+
+def _translate_condition(source, translate, name, killer, kill_set, target,
+                         kind):
+    """Fabric condition 2 or 3: for each vertex v of the quotient
+    ``source`` (none when it is zero), the module ``translate(v)``, called
+    the ``name``, is zero, or it misses ``kill_set`` (the vertices of the
+    idempotent ``killer``) and is ``kind`` over the nonzero quotient
+    ``target``.  The witness names the first v that fails, and why."""
+    witness = None
+    for v in source.vertices if source is not None else ():
+        t = translate(v)
+        if t.is_zero():
+            continue
+        if kill_set.intersection(t.support):
+            reason = f"{name} not killed by {killer}"
+        elif target is None:
+            reason = f"nonzero {name} over zero quotient"
+        elif not getattr(reps, "is_" + kind)(restrict_to_quotient(target, t)):
+            reason = f"{name} not {kind}"
+        else:
+            continue
+        witness = {"vertex": str(v), "reason": reason}
+        break
+    return {"pass": witness is None, "witness": witness}
 
 
 def chensing_conditions(a, f):

@@ -21,7 +21,6 @@ import math
 from . import linalg
 from .errors import (
     AlgebraMismatch,
-    HgaError,
     InternalError,
     NotGorensteinVerified,
     ScaleExceeded,
@@ -804,7 +803,8 @@ def comparison_map(f, k):
 
 
 def proj_dim(m, cap=None):
-    """Projective dimension; math.inf on syzygy periodicity."""
+    """Projective dimension; math.inf on syzygy periodicity, and
+    ScaleExceeded when the step cap runs out first."""
     if m.is_zero():
         return 0
     if cap is None:
@@ -818,7 +818,8 @@ def proj_dim(m, cap=None):
             if old.dims == k.dims and is_isomorphic(old, k):
                 return math.inf
         seen.append(k)
-    raise HgaError("projective dimension undecided within the step cap")
+    raise ScaleExceeded(
+        "projective dimension undecided within the step cap")
 
 
 def _default_cap(alg):
@@ -1123,7 +1124,7 @@ def _dominant_dim(alg, dual_projs, cap):
             return step
         if all(kern is None for _, _, _, kern, _ in res):
             return math.inf
-    raise HgaError("dominant dimension undecided within the step cap")
+    raise ScaleExceeded("dominant dimension undecided within the step cap")
 
 
 def is_gorenstein_projective(m, n=None):

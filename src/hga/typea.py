@@ -215,7 +215,6 @@ class LabelledModuleFamily:
     modules: list               # indecomposables, lexicographic label order
     labels: list                # Tuple per module, aligned with modules
     ext_edges: set              # pairs (i, j) with Ext^d(M_i, M_j) != 0
-    report: dict
 
     def label_index(self):
         """{entries: position} of every label, memoised on the family: one
@@ -277,9 +276,4 @@ def canonical_cluster_tilting(a):
                 )
             if edge:
                 ext_edges.add((i, k))
-    report = {
-        "construction": "thin modules on the Oppermann-Thomas support "
-                        "boxes, one per separated (d+1)-tuple",
-        "moduleCount": len(modules),
-    }
-    return LabelledModuleFamily(a, modules, labels, ext_edges, report)
+    return LabelledModuleFamily(a, modules, labels, ext_edges)

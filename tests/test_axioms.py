@@ -23,6 +23,7 @@ from hga.axioms import (
     _e3_entry,
     _hull_idempotent,
     _mask_tables,
+    _strong_successors,
     _witness_span,
     check_axioms,
     commutativity_squares,
@@ -143,12 +144,24 @@ def test_strong_neighbors_linear():
     assert rec["strongPredecessors"] == []
     with pytest.raises(UnknownArrow):
         strong_neighbors(p, "nope")
+    # both sides are read from one table: the predecessors are the strong
+    # successors in the opposite algebra
+    alg = build_algebra(p)
+    assert _strong_successors(alg) == {"a1": ("a2",), "a2": ()}
+    assert _strong_successors(alg.opposite()) == {"a1": (), "a2": ("a1",)}
+    # the lists handed out are fresh: editing one leaves the table as it is
+    rec = strong_neighbors(alg, "a2")
+    rec["strongPredecessors"].append("a2")
+    assert strong_neighbors(alg, "a2")["strongPredecessors"] == ["a1"]
 
 
 def test_strong_neighbors_commutativity_paired():
     p = square()
     assert strong_neighbors(p, "p")["strongSuccessors"] == []
     assert strong_neighbors(p, "r")["strongPredecessors"] == []
+    alg = build_algebra(p)
+    assert _strong_successors(alg) == dict.fromkeys("pqrs", ())
+    assert _strong_successors(alg.opposite()) == dict.fromkeys("pqrs", ())
 
 
 def test_find_m_cubes_counts():

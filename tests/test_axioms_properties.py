@@ -23,13 +23,15 @@ from hga import (  # noqa: E402
     idempotent_subalgebra,
     zero_relation,
 )
-from hga.axioms import check_axiom_a4, is_gentle  # noqa: E402
+from hga.axioms import _axiom_entries, check_axiom_a4, is_gentle  # noqa: E402
+from hga.errors import NotAdmissible  # noqa: E402
 from reference_scans import assert_corner_matches_raw_route  # noqa: E402
 from test_axioms import assert_cover_scan_matches_corner_scan  # noqa: E402
 from reference_degree_two import (  # noqa: E402
     reference_a4,
     reference_is_gentle,
 )
+from reference_two_sided import reference_axiom_entries  # noqa: E402
 
 
 @st.composite
@@ -136,3 +138,56 @@ def test_cover_cube_scan_restricted_to_e_matches_the_corner(p, data):
     keep = data.draw(st.sets(st.sampled_from(alg.vertices), min_size=1))
     found = assert_cover_scan_matches_corner_scan(alg, sorted(keep))
     hypothesis.event(f"{found} of m = 2, 3 hold a cube")
+
+
+@st.composite
+def quadratic_presentations(draw):
+    """A quiver on up to four vertices with up to six arrows, each between
+    two drawn vertices, a loop, the reverse of the arrow before it (a
+    2-cycle) or parallel to it, bound by a zero relation on each 2-path with
+    probability 2/3 and perhaps a 2-term relation in each block of parallel
+    2-paths."""
+    vertices = [str(i) for i in range(draw(st.integers(1, 4)))]
+    ends = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["any", "loop", "back", "parallel"]))
+        if kind == "any" or not ends:
+            ends.append((draw(st.sampled_from(vertices)),
+                         draw(st.sampled_from(vertices))))
+        elif kind == "loop":
+            v = draw(st.sampled_from(vertices))
+            ends.append((v, v))
+        else:
+            s, t = ends[-1]
+            ends.append((t, s) if kind == "back" else (s, t))
+    q = Quiver(vertices, [(f"a{i}", s, t) for i, (s, t) in enumerate(ends)])
+    blocks = {}
+    for a in q.arrows:
+        for b in q.arrows_from[a.target]:
+            blocks.setdefault((a.source, b.target), []).append((a.name, b.name))
+    relations = []
+    for key in sorted(blocks):
+        paths = blocks[key]
+        relations += [zero_relation(p) for p in paths
+                      if draw(st.sampled_from([True, True, False]))]
+        if len(paths) > 1 and draw(st.booleans()):
+            p1, p2 = draw(st.permutations(paths))[:2]
+            relations.append(RelationElement(
+                [(1, p1), (draw(st.sampled_from([-1, 1, 2])), p2)]))
+    return BoundQuiverPresentation(q, relations)
+
+
+@hypothesis.given(quadratic_presentations())
+@hypothesis.settings(max_examples=100, suppress_health_check=[
+    hypothesis.HealthCheck.too_slow, hypothesis.HealthCheck.filter_too_much])
+def test_axiom_entries_match_both_sides_written_out(p):
+    try:
+        alg = build_algebra(p)
+    except NotAdmissible:
+        hypothesis.reject()
+    for side in (alg, alg.opposite()):
+        for d in range(1, 5):
+            entries = _axiom_entries(side, d)
+            assert entries == reference_axiom_entries(side, d)
+            for key, entry in sorted(entries.items()):
+                hypothesis.event(f"{key} {'pass' if entry['pass'] else 'fail'}")

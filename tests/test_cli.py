@@ -196,6 +196,10 @@ def test_export_dot(tmp_path, capsys):
     assert main(["export-dot", str(alg)]) == 0
     text = capsys.readouterr().out
     assert "->" in text and "digraph" in text
+    out = tmp_path / "g.dot"
+    assert main(["export-dot", str(alg), "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == text
+    assert capsys.readouterr().out == ""
 
 
 def test_missing_file_exit_two(tmp_path):
@@ -218,6 +222,16 @@ def test_homdims_accepts_auslander_report(tmp_path):
     assert main(["homdims", str(report), "--out", str(out_report)]) == 0
     assert main(["homdims", str(pres), "--out", str(out_pres)]) == 0
     assert out_report.read_bytes() == out_pres.read_bytes()
+
+
+def test_homdims_step_cap_exit_three(tmp_path, capsys, monkeypatch):
+    report = tmp_path / "a23.json"
+    assert main(["auslander", "--n", "3", "--d", "2",
+                 "--out", str(report)]) == 0
+    monkeypatch.setenv("HGA_CAP", "1")
+    assert main(["homdims", str(report)]) == cli.EXIT_SCALE == 3
+    assert capsys.readouterr().err == (
+        "scale cap: projective dimension undecided within the step cap\n")
 
 
 @pytest.mark.parametrize("data", [

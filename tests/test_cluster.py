@@ -264,6 +264,11 @@ def test_cycle_collection_endo_quiver(sec5):
     _, res = sec5
     assert (res.end_dim, res.ext_dim) == (64, 3)
     assert res.ext_square_zero
+    # which the construction guarantees: the table multiplies no two Ext
+    # classes
+    ext = {i for i, lab in enumerate(res.raw.basis_labels) if lab[0] == "ext"}
+    assert len(ext) == 3
+    assert not any(i in ext and j in ext for i, j in res.raw.mult)
     arrows = {(a.source, a.target)
               for a in res.algebra.presentation.quiver.arrows}
     assert arrows == SEC5_ARROWS
