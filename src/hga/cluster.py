@@ -21,7 +21,7 @@ from .errors import (
     InternalError,
     UnsupportedSummand,
 )
-from .linalg import F0, F1, div
+from .linalg import F1
 from .memo import memo
 from .typea import (
     Tuple,
@@ -121,45 +121,77 @@ def is_d_rigid(c):
     return verdict
 
 
-def _trace(f):
-    tr = F0
-    for v in f.source.algebra.vertices:
-        b = f.blocks[v]
-        for k in range(len(b)):
-            tr += b[k][k]
-    return tr
+def _thin_hom(mx, my):
+    """The components of supp mx ∩ supp my that carry Hom(mx, my), for
+    thin modules mx, my: the Hom equations of `reps.hom_basis` solved in
+    closed form.
 
+    Let I = supp mx ∩ supp my.  A map is one scalar per vertex of I, equal
+    along each arrow with both ends in I.  A component of I is zero if an
+    arrow leads from it to a vertex that only my supports, or into it from
+    a vertex that only mx supports; every other component carries a free
+    scalar.  The components come ordered by their last vertex, the order
+    of `hom_basis`'s nullspace.  The rule reads every map it relies on: a
+    dimension above 1 on I, or such a map other than [[1]], is an
+    InternalError."""
+    dims_y, quiver = my.dims, mx.algebra.quiver
+    inter = [v for v in mx.support if dims_y[v]]
+    if not inter:
+        return []
+    if any(mx.dims[v] != 1 or dims_y[v] != 1 for v in inter):
+        raise InternalError("family module is not thin on a Hom pair")
+    root = {v: v for v in inter}
 
-def _local_radical_basis(mod, endo_basis):
-    """Radical basis of End(mod) for a module with local endomorphism ring
-    and rational residue field: subtract the trace multiple of the
-    identity from each basis endomorphism."""
-    dim = mod.total_dim
-    track = linalg.TrackedSpan()
-    out = []
-    for f in endo_basis:
-        lam = div(_trace(f), dim)
-        g = f.add(reps.identity_morphism(mod).scale(-lam))
-        if g.is_zero():
-            continue
-        if track.add(linalg.sparse(g.flatten())) is None:
-            out.append(g)
-    if len(out) != len(endo_basis) - 1:
-        raise HgaError(
-            "summand endomorphism ring is not local over the rationals"
-        )
-    return out
+    def find(v):
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    def one(m, ar):
+        if m.maps[ar.name] != [[1]]:
+            raise InternalError(f"family module is not thin at {ar.name}")
+
+    dead = set()
+    for u in inter:
+        for ar in quiver.arrows_from[u]:
+            w = ar.target
+            if w in root:
+                one(mx, ar)
+                one(my, ar)
+                root[find(w)] = find(u)
+            elif dims_y[w]:
+                one(my, ar)
+                dead.add(u)
+        for ar in quiver.arrows_to[u]:
+            if ar.source not in root and mx.dims[ar.source]:
+                one(mx, ar)
+                dead.add(u)
+    comps = {}
+    for v in inter:
+        comps.setdefault(find(v), []).append(v)
+    dead = {find(v) for v in dead}
+    return sorted((tuple(c) for r, c in comps.items() if r not in dead),
+                  key=lambda c: mx.algebra.e_index[c[-1]])
 
 
 def _pair_homs(fam, x, y):
-    """Basis of Hom(M_x, M_y) for family labels x, y; on the diagonal the
-    radical basis of End(M_x).  Memoised on the family by label pair, so
-    every collection over it shares these morphisms and what is memoised
-    on them."""
+    """Hom(M_x, M_y) for family labels x, y, read off the thin modules by
+    `_thin_hom`: (components, basis), the basis one all-ones morphism per
+    component.  On the diagonal the one component is the identity's, and
+    the basis, the radical of End(M_x), is empty: End(M_x) is the
+    rationals.  Memoised on the family by label pair, so every collection
+    over it shares these morphisms and what is memoised on them."""
     def compute():
-        mx = fam.module_of(x)
-        hb = reps.hom_basis(mx, fam.module_of(y))
-        return _local_radical_basis(mx, hb) if x == y else hb
+        mx, my = fam.module_of(x), fam.module_of(y)
+        comps = _thin_hom(mx, my)
+        if x == y:
+            if len(comps) != 1:
+                raise HgaError(
+                    "summand endomorphism ring is not local over the "
+                    "rationals")
+            return comps, []
+        return comps, [reps.Morphism(mx, my, {v: [[F1]] for v in c},
+                                     check=False) for c in comps]
 
     return memo(fam, ("hom", x.entries, y.entries), compute)
 
@@ -199,13 +231,12 @@ def cluster_endo_algebra(c):
     ``ext_square_zero`` is true by construction."""
     fam = c.family
     d = c.d
-    mods = c.modules()
-    t = len(mods)
     labs = c.labels
+    t = len(labs)
     vnames = [lab.label() for lab in labs]
 
-    pair_basis = {(i, j): _pair_homs(fam, labs[i], labs[j])
-                  for i in range(t) for j in range(t)}
+    pair_homs = {(i, j): _pair_homs(fam, labs[i], labs[j])
+                 for i in range(t) for j in range(t)}
     ext_space = {(i, j): _pair_ext(fam, labs[i], labs[j], d)
                  for i in range(t) for j in range(t)}
 
@@ -221,7 +252,7 @@ def cluster_endo_algebra(c):
     hom_ids = {}
     for i in range(t):
         for j in range(t):
-            for k, f in enumerate(pair_basis[(i, j)]):
+            for k, f in enumerate(pair_homs[(i, j)][1]):
                 hom_ids[(i, j, k)] = len(records)
                 records.append(("hom", i, j, f))
                 basis_src.append(vnames[i])
@@ -237,46 +268,47 @@ def cluster_endo_algebra(c):
                 basis_tgt.append(vnames[j])
                 basis_labels.append(("ext", vnames[i], vnames[j], k))
 
-    hom_spans = {}
-
     def hom_coords(a, b, mor):
         """{basis id: coefficient} of mor: M_a -> M_b on the pair's Hom
-        basis, the identity included on the diagonal; one span per pair."""
-        vec = linalg.sparse(mor.flatten())
-        if not vec:
-            return {}
-        span = hom_spans.get((a, b))
-        if span is None:
-            span = hom_spans[(a, b)] = linalg.TrackedSpan()
-            if a == b:
-                span.add(linalg.sparse(
-                    reps.identity_morphism(mods[a]).flatten()), a)
-            for k, f in enumerate(pair_basis[(a, b)]):
-                span.add(linalg.sparse(f.flatten()), hom_ids[(a, b, k)])
-        coords = span.coords(vec)
-        if coords is None:
+        basis, the identity included on the diagonal: its scalar on each
+        basis component.  mor must be constant on each component and zero
+        off them."""
+        comps = pair_homs[(a, b)][0]
+        ids = [a] if a == b else [hom_ids[(a, b, k)]
+                                  for k in range(len(comps))]
+        blocks, dims = mor.blocks, mor.source.dims
+        left = {v for v in mor.target.support if dims[v] and blocks[v][0][0]}
+        out = {}
+        for comp, k in zip(comps, ids):
+            c = blocks[comp[0]][0][0]
+            if c and all(blocks[v][0][0] == c for v in comp):
+                out[k] = c
+                left.difference_update(comp)
+        if left:
             raise HgaError("composition escapes the Hom space")
-        return dict(sorted(coords.items()))
+        return out
 
     def ext_coords(a, b, cocycle):
         return {ext_ids[(a, b, k)]: c for k, c in
                 enumerate(ext_space[(a, b)].coords(cocycle)) if c}
 
+    index = {v: i for i, v in enumerate(vnames)}
     mult = {}
     for i in range(t):
         mult[(i, i)] = {i: F1}
     for x in range(t, len(records)):
-        src_i = vnames.index(basis_src[x])
-        tgt_i = vnames.index(basis_tgt[x])
+        src_i = index[basis_src[x]]
+        tgt_i = index[basis_tgt[x]]
         mult[(x, src_i)] = {x: F1}
         mult[(tgt_i, x)] = {x: F1}
+    ending_at = [[] for _ in range(t)]     # the records M_a -> M_b, per b
+    for q in range(t, len(records)):
+        ending_at[records[q][2]].append(q)
     for p in range(t, len(records)):
         kp, ap, bp, payp = records[p]
-        for q in range(t, len(records)):
+        for q in ending_at[ap]:
             kq, aq, bq, payq = records[q]
             # path product (p, q): q first; module maps also compose q first
-            if ap != bq:
-                continue
             if kp == "ext" and kq == "ext":     # a trivial extension
                 continue
             if kp == "hom" and kq == "hom":
@@ -354,7 +386,7 @@ def is_d_tilting(c):
                 if reps.ext_dim(mi, mj, k):
                     return False
     labs = c.labels
-    rad_pair = {(j, i): _pair_homs(c.family, labs[j], labs[i])
+    rad_pair = {(j, i): _pair_homs(c.family, labs[j], labs[i])[1]
                 for j in range(len(mods)) for i in range(len(mods))}
     current = reps.regular_module(alg)
     for _ in range(d + 1):

@@ -115,6 +115,8 @@ class Representation:
         for rel in self.algebra.presentation.relations:
             src = quiver.path_source(rel.terms[0][1])
             tgt = quiver.path_target(rel.terms[0][1])
+            if not (self.dims[src] and self.dims[tgt]):
+                continue        # a map into or out of zero: nothing to check
             total = [[F0] * self.dims[src] for _ in range(self.dims[tgt])]
             for coef, path in rel.terms:
                 pm = self.path_matrix(path)
@@ -717,12 +719,23 @@ def _differential_elements(diff, summands, k):
         diff, summands[k + 1], summands[k]))
 
 
+def _top_hom_vanishes(m, n, d):
+    """Whether Hom(P_d, n) = 0 for P_d the d-th term of m's cached minimal
+    resolution: the resolution stops before P_d, or no summand P_v of P_d
+    has v in the support of n.  Then Ext^d(m, n) = 0."""
+    terms, _, summands, _, _ = _resolution(m, d)
+    return len(terms) <= d or not any(n.dims[v] for v in summands[d])
+
+
 def ext_dim(m, n, i):
-    """dim Ext^i(m, n): dim Hom(m, n) for i = 0, else ExtSpace(m, n, i)."""
+    """dim Ext^i(m, n): dim Hom(m, n) for i = 0, 0 when
+    `_top_hom_vanishes`, else ExtSpace(m, n, i)."""
     if i < 0:
         raise ValueError("negative cohomological degree")
     if i == 0:
         return hom_dim(m, n)
+    if _top_hom_vanishes(m, n, i):
+        return 0
     return ExtSpace(m, n, i).dim
 
 
@@ -736,11 +749,11 @@ class ExtSpace:
     images of the generators, so _coboundary builds the coboundaries delta
     without solving any Hom system.  The columns of delta_{d-1} span the
     coboundaries: they enter a TrackedSpan untagged, and its rank gives
-    dim = nullity delta_d - rank delta_{d-1}.  When no summand P_v of P_d
-    has v in the support of n, Hom(P_d, n) = 0: the space is zero, and
-    neither delta is built nor P_{d+1} resolved.  Only a nonzero space
-    takes the cocycles, the nullspace basis of delta_d, in order and tagged
-    by position; those that join the span are the representatives."""
+    dim = nullity delta_d - rank delta_{d-1}.  When Hom(P_d, n) = 0
+    (`_top_hom_vanishes`) the space is zero, and neither delta is built nor
+    P_{d+1} resolved.  Only a nonzero space takes the cocycles, the
+    nullspace basis of delta_d, in order and tagged by position; those that
+    join the span are the representatives."""
 
     def __init__(self, m, n, d):
         terms, diffs, summands, _, _ = _resolution(m, d)
@@ -749,9 +762,9 @@ class ExtSpace:
         if len(terms) <= d:
             return
         self._p, self._n, self._summands = terms[d], n, summands[d]
-        ncols = sum(n.dims[v] for v in summands[d])
-        if not ncols:
+        if _top_hom_vanishes(m, n, d):
             return
+        ncols = sum(n.dims[v] for v in summands[d])
         for col in linalg.transpose(
                 _coboundary(n, summands, diffs[d], d - 1)):
             span.add(linalg.sparse(col))

@@ -1,6 +1,7 @@
 """Type-A combinatorics: separated tuples, intertwining, higher Auslander
 algebras of linear quivers, and their canonical cluster-tilting modules."""
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -69,8 +70,7 @@ def intertwines(x, y):
             f"({y.d},{y.m},{y.cyclic})"
         )
     a, b = x.entries, y.entries
-    return all(a[i] < b[i] for i in range(len(a))) and \
-        all(b[i] < a[i + 1] for i in range(len(a) - 1))
+    return all(map(operator.lt, a, b)) and all(map(operator.lt, b, a[1:]))
 
 
 @dataclass
@@ -247,8 +247,11 @@ def canonical_cluster_tilting(a):
     (k = 0..d-1), zero elsewhere, and acts as the identity on every arrow
     inside that box.  Each module is checked against the relations, and
     the Ext^d criterion (Ext^d(M_I, M_J) != 0 iff J intertwines I) is
-    verified on every ordered pair, the diagonal included, so ext_edges is
-    the complete table of where Ext^d vanishes."""
+    verified with `reps.ext_dim` on every ordered pair, the diagonal
+    included, so ext_edges is the complete table of where Ext^d vanishes.
+    Most pairs are zero already by `reps.ext_dim`'s test on M_I's cached
+    resolution, and build no ExtSpace.  `hga.cluster` reads the Hom spaces
+    between these thin modules off their supports."""
     info = a.typeA
     if info is None:
         raise ValueError("algebra was not built by build_typeA_auslander")

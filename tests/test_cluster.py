@@ -451,13 +451,13 @@ def test_endo_algebras_independent_of_order(key):
 
 
 def test_endo_algebras_share_pair_data(monkeypatch):
-    """End(cover) after End(c) computes Hom bases only for the pairs that
-    are not pairs of c."""
+    """End(cover) after End(c) computes Hom spaces only for the pairs that
+    are not pairs of c: the thin rule runs once per new label pair."""
     c = ctgent_family(4, 2, [2])
     calls = []
-    hom_basis = reps.hom_basis
-    monkeypatch.setattr(reps, "hom_basis",
-                        lambda m, n: calls.append(1) or hom_basis(m, n))
+    thin_hom = cluster._thin_hom
+    monkeypatch.setattr(cluster, "_thin_hom",
+                        lambda m, n: calls.append(1) or thin_hom(m, n))
     cluster_endo_algebra(c)
     assert len(calls) == len(c) ** 2
     cover, _ = ctgent_cover(c)
@@ -481,3 +481,69 @@ def test_simple_chain_translates_the_family_modules(n, d, idx, monkeypatch):
         m = fam.module_of(lab)
         assert m.dim_vector() == reps.simple(fam.algebra, v).dim_vector()
         assert peek(m, ("tau_d_inv", d)) is not None
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (5, 1), (3, 2), (5, 2), (3, 3),
+                                  (4, 3), (3, 4)])
+def test_thin_rule_matches_hom_basis(n, d):
+    """The thin rule is the Hom system solved in closed form: on every
+    ordered pair of the family it gives `reps.hom_basis`'s morphisms, block
+    for block and in the same order; on the diagonal the one component is
+    the identity's and the radical basis is empty."""
+    fam = canonical_cluster_tilting(build_typeA_auslander(n, d))
+    for x, mx in zip(fam.labels, fam.modules):
+        for y, my in zip(fam.labels, fam.modules):
+            comps, basis = cluster._pair_homs(fam, x, y)
+            thin = [reps.Morphism(mx, my, {v: [[1]] for v in c}, check=False)
+                    for c in comps]
+            assert [f.blocks for f in thin] == \
+                [f.blocks for f in reps.hom_basis(mx, my)], (x, y)
+            if x == y:
+                assert (comps, basis) == ([mx.support], [])
+            else:
+                assert [f.blocks for f in basis] == [f.blocks for f in thin]
+
+
+@pytest.mark.parametrize("n, d", [(4, 2), (3, 3)])
+def test_ext_dim_zero_path_matches_ext_space(n, d, monkeypatch):
+    """`reps.ext_dim` answers 0 without an ExtSpace exactly where Hom out
+    of the resolution's top term vanishes, and agrees with ExtSpace's
+    dimension on every ordered pair of the family in degrees 1..d."""
+    fam = canonical_cluster_tilting(build_typeA_auslander(n, d))
+    pairs = [(m, x, i) for m in fam.modules for x in fam.modules
+             for i in range(1, d + 1)]
+    want = [reps.ExtSpace(m, x, i).dim for m, x, i in pairs]
+    built = []
+    ext_space = reps.ExtSpace
+    monkeypatch.setattr(reps, "ExtSpace",
+                        lambda *args: built.append(args) or ext_space(*args))
+    assert [reps.ext_dim(m, x, i) for m, x, i in pairs] == want
+    zero = [p for p in pairs if reps._top_hom_vanishes(*p)]
+    assert 0 < len(zero) < len(pairs)
+    assert len(built) == len(pairs) - len(zero)
+    assert not any(p in zero for p in built)
+
+
+def test_tampered_family_module_fails_the_thin_rule(fam24):
+    """A family module with a map scaled to 2 inside its box is not thin:
+    every Hom pair that reads that map raises InternalError, never a
+    wrong basis."""
+    i = 7
+    m = fam24.modules[i]
+    ar = next(ar for ar in fam24.algebra.quiver.arrows
+              if ar.source in m.support and ar.target in m.support)
+    bad = reps.Representation(fam24.algebra, m.dims,
+                              dict(m.maps, **{ar.name: [[2]]}), check=False)
+    fam = dataclasses.replace(
+        fam24, modules=fam24.modules[:i] + [bad] + fam24.modules[i + 1:])
+    x = fam.labels[i]
+    with pytest.raises(InternalError, match=ar.name):
+        cluster._pair_homs(fam, x, x)
+    reads = 0
+    for y, my in zip(fam.labels, fam.modules):
+        if y != x and {ar.source, ar.target} <= set(my.support):
+            reads += 1
+            for pair in ((x, y), (y, x)):
+                with pytest.raises(InternalError, match=ar.name):
+                    cluster._pair_homs(fam, *pair)
+    assert reads

@@ -498,10 +498,21 @@ def ctgent_round(collections):
         cluster.ctgent_cover(c)
 
 
+def ctgent_algebras():
+    """A fresh A^d_n for each key of the ``ctgent`` pool, as each
+    ``ctgent_family`` call builds one."""
+    return [typea.build_typeA_auslander(n, d) for n, d, _ in CTGENT_POOL]
+
+
+def build_families(algebras):
+    for a in algebras:
+        typea.canonical_cluster_tilting(a)
+
+
 class Family(Ladder):
     """Pair data on the labelled module family.
 
-    Three rows, each timed by the median of 7 runs on fresh families:
+    Four rows, each timed by the median of 7 runs on fresh families:
 
     - ``rigid``: one pass of the ``rigid`` workload, that is its 216 label
       subsets (six rounds draw each pool entry once), on the canonical
@@ -518,16 +529,23 @@ class Family(Ladder):
       Each key builds a fresh family with ``ctgent_family``, unmeasured,
       then End(c) with ``cluster_endo_algebra`` and End(cover) with
       ``ctgent_cover``.  The counts are the calls of ``reps.hom_basis``,
-      ``reps.ExtSpace``, ``cluster._local_radical_basis``,
-      ``reps._tau_d_inv_mor`` and ``reps.resolution_lift`` made inside
-      ``cluster_endo_algebra``, at any depth.  The last two are the
-      computes behind the memos of ``reps.higher_translate_inverse_morphism``
-      and ``reps.comparison_map``, so they count the maps computed, not the
+      ``reps.ExtSpace``, ``reps._tau_d_inv_mor`` and
+      ``reps.resolution_lift`` made inside ``cluster_endo_algebra``, at any
+      depth.  The last two are the computes behind the memos of
+      ``reps.higher_translate_inverse_morphism`` and
+      ``reps.comparison_map``, so they count the maps computed, not the
       lookups.
+    - ``build``: ``canonical_cluster_tilting`` on a fresh A^d_n for each of
+      the 13 keys of the ``ctgent`` pool, built unmeasured, as a cold
+      ``ctgent`` job builds its family.  The counts are the calls of
+      ``reps.ext_dim`` and ``reps.ExtSpace`` made inside it: every ordered
+      pair is checked against the Ext^d criterion, and an ExtSpace is built
+      only where Hom out of the resolution's top term does not vanish.
 
-    ``--check`` runs all three: a guard against per-query Ext computations,
-    label comparisons and label lookups, a lookup per label, and
-    per-collection pair data, coming back.
+    ``--check`` runs all four: a guard against per-query Ext computations,
+    label comparisons and label lookups, a lookup per label, per-collection
+    pair data, a general Hom solve per family pair, an ExtSpace per zero
+    family check, and an unchecked family pair, coming back.
     """
 
     repeat, average = 7, staticmethod(statistics.median)
@@ -541,18 +559,20 @@ class Family(Ladder):
                   (cluster, "is_d_rigid")),
         "collections": ([(memo, "memo", ("label_lookups",), label_lookups)],
                         None),
-        "ctgent": ([(home, name, f"{name}_calls", "scoped")
-                    for home, name in ((reps, "hom_basis"), (reps, "ExtSpace"),
-                                       (cluster, "_local_radical_basis"),
-                                       (reps, "_tau_d_inv_mor"),
-                                       (reps, "resolution_lift"))],
+        "ctgent": ([(reps, name, f"{name}_calls", "scoped")
+                    for name in ("hom_basis", "ExtSpace", "_tau_d_inv_mor",
+                                 "resolution_lift")],
                    (cluster, "cluster_endo_algebra")),
+        "build": ([(reps, name, f"{name}_calls", "scoped")
+                   for name in ("ext_dim", "ExtSpace")],
+                  (typea, "canonical_cluster_tilting")),
     }
 
     def rows(self):
         return [Row("rigid", None, rigid_pass, rigid_collections),
                 Row("collections", None, rigid_collections, rigid_families),
-                Row("ctgent", None, ctgent_round, ctgent_families)]
+                Row("ctgent", None, ctgent_round, ctgent_families),
+                Row("build", None, build_families, ctgent_algebras)]
 
     def counting(self, row):
         return Counting(*self.COUNTED[row.key])
