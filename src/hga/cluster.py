@@ -135,7 +135,7 @@ def _thin_hom(mx, my):
     dimension above 1 on I, or such a map other than [[1]], is an
     InternalError."""
     dims_y, quiver = my.dims, mx.algebra.quiver
-    inter = [v for v in mx.support if dims_y[v]]
+    inter = [v for v in mx.support if v in dims_y]
     if not inter:
         return []
     if any(mx.dims[v] != 1 or dims_y[v] != 1 for v in inter):
@@ -159,11 +159,11 @@ def _thin_hom(mx, my):
                 one(mx, ar)
                 one(my, ar)
                 root[find(w)] = find(u)
-            elif dims_y[w]:
+            elif w in dims_y:
                 one(my, ar)
                 dead.add(u)
         for ar in quiver.arrows_to[u]:
-            if ar.source not in root and mx.dims[ar.source]:
+            if ar.source not in root and ar.source in mx.dims:
                 one(mx, ar)
                 dead.add(u)
     comps = {}
@@ -276,8 +276,8 @@ def cluster_endo_algebra(c):
         comps = pair_homs[(a, b)][0]
         ids = [a] if a == b else [hom_ids[(a, b, k)]
                                   for k in range(len(comps))]
-        blocks, dims = mor.blocks, mor.source.dims
-        left = {v for v in mor.target.support if dims[v] and blocks[v][0][0]}
+        blocks = mor.blocks
+        left = {v for v, b in blocks.items() if b[0][0]}
         out = {}
         for comp, k in zip(comps, ids):
             c = blocks[comp[0]][0][0]

@@ -37,8 +37,10 @@ def restrict_to_quotient(quot, m):
     corner fAf: its spaces at their vertices, and at each of their arrows
     the action of that arrow's ambient basis element.  For a quotient, m
     must have zero spaces at the removed vertices."""
-    dims = {v: m.dims[v] for v in quot.vertices}
-    maps = {name: m.basis_matrix(i) for name, i in quot.arrow_ambient.items()}
+    dims = {v: m.dims[v] for v in quot.vertices if v in m.dims}
+    arrow = quot.quiver.arrow_by_name
+    maps = {name: m.basis_matrix(i) for name, i in quot.arrow_ambient.items()
+            if arrow[name].source in dims and arrow[name].target in dims}
     return reps.Representation(quot, dims, maps, check=False)
 
 

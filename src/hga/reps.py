@@ -4,14 +4,13 @@ A representation assigns a rational vector space to each vertex and a matrix
 to each arrow; the matrix of an arrow u -> w has shape dims[w] x dims[u].
 Morphism blocks follow the same covariant convention.
 
-Every step works on the support of its modules, the vertices with a nonzero
-space, and on the arrows whose two ends are both in it.  A representation
-still has a key in ``dims`` for every vertex and in ``maps`` for every
-arrow, and a morphism one in ``blocks`` for every vertex: a constructor
-copies a per-algebra template of zeros and fills in the support alone.  A
-matrix with no rows is the one shared ``_EMPTY``, and a matrix with no
-columns has ``_EMPTY`` as each of its rows; like every matrix an unchecked
-object is given, they are read-only.
+A module is stored by its support, the vertices with a nonzero space:
+``dims`` keys those vertices alone, ``maps`` the arrows whose two ends are
+both in it, and a morphism's ``blocks`` the vertices where its source and
+target are both nonzero.  Every other dimension is 0 (``dims.get(v, 0)``)
+and every other matrix has a zero size, so ``==`` on ``dims`` and ``maps``
+still compares whole modules.  Every step works on these supports.  Like
+every matrix an unchecked object is given, the stored ones are read-only.
 """
 
 import functools
@@ -30,18 +29,6 @@ from .errors import (
 from .linalg import F0, F1, exact
 from .memo import memo, peek
 
-# the one matrix with no rows, and the one row with no entries; read-only
-_EMPTY = []
-
-
-def mmul(a, b, bcols):
-    """Matrix product tolerant of zero-dimensional factors."""
-    if not a:
-        return []
-    if not b:
-        return [[F0] * bcols for _ in a]
-    return linalg.mat_mul(a, b)
-
 
 def _entries(m, check):
     """The matrix m as a representation or morphism stores it.  A checked
@@ -53,75 +40,57 @@ def _entries(m, check):
     return m
 
 
-def _zero_template(alg):
-    """Memoised on alg: dimension 0 at every vertex, and the shared empty
-    matrix at every arrow and at every vertex, for the constructors of
-    Representation and Morphism to copy."""
-    def compute():
-        names = [ar.name for ar in alg.quiver.arrows]
-        return (dict.fromkeys(alg.vertices, 0), dict.fromkeys(names, _EMPTY),
-                dict.fromkeys(alg.vertices, _EMPTY))
-
-    return memo(alg, "zero template", compute)
-
-
 class Representation:
     """dims and maps as the module docstring says; support is the tuple of
-    the vertices with a nonzero space, in vertex order."""
+    the keys of dims, in vertex order.  The given dims and maps may hold
+    zeros and zero-size matrices, which are not stored."""
 
     def __init__(self, algebra, dims, maps, check=True):
         self.algebra = algebra
-        zero_dims, zero_maps, _ = _zero_template(algebra)
+        e_index = algebra.e_index
         if check:
             for v, k in dims.items():
-                if v not in zero_dims:
+                if v not in e_index:
                     raise UnknownVertex(f"unknown vertex {v!r}")
                 if type(k) is not int or k < 0:
                     raise ValueError(f"dimension {k!r} at vertex {v} is not "
                                      "a nonnegative integer")
-        self.dims = own = dict(zero_dims)
-        for v, k in dims.items():
-            if v in zero_dims and k:
-                own[v] = k
-        self.support = tuple(sorted((v for v in dims if own.get(v)),
-                                    key=algebra.e_index.__getitem__))
-        self.maps = dict(zero_maps)
-        quiver = algebra.quiver
+        self.support = tuple(sorted((v for v, k in dims.items() if k),
+                                    key=e_index.__getitem__))
+        self.dims = own = {v: dims[v] for v in self.support}
+        self.maps = {}
+        arrows_from = algebra.quiver.arrows_from
         for u in self.support:
             cols = own[u]
-            for ar in quiver.arrows_from[u]:
-                rows = own[ar.target]
+            for ar in arrows_from[u]:
+                rows = own.get(ar.target)
                 if rows:
                     m = maps.get(ar.name)
                     if m is None:
                         m = [[F0] * cols for _ in range(rows)]
                     self.maps[ar.name] = _entries(m, check)
-        for w in self.support:
-            for ar in quiver.arrows_to[w]:
-                if not own[ar.source]:
-                    self.maps[ar.name] = [_EMPTY] * own[w]
         if check:
             self._check(maps)
 
     def _check(self, given):
-        quiver = self.algebra.quiver
+        quiver, dims = self.algebra.quiver, self.dims
         for name, m in given.items():
             ar = quiver.arrow_by_name.get(name)
             if ar is None:
                 raise UnknownArrow(f"unknown arrow {name!r}")
-            if len(m) != self.dims[ar.target] or any(
-                    len(row) != self.dims[ar.source] for row in m):
+            cols = dims.get(ar.source, 0)
+            if len(m) != dims.get(ar.target, 0) or any(
+                    len(row) != cols for row in m):
                 raise ValueError(f"matrix shape mismatch at arrow {ar.name}")
         for rel in self.algebra.presentation.relations:
             src = quiver.path_source(rel.terms[0][1])
             tgt = quiver.path_target(rel.terms[0][1])
-            if not (self.dims[src] and self.dims[tgt]):
+            if src not in dims or tgt not in dims:
                 continue        # a map into or out of zero: nothing to check
-            total = [[F0] * self.dims[src] for _ in range(self.dims[tgt])]
+            total = [[F0] * dims[src] for _ in range(dims[tgt])]
             for coef, path in rel.terms:
-                pm = self.path_matrix(path)
-                total = linalg.mat_add(total, linalg.mat_scale(coef, pm)) \
-                    if total else pm
+                total = linalg.mat_add(
+                    total, linalg.mat_scale(coef, self.path_matrix(path)))
             if not all(all(x == 0 for x in row) for row in total):
                 raise ValueError("representation does not satisfy the relations")
 
@@ -130,26 +99,29 @@ class Representation:
         return sum(self.dims.values())
 
     def dim_vector(self):
-        return tuple(self.dims[v] for v in self.algebra.vertices)
+        return tuple(self.dims.get(v, 0) for v in self.algebra.vertices)
 
     def is_zero(self):
         return not self.support
 
     def path_matrix(self, path):
-        """Matrix of a path of arrow names (application order)."""
-        quiver = self.algebra.quiver
-        mat = self.maps[path[0]]
+        """Matrix of a path of arrow names (application order); a zero one
+        when the path leaves the support."""
+        maps = self.maps
+        if not all(name in maps for name in path):
+            quiver, dims = self.algebra.quiver, self.dims
+            return [[F0] * dims.get(quiver.path_source(path), 0)
+                    for _ in range(dims.get(quiver.path_target(path), 0))]
+        mat = maps[path[0]]
         for name in path[1:]:
-            mat = mmul(self.maps[name], mat,
-                       self.dims[quiver.path_source(path)])
+            mat = linalg.mat_mul(maps[name], mat)
         return mat
 
     def basis_matrix(self, i):
         """Matrix of the i-th algebra basis element on this representation."""
         alg = self.algebra
         if i < len(alg.vertices):
-            n = self.dims[alg.vertices[i]]
-            return linalg.identity(n)
+            return linalg.identity(self.dims.get(alg.vertices[i], 0))
         return self.path_matrix(alg.basis_labels[i])
 
     def __repr__(self):
@@ -164,34 +136,31 @@ class Morphism:
             raise AlgebraMismatch("morphism between different algebras")
         self.source = source
         self.target = target
-        self.blocks = dict(_zero_template(source.algebra)[2])
+        self.blocks = own = {}
         for v in target.support:
-            rows, cols = target.dims[v], source.dims[v]
+            cols = source.dims.get(v)
             if cols:
                 b = blocks.get(v)
                 if b is None:
-                    b = [[F0] * cols for _ in range(rows)]
-                self.blocks[v] = _entries(b, check)
-            else:
-                self.blocks[v] = [_EMPTY] * rows
+                    b = [[F0] * cols for _ in range(target.dims[v])]
+                own[v] = _entries(b, check)
         if check:
             self._check()
 
     def _check(self):
-        quiver = self.source.algebra.quiver
-        for ar in quiver.arrows:
+        src, tgt, blocks = self.source, self.target, self.blocks
+        for ar in src.algebra.quiver.arrows:
             u, w = ar.source, ar.target
-            left = mmul(self.target.maps[ar.name], self.blocks[u],
-                        self.source.dims[u])
-            right = mmul(self.blocks[w], self.source.maps[ar.name],
-                         self.source.dims[u])
+            cols, rows = src.dims.get(u), tgt.dims.get(w)
+            if not (cols and rows):
+                continue
+            zero = [[F0] * cols for _ in range(rows)]
+            left = (linalg.mat_mul(tgt.maps[ar.name], blocks[u])
+                    if u in blocks else zero)
+            right = (linalg.mat_mul(blocks[w], src.maps[ar.name])
+                     if w in blocks else zero)
             if left != right:
                 raise ValueError(f"blocks do not commute with arrow {ar.name}")
-
-    def _both_nonzero(self):
-        """The vertices where source and target are both nonzero."""
-        dims = self.source.dims
-        return [v for v in self.target.support if dims[v]]
 
     def compose(self, other):
         """self after other (other applied first).  other's target and
@@ -201,36 +170,33 @@ class Morphism:
                 other.target.dims != self.source.dims
                 or other.target.maps != self.source.maps):
             raise AlgebraMismatch("morphisms not composable")
-        src, mid = other.source, self.source
-        blocks = {v: linalg.mat_mul(self.blocks[v], other.blocks[v])
-                  for v in self.target.support if src.dims[v] and mid.dims[v]}
-        return Morphism(src, self.target, blocks, check=False)
+        inner = other.blocks
+        blocks = {v: linalg.mat_mul(b, inner[v])
+                  for v, b in self.blocks.items() if v in inner}
+        return Morphism(other.source, self.target, blocks, check=False)
 
     def add(self, other):
-        blocks = {v: linalg.mat_add(self.blocks[v], other.blocks[v])
-                  for v in self._both_nonzero()}
+        blocks = {v: linalg.mat_add(b, other.blocks[v])
+                  for v, b in self.blocks.items()}
         return Morphism(self.source, self.target, blocks, check=False)
 
     def scale(self, c):
         c = exact(c)
-        blocks = {v: linalg.mat_scale(c, self.blocks[v])
-                  for v in self._both_nonzero()}
+        blocks = {v: linalg.mat_scale(c, b) for v, b in self.blocks.items()}
         return Morphism(self.source, self.target, blocks, check=False)
 
     def is_zero(self):
-        return all(
-            all(all(x == 0 for x in row) for row in self.blocks[v])
-            for v in self._both_nonzero()
-        )
+        return all(all(all(x == 0 for x in row) for row in b)
+                   for b in self.blocks.values())
 
     def rank(self):
         """The rank of the whole map: the sum of the block ranks."""
-        return sum(linalg.rank(self.blocks[v]) for v in self._both_nonzero())
+        return sum(linalg.rank(b) for b in self.blocks.values())
 
     def flatten(self):
         out = []
-        for v in self.target.support:
-            for row in self.blocks[v]:
+        for b in self.blocks.values():
+            for row in b:
                 out.extend(row)
         return out
 
@@ -302,12 +268,8 @@ def dual(m):
     Memoised on m, so D(P_v) and the injectives are shared objects whose
     resolutions are cached."""
     def compute():
-        arrows_from = m.algebra.quiver.arrows_from
-        maps = {ar.name: linalg.transpose(m.maps[ar.name])
-                for u in m.support for ar in arrows_from[u]
-                if m.dims[ar.target]}
-        return Representation(m.algebra.opposite(),
-                              {v: m.dims[v] for v in m.support}, maps,
+        maps = {name: linalg.transpose(mat) for name, mat in m.maps.items()}
+        return Representation(m.algebra.opposite(), m.dims, maps,
                               check=False)
 
     return memo(m, "dual", compute)
@@ -316,7 +278,7 @@ def dual(m):
 def dual_morphism(f):
     """D on maps, contravariant: f: X -> Y gives D Y -> D X, between the
     memoised duals."""
-    blocks = {v: linalg.transpose(f.blocks[v]) for v in f._both_nonzero()}
+    blocks = {v: linalg.transpose(b) for v, b in f.blocks.items()}
     return Morphism(dual(f.target), dual(f.source), blocks, check=False)
 
 
@@ -338,22 +300,18 @@ def _sum_module(reps):
         offsets.append({v: dims.get(v, 0) for v in r.support})
         for v in r.support:
             dims[v] = dims.get(v, 0) + r.dims[v]
-    arrows_from = alg.quiver.arrows_from
+    arrow = alg.quiver.arrow_by_name
     maps = {}
     for r, off in zip(reps, offsets):
-        for u in r.support:
-            for ar in arrows_from[u]:
-                w = ar.target
-                if not r.dims[w]:
-                    continue
-                mat = maps.get(ar.name)
-                if mat is None:
-                    mat = maps[ar.name] = [[F0] * dims[u]
-                                           for _ in range(dims[w])]
-                for i, row in enumerate(r.maps[ar.name], off[w]):
-                    for j, x in enumerate(row, off[u]):
-                        if x:
-                            mat[i][j] = x
+        for name, rmat in r.maps.items():
+            u, w = arrow[name].source, arrow[name].target
+            mat = maps.get(name)
+            if mat is None:
+                mat = maps[name] = [[F0] * dims[u] for _ in range(dims[w])]
+            for i, row in enumerate(rmat, off[w]):
+                for j, x in enumerate(row, off[u]):
+                    if x:
+                        mat[i][j] = x
     return Representation(alg, dims, maps, check=False), offsets
 
 
@@ -384,25 +342,27 @@ def _hom_equations(m, n):
     The unknown (v, i, j) is entry (i, j) of the block at v; each row says
     that the blocks commute with one arrow.  Only the arrows from supp(m)
     to supp(n) give rows, in arrow order; all-zero rows are dropped."""
+    mdims, ndims = m.dims, n.dims
     var_index = {}
     for v in m.support:
-        for i in range(n.dims[v]):
-            for j in range(m.dims[v]):
+        for i in range(ndims.get(v, 0)):
+            for j in range(mdims[v]):
                 var_index[(v, i, j)] = len(var_index)
     nvars = len(var_index)
     rows = []
     for ar in m.algebra.quiver.arrows:
         u, w = ar.source, ar.target
-        if not (m.dims[u] and n.dims[w]):
+        if u not in mdims or w not in ndims:
             continue
-        na, ma = n.maps[ar.name], m.maps[ar.name]
-        for i in range(n.dims[w]):
-            for j in range(m.dims[u]):
+        na, ma = n.maps.get(ar.name), m.maps.get(ar.name)
+        nu, mw = ndims.get(u, 0), mdims.get(w, 0)
+        for i in range(ndims[w]):
+            for j in range(mdims[u]):
                 row = [F0] * nvars
-                for k in range(n.dims[u]):
+                for k in range(nu):
                     if na[i][k]:
                         row[var_index[(u, k, j)]] += na[i][k]
-                for l in range(m.dims[w]):
+                for l in range(mw):
                     if ma[l][j]:
                         row[var_index[(w, i, l)]] -= ma[l][j]
                 if any(row):
@@ -419,7 +379,7 @@ def hom_basis(m, n):
     for sol in linalg.nullspace(rows, ncols=len(var_index)):
         blocks = {v: [[sol[var_index[(v, i, j)]] for j in range(m.dims[v])]
                       for i in range(n.dims[v])]
-                  for v in n.support if m.dims[v]}
+                  for v in n.support if v in m.dims}
         out.append(Morphism(m, n, blocks, check=False))
     return out
 
@@ -446,7 +406,7 @@ def _kernel(f):
     alg = m.algebra
     free, incl_blocks = {}, {}
     for v in m.support:
-        red, pivots = linalg.rref(f.blocks[v]) if n.dims[v] else ((), ())
+        red, pivots = linalg.rref(f.blocks[v]) if v in f.blocks else ((), ())
         if len(pivots) == m.dims[v]:
             continue
         cols = [j for j in range(m.dims[v]) if j not in pivots]
@@ -460,10 +420,11 @@ def _kernel(f):
     for u, block in incl_blocks.items():
         for ar in arrows_from[u]:
             w = ar.target
-            if not m.dims[w]:
+            if w not in m.dims:
                 continue
             img = linalg.mat_mul(m.maps[ar.name], block)
-            if n.dims[w] and any(map(any, linalg.mat_mul(f.blocks[w], img))):
+            fw = f.blocks.get(w)
+            if fw and any(map(any, linalg.mat_mul(fw, img))):
                 raise InternalError("kernel is not a subrepresentation")
             if w in free:
                 maps[ar.name] = [img[j] for j in free[w]]
@@ -486,7 +447,7 @@ def _cokernel(f):
     block sends the unit vector of a free coordinate to the class of that
     coordinate: the free columns are the kept coordinates."""
     k, incl, kept = _kernel(dual_morphism(f))
-    proj = {v: linalg.transpose(incl.blocks[v]) for v in k.support}
+    proj = {v: linalg.transpose(b) for v, b in incl.blocks.items()}
     c = dual(k)
     return c, Morphism(f.target, c, proj, check=False), kept
 
@@ -499,7 +460,7 @@ def radical_vectors(m):
     for w in m.support:
         vecs = out[w] = []
         for ar in arrows_to[w]:
-            if dims[ar.source]:
+            if ar.source in dims:
                 vecs.extend(map(list, filter(any, zip(*m.maps[ar.name]))))
     return out
 
@@ -542,31 +503,34 @@ def from_generators(p, vertices, n, images):
     blocks = {}
     start = 0
     for v, ((ids, _), off) in zip(vertices, _summand_offsets(alg, vertices)):
-        gen = images[start:start + n.dims[v]]
-        start += n.dims[v]
+        gen = images[start:start + n.dims.get(v, 0)]
+        start += len(gen)
         if not any(gen):
             continue
         acted = {(): gen}
         for w, w_ids in ids.items():
-            if not n.dims[w]:
+            if w not in n.dims:
                 continue
             block = blocks.get(w)
             if block is None:
                 block = blocks[w] = [[F0] * p.dims[w] for _ in range(n.dims[w])]
             for col, b in enumerate(w_ids, off[w]):
                 vec = _act(n, labels[b] if b >= nv else (), acted)
-                for row, x in zip(block, vec):
+                for row, x in zip(block, vec or ()):
                     if x:
                         row[col] = x
     return Morphism(p, n, blocks, check=False)
 
 
 def _act(n, path, acted):
-    """n(path) applied to acted[()], memoised in acted by prefix."""
-    vec = acted.get(path)
-    if vec is None:
-        vec = linalg.mat_vec(n.maps[path[-1]], _act(n, path[:-1], acted))
-        acted[path] = vec
+    """n(path) applied to acted[()], memoised in acted by prefix; None, the
+    zero vector, once the path leaves the support of n."""
+    if path in acted:
+        return acted[path]
+    vec = _act(n, path[:-1], acted)
+    mat = n.maps.get(path[-1])
+    vec = acted[path] = (None if vec is None or mat is None
+                         else linalg.mat_vec(mat, vec))
     return vec
 
 
@@ -578,7 +542,7 @@ def generator_images(f, vertices):
     images = []
     for v, ((_, pos), off) in zip(vertices, _summand_offsets(alg, vertices)):
         gen = off[v] + pos[alg.e_index[v]]
-        images.extend(row[gen] for row in f.blocks[v])
+        images.extend(row[gen] for row in f.blocks.get(v, ()))
     return images
 
 
@@ -589,12 +553,12 @@ def _preimage(g, v, spans, y):
     span = spans.get(v)
     if span is None:
         span = spans[v] = linalg.TrackedSpan()
-        for j, col in enumerate(zip(*g.blocks[v])):
+        for j, col in enumerate(zip(*g.blocks.get(v, ()))):
             span.add(linalg.sparse(col), j)
     c = span.coords(linalg.sparse(y))
     if c is None:
         raise InternalError("lift leaves the image of the map")
-    return [c.get(j, F0) for j in range(g.source.dims[v])]
+    return [c.get(j, F0) for j in range(g.source.dims.get(v, 0))]
 
 
 def lift_from_projectives(f, vertices, g):
@@ -604,7 +568,7 @@ def lift_from_projectives(f, vertices, g):
     images = generator_images(f, vertices)
     spans, lifted, start = {}, [], 0
     for v in vertices:
-        k = f.target.dims[v]
+        k = f.target.dims.get(v, 0)
         lifted.extend(_preimage(g, v, spans, images[start:start + k]))
         start += k
     return from_generators(f.source, vertices, g.source, lifted)
@@ -615,9 +579,9 @@ def lift_through_mono(f, g):
     each vertex lifted through g there.  As g is mono, h commutes with the
     arrows because f does."""
     spans, blocks = {}, {}
-    for v in f.source.support:
-        cols = [_preimage(g, v, spans, col) for col in zip(*f.blocks[v])]
-        if g.source.dims[v]:
+    for v, b in f.blocks.items():
+        cols = [_preimage(g, v, spans, col) for col in zip(*b)]
+        if v in g.source.dims:
             blocks[v] = linalg.transpose(cols)
     return Morphism(f.source, g.source, blocks, check=False)
 
@@ -642,24 +606,27 @@ def _resolution(m, k):
     """The minimal projective resolution of m up to P_k, computed from the
     one up to P_{k-1}: (terms, diffs, summand lists, K, K -> P_k) with K the
     kernel of the last differential, None once it vanishes; the resolution
-    then stops, and every longer one is the same."""
-    def compute():
-        if k == 0:
-            terms, diffs, summands, current, incl = (), (), (), m, None
-        else:
-            prev = _resolution(m, k - 1)
-            terms, diffs, summands, current, incl = prev
-            if current is None:
-                return prev
-        p, epi, cover_summands = projective_cover(current)
-        kern, kincl = kernel(epi)
-        if not kern.support:
-            kern = kincl = None
-        d = epi if incl is None else incl.compose(epi)
-        return (terms + (p,), diffs + (d,), summands + (cover_summands,),
-                kern, kincl)
+    then stops, and every longer one is the same.  Memoised on m per k; a
+    stored one is read with `peek`, so a hit builds no closure."""
+    key = ("resolution", k)
+    return peek(m, key) or memo(m, key, lambda: _resolution_step(m, k))
 
-    return memo(m, ("resolution", k), compute)
+
+def _resolution_step(m, k):
+    if k == 0:
+        terms, diffs, summands, current, incl = (), (), (), m, None
+    else:
+        prev = _resolution(m, k - 1)
+        terms, diffs, summands, current, incl = prev
+        if current is None:
+            return prev
+    p, epi, cover_summands = projective_cover(current)
+    kern, kincl = kernel(epi)
+    if not kern.support:
+        kern = kincl = None
+    d = epi if incl is None else incl.compose(epi)
+    return (terms + (p,), diffs + (d,), summands + (cover_summands,),
+            kern, kincl)
 
 
 def is_projective(m):
@@ -698,10 +665,10 @@ def _coboundary(n, summands, diff, k):
     col_off, ncols = [], 0
     for v in summands[k]:
         col_off.append(ncols)
-        ncols += n.dims[v]
+        ncols += n.dims.get(v, 0)
     rows = []
     for t, u in enumerate(summands[k + 1]):
-        block = [[F0] * ncols for _ in range(n.dims[u])]
+        block = [[F0] * ncols for _ in range(n.dims.get(u, 0))]
         for row_elems, c0 in zip(elems, col_off):
             for b, c in row_elems[t].items():
                 for r, row in enumerate(n.basis_matrix(b)):
@@ -724,7 +691,7 @@ def _top_hom_vanishes(m, n, d):
     resolution: the resolution stops before P_d, or no summand P_v of P_d
     has v in the support of n.  Then Ext^d(m, n) = 0."""
     terms, _, summands, _, _ = _resolution(m, d)
-    return len(terms) <= d or not any(n.dims[v] for v in summands[d])
+    return len(terms) <= d or not any(v in n.dims for v in summands[d])
 
 
 def ext_dim(m, n, i):
@@ -764,7 +731,7 @@ class ExtSpace:
         self._p, self._n, self._summands = terms[d], n, summands[d]
         if _top_hom_vanishes(m, n, d):
             return
-        ncols = sum(n.dims[v] for v in summands[d])
+        ncols = sum(n.dims.get(v, 0) for v in summands[d])
         for col in linalg.transpose(
                 _coboundary(n, summands, diffs[d], d - 1)):
             span.add(linalg.sparse(col))
@@ -907,8 +874,8 @@ def component_elements(f, src_verts, tgt_verts):
     elems = [[None] * len(src_verts) for _ in tgt_verts]
     start = 0
     for l, u in enumerate(src_verts):
-        col = images[start:start + f.target.dims[u]]
-        start += f.target.dims[u]
+        col = images[start:start + f.target.dims.get(u, 0)]
+        start += len(col)
         for k, ((ids, _), off) in enumerate(targets):
             first = off.get(u)
             elems[k][l] = {} if first is None else {
@@ -990,7 +957,7 @@ def transpose_morphism(h):
     cls = proj.compose(projective_star(
         alg, sy, sx, component_elements(h1, sx, sy)))
     blocks = {w: [[row[k] for k in cols] for row in cls.blocks[w]]
-              for w, cols in kept.items()}
+              for w, cols in kept.items() if w in cls.blocks}
     return Morphism(tr_y, tr_x, blocks, check=False)
 
 

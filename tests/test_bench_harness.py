@@ -94,3 +94,32 @@ def test_every_counted_name_exists(name):
     for key in getattr(ladder, "COUNTED", [None]):
         with ladder.counting(bench.Row(key, None, None)):
             pass
+
+
+def test_stored_counts_what_a_module_and_a_morphism_keep():
+    # a simple module keeps one dimension and no map, its identity one
+    # block; a projective its support and the maps inside it
+    a = build_typeA_auslander(3, 2)
+    v = a.vertices[0]
+    counted = [(cls, "__init__", ("constructions", "stored_entries"),
+                bench.stored) for cls in (reps.Representation, reps.Morphism)]
+    with Counting(counted) as c:
+        s = reps.simple(a, v)
+        reps.identity_morphism(s)
+    assert c.counts == {"constructions": 2, "stored_entries": 2}
+    with Counting(counted) as c:
+        p = reps._build_projective(a, v)
+    assert c.counts == {"constructions": 1,
+                        "stored_entries": len(p.dims) + len(p.maps)}
+
+
+def test_auslander_check_takes_stored_entries_as_a_ceiling():
+    # more stored entries than the file fail the check, fewer pass, and
+    # every other count must match
+    fails = bench.Auslander().fails
+    want = {"stored_entries": 10, "rref_calls": 3}
+    assert not fails(dict(want), want)
+    assert not fails(dict(want, stored_entries=9), want)
+    assert fails(dict(want, stored_entries=11), want)
+    assert fails(dict(want, rref_calls=2), want)
+    assert fails({"rref_calls": 3}, want)

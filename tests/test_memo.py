@@ -173,6 +173,18 @@ def test_threads_share_resolution_steps():
     assert [p.dims for p in fresh[0]] == [p.dims for p in terms]
 
 
+def test_a_cached_resolution_is_read_without_memo(monkeypatch):
+    # a stored resolution step is read straight from the table: the hit
+    # calls no memo and builds no compute closure, and returns the tuple
+    # the first call stored
+    m = reps.simple(build_typeA_auslander(3, 2), "13")
+    first = [reps._resolution(m, k) for k in range(4)]
+    calls = []
+    monkeypatch.setattr(reps, "memo", lambda *args: calls.append(args))
+    again = [reps._resolution(m, k) for k in range(4)]
+    assert all(a is b for a, b in zip(again, first)) and calls == []
+
+
 def test_shared_cover_matches_fresh_cover(draws):
     for n in (3, 4):
         shared = build_typeA_auslander(n, 3)

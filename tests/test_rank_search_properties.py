@@ -61,7 +61,8 @@ def generic_rank(basis):
     xs = sympy.symbols(f"x0:{len(basis)}")
     total = 0
     for v in basis[0].source.algebra.vertices:
-        rows, cols = basis[0].target.dims[v], basis[0].source.dims[v]
+        rows = basis[0].target.dims.get(v, 0)
+        cols = basis[0].source.dims.get(v, 0)
         if rows and cols:
             mat = sympy.Matrix(rows, cols, lambda i, j: sum(
                 x * sympy.Rational(f.blocks[v][i][j])

@@ -567,10 +567,11 @@ def test_find_injection_one_dimensional_hom_needs_no_search(monkeypatch):
 def _rescaled(m, primes):
     """m with the basis at each vertex v scaled by primes[v]: an isomorphic
     module whose arrow maps differ between any two vertex pairs."""
+    arrow = m.algebra.presentation.quiver.arrow_by_name
     maps = {}
-    for ar in m.algebra.presentation.quiver.arrows:
-        c = Fraction(primes[ar.target], primes[ar.source])
-        maps[ar.name] = [[c * x for x in row] for row in m.maps[ar.name]]
+    for name, mat in m.maps.items():
+        c = Fraction(primes[arrow[name].target], primes[arrow[name].source])
+        maps[name] = [[c * x for x in row] for row in mat]
     return reps.Representation(m.algebra, m.dims, maps)
 
 
@@ -628,7 +629,7 @@ def test_quotient_restriction_round_trip(make):
     lifted = 0
     for v in a.vertices:
         for m in (reps.projective(a, v), reps.injective(a, v)):
-            cut = [w for w in a.vertices if not m.dims[w]]
+            cut = [w for w in a.vertices if w not in m.dims]
             if not cut:
                 continue
             m = _rescaled(m, primes)

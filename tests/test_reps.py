@@ -52,7 +52,7 @@ from reference_linalg import reduce_mod_rows
 
 def representation_to_dict(m):
     return {
-        "dims": {v: m.dims[v] for v in m.algebra.vertices},
+        "dims": {v: m.dims.get(v, 0) for v in m.algebra.vertices},
         "maps": {
             name: [[str(x) for x in row] for row in mat]
             for name, mat in m.maps.items()
@@ -94,7 +94,7 @@ def test_hom_from_projective_counts_fibre():
     for v in alg.vertices:
         for w in alg.vertices:
             m = projective(alg, w)
-            assert hom_dim(projective(alg, v), m) == m.dims[v]
+            assert hom_dim(projective(alg, v), m) == m.dims.get(v, 0)
     assert hom_dim(projective(alg, "1"), projective(alg, "2")) == 0
     assert hom_dim(projective(alg, "2"), projective(alg, "1")) == 1
 
@@ -181,13 +181,20 @@ def test_dual_is_involutive():
     assert is_isomorphic(dd, m)
 
 
-def test_dual_keeps_shape_of_maps_into_zero_spaces():
-    # on A^2_4 the injective I_24 is zero at 13 and one-dimensional at 14,
-    # so its map of arrow 13_14 is 1x0: one empty row, not no rows
+def test_dual_stores_no_map_into_a_zero_space():
+    # on A^2_4 the injective I_24 is zero at 13 and one-dimensional at 14:
+    # neither the 0 at 13 nor the 1x0 map of arrow 13_14 is stored, while
+    # the checked constructor still takes them and checks their shapes
     alg = build_typeA_auslander(4, 2)
     i24 = injective(alg, "24")
-    assert (i24.dims["13"], i24.dims["14"]) == (0, 1)
-    assert i24.maps["13_14"] == [[]]
+    assert "13" not in i24.dims and i24.dims["14"] == 1
+    assert "13_14" not in i24.maps
+    assert i24.dim_vector()[alg.e_index["13"]] == 0
+    given = dict(i24.maps, **{"13_14": [[]]})
+    full = Representation(alg, dict(i24.dims, **{"13": 0}), given)
+    assert full.dims == i24.dims and full.maps == i24.maps
+    with pytest.raises(ValueError, match="shape mismatch at arrow 13_14"):
+        Representation(alg, i24.dims, dict(given, **{"13_14": [[1]]}))
     back = representation_from_dict(alg, representation_to_dict(i24))
     assert back.dims == i24.dims and back.maps == i24.maps
     basis = hom_basis(projective(alg, "14"), i24)
@@ -700,7 +707,7 @@ def test_generator_images_round_trip(n, d):
         vs = [rng.choice(a.vertices) for _ in range(rng.randint(1, 3))]
         p = direct_sum([projective(a, v) for v in vs])[0]
         images = [Fraction(rng.randint(-3, 3))
-                  for v in vs for _ in range(x.dims[v])]
+                  for v in vs for _ in range(x.dims.get(v, 0))]
         f = reps.from_generators(p, vs, x, images)
         assert reps.generator_images(f, vs) == images
         # Hom(P, x) is (+)_v x_v, and hom_basis lists its unit vectors in
@@ -789,9 +796,6 @@ def test_unchecked_matrices_are_never_written(monkeypatch, n, d, idx):
         handed.append((m, [list(row) for row in m]))
         return _ReadOnlyList(_ReadOnlyList(row) for row in m)
 
-    # the empty matrix, and the empty row, that every constructor shares
-    empty = _ReadOnlyList()
-    monkeypatch.setattr(reps, "_EMPTY", empty)
     monkeypatch.setattr(reps, "_entries", guarded)
     c = cluster.ctgent_family(n, d, idx)
     res = cluster.cluster_endo_algebra(c)
@@ -800,12 +804,12 @@ def test_unchecked_matrices_are_never_written(monkeypatch, n, d, idx):
     reduction.reduce_to_gentle(res.algebra)
     assert handed
     assert all(m == snapshot for m, snapshot in handed)
-    assert not empty
+    # no zero-size matrix is stored, so none is shared between objects: a
+    # simple module keeps its vertex and no map
     arrows = res.algebra.presentation.quiver.arrows
     ar = next(a for a in arrows if a.source != a.target)
     s = reps.simple(res.algebra, ar.target)
-    assert s.maps[ar.name] == [empty] and s.maps[ar.name][0] is empty
-    assert any(m is empty for m in s.maps.values())
+    assert (s.dims, s.maps) == ({ar.target: 1}, {})
 
 
 def reference_cokernel(f):
@@ -816,17 +820,18 @@ def reference_cokernel(f):
     at every vertex."""
     n = f.target
     alg = n.algebra
+    ndim = n.dims.get
     proj_blocks = {}
     section = {}
     for v in alg.vertices:
-        img_rows = linalg.transpose(f.blocks[v]) if f.blocks[v] else []
+        img_rows = linalg.transpose(f.blocks.get(v, []))
         red, pivots = linalg.rref(img_rows) if img_rows else ([], [])
         piv_set = set(pivots)
-        free = [k for k in range(n.dims[v]) if k not in piv_set]
+        free = [k for k in range(ndim(v, 0)) if k not in piv_set]
         section[v] = free
         cols = []
-        for k in range(n.dims[v]):
-            e = [0] * n.dims[v]
+        for k in range(ndim(v, 0)):
+            e = [0] * ndim(v, 0)
             e[k] = 1
             r = reduce_mod_rows(red[: len(pivots)], pivots, e)
             cols.append([r[x] for x in free])
@@ -838,9 +843,9 @@ def reference_cokernel(f):
         u, w = ar.source, ar.target
         mat = [[0] * dims[u] for _ in range(dims[w])]
         for col, k in enumerate(section[u]):
-            e = [0] * n.dims[u]
+            e = [0] * ndim(u, 0)
             e[k] = 1
-            img = linalg.mat_vec(n.maps[ar.name], e) if n.maps[ar.name] else []
+            img = linalg.mat_vec(n.maps.get(ar.name, []), e)
             cls = linalg.mat_vec(proj_blocks[w], img) if dims[w] else []
             for row, x in enumerate(cls):
                 mat[row][col] = x
@@ -910,11 +915,65 @@ def test_kernel_step_costs_one_rref_per_support_vertex(monkeypatch):
         monkeypatch.setattr(linalg, name, counted)
     k, incl = kernel(epi)
     assert calls["nullspace"] == 0
-    support = [w for w in a.vertices if p.dims[w]]
+    support = [w for w in a.vertices if w in p.dims]
     assert 0 < calls["rref"] <= len(support) < len(a.vertices)
     assert k.total_dim == p.total_dim - 1
     Representation(a, k.dims, k.maps)
     reps.Morphism(k, p, incl.blocks)
+
+
+def _assert_stored_on_support(m):
+    """m keeps its support alone: one positive dimension per support
+    vertex, and a map of the right shape for exactly the arrows with both
+    ends there."""
+    alg = m.algebra
+    support = [v for v, k in zip(alg.vertices, m.dim_vector()) if k]
+    assert m.support == tuple(support) and len(m.dims) == len(support)
+    assert all(m.dims[v] > 0 for v in support)
+    inside = {ar.name: ar for ar in alg.quiver.arrows
+              if ar.source in m.dims and ar.target in m.dims}
+    assert set(m.maps) == set(inside)
+    for name, mat in m.maps.items():
+        ar = inside[name]
+        assert len(mat) == m.dims[ar.target]
+        assert all(len(row) == m.dims[ar.source] for row in mat)
+
+
+def _assert_blocks_on_support(f):
+    """f keeps a block at exactly the vertices where its source and target
+    are both nonzero, in vertex order."""
+    assert list(f.blocks) == [v for v in f.target.support
+                              if v in f.source.dims]
+    for v, b in f.blocks.items():
+        assert len(b) == f.target.dims[v]
+        assert all(len(row) == f.source.dims[v] for row in b)
+
+
+def test_a_module_on_a28_stores_its_support_alone():
+    # on A^2_8 (36 vertices) a module with a k-vertex support stores k
+    # dimensions and the maps inside its support, and a morphism the
+    # blocks where both ends are nonzero, for every way L2 builds them
+    a = build_typeA_auslander(8, 2)
+    fam = canonical_cluster_tilting(a)
+    mods, mors = [], []
+    for v in a.vertices[::5]:
+        s = simple(a, v)
+        p, epi, _ = projective_cover(s)
+        k, incl = kernel(epi)
+        c, proj = cokernel(incl)
+        mods += [s, p, projective(a, v), k, c, dual(p), transpose(s),
+                 higher_translate_inverse(s, 2)]
+        mors += [epi, incl, proj, reps.dual_morphism(epi),
+                 incl.compose(identity_morphism(k))]
+    for m in fam.modules[::7]:
+        mods += [higher_translate_inverse(m, 2), transpose(m), dual(m)]
+        mors += hom_basis(m, fam.modules[0]) + hom_basis(fam.modules[-1], m)
+    for m in mods:
+        _assert_stored_on_support(m)
+    for f in mors:
+        _assert_blocks_on_support(f)
+    assert any(0 < len(m.support) < len(a.vertices) // 4 for m in mods)
+    assert sum(len(f.blocks) for f in mors) > 0
 
 
 def test_zero_ext_space_reads_coboundaries_and_refuses_the_rest():
@@ -961,7 +1020,7 @@ def test_ext_space_without_cochains_builds_no_coboundary(monkeypatch):
         m, x, i = rng.choice(pool), rng.choice(pool), rng.choice((1, 2))
         m = Representation(a, m.dims, m.maps, check=False)
         terms, _, summands, _, _ = reps._resolution(m, i)
-        if len(terms) <= i or any(x.dims[v] for v in summands[i]):
+        if len(terms) <= i or any(v in x.dims for v in summands[i]):
             continue
         sp = ExtSpace(m, x, i)
         assert (sp.dim, sp.reps, built) == (0, [], [])
@@ -999,7 +1058,9 @@ def test_split_by_idempotent_is_a_direct_sum(summands):
         assert e.compose(e).add(e.scale(-1)).is_zero()
         (im, ii), (k, ki) = reference_decompose._split_by_idempotent(m, e)
         for v in m.support:
-            both = [ri + rk for ri, rk in zip(ii.blocks[v], ki.blocks[v])]
+            rows = [[]] * m.dims[v]     # a block at a zero end has no columns
+            both = [ri + rk for ri, rk in zip(ii.blocks.get(v, rows),
+                                              ki.blocks.get(v, rows))]
             assert linalg.rank(both) == len(both)
         assert e.compose(ii).add(ii.scale(-1)).is_zero()
         assert e.compose(ki).is_zero()

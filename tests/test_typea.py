@@ -295,10 +295,8 @@ def _orbit_family(a):
 
 
 def _thin_shape(mod):
-    """Dimensions and the maps of arrows between non-zero spaces."""
-    quiver = mod.algebra.presentation.quiver
-    return mod.dims, {ar.name: mod.maps[ar.name] for ar in quiver.arrows
-                      if mod.dims[ar.source] and mod.dims[ar.target]}
+    """Dimensions and maps, both stored on the support alone."""
+    return mod.dims, mod.maps
 
 
 @pytest.mark.parametrize("n, d", [(n, d) for d in range(1, 5)

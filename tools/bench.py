@@ -21,9 +21,10 @@ The counts do not depend on the machine.  ``--side`` merges the result,
 with the host and this command, into the JSON file, so one run on each
 tree fills in both sides.  ``--check`` measures the counts only, of the
 rows with n at most the ladder's ``check_max_n``, writes nothing, and
-exits 1 if any differs from the file's ``after`` side (for ``scalars``: if
-any is above it).  One process runs one ladder, so no memo carries over
-from one ladder to the next.
+exits 1 if any differs from the file's ``after`` side (for ``scalars``,
+and for ``auslander``'s ``stored_entries``: if any is above it).  One
+process runs one ladder, so no memo carries over from one ladder to the
+next.
 """
 
 import argparse
@@ -167,6 +168,19 @@ def rows_copied(orig, counts):
     return entries
 
 
+def stored(orig, counts):
+    """``Representation.__init__`` or ``Morphism.__init__``, counting the
+    objects built in ``constructions`` and the entries each stores in
+    ``stored_entries``: its dims and maps, or its blocks."""
+    def init(self, *args, **kwargs):
+        orig(self, *args, **kwargs)
+        counts["constructions"] += 1
+        counts["stored_entries"] += sum(
+            len(getattr(self, field, ())) for field in ("dims", "maps",
+                                                         "blocks"))
+    return init
+
+
 def containers(x):
     """Every dict and list nested in x, x included."""
     if isinstance(x, dict):
@@ -237,7 +251,6 @@ class Ladder:
     rows_at = "keys"        # the side's field holding the rows; None: itself
     time_key, count_key = "wall_s", "counts"
     check_max_n = None      # --check measures the rows with n <= this
-    ceiling = False         # --check passes a count below the file's
     counted, scope, frames = (), None, ()
 
     def rows(self):
@@ -253,6 +266,10 @@ class Ladder:
     def totals(self, measured):
         """Fields the side adds from its [(row, measured)]."""
         return {}
+
+    def fails(self, got, expected):
+        """Whether a row's counts fail ``--check`` against the file's."""
+        return got != expected
 
     def fields(self, row):
         if row.phase:
@@ -289,7 +306,7 @@ def check(ladder, path):
             continue
         got = count(ladder, row)
         expected = want[row.key][ladder.fields(row)[1]]
-        fails = got > expected if ladder.ceiling else got != expected
+        fails = ladder.fails(got, expected)
         bad += fails
         print(row.key, row.phase or "", "ok" if got == expected else
               f"{'differs' if fails else 'below the file'}: "
@@ -355,12 +372,15 @@ class Auslander(Ladder):
     is memoised on its algebra).  Their counts, ``build_counts`` and
     ``homdims_counts``, are the calls of ``projective_cover``, ``kernel``,
     ``direct_sum``, ``TrackedSpan.add``, ``linalg.rref``, ``nullspace``
-    and ``mat_vec``, and ``linalg_frames``, the Python frames entered in
+    and ``mat_vec``; ``linalg_frames``, the Python frames entered in
     ``hga/linalg.py`` (see ``Counting``): what the dense kernel pays per
-    call beyond its arithmetic.  ``--check`` runs every row: a guard
-    against a resolution step that pays for the whole quiver again, and
-    against a dense call that copies, allocates or searches through
-    helpers again.
+    call beyond its arithmetic; and ``constructions`` and
+    ``stored_entries``, the ``Representation`` and ``Morphism`` objects
+    built and the dims, maps and blocks they store (see ``stored``).
+    ``--check`` runs every row: a guard against a resolution step that pays
+    for the whole quiver again, against a dense call that copies, allocates
+    or searches through helpers again, and, with ``stored_entries`` a
+    ceiling, against a module that stores more than its support.
     """
 
     repeat, average = 7, staticmethod(statistics.median)
@@ -369,8 +389,15 @@ class Auslander(Ladder):
                for name in ("projective_cover", "kernel", "direct_sum")] + [
         (linalg.TrackedSpan, "add", "sparse_add_calls", "all")] + [
         (linalg, name, f"{name}_calls", "all")
-        for name in ("rref", "nullspace", "mat_vec")]
+        for name in ("rref", "nullspace", "mat_vec")] + [
+        (cls, "__init__", ("constructions", "stored_entries"), stored)
+        for cls in (reps.Representation, reps.Morphism)]
     frames = [(linalg, "linalg_frames")]
+
+    def fails(self, got, expected):
+        return got.keys() != expected.keys() or any(
+            got[k] > expected[k] if k == "stored_entries"
+            else got[k] != expected[k] for k in got)
 
     def rows(self):
         out = []
@@ -681,7 +708,6 @@ class Scalars(Ladder):
 
     count_key = "fractions"
     check_max_n = 5
-    ceiling = True
     counted = [(Fraction, "__new__", "fractions", "all")]
 
     def rows(self):
@@ -693,6 +719,9 @@ class Scalars(Ladder):
 
     def tally(self, counts):
         return counts["fractions"]
+
+    def fails(self, got, expected):
+        return got > expected
 
     def totals(self, measured):
         return {"rounds": {group: summed(grouped(measured, group),
