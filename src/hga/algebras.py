@@ -205,10 +205,6 @@ def _path_value(a, arrow_ids, path):
     return value
 
 
-def opposite(a):
-    return a.opposite()
-
-
 def build_algebra(presentation, length_cap=None, ambient=None,
                   arrow_ambient=None, typeA=None):
     """Quotient of the path algebra by the relation ideal, on the classes of

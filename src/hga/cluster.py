@@ -19,6 +19,7 @@ from .errors import (
     AdjacencyViolation,
     HgaError,
     InternalError,
+    LabelMatchFailed,
     UnsupportedSummand,
 )
 from .linalg import F1
@@ -27,7 +28,9 @@ from .typea import (
     Tuple,
     build_typeA_auslander,
     canonical_cluster_tilting,
+    corner,
     intertwines,
+    tuple_set,
 )
 
 
@@ -39,9 +42,9 @@ class SummandCollection:
     `label_index`.  ``positions`` are the members' positions in the family,
     increasing, ``mask`` has bit i set for each of them, and ``labels`` are
     their family labels in the same order, which is lexicographic.  A
-    collection made by ctgent_family records in ``ctgent`` what it matched:
-    the positions, the chain of simples and the labels of the projectives
-    and simples."""
+    collection made by ctgent_family records ``n``, ``d`` and its chain
+    positions in ``ctgent``; `ctgent_cover` reads everything else off the
+    labels."""
 
     family: object
     labels: list
@@ -405,59 +408,55 @@ def is_d_tilting(c):
 # ---------------------------------------------------------------------------
 
 
-def _family_match(family, dims, dv, same=lambda other: True):
-    """Family label of the first module whose dimension vector, read from
-    ``dims`` (the family's, in module order), is dv and that passes the
-    exact isomorphism test ``same``; None if absent."""
-    for other, lab, odv in zip(family.modules, family.labels, dims):
-        if odv == dv and same(other):
-            return lab
-    return None
+def _family_roles(family):
+    """The family's projectives and its chain of simples, read off the
+    labels and checked on the modules they name: ({v: label of P_v},
+    [(v, label of S_v)] in chain order).
 
-
-def _simple_chain(family, dims):
-    """The vertices whose simples lie in the family, ordered so that
-    tau_d^- S_{v_i} = S_{v_{i-1}}; the chain starts at the vertex whose
-    translate leaves the module category.  A module with the dimension
-    vector of a simple is that simple, so the family's own module stands
-    for it.  ``dims`` are the family's dimension vectors."""
+    With m = n + 2d, the module labelled I has the box corner
+    J = `typea.corner`(I, m) and the top vertex (J_0, ..., J_{d-1}).  P_v
+    is the label with J = v ++ (m), so its first entry is 1: its dims are
+    those of P_v and its top is S_v.  The simple at chain position i sits
+    at v = (i, i+2, ..., i+2(d-1)), i = 1..n, and is the label with
+    J = v ++ (v_{d-1} + 2): its dims are {v: 1}.  tau_d^- of the simple at
+    position i is the simple at position i-1, and that of the first is
+    zero.  A module that fails its check is a fault of hga
+    (LabelMatchFailed)."""
     alg = family.algebra
-    d = alg.typeA["d"]
-    simple_dv = {v: reps.simple(alg, v).dim_vector() for v in alg.vertices}
-    simple_label = {}
-    for v in alg.vertices:
-        lab = _family_match(family, dims, simple_dv[v])
-        if lab is not None:
-            simple_label[v] = lab
-    succ = {}
-    for v, lab in simple_label.items():
-        dv = reps.higher_translate_inverse(
-            family.module_of(lab), d).dim_vector()
-        hit = None
-        for w in simple_label:
-            if dv == simple_dv[w]:
-                hit = w
-        succ[v] = hit
-    starts = [v for v in simple_label if succ[v] is None]
-    if len(starts) != 1:
-        raise HgaError("translate chain of simples is not linear")
-    chain = [starts[0]]
-    while True:
-        nxt = [v for v in simple_label if succ[v] == chain[-1]]
-        if not nxt:
-            break
-        if len(nxt) > 1:
-            raise HgaError("translate chain of simples branches")
-        chain.append(nxt[0])
-    if len(chain) != len(simple_label):
-        raise HgaError("translate chain of simples is not connected")
-    return chain, simple_label
+    n, d = alg.typeA["n"], alg.typeA["d"]
+    m = n + 2 * d
+    name = {t.entries: t.label() for t in tuple_set(d - 1, m - 2)}
+
+    def named(j):
+        i = family.index_of(corner(j, m))
+        return family.labels[i], family.modules[i]
+
+    simples, before = [], {}        # the dims of the simple before
+    for i in range(1, n + 1):
+        v = tuple(range(i, i + 2 * d, 2))
+        lab, mod = named(v + (v[-1] + 2,))
+        if mod.dims != {name[v]: 1}:
+            raise LabelMatchFailed(f"{lab.entries} is not the simple at {v}")
+        if reps.higher_translate_inverse(mod, d).dims != before:
+            raise LabelMatchFailed(
+                f"tau_d^- of the simple at {v} is not the one before it")
+        before = mod.dims
+        simples.append((name[v], lab))
+    proj = {}
+    for v, vname in name.items():
+        lab, mod = named(v + (m,))
+        if (mod.dims != reps.projective(alg, vname).dims
+                or reps.minimal_resolution(mod, 0)[2][0] != [vname]):
+            raise LabelMatchFailed(f"{lab.entries} is not the projective "
+                                   f"at {vname}")
+        proj[vname] = lab
+    return proj, simples
 
 
 def ctgent_family(n, d, index_set, family=None):
     """The tilting collection made of all projectives except those at the
     chosen chain positions, each replaced by the inverse translate of its
-    simple.
+    simple.  Both roles are read off the labels (`_family_roles`).
 
     Positions are counted along the translate chain of simples
     (tau_d^- S at position i is the simple at position i-1); adjacent
@@ -476,52 +475,31 @@ def ctgent_family(n, d, index_set, family=None):
             raise AdjacencyViolation(
                 f"positions {j} and {(j % n) + 1} are adjacent modulo {n}"
             )
-    dims = [m.dim_vector() for m in family.modules]
-    chain, simple_label = _simple_chain(family, dims)
-    if len(chain) != n:
-        raise HgaError(
-            f"expected {n} simples in the family, found {len(chain)}"
-        )
     if 1 in index_set:
         raise UnsupportedSummand(
             "the translate of the first chain simple is a shifted projective"
         )
-    # M is P_v iff its top is S_v and it has the dimension vector of P_v:
-    # the projective cover P_v -> M is then bijective
-    proj_label = {}
-    for v in alg.vertices:
-        lab = _family_match(
-            family, dims, reps.projective(alg, v).dim_vector(),
-            lambda other: reps.minimal_resolution(other, 0)[2][0] == [v])
-        if lab is None:
-            raise HgaError(f"projective at {v} is missing from the family")
-        proj_label[v] = lab
-    dropped = {chain[i - 1] for i in index_set}
-    labels = [proj_label[v] for v in alg.vertices if v not in dropped]
-    labels += [simple_label[chain[i - 2]] for i in index_set]
-    if len(set(labels)) != len(labels):
-        raise HgaError("replacement simple collides with a kept projective")
+    proj, simples = _family_roles(family)
+    dropped = {simples[i - 1][0] for i in index_set}
+    labels = [proj[v] for v in alg.vertices if v not in dropped]
+    labels += [simples[i - 2][1] for i in index_set]
     return SummandCollection(family, labels, {
-        "n": n, "d": d, "positions": list(index_set), "chain": list(chain),
-        "projLabel": proj_label, "simpleLabel": simple_label})
+        "n": n, "d": d, "positions": list(index_set)})
 
 
 def ctgent_cover(c):
     """Cover algebra and corner idempotent certifying a ctgent collection:
-    the endomorphism algebra of all projectives together with the
-    replacement modules, cut down to the collection's vertices.  The chain
-    and the labels come from what ctgent_family matched."""
+    the endomorphism algebra of c's summands together with every
+    projective, the family labels whose first entry is 1 (T + A), cut
+    down to the collection's vertices."""
     from .presentations import Idempotent
 
-    info = c.ctgent
-    if info is None:
+    if c.ctgent is None:
         raise HgaError("collection was not produced by ctgent_family")
-    proj_label, chain = info["projLabel"], info["chain"]
-    cover_labels = [proj_label[v] for v in c.family.algebra.vertices]
-    cover_labels += [
-        info["simpleLabel"][chain[i - 2]] for i in info["positions"]
-    ]
-    cover = SummandCollection(c.family, cover_labels)
+    fam = c.family
+    cover = SummandCollection(fam, [
+        lab for i, lab in enumerate(fam.labels)
+        if lab.entries[0] == 1 or c.mask >> i & 1])
     res = cluster_endo_algebra(cover)
     e = Idempotent.of([lab.label() for lab in c.labels])
     return res, e

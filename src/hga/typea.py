@@ -60,6 +60,13 @@ def tuple_set(d, m, cyclic=False):
     return out
 
 
+def corner(entries, m):
+    """(m+1) - reverse(entries): the corner J of the box of the thin module
+    M_I of `canonical_cluster_tilting` with I = entries, and, the map being
+    its own inverse, the label I of the module whose box has corner J."""
+    return tuple(m + 1 - e for e in reversed(entries))
+
+
 def intertwines(x, y):
     """Strict alternation x0 < y0 < x1 < y1 < ... < xd < yd."""
     if not isinstance(x, Tuple) or not isinstance(y, Tuple):
@@ -242,8 +249,8 @@ def canonical_cluster_tilting(a):
     2012, section 3).
 
     There is one thin module M_I per separated (d+1)-tuple I of {1..n+2d},
-    in lexicographic order.  With J = (n+2d+1) - reverse(I), M_I is
-    one-dimensional at the vertices x with J_k <= x_k <= J_{k+1} - 2
+    in lexicographic order.  With J = (n+2d+1) - reverse(I), its `corner`,
+    M_I is one-dimensional at the vertices x with J_k <= x_k <= J_{k+1} - 2
     (k = 0..d-1), zero elsewhere, and acts as the identity on every arrow
     inside that box.  Each module is checked against the relations, and
     the Ext^d criterion (Ext^d(M_I, M_J) != 0 iff J intertwines I) is
@@ -262,7 +269,7 @@ def canonical_cluster_tilting(a):
     labels = tuple_set(d, m)
     modules = []
     for t in labels:
-        j = [m + 1 - e for e in reversed(t.entries)]
+        j = corner(t.entries, m)
         box = {x.label() for x in verts
                if all(j[k] <= x.entries[k] <= j[k + 1] - 2
                       for k in range(d))}

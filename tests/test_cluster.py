@@ -21,6 +21,7 @@ from hga.errors import (
     AdjacencyViolation,
     HgaError,
     InternalError,
+    LabelMatchFailed,
     UnsupportedSummand,
 )
 from hga.memo import peek
@@ -30,9 +31,12 @@ from hga.typea import (
     Tuple,
     build_typeA_auslander,
     canonical_cluster_tilting,
+    corner,
     intertwines,
 )
-from workloads import rigid_pool
+from workloads import CTGENT_POOL, rigid_pool
+
+import reference_roles
 
 SEC5_LABELS = [
     "135", "136", "137", "138", "139", "147", "148", "149",
@@ -53,6 +57,10 @@ SEC5_CHORDS = [frozenset(x) for x in [
     ("135", "147"), ("157", "136"), ("179", "158"), ("157", "169"),
     ("157", "179"), ("157", "135"),
 ]]
+
+# the (n, d) on which the label roles are checked against the search
+ROLE_PARAMS = [(2, 1), (5, 1), (3, 2), (4, 2), (6, 2), (3, 3), (5, 3), (3, 4),
+               (4, 4)]
 
 EX_COLLECTION = [
     (1, 3, 5), (1, 3, 6), (1, 3, 7), (1, 3, 8), (1, 4, 8),
@@ -465,22 +473,70 @@ def test_endo_algebras_share_pair_data(monkeypatch):
 
 
 @pytest.mark.parametrize("n, d, idx", [(4, 2, [2]), (3, 3, [3])])
-def test_simple_chain_translates_the_family_modules(n, d, idx, monkeypatch):
-    """ctgent_family matches each family module's dimension vector once,
-    and translates the family's own simples, so tau_d^- of each is the
-    one the pair data reads."""
+def test_roles_are_read_off_the_labels(n, d, idx, monkeypatch):
+    """ctgent_family reads no family module's dimension vector and builds
+    no simple: each role is read off its label.  It translates the
+    family's own simples, so tau_d^- of each is the one the pair data
+    reads."""
     fam = canonical_cluster_tilting(build_typeA_auslander(n, d))
-    calls = []
-    dim_vector = reps.Representation.dim_vector
+    calls, built = [], []
+    dim_vector, simple = reps.Representation.dim_vector, reps.simple
     monkeypatch.setattr(reps.Representation, "dim_vector",
                         lambda m: calls.append(m) or dim_vector(m))
-    c = ctgent_family(n, d, idx, family=fam)
-    family_calls = [m for m in calls if any(m is x for x in fam.modules)]
-    assert len(family_calls) == len(fam.modules)
-    for v, lab in c.ctgent["simpleLabel"].items():
-        m = fam.module_of(lab)
-        assert m.dim_vector() == reps.simple(fam.algebra, v).dim_vector()
-        assert peek(m, ("tau_d_inv", d)) is not None
+    monkeypatch.setattr(reps, "simple",
+                        lambda *args: built.append(args) or simple(*args))
+    ctgent_family(n, d, idx, family=fam)
+    assert not [m for m in calls if any(m is x for x in fam.modules)]
+    assert built == []
+    m = n + 2 * d
+    for i in range(1, n + 1):
+        v = tuple(range(i, i + 2 * d, 2))
+        module = fam.module_of(corner(v + (i + 2 * d,), m))
+        assert list(module.dims.values()) == [1]
+        assert peek(module, ("tau_d_inv", d)) is not None
+
+
+@pytest.mark.parametrize("n, d", ROLE_PARAMS)
+def test_roles_match_the_dimension_vector_search(n, d):
+    """The projectives, the chain order and the simples read off the
+    labels are those that the search over dimension vectors finds."""
+    fam = canonical_cluster_tilting(build_typeA_auslander(n, d))
+    proj, simples = cluster._family_roles(fam)
+    ref_proj, ref_chain, ref_simple = reference_roles.roles(fam)
+    assert proj == ref_proj
+    assert [v for v, _ in simples] == ref_chain
+    assert dict(simples) == ref_simple
+    assert all(lab.entries[0] == 1 for lab in proj.values())
+    assert len(proj) == sum(lab.entries[0] == 1 for lab in fam.labels)
+
+
+@pytest.mark.parametrize("key", CTGENT_POOL, ids=str)
+def test_cover_is_the_searched_cover(key):
+    """ctgent_cover's T + A, the collection with every family label whose
+    first entry is 1, has the summands of the cover built from the
+    searched projectives and simples."""
+    n, d, idx = key
+    c = ctgent_family(n, d, list(idx))
+    proj, chain, simple = reference_roles.roles(c.family)
+    old = SummandCollection(c.family, list(proj.values()) + [
+        simple[chain[i - 2]] for i in idx])
+    assert ctgent_cover(c)[0].summand_labels == \
+        [lab.label() for lab in old.labels]
+
+
+@pytest.mark.parametrize("i, j, role", [(0, -1, "simple"),
+                                        (1, 2, "projective")])
+def test_swapped_family_modules_fail_the_label_roles(i, j, role):
+    """A family whose modules do not sit at their labels fails the role
+    checks.  On A^2_4 the labels 468 and 135 name the chain simples at
+    positions 1 and 4, and 136 and 137 name P_36 and P_26: swapping 135
+    with 468 fails a simple's check, swapping 136 with 137 a
+    projective's."""
+    fam = canonical_cluster_tilting(build_typeA_auslander(4, 2))
+    mods = list(fam.modules)
+    mods[i], mods[j] = mods[j], mods[i]
+    with pytest.raises(LabelMatchFailed, match=f"not the {role}"):
+        ctgent_family(4, 2, [2], family=dataclasses.replace(fam, modules=mods))
 
 
 @pytest.mark.parametrize("n, d", [(2, 1), (5, 1), (3, 2), (5, 2), (3, 3),

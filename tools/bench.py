@@ -536,10 +536,22 @@ def build_families(algebras):
         typea.canonical_cluster_tilting(a)
 
 
+def ctgent_keyed_families():
+    """(n, d, idx, family) for each key of the ``ctgent`` pool, each family
+    built fresh, as ``ctgent_family`` builds it."""
+    return [(n, d, idx, typea.canonical_cluster_tilting(
+        typea.build_typeA_auslander(n, d))) for n, d, idx in CTGENT_POOL]
+
+
+def ctgent_roles(keyed):
+    for n, d, idx, fam in keyed:
+        cluster.ctgent_family(n, d, list(idx), family=fam)
+
+
 class Family(Ladder):
     """Pair data on the labelled module family.
 
-    Four rows, each timed by the median of 7 runs on fresh families:
+    Five rows, each timed by the median of 7 runs on fresh families:
 
     - ``rigid``: one pass of the ``rigid`` workload, that is its 216 label
       subsets (six rounds draw each pool entry once), on the canonical
@@ -568,11 +580,18 @@ class Family(Ladder):
       ``reps.ext_dim`` and ``reps.ExtSpace`` made inside it: every ordered
       pair is checked against the Ext^d criterion, and an ExtSpace is built
       only where Hom out of the resolution's top term does not vanish.
+    - ``roles``: ``ctgent_family`` on a fresh family for each of the 13
+      keys of the ``ctgent`` pool, built unmeasured.  The counts are the
+      calls of ``reps.Representation.dim_vector``, ``reps.simple`` and
+      ``reps.ar_translate_inverse`` made inside it; the last is the compute
+      behind the memo of ``reps.higher_translate_inverse``, so it counts
+      the tau_d^- computed, one per chain simple.
 
-    ``--check`` runs all four: a guard against per-query Ext computations,
+    ``--check`` runs all five: a guard against per-query Ext computations,
     label comparisons and label lookups, a lookup per label, per-collection
     pair data, a general Hom solve per family pair, an ExtSpace per zero
-    family check, and an unchecked family pair, coming back.
+    family check, an unchecked family pair, and a search of the family's
+    dimension vectors for its projectives and simples, coming back.
     """
 
     repeat, average = 7, staticmethod(statistics.median)
@@ -593,13 +612,19 @@ class Family(Ladder):
         "build": ([(reps, name, f"{name}_calls", "scoped")
                    for name in ("ext_dim", "ExtSpace")],
                   (typea, "canonical_cluster_tilting")),
+        "roles": ([(reps.Representation, "dim_vector", "dim_vector_calls",
+                    "scoped")] + [(reps, name, f"{name}_calls", "scoped")
+                                  for name in ("simple",
+                                               "ar_translate_inverse")],
+                  (cluster, "ctgent_family")),
     }
 
     def rows(self):
         return [Row("rigid", None, rigid_pass, rigid_collections),
                 Row("collections", None, rigid_collections, rigid_families),
                 Row("ctgent", None, ctgent_round, ctgent_families),
-                Row("build", None, build_families, ctgent_algebras)]
+                Row("build", None, build_families, ctgent_algebras),
+                Row("roles", None, ctgent_roles, ctgent_keyed_families)]
 
     def counting(self, row):
         return Counting(*self.COUNTED[row.key])
