@@ -153,7 +153,9 @@ class Algebra:
     def opposite(self):
         """Opposite algebra; involutive up to identity on basis ids.  The
         opposite of a corner or quotient has the ambient's opposite as its
-        ambient, and the same ambient ids."""
+        ambient, and the same ambient ids.  Memoised both ways, so
+        ``(A^op)^op is A`` while A is alive: A holds its opposite, and the
+        opposite holds A weakly (see ``hga.memo``)."""
         return memo(self, "op", lambda: _build_opposite(self))
 
     def __repr__(self):
@@ -190,7 +192,7 @@ def _build_opposite(a):
         ambient=None if a.ambient is None else a.ambient.opposite(),
         arrow_ambient=dict(a.arrow_ambient),
     )
-    memo(op, "op", lambda: a)
+    memo(op, "op", lambda: a, weak=True)
     return op
 
 

@@ -7,12 +7,43 @@ from; a table keyed by ``id()`` would either outlive its objects or keep them
 alive through values that refer back to them (an algebra and its
 presentation).
 
+Lifetime rule: a memoised value never holds its owner strongly, not even
+through other memoised values.  Then the memo graph has no cycle, and
+reference counting frees an object and all that is memoised under it as
+soon as the last name for it is dropped, with no wait for the cyclic
+collector.  A value that must refer back to its owner does so through one
+weak reference:
+
+- ``Algebra.opposite()``: an algebra holds its opposite, and the opposite
+  holds the algebra in a weak entry (``weak=True``) under the same key,
+  since the opposite's own ``opposite()`` reads it.
+- ``reps.projective``: P_v is a weak entry on its algebra, since
+  ``P_v.algebra`` is the algebra.  Its dims and maps stay memoised as
+  plain data, so a P_v built again costs one constructor call.  A cover
+  with the single summand P_v is the memoised P_v while it is alive, and
+  a copy built from that data when it is not; a resolution holds its
+  covers.  P_v is its own resolution, which is not memoised.
+- ``reps.dual`` of a memoised P_v is a weak entry on P_v, and D(P_v) holds
+  P_v: the resolution of D(P_v) covers by projectives of the opposite,
+  and the resolutions of their duals cover by P_v again.
+- ``reps.minimal_resolution`` is memoised on the module m it resolves,
+  and its cover map P_0 -> m holds m weakly (``reps._CoverMap``); so
+  does the identity of P_v, memoised on P_v.
+
+A weak entry is computed again only if its value has died;
+``stats()["rebuilt"]`` counts those.  So a caller that reads the same P_v
+at several times holds it in between.
+
 A memoised value must be a deterministic function of an object that is not
 mutated after construction, and callers treat it as read-only.  Two threads
 may both compute a missing value; ``dict.setdefault`` keeps the first one
-stored, so every caller gets the same object.
+stored, so every caller gets the same object.  A weak entry is stored under
+a lock, after a second look at the table, so every caller that holds its
+value gets the same object too.
 """
 
+import threading
+import weakref
 from itertools import count
 
 _MISSING = object()
@@ -20,25 +51,66 @@ _MISSING = object()
 # stay exact without a lock
 _hits = count()
 _misses = count()
+_rebuilt = count()
+# a weak entry is a weakref stored under (_WEAK, key), so a strong hit costs
+# one lookup, as it did before weak entries
+_WEAK = object()
+_weak_lock = threading.Lock()
 
 
-def memo(obj, key, compute):
-    """The value of ``compute()`` memoised on ``obj`` under ``key``."""
+def memo(obj, key, compute, weak=False):
+    """The value of ``compute()`` memoised on ``obj`` under ``key``; held
+    through a weak reference when ``weak`` (see the module docstring)."""
     table = obj.__dict__.get("_memo")
     if table is None:
         table = obj.__dict__.setdefault("_memo", {})
     value = table.get(key, _MISSING)
     if value is _MISSING:
-        value = table.setdefault(key, compute())
-        next(_misses)
-    else:
-        next(_hits)
+        return _missed(table, key, compute, weak)
+    next(_hits)
     return value
+
+
+def _missed(table, key, compute, weak):
+    """``memo`` with no strong entry stored: a live weak entry is a hit,
+    and a new value is stored strongly, or weakly under a lock after a
+    second look, so that every caller holding it gets the same object."""
+    ref = table.get((_WEAK, key))
+    if ref is not None:
+        value = ref()
+        if value is not None:
+            next(_hits)
+            return value
+        next(_rebuilt)
+    next(_misses)
+    value = compute()
+    if not weak and ref is None:
+        return table.setdefault(key, value)
+    with _weak_lock:
+        stored = table.get(key)
+        if stored is None:
+            stored = _weak_value(table, key)
+        if stored is None:
+            if weak:
+                table[(_WEAK, key)] = weakref.ref(value)
+            else:
+                table[key] = value
+            return value
+    return stored
+
+
+def _weak_value(table, key):
+    """The value of the weak entry for key, or None when there is none or
+    it has died."""
+    ref = table.get((_WEAK, key))
+    return None if ref is None else ref()
 
 
 def peek(obj, key):
     """The value stored for ``key`` on ``obj``, or None; computes nothing."""
-    return obj.__dict__.get("_memo", {}).get(key)
+    table = obj.__dict__.get("_memo", {})
+    value = table.get(key)
+    return _weak_value(table, key) if value is None else value
 
 
 def _current(counter):
@@ -47,11 +119,14 @@ def _current(counter):
 
 
 def stats():
-    """Hit and miss counts of every ``memo`` call in this process.
+    """Hit, miss and rebuild counts of every ``memo`` call in this process.
 
-    The two counts are read one after the other, so a call made by another
-    thread in between may show in one and not the other.  Each count is
-    exact only where ``next()`` on an ``itertools.count`` cannot interleave,
-    as under the GIL; a free-threaded build may lose increments.
+    A rebuild, a weak entry computed again because its value had died, is
+    also a miss.  The counts are read one after the other, so a call made
+    by another thread in between may show in one and not another.  Each
+    count is exact only where ``next()`` on an ``itertools.count`` cannot
+    interleave, as under the GIL; a free-threaded build may lose
+    increments.
     """
-    return {"hits": _current(_hits), "misses": _current(_misses)}
+    return {"hits": _current(_hits), "misses": _current(_misses),
+            "rebuilt": _current(_rebuilt)}

@@ -51,10 +51,13 @@ def ambient_from_quotient(quot, x):
     return reps.Representation(quot.ambient, x.dims, x.maps, check=False)
 
 
-def corner_column_module(corner, v):
+def corner_column_module(corner, v, p=None):
     """f·A·e_v as a module over the corner algebra fAf: the ambient
-    projective P_v restricted to the corner."""
-    return restrict_to_quotient(corner, reps.projective(corner.ambient, v))
+    projective P_v (p, when the caller holds it) restricted to the
+    corner."""
+    if p is None:
+        p = reps.projective(corner.ambient, v)
+    return restrict_to_quotient(corner, p)
 
 
 class _CandidateScope:
@@ -66,12 +69,24 @@ class _CandidateScope:
     Each value is memoised on this object, not on the algebra, so it is
     dropped together with the candidate.  A lifted module is one object per
     (vertex set, vertex), so its cached resolution serves every check, and
-    so does the translate of a lifted projective."""
+    so does the translate of a lifted projective.  The projectives of the
+    scope's algebra that a check reads are kept in ``projectives``, which
+    the candidates of one reduction step share: a memoised P_v lives only
+    while held (see ``reps.projective``), and the candidates read the same
+    ones, as do the covers of the modules they resolve."""
 
-    def __init__(self, base, dual=False):
+    def __init__(self, base, dual=False, projectives=None):
         self.base = base
         self.dual = dual
         self.alg = base.opposite() if dual else base
+        self.projectives = {} if projectives is None else projectives
+
+    def projective(self, v):
+        """P_v of the scope's algebra, kept in ``projectives``."""
+        p = self.projectives.get(v)
+        if p is None:
+            p = self.projectives[v] = reps.projective(self.alg, v)
+        return p
 
     def quotient(self, f_set):
         """A/<f> for the idempotent over f_set; None when it is zero."""
@@ -86,15 +101,13 @@ class _CandidateScope:
 
     def corner(self, f_set):
         """The corner fAf for the idempotent over f_set.  A dual scope's
-        corner is the opposite of the base algebra's, whose opposite is that
-        corner again, so a dual step builds one corner."""
+        corner is the opposite of the base algebra's corner, which this
+        scope holds, so its opposite is that corner again, and a dual step
+        builds one corner."""
         key = frozenset(f_set)
-
-        def compute():
-            corner = idempotent_subalgebra(self.base, Idempotent.of(key))
-            return corner.opposite() if self.dual else corner
-
-        return memo(self, ("corner", key), compute)
+        corner = memo(self, ("corner", key), lambda: idempotent_subalgebra(
+            self.base, Idempotent.of(key)))
+        return corner.opposite() if self.dual else corner
 
     def lifted_projective(self, f_set, v):
         """The projective of A/<f> at v, as an A-module."""
@@ -233,7 +246,7 @@ def _chensing(scope, f_set):
     checks = {"cornerColumns": [], "quotientSimples": []}
     ok = True
     for v in sorted(a.vertices, key=str):
-        m = corner_column_module(corner, v)
+        m = corner_column_module(corner, v, scope.projective(v))
         pd = reps.proj_dim(m)
         finite = pd != math.inf
         ok = ok and finite
@@ -327,7 +340,7 @@ def _try_candidate(scope, cand):
     a = scope.alg
     mid = cand["removedMid"]
     tgt = cand["target"]
-    inc = find_injection(reps.projective(a, tgt), reps.projective(a, mid))
+    inc = find_injection(scope.projective(tgt), scope.projective(mid))
     if inc is None:
         return None
     m, _ = reps.cokernel(inc)
@@ -434,13 +447,16 @@ def _certified_steps(a, rng, tried):
             "no commutativity square or long zero relation to remove")
     if rng is not None:
         rng.shuffle(cands)
+    projectives = {"primal": {}, "dual": {}}
     for cand in cands:
         for side in ("primal", "dual"):
             dual = side == "dual"
             use = _dualize_candidate(cand) if dual else cand
             # the scope is dropped before the yield, so nothing it holds
-            # lives on while the walk goes deeper
-            step = _certified_move(_CandidateScope(a, dual), use)
+            # but the projectives of A and A^op lives on while the walk
+            # goes deeper
+            step = _certified_move(
+                _CandidateScope(a, dual, projectives[side]), use)
             if step is None:
                 continue
             f, corner, cert = step
@@ -520,43 +536,45 @@ def reduce_to_gentle(a, seed=None, max_steps=None):
     a = _as_algebra(a)
     rng = random.Random(seed) if seed is not None else None
     cap = max_steps if max_steps is not None else len(a.vertices) + 1
-    dead_ends = []
+    found = _walk(a, [], rng, cap)
+    if isinstance(found, ReductionTrace):
+        return found
+    try:
+        raise found
+    finally:
+        del found       # the traceback holds this frame, so not the error
 
-    def walk(current, steps):
-        if len(steps) == cap:
-            dead_ends.append(NotReducible(
-                "reduction failed to terminate in the step cap"))
-            return None
-        gentle = is_gentle(current)["gentle"]
-        if gentle:
-            return ReductionTrace(
-                steps, current, sorted(map(str, current.vertices)), gentle)
-        tried = []
-        try:
-            for f, corner, cert in _certified_steps(current, rng, tried):
-                if corner.dim >= current.dim:
-                    # f misses a vertex, so fAf loses at least its
-                    # idempotent: a corner that does not shrink is a fault
-                    raise InternalError(
-                        "corner did not decrease the dimension")
-                found = walk(corner, steps + [{
-                    "idempotent": sorted(map(str, f.vertex_subset)),
-                    "certificate": cert,
-                    "cornerDim": corner.dim,
-                }])
-                if found is not None:
-                    return found
-        except NoCommutativeSquare as exc:
-            dead_ends.append(exc)
-            return None
-        dead_ends.append(NotReducible(
-            f"no applicable recipe; last candidate {tried[-1]}"))
-        return None
 
-    trace = walk(a, [])
-    if trace is None:
-        raise dead_ends[0]
-    return trace
+def _walk(current, steps, rng, cap):
+    """The trace of the first branch from current, after steps, that
+    reaches a gentle algebra, or else the error of its first dead end.
+    An error is returned, not kept raised, and without its traceback, so
+    no frame of the search outlives the search."""
+    if len(steps) == cap:
+        return NotReducible("reduction failed to terminate in the step cap")
+    gentle = is_gentle(current)["gentle"]
+    if gentle:
+        return ReductionTrace(
+            steps, current, sorted(map(str, current.vertices)), gentle)
+    tried, first = [], None
+    try:
+        for f, corner, cert in _certified_steps(current, rng, tried):
+            if corner.dim >= current.dim:
+                # f misses a vertex, so fAf loses at least its
+                # idempotent: a corner that does not shrink is a fault
+                raise InternalError("corner did not decrease the dimension")
+            found = _walk(corner, steps + [{
+                "idempotent": sorted(map(str, f.vertex_subset)),
+                "certificate": cert,
+                "cornerDim": corner.dim,
+            }], rng, cap)
+            if isinstance(found, ReductionTrace):
+                return found
+            first = first or found
+    except NoCommutativeSquare as exc:
+        return first or exc.with_traceback(None)
+    return first or NotReducible(
+        f"no applicable recipe; last candidate {tried[-1]}")
 
 
 @dataclass

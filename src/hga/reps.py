@@ -13,9 +13,11 @@ still compares whole modules.  Every step works on these supports.  Like
 every matrix an unchecked object is given, the stored ones are read-only.
 """
 
+import collections
 import functools
 import itertools
 import math
+import weakref
 
 from . import linalg
 from .errors import (
@@ -204,6 +206,30 @@ class Morphism:
         return f"Morphism({self.source.dims} -> {self.target.dims})"
 
 
+class _CoverMap(Morphism):
+    """The cover map P_0 -> m kept in the resolution of m, memoised on m,
+    with m held weakly, so that the memo entry does not hold its owner
+    (see ``hga.memo``).  For a memoised P_v, P_0 is m and the map is its
+    identity.  m is the target, and then the source, while it is alive;
+    after that, a module with m's dims and maps, memoised on the map."""
+
+    def __init__(self, source, blocks, m):
+        self._source = None if source is m else source
+        self.blocks = blocks
+        self._target = weakref.ref(m)
+        self._data = m.algebra, m.dims, m.maps
+
+    @property
+    def source(self):
+        return self.target if self._source is None else self._source
+
+    @property
+    def target(self):
+        m = self._target()
+        return m if m is not None else memo(self, "target", lambda:
+            Representation(*self._data, check=False))
+
+
 def zero_representation(algebra):
     return Representation(algebra, {}, {}, check=False)
 
@@ -218,10 +244,23 @@ def identity_morphism(m):
 
 
 def projective(alg, v):
-    """Indecomposable projective at a vertex: basis elements with source v."""
+    """Indecomposable projective at a vertex: basis elements with source v.
+    A weak entry on alg (see ``hga.memo``): the same object while anything
+    holds it, as every resolution that covers by it does."""
     if v not in alg.e_index:
         raise UnknownVertex(f"unknown vertex {v!r}")
-    return memo(alg, ("projective", v), lambda: _build_projective(alg, v))
+    return memo(alg, ("projective", v), lambda: _Projective(alg, v),
+                weak=True)
+
+
+class _Projective(Representation):
+    """P_v as ``projective`` hands it out, the one shared by every cover
+    with the single summand P_v."""
+
+    def __init__(self, alg, v):
+        data = _projective_data(alg, v)
+        super().__init__(alg, data.dims, data.maps, check=False)
+        self.vertex = v
 
 
 def _projective_basis(alg, v):
@@ -238,23 +277,40 @@ def _projective_basis(alg, v):
     return memo(alg, ("projective basis", v), compute)
 
 
+_ProjectiveData = collections.namedtuple("_ProjectiveData",
+                                         "support dims maps")
+
+
+def _projective_data(alg, v):
+    """The support, dims and maps of P_v, memoised on alg as plain data,
+    which holds no module.  P_v itself is a weak entry (see ``hga.memo``),
+    so a rebuilt one shares these, and a sum of projectives reads them
+    without building any P_v."""
+    def compute():
+        basis_ids, pos = _projective_basis(alg, v)
+        arrows_from = alg.quiver.arrows_from
+        maps = {}
+        for u, col_ids in basis_ids.items():
+            for ar in arrows_from[u]:
+                row_ids = basis_ids.get(ar.target)
+                if not row_ids:
+                    continue
+                mat = [[F0] * len(col_ids) for _ in row_ids]
+                ai = alg.arrow_class[ar.name]
+                for col, b in enumerate(col_ids):
+                    for t, c in alg.mult_basis(ai, b).items():
+                        mat[pos[t]][col] = c
+                maps[ar.name] = mat
+        dims = {w: len(ids) for w, ids in basis_ids.items()}
+        return _ProjectiveData(tuple(dims), dims, maps)
+
+    return memo(alg, ("projective data", v), compute)
+
+
 def _build_projective(alg, v):
-    basis_ids, pos = _projective_basis(alg, v)
-    arrows_from = alg.quiver.arrows_from
-    maps = {}
-    for u, col_ids in basis_ids.items():
-        for ar in arrows_from[u]:
-            row_ids = basis_ids.get(ar.target)
-            if not row_ids:
-                continue
-            mat = [[F0] * len(col_ids) for _ in row_ids]
-            ai = alg.arrow_class[ar.name]
-            for col, b in enumerate(col_ids):
-                for t, c in alg.mult_basis(ai, b).items():
-                    mat[pos[t]][col] = c
-            maps[ar.name] = mat
-    dims = {w: len(ids) for w, ids in basis_ids.items()}
-    return Representation(alg, dims, maps, check=False)
+    """A module equal to P_v, built from its data; not the memoised one."""
+    data = _projective_data(alg, v)
+    return Representation(alg, data.dims, data.maps, check=False)
 
 
 def simple(alg, v):
@@ -266,13 +322,33 @@ def simple(alg, v):
 def dual(m):
     """D: representations of A to representations of the opposite algebra.
     Memoised on m, so D(P_v) and the injectives are shared objects whose
-    resolutions are cached."""
-    def compute():
-        maps = {name: linalg.transpose(mat) for name, mat in m.maps.items()}
-        return Representation(m.algebra.opposite(), m.dims, maps,
-                              check=False)
+    resolutions are cached.  On a memoised P_v it is a weak entry, and
+    D(P_v) holds P_v: the resolution of D(P_v) covers by projectives of
+    the opposite, whose duals' resolutions cover by P_v (see ``hga.memo``).
+    """
+    if type(m) is _Projective:
+        return memo(m, "dual", lambda: _DualProjective(m), weak=True)
+    return memo(m, "dual", lambda: _dual_module(m))
 
-    return memo(m, "dual", compute)
+
+def _dual_module(m):
+    """D m, not memoised."""
+    return Representation(m.algebra.opposite(), m.dims, _dual_maps(m),
+                          check=False)
+
+
+def _dual_maps(m):
+    return {name: linalg.transpose(mat) for name, mat in m.maps.items()}
+
+
+class _DualProjective(Representation):
+    """D(P_v) of a memoised P_v, holding P_v, so that the same D(P_v) is
+    found on P_v while either is held."""
+
+    def __init__(self, p):
+        super().__init__(p.algebra.opposite(), p.dims, _dual_maps(p),
+                         check=False)
+        self.projective = p
 
 
 def dual_morphism(f):
@@ -286,15 +362,10 @@ def injective(alg, v):
     return dual(projective(alg.opposite(), v))
 
 
-def _sum_module(reps):
+def _sum_module(alg, reps):
     """The direct sum module alone, with each summand's first coordinate at
-    every vertex of its support."""
-    if not reps:
-        raise ValueError("empty direct sum; use zero_representation")
-    alg = reps[0].algebra
-    for r in reps:
-        if r.algebra is not alg:
-            raise AlgebraMismatch("direct sum across algebras")
+    every vertex of its support.  A summand is read through its support,
+    dims and maps alone, so it may be a _ProjectiveData."""
     dims, offsets = {}, []
     for r in reps:
         offsets.append({v: dims.get(v, 0) for v in r.support})
@@ -317,7 +388,12 @@ def _sum_module(reps):
 
 def direct_sum(reps):
     """Direct sum with inclusion and projection morphisms per summand."""
-    total, offsets = _sum_module(reps)
+    if not reps:
+        raise ValueError("empty direct sum; use zero_representation")
+    alg = reps[0].algebra
+    if any(r.algebra is not alg for r in reps):
+        raise AlgebraMismatch("direct sum across algebras")
+    total, offsets = _sum_module(alg, reps)
     dims = total.dims
     incls, projs = [], []
     for r, off in zip(reps, offsets):
@@ -445,8 +521,12 @@ def _cokernel(f):
     D is exact, so Coker f = D Ker(D f).  A kernel vector of (D f)_v is 1
     at one free column and 0 at the others, so the transposed inclusion
     block sends the unit vector of a free coordinate to the class of that
-    coordinate: the free columns are the kept coordinates."""
-    k, incl, kept = _kernel(dual_morphism(f))
+    coordinate: the free columns are the kept coordinates.  D f is built
+    between duals that are not memoised: the cokernel keeps neither."""
+    dual_f = Morphism(_dual_module(f.target), _dual_module(f.source),
+                      {v: linalg.transpose(b) for v, b in f.blocks.items()},
+                      check=False)
+    k, incl, kept = _kernel(dual_f)
     proj = {v: linalg.transpose(b) for v, b in incl.blocks.items()}
     c = dual(k)
     return c, Morphism(f.target, c, proj, check=False), kept
@@ -486,10 +566,14 @@ def projective_cover(m):
 
 
 def _projective_sum(alg, vertices):
-    """The sum of the projectives P_v (v in vertices); one summand is the
-    memoised P_v itself, shared rather than copied."""
-    ps = [projective(alg, v) for v in vertices]
-    return ps[0] if len(ps) == 1 else _sum_module(ps)[0]
+    """The sum of the projectives P_v (v in vertices), built from their
+    memoised data.  One summand is the memoised P_v itself while anything
+    holds it, shared rather than copied; a cover never stores P_v, so a
+    module resolved alone leaves no weak entry to be built again."""
+    if len(vertices) == 1:
+        return (peek(alg, ("projective", vertices[0]))
+                or _build_projective(alg, vertices[0]))
+    return _sum_module(alg, [_projective_data(alg, v) for v in vertices])[0]
 
 
 def from_generators(p, vertices, n, images):
@@ -607,9 +691,24 @@ def _resolution(m, k):
     one up to P_{k-1}: (terms, diffs, summand lists, K, K -> P_k) with K the
     kernel of the last differential, None once it vanishes; the resolution
     then stops, and every longer one is the same.  Memoised on m per k; a
-    stored one is read with `peek`, so a hit builds no closure."""
+    stored one is read with `peek`, so a hit builds no closure.
+
+    A memoised P_v is its own resolution, with its identity, memoised on
+    P_v, as the one differential.  That tuple is built on each call: stored
+    on P_v, it would hold P_v."""
     key = ("resolution", k)
-    return peek(m, key) or memo(m, key, lambda: _resolution_step(m, k))
+    found = peek(m, key)
+    if found is None:
+        if type(m) is _Projective:
+            return _own_resolution(m)
+        found = memo(m, key, lambda: _resolution_step(m, k))
+    return found
+
+
+def _own_resolution(p):
+    one = memo(p, "identity", lambda: _CoverMap(
+        p, {v: linalg.identity(k) for v, k in p.dims.items()}, p))
+    return (p,), (one,), ([p.vertex],), None, None
 
 
 def _resolution_step(m, k):
@@ -624,7 +723,7 @@ def _resolution_step(m, k):
     kern, kincl = kernel(epi)
     if not kern.support:
         kern = kincl = None
-    d = epi if incl is None else incl.compose(epi)
+    d = _CoverMap(p, epi.blocks, m) if incl is None else incl.compose(epi)
     return (terms + (p,), diffs + (d,), summands + (cover_summands,),
             kern, kincl)
 
@@ -1045,7 +1144,7 @@ def _tau_d_inv_mor(f, d):
 
 
 def regular_module(alg):
-    return _sum_module([projective(alg, v) for v in alg.vertices])[0]
+    return _projective_sum(alg, alg.vertices)
 
 
 def homological_dims(alg, cap=None):
@@ -1072,22 +1171,23 @@ def _simple_proj_dims(alg, cap):
 
 
 def _homological_dims(alg, cap):
-    proj_dims, gl = _simple_proj_dims(alg, cap)
+    # D(P_v) holds P_v, so these two hold every projective of alg and of
+    # its opposite while the record is computed, and each is built once
     dual_projs = [dual(projective(alg, v)) for v in alg.vertices]
+    injs = {v: injective(alg, v) for v in alg.vertices}
+    proj_dims, gl = _simple_proj_dims(alg, cap)
     inj_of_a = max(proj_dim(x, cap=cap) for x in dual_projs)
-    proj_of_da = max(
-        proj_dim(injective(alg, v), cap=cap) for v in alg.vertices
-    )
+    proj_of_da = max(proj_dim(x, cap=cap) for x in injs.values())
     return {
         "projDims": proj_dims,
         "globalDim": gl,
-        "dominantDim": _dominant_dim(alg, dual_projs, cap),
+        "dominantDim": _dominant_dim(alg, dual_projs, injs, cap),
         "injDimOfA": inj_of_a,
         "projDimOfDA": proj_of_da,
     }
 
 
-def _dominant_dim(alg, dual_projs, cap):
+def _dominant_dim(alg, dual_projs, injs, cap):
     """Dominant dimension: the number of leading terms of the minimal
     injective coresolution of A that are also projective.
 
@@ -1095,8 +1195,8 @@ def _dominant_dim(alg, dual_projs, cap):
     DA = (+)_v D(P_v) over the opposite algebra, the sum of the cached
     resolutions of the D(P_v): at each step its cover has the union of
     their summands, and its kernel vanishes once all of theirs have.  The
-    summand at w dualises to the injective I_w."""
-    proj_inj = {w: is_projective(injective(alg, w)) for w in alg.vertices}
+    summand at w dualises to the injective I_w, injs[w]."""
+    proj_inj = {w: is_projective(i) for w, i in injs.items()}
     for step in range(cap if cap is not None else _default_cap(alg)):
         res = [_resolution(x, step) for x in dual_projs]
         if not all(proj_inj[w] for terms, _, summands, _, _ in res

@@ -3,6 +3,7 @@ rebinds a counted name wherever hga bound it, puts every binding back, and
 counts the calls each mode asks for, and the frames entered in a
 module."""
 
+import platform
 import sys
 
 import pytest
@@ -123,3 +124,37 @@ def test_auslander_check_takes_stored_entries_as_a_ceiling():
     assert fails(dict(want, stored_entries=11), want)
     assert fails(dict(want, rref_calls=2), want)
     assert fails({"rref_calls": 3}, want)
+
+
+def test_lifetime_counts_what_its_block_leaves_in_cycles():
+    a = build_typeA_auslander(3, 2)
+    with bench.Lifetime() as life:
+        m = reps.simple(a, a.vertices[0])
+        m.loop = [m]                    # a cycle through one hga object
+        del m
+    assert life.counts["hga_cyclic_objects"] == 1
+    assert life.counts["cyclic_objects"] >= 2
+    assert life.counts["rebuilt"] == 0
+    with bench.Lifetime() as life:
+        reps.simple(a, a.vertices[0])
+    assert life.counts["cyclic_objects"] == 0
+
+
+def test_memory_check_takes_the_peak_as_a_ceiling():
+    # any hga object in a cycle or any rebuilt weak entry fails; the peak
+    # may move by 2%, and counts only on the file's Python; the
+    # standard library's cycles are not checked
+    want = {"cyclic_objects": 99, "hga_cyclic_objects": 0, "rebuilt": 0,
+            "traced_peak_kib": 1000}
+    ladder = bench.Memory()
+    ladder.check_host(f"{platform.python_implementation()} "
+                      f"{platform.python_version()}, 2 cpus")
+    assert not ladder.fails(dict(want, traced_peak_kib=1020), want)
+    assert not ladder.fails(dict(want, cyclic_objects=120), want)
+    assert ladder.fails(dict(want, traced_peak_kib=1021), want)
+    assert ladder.fails(dict(want, hga_cyclic_objects=1), want)
+    assert ladder.fails(dict(want, rebuilt=1), want)
+    ladder.check_host("CPython 2.7.18, 2 cpus")
+    assert not ladder.fails(dict(want, traced_peak_kib=2000), want)
+    assert ladder.fails(dict(want, hga_cyclic_objects=1), want)
+    assert ladder.fails(dict(want, rebuilt=1), want)

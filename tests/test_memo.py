@@ -4,6 +4,7 @@ or a constructor field, never in an attribute set from outside."""
 
 import ast
 import copy
+import gc
 import json
 import os
 import pickle
@@ -12,6 +13,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -22,11 +24,18 @@ from hga import (
     axioms,
     build_algebra,
     memo,
+    reduction,
     reps,
     zero_relation,
 )
 from hga.axioms import is_d_gentle_certificate
-from hga.cluster import SummandCollection, is_d_rigid
+from hga.cluster import (
+    SummandCollection,
+    cluster_endo_algebra,
+    ctgent_family,
+    is_d_rigid,
+)
+from hga.errors import NoCommutativeSquare, NotReducible
 from hga.presentations import Idempotent
 from hga.typea import build_typeA_auslander, canonical_cluster_tilting
 
@@ -132,6 +141,153 @@ def test_stats_count_every_call_from_racing_threads():
     assert (after["hits"] + after["misses"]
             - before["hits"] - before["misses"]) == calls
     assert after["misses"] - before["misses"] >= len(objs) * 7
+
+
+def test_a_weak_entry_lives_as_long_as_its_value():
+    class Obj:
+        pass
+
+    class Value:
+        pass
+
+    obj = Obj()
+    before = memo.stats()
+    first = memo.memo(obj, "k", Value, weak=True)
+    assert memo.memo(obj, "k", Value, weak=True) is first
+    assert memo.peek(obj, "k") is first
+    ref = weakref.ref(first)
+    del first
+    assert ref() is None and memo.peek(obj, "k") is None
+    again = memo.memo(obj, "k", Value, weak=True)
+    assert memo.memo(obj, "k", Value, weak=True) is again
+    after = memo.stats()
+    assert after["hits"] - before["hits"] == 2
+    assert after["misses"] - before["misses"] == 2
+    assert after["rebuilt"] - before["rebuilt"] == 1
+
+
+def test_racing_threads_share_a_weak_entry():
+    # each thread holds what it got, so the first value stored stays alive
+    # and every other thread, having computed its own, is given that one
+    class Obj:
+        pass
+
+    class Value:
+        pass
+
+    obj = Obj()
+    barrier = threading.Barrier(4)
+    results = [None] * 4
+
+    def compute():
+        time.sleep(0.05)            # every thread misses before any stores
+        return Value()
+
+    def work(i):
+        barrier.wait(timeout=60)
+        results[i] = memo.memo(obj, "k", compute, weak=True)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r is results[0] for r in results)
+    assert memo.memo(obj, "k", compute, weak=True) is results[0]
+
+
+@pytest.fixture
+def no_cyclic_gc():
+    """The cyclic collector off, so an object dies only by reference
+    counting."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
+
+
+def l2_lifetime_refs(alg):
+    """Weak references to alg, its opposite, one of its projectives and a
+    resolution term, after homological_dims, minimal_resolution,
+    higher_translate_inverse, transpose and injective ran on it."""
+    reps.homological_dims(alg)
+    v, w = alg.vertices[0], alg.vertices[-1]
+    p = reps.projective(alg, w)
+    assert reps.projective(alg, w) is p       # held, so returned again
+    s = reps.simple(alg, v)
+    terms = reps.minimal_resolution(s, 2)[0]
+    reps.higher_translate_inverse(s, 2)
+    reps.transpose(s)
+    reps.injective(alg, w)
+    op = alg.opposite()
+    assert op.opposite() is alg
+    return [weakref.ref(x) for x in (alg, op, p, terms[-1])]
+
+
+def test_a_dropped_algebra_is_freed_without_the_cyclic_collector(
+        no_cyclic_gc):
+    refs = l2_lifetime_refs(build_typeA_auslander(4, 2))
+    c = ctgent_family(4, 2, [2])
+    refs += l2_lifetime_refs(cluster_endo_algebra(c).algebra)
+    refs.append(weakref.ref(c.family.algebra))
+    del c
+    assert [r() for r in refs] == [None] * len(refs)
+
+
+def test_a_failed_reduction_leaves_no_cycle(no_cyclic_gc):
+    # the error raised is the first dead end, kept without the frames of
+    # the search, and the frame that raised it does not hold it
+    a = cluster_endo_algebra(ctgent_family(4, 2, [2])).algebra
+    ref = weakref.ref(a)
+    with pytest.raises(NotReducible, match="step cap"):
+        reduction.reduce_to_gentle(a, max_steps=1)
+    del a
+    assert ref() is None
+
+
+def test_a_reduction_with_no_candidate_leaves_no_cycle(no_cyclic_gc):
+    # three arrows out of one vertex and no relation: not gentle, with no
+    # square or long zero relation to remove, so the walk's dead end is a
+    # raised NoCommutativeSquare, returned without the frames of the search
+    q = Quiver(["1", "2", "3", "4"],
+               [("a", "1", "2"), ("b", "1", "3"), ("c", "1", "4")])
+    a = build_algebra(BoundQuiverPresentation(q, []))
+    ref = weakref.ref(a)
+    with pytest.raises(NoCommutativeSquare) as err:
+        reduction.reduce_to_gentle(a)
+    frames, tb = [], err.value.__traceback__
+    while tb is not None:
+        frames.append(tb.tb_frame.f_code.co_name)
+        tb = tb.tb_next
+    assert frames[-1] == "reduce_to_gentle"
+    del a, err
+    assert ref() is None
+
+
+def test_a_held_projective_is_its_own_resolution(no_cyclic_gc):
+    # P_v's resolution is P_v with its identity, the same map on every
+    # call while P_v lives; the map holds P_v weakly, so kept alone its
+    # ends become one module with P_v's dims
+    a = build_typeA_auslander(3, 2)
+    v = a.vertices[0]
+    p = reps.projective(a, v)
+    terms, diffs, summands, finished = reps.minimal_resolution(p, 0)
+    assert len(terms) == 1 and terms[0] is p
+    assert (summands, finished) == ([[v]], True)
+    one = diffs[0]
+    assert one.source is p and one.target is p
+    longer = reps.minimal_resolution(p, 3)[1]
+    assert len(longer) == 1 and longer[0] is one
+    p0, epi0, _, _ = reps.presentation_matrix(p)[3]
+    assert p0 is p and epi0 is one
+    assert reps.projective(a, v) is p
+    dims, ref = p.dims, weakref.ref(p)
+    del p, terms, diffs, longer, p0, epi0
+    assert ref() is None
+    assert one.source is one.target and one.target.dims == dims
 
 
 def test_threads_share_resolution_steps():

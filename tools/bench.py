@@ -5,8 +5,9 @@
     PYTHONPATH=src python3 tools/bench.py NAME --check
 
 NAME is one of the ladders below: ``auslander``, ``certificate``,
-``family``, ``reduction``, ``represent`` or ``scalars``.  Each guards a
-speed-up by counting the operations it removed.  A ladder is a list of
+``family``, ``memory``, ``reduction``, ``represent`` or ``scalars``.  Each
+guards a speed-up by counting the operations it removed (``memory``: the
+objects a job leaves to the cyclic collector).  A ladder is a list of
 rows built from the pools in ``perfbench/workloads.py``.  A row runs one
 job, for the hga found on the import path, on inputs made for it whose
 making is not measured, and gives:
@@ -15,25 +16,31 @@ making is not measured, and gives:
   on fresh inputs: the best or the median, as the ladder's committed sides
   were measured;
 - its counts, from one more run on fresh inputs with the ladder's counting
-  wrappers installed (``Counting``).
+  wrappers installed (``Counting``; ``memory``: ``Lifetime``).
 
-The counts do not depend on the machine.  ``--side`` merges the result,
+The counts do not depend on the machine (``memory``'s peak and cycle
+counts depend on the Python version).  ``--side`` merges the result,
 with the host and this command, into the JSON file, so one run on each
 tree fills in both sides.  ``--check`` measures the counts only, of the
 rows with n at most the ladder's ``check_max_n``, writes nothing, and
 exits 1 if any differs from the file's ``after`` side (for ``scalars``,
-and for ``auslander``'s ``stored_entries``: if any is above it).  One
+and for ``auslander``'s ``stored_entries``: if any is above it;
+``memory`` says what it checks).  One
 process runs one ladder, so no memo carries over from one ladder to the
 next.
 """
 
 import argparse
+import functools
+import gc
 import json
 import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
+import tracemalloc
 from collections import namedtuple
 from fractions import Fraction
 
@@ -52,6 +59,7 @@ from workloads import (  # noqa: E402
 from hga import (  # noqa: E402
     algebras,
     axioms,
+    cli,
     cluster,
     linalg,
     memo,
@@ -209,9 +217,9 @@ def containers_built(orig, counts):
 def label_lookups(orig, counts):
     """``memo.memo``, counting in ``label_lookups`` the reads of a module
     family's label index, the memo key ``"label index"``."""
-    def counted(obj, key, compute):
+    def counted(obj, key, compute, **kwargs):
         counts["label_lookups"] += key == "label index"
-        return orig(obj, key, compute)
+        return orig(obj, key, compute, **kwargs)
     return counted
 
 
@@ -271,6 +279,9 @@ class Ladder:
         """Whether a row's counts fail ``--check`` against the file's."""
         return got != expected
 
+    def check_host(self, host):
+        """Told the ``host`` of the file's side before ``--check``."""
+
     def fields(self, row):
         if row.phase:
             return f"{row.phase}_s", f"{row.phase}_counts"
@@ -299,6 +310,7 @@ def measure(ladder, row):
 def check(ladder, path):
     with open(path, encoding="utf-8") as fh:
         want = json.load(fh)["after"]
+    ladder.check_host(want["host"])
     want = want[ladder.rows_at] if ladder.rows_at else want
     bad = 0
     for row in ladder.rows():
@@ -309,7 +321,7 @@ def check(ladder, path):
         fails = ladder.fails(got, expected)
         bad += fails
         print(row.key, row.phase or "", "ok" if got == expected else
-              f"{'differs' if fails else 'below the file'}: "
+              f"{'fails' if fails else 'passes'}: "
               f"{json.dumps(got, sort_keys=True)} != "
               f"{json.dumps(expected, sort_keys=True)}", flush=True)
     return 1 if bad else 0
@@ -754,9 +766,122 @@ class Scalars(Ladder):
                            for group in ("auslander", "ctgent")}}
 
 
+def auslander_job(n, d):
+    """The ``auslander`` workload's job, in a temporary directory:
+    ``hga auslander`` on A^d_n, its presentation written on its own, then
+    ``hga homdims`` on that."""
+    with tempfile.TemporaryDirectory() as tmp:
+        report, pres, dims = (os.path.join(tmp, name) for name in (
+            "auslander.json", "presentation.json", "homdims.json"))
+        if cli.main(["auslander", "--n", str(n), "--d", str(d),
+                     "--out", report]):
+            raise RuntimeError(f"hga auslander failed on A^{d}_{n}")
+        with open(report, encoding="utf-8") as fh:
+            data = json.load(fh)
+        with open(pres, "w", encoding="utf-8") as fh:
+            json.dump(data["presentation"], fh, indent=2, sort_keys=True)
+        if cli.main(["homdims", pres, "--out", dims]):
+            raise RuntimeError(f"hga homdims failed on A^{d}_{n}")
+
+
+class Lifetime:
+    """The counts of the ``memory`` ladder for the block it runs: the
+    cyclic collector is off and ``tracemalloc`` on while the block runs,
+    and then ``gc.collect()`` frees what the block left in reference
+    cycles.
+
+    - ``cyclic_objects``: the objects that collection frees;
+    - ``hga_cyclic_objects``: those of them whose class is defined in hga;
+    - ``traced_peak_kib``: the peak of the memory tracemalloc traced;
+    - ``rebuilt``: the memo's weak entries computed again because their
+      value had died (``memo.stats()``; 0 where it has no such count).
+    """
+
+    def __init__(self):
+        self.counts = {}
+
+    def __enter__(self):
+        gc.collect()
+        self.enabled = gc.isenabled()
+        gc.disable()
+        self.rebuilt = memo.stats().get("rebuilt", 0)
+        tracemalloc.start()
+        return self
+
+    def __exit__(self, *exc):
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        rebuilt = memo.stats().get("rebuilt", 0) - self.rebuilt
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            found = gc.collect()
+            ours = sum(type(x).__module__.split(".")[0] == "hga"
+                       for x in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.collect()
+            if self.enabled:
+                gc.enable()
+        self.counts.update(cyclic_objects=found, hga_cyclic_objects=ours,
+                           traced_peak_kib=peak // 1024, rebuilt=rebuilt)
+
+
+class Memory(Ladder):
+    """What a cold job leaves to the cyclic collector.
+
+    The rows are the 7 (n, d) of the ``auslander`` pool, each running
+    ``auslander_job``, the workload's two CLI calls, and the 13 keys of the
+    ``ctgent`` pool, each running ``ctgent_job``, each run after one
+    unmeasured run of the same job.  ``wall_s`` is the best of 3; the
+    counts are those of ``Lifetime``.  ``rounds`` sums them over
+    each pool: one round of each workload.  ``--check`` runs every row
+    and fails if a row leaves any hga object in a reference cycle, if it
+    builds any weak memo entry again (``rebuilt``), or if
+    ``traced_peak_kib`` is more than 2% above the file's: the peak moves
+    by about 1 KiB from run to run of one tree, with the order of objects
+    in memory.  The peak depends on the Python version, so it is checked
+    only on the version of the file's ``host``.  ``cyclic_objects`` is
+    recorded, not checked: it counts the standard library's cycles too
+    (each indented ``json`` dump leaves 33 objects in cycles of its own).
+    """
+
+    def rows(self):
+        jobs = [(auslander_key(n, d), n,
+                 functools.partial(auslander_job, n, d),
+                 "auslander") for n, d in AUSLANDER_POOL] + [
+            (ctgent_key(n, d, idx), n,
+             functools.partial(ctgent_job, n, d, idx), "ctgent")
+            for n, d, idx in CTGENT_POOL]
+        # the setup runs the job once, unmeasured, so that --check counts
+        # a warm job as --side does (the first CLI call of a process
+        # builds its argument parser, for one)
+        return [Row(key, n, lambda _, job=job: job(), job, group)
+                for key, n, job, group in jobs]
+
+    def counting(self, row):
+        return Lifetime()
+
+    def totals(self, measured):
+        return {"rounds": {group: summed(grouped(measured, group),
+                                         self.digits)
+                           for group in ("auslander", "ctgent")}}
+
+    def fails(self, got, expected):
+        if got["hga_cyclic_objects"] or got["rebuilt"]:
+            return True
+        peak, ceiling = got["traced_peak_kib"], expected["traced_peak_kib"]
+        return self.same_python and peak > 1.02 * ceiling
+
+    def check_host(self, host):
+        version = platform.python_version_tuple()[:2]
+        self.same_python = host.startswith(
+            f"{platform.python_implementation()} {'.'.join(version)}.")
+
+
 LADDERS = {"auslander": Auslander, "certificate": Certificate,
-           "family": Family, "reduction": Reduction, "represent": Represent,
-           "scalars": Scalars}
+           "family": Family, "memory": Memory, "reduction": Reduction,
+           "represent": Represent, "scalars": Scalars}
 
 
 def main(argv=None):
