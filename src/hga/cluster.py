@@ -26,6 +26,7 @@ from .linalg import F1
 from .memo import memo
 from .typea import (
     Tuple,
+    _check_size,
     build_typeA_auslander,
     canonical_cluster_tilting,
     corner,
@@ -461,11 +462,11 @@ def ctgent_family(n, d, index_set, family=None):
     Positions are counted along the translate chain of simples
     (tau_d^- S at position i is the simple at position i-1); adjacent
     positions are rejected, and position 1 is unavailable because its
-    translate leaves the module category."""
+    translate leaves the module category.  The positions are checked
+    before A^d_n and its family are built."""
     if family is None:
-        family = canonical_cluster_tilting(build_typeA_auslander(n, d))
-    alg = family.algebra
-    if alg.typeA != {"n": n, "d": d}:
+        _check_size(n, d)
+    elif family.algebra.typeA != {"n": n, "d": d}:
         raise HgaError("family does not match the requested parameters")
     index_set = sorted(set(index_set))
     if any(i < 1 or i > n for i in index_set):
@@ -479,6 +480,9 @@ def ctgent_family(n, d, index_set, family=None):
         raise UnsupportedSummand(
             "the translate of the first chain simple is a shifted projective"
         )
+    if family is None:
+        family = canonical_cluster_tilting(build_typeA_auslander(n, d))
+    alg = family.algebra
     proj, simples = _family_roles(family)
     dropped = {simples[i - 1][0] for i in index_set}
     labels = [proj[v] for v in alg.vertices if v not in dropped]

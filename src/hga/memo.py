@@ -12,27 +12,25 @@ through other memoised values.  Then the memo graph has no cycle, and
 reference counting frees an object and all that is memoised under it as
 soon as the last name for it is dropped, with no wait for the cyclic
 collector.  A value that must refer back to its owner does so through one
-weak reference:
+weak reference.  Three memo entries are weak, and each is needed:
 
+- ``reps.projective``: P_v is a weak entry on its algebra.  P_v holds its
+  algebra, as every module does, and a single-summand cover is the shared
+  P_v, so a strong entry would close the cycle algebra -> P_v -> algebra.
+  Its dims and maps stay memoised as plain data, so a P_v built again
+  after its death costs one constructor call and equals the first.
+- ``reps.dual`` of a memoised P_v is a weak entry on P_v.  Held strongly,
+  it would close the cycle P_v -> D(P_v) -> its resolution -> P^op_w ->
+  D(P^op_w) -> its resolution -> P_v, since the resolution of D(P_v)
+  covers by projectives of the opposite, whose duals cover by P_v again.
 - ``Algebra.opposite()``: an algebra holds its opposite, and the opposite
-  holds the algebra in a weak entry (``weak=True``) under the same key,
-  since the opposite's own ``opposite()`` reads it.
-- ``reps.projective``: P_v is a weak entry on its algebra, since
-  ``P_v.algebra`` is the algebra.  Its dims and maps stay memoised as
-  plain data, so a P_v built again costs one constructor call.  A cover
-  with the single summand P_v is the memoised P_v while it is alive, and
-  a copy built from that data when it is not; a resolution holds its
-  covers.  P_v is its own resolution, which is not memoised.
-- ``reps.dual`` of a memoised P_v is a weak entry on P_v, and D(P_v) holds
-  P_v: the resolution of D(P_v) covers by projectives of the opposite,
-  and the resolutions of their duals cover by P_v again.
-- ``reps.minimal_resolution`` is memoised on the module m it resolves,
-  and its cover map P_0 -> m holds m weakly (``reps._CoverMap``); so
-  does the identity of P_v, memoised on P_v.
+  holds the algebra in a weak entry under the same key: ``(A^op)^op`` is
+  A, and a strong entry would close the cycle A -> A^op -> A.
 
-A weak entry is computed again only if its value has died;
-``stats()["rebuilt"]`` counts those.  So a caller that reads the same P_v
-at several times holds it in between.
+The one weak edge that is not an entry: ``reps.minimal_resolution`` is
+memoised on the module m it resolves, and must not hold m, so its cover
+map P_0 -> m holds its target m weakly (``reps._CoverMap``); so does the
+identity of P_v, which is P_v's own resolution.
 
 A memoised value must be a deterministic function of an object that is not
 mutated after construction, and callers treat it as read-only.  Two threads
@@ -51,7 +49,6 @@ _MISSING = object()
 # stay exact without a lock
 _hits = count()
 _misses = count()
-_rebuilt = count()
 # a weak entry is a weakref stored under (_WEAK, key), so a strong hit costs
 # one lookup, as it did before weak entries
 _WEAK = object()
@@ -81,7 +78,6 @@ def _missed(table, key, compute, weak):
         if value is not None:
             next(_hits)
             return value
-        next(_rebuilt)
     next(_misses)
     value = compute()
     if not weak and ref is None:
@@ -119,14 +115,12 @@ def _current(counter):
 
 
 def stats():
-    """Hit, miss and rebuild counts of every ``memo`` call in this process.
+    """Hit and miss counts of every ``memo`` call in this process.
 
-    A rebuild, a weak entry computed again because its value had died, is
-    also a miss.  The counts are read one after the other, so a call made
-    by another thread in between may show in one and not another.  Each
-    count is exact only where ``next()`` on an ``itertools.count`` cannot
-    interleave, as under the GIL; a free-threaded build may lose
-    increments.
+    A weak entry computed again because its value had died is a miss.  The
+    counts are read one after the other, so a call made by another thread
+    in between may show in one and not another.  Each count is exact only
+    where ``next()`` on an ``itertools.count`` cannot interleave, as under
+    the GIL; a free-threaded build may lose increments.
     """
-    return {"hits": _current(_hits), "misses": _current(_misses),
-            "rebuilt": _current(_rebuilt)}
+    return {"hits": _current(_hits), "misses": _current(_misses)}

@@ -51,13 +51,10 @@ def ambient_from_quotient(quot, x):
     return reps.Representation(quot.ambient, x.dims, x.maps, check=False)
 
 
-def corner_column_module(corner, v, p=None):
+def corner_column_module(corner, v):
     """f·A·e_v as a module over the corner algebra fAf: the ambient
-    projective P_v (p, when the caller holds it) restricted to the
-    corner."""
-    if p is None:
-        p = reps.projective(corner.ambient, v)
-    return restrict_to_quotient(corner, p)
+    projective P_v restricted to the corner."""
+    return restrict_to_quotient(corner, reps.projective(corner.ambient, v))
 
 
 class _CandidateScope:
@@ -69,24 +66,12 @@ class _CandidateScope:
     Each value is memoised on this object, not on the algebra, so it is
     dropped together with the candidate.  A lifted module is one object per
     (vertex set, vertex), so its cached resolution serves every check, and
-    so does the translate of a lifted projective.  The projectives of the
-    scope's algebra that a check reads are kept in ``projectives``, which
-    the candidates of one reduction step share: a memoised P_v lives only
-    while held (see ``reps.projective``), and the candidates read the same
-    ones, as do the covers of the modules they resolve."""
+    so does the translate of a lifted projective."""
 
-    def __init__(self, base, dual=False, projectives=None):
+    def __init__(self, base, dual=False):
         self.base = base
         self.dual = dual
         self.alg = base.opposite() if dual else base
-        self.projectives = {} if projectives is None else projectives
-
-    def projective(self, v):
-        """P_v of the scope's algebra, kept in ``projectives``."""
-        p = self.projectives.get(v)
-        if p is None:
-            p = self.projectives[v] = reps.projective(self.alg, v)
-        return p
 
     def quotient(self, f_set):
         """A/<f> for the idempotent over f_set; None when it is zero."""
@@ -246,7 +231,7 @@ def _chensing(scope, f_set):
     checks = {"cornerColumns": [], "quotientSimples": []}
     ok = True
     for v in sorted(a.vertices, key=str):
-        m = corner_column_module(corner, v, scope.projective(v))
+        m = corner_column_module(corner, v)
         pd = reps.proj_dim(m)
         finite = pd != math.inf
         ok = ok and finite
@@ -340,7 +325,7 @@ def _try_candidate(scope, cand):
     a = scope.alg
     mid = cand["removedMid"]
     tgt = cand["target"]
-    inc = find_injection(scope.projective(tgt), scope.projective(mid))
+    inc = find_injection(reps.projective(a, tgt), reps.projective(a, mid))
     if inc is None:
         return None
     m, _ = reps.cokernel(inc)
@@ -447,16 +432,13 @@ def _certified_steps(a, rng, tried):
             "no commutativity square or long zero relation to remove")
     if rng is not None:
         rng.shuffle(cands)
-    projectives = {"primal": {}, "dual": {}}
     for cand in cands:
         for side in ("primal", "dual"):
             dual = side == "dual"
             use = _dualize_candidate(cand) if dual else cand
             # the scope is dropped before the yield, so nothing it holds
-            # but the projectives of A and A^op lives on while the walk
-            # goes deeper
-            step = _certified_move(
-                _CandidateScope(a, dual, projectives[side]), use)
+            # lives on while the walk goes deeper
+            step = _certified_move(_CandidateScope(a, dual), use)
             if step is None:
                 continue
             f, corner, cert = step

@@ -284,8 +284,8 @@ _ProjectiveData = collections.namedtuple("_ProjectiveData",
 def _projective_data(alg, v):
     """The support, dims and maps of P_v, memoised on alg as plain data,
     which holds no module.  P_v itself is a weak entry (see ``hga.memo``),
-    so a rebuilt one shares these, and a sum of projectives reads them
-    without building any P_v."""
+    so a P_v built again shares these, and a sum of projectives reads
+    them without building any P_v."""
     def compute():
         basis_ids, pos = _projective_basis(alg, v)
         arrows_from = alg.quiver.arrows_from
@@ -307,12 +307,6 @@ def _projective_data(alg, v):
     return memo(alg, ("projective data", v), compute)
 
 
-def _build_projective(alg, v):
-    """A module equal to P_v, built from its data; not the memoised one."""
-    data = _projective_data(alg, v)
-    return Representation(alg, data.dims, data.maps, check=False)
-
-
 def simple(alg, v):
     if v not in alg.e_index:
         raise UnknownVertex(f"unknown vertex {v!r}")
@@ -322,13 +316,11 @@ def simple(alg, v):
 def dual(m):
     """D: representations of A to representations of the opposite algebra.
     Memoised on m, so D(P_v) and the injectives are shared objects whose
-    resolutions are cached.  On a memoised P_v it is a weak entry, and
-    D(P_v) holds P_v: the resolution of D(P_v) covers by projectives of
-    the opposite, whose duals' resolutions cover by P_v (see ``hga.memo``).
-    """
-    if type(m) is _Projective:
-        return memo(m, "dual", lambda: _DualProjective(m), weak=True)
-    return memo(m, "dual", lambda: _dual_module(m))
+    resolutions are cached.  On a memoised P_v it is a weak entry: the
+    resolution of D(P_v) covers by projectives of the opposite, whose
+    duals' resolutions cover by P_v (see ``hga.memo``)."""
+    return memo(m, "dual", lambda: _dual_module(m),
+                weak=type(m) is _Projective)
 
 
 def _dual_module(m):
@@ -339,16 +331,6 @@ def _dual_module(m):
 
 def _dual_maps(m):
     return {name: linalg.transpose(mat) for name, mat in m.maps.items()}
-
-
-class _DualProjective(Representation):
-    """D(P_v) of a memoised P_v, holding P_v, so that the same D(P_v) is
-    found on P_v while either is held."""
-
-    def __init__(self, p):
-        super().__init__(p.algebra.opposite(), p.dims, _dual_maps(p),
-                         check=False)
-        self.projective = p
 
 
 def dual_morphism(f):
@@ -566,13 +548,11 @@ def projective_cover(m):
 
 
 def _projective_sum(alg, vertices):
-    """The sum of the projectives P_v (v in vertices), built from their
-    memoised data.  One summand is the memoised P_v itself while anything
-    holds it, shared rather than copied; a cover never stores P_v, so a
-    module resolved alone leaves no weak entry to be built again."""
+    """The sum of the projectives P_v (v in vertices): one summand is
+    ``projective(alg, v)``, shared by every cover that reads it while it
+    lives, and more are summed from their memoised data."""
     if len(vertices) == 1:
-        return (peek(alg, ("projective", vertices[0]))
-                or _build_projective(alg, vertices[0]))
+        return projective(alg, vertices[0])
     return _sum_module(alg, [_projective_data(alg, v) for v in vertices])[0]
 
 
@@ -1171,10 +1151,12 @@ def _simple_proj_dims(alg, cap):
 
 
 def _homological_dims(alg, cap):
-    # D(P_v) holds P_v, so these two hold every projective of alg and of
-    # its opposite while the record is computed, and each is built once
-    dual_projs = [dual(projective(alg, v)) for v in alg.vertices]
-    injs = {v: injective(alg, v) for v in alg.vertices}
+    # the record reads every projective of alg and of its opposite, so it
+    # holds them while it is computed: a dropped one is built again
+    held = {v: (projective(alg, v), projective(alg.opposite(), v))
+            for v in alg.vertices}
+    dual_projs = [dual(p) for p, _ in held.values()]
+    injs = {v: dual(q) for v, (_, q) in held.items()}
     proj_dims, gl = _simple_proj_dims(alg, cap)
     inj_of_a = max(proj_dim(x, cap=cap) for x in dual_projs)
     proj_of_da = max(proj_dim(x, cap=cap) for x in injs.values())

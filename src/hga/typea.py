@@ -157,6 +157,11 @@ def _shift(t, k):
     return tuple(t[i] + (1 if i == k else 0) for i in range(len(t)))
 
 
+def _check_size(n, d):
+    if n < 1 or d < 1:
+        raise ValueError("need n >= 1 and d >= 1")
+
+
 def build_typeA_auslander(n, d):
     """The higher Auslander algebra A^d_n as a bound quiver algebra.
 
@@ -164,8 +169,7 @@ def build_typeA_auslander(n, d):
     one coordinate; squares commute and a length-2 path whose alternate
     corner tuple is invalid vanishes.
     """
-    if n < 1 or d < 1:
-        raise ValueError("need n >= 1 and d >= 1")
+    _check_size(n, d)
     m = n + 2 * (d - 1)
     verts = tuple_set(d - 1, m)
     labels = {t.entries: t.label() for t in verts}

@@ -109,7 +109,7 @@ def test_stored_counts_what_a_module_and_a_morphism_keep():
         reps.identity_morphism(s)
     assert c.counts == {"constructions": 2, "stored_entries": 2}
     with Counting(counted) as c:
-        p = reps._build_projective(a, v)
+        p = reps.projective(a, v)
     assert c.counts == {"constructions": 1,
                         "stored_entries": len(p.dims) + len(p.maps)}
 
@@ -134,17 +134,16 @@ def test_lifetime_counts_what_its_block_leaves_in_cycles():
         del m
     assert life.counts["hga_cyclic_objects"] == 1
     assert life.counts["cyclic_objects"] >= 2
-    assert life.counts["rebuilt"] == 0
     with bench.Lifetime() as life:
         reps.simple(a, a.vertices[0])
     assert life.counts["cyclic_objects"] == 0
 
 
 def test_memory_check_takes_the_peak_as_a_ceiling():
-    # any hga object in a cycle or any rebuilt weak entry fails; the peak
-    # may move by 2%, and counts only on the file's Python; the
-    # standard library's cycles are not checked
-    want = {"cyclic_objects": 99, "hga_cyclic_objects": 0, "rebuilt": 0,
+    # any hga object in a cycle fails; the peak may move by 2%, and counts
+    # only on the file's Python; the standard library's cycles are not
+    # checked
+    want = {"cyclic_objects": 99, "hga_cyclic_objects": 0,
             "traced_peak_kib": 1000}
     ladder = bench.Memory()
     ladder.check_host(f"{platform.python_implementation()} "
@@ -153,8 +152,6 @@ def test_memory_check_takes_the_peak_as_a_ceiling():
     assert not ladder.fails(dict(want, cyclic_objects=120), want)
     assert ladder.fails(dict(want, traced_peak_kib=1021), want)
     assert ladder.fails(dict(want, hga_cyclic_objects=1), want)
-    assert ladder.fails(dict(want, rebuilt=1), want)
     ladder.check_host("CPython 2.7.18, 2 cpus")
     assert not ladder.fails(dict(want, traced_peak_kib=2000), want)
     assert ladder.fails(dict(want, hga_cyclic_objects=1), want)
-    assert ladder.fails(dict(want, rebuilt=1), want)

@@ -209,13 +209,30 @@ def test_empty_index_set_recovers_regular_algebra():
     )
 
 
-def test_ctgent_position_validation():
+def test_ctgent_position_validation(monkeypatch):
+    # bad positions raise before A^d_n or its family is built
+    def unbuilt(*args):
+        raise AssertionError("A^d_n or its family was built")
+
+    monkeypatch.setattr(cluster, "build_typeA_auslander", unbuilt)
+    monkeypatch.setattr(cluster, "canonical_cluster_tilting", unbuilt)
     with pytest.raises(AdjacencyViolation):
         ctgent_family(3, 2, [2, 3])
     with pytest.raises(UnsupportedSummand):
         ctgent_family(3, 2, [1])
     with pytest.raises(ValueError):
         ctgent_family(3, 2, [4])
+
+
+def test_parameters_are_checked_before_the_positions():
+    # a bad n or d, or a family for other parameters, is reported first,
+    # as it was when the family was built before the positions were read
+    for n, d in ((0, 2), (3, 0)):
+        with pytest.raises(ValueError, match="need n >= 1 and d >= 1"):
+            ctgent_family(n, d, [1, 2])
+    fam = canonical_cluster_tilting(build_typeA_auslander(3, 2))
+    with pytest.raises(HgaError, match="does not match"):
+        ctgent_family(4, 2, [1, 2], family=fam)
 
 
 def test_ctgent_one_replacement():

@@ -792,9 +792,7 @@ class Lifetime:
 
     - ``cyclic_objects``: the objects that collection frees;
     - ``hga_cyclic_objects``: those of them whose class is defined in hga;
-    - ``traced_peak_kib``: the peak of the memory tracemalloc traced;
-    - ``rebuilt``: the memo's weak entries computed again because their
-      value had died (``memo.stats()``; 0 where it has no such count).
+    - ``traced_peak_kib``: the peak of the memory tracemalloc traced.
     """
 
     def __init__(self):
@@ -804,14 +802,12 @@ class Lifetime:
         gc.collect()
         self.enabled = gc.isenabled()
         gc.disable()
-        self.rebuilt = memo.stats().get("rebuilt", 0)
         tracemalloc.start()
         return self
 
     def __exit__(self, *exc):
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        rebuilt = memo.stats().get("rebuilt", 0) - self.rebuilt
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
             found = gc.collect()
@@ -824,7 +820,7 @@ class Lifetime:
             if self.enabled:
                 gc.enable()
         self.counts.update(cyclic_objects=found, hga_cyclic_objects=ours,
-                           traced_peak_kib=peak // 1024, rebuilt=rebuilt)
+                           traced_peak_kib=peak // 1024)
 
 
 class Memory(Ladder):
@@ -836,8 +832,7 @@ class Memory(Ladder):
     unmeasured run of the same job.  ``wall_s`` is the best of 3; the
     counts are those of ``Lifetime``.  ``rounds`` sums them over
     each pool: one round of each workload.  ``--check`` runs every row
-    and fails if a row leaves any hga object in a reference cycle, if it
-    builds any weak memo entry again (``rebuilt``), or if
+    and fails if a row leaves any hga object in a reference cycle, or if
     ``traced_peak_kib`` is more than 2% above the file's: the peak moves
     by about 1 KiB from run to run of one tree, with the order of objects
     in memory.  The peak depends on the Python version, so it is checked
@@ -868,7 +863,7 @@ class Memory(Ladder):
                            for group in ("auslander", "ctgent")}}
 
     def fails(self, got, expected):
-        if got["hga_cyclic_objects"] or got["rebuilt"]:
+        if got["hga_cyclic_objects"]:
             return True
         peak, ceiling = got["traced_peak_kib"], expected["traced_peak_kib"]
         return self.same_python and peak > 1.02 * ceiling
