@@ -65,8 +65,9 @@ class _CandidateScope:
 
     Each value is memoised on this object, not on the algebra, so it is
     dropped together with the candidate.  A lifted module is one object per
-    (vertex set, vertex), so its cached resolution serves every check, and
-    so does the translate of a lifted projective."""
+    (vertex set, vertex), so its cached resolution serves every check; its
+    translate is one object too, memoised by ``reps`` (``transpose`` and
+    ``dual``), not by the scope."""
 
     def __init__(self, base, dual=False):
         self.base = base
@@ -104,9 +105,7 @@ class _CandidateScope:
 
     def translate(self, f_set, v):
         """tau of the lifted projective of A/<f> at v."""
-        key = frozenset(f_set)
-        return memo(self, ("tau", key, v), lambda: reps.ar_translate(
-            self.lifted_projective(key, v)))
+        return reps.ar_translate(self.lifted_projective(f_set, v))
 
     def _lifted(self, f_set, v, module):
         key = frozenset(f_set)
@@ -163,18 +162,14 @@ def _fabric_report(scope, f_set, e_set):
     conditions = {}
 
     # condition 1: proj.dim_A(A/<f>) <= 1
-    if qf is None:
-        conditions["quotientProjDim"] = {"pass": True, "witness": None}
-    else:
-        witness = None
-        for v in qf.vertices:
-            pd = reps.proj_dim(scope.lifted_projective(f_set, v))
-            if pd > 1:
-                witness = {"vertex": str(v), "projDim":
-                           "inf" if pd == math.inf else pd}
-                break
-        conditions["quotientProjDim"] = {
-            "pass": witness is None, "witness": witness}
+    witness = None
+    for v in qf.vertices if qf is not None else ():
+        pd = reps.proj_dim(scope.lifted_projective(f_set, v))
+        if pd > 1:
+            witness = {"vertex": str(v), "projDim": _shown(pd)}
+            break
+    conditions["quotientProjDim"] = {"pass": witness is None,
+                                     "witness": witness}
 
     # condition 2: tau of each projective A/<f>-module injective over
     # A/<e>; condition 3: tau^{-1} of each injective A/<e>-module projective
@@ -228,25 +223,31 @@ def chensing_conditions(a, f):
 def _chensing(scope, f_set):
     a = scope.alg
     corner = scope.corner(f_set)
-    checks = {"cornerColumns": [], "quotientSimples": []}
-    ok = True
-    for v in sorted(a.vertices, key=str):
-        m = corner_column_module(corner, v)
-        pd = reps.proj_dim(m)
-        finite = pd != math.inf
-        ok = ok and finite
-        checks["cornerColumns"].append(
-            {"vertex": str(v), "finite": finite,
-             "projDim": "inf" if not finite else pd})
-    for v in sorted(set(a.vertices) - f_set, key=str):
-        pd = reps.proj_dim(reps.simple(a, v))
-        finite = pd != math.inf
-        ok = ok and finite
-        checks["quotientSimples"].append(
-            {"vertex": str(v), "finite": finite,
-             "projDim": "inf" if not finite else pd})
+    checks = {
+        "cornerColumns": _proj_dims(
+            a.vertices, lambda v: corner_column_module(corner, v)),
+        "quotientSimples": _proj_dims(
+            set(a.vertices) - f_set, lambda v: reps.simple(a, v)),
+    }
+    ok = all(row["finite"] for rows in checks.values() for row in rows)
     checks["verdict"] = "pass" if ok else "fail"
     return checks
+
+
+def _proj_dims(vertices, module):
+    """For each vertex v, in name order, whether module(v) has finite
+    projective dimension, and that dimension."""
+    rows = []
+    for v in sorted(vertices, key=str):
+        pd = reps.proj_dim(module(v))
+        rows.append({"vertex": str(v), "finite": pd != math.inf,
+                     "projDim": _shown(pd)})
+    return rows
+
+
+def _shown(pd):
+    """A projective dimension as a report writes it."""
+    return "inf" if pd == math.inf else pd
 
 
 def _smallest_removal(scope, m):
@@ -275,10 +276,8 @@ def _companion_for(scope, f_set):
     supports of the translates of the quotient projectives."""
     qf = scope.quotient(f_set)
     supp = set()
-    if qf is not None:
-        for v in qf.vertices:
-            t = scope.translate(f_set, v)
-            supp |= set(t.support)
+    for v in qf.vertices if qf is not None else ():
+        supp |= set(scope.translate(f_set, v).support)
     return set(scope.alg.vertices) - supp
 
 
@@ -320,11 +319,13 @@ def _step_candidates(a):
 
 
 def _try_candidate(scope, cand):
-    """The primal recipe on one candidate: an inclusion P_target into
-    P_mid, the cokernel, and the smallest removal making it projective."""
+    """The recipe on one candidate: an inclusion P_target into P_mid, the
+    cokernel, and the smallest removal making it projective.  A dual scope
+    reads the candidate in the opposite algebra, whose arrows reverse, so
+    its target is the candidate's source."""
     a = scope.alg
     mid = cand["removedMid"]
-    tgt = cand["target"]
+    tgt = cand["source" if scope.dual else "target"]
     inc = find_injection(reps.projective(a, tgt), reps.projective(a, mid))
     if inc is None:
         return None
@@ -336,32 +337,36 @@ def _try_candidate(scope, cand):
 
 
 def _grow_to_fabric(scope, removed):
-    """Enlarge a removal set until the fabric conditions hold.
+    """Enlarge a removal set until the fabric conditions hold: (f, its
+    fabric report) for the first f that passes, or else the first f, the
+    complement of ``removed``, with its failing report.
 
     The initial set (the cokernel support) need not be closed under the
     translate pairing: an inverse translate of a companion-quotient
     injective may stick out of it.  Each such failure names the vertices to
-    add, so the closure is reached in finitely many deterministic steps.
+    add, and the set only grows, so the closure is reached in finitely many
+    deterministic steps.
     """
     a = scope.alg
     removed = set(removed)
-    for _ in range(len(a.vertices) + 1):
+    first = None
+    while True:
         f_set = set(a.vertices) - removed
         if not f_set:
-            return None
+            return first
         e_set = _companion_for(scope, f_set)
         fabric = _fabric_report(scope, f_set, e_set)
         if fabric.verdict:
             return f_set, fabric
+        first = first or (f_set, fabric)
         bad = fabric.conditions["inverseTranslateProjective"]["witness"]
         if bad is None or bad["reason"] != "inverse translate not killed by f":
-            return None
+            return first
         i = scope.lifted_injective(e_set, bad["vertex"])
         grow = set(reps.ar_translate_inverse(i).support)
         if grow <= removed:
-            return None
+            return first
         removed |= grow
-    return None
 
 
 def localisable_report(a, f_set):
@@ -379,20 +384,19 @@ def _localisable(scope, f_set):
     projs = [scope.lifted_projective(f_set, v) for v in qf.vertices]
     pd = max(reps.proj_dim(p) for p in projs)
     if pd > 1:
-        return {"pass": False,
-                "projDim": "inf" if pd == math.inf else pd, "selfExt": None}
+        return {"pass": False, "projDim": _shown(pd), "selfExt": None}
     ext = sum(reps.ext_dim(p, q, 1) for p in projs for q in projs)
     return {"pass": ext == 0,
             "projDim": pd, "selfExt": ext}
 
 
 def _certify_step(scope, f_set, fabric):
-    """Certificate for one accepted step: the fabric report (or the
-    localisable fallback), the finite global dimension of the quotient, and
-    the singular-equivalence criterion.  Returns None when the step cannot
-    be certified."""
+    """Certificate for one accepted step: f's fabric report (or, when it
+    fails, the localisable fallback), the finite global dimension of the
+    quotient, and the singular-equivalence criterion.  Returns None when
+    the step cannot be certified."""
     loc = _localisable(scope, f_set)
-    if not (fabric is not None and fabric.verdict) and not loc["pass"]:
+    if not fabric.verdict and not loc["pass"]:
         return None
     qf = scope.quotient(f_set)
     gl = 0 if qf is None else reps.global_dim(qf)
@@ -401,8 +405,6 @@ def _certify_step(scope, f_set, fabric):
     chen = _chensing(scope, f_set)
     if chen["verdict"] != "pass":
         return None
-    if fabric is None:
-        fabric = _fabric_report(scope, f_set, _companion_for(scope, f_set))
     return {
         "fabric": fabric.to_dict(),
         "localisable": loc,
@@ -416,16 +418,14 @@ def reduction_step(a, rng=None):
     """One reduction move: choose a commutativity square or a long zero
     relation, remove its middle vertex through a fabric idempotent, and
     certify the corner keeps the singularity data."""
-    tried = []
-    for step in _certified_steps(_as_algebra(a), rng, tried):
-        return step
-    raise NotReducible(f"no applicable recipe; last candidate {tried[-1]}")
+    return next(_certified_steps(_as_algebra(a), rng))
 
 
-def _certified_steps(a, rng, tried):
+def _certified_steps(a, rng):
     """Every certified reduction move of ``a`` as (f, corner, certificate),
-    in candidate order (shuffled by ``rng`` when given).  Each candidate is
-    appended to ``tried`` once both of its sides are spent."""
+    in candidate order (shuffled by ``rng`` when given), both sides of each
+    candidate in turn.  Once they are spent it raises NotReducible, naming
+    the last candidate."""
     cands = _step_candidates(a)
     if not cands:
         raise NoCommutativeSquare(
@@ -434,20 +434,18 @@ def _certified_steps(a, rng, tried):
         rng.shuffle(cands)
     for cand in cands:
         for side in ("primal", "dual"):
-            dual = side == "dual"
-            use = _dualize_candidate(cand) if dual else cand
             # the scope is dropped before the yield, so nothing it holds
             # lives on while the walk goes deeper
-            step = _certified_move(_CandidateScope(a, dual), use)
+            step = _certified_move(_CandidateScope(a, side == "dual"), cand)
             if step is None:
                 continue
             f, corner, cert = step
             cert["side"] = side
-            cert["candidate"] = {k: v for k, v in cand.items()}
+            cert["candidate"] = dict(cand)
             cert["removed"] = sorted(map(str, set(a.vertices)
                                          - f.vertex_subset))
             yield f, corner, cert
-        tried.append(cand)
+    raise NotReducible(f"no applicable recipe; last candidate {cand}")
 
 
 def _certified_move(scope, cand):
@@ -456,28 +454,13 @@ def _certified_move(scope, cand):
     removed = _try_candidate(scope, cand)
     if removed is None:
         return None
-    grown = _grow_to_fabric(scope, removed)
-    if grown is not None:
-        f_set, fabric = grown
-    else:
-        f_set, fabric = set(scope.alg.vertices) - removed, None
+    f_set, fabric = _grow_to_fabric(scope, removed)
     cert = _certify_step(scope, f_set, fabric)
     if cert is None:
         return None
     corner = scope.corner(f_set)
     return (Idempotent.of(f_set),
             corner.opposite() if scope.dual else corner, cert)
-
-
-def _dualize_candidate(cand):
-    """The same removal read in the opposite algebra."""
-    return {
-        "kind": cand["kind"],
-        "removedMid": cand["removedMid"],
-        "target": cand["source"],
-        "source": cand["target"],
-        "otherMid": cand["otherMid"] if cand["kind"] == "square" else None,
-    }
 
 
 @dataclass
@@ -512,8 +495,9 @@ def reduce_to_gentle(a, seed=None, max_steps=None):
     step idempotents, i.e. the terminal vertex set inside the original
     algebra.  A seed shuffles the candidate order of every step, so it
     only decides which reduction is found first; the terminal singularity
-    data must not depend on it.  When every branch dead-ends, the error of
-    the first dead end is raised.
+    data must not depend on it.  A branch that is gentle at step
+    ``max_steps`` succeeds.  When every branch dead-ends, the error of the
+    first dead end is raised.
     """
     a = _as_algebra(a)
     rng = random.Random(seed) if seed is not None else None
@@ -532,15 +516,15 @@ def _walk(current, steps, rng, cap):
     reaches a gentle algebra, or else the error of its first dead end.
     An error is returned, not kept raised, and without its traceback, so
     no frame of the search outlives the search."""
+    if is_gentle(current)["gentle"]:
+        return ReductionTrace(
+            steps, current, sorted(map(str, current.vertices)), True)
     if len(steps) == cap:
         return NotReducible("reduction failed to terminate in the step cap")
-    gentle = is_gentle(current)["gentle"]
-    if gentle:
-        return ReductionTrace(
-            steps, current, sorted(map(str, current.vertices)), gentle)
-    tried, first = [], None
+    first = None
     try:
-        for f, corner, cert in _certified_steps(current, rng, tried):
+        # the steps end by raising, so the loop ends in the except
+        for f, corner, cert in _certified_steps(current, rng):
             if corner.dim >= current.dim:
                 # f misses a vertex, so fAf loses at least its
                 # idempotent: a corner that does not shrink is a fault
@@ -553,10 +537,8 @@ def _walk(current, steps, rng, cap):
             if isinstance(found, ReductionTrace):
                 return found
             first = first or found
-    except NoCommutativeSquare as exc:
+    except (NoCommutativeSquare, NotReducible) as exc:
         return first or exc.with_traceback(None)
-    return first or NotReducible(
-        f"no applicable recipe; last candidate {tried[-1]}")
 
 
 @dataclass
@@ -617,36 +599,23 @@ def verify_sg_example(a, modules):
         raise NotGorensteinVerified(
             "the ambient algebra is not Iwanaga-Gorenstein")
     n = len(modules)
-    gp = [reps.is_gorenstein_projective(m) for m in modules]
-    stably_nonzero = [not reps.is_projective(m) for m in modules]
-    omega_cyclic = []
-    for k, m in enumerate(modules):
-        s = reps.syzygy(m)
-        omega_cyclic.append(reps.is_isomorphic(s, modules[(k + 1) % n]))
-    compositions_vanish = []
-    for k in range(n):
-        f_basis = reps.hom_basis(modules[k], modules[(k + 1) % n])
-        g_basis = reps.hom_basis(modules[(k + 1) % n],
-                                 modules[(k + 2) % n])
-        ok = all(g.compose(f).is_zero() for f in f_basis for g in g_basis)
-        compositions_vanish.append(ok)
-    report = {
-        "orbitLength": n,
-        "gorensteinProjective": gp,
-        "stablyNonzero": stably_nonzero,
-        "omegaCyclic": omega_cyclic,
-        "compositionsVanish": compositions_vanish,
+    ring = [modules[k % n] for k in range(n + 2)]
+    checks = {
+        "gorensteinProjective": lambda x, *_: reps.is_gorenstein_projective(x),
+        "stablyNonzero": lambda x, *_: not reps.is_projective(x),
+        "omegaCyclic": lambda x, y, _: reps.is_isomorphic(reps.syzygy(x), y),
+        "compositionsVanish": _compositions_vanish,
     }
-    report["pass"] = all(gp) and all(stably_nonzero) and \
-        all(omega_cyclic) and all(compositions_vanish)
-    report["failures"] = [
-        {"check": name, "position": i}
-        for name, flags in [
-            ("gorensteinProjective", gp),
-            ("stablyNonzero", stably_nonzero),
-            ("omegaCyclic", omega_cyclic),
-            ("compositionsVanish", compositions_vanish),
-        ]
-        for i, okay in enumerate(flags) if not okay
-    ]
+    report = {"orbitLength": n}
+    for name, check in checks.items():
+        report[name] = [check(*ring[k:k + 3]) for k in range(n)]
+    report["pass"] = all(all(report[name]) for name in checks)
+    report["failures"] = [{"check": name, "position": i} for name in checks
+                          for i, okay in enumerate(report[name]) if not okay]
     return report
+
+
+def _compositions_vanish(x, y, z):
+    """Whether every map x -> y composed with every map y -> z is zero."""
+    fs, gs = reps.hom_basis(x, y), reps.hom_basis(y, z)
+    return all(g.compose(f).is_zero() for f in fs for g in gs)

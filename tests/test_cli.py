@@ -165,7 +165,7 @@ def test_reduce_non_shrinking_corner_exits_four(tmp_path, capsys,
     the reduction: it is an internal error (4), not a negative verdict."""
     from hga import reduction
 
-    def steps(a, rng, tried):
+    def steps(a, rng):
         yield Idempotent.of(a.vertices), a, {}
 
     monkeypatch.setattr(reduction, "_certified_steps", steps)

@@ -36,7 +36,12 @@ from hga.cluster import (
     ctgent_family,
     is_d_rigid,
 )
-from hga.errors import LabelMatchFailed, NoCommutativeSquare, NotReducible
+from hga.errors import (
+    InternalError,
+    LabelMatchFailed,
+    NoCommutativeSquare,
+    NotReducible,
+)
 from hga.presentations import Idempotent
 from hga.typea import build_typeA_auslander, canonical_cluster_tilting
 
@@ -291,6 +296,28 @@ def test_a_family_that_fails_its_roles_leaves_no_cycle(no_cyclic_gc, i, j):
     with pytest.raises(LabelMatchFailed):
         ctgent_family(4, 2, [2], family=swapped)
     del fam, mods, swapped
+    assert ref() is None
+    assert hga_objects_in_cycles() == 0
+
+
+def test_a_failing_endo_algebra_leaves_no_cycle(no_cyclic_gc):
+    # the tampered family of test_tampered_family_module_fails_the_thin_rule:
+    # one map of module 7 inside its box is scaled to 2, so the module is
+    # not thin, and the Hom pairs of a collection that holds it raise
+    fam = canonical_cluster_tilting(build_typeA_auslander(4, 2))
+    i = 7
+    m = fam.modules[i]
+    name = next(ar.name for ar in fam.algebra.quiver.arrows
+                if ar.source in m.support and ar.target in m.support)
+    bad = reps.Representation(fam.algebra, m.dims,
+                              dict(m.maps, **{name: [[2]]}), check=False)
+    tampered = dataclasses.replace(
+        fam, modules=fam.modules[:i] + [bad] + fam.modules[i + 1:])
+    c = SummandCollection(tampered, [tampered.labels[0], tampered.labels[i]])
+    ref = weakref.ref(fam.algebra)
+    with pytest.raises(InternalError, match="not thin"):
+        cluster_endo_algebra(c)
+    del fam, m, bad, tampered, c
     assert ref() is None
     assert hga_objects_in_cycles() == 0
 

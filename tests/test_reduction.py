@@ -461,6 +461,47 @@ def test_reduce_to_gentle_invariant_is_seed_free(n, d, idx):
     assert digests == TRACE_DIGESTS[(n, d, tuple(idx))]
 
 
+def test_a_branch_gentle_at_the_step_cap_succeeds():
+    # gentleness is tested before the cap, so max_steps = k admits a
+    # reduction that is gentle after exactly k steps, and only that
+    a = cluster_endo_algebra(ctgent_family(3, 3, [2])).algebra
+    trace = reduce_to_gentle(a)
+    assert len(trace.steps) == 1
+    assert reduce_to_gentle(a, max_steps=1).to_dict() == trace.to_dict()
+    gentle = reduce_to_gentle(build_typeA_auslander(3, 1), max_steps=0)
+    assert gentle.steps == [] and gentle.terminal_gentle
+    b = cluster_endo_algebra(ctgent_family(4, 2, [2])).algebra
+    assert len(reduce_to_gentle(b).steps) > 1
+    with pytest.raises(NotReducible, match="step cap"):
+        reduce_to_gentle(b, max_steps=1)
+
+
+def test_step_certificates_rebuild_from_the_public_checks():
+    """Each step's fabric, localisable and singular-equivalence entries are
+    what the public checks report for its idempotent on the side it was
+    taken: the algebra for a primal step, its opposite for a dual one.
+    Between them the three keys take primal fabric, primal localisable and
+    dual fabric steps."""
+    kinds = set()
+    for key in [(4, 2, [2]), (4, 2, [4]), (5, 2, [2, 5])]:
+        current = cluster_endo_algebra(ctgent_family(*key)).algebra
+        for step in reduce_to_gentle(current).steps:
+            cert = step["certificate"]
+            side = current.opposite() if cert["side"] == "dual" else current
+            f = Idempotent.of(step["idempotent"])
+            e = Idempotent.of(cert["fabric"]["companion"])
+            assert cert["fabric"] == \
+                is_fabric_idempotent(side, f, e).to_dict()
+            assert cert["localisable"] == \
+                localisable_report(side, f.vertex_subset)
+            assert cert["singularEquivalence"] == \
+                chensing_conditions(side, f)
+            kinds.add((cert["side"], cert["justification"]))
+            current = idempotent_subalgebra(current, f)
+    assert kinds == {("primal", "fabric"), ("primal", "localisable"),
+                     ("dual", "fabric")}
+
+
 @pytest.mark.parametrize("n, d, idx", [(4, 2, [2, 4]), (4, 3, [2])])
 def test_reduction_corners_have_nilpotent_radicals(n, d, idx, monkeypatch):
     """A corner B = eAe that ``represent`` rebuilds skips the nilpotency

@@ -651,17 +651,20 @@ class Reduction(Ladder):
     ``reduce_s`` is the median of 7 runs, each on a freshly built algebra
     (the reduction memoises on its input).  The counts are the calls of
     ``quotient_by_idempotent``, ``idempotent_subalgebra``, ``represent``,
-    ``build_algebra`` and ``Algebra.rad_nilpotency``, and ``rank_evals``,
-    the morphism ranks that the injection search evaluates
-    (``reps.Morphism.rank`` calls inside ``reduction.find_injection``, so
-    not those of ``is_isomorphic``).  A quotient is built once from its
+    ``build_algebra``, ``Algebra.rad_nilpotency`` and
+    ``reduction._fabric_report``, and ``rank_evals``, the morphism ranks
+    that the injection search evaluates (``reps.Morphism.rank`` calls
+    inside ``reduction.find_injection``, so not those of
+    ``is_isomorphic``).  A quotient is built once from its
     presentation and re-presents nothing, so ``represent`` counts the
     corners, and ``build_algebra`` counts each quotient once among its
     calls.  ``pool_counts`` sums them over the 13 pool keys: one seedless
     round of the chain's reductions.  ``--check`` runs every key but
     (7, 2, [2, 4, 6]) and (6, 3, [2]): a guard against rebuilt quotients and corners,
-    quotients re-presented through a raw table, and a nilpotency check on
-    a re-presented corner, coming back.
+    quotients re-presented through a raw table, a nilpotency check on a
+    re-presented corner, and a step certificate that builds its fabric
+    report again instead of reading the one its growth loop made, coming
+    back.
     """
 
     repeat, average = 7, staticmethod(statistics.median)
@@ -671,6 +674,7 @@ class Reduction(Ladder):
                for name in ("quotient_by_idempotent", "idempotent_subalgebra",
                             "represent", "build_algebra")] + [
         (algebras.Algebra, "rad_nilpotency", "rad_nilpotency_calls", "all"),
+        (reduction, "_fabric_report", "fabric_report_calls", "all"),
         (reps.Morphism, "rank", "rank_evals", "scoped")]
     scope = (reduction, "find_injection")
 
