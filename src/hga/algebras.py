@@ -121,7 +121,12 @@ class Algebra:
 
     @property
     def quiver(self):
-        """The quiver of its presentation, as `CornerQuiver.quiver` is."""
+        """The quiver of its presentation, as `CornerQuiver.quiver` is;
+        InvalidPresentation when it has none."""
+        if self.presentation is None:
+            raise InvalidPresentation(
+                "the algebra has no presentation: re-present it with "
+                "`represent` first")
         return self.presentation.quiver
 
     def path_value(self, path):

@@ -10,7 +10,10 @@ both in it, and a morphism's ``blocks`` the vertices where its source and
 target are both nonzero.  Every other dimension is 0 (``dims.get(v, 0)``)
 and every other matrix has a zero size, so ``==`` on ``dims`` and ``maps``
 still compares whole modules.  Every step works on these supports.  Like
-every matrix an unchecked object is given, the stored ones are read-only.
+every matrix an unchecked object is given, the stored ones are read-only,
+so objects may share them: where a map vanishes, its kernel keeps the
+source's own matrices, and a resolution's differential the cover map's
+block.
 """
 
 import collections
@@ -206,6 +209,29 @@ class Morphism:
         return f"Morphism({self.source.dims} -> {self.target.dims})"
 
 
+class _FinalModule(Representation):
+    """A module handed over in final form: dims keyed by its support in
+    vertex order, maps complete on it in the order ``Representation``
+    stores them.  Stored as given, with no normalising pass."""
+
+    def __init__(self, algebra, dims, maps):
+        self.algebra = algebra
+        self.support = tuple(dims)
+        self.dims = dims
+        self.maps = maps
+
+
+class _FinalMorphism(Morphism):
+    """A morphism handed over in final form: blocks complete on the target
+    support, where the source is nonzero, in the order ``Morphism`` stores
+    them.  Stored as given, with no normalising pass."""
+
+    def __init__(self, source, target, blocks):
+        self.source = source
+        self.target = target
+        self.blocks = blocks
+
+
 class _CoverMap(Morphism):
     """The cover map P_0 -> m kept in the resolution of m, memoised on m,
     with m held weakly, so that the memo entry does not hold its owner
@@ -275,6 +301,31 @@ def _projective_basis(alg, v):
         return basis_ids, pos
 
     return memo(alg, ("projective basis", v), compute)
+
+
+def _basis_prefixes(alg):
+    """The plan by which `from_generators` walks the basis of each P_v,
+    memoised on alg: per basis id of a path, the id of its prefix and its
+    last arrow (None at a vertex id).  The normal words of a presented
+    algebra are closed under subpaths and numbered by length, so a path's
+    prefix is a basis path from the same vertex with a smaller id, and
+    P_v's basis in id order meets each prefix first; InternalError if
+    not."""
+    def compute():
+        nv, labels, src = len(alg.vertices), alg.basis_labels, alg.basis_src
+        ids = {labels[b]: b for b in range(nv, alg.dim)}
+        prefix, last = [None] * alg.dim, [None] * alg.dim
+        for b in range(nv, alg.dim):
+            path = labels[b]
+            p = (ids.get(path[:-1]) if len(path) > 1
+                 else alg.e_index[src[b]])
+            if p is None or p >= b or src[p] != src[b]:
+                raise InternalError(f"the prefix of basis path {path} is "
+                                    "not an earlier basis path")
+            prefix[b], last[b] = p, path[-1]
+        return prefix, last
+
+    return memo(alg, "basis prefixes", compute)
 
 
 _ProjectiveData = collections.namedtuple("_ProjectiveData",
@@ -459,15 +510,25 @@ def _kernel(f):
     basis vector per free column, 1 at that column and 0 at the other free
     ones.  So the coordinates of a kernel vector are its entries at the
     free columns, and each arrow's map on the kernel is read off the rows
-    of (arrow matrix) x (inclusion block) at those columns."""
-    m, n = f.source, f.target
+    of (arrow matrix) x (inclusion block) at those columns.  Where f has
+    no block, the target is zero there and no rref is needed.
+
+    Where f vanishes the kernel is the whole space: the inclusion block is
+    the identity, the one square block, and an arrow's map out of there is
+    m's own matrix, or its rows at the free columns.  The kernel and its
+    inclusion are built in final form."""
+    m = f.source
     alg = m.algebra
     free, incl_blocks = {}, {}
-    for v in m.support:
-        red, pivots = linalg.rref(f.blocks[v]) if v in f.blocks else ((), ())
-        if len(pivots) == m.dims[v]:
+    for v, k in m.dims.items():
+        b = f.blocks.get(v)
+        if b is None:
+            free[v], incl_blocks[v] = list(range(k)), linalg.identity(k)
             continue
-        cols = [j for j in range(m.dims[v]) if j not in pivots]
+        red, pivots = linalg.rref(b)
+        if len(pivots) == k:
+            continue
+        cols = [j for j in range(k) if j not in pivots]
         # the unit rows of the free columns, then each pivot row in its place
         block = linalg.identity(len(cols))
         for row, pc in zip(red, pivots):
@@ -476,19 +537,23 @@ def _kernel(f):
     arrows_from = alg.quiver.arrows_from
     maps = {}
     for u, block in incl_blocks.items():
+        whole = len(block) == len(block[0])
         for ar in arrows_from[u]:
             w = ar.target
             if w not in m.dims:
                 continue
-            img = linalg.mat_mul(m.maps[ar.name], block)
+            img = m.maps[ar.name]
+            if not whole:
+                img = linalg.mat_mul(img, block)
             fw = f.blocks.get(w)
             if fw and any(map(any, linalg.mat_mul(fw, img))):
                 raise InternalError("kernel is not a subrepresentation")
-            if w in free:
-                maps[ar.name] = [img[j] for j in free[w]]
-    dims = {v: len(cols) for v, cols in free.items()}
-    k = Representation(alg, dims, maps, check=False)
-    return k, Morphism(k, m, incl_blocks, check=False), free
+            cols = free.get(w)
+            if cols:
+                maps[ar.name] = (img if len(cols) == len(img)
+                                 else [img[j] for j in cols])
+    k = _FinalModule(alg, {v: len(cols) for v, cols in free.items()}, maps)
+    return k, _FinalMorphism(k, m, incl_blocks), free
 
 
 def cokernel(f):
@@ -561,41 +626,37 @@ def from_generators(p, vertices, n, images):
     vertices), that sends the generator of each summand to its image.
 
     images concatenates one vector of n_v per summand, in order.  A basis
-    path b of P_v goes to n(b) applied to the image, one arrow at a time."""
+    path b of P_v goes to n(b) applied to the image, one arrow at a time:
+    n of its last arrow applied to its prefix's vector, walked by
+    `_basis_prefixes`.  The blocks are built in final form."""
     alg = p.algebra
-    nv, labels = len(alg.vertices), alg.basis_labels
-    blocks = {}
+    dims, maps = n.dims, n.maps
+    source, tgt = alg.basis_index().source, alg.basis_tgt
+    prefix, last = _basis_prefixes(alg)
+    blocks = {w: [[F0] * p.dims[w] for _ in range(k)]
+              for w, k in dims.items() if w in p.dims}
     start = 0
-    for v, ((ids, _), off) in zip(vertices, _summand_offsets(alg, vertices)):
-        gen = images[start:start + n.dims.get(v, 0)]
+    for v, ((_, pos), off) in zip(vertices, _summand_offsets(alg, vertices)):
+        gen = images[start:start + dims.get(v, 0)]
         start += len(gen)
         if not any(gen):
             continue
-        acted = {(): gen}
-        for w, w_ids in ids.items():
-            if w not in n.dims:
-                continue
-            block = blocks.get(w)
-            if block is None:
-                block = blocks[w] = [[F0] * p.dims[w] for _ in range(n.dims[w])]
-            for col, b in enumerate(w_ids, off[w]):
-                vec = _act(n, labels[b] if b >= nv else (), acted)
-                for row, x in zip(block, vec or ()):
+        vecs = {}       # basis id -> its vector, None once it leaves n
+        for b in source[v]:
+            if last[b] is None:
+                vec = gen
+            else:
+                vec, mat = vecs[prefix[b]], maps.get(last[b])
+                vec = (None if vec is None or mat is None
+                       else linalg.mat_vec(mat, vec))
+            vecs[b] = vec
+            if vec is not None:
+                w = tgt[b]
+                col = off[w] + pos[b]
+                for row, x in zip(blocks[w], vec):
                     if x:
                         row[col] = x
-    return Morphism(p, n, blocks, check=False)
-
-
-def _act(n, path, acted):
-    """n(path) applied to acted[()], memoised in acted by prefix; None, the
-    zero vector, once the path leaves the support of n."""
-    if path in acted:
-        return acted[path]
-    vec = _act(n, path[:-1], acted)
-    mat = n.maps.get(path[-1])
-    vec = acted[path] = (None if vec is None or mat is None
-                         else linalg.mat_vec(mat, vec))
-    return vec
+    return _FinalMorphism(p, n, blocks)
 
 
 def generator_images(f, vertices):
@@ -703,9 +764,30 @@ def _resolution_step(m, k):
     kern, kincl = kernel(epi)
     if not kern.support:
         kern = kincl = None
-    d = _CoverMap(p, epi.blocks, m) if incl is None else incl.compose(epi)
+    d = _CoverMap(p, epi.blocks, m) if incl is None else _differential(
+        incl, epi)
     return (terms + (p,), diffs + (d,), summands + (cover_summands,),
             kern, kincl)
+
+
+def _differential(incl, epi):
+    """incl after epi, P_k -> K -> P_{k-1}, in final form.  Where K is the
+    whole of P_{k-1} the inclusion block is the identity, the one square
+    block, and the block is epi's own; where K is zero, a zero block."""
+    p, q = epi.source, incl.target
+    blocks = {}
+    for v, rows in q.dims.items():
+        cols = p.dims.get(v)
+        if not cols:
+            continue
+        b = incl.blocks.get(v)
+        if b is None:
+            blocks[v] = [[F0] * cols for _ in range(rows)]
+        elif len(b) == len(b[0]):
+            blocks[v] = epi.blocks[v]
+        else:
+            blocks[v] = linalg.mat_mul(b, epi.blocks[v])
+    return _FinalMorphism(p, q, blocks)
 
 
 def is_projective(m):

@@ -102,16 +102,28 @@ def test_stored_counts_what_a_module_and_a_morphism_keep():
     # block; a projective its support and the maps inside it
     a = build_typeA_auslander(3, 2)
     v = a.vertices[0]
-    counted = [(cls, "__init__", ("constructions", "stored_entries"),
-                bench.stored) for cls in (reps.Representation, reps.Morphism)]
-    with Counting(counted) as c:
+    with Counting(bench.STORED) as c:
         s = reps.simple(a, v)
         reps.identity_morphism(s)
     assert c.counts == {"constructions": 2, "stored_entries": 2}
-    with Counting(counted) as c:
+    with Counting(bench.STORED) as c:
         p = reps.projective(a, v)
     assert c.counts == {"constructions": 1,
                         "stored_entries": len(p.dims) + len(p.maps)}
+
+
+def test_stored_counts_a_kernel_built_in_final_form():
+    # a kernel and its inclusion come through the final-form route, which
+    # the auslander ladder counts beside the normalising constructors
+    a = build_typeA_auslander(3, 2)
+    _, epi, _ = reps.projective_cover(reps.simple(a, a.vertices[0]))
+    assert not epi.is_zero()
+    with Counting(bench.STORED) as c:
+        k, incl = reps.kernel(epi)
+    assert c.counts == {"constructions": 2,
+                        "stored_entries": len(k.dims) + len(k.maps)
+                        + len(incl.blocks)}
+    assert k.support
 
 
 def test_auslander_check_takes_stored_entries_as_a_ceiling():

@@ -6,14 +6,17 @@ import pytest
 
 from hga import BoundQuiverPresentation, Quiver, build_algebra, zero_relation
 from hga import linalg, reps
+from hga.algebras import Algebra
 from hga.cluster import SummandCollection, cluster_endo_algebra, ctgent_family
 from hga.errors import (
     AlgebraMismatch,
     HgaError,
     InternalError,
+    InvalidPresentation,
     NotGorensteinVerified,
 )
 from hga.memo import peek
+from hga.reduction import reduce_to_gentle
 from hga.reps import (
     ExtSpace,
     Morphism,
@@ -1087,3 +1090,100 @@ def test_min_poly_is_the_least_monic_annihilator():
         assert linalg.rank(flats) == len(flats)
         degrees.add(len(coeffs) - 1)
     assert max(degrees) > 2
+
+
+def test_final_form_objects_equal_normalised_ones(monkeypatch):
+    # each kernel, inclusion, cover map and differential a resolution step
+    # hands over in final form is what the checked constructors build from
+    # its data, key order included, with every map of its support present
+    built = []
+    for cls in (reps._FinalModule, reps._FinalMorphism):
+        def init(self, *args, _orig=cls.__init__):
+            _orig(self, *args)
+            built.append(self)
+        monkeypatch.setattr(cls, "__init__", init)
+    for n, d in ((4, 2), (3, 3), (4, 3)):
+        homological_dims(build_typeA_auslander(n, d))
+    reduce_to_gentle(cluster_endo_algebra(ctgent_family(4, 2, [2])).algebra)
+    # the two-cycle with radical square zero: the differential P_2 -> P_1
+    # of S_1 has a zero block at 1, where the kernel rad P_1 = S_2 vanishes
+    q = Quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
+    two_cycle = build_algebra(BoundQuiverPresentation(
+        q, [zero_relation(("a", "b")), zero_relation(("b", "a"))]))
+    minimal_resolution(simple(two_cycle, "1"), 3)
+
+    modules = [x for x in built if isinstance(x, Representation)]
+    assert len(modules) > 100 and len(built) - len(modules) > 100
+    for x in built:
+        if isinstance(x, Representation):
+            alg = x.algebra
+            y = Representation(alg, x.dims, x.maps, check=True)
+            assert x.support == y.support
+            assert list(x.dims.items()) == list(y.dims.items())
+            assert list(x.maps.items()) == list(y.maps.items())
+            assert set(x.maps) == {ar.name for u in x.support
+                                   for ar in alg.quiver.arrows_from[u]
+                                   if ar.target in x.dims}
+        else:
+            y = Morphism(x.source, x.target, x.blocks, check=True)
+            assert list(x.blocks.items()) == list(y.blocks.items())
+            assert list(x.blocks) == [v for v in x.target.support
+                                      if v in x.source.dims]
+
+
+def test_a_resolution_step_builds_its_objects_in_final_form():
+    # no normalising pass: every kernel, inclusion and differential past
+    # P_0 of a resolution over A^2_4 comes through the final-form route
+    a = build_typeA_auslander(4, 2)
+    for v in a.vertices:
+        s = simple(a, v)
+        for k in range(len(minimal_resolution(s, 9)[0])):
+            _, diffs, _, kern, incl = reps._resolution(s, k)
+            assert k == 0 or type(diffs[k]) is reps._FinalMorphism
+            if kern is not None:
+                assert type(kern) is reps._FinalModule
+                assert type(incl) is reps._FinalMorphism
+
+
+def test_a_kernel_shares_its_cover_matrices_where_the_map_vanishes():
+    # where the cover map is zero the kernel is the whole space: its
+    # inclusion block is square, and a map between two such vertices is
+    # the cover's own matrix
+    a = build_typeA_auslander(4, 2)
+    p, epi, _ = projective_cover(simple(a, a.vertices[0]))
+    k, incl = kernel(epi)
+    whole = {v for v, b in incl.blocks.items() if len(b) == len(b[0])}
+    assert whole and all(incl.blocks[v] == linalg.identity(k.dims[v])
+                         for v in whole)
+    shared = [name for name in k.maps
+              if {a.quiver.arrow_by_name[name].source,
+                  a.quiver.arrow_by_name[name].target} <= whole]
+    assert shared and all(k.maps[name] is p.maps[name] for name in shared)
+
+
+def test_a_module_over_an_unpresented_algebra_names_the_fault():
+    raw = cluster_endo_algebra(ctgent_family(4, 2, [2])).raw
+    with pytest.raises(InvalidPresentation, match="represent"):
+        homological_dims(raw)
+
+
+def test_basis_prefixes_read_each_path_as_its_prefix_and_last_arrow():
+    a = build_typeA_auslander(4, 2)
+    prefix, last = reps._basis_prefixes(a)
+    labels, nv = a.basis_labels, len(a.vertices)
+    assert prefix[:nv] == last[:nv] == [None] * nv
+    for b in range(nv, a.dim):
+        path = labels[b]
+        assert last[b] == path[-1] and prefix[b] < b
+        assert (labels[prefix[b]] == path[:-1] if len(path) > 1
+                else prefix[b] == a.e_index[a.basis_src[b]])
+    # a basis whose path ab has no basis path a before it is not one that
+    # a presentation gives: the plan fails as an internal fault
+    q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
+    pres = BoundQuiverPresentation(q, [])
+    broken = Algebra(["1", "2", "3"],
+                     [("e", "1"), ("e", "2"), ("e", "3"), ("a", "b")],
+                     ["1", "2", "3", "1"], ["1", "2", "3", "3"], {},
+                     presentation=pres)
+    with pytest.raises(InternalError, match="prefix"):
+        reps._basis_prefixes(broken)

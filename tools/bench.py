@@ -177,7 +177,7 @@ def rows_copied(orig, counts):
 
 
 def stored(orig, counts):
-    """``Representation.__init__`` or ``Morphism.__init__``, counting the
+    """The ``__init__`` of a class in ``CONSTRUCTORS``, counting the
     objects built in ``constructions`` and the entries each stores in
     ``stored_entries``: its dims and maps, or its blocks."""
     def init(self, *args, **kwargs):
@@ -187,6 +187,15 @@ def stored(orig, counts):
             len(getattr(self, field, ())) for field in ("dims", "maps",
                                                          "blocks"))
     return init
+
+
+# the routes by which hga builds a module or a morphism: the normalising
+# constructors, and those a resolution step hands final-form data to; a
+# resolution's first differential, reps._CoverMap, is not counted
+CONSTRUCTORS = (reps.Representation, reps.Morphism, reps._FinalModule,
+                reps._FinalMorphism)
+STORED = [(cls, "__init__", ("constructions", "stored_entries"), stored)
+          for cls in CONSTRUCTORS]
 
 
 def containers(x):
@@ -388,11 +397,13 @@ class Auslander(Ladder):
     ``hga/linalg.py`` (see ``Counting``): what the dense kernel pays per
     call beyond its arithmetic; and ``constructions`` and
     ``stored_entries``, the ``Representation`` and ``Morphism`` objects
-    built and the dims, maps and blocks they store (see ``stored``).
-    ``--check`` runs every row: a guard against a resolution step that pays
-    for the whole quiver again, against a dense call that copies, allocates
-    or searches through helpers again, and, with ``stored_entries`` a
-    ceiling, against a module that stores more than its support.
+    built by every route in ``CONSTRUCTORS`` and the dims, maps and blocks
+    they store (see ``stored``).  ``--check`` runs every row: a guard
+    against a resolution step that pays for the whole quiver again, or
+    for a product with an identity (it enters frames in ``hga/linalg.py``),
+    against a dense call that copies, allocates or searches through
+    helpers again, and, with ``stored_entries`` a ceiling, against a
+    module that stores more than its support.
     """
 
     repeat, average = 7, staticmethod(statistics.median)
@@ -401,9 +412,7 @@ class Auslander(Ladder):
                for name in ("projective_cover", "kernel", "direct_sum")] + [
         (linalg.TrackedSpan, "add", "sparse_add_calls", "all")] + [
         (linalg, name, f"{name}_calls", "all")
-        for name in ("rref", "nullspace", "mat_vec")] + [
-        (cls, "__init__", ("constructions", "stored_entries"), stored)
-        for cls in (reps.Representation, reps.Morphism)]
+        for name in ("rref", "nullspace", "mat_vec")] + STORED
     frames = [(linalg, "linalg_frames")]
 
     def fails(self, got, expected):
