@@ -6,6 +6,8 @@ presentations: mult(i, j) is "basis j first, then basis i".
 """
 
 from collections import defaultdict, namedtuple
+from functools import reduce
+from operator import or_
 
 from .errors import (
     EmptyIdempotent,
@@ -99,9 +101,6 @@ class Algebra:
 
         return memo(self, "radical products", compute)
 
-    def radical_indices(self):
-        return list(range(len(self.vertices), self.dim))
-
     def mult_basis(self, i, j):
         """Product basis_i * basis_j (j applied first); sparse dict."""
         return self.mult.get((i, j), {})
@@ -134,10 +133,15 @@ class Algebra:
         return _path_value(self, self.arrow_class, path)
 
     def rad_nilpotency(self):
-        """Least N with rad^N = 0.  Each radical basis element is a path,
-        so rad^(k+1) is the sum of the a·rad^k over the arrows a; an
-        algebra with no arrows recorded multiplies by the whole radical."""
-        rad = [self.unit(i) for i in self.radical_indices()]
+        """Least N with rad^N = 0: one past the longest basis path if no
+        relation mixes term lengths, as rad^k is then spanned by the paths
+        of length >= k; else rad^(k+1) is the sum of the a·rad^k over the
+        arrows a (over the whole radical if the algebra records none)."""
+        pres = self.presentation
+        if pres and not any(_mixes(r.terms) for r in pres.relations):
+            return 1 + max(map(len, self.basis_labels[len(self.vertices):]),
+                           default=0)
+        rad = [self.unit(i) for i in range(len(self.vertices), self.dim)]
         gens = [self.unit(i) for i in self.arrow_class.values()] or rad
         span = rad
         n = 1
@@ -154,6 +158,21 @@ class Algebra:
             if n > self.dim + 2:
                 raise NotAdmissible("radical is not nilpotent")
         return n
+
+    def hull(self, vertices):
+        """The vertices, in vertex order, reached from one of `vertices` by
+        a nonzero path and reaching one: memoised masks of basis ends."""
+        def compute():
+            index, e = self.basis_index(), self.e_index
+            return [{v: sum({1 << e[ends[i]] for i in ids})
+                     for v, ids in by.items()}
+                    for by, ends in ((index.source, self.basis_tgt),
+                                     (index.target, self.basis_src))]
+
+        both = -1
+        for masks in memo(self, "reach masks", compute):
+            both &= reduce(or_, (masks[v] for v in vertices), 0)
+        return [v for i, v in enumerate(self.vertices) if both >> i & 1]
 
     def opposite(self):
         """Opposite algebra; involutive up to identity on basis ids.  The

@@ -23,17 +23,15 @@ from itertools import combinations, permutations
 from .algebras import (
     Algebra,
     CornerQuiver,
+    _generator,
+    _normal_words,
     build_algebra,
     idempotent_subalgebra,
 )
 from .errors import InternalError, NotAdmissible, UnknownArrow
 from .linalg import F1, TrackedSpan, div
 from .memo import memo
-from .presentations import (
-    BoundQuiverPresentation,
-    Idempotent,
-    RelationElement,
-)
+from .presentations import Idempotent, RelationElement
 
 IDEMPOTENT_CAP = 2 ** 20  # subsets tried before "pass-up-to-cap"
 
@@ -57,12 +55,13 @@ def _as_quiver_values(a):
 def _closure_dim(alg, relations):
     """Dimension of the algebra of alg's quiver modulo relations, or None
     when path classes still appear past the length cap
-    max(2·|Q0|, rad nilpotency of alg + 2, 8)."""
+    max(2·|Q0|, rad nilpotency of alg + 2, 8): its number of normal words,
+    with no algebra built, as the relations are quadratic."""
     quiver = alg.quiver
     cap = max(2 * len(quiver.vertices), alg.rad_nilpotency() + 2, 8)
     try:
-        return build_algebra(BoundQuiverPresentation(quiver, relations),
-                             length_cap=cap).dim
+        return len(_normal_words(quiver, [
+            _generator(quiver, r.terms) for r in relations], cap)[0][0])
     except NotAdmissible:
         return None
 
@@ -876,20 +875,15 @@ class GentleCertificate:
 
 
 def _hull_idempotent(cover, e):
-    """Vertices of the cover reached from an e-vertex by a nonzero path and
-    reaching an e-vertex by a nonzero path.  The two paths need not compose
+    """The cover's `Algebra.hull` of the e-vertices: those reached from one
+    by a nonzero path and reaching one by another.  The two need not compose
     to a nonzero path, so the hull holds every vertex on a nonzero path
     between e-vertices and may hold more: for e on {247, 357} in A^3_3 it
     keeps 257, though every path 247 -> 257 -> 357 is zero.  Restricting
     the cover to this set leaves the corner e·cover·e unchanged, since
     every nonzero path between e-vertices passes only through its
     vertices."""
-    index = cover.basis_index()
-    out = {cover.basis_tgt[i] for v in e.vertex_subset
-           for i in index.source.get(v, ())}
-    inn = {cover.basis_src[i] for v in e.vertex_subset
-           for i in index.target.get(v, ())}
-    return Idempotent.of(out & inn)
+    return Idempotent.of(cover.hull(e.vertex_subset))
 
 
 def is_d_gentle_certificate(cover, e, d):

@@ -30,7 +30,6 @@ from .typea import (
     build_typeA_auslander,
     canonical_cluster_tilting,
     corner,
-    intertwines,
     tuple_set,
 )
 
@@ -93,14 +92,10 @@ def _rigidity_masks(fam):
     family: per position i, the positions whose label intertwines label i,
     and the positions k with (i, k) in the Ext^d table."""
     def compute():
-        labs = fam.labels
-        by_label = [
-            sum(1 << k for k, y in enumerate(labs) if intertwines(y, x))
-            for x in labs]
-        by_ext = [0] * len(labs)
+        by_ext = [0] * len(fam.labels)
         for i, k in fam.ext_edges:
             by_ext[i] |= 1 << k
-        return by_label, by_ext
+        return fam.intertwining_masks(), by_ext
 
     return memo(fam, "rigidity masks", compute)
 
@@ -202,10 +197,28 @@ def _pair_homs(fam, x, y):
 
 def _pair_ext(fam, x, y, d):
     """Ext^d(M_x, tau_d^- M_y) for family labels x, y, memoised on the
-    family by label pair; tau_d^- is memoised on M_y."""
-    return memo(fam, ("ext", x.entries, y.entries, d), lambda: reps.ExtSpace(
-        fam.module_of(x),
-        reps.higher_translate_inverse(fam.module_of(y), d), d))
+    family by label pair, or None when `reps._top_hom_vanishes` decides it
+    zero first; tau_d^- is memoised on M_y."""
+    def compute():
+        mx = fam.module_of(x)
+        tau = reps.higher_translate_inverse(fam.module_of(y), d)
+        if not reps._top_hom_vanishes(mx, tau, d):
+            return reps.ExtSpace(mx, tau, d)
+
+    return memo(fam, ("ext", x.entries, y.entries, d), compute)
+
+
+def _components_of(comps, verts):
+    """The positions of the Hom components in comps (`_thin_hom`) whose
+    union is verts, where a product of all-ones maps is 1; else HgaError."""
+    left, out = set(verts), []
+    for k, comp in enumerate(comps):
+        if left.issuperset(comp):
+            out.append(k)
+            left.difference_update(comp)
+    if left:
+        raise HgaError("composition escapes the Hom space")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +254,12 @@ def cluster_endo_algebra(c):
 
     pair_homs = {(i, j): _pair_homs(fam, labs[i], labs[j])
                  for i in range(t) for j in range(t)}
-    ext_space = {(i, j): _pair_ext(fam, labs[i], labs[j], d)
-                 for i in range(t) for j in range(t)}
+    ext_space = {(i, j): e for i in range(t) for j in range(t)
+                 if (e := _pair_ext(fam, labs[i], labs[j], d)) is not None}
 
     # basis: vertex idempotents, then Hom radical, then Ext classes.
     # an element M_a -> M_b is a path from vertex a to vertex b.
-    records = []          # (kind, a, b, payload)
+    records = []          # (kind, a, b, payload); hom: (map, component)
     basis_src, basis_tgt, basis_labels = [], [], []
     for i in range(t):
         records.append(("id", i, i, None))
@@ -256,41 +269,21 @@ def cluster_endo_algebra(c):
     hom_ids = {}
     for i in range(t):
         for j in range(t):
-            for k, f in enumerate(pair_homs[(i, j)][1]):
+            comps, basis = pair_homs[(i, j)]
+            for k, f in enumerate(basis):
                 hom_ids[(i, j, k)] = len(records)
-                records.append(("hom", i, j, f))
+                records.append(("hom", i, j, (f, comps[k])))
                 basis_src.append(vnames[i])
                 basis_tgt.append(vnames[j])
                 basis_labels.append(("hom", vnames[i], vnames[j], k))
     ext_ids = {}
-    for i in range(t):
-        for j in range(t):
-            for k in range(ext_space[(i, j)].dim):
-                ext_ids[(i, j, k)] = len(records)
-                records.append(("ext", i, j, k))
-                basis_src.append(vnames[i])
-                basis_tgt.append(vnames[j])
-                basis_labels.append(("ext", vnames[i], vnames[j], k))
-
-    def hom_coords(a, b, mor):
-        """{basis id: coefficient} of mor: M_a -> M_b on the pair's Hom
-        basis, the identity included on the diagonal: its scalar on each
-        basis component.  mor must be constant on each component and zero
-        off them."""
-        comps = pair_homs[(a, b)][0]
-        ids = [a] if a == b else [hom_ids[(a, b, k)]
-                                  for k in range(len(comps))]
-        blocks = mor.blocks
-        left = {v for v, b in blocks.items() if b[0][0]}
-        out = {}
-        for comp, k in zip(comps, ids):
-            c = blocks[comp[0]][0][0]
-            if c and all(blocks[v][0][0] == c for v in comp):
-                out[k] = c
-                left.difference_update(comp)
-        if left:
-            raise HgaError("composition escapes the Hom space")
-        return out
+    for (i, j), space in ext_space.items():
+        for k in range(space.dim):
+            ext_ids[(i, j, k)] = len(records)
+            records.append(("ext", i, j, k))
+            basis_src.append(vnames[i])
+            basis_tgt.append(vnames[j])
+            basis_labels.append(("ext", vnames[i], vnames[j], k))
 
     def ext_coords(a, b, cocycle):
         return {ext_ids[(a, b, k)]: c for k, c in
@@ -315,18 +308,21 @@ def cluster_endo_algebra(c):
             # path product (p, q): q first; module maps also compose q first
             if kp == "ext" and kq == "ext":     # a trivial extension
                 continue
-            if kp == "hom" and kq == "hom":
-                prod = payp.compose(payq)
-                entry = hom_coords(aq, bp, prod)
-            elif kp == "ext" and kq == "hom":
-                lift = reps.comparison_map(payq, d)
+            if kp == "hom" and kq == "hom":     # on the diagonal: the identity
+                entry = {aq if aq == bp else hom_ids[(aq, bp, k)]: F1
+                         for k in _components_of(pair_homs[(aq, bp)][0],
+                                                 set(payp[1]) & set(payq[1]))}
+            elif (aq, bp) not in ext_space:     # the product's Ext is zero
+                continue
+            elif kp == "ext":
+                lift = reps.comparison_map(payq[0], d)
                 if lift is None:
                     entry = {}
                 else:
                     xi = ext_space[(ap, bp)].reps[payp]
                     entry = ext_coords(aq, bp, xi.compose(lift))
             else:  # kp == "hom", kq == "ext"
-                tg = reps.higher_translate_inverse_morphism(payp, d)
+                tg = reps.higher_translate_inverse_morphism(payp[0], d)
                 xi = ext_space[(aq, bq)].reps[payq]
                 entry = ext_coords(aq, bp, tg.compose(xi))
             if entry:

@@ -396,27 +396,26 @@ def injective(alg, v):
 
 
 def _sum_module(alg, reps):
-    """The direct sum module alone, with each summand's first coordinate at
-    every vertex of its support.  A summand is read through its support,
-    dims and maps alone, so it may be a _ProjectiveData."""
+    """The direct sum module alone, in final form, with each summand's first
+    coordinate at every vertex of its support.  A summand is read through
+    its support, dims and maps alone, so it may be a _ProjectiveData."""
     dims, offsets = {}, []
     for r in reps:
         offsets.append({v: dims.get(v, 0) for v in r.support})
         for v in r.support:
             dims[v] = dims.get(v, 0) + r.dims[v]
-    arrow = alg.quiver.arrow_by_name
-    maps = {}
+    dims = {v: dims[v] for v in sorted(dims, key=alg.e_index.__getitem__)}
+    maps = {ar.name: [[F0] * k for _ in range(dims[ar.target])]
+            for u, k in dims.items() for ar in alg.quiver.arrows_from[u]
+            if ar.target in dims}
     for r, off in zip(reps, offsets):
         for name, rmat in r.maps.items():
-            u, w = arrow[name].source, arrow[name].target
-            mat = maps.get(name)
-            if mat is None:
-                mat = maps[name] = [[F0] * dims[u] for _ in range(dims[w])]
-            for i, row in enumerate(rmat, off[w]):
-                for j, x in enumerate(row, off[u]):
+            ar, mat = alg.quiver.arrow_by_name[name], maps[name]
+            for i, row in enumerate(rmat, off[ar.target]):
+                for j, x in enumerate(row, off[ar.source]):
                     if x:
                         mat[i][j] = x
-    return Representation(alg, dims, maps, check=False), offsets
+    return _FinalModule(alg, dims, maps), offsets
 
 
 def direct_sum(reps):

@@ -3,7 +3,8 @@ algebras of linear quivers, and their canonical cluster-tilting modules."""
 
 import operator
 from dataclasses import dataclass
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, product
 
 from .algebras import build_algebra
 from .errors import ArityMismatch, LabelMatchFailed, ScaleExceeded
@@ -14,7 +15,7 @@ from .presentations import (
     commutativity_relation,
     zero_relation,
 )
-from . import reps
+from . import linalg, reps
 
 
 @dataclass(frozen=True, order=True)
@@ -118,16 +119,11 @@ def maximal_nonintertwining(d, m, cyclic=False, scale_cap=60):
     n = len(tuples)
     if n > scale_cap:
         raise ScaleExceeded(f"{n} tuples exceeds the scale cap {scale_cap}")
-    conflict = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if intertwines(tuples[i], tuples[j]) or \
-                    intertwines(tuples[j], tuples[i]):
-                conflict[i] |= 1 << j
-                conflict[j] |= 1 << i
+    masks = _intertwining_masks(tuples)
     # maximal independent sets = maximal cliques of the complement
     full = (1 << n) - 1
-    compat = [full & ~conflict[i] & ~(1 << i) for i in range(n)]
+    compat = [full & ~(masks[i] | 1 << i) & ~sum(
+        1 << j for j in range(n) if masks[j] >> i & 1) for i in range(n)]
     results = []
 
     def bk(r, p, x):
@@ -233,6 +229,11 @@ class LabelledModuleFamily:
         return memo(self, "label index", lambda: {
             lab.entries: i for i, lab in enumerate(self.labels)})
 
+    def intertwining_masks(self):
+        """`_intertwining_masks` of the labels, memoised on the family."""
+        return memo(self, "intertwining masks",
+                    lambda: _intertwining_masks(self.labels))
+
     def index_of(self, t):
         """Position of the module labelled t (a Tuple or its entries), read
         from `label_index`."""
@@ -256,13 +257,13 @@ def canonical_cluster_tilting(a):
     in lexicographic order.  With J = (n+2d+1) - reverse(I), its `corner`,
     M_I is one-dimensional at the vertices x with J_k <= x_k <= J_{k+1} - 2
     (k = 0..d-1), zero elsewhere, and acts as the identity on every arrow
-    inside that box.  Each module is checked against the relations, and
-    the Ext^d criterion (Ext^d(M_I, M_J) != 0 iff J intertwines I) is
-    verified with `reps.ext_dim` on every ordered pair, the diagonal
-    included, so ext_edges is the complete table of where Ext^d vanishes.
-    Most pairs are zero already by `reps.ext_dim`'s test on M_I's cached
-    resolution, and build no ExtSpace.  `hga.cluster` reads the Hom spaces
-    between these thin modules off their supports."""
+    inside that box.  Each module is checked against the relations and
+    proved a thin box once: a basis path acts on it by 1 if both its ends
+    are in the box, else by 0.  So the Ext^d criterion (Ext^d(M_I, M_J) != 0
+    iff J intertwines I) is checked on every ordered pair, the diagonal
+    included, one row I at a time off M_I's resolution (`_ext_table`), and
+    ext_edges is the complete table of where Ext^d vanishes.  `hga.cluster`
+    reads the Hom spaces between these thin modules off their supports."""
     info = a.typeA
     if info is None:
         raise ValueError("algebra was not built by build_typeA_auslander")
@@ -280,14 +281,65 @@ def canonical_cluster_tilting(a):
         maps = {ar.name: [[1]] for ar in arrows
                 if ar.source in box and ar.target in box}
         modules.append(reps.Representation(a, dict.fromkeys(box, 1), maps))
-    ext_edges = set()
-    for i, (x, mx) in enumerate(zip(labels, modules)):
-        for k, (y, my) in enumerate(zip(labels, modules)):
-            edge = intertwines(y, x)
-            if edge != bool(reps.ext_dim(mx, my, d)):
-                raise LabelMatchFailed(
-                    f"Ext criterion fails for ({x.entries}, {y.entries})"
-                )
-            if edge:
-                ext_edges.add((i, k))
-    return LabelledModuleFamily(a, modules, labels, ext_edges)
+    masks = _intertwining_masks(labels)
+    fam = LabelledModuleFamily(a, modules, labels,
+                               _ext_table(labels, modules, masks, d))
+    memo(fam, "intertwining masks", lambda: masks)
+    return fam
+
+
+def _intertwining_masks(labels):
+    """Per label x, the bitmask of the positions of the labels y that
+    intertwine x: the y with x_{k-1} < y_k < x_k for each k (x_{-1} = 0)."""
+    index = {y.entries: i for i, y in enumerate(labels)}
+    return [sum(1 << index[y] for y in product(*[
+        range(lo + 1, hi) for lo, hi in zip((0,) + x.entries, x.entries)])
+        if y in index) for x in labels]
+
+
+def _ext_table(labels, modules, masks, d):
+    """The pairs (i, k) with Ext^d(M_i, M_k) != 0, checked against the
+    intertwining masks row by row: LabelMatchFailed where they disagree or
+    a module is not a thin box B (its maps [[1]], its support its own hull).
+    A basis path then acts by 1 if its ends are in B, else by 0, so Ext^d
+    is |S_d ∩ B| - rank C_d|_B - rank C_{d-1}|_B, with S_j the summand
+    vertices of P_j(M_i) and C_j the coefficient sums of P_{j+1} -> P_j."""
+    at = {}                 # vertex -> the positions whose box holds it
+    for i, mod in enumerate(modules):
+        if (any(k != 1 for k in mod.dims.values())
+                or any(mat != [[1]] for mat in mod.maps.values())
+                or mod.algebra.hull(mod.support) != list(mod.support)):
+            raise LabelMatchFailed(f"{labels[i].entries} is not a thin box")
+        for v in mod.support:
+            at[v] = at.get(v, 0) | 1 << i
+    for i, mx in enumerate(modules):
+        top, dim = _ext_row(mx, d)
+        cands = reduce(operator.or_, map(at.__getitem__, top), 0)
+        bad = masks[i] & ~cands
+        if not bad:
+            bad = masks[i] ^ sum(bool(dim(my.dims)) << k for k, my
+                                 in enumerate(modules) if cands >> k & 1)
+        if bad:
+            x, y = labels[i], labels[(bad & -bad).bit_length() - 1]
+            raise LabelMatchFailed(
+                f"Ext criterion fails for ({x.entries}, {y.entries})")
+    return {(i, k) for i, mask in enumerate(masks)
+            for k in range(len(masks)) if mask >> k & 1}
+
+
+def _ext_row(mx, d):
+    """(S_d, dim) of row mx of `_ext_table`; dim reads a box meeting S_d."""
+    terms, diffs, summands, _, _ = reps._resolution(mx, d + 1)
+    # sums[j][t][s]: C_{d-1+j} from summand s of P_{d+j} to t of P_{d-1+j}
+    sums = [[[sum(e.values()) for e in row] for row in
+             reps._differential_elements(diffs[j + 1], summands, j)]
+            for j in range(d - 1, min(d + 1, len(terms) - 1))]
+
+    def dim(box):
+        keep = [[s for s, v in enumerate(vs) if v in box]
+                for vs in summands[d - 1:d + 2]]
+        return len(keep[1]) - sum(
+            linalg.rank([[c[t][s] for s in keep[j + 1]] for t in keep[j]])
+            for j, c in enumerate(sums))
+
+    return (summands[d] if len(terms) > d else ()), dim

@@ -10,6 +10,10 @@ the BENCH harness (``tools/bench.py``) as ``bench``.
 import sys
 from pathlib import Path
 
+import pytest
+
+from hga import typea
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.append(str(ROOT / "perfbench"))
 sys.path.append(str(ROOT / "tools"))
@@ -23,3 +27,17 @@ if settings is not None:
     settings.register_profile("reproducible", derandomize=True,
                               database=None, deadline=None)
     settings.load_profile("reproducible")
+
+
+@pytest.fixture
+def self_ext(monkeypatch):
+    """The row check of `typea.canonical_cluster_tilting` tampered so that
+    every module M has Ext^d(M, M) != 0."""
+    ext_row = typea._ext_row
+
+    def tampered(mx, d):
+        top, dim = ext_row(mx, d)
+        return tuple(top) + mx.support, lambda box: (
+            1 if box is mx.dims else dim(box) if top else 0)
+
+    monkeypatch.setattr(typea, "_ext_row", tampered)

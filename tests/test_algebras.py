@@ -18,6 +18,7 @@ from hga import algebras, axioms, linalg, reps
 from hga.algebras import Algebra, represent
 from hga.cluster import cluster_endo_algebra, ctgent_cover, ctgent_family
 from hga.errors import EmptyIdempotent, InvalidPresentation, NotAdmissible
+from hga.reduction import reduce_to_gentle
 from hga.typea import build_typeA_auslander
 import reference_scans
 from reference_presentation import (
@@ -93,6 +94,49 @@ def test_truncated_loop():
     )
     assert alg.dim == 3
     assert alg.rad_nilpotency() == 3
+
+
+def _rad_powers(alg):
+    """rad_nilpotency multiplied out: that of alg's table with no
+    presentation, whose grading the shortcut would read."""
+    return Algebra(alg.vertices, alg.basis_labels, alg.basis_src,
+                   alg.basis_tgt, alg.mult,
+                   arrow_class=alg.arrow_class).rad_nilpotency()
+
+
+def test_rad_nilpotency_reads_the_grading_where_no_relation_mixes(
+        monkeypatch):
+    # one past the longest basis path on a homogeneous presentation; the
+    # multiplied-out route is the oracle on both kinds, and the one taken
+    # where a relation mixes term lengths, as xx - yyy does: there rad^3
+    # holds yyy = xx, past the longest basis path xx
+    q = Quiver(["v"], [("x", "v", "v"), ("y", "v", "v")])
+    mixed = build_algebra(BoundQuiverPresentation(q, [
+        [(1, ("x", "x")), (-1, ("y", "y", "y"))],
+        [(1, ("x", "y"))], [(1, ("y", "x"))]]))
+    assert mixed.rad_nilpotency() == _rad_powers(mixed) == 4
+    assert max(map(len, mixed.basis_labels[1:])) == 2
+    built = []
+    init = Algebra.__init__
+
+    def recorded(alg, *args, **kwargs):
+        init(alg, *args, **kwargs)
+        built.append(alg)
+
+    monkeypatch.setattr(Algebra, "__init__", recorded)
+    for n, d, idx in [(4, 2, (2,)), (3, 3, (3,)), (5, 3, (3,))]:
+        c = ctgent_family(n, d, list(idx))
+        cover, e = ctgent_cover(c)
+        axioms.is_d_gentle_certificate(cover.algebra, e, d)
+        reduce_to_gentle(cluster_endo_algebra(c).algebra)
+    monkeypatch.undo()
+    kinds = []
+    for alg in built:
+        if alg.presentation is not None:
+            assert alg.rad_nilpotency() == _rad_powers(alg)
+            kinds.append(any(algebras._mixes(r.terms)
+                             for r in alg.presentation.relations))
+    assert kinds.count(False) > 50 and True in kinds
 
 
 def test_free_loop_not_admissible():

@@ -126,6 +126,18 @@ def test_stored_counts_a_kernel_built_in_final_form():
     assert k.support
 
 
+def test_stored_counts_the_cover_map_of_a_resolution():
+    # a resolution's first differential is a reps._CoverMap, a route of
+    # its own that the auslander ladder counts with its blocks
+    a = build_typeA_auslander(3, 2)
+    s = reps.simple(a, a.vertices[0])
+    with Counting([x for x in bench.STORED if x[0] is reps._CoverMap]) as c:
+        cover_map = reps._resolution(s, 0)[1][0]
+    assert type(cover_map) is reps._CoverMap
+    assert c.counts == {"constructions": 1,
+                        "stored_entries": len(cover_map.blocks)}
+
+
 def test_auslander_check_takes_stored_entries_as_a_ceiling():
     # more stored entries than the file fail the check, fewer pass, and
     # every other count must match

@@ -308,16 +308,11 @@ def test_internal_failure_exit_four(tmp_path, capsys, monkeypatch, exc):
     assert err.startswith("internal error: ")
 
 
-def test_failed_family_criterion_exits_four(tmp_path, capsys, monkeypatch):
+def test_failed_family_criterion_exits_four(tmp_path, capsys, self_ext):
     """`hga endo` builds the module family itself, so an Ext^d criterion
     that fails on it (typea.LabelMatchFailed) is a fault of hga, not an
     input error: a module with Ext^d(M, M) != 0 breaks it, as in
     test_typea's test_family_checks_the_diagonal."""
-    from hga import reps
-
-    ext_dim = reps.ext_dim
-    monkeypatch.setattr(reps, "ext_dim",
-                        lambda m, n, i: 1 if m is n else ext_dim(m, n, i))
     coll = tmp_path / "c.json"
     write(coll, [[1, 3, 5], [1, 3, 6]])
     out = tmp_path / "endo.json"

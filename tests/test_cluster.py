@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from hga import cluster, reps
+from hga import cluster, reps, typea
 from hga.axioms import is_d_gentle_certificate
 from hga.cluster import (
     SummandCollection,
@@ -442,7 +442,8 @@ def test_rigidity_query_reads_only_the_family_masks(fam24, monkeypatch):
     def per_query(*args):
         raise AssertionError("is_d_rigid compared labels per query")
 
-    monkeypatch.setattr(cluster, "intertwines", per_query)
+    monkeypatch.setattr(typea, "intertwines", per_query)
+    monkeypatch.setattr(typea, "_intertwining_masks", per_query)
     monkeypatch.setattr(LabelledModuleFamily, "index_of", per_query)
     assert is_d_rigid(c)
     assert not is_d_rigid(full)
@@ -459,6 +460,93 @@ def _endo_table(res):
         presentation_to_dict(res.algebra.presentation),
         (res.end_dim, res.ext_dim, res.ext_square_zero, res.summand_labels),
     )
+
+
+def _chain_collections():
+    """(c, its cover's labels) for each key of the ``ctgent`` pool."""
+    for n, d, idx in CTGENT_POOL:
+        c = ctgent_family(n, d, list(idx))
+        fam = c.family
+        yield c, [lab for i, lab in enumerate(fam.labels)
+                  if lab.entries[0] == 1 or c.mask >> i & 1]
+
+
+def test_pair_ext_decides_zero_as_ext_space_does():
+    # _pair_ext builds no ExtSpace for a pair it decides zero; the oracle
+    # builds one for every pair of End(c) and End(T + A)
+    zero = kept = 0
+    for c, cover in _chain_collections():
+        fam, d = c.family, c.d
+        for x in cover:
+            for y in cover:
+                full = reps.ExtSpace(fam.module_of(x),
+                                     reps.higher_translate_inverse(
+                                         fam.module_of(y), d), d)
+                space = cluster._pair_ext(fam, x, y, d)
+                if space is None:
+                    zero += 1
+                    assert full.dim == 0, (x.entries, y.entries)
+                else:
+                    kept += 1
+                    assert space.dim == full.dim, (x.entries, y.entries)
+    assert zero > 10 * kept > 0
+
+
+def _hom_coords_by_compose(comps, mor):
+    """The positions of the Hom components of mor and its scalar on each,
+    read off its blocks: the rule the set read replaced."""
+    blocks = mor.blocks
+    left = {v for v, b in blocks.items() if b[0][0]}
+    out = {}
+    for k, comp in enumerate(comps):
+        c = blocks[comp[0]][0][0]
+        if c and all(blocks[v][0][0] == c for v in comp):
+            out[k] = c
+            left.difference_update(comp)
+    if left:
+        raise HgaError("composition escapes the Hom space")
+    return out
+
+
+def test_hom_products_read_as_component_intersections():
+    # every product of two Hom basis maps of End(c) and End(T + A), read
+    # off the intersection of their components, is what Morphism.compose
+    # and a read of its blocks give
+    products = 0
+    for c, cover in _chain_collections():
+        fam = c.family
+        for x in cover:
+            for y in cover:
+                comps_xy, basis_xy = cluster._pair_homs(fam, x, y)
+                for z in cover:
+                    comps_yz, basis_yz = cluster._pair_homs(fam, y, z)
+                    comps_xz = cluster._pair_homs(fam, x, z)[0]
+                    for cq, q in zip(comps_xy, basis_xy):
+                        for cp, p in zip(comps_yz, basis_yz):
+                            products += 1
+                            try:
+                                want = _hom_coords_by_compose(
+                                    comps_xz, p.compose(q))
+                            except HgaError as exc:
+                                want = exc
+                            try:
+                                got = dict.fromkeys(cluster._components_of(
+                                    comps_xz, set(cp) & set(cq)), 1)
+                            except HgaError as exc:
+                                got = exc
+                            if isinstance(want, HgaError):
+                                assert str(got) == str(want)
+                            else:
+                                assert got == want
+    assert products > 1000
+    # a set that meets a component only in part is no union of them
+    comps = [("1", "2"), ("3",)]
+    assert cluster._components_of(comps, {"1", "2", "3"}) == [0, 1]
+    assert cluster._components_of(comps, {"3"}) == [1]
+    assert cluster._components_of(comps, set()) == []
+    for part in ({"1"}, {"2", "3"}, {"4"}):
+        with pytest.raises(HgaError, match="escapes the Hom space"):
+            cluster._components_of(comps, part)
 
 
 @pytest.mark.parametrize("key", [(4, 2, [2]), (3, 3, [3])])

@@ -1093,15 +1093,25 @@ def test_min_poly_is_the_least_monic_annihilator():
 
 
 def test_final_form_objects_equal_normalised_ones(monkeypatch):
-    # each kernel, inclusion, cover map and differential a resolution step
-    # hands over in final form is what the checked constructors build from
+    # each kernel, inclusion, cover map, differential and sum of
+    # projectives a resolution step hands over in final form, and each
+    # direct sum, is what the checked constructors build from
     # its data, key order included, with every map of its support present
-    built = []
+    built, sums = [], []
     for cls in (reps._FinalModule, reps._FinalMorphism):
         def init(self, *args, _orig=cls.__init__):
             _orig(self, *args)
             built.append(self)
         monkeypatch.setattr(cls, "__init__", init)
+    sum_module = reps._sum_module
+
+    def recorded(alg, summands):
+        out = sum_module(alg, summands)
+        sums.append((out[0], len(summands)))
+        return out
+
+    # a resolution term with several summands is built in final form too
+    monkeypatch.setattr(reps, "_sum_module", recorded)
     for n, d in ((4, 2), (3, 3), (4, 3)):
         homological_dims(build_typeA_auslander(n, d))
     reduce_to_gentle(cluster_endo_algebra(ctgent_family(4, 2, [2])).algebra)
@@ -1114,6 +1124,8 @@ def test_final_form_objects_equal_normalised_ones(monkeypatch):
 
     modules = [x for x in built if isinstance(x, Representation)]
     assert len(modules) > 100 and len(built) - len(modules) > 100
+    assert sum(k > 1 for _, k in sums) > 10
+    assert {id(x) for x, _ in sums} <= {id(x) for x in modules}
     for x in built:
         if isinstance(x, Representation):
             alg = x.algebra

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from hga import reps
+from hga import reps, typea
 from hga.errors import ArityMismatch, LabelMatchFailed, ScaleExceeded
 from hga.typea import (
     Tuple,
@@ -195,14 +195,63 @@ def test_ext_table_has_no_diagonal_pair(n, d):
     assert all(i != j for i, j in fam.ext_edges)
 
 
-def test_family_checks_the_diagonal(monkeypatch):
+def test_family_checks_the_diagonal(self_ext):
     """A module with Ext^d(M, M) != 0 breaks the criterion, since no tuple
     intertwines itself."""
-    ext_dim = reps.ext_dim
-    monkeypatch.setattr(reps, "ext_dim",
-                        lambda m, n, i: 1 if m is n else ext_dim(m, n, i))
     with pytest.raises(LabelMatchFailed):
         canonical_cluster_tilting(build_typeA_auslander(3, 2))
+
+
+FAMILY_KEYS = [(3, 2), (4, 2), (5, 2), (6, 2), (3, 3), (4, 3), (3, 4)] + [
+    (n, 1) for n in range(1, 6)]
+
+
+@pytest.mark.parametrize("n, d", FAMILY_KEYS)
+def test_row_check_equals_the_per_pair_ext_table(n, d):
+    # the per-pair loop the row check replaced, kept as the oracle: one
+    # reps.ext_dim per ordered pair, and one intertwines per pair
+    fam = canonical_cluster_tilting(build_typeA_auslander(n, d))
+    mods, labels = fam.modules, fam.labels
+    assert fam.ext_edges == {
+        (i, k) for i, mx in enumerate(mods) for k, my in enumerate(mods)
+        if reps.ext_dim(mx, my, d)}
+    assert fam.intertwining_masks() == [
+        sum(1 << k for k, y in enumerate(labels) if intertwines(y, x))
+        for x in labels]
+
+
+def _box_path(a):
+    """(u, v, w) for a nonzero basis path u -> v -> w of length two."""
+    name = a.quiver.arrow_by_name
+    for path in a.basis_labels[len(a.vertices):]:
+        if len(path) == 2:
+            return (name[path[0]].source, name[path[0]].target,
+                    name[path[1]].target)
+
+
+def test_a_tampered_family_module_fails_the_box_check():
+    # the row check reads Ext off the boxes only once each module is
+    # proved a thin box: a module that is not one raises, with no table
+    a = build_typeA_auslander(3, 2)
+    fam = canonical_cluster_tilting(a)
+    masks, k = fam.intertwining_masks(), 4
+    mod = fam.modules[k]
+    name = next(iter(mod.maps))
+    u, v, w = _box_path(a)
+    tampers = [
+        # a map other than [[1]] inside the box
+        reps.Representation(a, mod.dims, dict(mod.maps, **{name: [[2]]}),
+                            check=False),
+        # a support that is not its own hull: it misses v
+        reps.Representation(a, {u: 1, w: 1}, {}, check=False),
+    ]
+    assert a.hull([u, w]) != [u, w] and v in a.hull([u, w])
+    for bad in tampers:
+        mods = fam.modules[:k] + [bad] + fam.modules[k + 1:]
+        with pytest.raises(LabelMatchFailed, match="not a thin box"):
+            typea._ext_table(fam.labels, mods, masks, 2)
+    assert typea._ext_table(fam.labels, fam.modules, masks, 2) == \
+        fam.ext_edges
 
 
 def test_module_of_reads_the_label_index():

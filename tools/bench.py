@@ -190,10 +190,9 @@ def stored(orig, counts):
 
 
 # the routes by which hga builds a module or a morphism: the normalising
-# constructors, and those a resolution step hands final-form data to; a
-# resolution's first differential, reps._CoverMap, is not counted
+# constructors, and those a resolution step hands final-form data to
 CONSTRUCTORS = (reps.Representation, reps.Morphism, reps._FinalModule,
-                reps._FinalMorphism)
+                reps._FinalMorphism, reps._CoverMap)
 STORED = [(cls, "__init__", ("constructions", "stored_entries"), stored)
           for cls in CONSTRUCTORS]
 
@@ -591,7 +590,9 @@ class Family(Ladder):
       ``ctgent_cover``.  The counts are the calls of ``reps.hom_basis``,
       ``reps.ExtSpace``, ``reps._tau_d_inv_mor`` and
       ``reps.resolution_lift`` made inside ``cluster_endo_algebra``, at any
-      depth.  The last two are the computes behind the memos of
+      depth: an ExtSpace only for a pair not decided zero first, and a map
+      only for a product whose Ext is not zero.  The last two are the
+      computes behind the memos of
       ``reps.higher_translate_inverse_morphism`` and
       ``reps.comparison_map``, so they count the maps computed, not the
       lookups.
@@ -599,8 +600,8 @@ class Family(Ladder):
       the 13 keys of the ``ctgent`` pool, built unmeasured, as a cold
       ``ctgent`` job builds its family.  The counts are the calls of
       ``reps.ext_dim`` and ``reps.ExtSpace`` made inside it: every ordered
-      pair is checked against the Ext^d criterion, and an ExtSpace is built
-      only where Hom out of the resolution's top term does not vanish.
+      pair is checked against the Ext^d criterion one module's row at a
+      time, read off its resolution and the boxes, with neither.
     - ``roles``: ``ctgent_family`` on a fresh family for each of the 13
       keys of the ``ctgent`` pool, built unmeasured.  The counts are the
       calls of ``reps.Representation.dim_vector``, ``reps.simple`` and
@@ -610,8 +611,9 @@ class Family(Ladder):
 
     ``--check`` runs all five: a guard against per-query Ext computations,
     label comparisons and label lookups, a lookup per label, per-collection
-    pair data, a general Hom solve per family pair, an ExtSpace per zero
-    family check, an unchecked family pair, and a search of the family's
+    pair data, a general Hom solve per family pair, a per-pair Ext in the
+    family check, an ExtSpace for a pair decided zero, an unchecked family
+    pair, and a search of the family's
     dimension vectors for its projectives and simples, coming back.
     """
 
@@ -666,14 +668,15 @@ class Reduction(Ladder):
     inside ``reduction.find_injection``, so not those of
     ``is_isomorphic``).  A quotient is built once from its
     presentation and re-presents nothing, so ``represent`` counts the
-    corners, and ``build_algebra`` counts each quotient once among its
-    calls.  ``pool_counts`` sums them over the 13 pool keys: one seedless
+    corners; the quadratic closure of a gentle check counts normal words
+    and builds no algebra, so ``build_algebra`` counts the quotients
+    alone.  ``pool_counts`` sums them over the 13 pool keys: one seedless
     round of the chain's reductions.  ``--check`` runs every key but
     (7, 2, [2, 4, 6]) and (6, 3, [2]): a guard against rebuilt quotients and corners,
     quotients re-presented through a raw table, a nilpotency check on a
-    re-presented corner, and a step certificate that builds its fabric
-    report again instead of reading the one its growth loop made, coming
-    back.
+    re-presented corner, a step certificate that builds its fabric report
+    again instead of reading the one its growth loop made, and an algebra
+    built for a quadratic closure, coming back.
     """
 
     repeat, average = 7, staticmethod(statistics.median)
