@@ -22,7 +22,7 @@ from .errors import (
     LabelMatchFailed,
     UnsupportedSummand,
 )
-from .linalg import F1
+from .linalg import F0, F1
 from .memo import memo
 from .typea import (
     Tuple,
@@ -175,11 +175,12 @@ def _thin_hom(mx, my):
 
 def _pair_homs(fam, x, y):
     """Hom(M_x, M_y) for family labels x, y, read off the thin modules by
-    `_thin_hom`: (components, basis), the basis one all-ones morphism per
-    component.  On the diagonal the one component is the identity's, and
-    the basis, the radical of End(M_x), is empty: End(M_x) is the
-    rationals.  Memoised on the family by label pair, so every collection
-    over it shares these morphisms and what is memoised on them."""
+    `_thin_hom`: (components, basis), the basis one morphism per component,
+    1 on it and 0 on the rest of the supports' intersection.  On the
+    diagonal the one component is the identity's, and the basis, the
+    radical of End(M_x), is empty: End(M_x) is the rationals.  Memoised on
+    the family by label pair, so every collection over it shares these
+    morphisms and what is memoised on them."""
     def compute():
         mx, my = fam.module_of(x), fam.module_of(y)
         comps = _thin_hom(mx, my)
@@ -189,8 +190,10 @@ def _pair_homs(fam, x, y):
                     "summand endomorphism ring is not local over the "
                     "rationals")
             return comps, []
-        return comps, [reps.Morphism(mx, my, {v: [[F1]] for v in c},
-                                     check=False) for c in comps]
+        inter = [v for v in my.support if v in mx.dims]
+        return comps, [reps.Morphism(mx, my, {v: [[F1 if v in c else F0]]
+                                              for v in inter}, check=False)
+                       for c in comps]
 
     return memo(fam, ("hom", x.entries, y.entries), compute)
 

@@ -38,9 +38,9 @@ def restrict_to_quotient(quot, m):
     the action of that arrow's ambient basis element.  For a quotient, m
     must have zero spaces at the removed vertices."""
     dims = {v: m.dims[v] for v in quot.vertices if v in m.dims}
-    arrow = quot.quiver.arrow_by_name
-    maps = {name: m.basis_matrix(i) for name, i in quot.arrow_ambient.items()
-            if arrow[name].source in dims and arrow[name].target in dims}
+    ambient_id = quot.arrow_ambient
+    maps = {ar.name: m.basis_matrix(ambient_id[ar.name]) for u in dims
+            for ar in quot.quiver.arrows_from[u] if ar.target in dims}
     return reps.Representation(quot, dims, maps, check=False)
 
 

@@ -9,11 +9,12 @@ A module is stored by its support, the vertices with a nonzero space:
 both in it, and a morphism's ``blocks`` the vertices where its source and
 target are both nonzero.  Every other dimension is 0 (``dims.get(v, 0)``)
 and every other matrix has a zero size, so ``==`` on ``dims`` and ``maps``
-still compares whole modules.  Every step works on these supports.  Like
-every matrix an unchecked object is given, the stored ones are read-only,
-so objects may share them: where a map vanishes, its kernel keeps the
-source's own matrices, and a resolution's differential the cover map's
-block.
+still compares whole modules.  Every step works on these supports.  An
+object built with ``check=False`` stores what it is given, in the final
+form that ``Representation`` and ``Morphism`` state; its matrices are
+read-only, so objects may share them: where a map vanishes, its kernel
+keeps the source's own matrices, and a resolution's differential the
+cover map's block.
 """
 
 import collections
@@ -35,51 +36,36 @@ from .linalg import F0, F1, exact
 from .memo import memo, peek
 
 
-def _entries(m, check):
-    """The matrix m as a representation or morphism stores it.  A checked
-    matrix is copied with each entry made exact.  An unchecked one is taken
-    as it is: its entries are exact already, and from then on it is owned
-    by the object and read-only, for the caller and everyone else."""
-    if check:
-        return [[exact(x) for x in row] for row in m]
-    return m
-
-
 class Representation:
     """dims and maps as the module docstring says; support is the tuple of
-    the keys of dims, in vertex order.  The given dims and maps may hold
-    zeros and zero-size matrices, which are not stored."""
+    the keys of dims, in vertex order.
+
+    check=True, for outside data, validates dims and maps against the
+    quiver and the relations and stores them normalised: zero dims and
+    zero-size matrices dropped, a zero matrix for each map of the support
+    not given, every entry made exact in a copy.  check=False stores the
+    given dicts as they are, in final form: dims keyed by the support in
+    vertex order, maps complete on it, per support vertex over its
+    ``arrows_from``, with exact entries that are read-only from then on,
+    for the caller and everyone else."""
 
     def __init__(self, algebra, dims, maps, check=True):
         self.algebra = algebra
-        e_index = algebra.e_index
         if check:
-            for v, k in dims.items():
-                if v not in e_index:
-                    raise UnknownVertex(f"unknown vertex {v!r}")
-                if type(k) is not int or k < 0:
-                    raise ValueError(f"dimension {k!r} at vertex {v} is not "
-                                     "a nonnegative integer")
-        self.support = tuple(sorted((v for v, k in dims.items() if k),
-                                    key=e_index.__getitem__))
-        self.dims = own = {v: dims[v] for v in self.support}
-        self.maps = {}
-        arrows_from = algebra.quiver.arrows_from
-        for u in self.support:
-            cols = own[u]
-            for ar in arrows_from[u]:
-                rows = own.get(ar.target)
-                if rows:
-                    m = maps.get(ar.name)
-                    if m is None:
-                        m = [[F0] * cols for _ in range(rows)]
-                    self.maps[ar.name] = _entries(m, check)
+            dims, maps = self._normalised(dims, maps)
+        self.support, self.dims, self.maps = tuple(dims), dims, maps
         if check:
-            self._check(maps)
+            self._check()
 
-    def _check(self, given):
-        quiver, dims = self.algebra.quiver, self.dims
-        for name, m in given.items():
+    def _normalised(self, dims, maps):
+        quiver, e_index = self.algebra.quiver, self.algebra.e_index
+        for v, k in dims.items():
+            if v not in e_index:
+                raise UnknownVertex(f"unknown vertex {v!r}")
+            if type(k) is not int or k < 0:
+                raise ValueError(f"dimension {k!r} at vertex {v} is not "
+                                 "a nonnegative integer")
+        for name, m in maps.items():
             ar = quiver.arrow_by_name.get(name)
             if ar is None:
                 raise UnknownArrow(f"unknown arrow {name!r}")
@@ -87,6 +73,21 @@ class Representation:
             if len(m) != dims.get(ar.target, 0) or any(
                     len(row) != cols for row in m):
                 raise ValueError(f"matrix shape mismatch at arrow {ar.name}")
+        own = {v: dims[v] for v in sorted((v for v, k in dims.items() if k),
+                                          key=e_index.__getitem__)}
+        out = {}
+        for u, cols in own.items():
+            for ar in quiver.arrows_from[u]:
+                rows = own.get(ar.target)
+                if rows:
+                    m = maps.get(ar.name)
+                    out[ar.name] = ([[F0] * cols for _ in range(rows)]
+                                    if m is None else
+                                    [[exact(x) for x in row] for row in m])
+        return own, out
+
+    def _check(self):
+        quiver, dims = self.algebra.quiver, self.dims
         for rel in self.algebra.presentation.relations:
             src = quiver.path_source(rel.terms[0][1])
             tgt = quiver.path_target(rel.terms[0][1])
@@ -134,22 +135,28 @@ class Representation:
 
 
 class Morphism:
-    """blocks as the module docstring says."""
+    """blocks as the module docstring says.  check=True, for outside data,
+    stores them normalised (a zero block where none is given, entries made
+    exact in a copy) and checks that they commute with the arrows.
+    check=False stores the given dict, in final form: a block, zero ones
+    included, at each vertex of the target's support where the source is
+    nonzero, in that order, exact and read-only as for Representation."""
 
     def __init__(self, source, target, blocks, check=True):
         if source.algebra is not target.algebra:
             raise AlgebraMismatch("morphism between different algebras")
         self.source = source
         self.target = target
-        self.blocks = own = {}
-        for v in target.support:
-            cols = source.dims.get(v)
-            if cols:
-                b = blocks.get(v)
-                if b is None:
-                    b = [[F0] * cols for _ in range(target.dims[v])]
-                own[v] = _entries(b, check)
+        self.blocks = blocks
         if check:
+            self.blocks = {}
+            for v, rows in target.dims.items():
+                cols = source.dims.get(v)
+                if cols:
+                    b = blocks.get(v)
+                    self.blocks[v] = ([[F0] * cols for _ in range(rows)]
+                                      if b is None else
+                                      [[exact(x) for x in row] for row in b])
             self._check()
 
     def _check(self):
@@ -175,10 +182,14 @@ class Morphism:
                 other.target.dims != self.source.dims
                 or other.target.maps != self.source.maps):
             raise AlgebraMismatch("morphisms not composable")
-        inner = other.blocks
-        blocks = {v: linalg.mat_mul(b, inner[v])
-                  for v, b in self.blocks.items() if v in inner}
-        return Morphism(other.source, self.target, blocks, check=False)
+        src, outer, inner = other.source, self.blocks, other.blocks
+        blocks = {}
+        for v, rows in self.target.dims.items():
+            cols = src.dims.get(v)
+            if cols:
+                blocks[v] = (linalg.mat_mul(outer[v], inner[v]) if v in inner
+                             else [[F0] * cols for _ in range(rows)])
+        return Morphism(src, self.target, blocks, check=False)
 
     def add(self, other):
         blocks = {v: linalg.mat_add(b, other.blocks[v])
@@ -207,29 +218,6 @@ class Morphism:
 
     def __repr__(self):
         return f"Morphism({self.source.dims} -> {self.target.dims})"
-
-
-class _FinalModule(Representation):
-    """A module handed over in final form: dims keyed by its support in
-    vertex order, maps complete on it in the order ``Representation``
-    stores them.  Stored as given, with no normalising pass."""
-
-    def __init__(self, algebra, dims, maps):
-        self.algebra = algebra
-        self.support = tuple(dims)
-        self.dims = dims
-        self.maps = maps
-
-
-class _FinalMorphism(Morphism):
-    """A morphism handed over in final form: blocks complete on the target
-    support, where the source is nonzero, in the order ``Morphism`` stores
-    them.  Stored as given, with no normalising pass."""
-
-    def __init__(self, source, target, blocks):
-        self.source = source
-        self.target = target
-        self.blocks = blocks
 
 
 class _CoverMap(Morphism):
@@ -261,7 +249,9 @@ def zero_representation(algebra):
 
 
 def zero_morphism(source, target):
-    return Morphism(source, target, {}, check=False)
+    blocks = {v: [[F0] * source.dims[v] for _ in range(rows)]
+              for v, rows in target.dims.items() if v in source.dims}
+    return Morphism(source, target, blocks, check=False)
 
 
 def identity_morphism(m):
@@ -361,7 +351,9 @@ def _projective_data(alg, v):
 def simple(alg, v):
     if v not in alg.e_index:
         raise UnknownVertex(f"unknown vertex {v!r}")
-    return Representation(alg, {v: 1}, {}, check=False)
+    loops = {ar.name: [[F0]] for ar in alg.quiver.arrows_from[v]
+             if ar.target == v}
+    return Representation(alg, {v: 1}, loops, check=False)
 
 
 def dual(m):
@@ -375,13 +367,12 @@ def dual(m):
 
 
 def _dual_module(m):
-    """D m, not memoised."""
-    return Representation(m.algebra.opposite(), m.dims, _dual_maps(m),
-                          check=False)
-
-
-def _dual_maps(m):
-    return {name: linalg.transpose(mat) for name, mat in m.maps.items()}
+    """D m, not memoised: each map transposed, in the opposite's order,
+    per support vertex over the arrows into it."""
+    arrows_to, dims, maps = m.algebra.quiver.arrows_to, m.dims, m.maps
+    dual_maps = {ar.name: linalg.transpose(maps[ar.name])
+                 for w in dims for ar in arrows_to[w] if ar.source in dims}
+    return Representation(m.algebra.opposite(), dims, dual_maps, check=False)
 
 
 def dual_morphism(f):
@@ -415,7 +406,7 @@ def _sum_module(alg, reps):
                 for j, x in enumerate(row, off[ar.source]):
                     if x:
                         mat[i][j] = x
-    return _FinalModule(alg, dims, maps), offsets
+    return Representation(alg, dims, maps, check=False), offsets
 
 
 def direct_sum(reps):
@@ -551,8 +542,9 @@ def _kernel(f):
             if cols:
                 maps[ar.name] = (img if len(cols) == len(img)
                                  else [img[j] for j in cols])
-    k = _FinalModule(alg, {v: len(cols) for v, cols in free.items()}, maps)
-    return k, _FinalMorphism(k, m, incl_blocks), free
+    k = Representation(alg, {v: len(cols) for v, cols in free.items()}, maps,
+                       check=False)
+    return k, Morphism(k, m, incl_blocks, check=False), free
 
 
 def cokernel(f):
@@ -655,7 +647,7 @@ def from_generators(p, vertices, n, images):
                 for row, x in zip(blocks[w], vec):
                     if x:
                         row[col] = x
-    return _FinalMorphism(p, n, blocks)
+    return Morphism(p, n, blocks, check=False)
 
 
 def generator_images(f, vertices):
@@ -786,7 +778,7 @@ def _differential(incl, epi):
             blocks[v] = epi.blocks[v]
         else:
             blocks[v] = linalg.mat_mul(b, epi.blocks[v])
-    return _FinalMorphism(p, q, blocks)
+    return Morphism(p, q, blocks, check=False)
 
 
 def is_projective(m):
@@ -1287,8 +1279,4 @@ def is_gorenstein_projective(m, n=None):
 
 
 def representation_from_dict(alg, d):
-    maps = {
-        name: [[exact(x) for x in row] for row in mat]
-        for name, mat in d.get("maps", {}).items()
-    }
-    return Representation(alg, d["dims"], maps)
+    return Representation(alg, d["dims"], d.get("maps", {}))

@@ -113,8 +113,8 @@ def test_stored_counts_what_a_module_and_a_morphism_keep():
 
 
 def test_stored_counts_a_kernel_built_in_final_form():
-    # a kernel and its inclusion come through the final-form route, which
-    # the auslander ladder counts beside the normalising constructors
+    # a kernel and its inclusion are handed to the unchecked constructors
+    # in final form, which the auslander ladder counts like checked ones
     a = build_typeA_auslander(3, 2)
     _, epi, _ = reps.projective_cover(reps.simple(a, a.vertices[0]))
     assert not epi.is_zero()

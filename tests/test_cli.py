@@ -119,8 +119,10 @@ def test_check_gentle_takes_only_a_list_of_vertex_names(tmp_path, capsys, e):
     ({"dims": {"1": -1}}, ValueError),
     ({"dims": {"1": 1, "4": 0}}, UnknownVertex),
     ({"dims": {"1": 1}, "maps": {"b1": []}}, UnknownArrow),
+    ({"dims": {"1": 1, "2": 1}, "maps": {"a1": [["x"]]}}, ValueError),
 ], ids=["unknown-arrow", "unknown-vertex", "fractional-dim", "negative-dim",
-        "unknown-vertex-at-zero", "unknown-arrow-of-size-zero"])
+        "unknown-vertex-at-zero", "unknown-arrow-of-size-zero",
+        "non-numeric-entry"])
 def test_verify_example_rejects_a_bad_module(tmp_path, module, error):
     a = build_algebra(presentation_from_dict(gentle_chain_dict()))
     with pytest.raises(error):

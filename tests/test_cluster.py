@@ -655,7 +655,7 @@ def test_thin_rule_matches_hom_basis(n, d):
     for x, mx in zip(fam.labels, fam.modules):
         for y, my in zip(fam.labels, fam.modules):
             comps, basis = cluster._pair_homs(fam, x, y)
-            thin = [reps.Morphism(mx, my, {v: [[1]] for v in c}, check=False)
+            thin = [reps.Morphism(mx, my, {v: [[1]] for v in c})
                     for c in comps]
             assert [f.blocks for f in thin] == \
                 [f.blocks for f in reps.hom_basis(mx, my)], (x, y)

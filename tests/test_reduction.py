@@ -636,7 +636,7 @@ def reference_corner_column_module(corner, v):
             for t, c in amb.mult_basis(x, j).items():
                 mat[pos[t]][col] = c
         maps[ar.name] = mat
-    return reps.Representation(corner, dims, maps, check=False)
+    return reps.Representation(corner, dims, maps)
 
 
 def test_corner_column_module_matches_the_basis_scan():

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -785,21 +787,33 @@ class _ReadOnlyList(list):
 
 @pytest.mark.parametrize("n,d,idx", [(4, 2, [2, 4]), (3, 3, [2])])
 def test_unchecked_matrices_are_never_written(monkeypatch, n, d, idx):
-    # an unchecked Representation or Morphism owns the matrices it is given:
-    # nobody may write to them through the object, and the caller may not
-    # write to them after handing them over
+    # an unchecked Representation or Morphism stores the dicts and matrices
+    # it is given, by identity, with no copy, and owns the matrices: nobody
+    # may write to them through the object, and the caller may not write
+    # to them after handing them over
     from hga import axioms, cluster, reduction
 
     handed = []
-    checked_entries = reps._entries
 
-    def guarded(m, check):
-        if check:
-            return checked_entries(m, check)
-        handed.append((m, [list(row) for row in m]))
-        return _ReadOnlyList(_ReadOnlyList(row) for row in m)
+    def guard(cls, stores):
+        init = cls.__init__
 
-    monkeypatch.setattr(reps, "_entries", guarded)
+        def guarded(self, *args, check=True):
+            if check:
+                return init(self, *args)
+            *head, given = args
+            owned = {k: _ReadOnlyList(map(_ReadOnlyList, m))
+                     for k, m in given.items()}
+            handed.extend((m, [list(row) for row in m])
+                          for m in given.values())
+            init(self, *head, owned, check=False)
+            assert stores(self, head, owned)
+
+        monkeypatch.setattr(cls, "__init__", guarded)
+
+    guard(Representation, lambda self, head, owned:
+          self.dims is head[1] and self.maps is owned)
+    guard(Morphism, lambda self, head, owned: self.blocks is owned)
     c = cluster.ctgent_family(n, d, idx)
     res = cluster.cluster_endo_algebra(c)
     cover, e = cluster.ctgent_cover(c)
@@ -853,8 +867,8 @@ def reference_cokernel(f):
             for row, x in enumerate(cls):
                 mat[row][col] = x
         maps[ar.name] = mat
-    c = Representation(alg, dims, maps, check=False)
-    return c, Morphism(n, c, proj_blocks, check=False), section
+    c = Representation(alg, dims, maps)
+    return c, Morphism(n, c, proj_blocks), section
 
 
 def _cokernel_test_maps(mods, rng):
@@ -1092,16 +1106,73 @@ def test_min_poly_is_the_least_monic_annihilator():
     assert max(degrees) > 2
 
 
+def _thin(alg, support):
+    """The thin module on support with every map inside it 1."""
+    return Representation(alg, dict.fromkeys(support, 1), {
+        ar.name: [[1]] for ar in alg.quiver.arrows
+        if ar.source in support and ar.target in support})
+
+
+def _final_form_callers():
+    """Each caller that must hand over zeros or an order of its own: a
+    simple at a loop, a zero map between overlapping supports then added
+    to, a composite whose middle module misses a vertex of both ends, a
+    dual whose maps leave in another order than they arrive, a corner
+    whose arrows are not in vertex order, and a Hom pair with two
+    components."""
+    from hga import cluster
+    from hga.algebras import idempotent_subalgebra
+    from hga.presentations import Idempotent
+    from hga.reduction import corner_column_module
+
+    simple(loop_algebra(), "v")
+    alg = nakayama3()
+    p1, s1, s2 = projective(alg, "1"), simple(alg, "1"), simple(alg, "2")
+    zero_morphism(s2, p1).add(hom_basis(s2, p1)[0])
+    zero_morphism(s1, s2).compose(zero_morphism(s2, s1))
+    a = build_typeA_auslander(4, 2)
+    pool = _module_pool(a)
+    composed = 0
+    for x, m, y in itertools.product(pool, repeat=3):
+        if any(v in y.dims and v not in m.dims for v in x.dims):
+            g, h = hom_basis(m, y), hom_basis(x, m)
+            if g and h:
+                g[0].compose(h[0])
+                composed += 1
+                if composed == 5:
+                    break
+    assert composed == 5
+    q = Quiver(["1", "2", "3"], [("a", "1", "3"), ("b", "2", "1")])
+    dual(projective(build_algebra(BoundQuiverPresentation(q, [])), "2"))
+    q = Quiver(["2", "1", "3"],
+               [("x", "2", "1"), ("y", "1", "2"), ("z", "2", "3")])
+    two_cycle = build_algebra(BoundQuiverPresentation(
+        q, [zero_relation(("x", "y")), zero_relation(("y", "x"))]))
+    corner = idempotent_subalgebra(two_cycle, Idempotent.of(["2", "1"]))
+    assert [ar.source for ar in corner.quiver.arrows] == ["1", "2"]
+    corner_column_module(corner, "2")
+    # 1 -> 2 <- 3: Hom(M_{123}, S_1 + S_3) has a component at 1 and at 3
+    q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "3", "2")])
+    alg = build_algebra(BoundQuiverPresentation(q, []))
+    mods = {"x": _thin(alg, "123"), "y": _thin(alg, "13")}
+    fam = types.SimpleNamespace(module_of=lambda lab: mods[lab.entries])
+    x, y = (types.SimpleNamespace(entries=k) for k in "xy")
+    comps, basis = cluster._pair_homs(fam, x, y)
+    assert comps == [("1",), ("3",)] and len(basis) == 2
+
+
 def test_final_form_objects_equal_normalised_ones(monkeypatch):
-    # each kernel, inclusion, cover map, differential and sum of
-    # projectives a resolution step hands over in final form, and each
-    # direct sum, is what the checked constructors build from
-    # its data, key order included, with every map of its support present
+    # every Representation and Morphism built with check=False (kernels,
+    # inclusions, cover maps, differentials, sums of projectives, direct
+    # sums, duals, composites, restrictions, Hom bases) is what the
+    # checked constructors build from its data, key order included, with
+    # every map of its support present: its caller handed over final form
     built, sums = [], []
-    for cls in (reps._FinalModule, reps._FinalMorphism):
-        def init(self, *args, _orig=cls.__init__):
-            _orig(self, *args)
-            built.append(self)
+    for cls in (Representation, Morphism):
+        def init(self, *args, check=True, _orig=cls.__init__):
+            _orig(self, *args, check=check)
+            if not check:
+                built.append(self)
         monkeypatch.setattr(cls, "__init__", init)
     sum_module = reps._sum_module
 
@@ -1121,6 +1192,7 @@ def test_final_form_objects_equal_normalised_ones(monkeypatch):
     two_cycle = build_algebra(BoundQuiverPresentation(
         q, [zero_relation(("a", "b")), zero_relation(("b", "a"))]))
     minimal_resolution(simple(two_cycle, "1"), 3)
+    _final_form_callers()
 
     modules = [x for x in built if isinstance(x, Representation)]
     assert len(modules) > 100 and len(built) - len(modules) > 100
@@ -1141,20 +1213,6 @@ def test_final_form_objects_equal_normalised_ones(monkeypatch):
             assert list(x.blocks.items()) == list(y.blocks.items())
             assert list(x.blocks) == [v for v in x.target.support
                                       if v in x.source.dims]
-
-
-def test_a_resolution_step_builds_its_objects_in_final_form():
-    # no normalising pass: every kernel, inclusion and differential past
-    # P_0 of a resolution over A^2_4 comes through the final-form route
-    a = build_typeA_auslander(4, 2)
-    for v in a.vertices:
-        s = simple(a, v)
-        for k in range(len(minimal_resolution(s, 9)[0])):
-            _, diffs, _, kern, incl = reps._resolution(s, k)
-            assert k == 0 or type(diffs[k]) is reps._FinalMorphism
-            if kern is not None:
-                assert type(kern) is reps._FinalModule
-                assert type(incl) is reps._FinalMorphism
 
 
 def test_a_kernel_shares_its_cover_matrices_where_the_map_vanishes():

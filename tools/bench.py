@@ -165,17 +165,6 @@ class Counting:
         return make
 
 
-def rows_copied(orig, counts):
-    """``reps._entries``, counting the matrix rows it copies for an
-    unchecked ``Representation`` or ``Morphism``."""
-    def entries(m, check):
-        out = orig(m, check)
-        if not check and out is not m:
-            counts["unchecked_rows_copied"] += len(m)
-        return out
-    return entries
-
-
 def stored(orig, counts):
     """The ``__init__`` of a class in ``CONSTRUCTORS``, counting the
     objects built in ``constructions`` and the entries each stores in
@@ -189,10 +178,9 @@ def stored(orig, counts):
     return init
 
 
-# the routes by which hga builds a module or a morphism: the normalising
-# constructors, and those a resolution step hands final-form data to
-CONSTRUCTORS = (reps.Representation, reps.Morphism, reps._FinalModule,
-                reps._FinalMorphism, reps._CoverMap)
+# the routes by which hga builds a module or a morphism: the two
+# constructors, checked or given final form, and a resolution's cover map
+CONSTRUCTORS = (reps.Representation, reps.Morphism, reps._CoverMap)
 STORED = [(cls, "__init__", ("constructions", "stored_entries"), stored)
           for cls in CONSTRUCTORS]
 
@@ -396,9 +384,9 @@ class Auslander(Ladder):
     ``hga/linalg.py`` (see ``Counting``): what the dense kernel pays per
     call beyond its arithmetic; and ``constructions`` and
     ``stored_entries``, the ``Representation`` and ``Morphism`` objects
-    built by every route in ``CONSTRUCTORS`` and the dims, maps and blocks
-    they store (see ``stored``).  ``--check`` runs every row: a guard
-    against a resolution step that pays for the whole quiver again, or
+    built by the routes in ``CONSTRUCTORS``, checked or not, and the dims,
+    maps and blocks they store (see ``stored``).  ``--check`` runs every
+    row: a guard against a resolution step that pays for the whole quiver again, or
     for a product with an identity (it enters frames in ``hga/linalg.py``),
     against a dense call that copies, allocates or searches through
     helpers again, and, with ``stored_entries`` a ceiling, against a
@@ -717,13 +705,11 @@ class Represent(Ladder):
     - ``nullspace_calls``, ``sparse_add_calls`` and ``rank_calls``: the
       calls of ``linalg.nullspace``, ``TrackedSpan.add`` and
       ``linalg.rank`` made inside ``represent``, at any depth;
-    - ``rad_nilpotency_calls``: every ``Algebra.rad_nilpotency`` call;
-    - ``unchecked_rows_copied``: see ``rows_copied``.
+    - ``rad_nilpotency_calls``: every ``Algebra.rad_nilpotency`` call.
 
     ``round`` sums both over the 13 pool keys: one seedless round of the
     ``ctgent`` workload.  ``--check`` runs the 13 pool keys: a guard
-    against the ideal generation, the second build or the copies coming
-    back.
+    against the ideal generation or the second build coming back.
     """
 
     repeat, average = 7, staticmethod(statistics.median)
@@ -733,8 +719,7 @@ class Represent(Ladder):
                (linalg.TrackedSpan, "add", "sparse_add_calls", "scoped"),
                (linalg, "rank", "rank_calls", "scoped"),
                (algebras.Algebra, "rad_nilpotency", "rad_nilpotency_calls",
-                "all"),
-               (reps, "_entries", ("unchecked_rows_copied",), rows_copied)]
+                "all")]
 
     def rows(self):
         return chain_rows("round")
