@@ -48,7 +48,77 @@ EXIT_INTERNAL = 4
 
 
 def _dump(data, out):
-    _write(json.dumps(data, indent=2, sort_keys=True) + "\n", out)
+    _write(_json_text(data), out)
+
+
+def _json_text(data):
+    """json.dumps(data, indent=2, sort_keys=True) + "\n", byte for byte.
+
+    json indents through a pure-Python encoder whose closures leave
+    objects in reference cycles on every call; this walk leaves none.  It
+    takes containers, keys and leaves as json does: a tuple is a list, a
+    key is sorted before it is made a string, and anything else raises
+    json's errors."""
+    parts = []
+    _encode(data, parts, "\n")
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _encode(o, parts, newline):
+    """Append the JSON text of o to parts; newline starts a line at o's
+    depth."""
+    if isinstance(o, str):
+        parts.append(_encode_str(o))
+    elif isinstance(o, (list, tuple, dict)):
+        is_dict = isinstance(o, dict)
+        if not o:
+            parts.append("{}" if is_dict else "[]")
+            return
+        inner = newline + "  "
+        parts.append("{" if is_dict else "[")
+        for i, item in enumerate(sorted(o.items()) if is_dict else o):
+            sep = "," + inner if i else inner
+            if is_dict:
+                key, item = item
+                text = key if isinstance(key, str) else _scalar_text(key)
+                if text is None:
+                    raise TypeError("keys must be str, int, float, bool or "
+                                    f"None, not {key.__class__.__name__}")
+                parts.append(sep + _encode_str(text) + ": ")
+            else:
+                parts.append(sep)
+            _encode(item, parts, inner)
+        parts.append(newline + ("}" if is_dict else "]"))
+    else:
+        text = _scalar_text(o)
+        if text is None:
+            raise TypeError(f"Object of type {o.__class__.__name__} "
+                            "is not JSON serializable")
+        parts.append(text)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _scalar_text(x):
+    """The JSON text of None, a bool, an int or a float, as json writes
+    it; None for anything else."""
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if x != x:
+            return "NaN"
+        if x in (math.inf, -math.inf):
+            return "Infinity" if x > 0 else "-Infinity"
+        return float.__repr__(x)
+    return None
 
 
 def _write(text, out):

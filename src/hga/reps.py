@@ -136,11 +136,13 @@ class Representation:
 
 class Morphism:
     """blocks as the module docstring says.  check=True, for outside data,
-    stores them normalised (a zero block where none is given, entries made
-    exact in a copy) and checks that they commute with the arrows.
-    check=False stores the given dict, in final form: a block, zero ones
-    included, at each vertex of the target's support where the source is
-    nonzero, in that order, exact and read-only as for Representation."""
+    validates each given block's vertex and shape, dims[target] x
+    dims[source] there, as Representation does its maps, stores them
+    normalised (a zero block where none is given, entries made exact in a
+    copy) and checks that they commute with the arrows.  check=False stores
+    the given dict, in final form: a block, zero ones included, at each
+    vertex of the target's support where the source is nonzero, in that
+    order, exact and read-only as for Representation."""
 
     def __init__(self, source, target, blocks, check=True):
         if source.algebra is not target.algebra:
@@ -149,6 +151,7 @@ class Morphism:
         self.target = target
         self.blocks = blocks
         if check:
+            self._validate(blocks)
             self.blocks = {}
             for v, rows in target.dims.items():
                 cols = source.dims.get(v)
@@ -158,6 +161,17 @@ class Morphism:
                                       if b is None else
                                       [[exact(x) for x in row] for row in b])
             self._check()
+
+    def _validate(self, blocks):
+        e_index = self.source.algebra.e_index
+        for v in blocks:
+            if v not in e_index:
+                raise UnknownVertex(f"unknown vertex {v!r}")
+        for v, b in blocks.items():
+            cols = self.source.dims.get(v, 0)
+            if len(b) != self.target.dims.get(v, 0) or any(
+                    len(row) != cols for row in b):
+                raise ValueError(f"block shape mismatch at vertex {v}")
 
     def _check(self):
         src, tgt, blocks = self.source, self.target, self.blocks
@@ -506,8 +520,14 @@ def _kernel(f):
     Where f vanishes the kernel is the whole space: the inclusion block is
     the identity, the one square block, and an arrow's map out of there is
     m's own matrix, or its rows at the free columns.  The kernel and its
-    inclusion are built in final form."""
+    inclusion are built in final form.
+
+    A thin m (every dim 1) with 1x1 blocks takes no rref (`_thin_kernel`):
+    the kernel is m restricted to the vertices where the block is absent
+    or 0, the objects that elimination builds."""
     m = f.source
+    if _thin(m) and all(len(b) == 1 for b in f.blocks.values()):
+        return _thin_kernel(f)
     alg = m.algebra
     free, incl_blocks = {}, {}
     for v, k in m.dims.items():
@@ -547,6 +567,35 @@ def _kernel(f):
     return k, Morphism(k, m, incl_blocks, check=False), free
 
 
+def _thin_kernel(f):
+    """_kernel of f out of a thin module with 1x1 blocks, read off the
+    scalars: the source restricted to the vertices where the block is
+    absent or 0, with the source's own maps and [[1]] inclusion blocks.  An
+    arrow from a kept vertex to a dropped one must carry 0."""
+    m, blocks = f.source, f.blocks
+    keep = {v: 1 for v in m.dims if v not in blocks or not blocks[v][0][0]}
+    arrows_from, own = m.algebra.quiver.arrows_from, m.maps
+    maps = {}
+    for u in keep:
+        for ar in arrows_from[u]:
+            img = own.get(ar.name)
+            if img is None:
+                continue
+            if ar.target in keep:
+                maps[ar.name] = img
+            elif img[0][0]:
+                raise InternalError("kernel is not a subrepresentation")
+    k = Representation(m.algebra, keep, maps, check=False)
+    return (k, Morphism(k, m, {v: [[F1]] for v in keep}, check=False),
+            {v: [0] for v in keep})
+
+
+def _thin(m):
+    """Whether every dim of m is 1 (a zero m is thin)."""
+    dims = m.dims
+    return len(dims) == sum(dims.values())
+
+
 def cokernel(f):
     """Cokernel with its projection."""
     return _cokernel(f)[:2]
@@ -584,18 +633,30 @@ def radical_vectors(m):
 
 
 def projective_cover(m):
-    """Minimal projective cover; returns (P, epi, summand vertex list)."""
+    """Minimal projective cover; returns (P, epi, summand vertex list).
+
+    The top at v is what the radical vectors leave of m_v, one rref of
+    them per support vertex.  A thin m (every dim 1) takes none: its top
+    is the support vertices that no arrow from the support maps into by
+    a nonzero scalar, each generator's image 1."""
     alg = m.algebra
-    rad = radical_vectors(m)
-    summands, images = [], []
-    for v in m.support:
-        pivots = linalg.rref(rad[v])[1] if rad[v] else ()
-        if len(pivots) == m.dims[v]:
-            continue
-        for k, unit in enumerate(linalg.identity(m.dims[v])):
-            if k not in pivots:
-                summands.append(v)
-                images += unit
+    if _thin(m):
+        arrow = alg.quiver.arrow_by_name
+        hit = {arrow[name].target for name, mat in m.maps.items()
+               if mat[0][0]}
+        summands = [v for v in m.support if v not in hit]
+        images = [F1] * len(summands)
+    else:
+        rad = radical_vectors(m)
+        summands, images = [], []
+        for v in m.support:
+            pivots = linalg.rref(rad[v])[1] if rad[v] else ()
+            if len(pivots) == m.dims[v]:
+                continue
+            for k, unit in enumerate(linalg.identity(m.dims[v])):
+                if k not in pivots:
+                    summands.append(v)
+                    images += unit
     if not summands:
         p = zero_representation(alg)
         return p, Morphism(p, m, {}, check=False), []
@@ -619,11 +680,26 @@ def from_generators(p, vertices, n, images):
     images concatenates one vector of n_v per summand, in order.  A basis
     path b of P_v goes to n(b) applied to the image, one arrow at a time:
     n of its last arrow applied to its prefix's vector, walked by
-    `_basis_prefixes`.  The blocks are built in final form."""
+    `_basis_prefixes`.  The blocks are built in final form.
+
+    Out of one thin P_v into a thin n (every dim 1 on both) no mat_vec is
+    taken: the block at w is [[x_w]], x_w the image times the product of
+    n's scalars along the one basis path v -> w, 0 once it leaves n."""
     alg = p.algebra
     dims, maps = n.dims, n.maps
     source, tgt = alg.basis_index().source, alg.basis_tgt
     prefix, last = _basis_prefixes(alg)
+    if len(vertices) == 1 and _thin(p) and _thin(n):
+        x = {}          # basis id -> its scalar
+        for b in source[vertices[0]]:
+            if last[b] is None:
+                x[b] = images[0] if images else F0
+            else:
+                s, mat = x[prefix[b]], maps.get(last[b])
+                x[b] = mat[0][0] * s if s and mat is not None else F0
+        at = {tgt[b]: s for b, s in x.items()}
+        blocks = {w: [[at[w] or F0]] for w in dims if w in at}
+        return Morphism(p, n, blocks, check=False)
     blocks = {w: [[F0] * p.dims[w] for _ in range(k)]
               for w, k in dims.items() if w in p.dims}
     start = 0

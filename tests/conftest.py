@@ -7,6 +7,7 @@ benchmark's fixed pools (``perfbench/workloads.py``) are importable as
 the BENCH harness (``tools/bench.py``) as ``bench``.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -41,3 +42,36 @@ def self_ext(monkeypatch):
             1 if box is mx.dims else dim(box) if top else 0)
 
     monkeypatch.setattr(typea, "_ext_row", tampered)
+
+
+def json_bytes(report):
+    """What ``hga.cli`` writes for a report: json's indented dump."""
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.fixture
+def reports_dump_as_json(monkeypatch):
+    """Every report the CLI writes, and every certificate and
+    verify-example report built, gives ``cli._json_text`` the bytes of
+    ``json_bytes``."""
+    from hga import axioms, cli, reduction
+
+    text = cli._json_text
+
+    def checked(report):
+        out = text(report)
+        assert out == json_bytes(report)
+        return out
+
+    def checking(build):
+        def built(*args, **kwargs):
+            report = build(*args, **kwargs)
+            checked(report)
+            return report
+        return built
+
+    monkeypatch.setattr(cli, "_json_text", checked)
+    monkeypatch.setattr(axioms.GentleCertificate, "to_dict",
+                        checking(axioms.GentleCertificate.to_dict))
+    monkeypatch.setattr(reduction, "verify_sg_example",
+                        checking(reduction.verify_sg_example))

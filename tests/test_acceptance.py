@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from hga import reps
+from hga import reduction, reps
 from hga.axioms import SandwichWitness, find_sandwiches, is_d_gentle_certificate
 from hga.cluster import (
     SummandCollection,
@@ -24,13 +24,16 @@ from hga.cluster import (
     is_d_rigid,
 )
 from hga.presentations import Idempotent
-from hga.reduction import gentle_sg_invariant, reduce_to_gentle, verify_sg_example
+from hga.reduction import gentle_sg_invariant, reduce_to_gentle
 from hga.typea import (
     build_typeA_auslander,
     canonical_cluster_tilting,
     intertwines,
     maximal_nonintertwining,
 )
+
+# every report built here is written by hga.cli as json writes it
+pytestmark = pytest.mark.usefixtures("reports_dump_as_json")
 
 A24_EDGES = {
     ("13", "14"), ("24", "25"), ("35", "36"), ("15", "25"), ("26", "36"),
@@ -272,7 +275,7 @@ def test_09_syzygy_orbit_verification(ex51_algebra, capfd):
         mods.append(cur)
         _, epi, _ = reps.projective_cover(cur)
         cur, _ = reps.kernel(epi)
-    rep = verify_sg_example(ex51_algebra, mods)
+    rep = reduction.verify_sg_example(ex51_algebra, mods)
     assert rep["pass"]
     assert rep["orbitLength"] == 14
     assert rep["failures"] == []

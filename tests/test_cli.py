@@ -1,5 +1,7 @@
+import enum
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,6 +21,10 @@ from hga import (
 from hga import cli, reps
 from hga.cli import main
 from hga.errors import InternalError, UnknownArrow, UnknownVertex
+
+
+# every report the CLI writes here is compared with json's bytes
+pytestmark = pytest.mark.usefixtures("reports_dump_as_json")
 
 
 def write(path, data):
@@ -384,3 +390,39 @@ def test_main_builds_one_parser_on_first_call(tmp_path, monkeypatch):
     assert digests == [
         "3dbe75b8eac66c3c41ea689d3d4ed166f515e8e6ba88d2e5afc98cbbcd5253d9",
         "76669a10901a5d33f5fe9995ce2663969ffb5f2684c2247007bf989cf951fd98"]
+
+
+class _Level(enum.IntEnum):
+    HIGH = 3
+
+
+class _Text(str):
+    pass
+
+
+@pytest.mark.parametrize("report", [
+    {}, [], (), 0, "x", None, 10 ** 30, [float("nan"), math.inf, -math.inf,
+                                         1e300, -0.0, 0.1],
+    {"b": [1, (2, 3.5)], "a": {}, "c": [[], ()], "d": None, "e": True,
+     "f": False, "g": "é\"\\\n☃"},
+    {1: "one", 3: "three", 2: "two"}, {1.5: 0, -2.5: 1}, {True: 1, False: 0},
+    {None: 1}, {_Level.HIGH: _Level.HIGH}, {_Text("k"): _Text("v")},
+    {"z": [{"a": [{}]}], "y": ((1,),)},
+], ids=repr)
+def test_json_text_writes_json_bytes(report):
+    # the CLI's writer takes containers, keys and leaves as json does,
+    # a read-only tuple as a list
+    from conftest import json_bytes
+    assert cli._json_text(report) == json_bytes(report)
+
+
+@pytest.mark.parametrize("report", [
+    {1: 2, "a": 3}, {(1,): 2}, object(), {"a": [1j]}, {"a": {1, 2}}])
+def test_json_text_refuses_what_json_refuses(report):
+    from conftest import json_bytes
+    errors = []
+    for write in (cli._json_text, json_bytes):
+        with pytest.raises((TypeError, ValueError)) as info:
+            write(report)
+        errors.append((info.type, str(info.value)))
+    assert errors[0] == errors[1]

@@ -16,6 +16,7 @@ from hga.errors import (
     InternalError,
     InvalidPresentation,
     NotGorensteinVerified,
+    UnknownVertex,
 )
 from hga.memo import peek
 from hga.reduction import reduce_to_gentle
@@ -206,6 +207,23 @@ def test_dual_stores_no_map_into_a_zero_space():
     assert basis
     for f in basis:
         reps.Morphism(f.source, f.target, f.blocks, check=True)
+
+
+@pytest.mark.parametrize("blocks, error, match", [
+    ({"1": [[1, 2, 3], [4, 5, 6]], "7": [[1]]}, UnknownVertex, "'7'"),
+    ({"1": [[1, 2, 3], [4, 5, 6]]}, ValueError, "shape mismatch at vertex 1"),
+    ({"7": [[1]]}, UnknownVertex, "'7'"),
+    ({"2": [[1]]}, ValueError, "shape mismatch at vertex 2"),
+    ({"1": [[1], [0]]}, ValueError, "shape mismatch at vertex 1"),
+], ids=["both", "shape", "unknown-vertex", "block-at-zero", "too-many-rows"])
+def test_checked_morphism_validates_every_given_block(blocks, error, match):
+    # the checked constructor rejects what Representation rejects in its
+    # maps: a key that is no vertex, and a block that is not
+    # dims[target] x dims[source] there, a zero space included
+    s1 = simple(nakayama3(), "1")
+    with pytest.raises(error, match=match):
+        Morphism(s1, s1, blocks)
+    assert Morphism(s1, s1, {"1": [[2]], "2": []}).blocks == {"1": [[2]]}
 
 
 def test_decompose_direct_sum():
@@ -916,27 +934,184 @@ def test_cokernel_matches_unit_vector_reduction(family):
     assert stars > 0 and len(maps) > 50
 
 
-def test_kernel_step_costs_one_rref_per_support_vertex(monkeypatch):
-    # a resolution step pays for the support of its module, not for the
-    # quiver: the kernel of the cover of a simple over A^2_8 takes one
-    # rref per vertex where the projective is nonzero and no other
-    # elimination
-    a = build_typeA_auslander(8, 2)
-    v = a.vertices[len(a.vertices) // 2]
-    p, epi, _ = projective_cover(simple(a, v))
-    calls = dict.fromkeys(("rref", "nullspace"), 0)
+def _count_calls(monkeypatch, names):
+    """Counters on the named linalg routines, installed for the test."""
+    calls = dict.fromkeys(names, 0)
     for name in calls:
         def counted(*args, _name=name, _orig=getattr(linalg, name), **kw):
             calls[_name] += 1
             return _orig(*args, **kw)
         monkeypatch.setattr(linalg, name, counted)
+    return calls
+
+
+def test_kernel_step_costs_one_rref_per_support_vertex(monkeypatch):
+    # a resolution step pays for the support of its module, not for the
+    # quiver.  The cover of a simple over A^2_8 is a thin P_v, so its
+    # kernel is read off the scalars with no elimination at all; the
+    # cover of S_v + S_v is not thin, and its kernel takes at most one
+    # rref per vertex where the projective is nonzero and no nullspace
+    a = build_typeA_auslander(8, 2)
+    v = a.vertices[len(a.vertices) // 2]
+    s = simple(a, v)
+    thin_epi = projective_cover(s)[1]
+    p, epi, _ = projective_cover(direct_sum([s, s])[0])
+    calls = _count_calls(monkeypatch, ("rref", "nullspace"))
+    k, incl = kernel(thin_epi)
+    assert calls == {"rref": 0, "nullspace": 0}
+    assert k.total_dim == thin_epi.source.total_dim - 1
     k, incl = kernel(epi)
     assert calls["nullspace"] == 0
     support = [w for w in a.vertices if w in p.dims]
     assert 0 < calls["rref"] <= len(support) < len(a.vertices)
-    assert k.total_dim == p.total_dim - 1
+    assert k.total_dim == p.total_dim - 2
     Representation(a, k.dims, k.maps)
     reps.Morphism(k, p, incl.blocks)
+
+
+def _step_parts(m):
+    """A resolution step on m, as the objects it builds: the cover, its
+    summands, the cover map, the kernel, its inclusion and free columns."""
+    p, epi, summands = projective_cover(m)
+    k, incl, free = reps._kernel(epi)
+    return p, summands, epi, k, incl, free
+
+
+def _general(monkeypatch, run, *args):
+    """run(*args) with the thin branches switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(reps, "_thin", lambda m: False)
+        return run(*args)
+
+
+def _assert_same_step(thin, general):
+    """Both steps built equal objects: dims, maps and blocks in the same
+    key order, each kernel map the cover's own matrix in both or in
+    neither."""
+    (p, summands, epi, k, incl, free), (q, summands2, epi2, k2, incl2,
+                                       free2) = thin, general
+    assert summands == summands2
+    for x, y in ((p, q), (k, k2)):
+        assert list(x.dims.items()) == list(y.dims.items())
+        assert list(x.maps.items()) == list(y.maps.items())
+    for x, y in ((epi, epi2), (incl, incl2)):
+        assert list(x.blocks.items()) == list(y.blocks.items())
+    assert list(free.items()) == list(free2.items())
+    assert ([mat is p.maps.get(name) for name, mat in k.maps.items()]
+            == [mat is q.maps.get(name) for name, mat in k2.maps.items()])
+
+
+def _resolved_modules(monkeypatch):
+    """The modules that every resolution step of the auslander pool's
+    homdims and of the (4,2) and (3,3) ctgent chains covers."""
+    from hga import axioms, cluster, reduction
+    from workloads import AUSLANDER_POOL, CTGENT_POOL
+
+    seen, cover = [], reps.projective_cover
+
+    def recorded(m):
+        seen.append(m)
+        return cover(m)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(reps, "projective_cover", recorded)
+        for n, d in AUSLANDER_POOL:
+            homological_dims(build_typeA_auslander(n, d))
+        for n, d, idx in CTGENT_POOL:
+            if (n, d) in ((4, 2), (3, 3)):
+                c = cluster.ctgent_family(n, d, list(idx))
+                cover_alg, e = cluster.ctgent_cover(c)
+                axioms.is_d_gentle_certificate(cover_alg.algebra, e, d)
+                trace = reduce_to_gentle(cluster_endo_algebra(c).algebra)
+                reduction.gentle_sg_invariant(trace.terminal)
+    return seen
+
+
+def test_thin_resolution_steps_equal_the_general_path(monkeypatch):
+    # a thin module's cover, cover map and kernel are read off its
+    # scalars; every step of the benchmark's resolutions builds what the
+    # general path builds, and most of them take the thin rule
+    mods = _resolved_modules(monkeypatch)
+    thin = 0
+    for m in mods:
+        parts = _step_parts(m)
+        _assert_same_step(parts, _general(monkeypatch, _step_parts, m))
+        thin += (reps._thin(m) and len(parts[1]) == 1
+                 and reps._thin(parts[0]))
+    assert len(mods) > 2000 and thin > 0.85 * len(mods)
+
+
+def _thin_hand_cases():
+    """(module, whether its step takes elimination): modules with a
+    2-dimensional vertex, with two tops, over the Kronecker quiver (thin,
+    with a projective cover that is not), and thin ones with scalars
+    other than 1 and with a zero map."""
+    kron = kronecker_modules()
+    alg = nakayama3()
+    q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "3", "2")])
+    vee = build_algebra(BoundQuiverPresentation(q, []))
+    q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
+    line = build_algebra(BoundQuiverPresentation(q, []))
+    return [
+        (direct_sum([projective(alg, "1"), simple(alg, "2")])[0], True),
+        (_thin(vee, "123"), True),
+        (kron[1], True),
+        (kron[2], True),
+        (Representation(line, dict.fromkeys("123", 1),
+                        {"a": [[2]], "b": [[Fraction(-1, 3)]]}), False),
+        (Representation(line, dict.fromkeys("123", 1),
+                        {"a": [[2]], "b": [[0]]}), True),
+        (Representation(line, {"1": 1, "2": 1}, {"a": [[0]]}), True),
+    ]
+
+
+def test_thin_rule_hand_cases(monkeypatch):
+    # modules outside the thin rule take elimination and build what it
+    # built before; a thin module with other scalars takes none
+    calls = _count_calls(monkeypatch, ("rref", "mat_vec"))
+    for m, eliminates in _thin_hand_cases():
+        before = dict(calls)
+        parts = _step_parts(m)
+        assert (calls != before) == eliminates
+        _assert_same_step(parts, _general(monkeypatch, _step_parts, m))
+    m = _thin_hand_cases()[4][0]
+    p, epi, _ = projective_cover(m)
+    assert [b[0][0] for b in epi.blocks.values()] == [1, 2, Fraction(-2, 3)]
+    # a generator sent elsewhere than to 1, as a lift or an Ext class sends it
+    for image in ([3], [0], [Fraction(1, 2)]):
+        got = reps.from_generators(p, ["1"], m, image)
+        want = _general(monkeypatch, reps.from_generators, p, ["1"], m,
+                        image)
+        assert list(got.blocks.items()) == list(want.blocks.items())
+        assert got.blocks["3"] == [[image[0] * Fraction(-2, 3)]]
+
+
+def test_thin_kernel_keeps_the_vertices_where_the_map_is_zero(
+        monkeypatch):
+    # P_1 -> S_1 + S_2 on 1 -> 2 -> 3, 1 at vertex 1 and 0 at vertex 2:
+    # the kernel is P_1 at 2 and 3, with P_1's own map between them; a
+    # block that is not 1x1 (into S_1 + S_2 + S_2) takes the general path
+    q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
+    line = build_algebra(BoundQuiverPresentation(q, []))
+    p1 = projective(line, "1")
+    flat = Representation(line, {"1": 1, "2": 1}, {"a": [[0]]})
+    two = Representation(line, {"1": 1, "2": 2}, {"a": [[0], [0]]})
+    maps = [Morphism(p1, flat, {"1": [[1]], "2": [[0]]}),
+            Morphism(p1, two, {"1": [[1]], "2": [[0], [0]]})]
+    calls = _count_calls(monkeypatch, ("rref",))
+    got = [reps._kernel(f) for f in maps]
+    assert calls["rref"] == 2
+    for f, (k, incl, free) in zip(maps, got):
+        k2, incl2, free2 = _general(monkeypatch, reps._kernel, f)
+        assert list(k.dims.items()) == list(k2.dims.items()) == [
+            ("2", 1), ("3", 1)]
+        assert k.maps == k2.maps and k.maps["b"] is p1.maps["b"]
+        assert list(incl.blocks.items()) == list(incl2.blocks.items())
+        assert free == free2
+    # a kernel that leaves its module is a fault, read off the scalars
+    broken = Morphism(p1, flat, {"1": [[0]], "2": [[1]]}, check=False)
+    with pytest.raises(InternalError, match="not a subrepresentation"):
+        reps._kernel(broken)
 
 
 def _assert_stored_on_support(m):

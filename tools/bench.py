@@ -386,7 +386,9 @@ class Auslander(Ladder):
     ``stored_entries``, the ``Representation`` and ``Morphism`` objects
     built by the routes in ``CONSTRUCTORS``, checked or not, and the dims,
     maps and blocks they store (see ``stored``).  ``--check`` runs every
-    row: a guard against a resolution step that pays for the whole quiver again, or
+    row: a guard against a resolution step that pays for the whole quiver again,
+    for elimination on a thin module (its cover, cover map and kernel are
+    read off its scalars, with no ``rref`` or ``mat_vec``), or
     for a product with an identity (it enters frames in ``hga/linalg.py``),
     against a dense call that copies, allocates or searches through
     helpers again, and, with ``stored_entries`` a ceiling, against a
@@ -839,7 +841,8 @@ class Memory(Ladder):
     in memory.  The peak depends on the Python version, so it is checked
     only on the version of the file's ``host``.  ``cyclic_objects`` is
     recorded, not checked: it counts the standard library's cycles too
-    (each indented ``json`` dump leaves 33 objects in cycles of its own).
+    (the indented ``json`` dump of an ``auslander`` job's presentation
+    leaves 33 objects in cycles of its own; the CLI's reports leave none).
     """
 
     def rows(self):
