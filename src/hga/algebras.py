@@ -464,17 +464,6 @@ def _normal_words(quiver, generators, length_cap, relation_at=None):
     return (paths, src, tgt, parent, last, act), None
 
 
-def _add_new(span, vec, seen):
-    """Whether vec joins span, a TrackedSpan: False without a reduction
-    when vec is an exact repeat of a vector in ``seen``, the vectors
-    already added to span."""
-    key = frozenset(vec.items())
-    if key in seen:
-        return False
-    seen.add(key)
-    return span.add(vec) is None
-
-
 def _corner_arrows(a, keep):
     """(quiver, arrow ids, dim) of the corner eAe, e the idempotent on the
     vertex set keep: arrows lifting rad/rad^2, by block in (str(source),
@@ -504,14 +493,14 @@ def _corner_arrows(a, keep):
     for (s, t), ids in sorted(blocks.items(),
                               key=lambda kv: (str(kv[0][0]), str(kv[0][1]))):
         if (s, t) in multi:
-            span, seen = TrackedSpan(), set()
+            span = TrackedSpan()
             for w in keep:
                 for j in index.block.get((s, w), ()):
                     for i in index.block.get((w, t), ()):
                         prod = a.mult.get((i, j)) if min(i, j) >= nv else None
                         if prod:
-                            _add_new(span, prod, seen)
-            ids = [b for b in ids if _add_new(span, {b: F1}, seen)]
+                            span.add(prod)
+            ids = [b for b in ids if span.add({b: F1}) is None]
         base = f"{s}_{t}"
         for b in ids:
             k = name_count[base] = name_count.get(base, -1) + 1

@@ -510,28 +510,32 @@ def _kernel(f):
     """Kernel, inclusion, and per support vertex of the kernel the free
     columns of f's block there.
 
-    One rref of f's block per support vertex gives the kernel there: one
-    basis vector per free column, 1 at that column and 0 at the other free
-    ones.  So the coordinates of a kernel vector are its entries at the
-    free columns, and each arrow's map on the kernel is read off the rows
-    of (arrow matrix) x (inclusion block) at those columns.  Where f has
-    no block, the target is zero there and no rref is needed.
+    One loop over the support of f's source m.  A one-dimensional m_v is
+    in the kernel exactly when f's column at v is zero or absent (the
+    target is zero there): free column [0], inclusion block [[1]].  At a
+    vertex of dimension 2 or more, the kernel is the whole space where f
+    has no block, else one rref of the block gives it: one basis vector
+    per free column, 1 at that column and 0 at the other free ones.  So
+    the coordinates of a kernel vector are its entries at the free
+    columns, and each arrow's map on the kernel is read off the rows of
+    (arrow matrix) x (inclusion block) at those columns.
 
-    Where f vanishes the kernel is the whole space: the inclusion block is
-    the identity, the one square block, and an arrow's map out of there is
-    m's own matrix, or its rows at the free columns.  The kernel and its
-    inclusion are built in final form.
-
-    A thin m (every dim 1) with 1x1 blocks takes no rref (`_thin_kernel`):
-    the kernel is m restricted to the vertices where the block is absent
-    or 0, the objects that elimination builds."""
+    Where the kernel is the whole space, the inclusion block is the
+    identity, the one square block, and an arrow's map out of there is m's
+    own matrix, or its rows at the free columns.  An arrow into a
+    one-dimensional m_w leaves the kernel exactly when w is not in it and
+    the arrow's row there is nonzero, a scalar test; elsewhere f's block
+    times the map must vanish.  The kernel and its inclusion are built in
+    final form."""
     m = f.source
-    if _thin(m) and all(len(b) == 1 for b in f.blocks.values()):
-        return _thin_kernel(f)
-    alg = m.algebra
+    alg, own = m.algebra, m.maps
     free, incl_blocks = {}, {}
     for v, k in m.dims.items():
         b = f.blocks.get(v)
+        if k == 1:
+            if b is None or not any(map(any, b)):
+                free[v], incl_blocks[v] = [0], [[F1]]
+            continue
         if b is None:
             free[v], incl_blocks[v] = list(range(k)), linalg.identity(k)
             continue
@@ -549,51 +553,21 @@ def _kernel(f):
     for u, block in incl_blocks.items():
         whole = len(block) == len(block[0])
         for ar in arrows_from[u]:
-            w = ar.target
-            if w not in m.dims:
+            img = own.get(ar.name)
+            if img is None:
                 continue
-            img = m.maps[ar.name]
             if not whole:
                 img = linalg.mat_mul(img, block)
-            fw = f.blocks.get(w)
-            if fw and any(map(any, linalg.mat_mul(fw, img))):
+            cols, fw = free.get(ar.target), f.blocks.get(ar.target)
+            if fw and (not cols and any(img[0]) if len(img) == 1
+                       else any(map(any, linalg.mat_mul(fw, img)))):
                 raise InternalError("kernel is not a subrepresentation")
-            cols = free.get(w)
             if cols:
                 maps[ar.name] = (img if len(cols) == len(img)
                                  else [img[j] for j in cols])
     k = Representation(alg, {v: len(cols) for v, cols in free.items()}, maps,
                        check=False)
     return k, Morphism(k, m, incl_blocks, check=False), free
-
-
-def _thin_kernel(f):
-    """_kernel of f out of a thin module with 1x1 blocks, read off the
-    scalars: the source restricted to the vertices where the block is
-    absent or 0, with the source's own maps and [[1]] inclusion blocks.  An
-    arrow from a kept vertex to a dropped one must carry 0."""
-    m, blocks = f.source, f.blocks
-    keep = {v: 1 for v in m.dims if v not in blocks or not blocks[v][0][0]}
-    arrows_from, own = m.algebra.quiver.arrows_from, m.maps
-    maps = {}
-    for u in keep:
-        for ar in arrows_from[u]:
-            img = own.get(ar.name)
-            if img is None:
-                continue
-            if ar.target in keep:
-                maps[ar.name] = img
-            elif img[0][0]:
-                raise InternalError("kernel is not a subrepresentation")
-    k = Representation(m.algebra, keep, maps, check=False)
-    return (k, Morphism(k, m, {v: [[F1]] for v in keep}, check=False),
-            {v: [0] for v in keep})
-
-
-def _thin(m):
-    """Whether every dim of m is 1 (a zero m is thin)."""
-    dims = m.dims
-    return len(dims) == sum(dims.values())
 
 
 def cokernel(f):
@@ -619,44 +593,36 @@ def _cokernel(f):
     return c, Morphism(f.target, c, proj, check=False), kept
 
 
-def radical_vectors(m):
-    """Spanning vectors of rad M per support vertex (images of all arrows
-    into it, in arrow order)."""
-    dims, arrows_to = m.dims, m.algebra.quiver.arrows_to
-    out = {}
-    for w in m.support:
-        vecs = out[w] = []
-        for ar in arrows_to[w]:
-            if ar.source in dims:
-                vecs.extend(map(list, filter(any, zip(*m.maps[ar.name]))))
-    return out
-
-
 def projective_cover(m):
     """Minimal projective cover; returns (P, epi, summand vertex list).
 
-    The top at v is what the radical vectors leave of m_v, one rref of
-    them per support vertex.  A thin m (every dim 1) takes none: its top
-    is the support vertices that no arrow from the support maps into by
-    a nonzero scalar, each generator's image 1."""
+    One loop over the support: the top at v is what the images of the
+    arrows into v from the support leave of m_v.  A one-dimensional m_v is
+    top exactly when none of those maps has a nonzero entry, its
+    generator's image [1].  At a vertex of dimension 2 or more, the top is
+    read off one rref of the nonzero columns of those maps, in arrow
+    order: each unit vector off their pivots is a generator's image."""
     alg = m.algebra
-    if _thin(m):
-        arrow = alg.quiver.arrow_by_name
-        hit = {arrow[name].target for name, mat in m.maps.items()
-               if mat[0][0]}
-        summands = [v for v in m.support if v not in hit]
-        images = [F1] * len(summands)
-    else:
-        rad = radical_vectors(m)
-        summands, images = [], []
-        for v in m.support:
-            pivots = linalg.rref(rad[v])[1] if rad[v] else ()
-            if len(pivots) == m.dims[v]:
-                continue
-            for k, unit in enumerate(linalg.identity(m.dims[v])):
-                if k not in pivots:
-                    summands.append(v)
-                    images += unit
+    dims, maps, arrows_to = m.dims, m.maps, alg.quiver.arrows_to
+    summands, images = [], []
+    for v, k in dims.items():
+        if k == 1:
+            for ar in arrows_to[v]:
+                if ar.source in dims and any(maps[ar.name][0]):
+                    break
+            else:
+                summands.append(v)
+                images.append(F1)
+            continue
+        rad = [list(col) for ar in arrows_to[v] if ar.source in dims
+               for col in zip(*maps[ar.name]) if any(col)]
+        pivots = linalg.rref(rad)[1] if rad else ()
+        if len(pivots) == k:
+            continue
+        for j, unit in enumerate(linalg.identity(k)):
+            if j not in pivots:
+                summands.append(v)
+                images += unit
     if not summands:
         p = zero_representation(alg)
         return p, Morphism(p, m, {}, check=False), []
@@ -671,6 +637,12 @@ def _projective_sum(alg, vertices):
     if len(vertices) == 1:
         return projective(alg, vertices[0])
     return _sum_module(alg, [_projective_data(alg, v) for v in vertices])[0]
+
+
+def _thin(m):
+    """Whether every dim of m is 1 (a zero m is thin)."""
+    dims = m.dims
+    return len(dims) == sum(dims.values())
 
 
 def from_generators(p, vertices, n, images):

@@ -14,7 +14,7 @@ from hga import (
     quotient_by_idempotent,
     zero_relation,
 )
-from hga import algebras, axioms, linalg, reps
+from hga import algebras, axioms, reps
 from hga.algebras import Algebra, represent
 from hga.cluster import cluster_endo_algebra, ctgent_cover, ctgent_family
 from hga.errors import EmptyIdempotent, InvalidPresentation, NotAdmissible
@@ -421,16 +421,6 @@ def test_non_nilpotent_radical_not_admissible(mult):
         minimal_presentation(raw)
     with pytest.raises(NotAdmissible, match="not nilpotent"):
         represent(raw)
-
-
-def test_spans_skip_exact_repeats_only():
-    span, seen = linalg.TrackedSpan(), set()
-    assert algebras._add_new(span, {0: 1, 1: 1}, seen)
-    assert not algebras._add_new(span, {0: 1, 1: 1}, seen)
-    # same support, different vector: reduced and added
-    assert algebras._add_new(span, {0: 1, 1: 2}, seen)
-    assert not algebras._add_new(span, {0: 2, 1: 3}, seen)
-    assert sorted(span.rows) == [0, 1]
 
 
 def _index_cases():

@@ -53,6 +53,7 @@ from hga.reps import (
 )
 from hga.typea import build_typeA_auslander, canonical_cluster_tilting
 import reference_decompose
+import reference_resolution
 from reference_linalg import reduce_mod_rows
 
 
@@ -969,27 +970,36 @@ def test_kernel_step_costs_one_rref_per_support_vertex(monkeypatch):
     reps.Morphism(k, p, incl.blocks)
 
 
-def _step_parts(m):
+def _step_parts(m, cover=projective_cover, kern=reps._kernel):
     """A resolution step on m, as the objects it builds: the cover, its
     summands, the cover map, the kernel, its inclusion and free columns."""
-    p, epi, summands = projective_cover(m)
-    k, incl, free = reps._kernel(epi)
+    p, epi, summands = cover(m)
+    k, incl, free = kern(epi)
     return p, summands, epi, k, incl, free
 
 
 def _general(monkeypatch, run, *args):
-    """run(*args) with the thin branches switched off."""
+    """run(*args) with from_generators' thin walk switched off."""
     with monkeypatch.context() as patch:
         patch.setattr(reps, "_thin", lambda m: False)
         return run(*args)
 
 
-def _assert_same_step(thin, general):
+def _reference_step(monkeypatch, m):
+    """The step on m by elimination at every support vertex
+    (``reference_resolution``), its cover map by from_generators' general
+    walk."""
+    return _general(monkeypatch, _step_parts, m,
+                    reference_resolution.projective_cover,
+                    reference_resolution.kernel)
+
+
+def _assert_same_step(got, want):
     """Both steps built equal objects: dims, maps and blocks in the same
     key order, each kernel map the cover's own matrix in both or in
     neither."""
     (p, summands, epi, k, incl, free), (q, summands2, epi2, k2, incl2,
-                                       free2) = thin, general
+                                       free2) = got, want
     assert summands == summands2
     for x, y in ((p, q), (k, k2)):
         assert list(x.dims.items()) == list(y.dims.items())
@@ -1003,7 +1013,7 @@ def _assert_same_step(thin, general):
 
 def _resolved_modules(monkeypatch):
     """The modules that every resolution step of the auslander pool's
-    homdims and of the (4,2) and (3,3) ctgent chains covers."""
+    homdims and of the 13 ctgent chains covers."""
     from hga import axioms, cluster, reduction
     from workloads import AUSLANDER_POOL, CTGENT_POOL
 
@@ -1018,34 +1028,35 @@ def _resolved_modules(monkeypatch):
         for n, d in AUSLANDER_POOL:
             homological_dims(build_typeA_auslander(n, d))
         for n, d, idx in CTGENT_POOL:
-            if (n, d) in ((4, 2), (3, 3)):
-                c = cluster.ctgent_family(n, d, list(idx))
-                cover_alg, e = cluster.ctgent_cover(c)
-                axioms.is_d_gentle_certificate(cover_alg.algebra, e, d)
-                trace = reduce_to_gentle(cluster_endo_algebra(c).algebra)
-                reduction.gentle_sg_invariant(trace.terminal)
+            c = cluster.ctgent_family(n, d, list(idx))
+            cover_alg, e = cluster.ctgent_cover(c)
+            axioms.is_d_gentle_certificate(cover_alg.algebra, e, d)
+            trace = reduce_to_gentle(cluster_endo_algebra(c).algebra)
+            reduction.gentle_sg_invariant(trace.terminal)
     return seen
 
 
 def test_thin_resolution_steps_equal_the_general_path(monkeypatch):
-    # a thin module's cover, cover map and kernel are read off its
-    # scalars; every step of the benchmark's resolutions builds what the
-    # general path builds, and most of them take the thin rule
+    # a one-dimensional vertex of a step is read off its scalars; every
+    # step of the benchmark's resolutions builds what elimination at
+    # every support vertex builds, and most of them take no rref
     mods = _resolved_modules(monkeypatch)
-    thin = 0
+    calls = _count_calls(monkeypatch, ("rref",))
+    scalar = 0
     for m in mods:
+        before = calls["rref"]
         parts = _step_parts(m)
-        _assert_same_step(parts, _general(monkeypatch, _step_parts, m))
-        thin += (reps._thin(m) and len(parts[1]) == 1
-                 and reps._thin(parts[0]))
-    assert len(mods) > 2000 and thin > 0.85 * len(mods)
+        scalar += calls["rref"] == before
+        _assert_same_step(parts, _reference_step(monkeypatch, m))
+    assert len(mods) > 4000 and scalar > 0.9 * len(mods)
 
 
-def _thin_hand_cases():
-    """(module, whether its step takes elimination): modules with a
-    2-dimensional vertex, with two tops, over the Kronecker quiver (thin,
-    with a projective cover that is not), and thin ones with scalars
-    other than 1 and with a zero map."""
+def _hand_cases():
+    """(module, rref calls, mat_vec calls) of its step: P_1 + S_2 on
+    1 -> 2 -> 3 with a 2-dimensional vertex, a thin module with two tops,
+    the Kronecker modules (thin, each with one of its two maps 0 or
+    neither, and a sum of two, with projective covers that are not thin),
+    and thin modules with scalars 2 and -1/3 and with a zero map."""
     kron = kronecker_modules()
     alg = nakayama3()
     q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "3", "2")])
@@ -1053,28 +1064,29 @@ def _thin_hand_cases():
     q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
     line = build_algebra(BoundQuiverPresentation(q, []))
     return [
-        (direct_sum([projective(alg, "1"), simple(alg, "2")])[0], True),
-        (_thin(vee, "123"), True),
-        (kron[1], True),
-        (kron[2], True),
+        (direct_sum([projective(alg, "1"), simple(alg, "2")])[0], 2, 1),
+        (_thin(vee, "123"), 1, 2),
+        *((m, 1, 2) for m in kron[:5]),
+        (kron[5], 3, 4),
         (Representation(line, dict.fromkeys("123", 1),
-                        {"a": [[2]], "b": [[Fraction(-1, 3)]]}), False),
+                        {"a": [[2]], "b": [[Fraction(-1, 3)]]}), 0, 0),
         (Representation(line, dict.fromkeys("123", 1),
-                        {"a": [[2]], "b": [[0]]}), True),
-        (Representation(line, {"1": 1, "2": 1}, {"a": [[0]]}), True),
+                        {"a": [[2]], "b": [[0]]}), 1, 2),
+        (Representation(line, {"1": 1, "2": 1}, {"a": [[0]]}), 1, 1),
     ]
 
 
 def test_thin_rule_hand_cases(monkeypatch):
-    # modules outside the thin rule take elimination and build what it
-    # built before; a thin module with other scalars takes none
+    # each step builds what elimination at every vertex builds, and takes
+    # one rref per vertex of dimension 2 or more where it must eliminate
     calls = _count_calls(monkeypatch, ("rref", "mat_vec"))
-    for m, eliminates in _thin_hand_cases():
+    for m, rref, mat_vec in _hand_cases():
         before = dict(calls)
         parts = _step_parts(m)
-        assert (calls != before) == eliminates
-        _assert_same_step(parts, _general(monkeypatch, _step_parts, m))
-    m = _thin_hand_cases()[4][0]
+        assert (calls["rref"] - before["rref"],
+                calls["mat_vec"] - before["mat_vec"]) == (rref, mat_vec)
+        _assert_same_step(parts, _reference_step(monkeypatch, m))
+    m = _hand_cases()[-3][0]
     p, epi, _ = projective_cover(m)
     assert [b[0][0] for b in epi.blocks.values()] == [1, 2, Fraction(-2, 3)]
     # a generator sent elsewhere than to 1, as a lift or an Ext class sends it
@@ -1089,25 +1101,29 @@ def test_thin_rule_hand_cases(monkeypatch):
 def test_thin_kernel_keeps_the_vertices_where_the_map_is_zero(
         monkeypatch):
     # P_1 -> S_1 + S_2 on 1 -> 2 -> 3, 1 at vertex 1 and 0 at vertex 2:
-    # the kernel is P_1 at 2 and 3, with P_1's own map between them; a
-    # block that is not 1x1 (into S_1 + S_2 + S_2) takes the general path
+    # the kernel is P_1 at 2 and 3, with P_1's own map between them, and
+    # so it is for a 2x1 zero block at vertex 2 (into S_1 + S_2 + S_2),
+    # with no rref; a nonzero 2x1 column drops vertex 2 as well
     q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
     line = build_algebra(BoundQuiverPresentation(q, []))
     p1 = projective(line, "1")
     flat = Representation(line, {"1": 1, "2": 1}, {"a": [[0]]})
     two = Representation(line, {"1": 1, "2": 2}, {"a": [[0], [0]]})
+    bent = Representation(line, {"1": 1, "2": 2}, {"a": [[0], [1]]})
     maps = [Morphism(p1, flat, {"1": [[1]], "2": [[0]]}),
-            Morphism(p1, two, {"1": [[1]], "2": [[0], [0]]})]
+            Morphism(p1, two, {"1": [[1]], "2": [[0], [0]]}),
+            Morphism(p1, bent, {"1": [[1]], "2": [[0], [1]]})]
     calls = _count_calls(monkeypatch, ("rref",))
     got = [reps._kernel(f) for f in maps]
-    assert calls["rref"] == 2
-    for f, (k, incl, free) in zip(maps, got):
-        k2, incl2, free2 = _general(monkeypatch, reps._kernel, f)
+    assert calls["rref"] == 0
+    for f, (k, incl, free), support in zip(maps, got, ("23", "23", "3")):
+        k2, incl2, free2 = reference_resolution.kernel(f)
         assert list(k.dims.items()) == list(k2.dims.items()) == [
-            ("2", 1), ("3", 1)]
-        assert k.maps == k2.maps and k.maps["b"] is p1.maps["b"]
+            (v, 1) for v in support]
+        assert k.maps == k2.maps
         assert list(incl.blocks.items()) == list(incl2.blocks.items())
         assert free == free2
+    assert got[0][0].maps["b"] is got[1][0].maps["b"] is p1.maps["b"]
     # a kernel that leaves its module is a fault, read off the scalars
     broken = Morphism(p1, flat, {"1": [[0]], "2": [[1]]}, check=False)
     with pytest.raises(InternalError, match="not a subrepresentation"):

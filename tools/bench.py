@@ -387,8 +387,9 @@ class Auslander(Ladder):
     built by the routes in ``CONSTRUCTORS``, checked or not, and the dims,
     maps and blocks they store (see ``stored``).  ``--check`` runs every
     row: a guard against a resolution step that pays for the whole quiver again,
-    for elimination on a thin module (its cover, cover map and kernel are
-    read off its scalars, with no ``rref`` or ``mat_vec``), or
+    for elimination at a one-dimensional vertex (the cover and the kernel
+    read it off its scalars, with no ``rref``, and the cover map out of one
+    thin P_v into a thin module takes no ``mat_vec``), or
     for a product with an identity (it enters frames in ``hga/linalg.py``),
     against a dense call that copies, allocates or searches through
     helpers again, and, with ``stored_entries`` a ceiling, against a
