@@ -28,7 +28,12 @@ from .algebras import (
     build_algebra,
     idempotent_subalgebra,
 )
-from .errors import InternalError, NotAdmissible, UnknownArrow
+from .errors import (
+    EmptyIdempotent,
+    InternalError,
+    NotAdmissible,
+    UnknownArrow,
+)
 from .linalg import F1, TrackedSpan, div
 from .memo import memo
 from .presentations import Idempotent, RelationElement
@@ -355,6 +360,10 @@ def find_sandwiches(a):
     two zero relations.  A partial match at a vertex with extra arrows is
     the shadow of higher-dimensional mesh geometry (the class escapes along
     the remaining direction) and obstructs nothing.
+
+    Since the six vertices are distinct, a quiver with fewer than six has
+    no match; `is_d_gentle_certificate` skips the hull's scan on that
+    count.
     """
     alg = _as_quiver_values(a)
     quiver = alg.quiver
@@ -537,6 +546,11 @@ def _e3_entry(alg):
                     "witnesses": [s.to_dict() for s in sandwiches[:5]]})
 
 
+# (E3) of a corner with fewer than six vertices, which holds no sandwich
+# (`find_sandwiches`)
+_NO_SANDWICH = _frozen({"pass": True, "witnesses": []})
+
+
 def _cover_axioms(alg, d):
     """(A1)-(A4) and (E1)-(E2) of alg at degree bound d, memoised on alg
     per d.
@@ -664,7 +678,12 @@ def _corner_cube_violation(a, m, keep=None):
     edge: an element that causes either is rejected when it is placed.  No
     pruned branch holds a passing cube, so the first witness is the one the
     unpruned search finds.
+
+    A cube's 2^m vertices are distinct and kept, so with fewer than 2^m
+    kept vertices there is none, and nothing is built or walked.
     """
+    if len(a.vertices if keep is None else keep) < 2 ** m:
+        return None
     t = _mask_tables(a)
     vm, mid, mult = t["vm"], t["mid"], a.mult
     lab = a.basis_labels
@@ -921,12 +940,23 @@ def is_d_gentle_certificate(cover, e, d):
     pattern scan reads the cover restricted to e, so a passing certificate
     re-presents no corner.  B is re-presented once, on the first read of
     ``corner``: to name the first cube of B, or to scan B itself.
+
+    Each scan is skipped when its pattern cannot fit, and both bounds are
+    exact, since a pattern's vertices are distinct: a hull of fewer than
+    six vertices holds no sandwich, so it passes (E3) with no corner quiver
+    built, and an e of fewer than 2^(d+1) vertices holds no (d + 1)-cube,
+    so the pattern scan walks nothing (`_corner_cube_violation`).  (E4)
+    reads the hull corner only when (E3) fails.
     """
     cover = _as_algebra(cover)
     e.validate(cover.vertices)
+    if not e.vertex_subset:
+        raise EmptyIdempotent("idempotent over the empty vertex set")
     hull = _hull_idempotent(cover, e)
-    hull_corner = CornerQuiver(cover, hull)
-    entries = dict(_cover_axioms(cover, d + 1), E3=_e3_entry(hull_corner))
+    hull_corner = (CornerQuiver(cover, hull)
+                   if len(hull.vertex_subset) >= 6 else None)
+    e3 = _NO_SANDWICH if hull_corner is None else _e3_entry(hull_corner)
+    entries = dict(_cover_axioms(cover, d + 1), E3=e3)
     e4 = _heredity(entries, cover, hull_corner)
     pre = PreGentleReport(AxiomReport(entries, d + 1), e4, ReadOnlyList(
         sorted(map(str, hull.vertex_subset))))

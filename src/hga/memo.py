@@ -38,6 +38,19 @@ may both compute a missing value; ``dict.setdefault`` keeps the first one
 stored, so every caller gets the same object.  A weak entry is stored under
 a lock, after a second look at the table, so every caller that holds its
 value gets the same object too.
+
+An object's table is made under the same lock, and it is looked up with
+``getattr``, never through ``obj.__dict__``.  On CPython 3.11 an instance
+keeps its attributes in an inline values array until something reads its
+``__dict__``; that first read builds a dict over the array, and the dict's
+allocation may run the cyclic collector, whose finalizers run Python code
+and so may hand the GIL to another thread.  If that thread then reads the
+same object's ``__dict__``, it builds a second dict over the same array.
+The object keeps only one of them, the first of the two to be freed frees
+the array under the other, and a later full collection reads the freed
+memory and crashes.  ``getattr`` reads the inline values without
+building a dict, so the only read of ``__dict__`` here is the one under the
+lock, and hga reads no ``__dict__`` anywhere else.
 """
 
 import threading
@@ -52,15 +65,17 @@ _misses = count()
 # a weak entry is a weakref stored under (_WEAK, key), so a strong hit costs
 # one lookup, as it did before weak entries
 _WEAK = object()
-_weak_lock = threading.Lock()
+# re-entrant, so a collection that runs inside the locked code may call memo
+_lock = threading.RLock()
 
 
 def memo(obj, key, compute, weak=False):
     """The value of ``compute()`` memoised on ``obj`` under ``key``; held
     through a weak reference when ``weak`` (see the module docstring)."""
-    table = obj.__dict__.get("_memo")
+    table = getattr(obj, "_memo", None)
     if table is None:
-        table = obj.__dict__.setdefault("_memo", {})
+        with _lock:
+            table = obj.__dict__.setdefault("_memo", {})
     value = table.get(key, _MISSING)
     if value is _MISSING:
         return _missed(table, key, compute, weak)
@@ -82,7 +97,7 @@ def _missed(table, key, compute, weak):
     value = compute()
     if not weak and ref is None:
         return table.setdefault(key, value)
-    with _weak_lock:
+    with _lock:
         stored = table.get(key)
         if stored is None:
             stored = _weak_value(table, key)
@@ -104,7 +119,7 @@ def _weak_value(table, key):
 
 def peek(obj, key):
     """The value stored for ``key`` on ``obj``, or None; computes nothing."""
-    table = obj.__dict__.get("_memo", {})
+    table = getattr(obj, "_memo", {})
     value = table.get(key)
     return _weak_value(table, key) if value is None else value
 

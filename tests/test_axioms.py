@@ -311,7 +311,26 @@ def test_corner_cube_violation_matches_leaf_reference():
     assert 0 < positive < cases
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_cube_scan_needs_2_to_the_m_kept_vertices(m):
+    # every kept set of 2^m - 1 and 2^m vertices of the 3-cube: the scan
+    # agrees with the reference, which has no size bound, and only sets of
+    # 2^m vertices hold an m-cube (at m = 3, the whole cube only)
+    a = build_algebra(cube3())
+    found = Counter()
+    for size in (2 ** m - 1, 2 ** m):
+        for keep in combinations(a.vertices, size):
+            witness = _corner_cube_violation(a, m, keep)
+            assert witness == reference_corner_cube(a, m, set(keep))
+            found[size] += witness is not None
+    assert found[2 ** m - 1] == 0 < found[2 ** m]
+    assert _corner_cube_violation(a, m) == reference_corner_cube(a, m)
+
+
 def test_cover_scan_matches_corner_scan_on_the_pools():
+    # the rigid entries are checked against the reference, which scans
+    # every kept set, as the bounded scans skip each one of fewer than 8
+    # vertices
     pool, found = rigid_pool(), Counter()
     for n in RIGID_NS:
         cover = build_typeA_auslander(n, 3)
@@ -319,7 +338,7 @@ def test_cover_scan_matches_corner_scan_on_the_pools():
             for sub in part:
                 subset = ["".join(map(str, t)) for t in sub]
                 found[assert_cover_scan_matches_corner_scan(
-                    cover, subset, (3,), reference=False)] += 1
+                    cover, subset, (3,))] += 1
     for n, d, idx in CTGENT_POOL:
         cover, e = ctgent_cover(ctgent_family(n, d, list(idx)))
         found[assert_cover_scan_matches_corner_scan(
@@ -485,11 +504,18 @@ def test_certificate_square_corner_passes():
 
 def test_sandwich_cover_fails_certificate():
     p = sandwich_config1()
-    cert = is_d_gentle_certificate(
-        build_algebra(p), Idempotent.of(p.quiver.vertices), 2
-    )
+    cover = build_algebra(p)
+    cert = is_d_gentle_certificate(cover, Idempotent.of(p.quiver.vertices), 2)
     assert cert.verdict == "fail"
     assert cert.pre_gentle.verdict == "fail"
+    # the hull has exactly the six vertices of the sandwich, and its
+    # (E3) and (E4) fail with the sandwich as witness
+    assert len(cert.pre_gentle.hull) == 6
+    e3 = cert.pre_gentle.axioms.entries["E3"]
+    assert not e3["pass"] and e3 == _e3_entry(
+        CornerQuiver(cover, Idempotent.of(cert.pre_gentle.hull)))
+    assert cert.pre_gentle.e4["witness"]["axiom"] == "E3"
+    assert cert.pre_gentle.e4["witness"]["subset"] == cert.pre_gentle.hull
 
 
 def mixed_routes(rng):
@@ -567,6 +593,27 @@ def test_corner_quiver_checks_match_the_re_presented_corner():
     # the comparisons see sandwiches, cubes, non-monomial corners and
     # parallel arrows
     assert sandwiches and cubes and non_monomial and parallel
+
+
+def test_certificate_e3_is_the_hull_corner_entry():
+    # the certificate skips the hull corner under six vertices; on every
+    # hull of the rigid pool and of the seeded corners its (E3) entry is
+    # still the one the corner gives
+    pool = rigid_pool()
+    covers = {n: build_typeA_auslander(n, 3) for n in RIGID_NS}
+    cases = [(covers[n], ["".join(map(str, t)) for t in sub])
+             for n in RIGID_NS for part in pool[n] for sub in part]
+    sizes, failing = Counter(), 0
+    for cover, subset in cases + seeded_corners():
+        e = Idempotent.of(subset)
+        hull = _hull_idempotent(cover, e)
+        entry = is_d_gentle_certificate(cover, e, 2).pre_gentle.axioms \
+            .entries["E3"]
+        assert entry == _e3_entry(CornerQuiver(cover, hull))
+        sizes[len(hull.vertex_subset)] += 1
+        failing += not entry["pass"]
+    # hulls just under and at the bound are seen, and sandwiches are found
+    assert sizes[5] and sizes[6] and failing
 
 
 @pytest.mark.parametrize("check", [

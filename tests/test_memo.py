@@ -203,6 +203,74 @@ def test_racing_threads_share_a_weak_entry():
     assert memo.memo(obj, "k", compute, weak=True) is results[0]
 
 
+# four threads make the first memo calls on fresh objects while collections
+# run finalizers; prints how many objects end with a __dict__ that is not
+# exactly the memo table
+FIRST_CALL_RACE = """
+import gc, sys, threading
+from hga import memo
+
+
+class Finalised:
+    def __del__(self):
+        pass
+
+
+def cycles():
+    for _ in range(20):
+        a, b = Finalised(), Finalised()
+        a.partner, b.partner = b, a
+
+
+def race():
+    class Obj:
+        pass
+
+    objs = [Obj() for _ in range(50)]
+    barrier = threading.Barrier(4)
+
+    def work(i):
+        barrier.wait(timeout=60)
+        for k in range(100):
+            if k % 50 == 0:
+                cycles()
+            memo.memo(objs[(i + k) % 50], k % 7, object)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    return sum(list(vars(o)) != ["_memo"] for o in objs)
+
+
+gc.set_threshold(10)
+sys.setswitchinterval(1e-6)
+broken = 0
+for _ in range(100):
+    broken += race()
+    gc.collect()
+print(broken)
+"""
+
+
+def test_racing_first_calls_build_one_instance_dict():
+    # on CPython 3.11 a collection may run inside the first read of an
+    # instance's __dict__ and hand the GIL to a thread that reads it too;
+    # the object then keeps one of two dicts over one values array (a
+    # __dict__ that holds "_memo" but lists no key), and a later full
+    # collection reads freed memory.  A child process runs the race, so a
+    # crash fails this test and not the run.  With every memo call reading
+    # obj.__dict__ unlocked, three child runs left 31 and 10 such objects
+    # and one crashed.
+    out = subprocess.run(
+        [sys.executable, "-c", FIRST_CALL_RACE],
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+        capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr[-3000:]
+    assert out.stdout == "0\n"
+
+
 @pytest.fixture
 def no_cyclic_gc():
     """The cyclic collector off, so an object dies only by reference

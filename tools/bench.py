@@ -210,6 +210,19 @@ def containers_built(orig, counts):
     return to_dict
 
 
+def cube_walks(orig, counts):
+    """``axioms._cube_walk``, counting in ``cube_walks`` the walks started
+    from outside a walk.  A walk is a generator, so its recursive calls run
+    after the wrapper returns and a call depth cannot tell them apart; a
+    call made from a walk's own frame is one of them."""
+    code = orig.__code__
+
+    def walk(*args, **kwargs):
+        counts["cube_walks"] += sys._getframe(1).f_code is not code
+        return orig(*args, **kwargs)
+    return walk
+
+
 def label_lookups(orig, counts):
     """``memo.memo``, counting in ``label_lookups`` the reads of a module
     family's label index, the memo key ``"label index"``."""
@@ -445,7 +458,9 @@ class Certificate(Ladder):
     ``wall_s`` is the median of 7 runs of a row's certificates and reports;
     the counts are the top-level calls (those a function does not make
     itself) of ``algebras.represent`` and ``algebras._normal_words``, every
-    ``Algebra`` construction and ``TrackedSpan.add`` call, and
+    ``Algebra`` construction and ``TrackedSpan.add`` call, every
+    ``CornerQuiver`` construction (``corner_quivers``), the cube walks
+    started outside a walk (``cube_walks``, see ``cube_walks``), and
     ``containers_built``, the dicts and lists each report's ``to_dict``
     builds anew (see ``containers_built``).  Covers are built, and their
     cover-level axioms memoised, before anything is counted or timed, so a
@@ -453,7 +468,9 @@ class Certificate(Ladder):
     the hull's (E3), the corner and its cube check.  ``total`` sums the rows
     of each workload.  ``--check`` runs every row: a guard against a
     passing certificate re-presenting a corner, a failing one re-presenting
-    more than its corner once, and reports copying what the memo shares.
+    more than its corner once, reports copying what the memo shares, a
+    hull of fewer than six vertices getting a corner quiver, and an e of
+    fewer than 2^(d+1) vertices getting a cube walk.
     """
 
     repeat, average, digits = 7, staticmethod(statistics.median), 5
@@ -463,7 +480,9 @@ class Certificate(Ladder):
                (axioms.GentleCertificate, "to_dict", ("containers_built",),
                 containers_built),
                (algebras.Algebra, "__init__", "algebra_inits", "all"),
-               (linalg.TrackedSpan, "add", "sparse_add_calls", "all")]
+               (linalg.TrackedSpan, "add", "sparse_add_calls", "all"),
+               (algebras.CornerQuiver, "__init__", "corner_quivers", "all"),
+               (axioms, "_cube_walk", ("cube_walks",), cube_walks)]
 
     def rows(self):
         pool = rigid_pool()
