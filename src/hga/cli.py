@@ -1,7 +1,8 @@
 """Command line interface: build, check, enumerate, reduce, verify.
 
 Exit codes: 0 success, 1 negative verdict, 2 input error, 3 scale cap,
-4 internal error (a fault of hga, not of its input).
+4 internal error: any other exception a command lets out, a fault of hga,
+not of its input; no failure exits 1.
 All reports are JSON with sorted keys so identical invocations produce
 byte-identical output; exact values are emitted as strings where they are
 not integers.
@@ -10,11 +11,10 @@ not integers.
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 
-from . import reps
+from . import reduction, reps
 from .algebras import build_algebra
 from .axioms import is_d_gentle_certificate
 from .cluster import SummandCollection, cluster_endo_algebra
@@ -48,77 +48,7 @@ EXIT_INTERNAL = 4
 
 
 def _dump(data, out):
-    _write(_json_text(data), out)
-
-
-def _json_text(data):
-    """json.dumps(data, indent=2, sort_keys=True) + "\n", byte for byte.
-
-    json indents through a pure-Python encoder whose closures leave
-    objects in reference cycles on every call; this walk leaves none.  It
-    takes containers, keys and leaves as json does: a tuple is a list, a
-    key is sorted before it is made a string, and anything else raises
-    json's errors."""
-    parts = []
-    _encode(data, parts, "\n")
-    parts.append("\n")
-    return "".join(parts)
-
-
-def _encode(o, parts, newline):
-    """Append the JSON text of o to parts; newline starts a line at o's
-    depth."""
-    if isinstance(o, str):
-        parts.append(_encode_str(o))
-    elif isinstance(o, (list, tuple, dict)):
-        is_dict = isinstance(o, dict)
-        if not o:
-            parts.append("{}" if is_dict else "[]")
-            return
-        inner = newline + "  "
-        parts.append("{" if is_dict else "[")
-        for i, item in enumerate(sorted(o.items()) if is_dict else o):
-            sep = "," + inner if i else inner
-            if is_dict:
-                key, item = item
-                text = key if isinstance(key, str) else _scalar_text(key)
-                if text is None:
-                    raise TypeError("keys must be str, int, float, bool or "
-                                    f"None, not {key.__class__.__name__}")
-                parts.append(sep + _encode_str(text) + ": ")
-            else:
-                parts.append(sep)
-            _encode(item, parts, inner)
-        parts.append(newline + ("}" if is_dict else "]"))
-    else:
-        text = _scalar_text(o)
-        if text is None:
-            raise TypeError(f"Object of type {o.__class__.__name__} "
-                            "is not JSON serializable")
-        parts.append(text)
-
-
-_encode_str = json.encoder.encode_basestring_ascii
-
-
-def _scalar_text(x):
-    """The JSON text of None, a bool, an int or a float, as json writes
-    it; None for anything else."""
-    if x is None:
-        return "null"
-    if x is True:
-        return "true"
-    if x is False:
-        return "false"
-    if isinstance(x, int):
-        return int.__repr__(x)
-    if isinstance(x, float):
-        if x != x:
-            return "NaN"
-        if x in (math.inf, -math.inf):
-            return "Infinity" if x > 0 else "-Infinity"
-        return float.__repr__(x)
-    return None
+    _write(json.dumps(data, indent=2, sort_keys=True) + "\n", out)
 
 
 def _write(text, out):
@@ -133,12 +63,6 @@ def _write(text, out):
 def _load(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def _num(x):
-    if x == math.inf:
-        return "inf"
-    return x
 
 
 def _load_presentation(path):
@@ -223,11 +147,22 @@ def cmd_collections(args):
     return EXIT_OK
 
 
+def _load_collection(path):
+    """The tuples in a file: a JSON list of integer lists, or
+    {"tuples": <that>}."""
+    data = _load(path)
+    if isinstance(data, dict):
+        data = data.get("tuples")
+    if not isinstance(data, list) or not all(
+            isinstance(t, list) and all(type(i) is int for i in t)
+            for t in data):
+        raise ValueError(f"{path}: not a JSON list of integer lists")
+    return [tuple(t) for t in data]
+
+
 def cmd_endo(args):
     fam = canonical_cluster_tilting(build_typeA_auslander(args.n, args.d))
-    data = _load(args.collection)
-    entries = data["tuples"] if isinstance(data, dict) else data
-    c = SummandCollection(fam, [tuple(e) for e in entries])
+    c = SummandCollection(fam, _load_collection(args.collection))
     res = cluster_endo_algebra(c)
     report = {
         "endDim": res.end_dim,
@@ -261,12 +196,13 @@ def cmd_reduce(args):
 def cmd_homdims(args):
     a = _load_algebra(args.algebra)
     rec = reps.homological_dims(a, cap=_cap(None))
+    shown = reduction._shown
     report = {
-        "projDims": {v: _num(x) for v, x in rec["projDims"].items()},
-        "globalDim": _num(rec["globalDim"]),
-        "dominantDim": _num(rec["dominantDim"]),
-        "injDimOfA": _num(rec["injDimOfA"]),
-        "projDimOfDA": _num(rec["projDimOfDA"]),
+        "projDims": {v: shown(x) for v, x in rec["projDims"].items()},
+        "globalDim": shown(rec["globalDim"]),
+        "dominantDim": shown(rec["dominantDim"]),
+        "injDimOfA": shown(rec["injDimOfA"]),
+        "projDimOfDA": shown(rec["projDimOfDA"]),
     }
     _dump(report, args.out)
     return EXIT_OK
@@ -367,15 +303,16 @@ def main(argv=None):
     except ScaleExceeded as exc:
         sys.stderr.write(f"scale cap: {exc}\n")
         return EXIT_SCALE
-    except (InternalError, ArithmeticError, AssertionError) as exc:
-        detail = exc if isinstance(exc, InternalError) else \
-            f"{type(exc).__name__}: {exc}"
-        sys.stderr.write(f"internal error: {detail}\n")
+    except InternalError as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
         return EXIT_INTERNAL
     except (OSError, json.JSONDecodeError, KeyError, ValueError,
             HgaError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
+    except Exception as exc:
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

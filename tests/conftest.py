@@ -51,26 +51,17 @@ def json_bytes(report):
 
 @pytest.fixture
 def reports_dump_as_json(monkeypatch):
-    """Every report the CLI writes, and every certificate and
-    verify-example report built, gives ``cli._json_text`` the bytes of
-    ``json_bytes``."""
-    from hga import axioms, cli, reduction
-
-    text = cli._json_text
-
-    def checked(report):
-        out = text(report)
-        assert out == json_bytes(report)
-        return out
+    """Every certificate and verify-example report built is JSON-ready:
+    ``json_bytes`` writes it without raising."""
+    from hga import axioms, reduction
 
     def checking(build):
         def built(*args, **kwargs):
             report = build(*args, **kwargs)
-            checked(report)
+            json_bytes(report)
             return report
         return built
 
-    monkeypatch.setattr(cli, "_json_text", checked)
     monkeypatch.setattr(axioms.GentleCertificate, "to_dict",
                         checking(axioms.GentleCertificate.to_dict))
     monkeypatch.setattr(reduction, "verify_sg_example",

@@ -32,7 +32,7 @@ from hga.typea import (
     maximal_nonintertwining,
 )
 
-# every report built here is written by hga.cli as json writes it
+# every certificate and verify-example report built here is JSON-ready
 pytestmark = pytest.mark.usefixtures("reports_dump_as_json")
 
 A24_EDGES = {

@@ -1,7 +1,5 @@
-import enum
 import hashlib
 import json
-import math
 import os
 import subprocess
 import sys
@@ -23,7 +21,7 @@ from hga.cli import main
 from hga.errors import InternalError, UnknownArrow, UnknownVertex
 
 
-# every report the CLI writes here is compared with json's bytes
+# every certificate and verify-example report built here is JSON-ready
 pytestmark = pytest.mark.usefixtures("reports_dump_as_json")
 
 
@@ -84,6 +82,19 @@ def test_endo_projectives(tmp_path):
                  "--collection", str(col), "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
     assert (rep["endDim"], rep["extDim"]) == (3, 0)
+
+
+@pytest.mark.parametrize("data", [[1, 2], {"tuples": 5}],
+                         ids=["int-list", "tuples-int"])
+def test_endo_malformed_collection_exit_two(tmp_path, capsys, data):
+    col = tmp_path / "col.json"
+    write(col, data)
+    out = tmp_path / "endo.json"
+    assert main(["endo", "--n", "2", "--d", "1",
+                 "--collection", str(col), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        f"input error: {col}: not a JSON list of integer lists\n")
 
 
 def test_check_gentle_pass_and_fail(tmp_path):
@@ -300,6 +311,8 @@ def test_verify_example_empty_orbit_is_an_input_error(tmp_path, capsys):
 @pytest.mark.parametrize("exc", [
     InternalError("syzygy lift failed"), ZeroDivisionError("division by zero"),
     ArithmeticError("overflow"), AssertionError(),
+    TypeError("'int' object is not iterable"),
+    AttributeError("'list' object has no attribute 'items'"),
 ])
 def test_internal_failure_exit_four(tmp_path, capsys, monkeypatch, exc):
     """A fault of hga reads neither as a negative verdict (1) nor as an
@@ -313,7 +326,9 @@ def test_internal_failure_exit_four(tmp_path, capsys, monkeypatch, exc):
     assert main(["homdims", str(alg)]) == cli.EXIT_INTERNAL == 4
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("internal error: ")
+    detail = exc if isinstance(exc, InternalError) else \
+        f"{type(exc).__name__}: {exc}"
+    assert err == f"internal error: {detail}\n"
 
 
 def test_failed_family_criterion_exits_four(tmp_path, capsys, self_ext):
@@ -390,39 +405,3 @@ def test_main_builds_one_parser_on_first_call(tmp_path, monkeypatch):
     assert digests == [
         "3dbe75b8eac66c3c41ea689d3d4ed166f515e8e6ba88d2e5afc98cbbcd5253d9",
         "76669a10901a5d33f5fe9995ce2663969ffb5f2684c2247007bf989cf951fd98"]
-
-
-class _Level(enum.IntEnum):
-    HIGH = 3
-
-
-class _Text(str):
-    pass
-
-
-@pytest.mark.parametrize("report", [
-    {}, [], (), 0, "x", None, 10 ** 30, [float("nan"), math.inf, -math.inf,
-                                         1e300, -0.0, 0.1],
-    {"b": [1, (2, 3.5)], "a": {}, "c": [[], ()], "d": None, "e": True,
-     "f": False, "g": "é\"\\\n☃"},
-    {1: "one", 3: "three", 2: "two"}, {1.5: 0, -2.5: 1}, {True: 1, False: 0},
-    {None: 1}, {_Level.HIGH: _Level.HIGH}, {_Text("k"): _Text("v")},
-    {"z": [{"a": [{}]}], "y": ((1,),)},
-], ids=repr)
-def test_json_text_writes_json_bytes(report):
-    # the CLI's writer takes containers, keys and leaves as json does,
-    # a read-only tuple as a list
-    from conftest import json_bytes
-    assert cli._json_text(report) == json_bytes(report)
-
-
-@pytest.mark.parametrize("report", [
-    {1: 2, "a": 3}, {(1,): 2}, object(), {"a": [1j]}, {"a": {1, 2}}])
-def test_json_text_refuses_what_json_refuses(report):
-    from conftest import json_bytes
-    errors = []
-    for write in (cli._json_text, json_bytes):
-        with pytest.raises((TypeError, ValueError)) as info:
-            write(report)
-        errors.append((info.type, str(info.value)))
-    assert errors[0] == errors[1]

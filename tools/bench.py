@@ -861,8 +861,9 @@ class Memory(Ladder):
     in memory.  The peak depends on the Python version, so it is checked
     only on the version of the file's ``host``.  ``cyclic_objects`` is
     recorded, not checked: it counts the standard library's cycles too
-    (the indented ``json`` dump of an ``auslander`` job's presentation
-    leaves 33 objects in cycles of its own; the CLI's reports leave none).
+    (each indented ``json`` dump leaves 33 objects in cycles of its own,
+    and an ``auslander`` job makes three: the CLI's two reports and the
+    job's own dump of its presentation).
     """
 
     def rows(self):
