@@ -208,6 +208,20 @@ def _cube_walk(pending, vertices, used, arrows, state, out, target,
     first', second')`` on its two routes.  A vertex repeated along a branch
     stays repeated, so an edge that would repeat one is rejected when it is
     placed.
+
+    The root's edge in direction d >= 1 takes only the labels after the
+    direction-(d - 1) label in its ``out`` list, so each cube is walked in
+    the one ordering of its directions whose root labels increase, not in
+    all m! of them.  The walk yields cubes in lexicographic order of their
+    edges' positions in ``out``.  Permuting the directions of a cube that
+    passes gives a cube that passes: its vertices are the same distinct
+    set, ``face_ok`` is symmetric in its two routes, and a ``step`` state
+    that is a union over the edges does not depend on their order.  A
+    passing cube whose root positions do not increase has an earlier
+    permuted twin, so the first cube yielded, and the first of each
+    permutation class in order, are the same as without the rule.  Edges
+    fixed before the walk are not placed: `_cube_search` fixes all the
+    root's edges or none.
     """
     if not pending:
         yield dict(vertices), dict(arrows), state
@@ -215,7 +229,10 @@ def _cube_walk(pending, vertices, used, arrows, state, out, target,
     (s, d), rest = pending[0], pending[1:]
     target_set = s | {d}
     prev = vertices.get(target_set)
-    for label in out.get(vertices[s], ()):
+    labels = out.get(vertices[s], ())
+    if d and not s:
+        labels = labels[labels.index(arrows[(s, d - 1)]) + 1:]
+    for label in labels:
         v = target(label)
         if (v in used) if prev is None else (v != prev):
             continue

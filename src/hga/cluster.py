@@ -446,7 +446,7 @@ def _family_roles(family):
     for v, vname in name.items():
         lab, mod = named(v + (m,))
         if (mod.dims != reps.projective(alg, vname).dims
-                or reps.minimal_resolution(mod, 0)[2][0] != [vname]):
+                or reps._resolution(mod, 0)[2][0] != [vname]):
             raise LabelMatchFailed(f"{lab.entries} is not the projective "
                                    f"at {vname}")
         proj[vname] = lab

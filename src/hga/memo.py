@@ -28,9 +28,13 @@ weak reference.  Three memo entries are weak, and each is needed:
   A, and a strong entry would close the cycle A -> A^op -> A.
 
 The one weak edge that is not an entry: ``reps.minimal_resolution`` is
-memoised on the module m it resolves, and must not hold m, so its cover
-map P_0 -> m holds its target m weakly (``reps._CoverMap``); so does the
-identity of P_v, which is P_v's own resolution.
+memoised on the module m it resolves, and must not hold m.  Its first
+step (``reps._Step``), which builds the cover map P_0 -> m on its first
+read, holds m weakly with its dims and maps, and so does the map it builds
+(``reps._CoverMap``); so the map can still be built, and read, after m is
+gone.  The same holds for the step and the identity that are P_v's own
+resolution, memoised on P_v.  A closure over m stored in the step would
+close the cycle m -> its resolution -> the step -> m.
 
 A memoised value must be a deterministic function of an object that is not
 mutated after construction, and callers treat it as read-only.  Two threads

@@ -14,7 +14,8 @@ object built with ``check=False`` stores what it is given, in the final
 form that ``Representation`` and ``Morphism`` state; its matrices are
 read-only, so objects may share them: where a map vanishes, its kernel
 keeps the source's own matrices, and a resolution's differential the
-cover map's block.
+cover map's block.  A resolution builds its differentials only when they
+are read (`_Step`).
 """
 
 import collections
@@ -235,11 +236,12 @@ class Morphism:
 
 
 class _CoverMap(Morphism):
-    """The cover map P_0 -> m kept in the resolution of m, memoised on m,
-    with m held weakly, so that the memo entry does not hold its owner
-    (see ``hga.memo``).  For a memoised P_v, P_0 is m and the map is its
-    identity.  m is the target, and then the source, while it is alive;
-    after that, a module with m's dims and maps, memoised on the map."""
+    """The cover map P_0 -> m of the resolution of m, as its first step
+    builds it (see _Step), with m held weakly, so that the memo entries
+    under m do not hold their owner (see ``hga.memo``).  For a memoised
+    P_v, P_0 is m and the map is its identity.  m is the target, and then
+    the source, while it is alive; after that, a module with m's dims and
+    maps, memoised on the map."""
 
     def __init__(self, source, blocks, m):
         self._source = None if source is m else source
@@ -570,6 +572,34 @@ def _kernel(f):
     return k, Morphism(k, m, incl_blocks, check=False), free
 
 
+def _kernel_off(p, support):
+    """Kernel and inclusion of a map out of a thin P_v that is nonzero
+    exactly at the vertices of support, built as `_kernel` builds them with
+    no map at hand.
+
+    A one-dimensional P_v(w) is in the kernel exactly when the map's block
+    there is zero, so the kernel is P_v off support: free column [0],
+    inclusion block [[1]], and P_v's own 1x1 matrices between its
+    vertices.  An arrow from it into support leaves the kernel exactly when
+    its scalar is nonzero, and the map does not commute with it."""
+    arrows_from, own = p.algebra.quiver.arrows_from, p.maps
+    dims, maps, incl_blocks = {}, {}, {}
+    for u in p.dims:
+        if u in support:
+            continue
+        dims[u], incl_blocks[u] = 1, [[F1]]
+        for ar in arrows_from[u]:
+            img = own.get(ar.name)
+            if img is None:
+                continue
+            if ar.target not in support:
+                maps[ar.name] = img
+            elif img[0][0]:
+                raise InternalError("kernel is not a subrepresentation")
+    k = Representation(p.algebra, dims, maps, check=False)
+    return k, Morphism(k, p, incl_blocks, check=False)
+
+
 def cokernel(f):
     """Cokernel with its projection."""
     return _cokernel(f)[:2]
@@ -594,7 +624,17 @@ def _cokernel(f):
 
 
 def projective_cover(m):
-    """Minimal projective cover; returns (P, epi, summand vertex list).
+    """Minimal projective cover; returns (P, epi, summand vertex list), the
+    top read by `_top`."""
+    summands, images = _top(m)
+    p = _projective_sum(m.algebra, summands)
+    return p, from_generators(p, summands, m, images), summands
+
+
+def _top(m):
+    """The top of m: the vertices of the summands of its projective cover,
+    and their generators' images, concatenated as from_generators reads
+    them.
 
     One loop over the support: the top at v is what the images of the
     arrows into v from the support leave of m_v.  A one-dimensional m_v is
@@ -602,8 +642,8 @@ def projective_cover(m):
     generator's image [1].  At a vertex of dimension 2 or more, the top is
     read off one rref of the nonzero columns of those maps, in arrow
     order: each unit vector off their pivots is a generator's image."""
-    alg = m.algebra
-    dims, maps, arrows_to = m.dims, m.maps, alg.quiver.arrows_to
+    dims, maps = m.dims, m.maps
+    arrows_to = m.algebra.quiver.arrows_to
     summands, images = [], []
     for v, k in dims.items():
         if k == 1:
@@ -623,17 +663,14 @@ def projective_cover(m):
             if j not in pivots:
                 summands.append(v)
                 images += unit
-    if not summands:
-        p = zero_representation(alg)
-        return p, Morphism(p, m, {}, check=False), []
-    total = _projective_sum(alg, summands)
-    return total, from_generators(total, summands, m, images), summands
+    return summands, images
 
 
 def _projective_sum(alg, vertices):
     """The sum of the projectives P_v (v in vertices): one summand is
     ``projective(alg, v)``, shared by every cover that reads it while it
-    lives, and more are summed from their memoised data."""
+    lives, none is the zero module, and more are summed from their
+    memoised data."""
     if len(vertices) == 1:
         return projective(alg, vertices[0])
     return _sum_module(alg, [_projective_data(alg, v) for v in vertices])[0]
@@ -647,35 +684,55 @@ def _thin(m):
 
 def from_generators(p, vertices, n, images):
     """The morphism p -> n, for p the sum of the projectives P_v (v in
-    vertices), that sends the generator of each summand to its image.
+    vertices), that sends the generator of each summand to its image (see
+    `_generator_blocks`)."""
+    return Morphism(p, n, _generator_blocks(p, vertices, n, images),
+                    check=False)
+
+
+def _generator_blocks(p, vertices, n, images):
+    """The blocks of from_generators(p, vertices, n, images), in final form.
 
     images concatenates one vector of n_v per summand, in order.  A basis
     path b of P_v goes to n(b) applied to the image, one arrow at a time:
     n of its last arrow applied to its prefix's vector, walked by
-    `_basis_prefixes`.  The blocks are built in final form.
+    `_basis_prefixes`.
 
-    Out of one thin P_v into a thin n (every dim 1 on both) no mat_vec is
-    taken: the block at w is [[x_w]], x_w the image times the product of
-    n's scalars along the one basis path v -> w, 0 once it leaves n."""
+    Out of a sum of thin P_v into a thin n (every dim 1 on n and on each
+    summand) no mat_vec is taken: each summand's image is one scalar, and
+    its one basis path v -> w goes to that scalar times the product of n's
+    scalars along the path, 0 once it leaves n, at the summand's column of
+    the 1-row block at w."""
     alg = p.algebra
     dims, maps = n.dims, n.maps
     source, tgt = alg.basis_index().source, alg.basis_tgt
     prefix, last = _basis_prefixes(alg)
-    if len(vertices) == 1 and _thin(p) and _thin(n):
-        x = {}          # basis id -> its scalar
-        for b in source[vertices[0]]:
-            if last[b] is None:
-                x[b] = images[0] if images else F0
-            else:
-                s, mat = x[prefix[b]], maps.get(last[b])
-                x[b] = mat[0][0] * s if s and mat is not None else F0
-        at = {tgt[b]: s for b, s in x.items()}
-        blocks = {w: [[at[w] or F0]] for w in dims if w in at}
-        return Morphism(p, n, blocks, check=False)
+    offsets = _summand_offsets(alg, vertices)
+    if _thin(n) and all(_thin(_projective_data(alg, v)) for v in vertices):
+        blocks = {w: [[F0] * p.dims[w]] for w in dims if w in p.dims}
+        start = 0
+        for v, (_, off) in zip(vertices, offsets):
+            if v not in dims:
+                continue        # no coordinate in images: the summand is 0
+            x, start = images[start], start + 1
+            if not x:
+                continue
+            at = {}             # basis id -> its scalar
+            for b in source[v]:
+                if last[b] is None:
+                    s = x
+                else:
+                    s, mat = at[prefix[b]], maps.get(last[b])
+                    s = mat[0][0] * s if s and mat is not None else F0
+                at[b] = s
+                if s:
+                    w = tgt[b]
+                    blocks[w][0][off[w]] = s
+        return blocks
     blocks = {w: [[F0] * p.dims[w] for _ in range(k)]
               for w, k in dims.items() if w in p.dims}
     start = 0
-    for v, ((_, pos), off) in zip(vertices, _summand_offsets(alg, vertices)):
+    for v, ((_, pos), off) in zip(vertices, offsets):
         gen = images[start:start + dims.get(v, 0)]
         start += len(gen)
         if not any(gen):
@@ -695,7 +752,7 @@ def from_generators(p, vertices, n, images):
                 for row, x in zip(blocks[w], vec):
                     if x:
                         row[col] = x
-    return Morphism(p, n, blocks, check=False)
+    return blocks
 
 
 def generator_images(f, vertices):
@@ -760,17 +817,20 @@ def minimal_resolution(m, length):
     Returns (terms, diffs, summand_lists, finished) with diffs[0]: P0 -> m
     and diffs[i]: P_i -> P_{i-1}; stops early once a kernel vanishes.
     Each length is memoised on m and extends the one before, so every
-    caller shares the same terms.
+    caller shares the same terms, and each differential is built once, on
+    its first read (`_Step.differential`).
     """
-    terms, diffs, summands, kern, _ = _resolution(m, length)
-    return list(terms), list(diffs), list(summands), kern is None
+    terms, steps, summands, kern, _ = _resolution(m, length)
+    return (list(terms), [s.differential() for s in steps], list(summands),
+            kern is None)
 
 
 def _resolution(m, k):
     """The minimal projective resolution of m up to P_k, computed from the
-    one up to P_{k-1}: (terms, diffs, summand lists, K, K -> P_k) with K the
+    one up to P_{k-1}: (terms, steps, summand lists, K, K -> P_k) with K the
     kernel of the last differential, None once it vanishes; the resolution
-    then stops, and every longer one is the same.  Memoised on m per k; a
+    then stops, and every longer one is the same.  Each step is a _Step,
+    which builds its differential on first read.  Memoised on m per k; a
     stored one is read with `peek`, so a hit builds no closure.
 
     A memoised P_v is its own resolution, with its identity, memoised on
@@ -786,47 +846,103 @@ def _resolution(m, k):
 
 
 def _own_resolution(p):
-    one = memo(p, "identity", lambda: _CoverMap(
-        p, {v: linalg.identity(k) for v, k in p.dims.items()}, p))
+    one = memo(p, "identity", lambda: _Step(
+        p, [p.vertex], None,
+        {v: linalg.identity(k) for v, k in p.dims.items()}, None, p))
     return (p,), (one,), ([p.vertex],), None, None
 
 
 def _resolution_step(m, k):
+    """The step to P_k: the cover of K, the kernel of the step before (m at
+    k = 0), by `_top`, and its kernel.  Where K is thin with a single top
+    v and P_v is thin, the cover P_v -> K is onto between one-dimensional
+    spaces, so it is nonzero exactly on the support of K: the kernel is
+    read off the supports (`_kernel_off`) and no map is built.  Elsewhere
+    the cover map is built, its kernel taken by `_kernel`, and its blocks
+    kept for the differential."""
     if k == 0:
-        terms, diffs, summands, current, incl = (), (), (), m, None
+        terms, steps, summands, current, incl = (), (), (), m, None
     else:
         prev = _resolution(m, k - 1)
-        terms, diffs, summands, current, incl = prev
+        terms, steps, summands, current, incl = prev
         if current is None:
             return prev
-    p, epi, cover_summands = projective_cover(current)
-    kern, kincl = kernel(epi)
+    cover, images = _top(current)
+    p = _projective_sum(m.algebra, cover)
+    if len(cover) == 1 and _thin(p) and _thin(current):
+        blocks = None
+        kern, kincl = _kernel_off(p, current.dims)
+    else:
+        epi = from_generators(p, cover, current, images)
+        blocks = epi.blocks
+        kern, kincl = kernel(epi)
     if not kern.support:
         kern = kincl = None
-    d = _CoverMap(p, epi.blocks, m) if incl is None else _differential(
-        incl, epi)
-    return (terms + (p,), diffs + (d,), summands + (cover_summands,),
-            kern, kincl)
+    step = _Step(p, cover, images, blocks, incl, m)
+    return (terms + (p,), steps + (step,), summands + (cover,), kern, kincl)
 
 
-def _differential(incl, epi):
-    """incl after epi, P_k -> K -> P_{k-1}, in final form.  Where K is the
-    whole of P_{k-1} the inclusion block is the identity, the one square
-    block, and the block is epi's own; where K is zero, a zero block."""
-    p, q = epi.source, incl.target
-    blocks = {}
+class _Step:
+    """A step of a cached minimal resolution: what builds its differential
+    P_k -> P_{k-1}, or at k = 0 the cover map P_0 -> m, on first read.
+
+    That is the cover P_k -> K of the module K the step resolves: P_k, its
+    summands and their generators' images (see from_generators), with the
+    cover map's blocks where the step built it to find the kernel; and at
+    k >= 1 the inclusion of K, the kernel of the step before, into P_{k-1}.
+    At k = 0, K is m, held as _CoverMap holds it: weakly, with its data,
+    and P_0 too when it is m.  The step is memoised on m, so it must not
+    hold m, and d_0 can still be built after m is gone."""
+
+    def __init__(self, p, summands, images, blocks, incl, m):
+        self._p = None if p is m else p
+        self._summands, self._images, self._blocks = summands, images, blocks
+        self._incl = incl
+        if incl is None:
+            self._m, self._data = weakref.ref(m), (m.algebra, m.dims, m.maps)
+
+    def differential(self):
+        """The step's differential, built on first read and memoised on the
+        step: every reader of a resolution's maps goes through here."""
+        return memo(self, "differential", self._build)
+
+    def _build(self):
+        incl = self._incl
+        if incl is None:
+            target = self._m()
+            if target is None:
+                target = Representation(*self._data, check=False)
+        else:
+            target = incl.source
+        p = target if self._p is None else self._p
+        blocks = self._blocks
+        if blocks is None:
+            blocks = _generator_blocks(p, self._summands, target,
+                                       self._images)
+        if incl is None:
+            return _CoverMap(p, blocks, target)
+        return _differential(incl, p, blocks)
+
+
+def _differential(incl, p, blocks):
+    """incl after the cover p -> K with the given blocks, P_k -> K ->
+    P_{k-1}, in final form.  Where K is the whole of P_{k-1} the inclusion
+    block is the identity, the one square block, and the block is the
+    cover's own; where K is zero, a zero block."""
+    q = incl.target
+    out = {}
     for v, rows in q.dims.items():
         cols = p.dims.get(v)
         if not cols:
             continue
         b = incl.blocks.get(v)
         if b is None:
-            blocks[v] = [[F0] * cols for _ in range(rows)]
+            out[v] = [[F0] * cols for _ in range(rows)]
         elif len(b) == len(b[0]):
-            blocks[v] = epi.blocks[v]
+            out[v] = blocks[v]
         else:
-            blocks[v] = linalg.mat_mul(b, epi.blocks[v])
-    return Morphism(p, q, blocks, check=False)
+            out[v] = linalg.mat_mul(b, blocks[v])
+    return Morphism(p, q, out, check=False)
 
 
 def is_projective(m):
@@ -853,15 +969,16 @@ def _summand_offsets(alg, vertices):
     return memo(alg, ("summand offsets", tuple(vertices)), compute)
 
 
-def _coboundary(n, summands, diff, k):
+def _coboundary(n, summands, step, k):
     """Matrix of f -> f.d from Hom(P_k, n) to Hom(P_{k+1}, n) in generator
-    images (see from_generators), for d = diff: P_{k+1} -> P_k and
-    summands[j] the vertices of the projective summands of P_j.
+    images (see from_generators), for d: P_{k+1} -> P_k the differential of
+    a cached resolution's step and summands[j] the vertices of the
+    projective summands of P_j.
 
     The columns of summand s of P_k hold the image x_s of its generator;
     the rows of summand t of P_{k+1} hold f(d(g_t)), the sum of c n(b) x_s
     over the terms c b of the component of d from t to s."""
-    elems = _differential_elements(diff, summands, k)
+    elems = _differential_elements(step, summands, k)
     col_off, ncols = [], 0
     for v in summands[k]:
         col_off.append(ncols)
@@ -878,12 +995,12 @@ def _coboundary(n, summands, diff, k):
     return rows
 
 
-def _differential_elements(diff, summands, k):
-    """component_elements of diff: P_{k+1} -> P_k of a cached resolution,
-    whose summand lists are summands[k + 1] and summands[k]; memoised on
-    diff."""
-    return memo(diff, "elements", lambda: component_elements(
-        diff, summands[k + 1], summands[k]))
+def _differential_elements(step, summands, k):
+    """component_elements of the differential P_{k+1} -> P_k of a cached
+    resolution's step, whose summand lists are summands[k + 1] and
+    summands[k]; memoised on the step."""
+    return memo(step, "elements", lambda: component_elements(
+        step.differential(), summands[k + 1], summands[k]))
 
 
 def _top_hom_vanishes(m, n, d):
@@ -923,7 +1040,7 @@ class ExtSpace:
     join the span are the representatives."""
 
     def __init__(self, m, n, d):
-        terms, diffs, summands, _, _ = _resolution(m, d)
+        terms, steps, summands, _, _ = _resolution(m, d)
         self.dim, self._cocycles, self._summands = 0, [], []
         self._span = span = linalg.TrackedSpan()
         if len(terms) <= d:
@@ -933,10 +1050,10 @@ class ExtSpace:
             return
         ncols = sum(n.dims.get(v, 0) for v in summands[d])
         for col in linalg.transpose(
-                _coboundary(n, summands, diffs[d], d - 1)):
+                _coboundary(n, summands, steps[d], d - 1)):
             span.add(linalg.sparse(col))
-        terms, diffs, summands, _, _ = _resolution(m, d + 1)
-        cocycle_eqs = (_coboundary(n, summands, diffs[d + 1], d)
+        terms, steps, summands, _, _ = _resolution(m, d + 1)
+        cocycle_eqs = (_coboundary(n, summands, steps[d + 1], d)
                        if len(terms) > d + 1 else [])
         self.dim = ncols - linalg.rank(cocycle_eqs) - len(span.rows)
         for z in linalg.nullspace(cocycle_eqs, ncols) if self.dim else ():
@@ -973,7 +1090,8 @@ def resolution_lift(f, k):
         return None
     cur = f
     for i in range(k + 1):
-        cur = lift_from_projectives(cur.compose(dm[i]), sm[i], dn[i])
+        cur = lift_from_projectives(cur.compose(dm[i].differential()),
+                                    sm[i], dn[i].differential())
     return cur
 
 
@@ -1111,12 +1229,13 @@ def presentation_matrix(m):
     P_{src[l]} -> P_{tgt[k]}.  When m is projective, src_vertices is empty
     and P1 and d1 are None.
     """
-    terms, diffs, summands, _, _ = _resolution(m, 1)
-    tgts = summands[0]
+    terms, steps, summands, _, _ = _resolution(m, 1)
+    tgts, epi = summands[0], steps[0].differential()
     if len(terms) == 1:
-        return tgts, [], [[] for _ in tgts], (terms[0], diffs[0], None, None)
-    elems = _differential_elements(diffs[1], summands, 0)
-    return tgts, summands[1], elems, (terms[0], diffs[0], terms[1], diffs[1])
+        return tgts, [], [[] for _ in tgts], (terms[0], epi, None, None)
+    elems = _differential_elements(steps[1], summands, 0)
+    return tgts, summands[1], elems, (terms[0], epi, terms[1],
+                                      steps[1].differential())
 
 
 def _transpose_data(m):
@@ -1195,10 +1314,10 @@ def syzygy_morphism(f):
 def _cover_steps(m):
     """The projective cover P_0 -> m, the inclusion Omega m -> P_0 and the
     summands of P_0."""
-    terms, diffs, summands, _, incl = _resolution(m, 0)
+    terms, steps, summands, _, incl = _resolution(m, 0)
     if incl is None:
         incl = zero_morphism(syzygy(m), terms[0])
-    return diffs[0], incl, summands[0]
+    return steps[0].differential(), incl, summands[0]
 
 
 def cosyzygy(m):

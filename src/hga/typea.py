@@ -329,10 +329,10 @@ def _ext_table(labels, modules, masks, d):
 
 def _ext_row(mx, d):
     """(S_d, dim) of row mx of `_ext_table`; dim reads a box meeting S_d."""
-    terms, diffs, summands, _, _ = reps._resolution(mx, d + 1)
+    terms, steps, summands, _, _ = reps._resolution(mx, d + 1)
     # sums[j][t][s]: C_{d-1+j} from summand s of P_{d+j} to t of P_{d-1+j}
     sums = [[[sum(e.values()) for e in row] for row in
-             reps._differential_elements(diffs[j + 1], summands, j)]
+             reps._differential_elements(steps[j + 1], summands, j)]
             for j in range(d - 1, min(d + 1, len(terms) - 1))]
 
     def dim(box):

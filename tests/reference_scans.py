@@ -9,6 +9,9 @@ rad/rad^2 by a row reduction of all its products of two radical elements
 (``raw_path_value``), with none of the program's corner code.  A quotient
 A/<f> is taken here as a structure-constant algebra on the basis ids
 outside the span of the ideal, re-presented (``reference_quotient``).
+The cube walk is kept here as it was before it placed the root's edges in
+increasing position, trying every ordering of a cube's directions
+(``cube_walk_every_order``).
 """
 
 from hga.algebras import (
@@ -226,3 +229,39 @@ def assert_corner_matches_raw_route(a, e):
         name: ref.ids[b] for name, b in raw_ids.items()}
     assert corner.mult == expected.mult
     return cq, ref
+
+
+def cube_walk_every_order(pending, vertices, used, arrows, state, out,
+                          target, face_ok, step):
+    """``axioms._cube_walk`` with no order on the root's edges, so it walks
+    each cube once per ordering of its m directions; patched in for it, the
+    cube scan is the one that tries them all."""
+    if not pending:
+        yield dict(vertices), dict(arrows), state
+        return
+    (s, d), rest = pending[0], pending[1:]
+    target_set = s | {d}
+    prev = vertices.get(target_set)
+    for label in out.get(vertices[s], ()):
+        v = target(label)
+        if (v in used) if prev is None else (v != prev):
+            continue
+        nxt = step(state, label)
+        if nxt is None:
+            continue
+        arrows[(s, d)] = label
+        ok = all(
+            arrows.get((s - {j} | {d}, j)) is None
+            or face_ok(arrows[(s - {j}, j)], label, arrows[(s - {j}, d)],
+                       arrows[(s - {j} | {d}, j)])
+            for j in s)
+        if ok:
+            if prev is None:
+                vertices[target_set] = v
+                used.add(v)
+            yield from cube_walk_every_order(rest, vertices, used, arrows,
+                                             nxt, out, target, face_ok, step)
+            if prev is None:
+                del vertices[target_set]
+                used.discard(v)
+        del arrows[(s, d)]

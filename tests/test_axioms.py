@@ -327,6 +327,37 @@ def test_cube_scan_needs_2_to_the_m_kept_vertices(m):
     assert _corner_cube_violation(a, m) == reference_corner_cube(a, m)
 
 
+def test_ordered_root_edges_keep_the_scan_and_its_witness(monkeypatch):
+    # the cube walk places the root's edges in increasing position, so it
+    # walks each cube once, not m! times, and its first cube is the one
+    # every ordering finds.  On the corner of each ctgent pool key (its
+    # cover restricted to e), and on the cube rows' algebras and the
+    # 3-cube, which hold cubes, the scan gives the reference's decision
+    # and witness; on (6,3,[2]), whose reference walks for minutes, the
+    # walk that tries every ordering gives the same decision
+    for n, d, idx in CTGENT_POOL:
+        cover, e = ctgent_cover(ctgent_family(n, d, list(idx)))
+        keep = e.vertex_subset
+        assert (_corner_cube_violation(cover.algebra, d + 1, keep)
+                == reference_corner_cube(cover.algebra, d + 1, set(keep)))
+    found = 0
+    cases = [(build_typeA_auslander(n, dd), d + 1)
+             for n, dd, d in ((3, 2, 1), (4, 2, 1), (5, 2, 1), (4, 3, 2))]
+    for a, m in cases + [(build_algebra(cube3()), 2),
+                         (build_algebra(cube3()), 3)]:
+        witness = _corner_cube_violation(a, m)
+        assert witness == reference_corner_cube(a, m)
+        found += witness is not None
+    assert found == 6
+    cover, e = ctgent_cover(ctgent_family(6, 3, [2]))
+    scans = []
+    for walk in (axioms._cube_walk, reference_scans.cube_walk_every_order):
+        monkeypatch.setattr(axioms, "_cube_walk", walk)
+        scans.append(_corner_cube_violation(cover.algebra, 4,
+                                            e.vertex_subset))
+    assert scans == [None, None]
+
+
 def test_cover_scan_matches_corner_scan_on_the_pools():
     # the rigid entries are checked against the reference, which scans
     # every kept set, as the bounded scans skip each one of fewer than 8

@@ -7,6 +7,7 @@ parallel 2-paths, and their corners; and of the cube scan of a monomial
 algebra restricted to a vertex set against the scan of the re-presented
 corner, over grid quivers whose squares commute, anticommute or vanish."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from hga.axioms import (  # noqa: E402
     is_gentle,
 )
 from hga.errors import NotAdmissible  # noqa: E402
+from hga.reps import homological_dims  # noqa: E402
 from reference_scans import assert_corner_matches_raw_route  # noqa: E402
 from test_axioms import assert_cover_scan_matches_corner_scan  # noqa: E402
 from reference_degree_two import (  # noqa: E402
@@ -37,6 +39,10 @@ from reference_degree_two import (  # noqa: E402
     reference_is_gentle,
 )
 from reference_two_sided import reference_axiom_entries  # noqa: E402
+from test_reps import (  # noqa: E402
+    assert_steps_match_reference,
+    resolved_steps,
+)
 
 
 @st.composite
@@ -219,6 +225,29 @@ def test_a_gentle_algebra_passes_the_certificate_at_1(p):
     hypothesis.event(f"gentle {gentle}, certificate {verdict}")
     if gentle:
         assert verdict == "pass"
+
+
+@hypothesis.given(quadratic_presentations())
+@hypothesis.settings(max_examples=100, deadline=None, suppress_health_check=[
+    hypothesis.HealthCheck.too_slow, hypothesis.HealthCheck.filter_too_much])
+def test_a_gentle_algebra_is_gorenstein(p):
+    # gentle algebras are Gorenstein (Geiss-Reiten 2005, recalled): the
+    # injective dimension of A equals the projective dimension of DA, and
+    # both are finite.  Every resolution step of the record builds what
+    # elimination at every support vertex builds
+    try:
+        alg = build_algebra(p)
+    except NotAdmissible:
+        hypothesis.reject()
+    if not is_gentle(alg)["gentle"]:
+        hypothesis.reject()
+    steps, off = resolved_steps(homological_dims, alg)
+    record = homological_dims(alg)
+    assert record["injDimOfA"] == record["projDimOfDA"] < math.inf
+    assert_steps_match_reference(steps)
+    hypothesis.event(f"injDimOfA {record['injDimOfA']}, "
+                     f"globalDim {record['globalDim']}")
+    hypothesis.event(f"{len(steps) - off} of the steps build their map")
 
 
 def _loops():

@@ -349,21 +349,19 @@ def test_failed_family_criterion_exits_four(tmp_path, capsys, self_ext):
 def test_broken_l2_invariant_exits_four(tmp_path, capsys, monkeypatch):
     """An L2 invariant that fails inside `hga homdims` is an internal error:
     a cover map that does not commute with the arrows makes the kernel of
-    the next resolution step leave its module."""
+    a resolution step leave its module.  Each step of this algebra covers
+    a thin module with one top v by a thin P_v, and reads its kernel off
+    the vertices where the cover map is nonzero (`reps._kernel_off`); the
+    fault reads the map as zero at v, so the arrows out of v leave the
+    kernel."""
     from hga import reps
 
-    cover = reps.projective_cover
+    kernel_off = reps._kernel_off
 
-    def broken_cover(m):
-        p, epi, summands = cover(m)
-        if summands:
-            v = summands[0]
-            blocks = dict(epi.blocks)
-            blocks[v] = [[0] * p.dims[v] for _ in range(m.dims[v])]
-            epi = reps.Morphism(p, m, blocks, check=False)
-        return p, epi, summands
+    def broken_kernel_off(p, support):
+        return kernel_off(p, [w for w in support if w != p.vertex])
 
-    monkeypatch.setattr(reps, "projective_cover", broken_cover)
+    monkeypatch.setattr(reps, "_kernel_off", broken_kernel_off)
     alg = tmp_path / "g.json"
     write(alg, gentle_chain_dict())
     assert main(["homdims", str(alg)]) == cli.EXIT_INTERNAL == 4

@@ -443,6 +443,32 @@ def test_a_held_projective_is_its_own_resolution(no_cyclic_gc):
     assert one.source is one.target and one.target.dims == dims
 
 
+@pytest.mark.parametrize("one_top", [True, False], ids=["one-top", "two"])
+def test_a_resolution_read_for_its_kernels_leaves_no_cycle(no_cyclic_gc,
+                                                           one_top):
+    # proj_dim reads the kernels of a resolution alone, so no step builds
+    # its differential; the first step holds its module weakly, so the
+    # module is freed with no cycle left, and its cover map, read after
+    # that, equals the one built while it lived.  A simple is covered by
+    # one thin P_v and its kernel read off the supports; the sum of two
+    # simples is covered by a sum, whose map the step builds and keeps
+    a = build_typeA_auslander(4, 2)
+    simples = [reps.simple(a, v) for v in (a.vertices[0], a.vertices[-1])]
+    m = simples[0] if one_top else reps.direct_sum(simples)[0]
+    eager = list(reps.projective_cover(m)[1].blocks.items())
+    assert reps.proj_dim(m) >= 1
+    terms, steps, _, _, _ = reps._resolution(m, 0)
+    assert all(memo.peek(s, "differential") is None for s in steps)
+    dims, maps, ref = m.dims, m.maps, weakref.ref(m)
+    del m, simples
+    assert ref() is None
+    assert hga_objects_in_cycles() == 0
+    cover_map = steps[0].differential()
+    assert list(cover_map.blocks.items()) == eager
+    assert cover_map.source is terms[0]
+    assert (cover_map.target.dims, cover_map.target.maps) == (dims, maps)
+
+
 def test_threads_share_resolution_steps():
     # rad^2 = 0 on a 3-cycle: S_1 has an infinite, 3-periodic resolution
     q = Quiver(["1", "2", "3"],

@@ -970,85 +970,117 @@ def test_kernel_step_costs_one_rref_per_support_vertex(monkeypatch):
     reps.Morphism(k, p, incl.blocks)
 
 
-def _step_parts(m, cover=projective_cover, kern=reps._kernel):
-    """A resolution step on m, as the objects it builds: the cover, its
-    summands, the cover map, the kernel, its inclusion and free columns."""
-    p, epi, summands = cover(m)
-    k, incl, free = kern(epi)
-    return p, summands, epi, k, incl, free
-
-
-def _general(monkeypatch, run, *args):
-    """run(*args) with from_generators' thin walk switched off."""
-    with monkeypatch.context() as patch:
+def _general(run, *args):
+    """run(*args) with every thin rule switched off: no step reads its
+    kernel off the supports, and from_generators takes its general walk."""
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(reps, "_thin", lambda m: False)
         return run(*args)
 
 
-def _reference_step(monkeypatch, m):
+def _reference_step(m):
     """The step on m by elimination at every support vertex
     (``reference_resolution``), its cover map by from_generators' general
-    walk."""
-    return _general(monkeypatch, _step_parts, m,
-                    reference_resolution.projective_cover,
-                    reference_resolution.kernel)
+    walk: the cover, its summands, the cover map, the kernel and its
+    inclusion, both None when the kernel is zero, and the kernel's free
+    columns."""
+    def step():
+        q, epi, summands = reference_resolution.projective_cover(m)
+        k, incl, free = reference_resolution.kernel(epi)
+        return (q, summands, epi) + (
+            (k, incl) if k.support else (None, None)) + (free,)
+    return _general(step)
 
 
 def _assert_same_step(got, want):
     """Both steps built equal objects: dims, maps and blocks in the same
     key order, each kernel map the cover's own matrix in both or in
     neither."""
-    (p, summands, epi, k, incl, free), (q, summands2, epi2, k2, incl2,
-                                       free2) = got, want
+    (p, summands, d, k, incl), (q, summands2, d2, k2, incl2) = got, want
     assert summands == summands2
-    for x, y in ((p, q), (k, k2)):
+    assert list(d.blocks.items()) == list(d2.blocks.items())
+    assert (k is None) == (k2 is None)
+    for x, y in ((p, q), (k, k2)) if k else ((p, q),):
         assert list(x.dims.items()) == list(y.dims.items())
         assert list(x.maps.items()) == list(y.maps.items())
-    for x, y in ((epi, epi2), (incl, incl2)):
-        assert list(x.blocks.items()) == list(y.blocks.items())
-    assert list(free.items()) == list(free2.items())
-    assert ([mat is p.maps.get(name) for name, mat in k.maps.items()]
-            == [mat is q.maps.get(name) for name, mat in k2.maps.items()])
+    if k:
+        assert list(incl.blocks.items()) == list(incl2.blocks.items())
+        assert ([mat is p.maps.get(name) for name, mat in k.maps.items()]
+                == [mat is q.maps.get(name) for name, mat in k2.maps.items()])
 
 
-def _resolved_modules(monkeypatch):
-    """The modules that every resolution step of the auslander pool's
-    homdims and of the 13 ctgent chains covers."""
+def _cached_step(m, k):
+    """Step k of m's cached resolution: P_k, its summands, the differential
+    read through the step, and the kernel and its inclusion."""
+    terms, steps, summands, kern, incl = reps._resolution(m, k)
+    return terms[k], summands[k], steps[k].differential(), kern, incl
+
+
+def assert_steps_match_reference(steps):
+    """Every step (m, k) of a cached resolution builds what the reference
+    step builds on the module it covers (m, or the kernel of the step
+    before), and its differential, read through the step, is the reference
+    cover map, at k >= 1 after the inclusion of that kernel.  `_kernel`
+    gives the reference's free columns on the reference cover map."""
+    for m, k in steps:
+        before = reps._resolution(m, k - 1) if k else None
+        q, summands, epi, kern, incl, free = _reference_step(
+            before[3] if k else m)
+        assert list(reps._kernel(epi)[2].items()) == list(free.items())
+        want = epi if k == 0 else before[4].compose(epi)
+        got = _cached_step(m, k)
+        _assert_same_step(got, (q, summands, want, kern, incl))
+        assert got[2].source is got[0]
+        assert got[2].target is (m if k == 0 else before[0][k - 1])
+
+
+def resolved_steps(run, *args):
+    """run(*args), and (m, k) for every resolution step it made, m held,
+    with the number of those whose kernel was read off the supports."""
+    seen, off = [], []
+    step, kernel_off = reps._resolution_step, reps._kernel_off
+
+    def recorded(m, k):
+        out = step(m, k)
+        if len(out[0]) == k + 1:
+            seen.append((m, k))
+        return out
+
+    def counted(*args):
+        off.append(1)
+        return kernel_off(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reps, "_resolution_step", recorded)
+        patch.setattr(reps, "_kernel_off", counted)
+        run(*args)
+    return seen, len(off)
+
+
+def _benchmark_resolutions():
+    """homdims of the auslander pool and the 13 ctgent chains."""
     from hga import axioms, cluster, reduction
     from workloads import AUSLANDER_POOL, CTGENT_POOL
 
-    seen, cover = [], reps.projective_cover
-
-    def recorded(m):
-        seen.append(m)
-        return cover(m)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(reps, "projective_cover", recorded)
-        for n, d in AUSLANDER_POOL:
-            homological_dims(build_typeA_auslander(n, d))
-        for n, d, idx in CTGENT_POOL:
-            c = cluster.ctgent_family(n, d, list(idx))
-            cover_alg, e = cluster.ctgent_cover(c)
-            axioms.is_d_gentle_certificate(cover_alg.algebra, e, d)
-            trace = reduce_to_gentle(cluster_endo_algebra(c).algebra)
-            reduction.gentle_sg_invariant(trace.terminal)
-    return seen
+    for n, d in AUSLANDER_POOL:
+        homological_dims(build_typeA_auslander(n, d))
+    for n, d, idx in CTGENT_POOL:
+        c = cluster.ctgent_family(n, d, list(idx))
+        cover_alg, e = cluster.ctgent_cover(c)
+        axioms.is_d_gentle_certificate(cover_alg.algebra, e, d)
+        trace = reduce_to_gentle(cluster_endo_algebra(c).algebra)
+        reduction.gentle_sg_invariant(trace.terminal)
 
 
-def test_thin_resolution_steps_equal_the_general_path(monkeypatch):
-    # a one-dimensional vertex of a step is read off its scalars; every
-    # step of the benchmark's resolutions builds what elimination at
-    # every support vertex builds, and most of them take no rref
-    mods = _resolved_modules(monkeypatch)
-    calls = _count_calls(monkeypatch, ("rref",))
-    scalar = 0
-    for m in mods:
-        before = calls["rref"]
-        parts = _step_parts(m)
-        scalar += calls["rref"] == before
-        _assert_same_step(parts, _reference_step(monkeypatch, m))
-    assert len(mods) > 4000 and scalar > 0.9 * len(mods)
+def test_thin_resolution_steps_equal_the_general_path():
+    # every step of the benchmark's resolutions builds what elimination at
+    # every support vertex builds, and its differential, built on first
+    # read, is the reference one; most steps cover a thin module with one
+    # top by a thin P_v, whose kernel is read off the supports with no map
+    # built
+    steps, off = resolved_steps(_benchmark_resolutions)
+    assert_steps_match_reference(steps)
+    assert len(steps) > 4000 and off > 0.9 * len(steps)
 
 
 def _hand_cases():
@@ -1065,37 +1097,45 @@ def _hand_cases():
     line = build_algebra(BoundQuiverPresentation(q, []))
     return [
         (direct_sum([projective(alg, "1"), simple(alg, "2")])[0], 2, 1),
-        (_thin(vee, "123"), 1, 2),
+        (_thin(vee, "123"), 1, 0),
         *((m, 1, 2) for m in kron[:5]),
         (kron[5], 3, 4),
         (Representation(line, dict.fromkeys("123", 1),
                         {"a": [[2]], "b": [[Fraction(-1, 3)]]}), 0, 0),
         (Representation(line, dict.fromkeys("123", 1),
-                        {"a": [[2]], "b": [[0]]}), 1, 2),
-        (Representation(line, {"1": 1, "2": 1}, {"a": [[0]]}), 1, 1),
+                        {"a": [[2]], "b": [[0]]}), 1, 0),
+        (Representation(line, {"1": 1, "2": 1}, {"a": [[0]]}), 1, 0),
     ]
 
 
 def test_thin_rule_hand_cases(monkeypatch):
     # each step builds what elimination at every vertex builds, and takes
-    # one rref per vertex of dimension 2 or more where it must eliminate
+    # one rref per vertex of dimension 2 or more where it must eliminate;
+    # a mat_vec only where the cover or the module is not thin
     calls = _count_calls(monkeypatch, ("rref", "mat_vec"))
     for m, rref, mat_vec in _hand_cases():
         before = dict(calls)
-        parts = _step_parts(m)
+        steps, _ = resolved_steps(reps._resolution, m, 0)
         assert (calls["rref"] - before["rref"],
                 calls["mat_vec"] - before["mat_vec"]) == (rref, mat_vec)
-        _assert_same_step(parts, _reference_step(monkeypatch, m))
+        assert_steps_match_reference(steps)
     m = _hand_cases()[-3][0]
     p, epi, _ = projective_cover(m)
     assert [b[0][0] for b in epi.blocks.values()] == [1, 2, Fraction(-2, 3)]
-    # a generator sent elsewhere than to 1, as a lift or an Ext class sends it
-    for image in ([3], [0], [Fraction(1, 2)]):
-        got = reps.from_generators(p, ["1"], m, image)
-        want = _general(monkeypatch, reps.from_generators, p, ["1"], m,
-                        image)
+    # a generator sent elsewhere than to 1, as a lift or an Ext class sends
+    # it, out of P_1 and out of P_1 + P_3, with no mat_vec
+    two = reps._projective_sum(m.algebra, ["1", "3"])
+    for p, vs, images in [(p, ["1"], [3]), (p, ["1"], [0]),
+                          (p, ["1"], [Fraction(1, 2)]),
+                          (two, ["1", "3"], [3, Fraction(1, 2)]),
+                          (two, ["1", "3"], [0, 2]),
+                          (two, ["1", "3"], [Fraction(-1, 3), 0])]:
+        before = calls["mat_vec"]
+        got = reps.from_generators(p, vs, m, images)
+        assert calls["mat_vec"] == before
+        want = _general(reps.from_generators, p, vs, m, images)
         assert list(got.blocks.items()) == list(want.blocks.items())
-        assert got.blocks["3"] == [[image[0] * Fraction(-2, 3)]]
+        assert got.blocks["3"][0][0] == images[0] * Fraction(-2, 3)
 
 
 def test_thin_kernel_keeps_the_vertices_where_the_map_is_zero(

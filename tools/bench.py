@@ -212,13 +212,15 @@ def containers_built(orig, counts):
 
 def cube_walks(orig, counts):
     """``axioms._cube_walk``, counting in ``cube_walks`` the walks started
-    from outside a walk.  A walk is a generator, so its recursive calls run
+    from outside a walk, and in ``partial_cubes`` every call: each partial
+    cube a walk reaches.  A walk is a generator, so its recursive calls run
     after the wrapper returns and a call depth cannot tell them apart; a
     call made from a walk's own frame is one of them."""
     code = orig.__code__
 
     def walk(*args, **kwargs):
         counts["cube_walks"] += sys._getframe(1).f_code is not code
+        counts["partial_cubes"] += 1
         return orig(*args, **kwargs)
     return walk
 
@@ -398,15 +400,21 @@ class Auslander(Ladder):
     call beyond its arithmetic; and ``constructions`` and
     ``stored_entries``, the ``Representation`` and ``Morphism`` objects
     built by the routes in ``CONSTRUCTORS``, checked or not, and the dims,
-    maps and blocks they store (see ``stored``).  ``--check`` runs every
-    row: a guard against a resolution step that pays for the whole quiver again,
-    for elimination at a one-dimensional vertex (the cover and the kernel
-    read it off its scalars, with no ``rref``, and the cover map out of one
-    thin P_v into a thin module takes no ``mat_vec``), or
-    for a product with an identity (it enters frames in ``hga/linalg.py``),
-    against a dense call that copies, allocates or searches through
-    helpers again, and, with ``stored_entries`` a ceiling, against a
-    module that stores more than its support.
+    maps and blocks they store (see ``stored``).  A resolution step reads
+    its top with ``reps._top``, so ``projective_cover`` is not called, and
+    ``kernel`` only by the steps that build their cover map: a step that
+    covers a thin module with one top by a thin P_v reads its kernel off
+    the supports, and no differential is built until it is read, which
+    ``homological_dims`` never does.  ``--check`` runs every row: a guard
+    against a resolution step that pays for the whole quiver again, for
+    elimination at a one-dimensional vertex (the cover and the kernel read
+    it off its scalars, with no ``rref``, and the cover map out of a sum of
+    thin projectives into a thin module takes no ``mat_vec``), for a map
+    built that no one reads (``constructions``), or for a product with an
+    identity (it enters frames in ``hga/linalg.py``), against a dense call
+    that copies, allocates or searches through helpers again, and, with
+    ``stored_entries`` a ceiling, against a module that stores more than
+    its support.
     """
 
     repeat, average = 7, staticmethod(statistics.median)
@@ -435,6 +443,10 @@ class Auslander(Ladder):
         return out
 
 
+# census keys beyond the ctgent pool, with an e of 56 vertices
+OUTER_KEYS = [(6, 3, (2,)), (6, 3, (3,))]
+
+
 def certify(jobs):
     for cover, e, d in jobs:
         axioms.is_d_gentle_certificate(cover, e, d).to_dict()
@@ -443,7 +455,7 @@ def certify(jobs):
 class Certificate(Ladder):
     """The d-gentle certificate's corners and reports.
 
-    Three workloads:
+    Four workloads:
 
     - ``rigid``: the 72 rigid entries of the ``rigid`` pool (24 label
       subsets for each n = 3, 4, 5), each certified with d = 2 against the
@@ -454,13 +466,18 @@ class Certificate(Ladder):
     - ``cube``: the certificates whose pattern scan finds a cube, from the
       witness tests' fixtures: A^2_n at d = 1 for n = 3, 4, 5 and A^3_4 at
       d = 2, each on all its vertices.  One row per certificate.
+    - ``outer``: two keys beyond the ``ctgent`` pool, (6, 3, [2]) and
+      (6, 3, [3]), each certified against its ``ctgent_cover`` as a
+      ``ctgent`` row is.  Their e has 56 vertices, so the cube scan walks
+      far more than on the pool.  One row per key.
 
     ``wall_s`` is the median of 7 runs of a row's certificates and reports;
     the counts are the top-level calls (those a function does not make
     itself) of ``algebras.represent`` and ``algebras._normal_words``, every
     ``Algebra`` construction and ``TrackedSpan.add`` call, every
     ``CornerQuiver`` construction (``corner_quivers``), the cube walks
-    started outside a walk (``cube_walks``, see ``cube_walks``), and
+    started outside a walk and the partial cubes they reach
+    (``cube_walks`` and ``partial_cubes``, see ``cube_walks``), and
     ``containers_built``, the dicts and lists each report's ``to_dict``
     builds anew (see ``containers_built``).  Covers are built, and their
     cover-level axioms memoised, before anything is counted or timed, so a
@@ -469,8 +486,9 @@ class Certificate(Ladder):
     of each workload.  ``--check`` runs every row: a guard against a
     passing certificate re-presenting a corner, a failing one re-presenting
     more than its corner once, reports copying what the memo shares, a
-    hull of fewer than six vertices getting a corner quiver, and an e of
-    fewer than 2^(d+1) vertices getting a cube walk.
+    hull of fewer than six vertices getting a corner quiver, an e of
+    fewer than 2^(d+1) vertices getting a cube walk, and a cube walk that
+    tries more than one ordering of a cube's directions.
     """
 
     repeat, average, digits = 7, staticmethod(statistics.median), 5
@@ -482,7 +500,8 @@ class Certificate(Ladder):
                (algebras.Algebra, "__init__", "algebra_inits", "all"),
                (linalg.TrackedSpan, "add", "sparse_add_calls", "all"),
                (algebras.CornerQuiver, "__init__", "corner_quivers", "all"),
-               (axioms, "_cube_walk", ("cube_walks",), cube_walks)]
+               (axioms, "_cube_walk", ("cube_walks", "partial_cubes"),
+                cube_walks)]
 
     def rows(self):
         pool = rigid_pool()
@@ -494,12 +513,13 @@ class Certificate(Ladder):
                     for sub in pool[n][0]]
             out.append(Row(f"A^3_{n}", n, certify, lambda j=jobs: j,
                            "rigid"))
-        for n, d, idx in CTGENT_POOL:
+        for n, d, idx in CTGENT_POOL + OUTER_KEYS:
             cover, e = cluster.ctgent_cover(
                 cluster.ctgent_family(n, d, list(idx)))
             jobs = [(cover.algebra, e, d)]
             out.append(Row(ctgent_key(n, d, idx), n, certify,
-                           lambda j=jobs: j, "ctgent"))
+                           lambda j=jobs: j,
+                           "outer" if n > 5 else "ctgent"))
         for n, dd, d in ((3, 2, 1), (4, 2, 1), (5, 2, 1), (4, 3, 2)):
             cover = typea.build_typeA_auslander(n, dd)
             jobs = [(cover, Idempotent.of(cover.vertices), d)]
@@ -515,7 +535,7 @@ class Certificate(Ladder):
             summed(grouped(measured, group), self.digits),
             certificates=sum(len(row.setup()) for row, _ in measured
                              if row.group == group))
-            for group in ("rigid", "ctgent", "cube")}}
+            for group in ("rigid", "ctgent", "cube", "outer")}}
 
 
 def rigid_families():
