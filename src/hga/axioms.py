@@ -304,12 +304,17 @@ def _cube_search(alg, m, fixed_corner=None, fixed_arrows=None):
 
 
 def find_m_cubes(a, m):
-    """All m-cubes with commuting faces, deduplicated up to cube symmetry."""
+    """All m-cubes with commuting faces, one per class up to permuting
+    their directions, sorted by the class's canonical key.
+
+    `_cube_search` with no fixed arrows yields each class once: the m root
+    arrows of a cube end at distinct vertices, so they are distinct labels,
+    and exactly one permutation of the directions puts them in increasing
+    order in their ``out`` list, the one ordering `_cube_walk` places."""
     if m < 2:
         raise ValueError("cube dimension must be at least 2")
-    raw = _cube_search(_as_quiver_values(a), m)
-    seen = {}
-    for cube in raw:
+
+    def canon(cube):
         keys = []
         for perm in permutations(range(m)):
             relabeled = tuple(sorted(
@@ -321,10 +326,9 @@ def find_m_cubes(a, m):
                 for (s, d2), a in cube.arrows.items()
             ))
             keys.append((relabeled, arrows))
-        canon = min(keys)
-        if canon not in seen:
-            seen[canon] = cube
-    return [seen[k] for k in sorted(seen)]
+        return min(keys)
+
+    return sorted(_cube_search(_as_quiver_values(a), m), key=canon)
 
 
 @dataclass
@@ -950,7 +954,9 @@ def is_d_gentle_certificate(cover, e, d):
 
     The cover-level checks depend only on (cover, d), so they are memoised
     on the cover algebra and shared by every corner certified against the
-    same cover.  e is validated against the cover before its hull is taken.
+    same cover.  d below 1 is a ValueError, since a (d + 1)-cube has
+    dimension at least 2 (see `find_m_cubes`); e is validated against the
+    cover before its hull is taken.
     (E3) on the hull and the enumerated cube search read only a corner's
     quiver and the values of its 2-paths, so they run on a `CornerQuiver`,
     read in its ambient, and re-present nothing.  On a monomial cover the
@@ -965,6 +971,8 @@ def is_d_gentle_certificate(cover, e, d):
     so the pattern scan walks nothing (`_corner_cube_violation`).  (E4)
     reads the hull corner only when (E3) fails.
     """
+    if d < 1:
+        raise ValueError("gentleness degree must be at least 1")
     cover = _as_algebra(cover)
     e.validate(cover.vertices)
     if not e.vertex_subset:

@@ -27,14 +27,10 @@ weak reference.  Three memo entries are weak, and each is needed:
   holds the algebra in a weak entry under the same key: ``(A^op)^op`` is
   A, and a strong entry would close the cycle A -> A^op -> A.
 
-The one weak edge that is not an entry: ``reps.minimal_resolution`` is
-memoised on the module m it resolves, and must not hold m.  Its first
-step (``reps._Step``), which builds the cover map P_0 -> m on its first
-read, holds m weakly with its dims and maps, and so does the map it builds
-(``reps._CoverMap``); so the map can still be built, and read, after m is
-gone.  The same holds for the step and the identity that are P_v's own
-resolution, memoised on P_v.  A closure over m stored in the step would
-close the cycle m -> its resolution -> the step -> m.
+A resolution is memoised on the module m it resolves and holds no m,
+weakly or not: its cover map P_0 -> m is built on each read, for the m
+its reader holds (``reps._cover_map``), and P_v's own resolution is built
+on each call.
 
 A memoised value must be a deterministic function of an object that is not
 mutated after construction, and callers treat it as read-only.  Two threads

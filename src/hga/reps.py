@@ -14,15 +14,15 @@ object built with ``check=False`` stores what it is given, in the final
 form that ``Representation`` and ``Morphism`` state; its matrices are
 read-only, so objects may share them: where a map vanishes, its kernel
 keeps the source's own matrices, and a resolution's differential the
-cover map's block.  A resolution builds its differentials only when they
-are read (`_Step`).
+cover map's block.  A resolution builds its maps only when they are read:
+d_0 for the module its reader holds (`_cover_map`), d_k on the step
+(`_Step`).
 """
 
 import collections
 import functools
 import itertools
 import math
-import weakref
 
 from . import linalg
 from .errors import (
@@ -233,31 +233,6 @@ class Morphism:
 
     def __repr__(self):
         return f"Morphism({self.source.dims} -> {self.target.dims})"
-
-
-class _CoverMap(Morphism):
-    """The cover map P_0 -> m of the resolution of m, as its first step
-    builds it (see _Step), with m held weakly, so that the memo entries
-    under m do not hold their owner (see ``hga.memo``).  For a memoised
-    P_v, P_0 is m and the map is its identity.  m is the target, and then
-    the source, while it is alive; after that, a module with m's dims and
-    maps, memoised on the map."""
-
-    def __init__(self, source, blocks, m):
-        self._source = None if source is m else source
-        self.blocks = blocks
-        self._target = weakref.ref(m)
-        self._data = m.algebra, m.dims, m.maps
-
-    @property
-    def source(self):
-        return self.target if self._source is None else self._source
-
-    @property
-    def target(self):
-        m = self._target()
-        return m if m is not None else memo(self, "target", lambda:
-            Representation(*self._data, check=False))
 
 
 def zero_representation(algebra):
@@ -505,14 +480,15 @@ def hom_dim(m, n):
 
 def kernel(f):
     """Kernel subrepresentation with its inclusion."""
-    return _kernel(f)[:2]
+    return _kernel(f.source, f.blocks)[:2]
 
 
-def _kernel(f):
+def _kernel(m, blocks):
     """Kernel, inclusion, and per support vertex of the kernel the free
-    columns of f's block there.
+    columns of f's block there, for f the map out of m with the given
+    blocks (in final form, as Morphism keeps them).
 
-    One loop over the support of f's source m.  A one-dimensional m_v is
+    One loop over the support of m.  A one-dimensional m_v is
     in the kernel exactly when f's column at v is zero or absent (the
     target is zero there): free column [0], inclusion block [[1]].  At a
     vertex of dimension 2 or more, the kernel is the whole space where f
@@ -529,11 +505,10 @@ def _kernel(f):
     the arrow's row there is nonzero, a scalar test; elsewhere f's block
     times the map must vanish.  The kernel and its inclusion are built in
     final form."""
-    m = f.source
     alg, own = m.algebra, m.maps
     free, incl_blocks = {}, {}
     for v, k in m.dims.items():
-        b = f.blocks.get(v)
+        b = blocks.get(v)
         if k == 1:
             if b is None or not any(map(any, b)):
                 free[v], incl_blocks[v] = [0], [[F1]]
@@ -560,7 +535,7 @@ def _kernel(f):
                 continue
             if not whole:
                 img = linalg.mat_mul(img, block)
-            cols, fw = free.get(ar.target), f.blocks.get(ar.target)
+            cols, fw = free.get(ar.target), blocks.get(ar.target)
             if fw and (not cols and any(img[0]) if len(img) == 1
                        else any(map(any, linalg.mat_mul(fw, img)))):
                 raise InternalError("kernel is not a subrepresentation")
@@ -612,12 +587,12 @@ def _cokernel(f):
     D is exact, so Coker f = D Ker(D f).  A kernel vector of (D f)_v is 1
     at one free column and 0 at the others, so the transposed inclusion
     block sends the unit vector of a free coordinate to the class of that
-    coordinate: the free columns are the kept coordinates.  D f is built
-    between duals that are not memoised: the cokernel keeps neither."""
-    dual_f = Morphism(_dual_module(f.target), _dual_module(f.source),
-                      {v: linalg.transpose(b) for v, b in f.blocks.items()},
-                      check=False)
-    k, incl, kept = _kernel(dual_f)
+    coordinate: the free columns are the kept coordinates.  The kernel is
+    taken out of D of the target, which is not memoised, on the transposed
+    blocks: the cokernel keeps neither."""
+    k, incl, kept = _kernel(
+        _dual_module(f.target),
+        {v: linalg.transpose(b) for v, b in f.blocks.items()})
     proj = {v: linalg.transpose(b) for v, b in incl.blocks.items()}
     c = dual(k)
     return c, Morphism(f.target, c, proj, check=False), kept
@@ -696,43 +671,15 @@ def _generator_blocks(p, vertices, n, images):
     images concatenates one vector of n_v per summand, in order.  A basis
     path b of P_v goes to n(b) applied to the image, one arrow at a time:
     n of its last arrow applied to its prefix's vector, walked by
-    `_basis_prefixes`.
-
-    Out of a sum of thin P_v into a thin n (every dim 1 on n and on each
-    summand) no mat_vec is taken: each summand's image is one scalar, and
-    its one basis path v -> w goes to that scalar times the product of n's
-    scalars along the path, 0 once it leaves n, at the summand's column of
-    the 1-row block at w."""
+    `_basis_prefixes`.  A 1x1 map is read as a scalar, with no mat_vec."""
     alg = p.algebra
     dims, maps = n.dims, n.maps
     source, tgt = alg.basis_index().source, alg.basis_tgt
     prefix, last = _basis_prefixes(alg)
-    offsets = _summand_offsets(alg, vertices)
-    if _thin(n) and all(_thin(_projective_data(alg, v)) for v in vertices):
-        blocks = {w: [[F0] * p.dims[w]] for w in dims if w in p.dims}
-        start = 0
-        for v, (_, off) in zip(vertices, offsets):
-            if v not in dims:
-                continue        # no coordinate in images: the summand is 0
-            x, start = images[start], start + 1
-            if not x:
-                continue
-            at = {}             # basis id -> its scalar
-            for b in source[v]:
-                if last[b] is None:
-                    s = x
-                else:
-                    s, mat = at[prefix[b]], maps.get(last[b])
-                    s = mat[0][0] * s if s and mat is not None else F0
-                at[b] = s
-                if s:
-                    w = tgt[b]
-                    blocks[w][0][off[w]] = s
-        return blocks
     blocks = {w: [[F0] * p.dims[w] for _ in range(k)]
               for w, k in dims.items() if w in p.dims}
     start = 0
-    for v, ((_, pos), off) in zip(vertices, offsets):
+    for v, ((_, pos), off) in zip(vertices, _summand_offsets(alg, vertices)):
         gen = images[start:start + dims.get(v, 0)]
         start += len(gen)
         if not any(gen):
@@ -743,8 +690,12 @@ def _generator_blocks(p, vertices, n, images):
                 vec = gen
             else:
                 vec, mat = vecs[prefix[b]], maps.get(last[b])
-                vec = (None if vec is None or mat is None
-                       else linalg.mat_vec(mat, vec))
+                if vec is None or mat is None:
+                    vec = None
+                elif len(vec) == 1 == len(mat):
+                    vec = [mat[0][0] * vec[0]]
+                else:
+                    vec = linalg.mat_vec(mat, vec)
             vecs[b] = vec
             if vec is not None:
                 w = tgt[b]
@@ -817,25 +768,26 @@ def minimal_resolution(m, length):
     Returns (terms, diffs, summand_lists, finished) with diffs[0]: P0 -> m
     and diffs[i]: P_i -> P_{i-1}; stops early once a kernel vanishes.
     Each length is memoised on m and extends the one before, so every
-    caller shares the same terms, and each differential is built once, on
-    its first read (`_Step.differential`).
+    caller shares the same terms, and each differential past d_0 is built
+    once, on its first read (`_Step.differential`); d_0 is built on each
+    read (`_cover_map`).
     """
     terms, steps, summands, kern, _ = _resolution(m, length)
-    return (list(terms), [s.differential() for s in steps], list(summands),
-            kern is None)
+    diffs = [_cover_map(m, steps[0])] + [s.differential() for s in steps[1:]]
+    return list(terms), diffs, list(summands), kern is None
 
 
 def _resolution(m, k):
     """The minimal projective resolution of m up to P_k, computed from the
     one up to P_{k-1}: (terms, steps, summand lists, K, K -> P_k) with K the
     kernel of the last differential, None once it vanishes; the resolution
-    then stops, and every longer one is the same.  Each step is a _Step,
-    which builds its differential on first read.  Memoised on m per k; a
-    stored one is read with `peek`, so a hit builds no closure.
+    then stops, and every longer one is the same.  Each step is a _Step.
+    Memoised on m per k; a stored one is read with `peek`, so a hit builds
+    no closure.
 
-    A memoised P_v is its own resolution, with its identity, memoised on
-    P_v, as the one differential.  That tuple is built on each call: stored
-    on P_v, it would hold P_v."""
+    A memoised P_v is its own resolution, with its identity as the cover
+    map.  That tuple is built on each call: stored on P_v, its step would
+    hold P_v."""
     key = ("resolution", k)
     found = peek(m, key)
     if found is None:
@@ -846,9 +798,8 @@ def _resolution(m, k):
 
 
 def _own_resolution(p):
-    one = memo(p, "identity", lambda: _Step(
-        p, [p.vertex], None,
-        {v: linalg.identity(k) for v, k in p.dims.items()}, None, p))
+    one = _Step(p, [p.vertex], None,
+                {v: linalg.identity(k) for v, k in p.dims.items()}, None)
     return (p,), (one,), ([p.vertex],), None, None
 
 
@@ -857,9 +808,9 @@ def _resolution_step(m, k):
     k = 0), by `_top`, and its kernel.  Where K is thin with a single top
     v and P_v is thin, the cover P_v -> K is onto between one-dimensional
     spaces, so it is nonzero exactly on the support of K: the kernel is
-    read off the supports (`_kernel_off`) and no map is built.  Elsewhere
-    the cover map is built, its kernel taken by `_kernel`, and its blocks
-    kept for the differential."""
+    read off the supports (`_kernel_off`) and no blocks are walked.
+    Elsewhere the cover's blocks are walked (`_generator_blocks`), its
+    kernel taken by `_kernel`, and the blocks kept on the step."""
     if k == 0:
         terms, steps, summands, current, incl = (), (), (), m, None
     else:
@@ -873,55 +824,49 @@ def _resolution_step(m, k):
         blocks = None
         kern, kincl = _kernel_off(p, current.dims)
     else:
-        epi = from_generators(p, cover, current, images)
-        blocks = epi.blocks
-        kern, kincl = kernel(epi)
+        blocks = _generator_blocks(p, cover, current, images)
+        kern, kincl, _ = _kernel(p, blocks)
     if not kern.support:
         kern = kincl = None
-    step = _Step(p, cover, images, blocks, incl, m)
+    step = _Step(p, cover, images, blocks, incl)
     return (terms + (p,), steps + (step,), summands + (cover,), kern, kincl)
 
 
 class _Step:
-    """A step of a cached minimal resolution: what builds its differential
-    P_k -> P_{k-1}, or at k = 0 the cover map P_0 -> m, on first read.
+    """A step of a cached minimal resolution: the cover P_k -> K of the
+    module K it resolves, kept as P_k, its summands and their generators'
+    images (see from_generators), with the cover's blocks where the step
+    walked them to find the kernel, and at k >= 1 the inclusion of K, the
+    kernel of the step before, into P_{k-1}.
 
-    That is the cover P_k -> K of the module K the step resolves: P_k, its
-    summands and their generators' images (see from_generators), with the
-    cover map's blocks where the step built it to find the kernel; and at
-    k >= 1 the inclusion of K, the kernel of the step before, into P_{k-1}.
-    At k = 0, K is m, held as _CoverMap holds it: weakly, with its data,
-    and P_0 too when it is m.  The step is memoised on m, so it must not
-    hold m, and d_0 can still be built after m is gone."""
+    At k >= 1 the differential P_k -> P_{k-1} is built on its first read
+    and memoised on the step.  At k = 0, K is m, and the step, memoised on
+    m, holds no m: the cover map P_0 -> m is built on each read for the m
+    its reader holds (`_cover_map`)."""
 
-    def __init__(self, p, summands, images, blocks, incl, m):
-        self._p = None if p is m else p
-        self._summands, self._images, self._blocks = summands, images, blocks
-        self._incl = incl
-        if incl is None:
-            self._m, self._data = weakref.ref(m), (m.algebra, m.dims, m.maps)
+    def __init__(self, p, summands, images, blocks, incl):
+        self.p, self._summands, self._images = p, summands, images
+        self._blocks, self._incl = blocks, incl
+
+    def cover_blocks(self, target):
+        """The blocks of the cover P_k -> target, for target the module K
+        the step resolves: the kept ones, or one generator walk."""
+        if self._blocks is not None:
+            return self._blocks
+        return _generator_blocks(self.p, self._summands, target,
+                                 self._images)
 
     def differential(self):
-        """The step's differential, built on first read and memoised on the
-        step: every reader of a resolution's maps goes through here."""
-        return memo(self, "differential", self._build)
+        """The differential P_k -> P_{k-1}, k >= 1, built on first read and
+        memoised on the step."""
+        return memo(self, "differential", lambda: _differential(
+            self._incl, self.p, self.cover_blocks(self._incl.source)))
 
-    def _build(self):
-        incl = self._incl
-        if incl is None:
-            target = self._m()
-            if target is None:
-                target = Representation(*self._data, check=False)
-        else:
-            target = incl.source
-        p = target if self._p is None else self._p
-        blocks = self._blocks
-        if blocks is None:
-            blocks = _generator_blocks(p, self._summands, target,
-                                       self._images)
-        if incl is None:
-            return _CoverMap(p, blocks, target)
-        return _differential(incl, p, blocks)
+
+def _cover_map(m, step):
+    """The cover map d_0: P_0 -> m, for step the first step of m's cached
+    resolution, built on each read (a memo entry would hold m)."""
+    return Morphism(step.p, m, step.cover_blocks(m), check=False)
 
 
 def _differential(incl, p, blocks):
@@ -1084,14 +1029,13 @@ def resolution_lift(f, k):
     """Comparison map P_k(source) -> P_k(target) lifting f along the cached
     minimal resolutions, one degree at a time out of sums of projectives;
     None when either stops before P_k."""
-    tm, dm, sm = _resolution(f.source, k)[:3]
-    tn, dn = _resolution(f.target, k)[:2]
-    if len(tm) <= k or len(tn) <= k:
+    if any(len(_resolution(x, k)[0]) <= k for x in (f.source, f.target)):
         return None
+    _, dm, sm, _ = minimal_resolution(f.source, k)
+    dn = minimal_resolution(f.target, k)[1]
     cur = f
     for i in range(k + 1):
-        cur = lift_from_projectives(cur.compose(dm[i].differential()),
-                                    sm[i], dn[i].differential())
+        cur = lift_from_projectives(cur.compose(dm[i]), sm[i], dn[i])
     return cur
 
 
@@ -1230,7 +1174,7 @@ def presentation_matrix(m):
     and P1 and d1 are None.
     """
     terms, steps, summands, _, _ = _resolution(m, 1)
-    tgts, epi = summands[0], steps[0].differential()
+    tgts, epi = summands[0], _cover_map(m, steps[0])
     if len(terms) == 1:
         return tgts, [], [[] for _ in tgts], (terms[0], epi, None, None)
     elems = _differential_elements(steps[1], summands, 0)
@@ -1317,7 +1261,7 @@ def _cover_steps(m):
     terms, steps, summands, _, incl = _resolution(m, 0)
     if incl is None:
         incl = zero_morphism(syzygy(m), terms[0])
-    return steps[0].differential(), incl, summands[0]
+    return _cover_map(m, steps[0]), incl, summands[0]
 
 
 def cosyzygy(m):

@@ -174,6 +174,19 @@ def test_find_m_cubes_counts():
     assert len(find_m_cubes(p, 2)) == 6
 
 
+@pytest.mark.parametrize("n, d", [(3, 2), (4, 2), (5, 2), (3, 3), (4, 3),
+                                  (3, 4)])
+def test_find_m_cubes_lists_each_class_once(n, d):
+    # a directed m-cube is fixed up to permuting its directions by its set
+    # of arrows, so no two cubes of one class are listed when no two share
+    # that set
+    algs = [build_typeA_auslander(n, d), cube3()]
+    for alg, m in ((alg, m) for alg in algs for m in range(2, d + 2)):
+        cubes = find_m_cubes(alg, m)
+        assert len({frozenset(c.arrows.values()) for c in cubes}) == len(
+            cubes)
+
+
 def test_cube_search_rejects_repeated_vertex():
     # a and b both run 1 -> 2 and commute with c: a "square" on 1, 2, 2, 3
     q = Quiver(["1", "2", "3"],
@@ -732,6 +745,15 @@ def test_certificate_validates_e_before_taking_its_hull(labels):
 def test_corner_entry_points_refuse_the_empty_idempotent(make):
     with pytest.raises(EmptyIdempotent):
         make(build_typeA_auslander(3, 3), Idempotent.of([]))
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_certificate_refuses_a_degree_below_one(d):
+    # its cube check looks for (d + 1)-cubes, and a cube has dimension at
+    # least 2, as find_m_cubes requires
+    with pytest.raises(ValueError, match="at least 1"):
+        is_d_gentle_certificate(build_typeA_auslander(3, 2),
+                                Idempotent.of(["13", "14", "24"]), d)
 
 
 def test_hull_keeps_vertices_whose_paths_do_not_compose():

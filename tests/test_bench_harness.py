@@ -127,23 +127,27 @@ def test_stored_counts_a_kernel_built_in_final_form():
 
 
 def test_stored_counts_the_cover_map_of_a_resolution():
-    # a resolution's first differential is a reps._CoverMap, a route of
-    # its own that the auslander ladder counts with its blocks.  The step
-    # of a simple covers a thin module with one top by a thin P_v and reads
-    # its kernel off the supports, so it builds no cover map; the map is
-    # built once, on its first read through the step
+    # a resolution's first differential is a plain Morphism, which the
+    # auslander ladder counts with its blocks.  The step of a simple covers
+    # a thin module with one top by a thin P_v and reads its kernel off
+    # the supports, so it builds no cover map and walks no blocks; the map
+    # is built on each read, with one generator walk
     a = build_typeA_auslander(3, 2)
     s = reps.simple(a, a.vertices[0])
-    counted = [x for x in bench.STORED if x[0] is reps._CoverMap]
+    counted = bench.STORED + [(reps, "_generator_blocks", "walks", "all")]
     with Counting(counted) as c:
-        step = reps._resolution(s, 0)[1][0]
-    assert c.counts == {"constructions": 0, "stored_entries": 0}
+        (p,), (step,), _, kernel, incl = reps._resolution(s, 0)
+    # P_v, the kernel and its inclusion
+    assert c.counts == {"constructions": 3, "walks": 0, "stored_entries":
+                        len(p.dims) + len(p.maps) + len(kernel.dims)
+                        + len(kernel.maps) + len(incl.blocks)}
     with Counting(counted) as c:
-        cover_map = step.differential()
-        assert step.differential() is cover_map
-    assert type(cover_map) is reps._CoverMap
-    assert c.counts == {"constructions": 1,
-                        "stored_entries": len(cover_map.blocks)}
+        cover_map = reps._cover_map(s, step)
+        again = reps._cover_map(s, step)
+    assert type(cover_map) is reps.Morphism and again is not cover_map
+    assert list(again.blocks.items()) == list(cover_map.blocks.items())
+    assert c.counts == {"constructions": 2, "walks": 2,
+                        "stored_entries": 2 * len(cover_map.blocks)}
 
 
 def test_auslander_check_takes_stored_entries_as_a_ceiling():

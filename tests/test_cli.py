@@ -110,6 +110,20 @@ def test_check_gentle_pass_and_fail(tmp_path):
                  "--e", str(e), "--out", str(out)]) in (0, 1)
 
 
+@pytest.mark.parametrize("d", ["0", "-1"])
+def test_check_gentle_refuses_a_degree_below_one(tmp_path, capsys, d):
+    cover = tmp_path / "cover.json"
+    e = tmp_path / "e.json"
+    write(cover, gentle_chain_dict())
+    write(e, ["1", "2", "3"])
+    out = tmp_path / "cert.json"
+    assert main(["check-gentle", "--d", d, "--cover", str(cover),
+                 "--e", str(e), "--out", str(out)]) == cli.EXIT_INPUT == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "input error: gentleness degree must be at least 1\n")
+
+
 @pytest.mark.parametrize("e", ["12", {"1": 0, "2": 0}, [1, 2], "1"],
                          ids=["string", "dict", "int-list", "name-string"])
 def test_check_gentle_takes_only_a_list_of_vertex_names(tmp_path, capsys, e):

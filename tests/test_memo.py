@@ -421,9 +421,9 @@ def test_a_single_summand_cover_is_the_shared_projective(no_cyclic_gc):
 
 
 def test_a_held_projective_is_its_own_resolution(no_cyclic_gc):
-    # P_v's resolution is P_v with its identity, the same map on every
-    # call while P_v lives; the map holds P_v weakly, so kept alone its
-    # ends become one module with P_v's dims
+    # P_v's resolution is P_v with its identity, an equal map on every
+    # read, built for the P_v its reader holds; nothing of it is stored on
+    # P_v, so P_v dies with its reader's last name
     a = build_typeA_auslander(3, 2)
     v = a.vertices[0]
     p = reps.projective(a, v)
@@ -432,41 +432,63 @@ def test_a_held_projective_is_its_own_resolution(no_cyclic_gc):
     assert (summands, finished) == ([[v]], True)
     one = diffs[0]
     assert one.source is p and one.target is p
+    identity = list(reps.identity_morphism(p).blocks.items())
+    assert list(one.blocks.items()) == identity
     longer = reps.minimal_resolution(p, 3)[1]
-    assert len(longer) == 1 and longer[0] is one
+    assert len(longer) == 1 and list(longer[0].blocks.items()) == identity
     p0, epi0, _, _ = reps.presentation_matrix(p)[3]
-    assert p0 is p and epi0 is one
+    assert p0 is p and epi0.target is p
+    assert list(epi0.blocks.items()) == identity
     assert reps.projective(a, v) is p
-    dims, ref = p.dims, weakref.ref(p)
-    del p, terms, diffs, longer, p0, epi0
+    ref = weakref.ref(p)
+    del p, terms, diffs, one, longer, p0, epi0
     assert ref() is None
-    assert one.source is one.target and one.target.dims == dims
+
+
+def _one_top_or_two(one_top):
+    """A simple of A^2_4, covered by one thin P_v, whose kernel a step reads
+    off the supports, or the sum of two simples, covered by a sum, whose
+    blocks the step walks and keeps."""
+    a = build_typeA_auslander(4, 2)
+    simples = [reps.simple(a, v) for v in (a.vertices[0], a.vertices[-1])]
+    return simples[0] if one_top else reps.direct_sum(simples)[0]
 
 
 @pytest.mark.parametrize("one_top", [True, False], ids=["one-top", "two"])
 def test_a_resolution_read_for_its_kernels_leaves_no_cycle(no_cyclic_gc,
                                                            one_top):
     # proj_dim reads the kernels of a resolution alone, so no step builds
-    # its differential; the first step holds its module weakly, so the
-    # module is freed with no cycle left, and its cover map, read after
-    # that, equals the one built while it lived.  A simple is covered by
-    # one thin P_v and its kernel read off the supports; the sum of two
-    # simples is covered by a sum, whose map the step builds and keeps
-    a = build_typeA_auslander(4, 2)
-    simples = [reps.simple(a, v) for v in (a.vertices[0], a.vertices[-1])]
-    m = simples[0] if one_top else reps.direct_sum(simples)[0]
+    # its differential; the resolution holds no m, so m is freed with no
+    # cycle left.  d_0, read while m lives, equals the eager cover map
+    m = _one_top_or_two(one_top)
     eager = list(reps.projective_cover(m)[1].blocks.items())
-    assert reps.proj_dim(m) >= 1
-    terms, steps, _, _, _ = reps._resolution(m, 0)
+    length = reps.proj_dim(m)
+    assert length >= 1
+    terms, steps, _, _, _ = reps._resolution(m, length)
     assert all(memo.peek(s, "differential") is None for s in steps)
-    dims, maps, ref = m.dims, m.maps, weakref.ref(m)
-    del m, simples
+    cover_map = reps._cover_map(m, steps[0])
+    assert list(cover_map.blocks.items()) == eager
+    assert cover_map.source is terms[0] and cover_map.target is m
+    ref = weakref.ref(m)
+    del m, cover_map
     assert ref() is None
     assert hga_objects_in_cycles() == 0
-    cover_map = steps[0].differential()
-    assert list(cover_map.blocks.items()) == eager
-    assert cover_map.source is terms[0]
-    assert (cover_map.target.dims, cover_map.target.maps) == (dims, maps)
+
+
+@pytest.mark.parametrize("one_top", [True, False], ids=["one-top", "two"])
+def test_a_cover_map_read_and_dropped_leaves_no_cycle(no_cyclic_gc,
+                                                      one_top):
+    # d_0 is built for the m its reader holds and stored nowhere: read and
+    # dropped, it leaves no hga object in a cycle, and m dies when its
+    # reader drops it
+    m = _one_top_or_two(one_top)
+    d0 = reps.minimal_resolution(m, 2)[1][0]
+    assert d0.target is m
+    del d0
+    assert hga_objects_in_cycles() == 0
+    ref = weakref.ref(m)
+    del m
+    assert ref() is None
 
 
 def test_threads_share_resolution_steps():
@@ -500,7 +522,9 @@ def test_threads_share_resolution_steps():
     for (t, d, s, done), length in zip(results, lengths):
         assert len(t) == length + 1 and not done
         assert all(x is y for x, y in zip(t, terms))
-        assert all(x is y for x, y in zip(d, diffs))
+        # d_0 is built on each read, the later differentials once
+        assert list(d[0].blocks.items()) == list(diffs[0].blocks.items())
+        assert all(x is y for x, y in zip(d[1:], diffs[1:]))
         assert s == summands[:length + 1]
     for k in range(1, 6):
         assert diffs[k - 1].compose(diffs[k]).is_zero()

@@ -179,8 +179,8 @@ def stored(orig, counts):
 
 
 # the routes by which hga builds a module or a morphism: the two
-# constructors, checked or given final form, and a resolution's cover map
-CONSTRUCTORS = (reps.Representation, reps.Morphism, reps._CoverMap)
+# constructors, checked or given final form
+CONSTRUCTORS = (reps.Representation, reps.Morphism)
 STORED = [(cls, "__init__", ("constructions", "stored_entries"), stored)
           for cls in CONSTRUCTORS]
 
@@ -393,24 +393,27 @@ class Auslander(Ladder):
     A row has two phases, each the median of 7 runs: ``build_s`` builds
     A^d_n, and ``homdims_s`` runs ``homological_dims`` on a fresh build (it
     is memoised on its algebra).  Their counts, ``build_counts`` and
-    ``homdims_counts``, are the calls of ``projective_cover``, ``kernel``,
+    ``homdims_counts``, are the calls of ``projective_cover``,
     ``direct_sum``, ``TrackedSpan.add``, ``linalg.rref``, ``nullspace``
-    and ``mat_vec``; ``linalg_frames``, the Python frames entered in
-    ``hga/linalg.py`` (see ``Counting``): what the dense kernel pays per
-    call beyond its arithmetic; and ``constructions`` and
+    and ``mat_vec``; ``generator_walks``, the calls of
+    ``reps._generator_blocks``; ``linalg_frames``, the Python frames
+    entered in ``hga/linalg.py`` (see ``Counting``): what the dense kernel
+    pays per call beyond its arithmetic; and ``constructions`` and
     ``stored_entries``, the ``Representation`` and ``Morphism`` objects
     built by the routes in ``CONSTRUCTORS``, checked or not, and the dims,
     maps and blocks they store (see ``stored``).  A resolution step reads
     its top with ``reps._top``, so ``projective_cover`` is not called, and
-    ``kernel`` only by the steps that build their cover map: a step that
-    covers a thin module with one top by a thin P_v reads its kernel off
-    the supports, and no differential is built until it is read, which
-    ``homological_dims`` never does.  ``--check`` runs every row: a guard
-    against a resolution step that pays for the whole quiver again, for
-    elimination at a one-dimensional vertex (the cover and the kernel read
-    it off its scalars, with no ``rref``, and the cover map out of a sum of
-    thin projectives into a thin module takes no ``mat_vec``), for a map
-    built that no one reads (``constructions``), or for a product with an
+    walks its cover's blocks only where it needs them for the kernel: a
+    step that covers a thin module with one top by a thin P_v reads its
+    kernel off the supports with no walk; the others pass the
+    walked blocks to the kernel, with no map built to hold them.  No
+    differential is built until it is read, which ``homological_dims``
+    never does.  ``--check`` runs every row: a guard against a resolution
+    step that pays for the whole quiver again, for elimination at a
+    one-dimensional vertex (the cover and the kernel read it off its
+    scalars, with no ``rref``, and the generator walk reads a 1x1 map as a
+    scalar, with no ``mat_vec``), for a walk or a map that no one needs
+    (``generator_walks``, ``constructions``), or for a product with an
     identity (it enters frames in ``hga/linalg.py``), against a dense call
     that copies, allocates or searches through helpers again, and, with
     ``stored_entries`` a ceiling, against a module that stores more than
@@ -420,7 +423,8 @@ class Auslander(Ladder):
     repeat, average = 7, staticmethod(statistics.median)
     rows_at = "pool"
     counted = [(reps, name, f"{name}_calls", "all")
-               for name in ("projective_cover", "kernel", "direct_sum")] + [
+               for name in ("projective_cover", "direct_sum")] + [
+        (reps, "_generator_blocks", "generator_walks", "all")] + [
         (linalg.TrackedSpan, "add", "sparse_add_calls", "all")] + [
         (linalg, name, f"{name}_calls", "all")
         for name in ("rref", "nullspace", "mat_vec")] + STORED
